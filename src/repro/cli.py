@@ -57,6 +57,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 #: ``--backend`` shorthand -> Table II implementation.
 _BACKEND_IMPLS = {"seq": "simple-cpu", "thread": "mt-cpu", "proc": "proc-cpu"}
 
+#: Scheduler constructor argument <- the ``repro stitch`` flag that feeds it.
+_IMPL_ARGS = {
+    "mt-cpu": {"workers": "workers"},
+    "proc-cpu": {"workers": "workers", "fft_batch": "fft_batch"},
+    "pipelined-cpu": {"workers": "workers", "fft_batch": "fft_batch"},
+    "pipelined-cpu-numa": {"workers_per_socket": "workers"},
+    "pipelined-gpu": {"devices": "gpus"},
+}
+
 
 def _workers_arg(value: str) -> int:
     """Parse ``--workers``: an integer, or ``auto`` for the CPU count."""
@@ -95,7 +104,7 @@ def _bytes_arg(value: str) -> int:
 def _cmd_stitch(args: argparse.Namespace) -> int:
     from repro.core.compose import BlendMode
     from repro.core.pciam import CcfMode
-    from repro.core.stitcher import Stitcher
+    from repro.core.stitcher import SCHEDULERS, Stitcher, schedulers_honouring
     from repro.fftlib.plans import PlanCache, PlanningMode
     from repro.io.dataset import TileDataset
     from repro.io.tiff import write_tiff
@@ -103,6 +112,8 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
+    # ``stitcher`` (the default) is a synonym of the sequential scheduler.
+    impl = "simple-cpu" if args.impl == "stitcher" else args.impl
     if args.backend is not None:
         backend_impl = _BACKEND_IMPLS[args.backend]
         if args.impl not in ("stitcher", backend_impl):
@@ -112,7 +123,24 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        args.impl = backend_impl
+        impl = backend_impl
+    impl_options = {
+        kwarg: getattr(args, flag)
+        for kwarg, flag in _IMPL_ARGS.get(impl, {}).items()
+    }
+    if args.watchdog is not None:
+        if "watchdog" not in SCHEDULERS[impl]:
+            print(
+                f"error: --watchdog cannot supervise --impl {impl}; use one "
+                f"of {', '.join(schedulers_honouring('watchdog'))}",
+                file=sys.stderr,
+            )
+            return 2
+        from repro.recovery import WatchdogConfig
+
+        impl_options["watchdog"] = WatchdogConfig(
+            item_deadline=args.watchdog, stall_timeout=args.stall_timeout
+        )
     if args.pattern:
         dataset = TileDataset.discover(
             args.dataset, pattern=args.pattern, overlap=args.overlap
@@ -157,13 +185,9 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         or args.coarse_scale is not None
         or args.coarse_conf_thresh is not None
     )
-    real_transforms = not args.complex_transforms
     stitcher = Stitcher(
         ccf_mode=CcfMode.PAPER4 if args.paper_faithful else CcfMode.EXTENDED,
         n_peaks=1 if args.paper_faithful else args.peaks,
-        real_transforms=real_transforms,
-        use_tile_stats=not args.no_tile_stats,
-        use_workspace=not args.no_workspace,
         pad_to_smooth=args.pad,
         position_method=args.positions,
         refine=args.refine,
@@ -182,109 +206,11 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         metrics=metrics if metrics is not None else False,
         checkpoint=str(args.checkpoint) if args.checkpoint else None,
         resume="require" if args.resume else "auto",
+        impl=impl,
+        impl_options=impl_options,
     )
-    watchdog = None
-    if args.watchdog is not None:
-        from repro.recovery import WatchdogConfig
-
-        watchdog = WatchdogConfig(
-            item_deadline=args.watchdog, stall_timeout=args.stall_timeout
-        )
     t0 = time.perf_counter()
-    if args.impl == "stitcher":
-        result = stitcher.stitch(dataset)
-    else:
-        # Run one of the Table II implementations for phase 1, then the
-        # standard phases 2-3.
-        from repro.core.global_opt import resolve_absolute_positions
-        from repro.core.stitcher import StitchResult
-        from repro.impls import ALL_IMPLEMENTATIONS
-
-        impl_kwargs = {}
-        if args.impl in ("mt-cpu", "pipelined-cpu"):
-            impl_kwargs["workers"] = args.workers
-            if args.impl == "pipelined-cpu":
-                impl_kwargs["fft_batch"] = args.fft_batch
-        elif args.impl == "proc-cpu":
-            impl_kwargs["workers"] = args.workers
-            impl_kwargs["fft_batch"] = args.fft_batch
-        elif args.impl == "pipelined-cpu-numa":
-            impl_kwargs["workers_per_socket"] = args.workers
-        elif args.impl == "pipelined-gpu":
-            impl_kwargs["devices"] = args.gpus
-        policy = stitcher._error_policy()
-        report = None
-        if policy is not None:
-            from repro.faults import FaultReport
-
-            report = FaultReport()
-        journal = stitcher.open_journal(dataset)
-        impl = ALL_IMPLEMENTATIONS[args.impl](
-            ccf_mode=stitcher.ccf_mode, n_peaks=stitcher.n_peaks,
-            real_transforms=real_transforms,
-            use_tile_stats=not args.no_tile_stats,
-            use_workspace=not args.no_workspace,
-            cache=cache, error_policy=policy, fault_report=report,
-            tracer=tracer, metrics=metrics, journal=journal,
-            watchdog=watchdog, coarse=stitcher.coarse, **impl_kwargs,
-        )
-        try:
-            run = impl.run(dataset)
-        finally:
-            # Close even on a crash/stall so the journaled pairs written
-            # so far stay durable for the next --resume.
-            if journal is not None:
-                journal.close()
-        if policy is not None and args.on_tile_error == "skip":
-            positions = resolve_absolute_positions(
-                run.displacements, method=args.positions,
-                on_disconnected="nominal",
-                nominal_step=stitcher._nominal_step(dataset),
-                quality=stitcher.quality,
-            )
-        else:
-            positions = resolve_absolute_positions(
-                run.displacements, method=args.positions,
-                quality=stitcher.quality,
-            )
-        stats = dict(run.stats)
-        if positions.quality_report is not None:
-            stats["quality_report"] = positions.quality_report
-            if metrics is not None:
-                metrics.counter("quality.pairs_gated").inc(
-                    positions.quality_report.get("gated_pairs", 0)
-                )
-                metrics.counter("quality.irls_iterations").inc(
-                    positions.quality_report.get("irls_iterations", 0)
-                )
-                metrics.counter("quality.residue_damped_edges").inc(
-                    positions.quality_report.get("residue_damped_edges", 0)
-                )
-        if report is not None:
-            for rc in positions.degraded_tiles():
-                report.record_degraded_tile(rc)
-            plan = getattr(dataset, "fault_plan", None)
-            if plan is not None:
-                report.injected = plan.summary()
-            stats["fault_report"] = report
-        if metrics is not None:
-            stats["metrics"] = metrics.snapshot()
-        if tracer is not None:
-            stats["tracer"] = tracer
-            # Virtual-GPU engine rows for the merged timeline (Fig. 7/9).
-            profilers = []
-            if getattr(impl, "last_device", None) is not None:
-                profilers.append(impl.last_device.profiler)
-            for dev in getattr(impl, "devices", None) or []:
-                profilers.append(dev.profiler)
-            if profilers:
-                stats["gpu_profilers"] = profilers
-        result = StitchResult(
-            dataset=dataset, displacements=run.displacements,
-            positions=positions, phase1_seconds=run.wall_seconds,
-            phase2_seconds=0.0, implementation=args.impl, stats=stats,
-            on_tile_error=args.on_tile_error,
-        )
+    result = stitcher.stitch(dataset)
     elapsed = time.perf_counter() - t0
     if args.wisdom:
         Path(args.wisdom).write_text(cache.export_wisdom())
@@ -314,7 +240,7 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     if args.fault_report:
         plan = getattr(dataset, "fault_plan", None)
         payload = {
-            "implementation": args.impl,
+            "implementation": result.implementation,
             "grid": [dataset.rows, dataset.cols],
             "elapsed_seconds": elapsed,
             "fault_report": report.to_dict() if report is not None else None,
@@ -501,15 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--peaks", type=int, default=2)
     s.add_argument("--paper-faithful", action="store_true",
                    help="Fig. 2 scheme verbatim: 1 peak, 4 interpretations")
-    s.add_argument("--complex-transforms", action="store_true",
-                   help="full c2c transforms (escape hatch; doubles FFT "
-                        "work and transform-pool memory)")
-    s.add_argument("--no-tile-stats", action="store_true",
-                   help="disable O(1) summed-area-table CCF statistics; "
-                        "every CCF candidate rescans its overlap region")
-    s.add_argument("--no-workspace", action="store_true",
-                   help="disable per-worker pair workspaces; scratch "
-                        "surfaces are reallocated for every pair")
     s.add_argument("--pad", action="store_true", help="pad FFTs to smooth sizes")
     s.add_argument("--refine", action="store_true",
                    help="stage-model filter + repair between phases 1 and 2")
@@ -553,11 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="estimate", help="FFTW-style planning rigor")
     s.add_argument("--wisdom", type=Path,
                    help="planning-wisdom file (loaded if present, saved after)")
-    from repro.impls import ALL_IMPLEMENTATIONS as _IMPLS
+    from repro.core.stitcher import SCHEDULERS
 
-    s.add_argument("--impl", choices=["stitcher", *sorted(_IMPLS)],
+    s.add_argument("--impl", choices=["stitcher", *sorted(SCHEDULERS)],
                    default="stitcher",
-                   help="phase-1 engine: the facade or a Table II implementation")
+                   help="phase-1 scheduler: a Table II implementation "
+                        "('stitcher', the default, is simple-cpu)")
     s.add_argument("--backend", choices=sorted(_BACKEND_IMPLS),
                    default=None,
                    help="phase-1 parallelism shorthand: seq (simple-cpu), "
@@ -615,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "flag a matching journal is still resumed when "
                         "present")
     s.add_argument("--watchdog", type=float, default=None, metavar="SECONDS",
-                   help="supervise pipelined impls: cancel any work item "
+                   help="supervise a pipelined --impl: cancel any work item "
                         "running longer than SECONDS and unwedge stalls "
-                        "instead of hanging")
+                        "instead of hanging (other impls are rejected)")
     s.add_argument("--stall-timeout", type=float, default=30.0,
                    metavar="SECONDS",
                    help="whole-pipeline no-progress window before the "

@@ -8,7 +8,7 @@
     result = Stitcher().stitch(TileDataset("path/to/acquisition"))
     mosaic = result.compose()
 
-Implementation selection, FFT padding, peak-interpretation mode, traversal
+Scheduler selection, FFT padding, peak-interpretation mode, traversal
 order and the phase-2 solver are all options with paper-faithful defaults.
 """
 
@@ -23,6 +23,7 @@ from repro.core.coarse import CoarseConfig
 from repro.core.compose import BlendMode, compose
 from repro.core.displacement import DisplacementResult, compute_grid_displacements
 from repro.core.global_opt import GlobalPositions, resolve_absolute_positions
+from repro.core.kernel import Phase1Kernel
 from repro.core.pciam import CcfMode, smooth_fft_shape
 from repro.core.quality_gate import QualityConfig
 from repro.core.refine import RefineConfig, refine_displacements
@@ -36,9 +37,31 @@ from repro.pipeline.stage import ErrorPolicy
 from repro.recovery.journal import (
     RunJournal,
     checkpoint_journal_path,
-    options_fingerprint,
     run_fingerprint,
 )
+
+#: The phase-1 schedulers by name, and which of the options a scheduler
+#: (rather than the kernel) has to honour each one can: a configurable
+#: ``traversal`` order, ``subpixel`` registration, and ``watchdog``
+#: supervision (only a staged pipeline can be supervised cooperatively --
+#: a single thread or a band worker cannot cancel itself).  Every other
+#: option is the kernel's and works under all of them.  The classes live
+#: in :mod:`repro.impls`, imported only when a non-default one is selected.
+SCHEDULERS: dict[str, frozenset[str]] = {
+    "simple-cpu": frozenset({"traversal", "subpixel"}),
+    "fiji-baseline": frozenset({"subpixel"}),
+    "mt-cpu": frozenset({"subpixel"}),
+    "proc-cpu": frozenset({"subpixel"}),
+    "pipelined-cpu": frozenset({"traversal", "subpixel", "watchdog"}),
+    "pipelined-cpu-numa": frozenset({"traversal", "subpixel", "watchdog"}),
+    "simple-gpu": frozenset({"traversal"}),
+    "pipelined-gpu": frozenset({"traversal", "watchdog"}),
+}
+
+
+def schedulers_honouring(option: str) -> list[str]:
+    """Names of the schedulers that can honour ``option``."""
+    return sorted(name for name, can in SCHEDULERS.items() if option in can)
 
 
 @dataclass
@@ -202,10 +225,17 @@ class StitchResult:
 
 
 class Stitcher:
-    """Configurable three-phase stitcher (sequential reference execution).
+    """Configurable three-phase stitcher: the one entry point of a run.
 
-    For the parallel implementations of Table II, see :mod:`repro.impls`;
-    they produce identical displacements and plug into the same phase 2/3.
+    ``impl`` names the phase-1 scheduler (a key of :data:`SCHEDULERS`;
+    the default is the sequential reference) and ``impl_options`` carries
+    that scheduler's own constructor arguments (``workers``,
+    ``fft_batch``, ``devices``, ``watchdog``, ...).  Every scheduler runs
+    the same :class:`~repro.core.kernel.Phase1Kernel`, so all produce
+    identical displacements; refinement, phase 2, fault/quality reporting
+    and timing happen here, once, whichever one ran.  An option the
+    chosen scheduler cannot honour raises ``ValueError`` rather than
+    being dropped.
     """
 
     def __init__(
@@ -237,7 +267,26 @@ class Stitcher:
         checkpoint: str | None = None,
         resume: str = "auto",
         journal_fsync: bool = True,
+        impl: str = "simple-cpu",
+        impl_options: dict | None = None,
     ) -> None:
+        if impl not in SCHEDULERS:
+            raise ValueError(
+                f"unknown impl {impl!r} (choose from {sorted(SCHEDULERS)})"
+            )
+        self.impl = impl
+        self.impl_options = dict(impl_options or {})
+        requested = {
+            "traversal": traversal is not Traversal.CHAINED_DIAGONAL,
+            "subpixel": bool(subpixel),
+            "watchdog": self.impl_options.get("watchdog") is not None,
+        }
+        for option, wanted in requested.items():
+            if wanted and option not in SCHEDULERS[impl]:
+                raise ValueError(
+                    f"impl {impl!r} cannot honour {option}; "
+                    f"use one of {schedulers_honouring(option)}"
+                )
         self.traversal = traversal
         self.ccf_mode = ccf_mode
         self.n_peaks = n_peaks
@@ -392,35 +441,34 @@ class Stitcher:
             resume=self.resume,
         )
 
-    def compute_displacements(
-        self,
-        dataset: TileDataset,
-        error_policy: ErrorPolicy | None = None,
-        fault_report: FaultReport | None = None,
-        journal: RunJournal | None = None,
-    ) -> DisplacementResult:
-        fft_shape = self._fft_shape(dataset)
-        return compute_grid_displacements(
-            dataset.load,
-            dataset.rows,
-            dataset.cols,
-            traversal=self.traversal,
-            fft_shape=fft_shape,
-            ccf_mode=self.ccf_mode,
-            n_peaks=self.n_peaks,
-            real_transforms=self.real_transforms,
-            subpixel=self.subpixel,
-            cache=self.cache,
-            planning=self.planning,
-            error_policy=error_policy,
-            fault_report=fault_report,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            use_tile_stats=self.use_tile_stats,
-            use_workspace=self.use_workspace,
-            journal=journal,
-            coarse=self.coarse,
-        )
+    def _phase1(self, dataset: TileDataset, kernel: Phase1Kernel):
+        """Run the selected scheduler; returns ``(displacements, stats)``."""
+        tracer = kernel.tracer
+        if self.impl == "simple-cpu":
+            # The default stays import-free: repro.impls (and the virtual
+            # GPU under it) loads only for a scheduler that needs it.
+            with tracer.span("phase1:simple-cpu", "phase1"):
+                disp = compute_grid_displacements(
+                    dataset.load, dataset.rows, dataset.cols,
+                    traversal=self.traversal, kernel=kernel,
+                )
+            return disp, dict(disp.stats)
+        from repro.impls import ALL_IMPLEMENTATIONS
+
+        options = dict(self.impl_options)
+        if "traversal" in SCHEDULERS[self.impl]:
+            options["traversal"] = self.traversal
+        scheduler = ALL_IMPLEMENTATIONS[self.impl](kernel=kernel, **options)
+        run = scheduler.run(dataset)
+        stats = dict(run.stats)
+        if tracer.enabled:
+            # Virtual-GPU engine rows for the merged timeline (Fig. 7/9).
+            devices = list(getattr(scheduler, "devices", None) or [])
+            if getattr(scheduler, "last_device", None) is not None:
+                devices.append(scheduler.last_device)
+            if devices:
+                stats["gpu_profilers"] = [d.profiler for d in devices]
+        return run.displacements, stats
 
     def stitch(self, dataset: TileDataset) -> StitchResult:
         """Run phases 1 and 2; phase 3 is on the result object.
@@ -435,13 +483,27 @@ class Stitcher:
         report = FaultReport() if policy is not None else None
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
         journal = self.open_journal(dataset)
+        kernel = Phase1Kernel(
+            ccf_mode=self.ccf_mode,
+            n_peaks=self.n_peaks,
+            fft_shape=self._fft_shape(dataset),
+            subpixel=self.subpixel,
+            coarse=self.coarse,
+            real_transforms=self.real_transforms,
+            use_tile_stats=self.use_tile_stats,
+            use_workspace=self.use_workspace,
+            cache=self.cache,
+            planning=self.planning,
+            error_policy=policy,
+            fault_report=report,
+            tracer=tracer,
+            metrics=self.metrics,
+            journal=journal,
+        )
         t0 = time.perf_counter()
         try:
             with tracer.span("phase1:displacements", "stitcher"):
-                disp = self.compute_displacements(
-                    dataset, error_policy=policy, fault_report=report,
-                    journal=journal,
-                )
+                disp, stats = self._phase1(dataset, kernel)
             if journal is not None:
                 journal.record_milestone(
                     "phase1_complete", pairs=disp.pair_count()
@@ -451,28 +513,23 @@ class Stitcher:
             if journal is not None:
                 journal.close()
             raise
-        stats = dict(disp.stats)
         if self.refine is not None:
             with tracer.span("refine", "stitcher"):
                 disp, rep = refine_displacements(disp, dataset.load, self.refine)
             stats["refined_pairs"] = rep.repaired
             stats["unrepairable_pairs"] = rep.unrepairable
         t1 = time.perf_counter()
+        degrade = {}
+        if policy is not None and self.on_tile_error == "skip":
+            degrade = {
+                "on_disconnected": "nominal",
+                "nominal_step": self._nominal_step(dataset),
+            }
         with tracer.span("phase2:global-opt", "stitcher"):
-            if policy is not None and self.on_tile_error == "skip":
-                pos = resolve_absolute_positions(
-                    disp,
-                    method=self.position_method,
-                    subpixel=self.subpixel,
-                    on_disconnected="nominal",
-                    nominal_step=self._nominal_step(dataset),
-                    quality=self.quality,
-                )
-            else:
-                pos = resolve_absolute_positions(
-                    disp, method=self.position_method, subpixel=self.subpixel,
-                    quality=self.quality,
-                )
+            pos = resolve_absolute_positions(
+                disp, method=self.position_method, subpixel=self.subpixel,
+                quality=self.quality, **degrade,
+            )
         t2 = time.perf_counter()
         if journal is not None:
             # Phase 2 is deterministic and cheap relative to phase 1, so a
@@ -488,15 +545,14 @@ class Stitcher:
         if pos.quality_report is not None:
             stats["quality_report"] = pos.quality_report
             if self.metrics is not None:
-                self.metrics.counter("quality.pairs_gated").inc(
-                    pos.quality_report.get("gated_pairs", 0)
-                )
-                self.metrics.counter("quality.irls_iterations").inc(
-                    pos.quality_report.get("irls_iterations", 0)
-                )
-                self.metrics.counter("quality.residue_damped_edges").inc(
-                    pos.quality_report.get("residue_damped_edges", 0)
-                )
+                for counter, key in (
+                    ("quality.pairs_gated", "gated_pairs"),
+                    ("quality.irls_iterations", "irls_iterations"),
+                    ("quality.residue_damped_edges", "residue_damped_edges"),
+                ):
+                    self.metrics.counter(counter).inc(
+                        pos.quality_report.get(key, 0)
+                    )
         if report is not None:
             for rc in pos.degraded_tiles():
                 report.record_degraded_tile(rc)
@@ -516,6 +572,7 @@ class Stitcher:
             positions=pos,
             phase1_seconds=t1 - t0,
             phase2_seconds=t2 - t1,
+            implementation=self.impl,
             stats=stats,
             on_tile_error=self.on_tile_error,
         )

@@ -1,19 +1,28 @@
-"""The implementations compared in the paper's Table II.
+"""The phase-1 schedulers compared in the paper's Table II.
 
-All six compute the *same* phase-1 result (west/north translation arrays);
-they differ only in architecture, which is the paper's entire point:
+All of them run the *same* kernel (:class:`repro.core.kernel.Phase1Kernel`:
+reads under the error policy, per-tile products, journal, pair
+registration) and so compute the same west/north translation arrays;
+they differ only in architecture -- order, placement, buffering -- which
+is the paper's entire point:
 
 ========================  ====================================================
 ``FijiBaseline``          the ImageJ/Fiji plugin architecture: same operators,
                           no transform caching, per-pair allocation
 ``SimpleCpu``             sequential reference with early-free traversal
 ``MtCpu``                 SPMD spatial decomposition over worker threads
+``ProcCpu``               the same row bands over forked processes
 ``PipelinedCpu``          3-stage pipeline (read / fft+displacement / bookkeeping)
+``PipelinedCpuNuma``      one such pipeline per socket over column partitions
 ``SimpleGpu``             synchronous single-stream port onto the virtual GPU
 ``PipelinedGpu``          the 6-stage per-GPU pipeline of Fig. 8
 ========================  ====================================================
 
-Every implementation is instrumented (op counts, memory high-water marks,
+Select one for a whole stitch with ``Stitcher(impl=NAME, impl_options=...)``
+(``repro stitch --impl NAME``); the classes here are what it builds, and
+what the architecture tests and Table II benchmarks drive directly.
+
+Every scheduler is instrumented (op counts, memory high-water marks,
 queue depths) so tests can verify the *architectural* claims -- transform
 reuse, single-allocation pools, O(1) D2H traffic -- not just the outputs.
 """

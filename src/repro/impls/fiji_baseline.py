@@ -22,7 +22,7 @@ same answers); only the cost structure differs.
 
 from __future__ import annotations
 
-from repro.core.displacement import DisplacementResult, Translation
+from repro.core.displacement import DisplacementResult
 from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import TileGrid
 from repro.impls.base import Implementation
@@ -34,40 +34,28 @@ class FijiBaseline(Implementation):
 
     name = "fiji-baseline"
 
-    def __init__(self, n_peaks: int = 5, **kw) -> None:
-        kw.setdefault("cache", None)
-        super().__init__(n_peaks=n_peaks, **kw)
+    def __init__(self, **kw) -> None:
+        if "kernel" not in kw:
+            kw.setdefault("n_peaks", 5)
+        super().__init__(**kw)
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
+        kernel = self.kernel
         grid = TileGrid(dataset.rows, dataset.cols)
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats = {"reads": 0, "ffts": 0, "pairs": 0, "resumed_pairs": 0}
         for pair in grid_pairs(grid):
-            journaled = self._journal_lookup(
-                pair.direction, pair.second.row, pair.second.col
-            )
-            if journaled is not None:
-                disp.set(pair.direction, pair.second.row, pair.second.col,
-                         journaled)
-                stats["resumed_pairs"] += 1
+            cell = (pair.direction, pair.second.row, pair.second.col)
+            if kernel.serve_journaled(disp, *cell, stats):
                 continue
-            with self.tracer.span("pair", "fiji-baseline", key=str(pair)):
+            with kernel.tracer.span("pair", "fiji-baseline", key=str(pair)):
                 # Deliberately reload and re-transform both tiles per pair.
-                if self.error_policy is None:
-                    img_i = dataset.load(*pair.first)
-                    img_j = dataset.load(*pair.second)
-                else:
-                    img_i = self._load_tile(dataset, *pair.first)
-                    img_j = self._load_tile(dataset, *pair.second)
-                    if img_i is None or img_j is None:
-                        bad = pair.first if img_i is None else pair.second
-                        self._record_skipped_pair(
-                            pair.direction.name.lower(),
-                            pair.second.row,
-                            pair.second.col,
-                            reason=f"tile ({bad.row},{bad.col}) unreadable",
-                        )
-                        continue
+                img_i = kernel.read(dataset.load, *pair.first)
+                img_j = kernel.read(dataset.load, *pair.second)
+                if img_i is None or img_j is None:
+                    bad = pair.first if img_i is None else pair.second
+                    kernel.skip_tile_pairs(bad, [pair])
+                    continue
                 stats["reads"] += 2
                 # No workspace on purpose -- per-pair allocation is part of
                 # the plugin architecture being reproduced.  Kernel-level
@@ -76,13 +64,11 @@ class FijiBaseline(Implementation):
                 # cost, not architecture or answers.  In coarse mode both
                 # coarse spectra are recomputed per pair, matching the
                 # plugin's no-caching cost structure.
-                r = self._register_pair(img_i, img_j, stats=stats)
-                stats["ffts"] += 2
-                stats["pairs"] += 1
-                t = Translation.from_pciam(r)
-                disp.set(pair.direction, pair.second.row, pair.second.col, t)
-                self._journal_record(
-                    pair.direction, pair.second.row, pair.second.col, t
+                kernel.register_pair(
+                    disp, *cell,
+                    kernel.products(img_i, stats),
+                    kernel.products(img_j, stats),
+                    stats=stats,
                 )
         disp.stats = stats
         return disp, stats

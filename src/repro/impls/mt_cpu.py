@@ -9,31 +9,20 @@ runs the sequential algorithm over its band; the north pairs joining band
 ``k`` to band ``k-1`` are owned by band ``k``, whose worker needs the
 boundary row of the band above.
 
-Two modes govern how that boundary row is obtained:
-
-``share_boundaries=True`` (default)
-    A prefetch phase computes each interior boundary row's products
-    (tile, forward spectrum, tile statistics) exactly once and shares
-    them with both adjacent bands -- tiles and their products are
-    read-only, so threads share them for free.  Every tile is then read
-    and transformed exactly once and ``duplicated_boundary_reads`` is 0.
-
-``share_boundaries=False`` (legacy SPMD)
-    Each band re-reads and re-transforms the boundary row of the band
-    above -- the duplicated work is classic SPMD simplicity tax, counted
-    in ``boundary_refts``/``duplicated_boundary_reads``.
+A prefetch phase computes each interior boundary row's products (tile,
+forward spectrum, tile statistics) exactly once and shares them with both
+adjacent bands -- tiles and their products are read-only, so threads share
+them for free.  Every tile is read and transformed exactly once:
+``duplicated_boundary_reads`` is 0 by construction.
 """
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
-
-from repro.core.displacement import DisplacementResult, Translation
-from repro.core.tilestats import TileStats
+from repro.core.displacement import DisplacementResult
 from repro.grid.neighbors import Direction
-from repro.impls.base import Implementation
+from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 
 
@@ -55,119 +44,89 @@ class MtCpu(Implementation):
 
     name = "mt-cpu"
 
-    def __init__(self, workers: int = 4, share_boundaries: bool = True,
-                 **kw) -> None:
+    def __init__(self, workers: int = 4, **kw) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         super().__init__(**kw)
         self.workers = workers
-        self.share_boundaries = share_boundaries
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats_lock = threading.Lock()
-        stats = {"reads": 0, "ffts": 0, "pairs": 0, "boundary_refts": 0}
+        stats = {"reads": 0, "ffts": 0, "pairs": 0,
+                 "duplicated_boundary_reads": 0}
         errors: list[BaseException] = []
 
         bands = row_bands(dataset.rows, self.workers)
         # One pair workspace per band: each band worker processes its pairs
         # sequentially, so one scratch set per worker suffices.
-        arena = self._make_arena(dataset, count=len(bands))
+        arena = self.kernel.arena(dataset.tile_shape, count=len(bands))
 
         #: grid row -> shared entry list, for rows prefetched once and
         #: consumed by both adjacent bands (read-only after the barrier).
         prefetched: dict[int, list] = {}
-        if self.share_boundaries and len(bands) > 1:
-            self._prefetch_boundaries(
-                dataset, bands, prefetched, stats, stats_lock, errors
+
+        def prefetch_worker(b: int, r: int) -> None:
+            prefetched[r] = self._row_products(
+                dataset, r, stats, stats_lock, track=f"mt-cpu/boundary-{b}"
             )
+
+        def band_worker(k: int, r0: int, r1: int) -> None:
+            ws = arena.acquire() if arena is not None else None
+            try:
+                self._band(
+                    dataset, disp, r0, r1, stats, stats_lock, k, ws,
+                    prefetched,
+                )
+            finally:
+                if arena is not None:
+                    arena.release(ws)
+
+        def run_all(target, arg_lists) -> None:
+            def guarded(*args) -> None:
+                try:
+                    target(*args)
+                except BaseException as exc:
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=guarded, args=args, daemon=True)
+                for args in arg_lists
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
             if errors:
                 raise errors[0]
 
-        def band_worker(k: int, r0: int, r1: int) -> None:
-            try:
-                ws = arena.acquire() if arena is not None else None
-                try:
-                    self._band(
-                        dataset, disp, r0, r1, stats, stats_lock, band=k,
-                        workspace=ws, prefetched=prefetched,
-                    )
-                finally:
-                    if arena is not None:
-                        arena.release(ws)
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=band_worker, args=(k, *band), daemon=True)
-            for k, band in enumerate(bands)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
+        # Phase A: build each interior boundary row's products once.  The
+        # rows are disjoint, so the prefetch threads share nothing but the
+        # (locked) stats dict, and the band phase reads ``prefetched``
+        # without locks -- it is frozen after the join barrier.
+        run_all(prefetch_worker,
+                [(b, r1 - 1) for b, (_, r1) in enumerate(bands[:-1])])
+        run_all(band_worker, [(k, *band) for k, band in enumerate(bands)])
         stats["bands"] = len(bands)
-        # Legacy mode re-reads each boundary tile once; sharing removes
-        # every duplicate (satellite claim pinned by the architecture tests).
-        stats["duplicated_boundary_reads"] = stats["boundary_refts"]
         disp.stats = stats
         return disp, stats
 
-    def _prefetch_boundaries(
-        self, dataset, bands, prefetched, stats, stats_lock, errors,
-    ) -> None:
-        """Phase A: build each interior boundary row's products once.
-
-        The boundary rows are disjoint, so the prefetch threads share
-        nothing but the (locked) stats dict; the subsequent band phase
-        reads ``prefetched`` without locks -- it is frozen after the join
-        barrier here.
-        """
-        def prefetch_worker(b: int, r: int) -> None:
-            try:
-                prefetched[r] = self._row_products(
-                    dataset, r, stats, stats_lock,
-                    track=f"mt-cpu/boundary-{b}",
-                )
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=prefetch_worker, args=(b, r1 - 1), daemon=True
-            )
-            for b, (_, r1) in enumerate(bands[:-1])
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
     def _row_products(self, dataset, r: int, stats, stats_lock,
                       track: str) -> list:
-        """Load + transform one grid row; entries are ``None`` for skips."""
-        local = {"reads": 0, "ffts": 0, "fft_copies_saved": 0}
+        """Load + transform one grid row; entries are ``None`` for skips
+        (their pairs are recorded as skipped and never computed)."""
+        kernel = self.kernel
+        local = {"reads": 0}
         entries: list[tuple | None] = []
         for c in range(dataset.cols):
-            with self.tracer.span("read+fft", track, key=f"({r},{c})"):
-                tile = (
-                    dataset.load(r, c)
-                    if self.error_policy is None
-                    else self._load_tile(dataset, r, c)
-                )
+            with kernel.tracer.span("read+fft", track, key=f"({r},{c})"):
+                tile = kernel.read(dataset.load, r, c)
                 if tile is None:
                     entries.append(None)
                     continue
-                fft = self._forward_spectrum(tile, stats=local)
-                ts = TileStats(tile) if self.use_tile_stats else None
                 local["reads"] += 1
-                local["ffts"] += 1
-                entries.append((tile, fft, ts))
-        with stats_lock:
-            for k, v in local.items():
-                stats[k] = stats.get(k, 0) + v
+                entries.append(kernel.products(tile, local))
+        fold_stats(stats, local, stats_lock)
         return entries
 
     def _band(
@@ -178,9 +137,9 @@ class MtCpu(Implementation):
         r1: int,
         stats: dict,
         stats_lock: threading.Lock,
-        band: int = 0,
-        workspace=None,
-        prefetched: dict | None = None,
+        band: int,
+        workspace,
+        prefetched: dict,
     ) -> None:
         """Sequential pass over rows [r0, r1) with a 2-row sliding window.
 
@@ -188,87 +147,43 @@ class MtCpu(Implementation):
         rows ``r-1`` and ``r`` live, so the band's working set is two rows
         of transforms (plus tile statistics) regardless of band height.
         Rows present in ``prefetched`` (the shared boundary rows) are
-        consumed in place -- no read, no FFT, no duplicate accounting.
+        consumed in place -- no read, no FFT.
         """
-        local = {"reads": 0, "ffts": 0, "pairs": 0, "boundary_refts": 0,
-                 "fft_copies_saved": 0}
+        kernel = self.kernel
+        local = {"pairs": 0}
         prev_row: list[tuple | None] | None = None
         track = f"mt-cpu/band-{band}"
 
+        def pair(direction, r, c, first, second) -> None:
+            # Each pair is owned by exactly one band, so serving it from
+            # the journal here neither races nor double-records.
+            if kernel.serve_journaled(disp, direction, r, c, local):
+                return
+            if first is None or second is None:
+                kernel.note_skipped_pair(
+                    direction, r, c, "member tile unreadable"
+                )
+                return
+            key = f"{direction.name.lower()}({r},{c})"
+            with kernel.tracer.span("pair", track, key=key):
+                kernel.register_pair(
+                    disp, direction, r, c, first, second, workspace, local
+                )
+
         start = r0 - 1 if r0 > 0 else r0  # include boundary row from the band above
         for r in range(start, r1):
-            if prefetched is not None and r in prefetched:
-                cur_row: list[tuple | None] = prefetched[r]
-            else:
-                cur_row = []
-                for c in range(dataset.cols):
-                    with self.tracer.span("read+fft", track, key=f"({r},{c})"):
-                        tile = (
-                            dataset.load(r, c)
-                            if self.error_policy is None
-                            else self._load_tile(dataset, r, c)
-                        )
-                        if tile is None:
-                            # Tile dropped under the skip policy: its pairs
-                            # are recorded as skipped and never computed.
-                            cur_row.append(None)
-                        else:
-                            fft = self._forward_spectrum(tile, stats=local)
-                            ts = (
-                                TileStats(tile) if self.use_tile_stats else None
-                            )
-                            local["reads"] += 1
-                            local["ffts"] += 1
-                            if r == start and r0 > 0:
-                                local["boundary_refts"] += 1
-                            cur_row.append((tile, fft, ts))
+            cur_row = prefetched.get(r)
+            if cur_row is None:
+                cur_row = self._row_products(
+                    dataset, r, stats, stats_lock, track
+                )
             if r >= r0:
                 for c in range(dataset.cols):
                     # West pair within this row (owned by this band).
                     if c > 0:
-                        with self.tracer.span("pair", track, key=f"west({r},{c})"):
-                            self._maybe_pair(
-                                disp, Direction.WEST, r, c,
-                                cur_row[c - 1], cur_row[c], local, workspace,
-                            )
+                        pair(Direction.WEST, r, c, cur_row[c - 1], cur_row[c])
                     # North pair down from the previous row.
                     if prev_row is not None:
-                        with self.tracer.span("pair", track, key=f"north({r},{c})"):
-                            self._maybe_pair(
-                                disp, Direction.NORTH, r, c,
-                                prev_row[c], cur_row[c], local, workspace,
-                            )
+                        pair(Direction.NORTH, r, c, prev_row[c], cur_row[c])
             prev_row = cur_row
-        with stats_lock:
-            for k, v in local.items():
-                stats[k] = stats.get(k, 0) + v
-
-    def _maybe_pair(self, disp, direction, r, c, first, second, local,
-                    workspace=None) -> None:
-        # Resume: each pair is owned by exactly one band, so serving it
-        # from the journal here neither races nor double-records.
-        journaled = self._journal_lookup(direction, r, c)
-        if journaled is not None:
-            disp.set(direction, r, c, journaled)
-            local["resumed_pairs"] = local.get("resumed_pairs", 0) + 1
-            return
-        if first is None or second is None:
-            self._record_skipped_pair(
-                direction.name.lower(), r, c, reason="member tile unreadable"
-            )
-            return
-        self._pair(disp, direction, r, c, first, second, local, workspace)
-
-    def _pair(self, disp, direction, r, c, first, second, local,
-              workspace=None) -> None:
-        img_i, fft_i, stats_i = first
-        img_j, fft_j, stats_j = second
-        res = self._register_pair(
-            img_i, img_j, fft_i=fft_i, fft_j=fft_j,
-            stats_i=stats_i, stats_j=stats_j,
-            workspace=workspace, stats=local,
-        )
-        t = Translation.from_pciam(res)
-        disp.set(direction, r, c, t)
-        self._journal_record(direction, r, c, t)
-        local["pairs"] += 1
+        fold_stats(stats, local, stats_lock)

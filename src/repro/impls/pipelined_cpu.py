@@ -31,51 +31,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult, Translation
-from repro.core.downsample import downsample
-from repro.core.pciam import forward_fft, forward_fft_batch
-from repro.core.tilestats import TileStats
-from repro.fftlib.plans import spectrum_shape
+from repro.core.displacement import DisplacementResult
 from repro.grid.neighbors import Pair
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import Traversal, traverse
-from repro.impls.base import Implementation
+from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 from repro.memmodel.pool import BufferPool, PoolExhausted
 from repro.memmodel.workspace import ThreadLocalWorkspaces
 from repro.pipeline.bookkeeper import PairBookkeeper
 from repro.pipeline.graph import Pipeline
-from repro.pipeline.queues import MonitorQueue, QueueClosed
 from repro.pipeline.stage import END_OF_STREAM
 from repro.recovery.cancel import ItemCancelled
 
 
 @dataclass
-class _TileItem:
-    pos: GridPosition
-    pixels: np.ndarray
-    #: Accumulated time this tile spent waiting for a pool slot (see the
-    #: requeue logic in the compute stage).
-    blocked_seconds: float = 0.0
-
-
-@dataclass
 class _TileBatch:
-    """``fft_batch`` tiles transformed through one batched forward FFT.
+    """Up to ``fft_batch`` read tiles, transformed through one forward FFT.
 
-    Carries the same pool-starvation accounting as a single tile; when
-    only some of the batch gets slots, the remainder is requeued as a
-    smaller batch (keeping its accumulated blocked time).
+    ``blocked_seconds`` accumulates the time the batch spent waiting for
+    pool slots (see the requeue logic in the compute stage); when only
+    some of the batch gets slots, the remainder is requeued as a smaller
+    batch keeping its accumulated blocked time.
     """
 
-    items: list
+    items: list  # [(GridPosition, pixels), ...]
     blocked_seconds: float = 0.0
 
 
 @dataclass
 class _FftDone:
     pos: GridPosition
-    slot: int
 
 
 @dataclass
@@ -139,24 +125,53 @@ class PipelinedCpu(Implementation):
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         rows, cols = dataset.rows, dataset.cols
-        grid = TileGrid(rows, cols)
-        pool_size = self.pool_size or default_pool_size(rows, cols)
-        # The pool holds per-tile spectra: coarse mode shrinks every
-        # buffer to the coarse transform shape (factor^2 less memory).
-        pair_shape = self._pair_transform_shape(dataset)
-        # Half-spectrum transforms shrink every pool buffer to
-        # (h, w//2 + 1) -- the paper's "roughly half the memory".
-        buf_shape = (
-            spectrum_shape(pair_shape) if self.real_transforms else pair_shape
-        )
-        pool = BufferPool(pool_size, buf_shape, dtype=np.complex128)
-        arena = self._make_arena(dataset, count=self.workers)
-        workspaces = ThreadLocalWorkspaces(arena) if arena is not None else None
-        bk = PairBookkeeper(grid, metrics=self.metrics)
         disp = DisplacementResult.empty(rows, cols)
+        stats = {"reads": 0, "ffts": 0, "pairs": 0, "fft_copies_saved": 0}
+        disp.stats = stats
+        if rows * cols == 1:  # no pairs, nothing to pipeline
+            return disp, stats
+        pipe, pool, workspaces = self._build_pipeline(
+            dataset, TileGrid(rows, cols), disp, stats, threading.Lock()
+        )
+        pipe.run()
+        if workspaces is not None:
+            workspaces.release_all()
+            arena = workspaces.arena
+            stats["workspace_bytes"] = arena.bytes_per_workspace * max(
+                1, arena.stats()["peak_in_use"]
+            )
+        stats["pool_peak_in_use"] = pool.peak_in_use
+        stats["pool_size"] = pool.count
+        stats.update({f"queue_{k}": v for k, v in pipe.stats()["queues"].items()})
+        return disp, stats
+
+    def _build_pipeline(
+        self, dataset, grid, disp, stats, stats_lock, pairs=None,
+    ) -> tuple[Pipeline, BufferPool, ThreadLocalWorkspaces | None]:
+        """One reader / compute / bookkeeping pipeline over ``pairs``.
+
+        ``pairs=None`` is the whole grid; a subset (a column partition of
+        the per-socket variant) gets a private pool sized for, and a
+        traversal restricted to, the tile columns those pairs touch.
+        Results land in the shared ``disp``/``stats``.
+        """
+        kernel = self.kernel
+        bk = PairBookkeeper(grid, pairs=pairs, metrics=kernel.metrics)
+        my_tiles = bk.tiles
+        c_lo = min(p.col for p in my_tiles)
+        n_cols = max(p.col for p in my_tiles) - c_lo + 1
+        # The pool holds per-tile spectra: half-spectrum buffers under
+        # real transforms, coarse-shaped ones in coarse mode.
+        pool = BufferPool(
+            self.pool_size or default_pool_size(grid.rows, n_cols),
+            kernel.buffer_shape(dataset.tile_shape), dtype=np.complex128,
+        )
+        arena = kernel.arena(dataset.tile_shape, count=self.workers)
+        workspaces = ThreadLocalWorkspaces(arena) if arena is not None else None
 
         pipe = Pipeline(
-            "pipelined-cpu", tracer=self.tracer, metrics=self.metrics,
+            self.name if pairs is None else f"{self.name}-{c_lo}",
+            tracer=kernel.tracer, metrics=kernel.metrics,
             watchdog=self.watchdog,
         )
         # Q1 carries tile and pair work into the compute stage; it has two
@@ -170,23 +185,27 @@ class PipelinedCpu(Implementation):
         tiles_in_flight = threading.Semaphore(self.queue_size)
 
         # Host-side state shared between stages, owned logically by the
-        # bookkeeper (single thread) except the read-only pixel/slot maps.
+        # bookkeeper (single thread) except the read-only product map.
         state_lock = threading.Lock()
-        pixels: dict[GridPosition, np.ndarray] = {}
+        products: dict[GridPosition, tuple] = {}
         slots: dict[GridPosition, int] = {}
-        tstats: dict[GridPosition, TileStats] = {}
-        stats_lock = threading.Lock()
-        stats = {"reads": 0, "ffts": 0, "pairs": 0, "fft_copies_saved": 0}
 
-        order = iter(list(traverse(grid, self.traversal)))
+        order = iter([
+            pos for p in traverse(TileGrid(grid.rows, n_cols), self.traversal)
+            if (pos := GridPosition(p.row, p.col + c_lo)) in my_tiles
+        ])
 
         #: Tiles awaiting a full batch (reader is single-threaded).
-        pending_batch: list[_TileItem] = []
+        pending_batch: list[tuple] = []
 
         def flush_batch() -> None:
             if pending_batch:
                 q_work.put(_TileBatch(list(pending_batch)))
                 pending_batch.clear()
+
+        def tile_failed(pos: GridPosition) -> None:
+            tiles_in_flight.release()
+            q_events.put(_TileFailed(pos))
 
         def reader(_item, _ctx):
             try:
@@ -199,22 +218,15 @@ class PipelinedCpu(Implementation):
             while not tiles_in_flight.acquire(timeout=0.1):
                 if q_work.closed:
                     return END_OF_STREAM
-            if self.error_policy is None:
-                tile = dataset.load(pos.row, pos.col)
-            else:
-                tile = self._load_tile(dataset, pos.row, pos.col)
-                if tile is None:
-                    tiles_in_flight.release()
-                    q_events.put(_TileFailed(pos))
-                    return None
+            tile = kernel.read(dataset.load, pos.row, pos.col)
+            if tile is None:
+                tile_failed(pos)
+                return None
             with stats_lock:
                 stats["reads"] += 1
-            if self.fft_batch > 1:
-                pending_batch.append(_TileItem(pos, tile))
-                if len(pending_batch) >= self.fft_batch:
-                    flush_batch()
-            else:
-                q_work.put(_TileItem(pos, tile))
+            pending_batch.append((pos, tile))
+            if len(pending_batch) >= self.fft_batch:
+                flush_batch()
             return None
 
         def compute(item, ctx):
@@ -227,25 +239,23 @@ class PipelinedCpu(Implementation):
             try:
                 return _compute(item, ctx)
             except ItemCancelled:
-                if self._skip_on_error:
-                    if isinstance(item, _TileItem):
-                        tiles_in_flight.release()
-                        q_events.put(_TileFailed(item.pos))
-                    elif isinstance(item, _TileBatch):
-                        for t in item.items:
-                            tiles_in_flight.release()
-                            q_events.put(_TileFailed(t.pos))
+                if kernel.skips:
+                    if isinstance(item, _TileBatch):
+                        for pos, _ in item.items:
+                            tile_failed(pos)
                     elif isinstance(item, _PairItem):
                         q_events.put(_PairFailed(item.pair))
                 raise
 
         def _compute(item, _ctx):
+            local: dict = {}
             if isinstance(item, _TileBatch):
                 # Grab as many pool slots as are free right now; transform
-                # that sub-batch in one backend call and requeue the rest.
-                # Blocking for the full batch would recreate the deadlock
-                # the single-tile path avoids (pairs behind us in the FIFO
-                # are what release slots).
+                # that sub-batch in one backend call and requeue the rest
+                # behind any pending pair work (whose completion is what
+                # releases slots).  Blocking for a slot with every worker
+                # would deadlock: tiles ahead of pairs in the FIFO would
+                # pin all workers.
                 acquired: list[int] = []
                 try:
                     acquired.append(pool.acquire(timeout=0.05))
@@ -267,128 +277,41 @@ class PipelinedCpu(Implementation):
                 rest = item.items[len(acquired):]
                 if rest:
                     q_work.put(_TileBatch(rest, item.blocked_seconds))
-                local: dict = {}
-                # Coarse mode: downsample each tile, batch-transform the
-                # stack at the coarse shape (the pool buffers' shape).
-                batch_inputs = (
-                    [downsample(t.pixels, self.coarse.factor) for t in take]
-                    if self.coarse is not None
-                    else [t.pixels for t in take]
-                )
-                ffts = forward_fft_batch(
-                    batch_inputs, pair_shape, self.cache,
-                    real=self.real_transforms, stats=local,
-                )
-                for t_item, slot, fft in zip(take, acquired, ffts):
-                    pool.array(slot)[...] = fft
-                    ts = (
-                        TileStats(t_item.pixels) if self.use_tile_stats
-                        else None
-                    )
+                batch = kernel.batch_products([px for _, px in take], local)
+                for (pos, _), slot, (px, fft, ts) in zip(take, acquired, batch):
+                    buf = pool.array(slot)
+                    buf[...] = fft
                     with state_lock:
-                        pixels[t_item.pos] = t_item.pixels
-                        slots[t_item.pos] = slot
-                        if ts is not None:
-                            tstats[t_item.pos] = ts
+                        products[pos] = (px, buf, ts)
+                        slots[pos] = slot
                     tiles_in_flight.release()
-                    q_events.put(_FftDone(t_item.pos, slot))
-                with stats_lock:
-                    stats["ffts"] += len(take)
-                    for key in ("fft_copies_saved", "fft_batches",
-                                "fft_batched_tiles"):
-                        if key in local:
-                            stats[key] = stats.get(key, 0) + local[key]
-                return None
-            if isinstance(item, _TileItem):
-                # Never block the whole worker pool on slot starvation: if
-                # no slot frees up quickly, requeue the tile behind any
-                # pending pair work (whose completion is what releases
-                # slots).  Blocking here with every worker would deadlock:
-                # tiles ahead of pairs in the FIFO would pin all workers.
-                try:
-                    slot = pool.acquire(timeout=0.05)
-                except TimeoutError:
-                    item.blocked_seconds += 0.05
-                    if item.blocked_seconds > self.pool_timeout:
-                        raise TimeoutError(
-                            f"transform pool ({pool.count} buffers) starved "
-                            f"for {self.pool_timeout}s; pool too small for "
-                            f"the traversal wavefront"
-                        )
-                    q_work.put(item)
-                    return None
-                buf = pool.array(slot)
-                local: dict = {}
-                buf[...] = forward_fft(
-                    downsample(item.pixels, self.coarse.factor)
-                    if self.coarse is not None else item.pixels,
-                    pair_shape, self.cache,
-                    real=self.real_transforms, stats=local,
-                )
-                ts = TileStats(item.pixels) if self.use_tile_stats else None
-                with state_lock:
-                    pixels[item.pos] = item.pixels
-                    slots[item.pos] = slot
-                    if ts is not None:
-                        tstats[item.pos] = ts
-                with stats_lock:
-                    stats["ffts"] += 1
-                    stats["fft_copies_saved"] += local.get("fft_copies_saved", 0)
-                tiles_in_flight.release()
-                q_events.put(_FftDone(item.pos, slot))
+                    q_events.put(_FftDone(pos))
             elif isinstance(item, _PairItem):
                 pair = item.pair
+                cell = (pair.direction, pair.second.row, pair.second.col)
                 # Resume: a journaled pair still flows through the
                 # bookkeeper (its _PairDone drives refcounts and slot
-                # release) but skips the pciam computation entirely.
-                journaled = self._journal_lookup(
-                    pair.direction, pair.second.row, pair.second.col
-                )
-                if journaled is not None:
-                    disp.set(
-                        pair.direction, pair.second.row, pair.second.col,
-                        journaled,
+                # release) but skips the computation entirely.
+                if not kernel.serve_journaled(disp, *cell, local):
+                    with state_lock:
+                        first, second = products[pair.first], products[pair.second]
+                    kernel.register_pair(
+                        disp, *cell, first, second,
+                        workspaces.get() if workspaces is not None else None,
+                        local,
                     )
-                    with stats_lock:
-                        stats["resumed_pairs"] = stats.get("resumed_pairs", 0) + 1
-                    q_events.put(_PairDone(pair))
-                    return None
-                with state_lock:
-                    img_i = pixels[pair.first]
-                    img_j = pixels[pair.second]
-                    fft_i = pool.array(slots[pair.first])
-                    fft_j = pool.array(slots[pair.second])
-                    stats_i = tstats.get(pair.first)
-                    stats_j = tstats.get(pair.second)
-                local_pair: dict = {}
-                res = self._register_pair(
-                    img_i, img_j, fft_i=fft_i, fft_j=fft_j,
-                    stats_i=stats_i, stats_j=stats_j,
-                    workspace=workspaces.get() if workspaces is not None else None,
-                    stats=local_pair,
-                )
-                t = Translation.from_pciam(res)
-                disp.set(pair.direction, pair.second.row, pair.second.col, t)
-                self._journal_record(
-                    pair.direction, pair.second.row, pair.second.col, t
-                )
-                with stats_lock:
-                    stats["pairs"] += 1
-                    for key, v in local_pair.items():
-                        stats[key] = stats.get(key, 0) + v
                 q_events.put(_PairDone(pair))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unexpected work item {item!r}")
+            fold_stats(stats, local, stats_lock)
             return None
 
-        def release_tile(pos: GridPosition) -> None:
-            with state_lock:
-                slot = slots.pop(pos)
-                pixels.pop(pos)
-                tstats.pop(pos, None)
-            pool.release(slot)
-
-        def maybe_finish() -> None:
+        def release_tiles(freed) -> None:
+            for pos in freed:
+                with state_lock:
+                    slot = slots.pop(pos)
+                    products.pop(pos)
+                pool.release(slot)
             if bk.all_pairs_completed():
                 q_work.close()
                 q_events.close()
@@ -399,34 +322,19 @@ class PipelinedCpu(Implementation):
                     q_work.put(_PairItem(pair))
                 # All of this tile's pairs were cancelled by failed
                 # neighbours: its slot will never be consumed by pair work.
-                if bk.releasable(event.pos):
-                    release_tile(event.pos)
-                maybe_finish()
+                release_tiles([event.pos] if bk.releasable(event.pos) else [])
             elif isinstance(event, _PairDone):
-                for pos in bk.pair_completed(event.pair):
-                    release_tile(pos)
-                maybe_finish()
+                release_tiles(bk.pair_completed(event.pair))
             elif isinstance(event, _PairFailed):
-                self._record_skipped_pair(
-                    event.pair.direction.name.lower(),
-                    event.pair.second.row,
-                    event.pair.second.col,
-                    reason="pair computation cancelled",
+                pair = event.pair
+                kernel.note_skipped_pair(
+                    pair.direction, pair.second.row, pair.second.col,
+                    "pair computation cancelled",
                 )
-                for pos in bk.pair_failed(event.pair):
-                    release_tile(pos)
-                maybe_finish()
+                release_tiles(bk.pair_failed(pair))
             elif isinstance(event, _TileFailed):
-                for pair in bk._incident(event.pos):
-                    self._record_skipped_pair(
-                        pair.direction.name.lower(),
-                        pair.second.row,
-                        pair.second.col,
-                        reason=f"tile ({event.pos.row},{event.pos.col}) unreadable",
-                    )
-                for pos in bk.tile_failed(event.pos):
-                    release_tile(pos)
-                maybe_finish()
+                kernel.skip_tile_pairs(event.pos, bk.incident(event.pos))
+                release_tiles(bk.tile_failed(event.pos))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unexpected event {event!r}")
             return None
@@ -434,22 +342,4 @@ class PipelinedCpu(Implementation):
         pipe.stage("reader", reader, workers=1, input=None, output=None)
         pipe.stage("compute", compute, workers=self.workers, input=q_work, output=None)
         pipe.stage("bookkeeping", bookkeeper, workers=1, input=q_events, output=None)
-
-        # Degenerate 1x1 grid: no pairs, no events; close queues up front.
-        if bk.total_pairs == 0:
-            q_work.close()
-            q_events.close()
-            disp.stats = stats
-            return disp, stats
-
-        pipe.run()
-        if workspaces is not None:
-            workspaces.release_all()
-            stats["workspace_bytes"] = arena.bytes_per_workspace * max(
-                1, arena.stats()["peak_in_use"]
-            )
-        stats["pool_peak_in_use"] = pool.peak_in_use
-        stats["pool_size"] = pool_size
-        stats.update({f"queue_{k}": v for k, v in pipe.stats()["queues"].items()})
-        disp.stats = stats
-        return disp, stats
+        return pipe, pool, workspaces

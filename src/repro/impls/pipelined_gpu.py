@@ -33,15 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ccf import ccf_at
-from repro.core.coarse import resolve_coarse_peaks
-from repro.core.displacement import DisplacementResult, Translation
-from repro.core.downsample import downsample
-from repro.core.peak import peak_candidates, peak_magnitude_ratio
-from repro.core.pciam import CcfMode, pciam
-from repro.core.tilestats import TileStats, ccf_at_stats
-from repro.fftlib.plans import spectrum_shape
-from repro.fftlib.smooth import pad_to_shape
+from repro.core.displacement import DisplacementResult
 from repro.gpu.device import VirtualGpu
 from repro.gpu.kernels import (
     fft2_kernel,
@@ -54,7 +46,7 @@ from repro.gpu.kernels import (
 from repro.grid.neighbors import Pair, grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import Traversal, traverse
-from repro.impls.base import Implementation
+from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 from repro.pipeline.bookkeeper import PairBookkeeper
 from repro.pipeline.graph import Pipeline
@@ -237,6 +229,7 @@ class PipelinedGpu(Implementation):
         index: int = 0,
         import_hooks: list | None = None,
     ) -> tuple[Pipeline, "object"]:
+        kernel = self.kernel
         c0, c1 = part["cols"]
         export_col = part.get("export_col")
         import_hooks = import_hooks if import_hooks is not None else []
@@ -245,18 +238,14 @@ class PipelinedGpu(Implementation):
         # shape -- factor^2 less device memory, H2D and p2p traffic.  The
         # host keeps full-resolution pixels + statistics for the CCF
         # stage's refinement probes and the full-PCIAM fallback.
-        fft_shape = (
-            self._pair_transform_shape(dataset)
-            if self.coarse is not None
-            else (tuple(self.fft_shape) if self.fft_shape else dataset.tile_shape)
-        )
-        bk = PairBookkeeper(grid, pairs=part["pairs"], metrics=self.metrics)
+        fft_shape = kernel.transform_shape(dataset.tile_shape)
+        bk = PairBookkeeper(grid, pairs=part["pairs"], metrics=kernel.metrics)
         my_tiles = bk.tiles
 
-        real = self.real_transforms
+        real = kernel.real_transforms
         # Half-spectrum transforms shrink every pool buffer to (h, w//2+1)
         # complex values -- cuFFT R2C halves both footprint and FFT work.
-        buf_shape = spectrum_shape(fft_shape) if real else fft_shape
+        buf_shape = kernel.buffer_shape(dataset.tile_shape)
         pool_size = self.pool_size or (2 * min(grid.rows, c1 - c0) + 4)
         pool = device.create_pool(pool_size, buf_shape)
         # Dedicated streams per GPU stage (copier / fft / displacement):
@@ -280,7 +269,7 @@ class PipelinedGpu(Implementation):
             return buf.view(np.float64)[:, : fft_shape[1]]
 
         pipe = Pipeline(f"pipelined-gpu-{device.device_id}",
-                        tracer=self.tracer, metrics=self.metrics,
+                        tracer=kernel.tracer, metrics=kernel.metrics,
                         watchdog=self.watchdog)
         q01 = pipe.queue(maxsize=self.queue_size, name="read-copy")
         q12 = pipe.queue(maxsize=0, name="copy-fft")
@@ -288,8 +277,8 @@ class PipelinedGpu(Implementation):
         q34 = pipe.queue(maxsize=0, name="ready-pairs")
         q45 = pipe.queue(maxsize=0, name="ccf-work")
 
-        pixels: dict[GridPosition, np.ndarray] = {}
-        tstats: dict[GridPosition, TileStats] = {}
+        #: Host side of each resident tile: ``(pixels, TileStats | None)``.
+        host: dict[GridPosition, tuple] = {}
         slots: dict[GridPosition, int] = {}
         # Ghost transforms received over p2p (dedicated device buffers,
         # keyed by grid position; disjoint from the pooled slots).
@@ -305,7 +294,14 @@ class PipelinedGpu(Implementation):
             g = ghost_arrays.get(pos)
             return g.data if g is not None else pool.array(slots[pos])
         # Host pixels live until CCFs of all incident pairs are done.
-        host_refcount = {pos: bk._refcount[pos] for pos in my_tiles}
+        host_refcount = {pos: len(bk.incident(pos)) for pos in my_tiles}
+
+        def host_pair_done(pair: Pair) -> None:
+            with state_lock:
+                for pos in (pair.first, pair.second):
+                    host_refcount[pos] -= 1
+                    if host_refcount[pos] == 0:
+                        host.pop(pos)
 
         # Local traversal over the partition's tile columns.
         sub = TileGrid(grid.rows, c1 - c0)
@@ -318,44 +314,35 @@ class PipelinedGpu(Implementation):
                 pos = next(order)
             except StopIteration:
                 return END_OF_STREAM
-            if self.error_policy is None:
-                tile = dataset.load(pos.row, pos.col)
-            else:
-                tile = self._load_tile(dataset, pos.row, pos.col)
-                if tile is None:
-                    q23.put(_TileFailed(pos))
-                    # The eastern neighbour expects this tile's transform
-                    # over p2p; tell it the tile is lost instead.
-                    if export_col is not None and pos.col == export_col:
-                        hook = (
-                            import_hooks[index]
-                            if index < len(import_hooks) else None
-                        )
-                        if hook is not None:
-                            hook(pos, None, None, 0.0, None)
-                    return None
+            tile = kernel.read(dataset.load, pos.row, pos.col)
+            if tile is None:
+                q23.put(_TileFailed(pos))
+                # The eastern neighbour expects this tile's transform
+                # over p2p; tell it the tile is lost instead.
+                if export_col is not None and pos.col == export_col:
+                    hook = (
+                        import_hooks[index]
+                        if index < len(import_hooks) else None
+                    )
+                    if hook is not None:
+                        hook(pos, None, None, 0.0, None)
+                return None
             with stats_lock:
                 stats["reads"] += 1
             return _TileItem(pos, tile)
 
         def copier(item: _TileItem, _ctx):
             slot = pool.acquire(timeout=self.pool_timeout)
-            src = item.pixels
-            if self.coarse is not None:
-                src = downsample(src, self.coarse.factor)
-            if src.shape != fft_shape:
-                src = pad_to_shape(src, fft_shape)
+            src = kernel.transform_input(item.pixels, fft_shape)
             if real:
                 # Copy the raw float64 tile (half the bytes of the complex
                 # staging copy) into the slot's in-place R2C input view.
                 ev = device.h2d(src, real_slot_view(pool.array(slot)), stream_copy)
             else:
                 ev = device.h2d(src.astype(np.complex128), pool.array(slot), stream_copy)
-            ts = TileStats(item.pixels) if self.use_tile_stats else None
+            entry = (item.pixels, kernel.tile_stats(item.pixels))
             with state_lock:
-                pixels[item.pos] = item.pixels
-                if ts is not None:
-                    tstats[item.pos] = ts
+                host[item.pos] = entry
                 slots[item.pos] = slot
             return _SlotItem(item.pos, slot, copied_at=ev.end)
 
@@ -378,7 +365,7 @@ class PipelinedGpu(Implementation):
                 hook = import_hooks[index] if index < len(import_hooks) else None
                 if hook is not None:
                     with state_lock:
-                        pix = pixels[item.pos]
+                        pix = host[item.pos][0]
                     hook(item.pos, device, buf, ev.end, pix)
             q23.put(_FftDone(item.pos))
             return None
@@ -392,11 +379,9 @@ class PipelinedGpu(Implementation):
             buf = device.alloc(buf_shape, dtype=np.complex128)
             ev = device.p2p_from(src_device, src_array, buf, stream_copy,
                                  not_before=ready)
-            ts = TileStats(pix) if self.use_tile_stats else None
+            entry = (pix, kernel.tile_stats(pix))
             with state_lock:
-                pixels[pos] = pix
-                if ts is not None:
-                    tstats[pos] = ts
+                host[pos] = entry
                 ghost_arrays[pos] = buf
                 fft_done_at[pos] = ev.end
             with stats_lock:
@@ -432,13 +417,7 @@ class PipelinedGpu(Implementation):
                     release_device_tile(pos)
                 maybe_finish()
             elif isinstance(event, _TileFailed):
-                for pair in bk._incident(event.pos):
-                    self._record_skipped_pair(
-                        pair.direction.name.lower(),
-                        pair.second.row,
-                        pair.second.col,
-                        reason=f"tile ({event.pos.row},{event.pos.col}) unreadable",
-                    )
+                kernel.skip_tile_pairs(event.pos, bk.incident(event.pos))
                 for pos in bk.tile_failed(event.pos):
                     release_device_tile(pos)
                 maybe_finish()
@@ -450,20 +429,12 @@ class PipelinedGpu(Implementation):
             # Resume: a journaled pair skips the device work *and* the CCF
             # stage; its host/device bookkeeping is settled here so slot
             # recycling and pipeline completion accounting still flow.
-            journaled = self._journal_lookup(
-                pair.direction, pair.second.row, pair.second.col
-            )
-            if journaled is not None:
-                disp.set(pair.direction, pair.second.row, pair.second.col,
-                         journaled)
-                with stats_lock:
-                    stats["resumed_pairs"] = stats.get("resumed_pairs", 0) + 1
-                with state_lock:
-                    for pos in (pair.first, pair.second):
-                        host_refcount[pos] -= 1
-                        if host_refcount[pos] == 0:
-                            pixels.pop(pos)
-                            tstats.pop(pos, None)
+            local: dict = {}
+            if kernel.serve_journaled(
+                disp, pair.direction, pair.second.row, pair.second.col, local
+            ):
+                fold_stats(stats, local, stats_lock)
+                host_pair_done(pair)
                 q23.put(_PairDone(pair))
                 return None
             with state_lock:
@@ -481,11 +452,8 @@ class PipelinedGpu(Implementation):
             else:
                 ifft2_kernel(device, scratch.data, scratch.data, stream_disp)
                 surface = scratch.data
-            k = (
-                max(self.n_peaks, self.coarse.coarse_peaks)
-                if self.coarse is not None else self.n_peaks
-            )
-            peaks, _ = reduce_max_kernel(device, surface, stream_disp, k=k)
+            peaks, _ = reduce_max_kernel(device, surface, stream_disp,
+                                         k=kernel.peak_count)
             flat = np.array([v for p in peaks for v in p], dtype=np.float64)
             device.d2h(flat, stream_disp)  # O(k) scalars only
             ctx.emit(_CcfWork(pair, peaks))
@@ -493,77 +461,20 @@ class PipelinedGpu(Implementation):
             q23.put(_PairDone(pair))
             return None
 
-        extended = self.ccf_mode is CcfMode.EXTENDED
-
         def ccf_stage(work: _CcfWork, _ctx):
             pair = work.pair
             with state_lock:
-                img_i = pixels[pair.first]
-                img_j = pixels[pair.second]
-                st_i = tstats.get(pair.first)
-                st_j = tstats.get(pair.second)
-            local_pair: dict = {}
-            if self.coarse is not None:
-                # Host-side coarse-to-fine resolution: contest + hill-climb
-                # over the upscaled device peaks, full PCIAM (host FFTs
-                # from the retained pixels) when the confidence gate
-                # rejects the coarse evidence.
-                cpeaks = [
-                    (float(mag),
-                     *map(int, np.unravel_index(int(flat_idx), fft_shape)))
-                    for mag, flat_idx in work.peaks
-                ]
-                res = resolve_coarse_peaks(
-                    cpeaks, fft_shape, config=self.coarse,
-                    ccf_mode=self.ccf_mode,
-                    img_i=img_i, img_j=img_j,
-                    stats_i=st_i, stats_j=st_j,
-                    use_tile_stats=self.use_tile_stats,
-                    fallback=lambda: pciam(
-                        img_i, img_j,
-                        fft_shape=self.fft_shape,
-                        ccf_mode=self.ccf_mode,
-                        n_peaks=self.n_peaks,
-                        real_transforms=self.real_transforms,
-                        cache=self.cache,
-                        stats_i=st_i, stats_j=st_j,
-                        use_tile_stats=self.use_tile_stats,
-                    ),
-                    stats=local_pair,
-                )
-                t = Translation.from_pciam(res)
-            else:
-                best = (-np.inf, 0, 0)
-                seen: set[tuple[int, int]] = set()
-                for _mag, flat_idx in work.peaks:
-                    py, px = np.unravel_index(int(flat_idx), fft_shape)
-                    for tx, ty in peak_candidates(int(py), int(px), fft_shape, extended=extended):
-                        if (tx, ty) in seen:
-                            continue
-                        seen.add((tx, ty))
-                        if st_i is not None and st_j is not None:
-                            c = ccf_at_stats(st_i, st_j, tx, ty)
-                        else:
-                            c = ccf_at(img_i, img_j, tx, ty)
-                        if c > best[0]:
-                            best = (c, tx, ty)
-                corr, tx, ty = best
-                ratio = peak_magnitude_ratio([m for m, _ in work.peaks])
-                t = Translation(float(corr), int(tx), int(ty), peak_ratio=ratio)
-            disp.set(pair.direction, pair.second.row, pair.second.col, t)
-            self._journal_record(
-                pair.direction, pair.second.row, pair.second.col, t
+                first, second = host[pair.first], host[pair.second]
+            local: dict = {}
+            # Host-side CCFs over the device peaks (in coarse mode the
+            # contest + hill-climb, with the full-PCIAM fallback).
+            t = kernel.resolve_peaks(work.peaks, fft_shape, first, second, local)
+            kernel.commit(
+                disp, pair.direction, pair.second.row, pair.second.col,
+                t, local,
             )
-            with stats_lock:
-                stats["pairs"] += 1
-                for key, v in local_pair.items():
-                    stats[key] = stats.get(key, 0) + v
-            with state_lock:
-                for pos in (pair.first, pair.second):
-                    host_refcount[pos] -= 1
-                    if host_refcount[pos] == 0:
-                        pixels.pop(pos)
-                        tstats.pop(pos, None)
+            fold_stats(stats, local, stats_lock)
+            host_pair_done(pair)
             return None
 
         pipe.stage("read", reader, workers=1, input=None, output=q01)

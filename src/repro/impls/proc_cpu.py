@@ -19,8 +19,7 @@ instead of serializing on the GIL.  The pieces that make that practical:
   publishes tile + forward spectrum + summed-area table into the arena;
   Phase B band workers consume the slab views from both sides.  Every
   tile in the grid is therefore read and transformed exactly once --
-  ``duplicated_boundary_reads`` is 0 by construction (MT-CPU's
-  ``boundary_refts`` waste is the thing this removes).
+  ``duplicated_boundary_reads`` is 0 by construction.
 
 - **batched forward FFTs.**  Row tiles are transformed ``fft_batch`` at a
   time through :func:`repro.core.pciam.forward_fft_batch` -- one backend
@@ -50,24 +49,22 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import multiprocessing as mp
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult, Translation
-from repro.core.downsample import downsample
-from repro.core.pciam import forward_fft_batch
+from repro.core.displacement import DisplacementResult
+from repro.core.kernel import Phase1Kernel
 from repro.core.tilestats import TileStats
-from repro.fftlib.plans import TransformKind, spectrum_shape
+from repro.fftlib.plans import TransformKind
 from repro.grid.neighbors import Direction
 from repro.impls.base import Implementation
 from repro.impls.mt_cpu import row_bands
 from repro.io.dataset import TileDataset
 from repro.memmodel.shm import ShmArena
 from repro.observe.tracer import Tracer
-from repro.pipeline.stage import run_with_retries
 from repro.recovery.journal import JournalAppender
 
 
@@ -76,9 +73,6 @@ from repro.recovery.journal import JournalAppender
 #: run may be live per process at a time (runs are sequential in every
 #: caller; a second concurrent run would need a keyed registry here).
 _CTX: "_RunCtx | None" = None
-
-#: Worker-process journal appender, opened lazily on first record.
-_APPENDER: JournalAppender | None = None
 
 
 @dataclass
@@ -96,23 +90,74 @@ class _RunCtx:
     #: ``(n_boundaries, cols)`` int8: 1 = products published, 0 = tile
     #: skipped (or Phase A not run -- never observed by Phase B).
     mask: np.ndarray | None
-    journal_spec: tuple[str, bool] | None
-    trace_enabled: bool
 
 
 @dataclass
 class _TaskOutcome:
-    """What one worker task ships back to the parent for merging."""
+    """What one worker task ships back to the parent for merging.
 
-    #: ``(direction_value, row, col, Translation)`` in traversal order.
+    Inside the worker it stands in for the two parent-side objects the
+    kernel reports to -- the ``DisplacementResult`` (:meth:`set`) and the
+    ``FaultReport`` (the ``record_*`` methods): the forked copies of the
+    real ones would swallow everything, so the outcome records it and
+    :meth:`ProcCpu._merge` replays it in the parent.
+    """
+
+    #: ``(Direction, row, col, Translation)`` in traversal order.
     pairs: list = field(default_factory=list)
-    resumed: int = 0
     skipped_tiles: list = field(default_factory=list)   # (r, c, errmsg)
     skipped_pairs: list = field(default_factory=list)   # (direction, r, c, reason)
     retries: list = field(default_factory=list)         # (r, c, attempt, errmsg)
     stats: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)
     tracer_t0: float = 0.0
+
+    def set(self, direction, row, col, t) -> None:
+        self.pairs.append((direction, row, col, t))
+
+    def record_retry(self, _stage, tile, attempt, exc) -> None:
+        self.retries.append((*tile, attempt, f"{type(exc).__name__}: {exc}"))
+
+    def record_skipped_tile(self, tile, exc) -> None:
+        self.skipped_tiles.append((*tile, f"{type(exc).__name__}: {exc}"))
+
+    def record_skipped_pair(self, direction, row, col, reason) -> None:
+        self.skipped_pairs.append((direction, row, col, reason))
+
+
+class _Task:
+    """One worker task's kernel, outcome and tracer.
+
+    The kernel is the parent's with its sinks swapped for worker-local
+    ones: the outcome, a private tracer, and -- so completed pairs are
+    durable without the parent -- a :class:`JournalAppender` on the run
+    journal whose resume lookups read the fork-inherited journal state.
+    """
+
+    def __init__(self, track: str) -> None:
+        ctx = _CTX
+        parent: Phase1Kernel = ctx.impl.kernel
+        self.ctx = ctx
+        self.track = track
+        self.out = _TaskOutcome()
+        self.tracer = Tracer(enabled=parent.tracer.enabled)
+        self.out.tracer_t0 = self.tracer._t0
+        self.journal = None
+        if parent.journal is not None:
+            self.journal = JournalAppender(
+                *parent.journal.appender_spec(), lookup=parent.journal.peek
+            )
+        self.kernel = replace(
+            parent, fault_report=self.out, metrics=None, tracer=self.tracer,
+            journal=self.journal,
+        )
+
+    def finish(self, local: dict) -> _TaskOutcome:
+        if self.journal is not None:
+            self.journal.close()
+        self.out.stats = local
+        self.out.spans = self.tracer.spans
+        return self.out
 
 
 def _watch_parent(ppid: int) -> None:  # pragma: no cover - daemon loop
@@ -126,143 +171,53 @@ def _watch_parent(ppid: int) -> None:  # pragma: no cover - daemon loop
 
 def _worker_init(ppid: int) -> None:
     """Per-process setup: orphan watch + plan-cache warmup."""
-    global _APPENDER
-    _APPENDER = None
     threading.Thread(target=_watch_parent, args=(ppid,), daemon=True).start()
     ctx = _CTX
     if ctx is None:  # pragma: no cover - defensive
         return
-    impl = ctx.impl
+    kernel = ctx.impl.kernel
     # Warm the forward/inverse plans once per worker so the first pair in
     # every band pays no planning cost (the forked cache already holds
     # plans the parent created, but a fresh parent cache arrives cold).
     # Coarse mode warms the coarse shapes (the per-pair hot path) *and*
     # the full-resolution shapes (the fallback path) -- the PlanCache is
     # keyed on (kind, shape), so the two never collide.
-    shapes = [impl._transform_shape(ctx.dataset)]
-    if impl.coarse is not None:
-        shapes.insert(0, impl._pair_transform_shape(ctx.dataset))
-    for shape in shapes:
-        if impl.real_transforms:
-            impl.cache.plan(shape, TransformKind.R2C, allow_padding=False)
-            impl.cache.plan(shape, TransformKind.C2R, allow_padding=False)
-        else:
-            impl.cache.plan(shape, TransformKind.C2C_FORWARD, allow_padding=False)
-            impl.cache.plan(shape, TransformKind.C2C_INVERSE, allow_padding=False)
-
-
-def _journal_appender() -> JournalAppender | None:
-    global _APPENDER
-    ctx = _CTX
-    if ctx is None or ctx.journal_spec is None:
-        return None
-    if _APPENDER is None:
-        path, fsync = ctx.journal_spec
-        _APPENDER = JournalAppender(path, fsync=fsync)
-    return _APPENDER
-
-
-def _journal_lookup(impl, direction: Direction, r: int, c: int):
-    """Read-only resume lookup against the fork-inherited journal state.
-
-    Deliberately bypasses ``RunJournal.lookup``: its hit accounting would
-    land in the worker's copy and be lost.  Hits are counted in the
-    outcome and folded into the parent journal's counters at merge time.
-    """
-    journal = impl.journal
-    if journal is None:
-        return None
-    rec = journal.state.pairs.get((direction.value, int(r), int(c)))
-    if rec is None:
-        return None
-    return Translation(
-        correlation=rec["correlation"], tx=rec["tx"], ty=rec["ty"],
-        tx_f=rec["tx_f"], ty_f=rec["ty_f"],
-        peak_ratio=rec.get("peak_ratio"),
-        provenance=rec.get("provenance"),
+    tile_shape = ctx.dataset.tile_shape
+    kinds = (
+        (TransformKind.R2C, TransformKind.C2R) if kernel.real_transforms
+        else (TransformKind.C2C_FORWARD, TransformKind.C2C_INVERSE)
     )
+    for shape in {kernel.transform_shape(tile_shape),
+                  kernel.full_shape(tile_shape)}:
+        for kind in kinds:
+            kernel.cache.plan(shape, kind, kernel.planning,
+                              allow_padding=False)
 
 
-def _load_tile(impl, dataset, r: int, c: int, out: _TaskOutcome):
-    """Tile read under the error policy, with worker-local accounting.
-
-    Mirrors :meth:`Implementation._load_tile` but collects retry/skip
-    records in the outcome (the forked ``fault_report``/``metrics``
-    copies would swallow them) and journals skips through the worker's
-    appender so they are durable without the parent.
-    """
-    if impl.error_policy is None:
-        return dataset.load(r, c)
-
-    def on_retry(attempt: int, exc: BaseException) -> None:
-        out.retries.append((r, c, attempt, f"{type(exc).__name__}: {exc}"))
-
-    try:
-        value, _ = run_with_retries(
-            lambda: dataset.load(r, c),
-            impl.error_policy,
-            key=(r, c),
-            on_retry=on_retry,
-        )
-        return value
-    except Exception as exc:
-        if not impl._skip_on_error:
-            raise
-        out.skipped_tiles.append((r, c, f"{type(exc).__name__}: {exc}"))
-        ap = _journal_appender()
-        if ap is not None:
-            ap.record_skipped_tile(r, c, str(exc))
-        return None
-
-
-def _row_products(
-    impl, dataset, r: int, cols: int, out: _TaskOutcome, local: dict,
-    tracer, track: str,
-):
+def _row_products(task: _Task, r: int, local: dict) -> list:
     """Load + transform one grid row, ``fft_batch`` tiles per FFT call.
 
     Returns ``[(tile, fft, stats) | None] * cols`` -- the per-tile entry
-    triple every band loop consumes.  Batch slices are bit-identical to
-    per-tile transforms, so batching never changes a displacement.
+    triple every band loop consumes.
     """
-    batch = max(1, impl.fft_batch)
+    kernel, dataset = task.kernel, task.ctx.dataset
+    cols = dataset.cols
+    batch = task.ctx.impl.fft_batch
     entries: list[tuple | None] = [None] * cols
     for c0 in range(0, cols, batch):
-        chunk = list(range(c0, min(c0 + batch, cols)))
-        with tracer.span("read", track, key=f"row{r}[{chunk[0]}:{chunk[-1] + 1}]"):
-            tiles = []
-            for c in chunk:
-                tile = _load_tile(impl, dataset, r, c, out)
-                tiles.append(tile)
-                if tile is not None:
-                    local["reads"] += 1
-        live = [(c, t) for c, t in zip(chunk, tiles) if t is not None]
+        c1 = min(c0 + batch, cols)
+        with task.tracer.span("read", task.track, key=f"row{r}[{c0}:{c1}]"):
+            tiles = [kernel.read(dataset.load, r, c) for c in range(c0, c1)]
+        live = [c for c, t in zip(range(c0, c1), tiles) if t is not None]
         if not live:
             continue
-        with tracer.span("fft", track, key=f"row{r}x{len(live)}"):
-            if impl.coarse is not None:
-                # Batched *coarse* FFTs: downsample each tile, then one
-                # backend call transforms the whole stack at the coarse
-                # shape (slices stay bit-identical to per-tile
-                # coarse_forward_fft).
-                inputs = [
-                    downsample(t, impl.coarse.factor) for _, t in live
-                ]
-                batch_shape = (
-                    None if impl.fft_shape is None
-                    else impl._pair_transform_shape(dataset)
-                )
-            else:
-                inputs = [t for _, t in live]
-                batch_shape = impl.fft_shape
-            ffts = forward_fft_batch(
-                inputs, batch_shape, impl.cache,
-                real=impl.real_transforms, stats=local,
+        local["reads"] += len(live)
+        with task.tracer.span("fft", task.track, key=f"row{r}x{len(live)}"):
+            products = kernel.batch_products(
+                [tiles[c - c0] for c in live], local
             )
-            local["ffts"] += len(live)
-        for (c, tile), fft in zip(live, ffts):
-            ts = TileStats(tile) if impl.use_tile_stats else None
-            entries[c] = (tile, fft, ts)
+        for c, entry in zip(live, products):
+            entries[c] = entry
     return entries
 
 
@@ -276,42 +231,31 @@ def _slab_entry(ctx: _RunCtx, b: int, c: int):
     """
     if ctx.mask is None or not ctx.mask[b, c]:
         return None
-    cols = ctx.dataset.cols
-    slot = b * cols + c
+    slot = b * ctx.dataset.cols + c
     tile = ctx.tiles[slot]
-    fft = ctx.spectra[slot]
-    if ctx.impl.use_tile_stats:
+    ts = None
+    if ctx.tables is not None:
         ts = TileStats.from_parts(tile - tile.mean(), ctx.tables[slot])
-    else:
-        ts = None
-    return (tile, fft, ts)
+    return (tile, ctx.spectra[slot], ts)
 
 
 def _boundary_task(b: int) -> _TaskOutcome:
     """Phase A: publish boundary row ``b`` (last row of band ``b``)."""
-    ctx = _CTX
-    impl, dataset = ctx.impl, ctx.dataset
-    out = _TaskOutcome()
-    tracer = Tracer(enabled=ctx.trace_enabled)
-    out.tracer_t0 = tracer._t0
-    track = f"proc-cpu/boundary-{b}"
+    task = _Task(f"proc-cpu/boundary-{b}")
+    ctx = task.ctx
     local = {"reads": 0, "ffts": 0}
-    r = ctx.bands[b][1] - 1
-    cols = dataset.cols
-    entries = _row_products(impl, dataset, r, cols, out, local, tracer, track)
+    entries = _row_products(task, ctx.bands[b][1] - 1, local)
     for c, entry in enumerate(entries):
         if entry is None:
             continue
         tile, fft, ts = entry
-        slot = b * cols + c
+        slot = b * ctx.dataset.cols + c
         ctx.tiles[slot][: tile.shape[0], : tile.shape[1]] = tile
         ctx.spectra[slot] = fft
         if ts is not None:
             ctx.tables[slot] = ts.table
         ctx.mask[b, c] = 1
-    out.stats = local
-    out.spans = tracer.spans
-    return out
+    return task.finish(local)
 
 
 def _band_task(k: int) -> _TaskOutcome:
@@ -322,19 +266,25 @@ def _band_task(k: int) -> _TaskOutcome:
     that boundary rows (the row above, and this band's own last row when
     it is interior) come from the Phase A slabs instead of fresh reads.
     """
-    ctx = _CTX
-    impl, dataset = ctx.impl, ctx.dataset
+    task = _Task(f"proc-cpu/band-{k}")
+    ctx, kernel, out = task.ctx, task.kernel, task.out
     r0, r1 = ctx.bands[k]
-    cols = dataset.cols
-    out = _TaskOutcome()
-    tracer = Tracer(enabled=ctx.trace_enabled)
-    out.tracer_t0 = tracer._t0
-    track = f"proc-cpu/band-{k}"
+    cols = ctx.dataset.cols
     local = {"reads": 0, "ffts": 0, "pairs": 0}
-    n_bands = len(ctx.bands)
-    workspace = None
-    if impl.use_workspace:
-        workspace = impl._make_arena(dataset, count=1).acquire()
+    arena = kernel.arena(ctx.dataset.tile_shape, count=1)
+    workspace = arena.acquire() if arena is not None else None
+
+    def pair(direction, r, c, first, second) -> None:
+        if kernel.serve_journaled(out, direction, r, c, local):
+            return
+        if first is None or second is None:
+            kernel.note_skipped_pair(direction, r, c, "member tile unreadable")
+            return
+        key = f"{direction.name.lower()}({r},{c})"
+        with task.tracer.span("pair", task.track, key=key):
+            kernel.register_pair(
+                out, direction, r, c, first, second, workspace, local
+            )
 
     prev_row: list[tuple | None] | None = None
     start = r0 - 1 if r0 > 0 else r0
@@ -342,56 +292,20 @@ def _band_task(k: int) -> _TaskOutcome:
         if r == r0 - 1:
             # Boundary row from the band above: published by Phase A.
             cur_row = [_slab_entry(ctx, k - 1, c) for c in range(cols)]
-        elif r == r1 - 1 and k < n_bands - 1:
+        elif r == r1 - 1 and k < len(ctx.bands) - 1:
             # This band's own last row is the next band's boundary row;
             # Phase A already read + transformed it.
             cur_row = [_slab_entry(ctx, k, c) for c in range(cols)]
         else:
-            cur_row = _row_products(
-                impl, dataset, r, cols, out, local, tracer, track
-            )
+            cur_row = _row_products(task, r, local)
         if r >= r0:
             for c in range(cols):
                 if c > 0:
-                    _pair(impl, out, Direction.WEST, r, c,
-                          cur_row[c - 1], cur_row[c], local, workspace,
-                          tracer, track)
+                    pair(Direction.WEST, r, c, cur_row[c - 1], cur_row[c])
                 if prev_row is not None:
-                    _pair(impl, out, Direction.NORTH, r, c,
-                          prev_row[c], cur_row[c], local, workspace,
-                          tracer, track)
+                    pair(Direction.NORTH, r, c, prev_row[c], cur_row[c])
         prev_row = cur_row
-    out.stats = local
-    out.spans = tracer.spans
-    return out
-
-
-def _pair(impl, out: _TaskOutcome, direction: Direction, r: int, c: int,
-          first, second, local: dict, workspace, tracer, track: str) -> None:
-    journaled = _journal_lookup(impl, direction, r, c)
-    if journaled is not None:
-        out.pairs.append((direction.value, r, c, journaled))
-        out.resumed += 1
-        return
-    if first is None or second is None:
-        out.skipped_pairs.append(
-            (direction.name.lower(), r, c, "member tile unreadable")
-        )
-        return
-    img_i, fft_i, stats_i = first
-    img_j, fft_j, stats_j = second
-    with tracer.span("pair", track, key=f"{direction.name.lower()}({r},{c})"):
-        res = impl._register_pair(
-            img_i, img_j, fft_i=fft_i, fft_j=fft_j,
-            stats_i=stats_i, stats_j=stats_j,
-            workspace=workspace, stats=local,
-        )
-    t = Translation.from_pciam(res)
-    ap = _journal_appender()
-    if ap is not None:
-        ap.record_pair(direction.value, r, c, t)
-    out.pairs.append((direction.value, r, c, t))
-    local["pairs"] += 1
+    return task.finish(local)
 
 
 class ProcCpu(Implementation):
@@ -415,7 +329,8 @@ class ProcCpu(Implementation):
         self.fft_batch = fft_batch
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
-        global _CTX, _APPENDER
+        global _CTX
+        kernel = self.kernel
         bands = row_bands(dataset.rows, self.workers)
         n_boundaries = len(bands) - 1
         use_pool = n_boundaries > 0 and "fork" in mp.get_all_start_methods()
@@ -423,8 +338,7 @@ class ProcCpu(Implementation):
         tile_shape = tuple(dataset.tile_shape)
         # In coarse mode the published per-tile spectrum is coarse-shaped
         # (the full-resolution spectrum is never computed up front).
-        fshape = self._pair_transform_shape(dataset)
-        sshape = spectrum_shape(fshape) if self.real_transforms else fshape
+        sshape = kernel.buffer_shape(tile_shape)
         slots = n_boundaries * dataset.cols
 
         arena = None
@@ -436,7 +350,7 @@ class ProcCpu(Implementation):
                 arena = ShmArena()
                 tiles = arena.slab("tiles", slots, tile_shape, np.float64).array
                 spectra = arena.slab("spectra", slots, sshape, np.complex128).array
-                if self.use_tile_stats:
+                if kernel.use_tile_stats:
                     tables = arena.slab(
                         "tables", slots,
                         (tile_shape[0] + 1, tile_shape[1] + 1), np.complex128,
@@ -447,7 +361,7 @@ class ProcCpu(Implementation):
             else:  # pragma: no cover - non-fork platforms
                 tiles = np.zeros((slots, *tile_shape))
                 spectra = np.zeros((slots, *sshape), dtype=np.complex128)
-                if self.use_tile_stats:
+                if kernel.use_tile_stats:
                     tables = np.zeros(
                         (slots, tile_shape[0] + 1, tile_shape[1] + 1),
                         dtype=np.complex128,
@@ -457,16 +371,10 @@ class ProcCpu(Implementation):
         _CTX = _RunCtx(
             impl=self, dataset=dataset, bands=bands,
             tiles=tiles, spectra=spectra, tables=tables, mask=mask,
-            journal_spec=(
-                self.journal.appender_spec() if self.journal is not None
-                else None
-            ),
-            trace_enabled=self.tracer.enabled,
         )
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats = {
-            "reads": 0, "ffts": 0, "pairs": 0,
-            "boundary_refts": 0, "duplicated_boundary_reads": 0,
+            "reads": 0, "ffts": 0, "pairs": 0, "duplicated_boundary_reads": 0,
             "bands": len(bands), "process_workers": len(bands) if use_pool else 0,
         }
         try:
@@ -479,11 +387,6 @@ class ProcCpu(Implementation):
             self._merge(disp, stats, outcomes)
         finally:
             _CTX = None
-            if _APPENDER is not None:
-                # Inline (poolless) tasks run in this process and may have
-                # opened a worker-style appender; close it per run.
-                _APPENDER.close()
-                _APPENDER = None
             if arena is not None:
                 arena.close()
         disp.stats = stats
@@ -516,34 +419,23 @@ class ProcCpu(Implementation):
         change any value -- but fixing it keeps every parent-side artifact
         (trace, fault report, journal accounting) deterministic too.
         """
-        resumed = 0
+        kernel = self.kernel
         for out in outcomes:
             for d, r, c, t in out.pairs:
-                disp.set(Direction(d), r, c, t)
-            resumed += out.resumed
+                disp.set(d, r, c, t)
             for r, c, attempt, err in out.retries:
-                if self.fault_report is not None:
-                    self.fault_report.record_retry(
-                        "read", (r, c), attempt, RuntimeError(err)
-                    )
-                if self.metrics is not None:
-                    self.metrics.counter("read.retries").inc()
+                kernel.note_retry(r, c, attempt, RuntimeError(err))
             for r, c, err in out.skipped_tiles:
-                if self.fault_report is not None:
-                    self.fault_report.record_skipped_tile(
-                        (r, c), RuntimeError(err)
-                    )
-                if self.metrics is not None:
-                    self.metrics.counter("read.skipped_tiles").inc()
+                # The worker's appender already journaled the skip.
+                kernel.count_skipped_tile(r, c, RuntimeError(err))
             for d, r, c, reason in out.skipped_pairs:
-                self._record_skipped_pair(d, r, c, reason=reason)
+                kernel.note_skipped_pair(Direction(d), r, c, reason)
             for key, v in out.stats.items():
                 stats[key] = stats.get(key, 0) + v
-            self.tracer.absorb(out.spans, out.tracer_t0)
-        if resumed:
-            stats["resumed_pairs"] = resumed
-        if self.journal is not None:
-            self.journal.resumed_pairs += resumed
-            self.journal.note_worker_pairs(stats.get("pairs", 0))
-            if self.metrics is not None and resumed:
-                self.metrics.counter("journal.pairs_resumed").inc(resumed)
+            kernel.tracer.absorb(out.spans, out.tracer_t0)
+        resumed = stats.get("resumed_pairs", 0)
+        if kernel.journal is not None:
+            kernel.journal.resumed_pairs += resumed
+            kernel.journal.note_worker_pairs(stats.get("pairs", 0))
+            if kernel.metrics is not None and resumed:
+                kernel.metrics.counter("journal.pairs_resumed").inc(resumed)

@@ -27,22 +27,7 @@ class SimpleCpu(Implementation):
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         disp = compute_grid_displacements(
-            dataset.load,
-            dataset.rows,
-            dataset.cols,
-            traversal=self.traversal,
-            fft_shape=self.fft_shape,
-            ccf_mode=self.ccf_mode,
-            n_peaks=self.n_peaks,
-            real_transforms=self.real_transforms,
-            cache=self.cache,
-            error_policy=self.error_policy,
-            fault_report=self.fault_report,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            use_tile_stats=self.use_tile_stats,
-            use_workspace=self.use_workspace,
-            journal=self.journal,
-            coarse=self.coarse,
+            dataset.load, dataset.rows, dataset.cols,
+            traversal=self.traversal, kernel=self.kernel,
         )
         return disp, dict(disp.stats)

@@ -20,15 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ccf import ccf_at
-from repro.core.coarse import resolve_coarse_peaks
-from repro.core.displacement import DisplacementResult, Translation
-from repro.core.downsample import downsample
-from repro.core.peak import peak_candidates, peak_magnitude_ratio
-from repro.core.pciam import CcfMode, pciam
-from repro.core.tilestats import TileStats, ccf_at_stats
-from repro.fftlib.plans import spectrum_shape
-from repro.fftlib.smooth import pad_to_shape
+from repro.core.displacement import DisplacementResult
 from repro.gpu.costs import XEON_E5620, CpuCostModel
 from repro.gpu.device import VirtualGpu
 from repro.gpu.kernels import (
@@ -68,52 +60,43 @@ class SimpleGpu(Implementation):
         self.last_device: VirtualGpu | None = None
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
+        kernel = self.kernel
         device = self.device or VirtualGpu()
         self.last_device = device
         rows, cols = dataset.rows, dataset.cols
         grid = TileGrid(rows, cols)
-        full_shape = tuple(self.fft_shape) if self.fft_shape else dataset.tile_shape
+        full_shape = kernel.full_shape(dataset.tile_shape)
         # Coarse mode moves every device-side surface (staging, pool
         # buffers, NCC scratch, inverse) to the coarse transform shape --
         # factor^2 less device memory and H2D traffic.  The host keeps
         # full-resolution tiles + statistics for refinement and fallback.
-        fft_shape = (
-            self._pair_transform_shape(dataset)
-            if self.coarse is not None else full_shape
-        )
+        fft_shape = kernel.transform_shape(dataset.tile_shape)
         hw = full_shape[0] * full_shape[1]
-        real = self.real_transforms
-        # Half-spectrum transforms shrink every device pool buffer to
-        # (h, w//2+1) -- cuFFT R2C halves both work and footprint.
-        buf_shape = spectrum_shape(fft_shape) if real else fft_shape
-        # Pool: live transforms of the traversal wavefront plus one scratch
-        # slot for the NCC / inverse-FFT surface.
+        real = kernel.real_transforms
+        # Pool of (half-)spectra: live transforms of the traversal
+        # wavefront plus one scratch slot for the NCC / inverse-FFT
+        # surface; cuFFT R2C halves both work and footprint.
         pool_size = self.pool_size or (2 * min(rows, cols) + 5)
-        pool = device.create_pool(pool_size, buf_shape)
+        pool = device.create_pool(
+            pool_size, kernel.buffer_shape(dataset.tile_shape)
+        )
         stream = device.default_stream
 
         disp = DisplacementResult.empty(rows, cols)
         stats = {"reads": 0, "ffts": 0, "pairs": 0}
-        tiles: dict[GridPosition, np.ndarray] = {}
-        tstats: dict[GridPosition, TileStats] = {}
+        #: Host side of each resident tile: ``(pixels, TileStats | None)``.
+        host: dict[GridPosition, tuple] = {}
         slots: dict[GridPosition, int] = {}
-        pairs_done: set = set()
         host_clock = 0.0
 
         # Resume: journaled pairs never touch the device; tiles whose
         # incident pairs are all journaled are not even read or copied.
-        if self.journal is not None:
-            resumed = 0
-            for pair in grid_pairs(grid):
-                t = self._journal_lookup(
-                    pair.direction, pair.second.row, pair.second.col
-                )
-                if t is not None:
-                    disp.set(pair.direction, pair.second.row, pair.second.col, t)
-                    pairs_done.add(pair)
-                    resumed += 1
-            if resumed:
-                stats["resumed_pairs"] = resumed
+        pairs_done = {
+            pair for pair in grid_pairs(grid)
+            if kernel.serve_journaled(
+                disp, pair.direction, pair.second.row, pair.second.col, stats
+            )
+        }
 
         def host_op(name: str, seconds: float) -> None:
             nonlocal host_clock
@@ -133,40 +116,22 @@ class SimpleGpu(Implementation):
         # alias the half-spectrum scratch slot; one dedicated buffer.
         inv_buf = device.alloc(fft_shape, dtype=np.float64) if real else None
 
-        failed: set[GridPosition] = set()
-
-        def mark_failed(pos: GridPosition) -> None:
-            failed.add(pos)
-            # Mark the failed tile's pairs done so surviving neighbours'
-            # transform slots are still recycled by release_if_done.
-            for pair in pairs_for_tile(grid, pos.row, pos.col):
-                if pair not in pairs_done:
-                    pairs_done.add(pair)
-                    self._record_skipped_pair(
-                        pair.direction.name.lower(),
-                        pair.second.row,
-                        pair.second.col,
-                        reason=f"tile ({pos.row},{pos.col}) unreadable",
-                    )
-
         def load_and_transform(pos: GridPosition) -> None:
             nonlocal host_clock
-            if all(p in pairs_done for p in pairs_for_tile(grid, pos.row, pos.col)):
+            incident = pairs_for_tile(grid, pos.row, pos.col)
+            if all(p in pairs_done for p in incident):
                 return
-            if self.error_policy is None:
-                tile = dataset.load(pos.row, pos.col)
-            else:
-                tile = self._load_tile(dataset, pos.row, pos.col)
-                if tile is None:
-                    mark_failed(pos)
-                    return
+            tile = kernel.read(dataset.load, pos.row, pos.col)
+            if tile is None:
+                # Mark the failed tile's pairs done so surviving
+                # neighbours' transform slots are still recycled.
+                lost = [p for p in incident if p not in pairs_done]
+                pairs_done.update(lost)
+                kernel.skip_tile_pairs(pos, lost)
+                return
             host_op("read-tile", self.host_costs.read(hw) + self.host_costs.decode(hw))
             stats["reads"] += 1
-            src = (
-                downsample(tile, self.coarse.factor)
-                if self.coarse is not None else tile
-            )
-            src = src if src.shape == fft_shape else pad_to_shape(src, fft_shape)
+            src = kernel.transform_input(tile, fft_shape)
             slot = pool.acquire(blocking=False)
             host_src = src if real else src.astype(np.complex128)
             ev = device.h2d(host_src, staging, stream, not_before=host_clock)
@@ -175,9 +140,7 @@ class SimpleGpu(Implementation):
             ev = fwd(device, staging.data, pool.array(slot), stream, not_before=host_clock)
             host_clock = ev.end  # default stream, synchronous: host waits
             stats["ffts"] += 1
-            tiles[pos] = tile
-            if self.use_tile_stats:
-                tstats[pos] = TileStats(tile)
+            host[pos] = (tile, kernel.tile_stats(tile))
             slots[pos] = slot
 
         def release_if_done(pos: GridPosition) -> None:
@@ -185,12 +148,9 @@ class SimpleGpu(Implementation):
                 return
             if all(p in pairs_done for p in pairs_for_tile(grid, pos.row, pos.col)):
                 pool.release(slots.pop(pos))
-                tiles.pop(pos)
-                tstats.pop(pos, None)
+                host.pop(pos)
 
-        extended = self.ccf_mode is CcfMode.EXTENDED
-
-        tracer = self.tracer
+        tracer = kernel.tracer
         for pos in traverse(grid, self.traversal):
             with tracer.span("read+fft", "simple-gpu", key=str(pos)):
                 load_and_transform(pos)
@@ -213,12 +173,9 @@ class SimpleGpu(Implementation):
                     ev = ifft2_kernel(device, buf, buf, stream, not_before=host_clock)
                     surface = buf
                 host_clock = ev.end
-                k = (
-                    max(self.n_peaks, self.coarse.coarse_peaks)
-                    if self.coarse is not None else self.n_peaks
-                )
                 peaks, ev = reduce_max_kernel(device, surface, stream,
-                                              not_before=host_clock, k=k)
+                                              not_before=host_clock,
+                                              k=kernel.peak_count)
                 host_clock = ev.end
                 # D2H of the reduction result only (O(k) scalars).
                 flat = np.array([v for p in peaks for v in p], dtype=np.float64)
@@ -226,63 +183,16 @@ class SimpleGpu(Implementation):
                 host_clock = ev.end
                 pool.release(scratch)
 
-                img_i, img_j = tiles[pair.first], tiles[pair.second]
-                stats_i, stats_j = tstats.get(pair.first), tstats.get(pair.second)
-                if self.coarse is not None:
-                    # Host-side coarse-to-fine resolution: contest +
-                    # hill-climb over the upscaled device peaks, full
-                    # PCIAM (host FFTs from the retained pixels) when the
-                    # confidence gate rejects.
-                    cpeaks = [
-                        (float(mag),
-                         *map(int, np.unravel_index(int(flat_idx), fft_shape)))
-                        for mag, flat_idx in peaks
-                    ]
-                    res = resolve_coarse_peaks(
-                        cpeaks, fft_shape, config=self.coarse,
-                        ccf_mode=self.ccf_mode,
-                        img_i=img_i, img_j=img_j,
-                        stats_i=stats_i, stats_j=stats_j,
-                        use_tile_stats=self.use_tile_stats,
-                        fallback=lambda: pciam(
-                            img_i, img_j,
-                            fft_shape=self.fft_shape,
-                            ccf_mode=self.ccf_mode,
-                            n_peaks=self.n_peaks,
-                            real_transforms=real,
-                            cache=self.cache,
-                            stats_i=stats_i, stats_j=stats_j,
-                            use_tile_stats=self.use_tile_stats,
-                        ),
-                        stats=stats,
-                    )
-                    host_op("ccf", self.host_costs.ccf(hw))
-                    t = Translation.from_pciam(res)
-                else:
-                    best = (-np.inf, 0, 0)
-                    seen: set[tuple[int, int]] = set()
-                    for _mag, flat_idx in peaks:
-                        py, px = np.unravel_index(int(flat_idx), fft_shape)
-                        for tx, ty in peak_candidates(int(py), int(px), fft_shape, extended=extended):
-                            if (tx, ty) in seen:
-                                continue
-                            seen.add((tx, ty))
-                            if stats_i is not None and stats_j is not None:
-                                c = ccf_at_stats(stats_i, stats_j, tx, ty)
-                            else:
-                                c = ccf_at(img_i, img_j, tx, ty)
-                            if c > best[0]:
-                                best = (c, tx, ty)
-                    host_op("ccf", self.host_costs.ccf(hw))
-                    corr, tx, ty = best
-                    ratio = peak_magnitude_ratio([m for m, _ in peaks])
-                    t = Translation(float(corr), int(tx), int(ty), peak_ratio=ratio)
-                disp.set(pair.direction, pair.second.row, pair.second.col, t)
-                self._journal_record(
-                    pair.direction, pair.second.row, pair.second.col, t
+                # Host-side CCFs over the device peaks.
+                t = kernel.resolve_peaks(
+                    peaks, fft_shape, host[pair.first], host[pair.second], stats
+                )
+                host_op("ccf", self.host_costs.ccf(hw))
+                kernel.commit(
+                    disp, pair.direction, pair.second.row, pair.second.col,
+                    t, stats,
                 )
                 pairs_done.add(pair)
-                stats["pairs"] += 1
                 if tracer.enabled:
                     tracer.record_span("pair", "simple-gpu", pair_t0,
                                        tracer.now(), key=str(pair))

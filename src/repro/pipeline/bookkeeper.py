@@ -54,11 +54,13 @@ class PairBookkeeper:
         if self.pairs is not None:
             self.pairs = frozenset(self.pairs)
         for pos in self.grid.positions():
-            n = len(self._incident(pos))
+            n = len(self.incident(pos))
             if n > 0 or self.pairs is None:
                 self._refcount[pos] = n
 
-    def _incident(self, pos: GridPosition) -> list[Pair]:
+    def incident(self, pos: GridPosition) -> list[Pair]:
+        """Pairs of ``pos`` this bookkeeper owns (all of them, or the
+        partition's subset)."""
         out = pairs_for_tile(self.grid, pos.row, pos.col)
         if self.pairs is not None:
             out = [p for p in out if p in self.pairs]
@@ -92,7 +94,7 @@ class PairBookkeeper:
             raise ValueError(f"transform for {pos} reported ready twice")
         self._ready.add(pos)
         out = []
-        for pair in self._incident(pos):
+        for pair in self.incident(pos):
             if (
                 pair not in self._emitted
                 and pair.first in self._ready
@@ -155,7 +157,7 @@ class PairBookkeeper:
         self._failed.add(pos)
         cancelled_before = len(self._cancelled)
         freed = []
-        for pair in self._incident(pos):
+        for pair in self.incident(pos):
             if pair in self._cancelled:
                 continue
             self._cancelled.add(pair)

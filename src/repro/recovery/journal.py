@@ -109,6 +109,25 @@ def _encode_line(payload: dict) -> str:
     return _canonical(rec) + "\n"
 
 
+def _pair_record(direction: str, row: int, col: int, t) -> dict:
+    """The journal record of one completed pairwise displacement."""
+    rec = {
+        "t": "pair", "d": str(direction), "r": int(row), "c": int(col),
+        "correlation": float(t.correlation),
+        "tx": int(t.tx), "ty": int(t.ty),
+        "tx_f": None if t.tx_f is None else float(t.tx_f),
+        "ty_f": None if t.ty_f is None else float(t.ty_f),
+        "peak_ratio": _finite_or_none(t.peak_ratio),
+    }
+    # Registration provenance ("coarse"/"fallback") journals only when
+    # set, so single-pass journals stay byte-identical to pre-coarse
+    # writers and resume cleanly on older readers.
+    prov = getattr(t, "provenance", None)
+    if prov is not None:
+        rec["prov"] = str(prov)
+    return rec
+
+
 def dataset_fingerprint(dataset) -> dict:
     """Identity of an acquisition: geometry + naming, not pixel bytes.
 
@@ -440,21 +459,7 @@ class RunJournal:
 
     def record_pair(self, direction: str, row: int, col: int, t) -> None:
         """Journal one completed pairwise displacement (durable on return)."""
-        rec = {
-            "t": "pair", "d": str(direction), "r": int(row), "c": int(col),
-            "correlation": float(t.correlation),
-            "tx": int(t.tx), "ty": int(t.ty),
-            "tx_f": None if t.tx_f is None else float(t.tx_f),
-            "ty_f": None if t.ty_f is None else float(t.ty_f),
-            "peak_ratio": _finite_or_none(t.peak_ratio),
-        }
-        # Registration provenance ("coarse"/"fallback") journals only when
-        # set, so single-pass journals stay byte-identical to pre-coarse
-        # writers and resume cleanly on older readers.
-        prov = getattr(t, "provenance", None)
-        if prov is not None:
-            rec["prov"] = str(prov)
-        self._append(rec)
+        self._append(_pair_record(direction, row, col, t))
         self.recorded_pairs += 1
         if self.metrics is not None:
             self.metrics.counter("journal.pairs_recorded").inc()
@@ -473,6 +478,20 @@ class RunJournal:
 
     # -- resume lookups --------------------------------------------------------
 
+    def peek(self, direction: str, row: int, col: int):
+        """Journaled :class:`Translation` for a pair, or ``None`` -- without
+        counting the hit (forked workers look up through this; their hits
+        are folded into the parent's counters at merge time)."""
+        rec = self.state.pairs.get((str(direction), int(row), int(col)))
+        if rec is None:
+            return None
+        from repro.core.kernel import Translation
+
+        # Replay dicts carry every Translation field; journals written
+        # before the quality gate / coarse mode existed replay their
+        # missing peak_ratio / provenance as the neutral None.
+        return Translation(**rec)
+
     def lookup(self, direction: str, row: int, col: int):
         """Journaled :class:`Translation` for a pair, or ``None``.
 
@@ -482,22 +501,12 @@ class RunJournal:
         ``journal.pairs_resumed`` metric) so tests can assert a resumed
         run recomputed *only* the un-journaled remainder.
         """
-        rec = self.state.pairs.get((str(direction), int(row), int(col)))
-        if rec is None:
-            return None
-        from repro.core.displacement import Translation
-
-        self.resumed_pairs += 1
-        if self.metrics is not None:
-            self.metrics.counter("journal.pairs_resumed").inc()
-        return Translation(
-            correlation=rec["correlation"], tx=rec["tx"], ty=rec["ty"],
-            tx_f=rec["tx_f"], ty_f=rec["ty_f"],
-            # Journals written before the quality gate existed have no
-            # peak_ratio key; they replay with the gate-neutral None.
-            peak_ratio=rec.get("peak_ratio"),
-            provenance=rec.get("provenance"),
-        )
+        t = self.peek(direction, row, col)
+        if t is not None:
+            self.resumed_pairs += 1
+            if self.metrics is not None:
+                self.metrics.counter("journal.pairs_resumed").inc()
+        return t
 
     def milestone(self, name: str) -> dict | None:
         return self.state.milestones.get(name)
@@ -561,14 +570,18 @@ class JournalAppender:
     appender is fire-and-forget durable output only.
 
     Construct with :meth:`RunJournal.appender_spec` output, or directly
-    from a path in an already-running worker.
+    from a path in an already-running worker.  ``lookup`` (usually the
+    fork-inherited :meth:`RunJournal.peek`) answers resume lookups, which
+    makes the appender a complete journal for a worker-side kernel.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path, fsync: bool = True,
+                 lookup=None) -> None:
         self.path = Path(path)
         self._fsync = fsync
         self._fh = open(self.path, "a", encoding="utf-8")
         self.recorded_pairs = 0
+        self.lookup = lookup if lookup is not None else (lambda d, r, c: None)
 
     def _append(self, payload: dict) -> None:
         line = _encode_line(payload)
@@ -582,18 +595,7 @@ class JournalAppender:
 
     def record_pair(self, direction: str, row: int, col: int, t) -> None:
         """Journal one completed pair (durable on return)."""
-        rec = {
-            "t": "pair", "d": str(direction), "r": int(row), "c": int(col),
-            "correlation": float(t.correlation),
-            "tx": int(t.tx), "ty": int(t.ty),
-            "tx_f": None if t.tx_f is None else float(t.tx_f),
-            "ty_f": None if t.ty_f is None else float(t.ty_f),
-            "peak_ratio": _finite_or_none(t.peak_ratio),
-        }
-        prov = getattr(t, "provenance", None)
-        if prov is not None:
-            rec["prov"] = str(prov)
-        self._append(rec)
+        self._append(_pair_record(direction, row, col, t))
         self.recorded_pairs += 1
 
     def record_skipped_tile(self, row: int, col: int, error: str = "") -> None:

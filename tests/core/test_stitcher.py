@@ -52,3 +52,54 @@ class TestStitcher:
         # PAPER4 may fold any negative jitter; positions stay within the
         # stage's error envelope instead of being exact.
         assert res.position_errors().mean() < 10.0
+
+
+class TestSchedulerSelection:
+    """``Stitcher(impl=...)``: no option is silently dropped."""
+
+    def test_unknown_impl_rejected(self):
+        with pytest.raises(ValueError, match="unknown impl"):
+            Stitcher(impl="warp-drive")
+
+    @pytest.mark.parametrize("impl", ["simple-gpu", "pipelined-gpu"])
+    def test_subpixel_rejected_where_it_cannot_be_honoured(self, impl):
+        with pytest.raises(ValueError, match="subpixel"):
+            Stitcher(impl=impl, subpixel=True)
+
+    @pytest.mark.parametrize("impl", ["fiji-baseline", "mt-cpu", "proc-cpu"])
+    def test_traversal_rejected_where_it_cannot_be_honoured(self, impl):
+        with pytest.raises(ValueError, match="traversal"):
+            Stitcher(impl=impl, traversal=Traversal.ROW)
+
+    @pytest.mark.parametrize(
+        "impl", ["simple-cpu", "mt-cpu", "proc-cpu", "fiji-baseline",
+                 "simple-gpu"],
+    )
+    def test_watchdog_rejected_where_it_cannot_supervise(self, impl):
+        from repro.recovery import WatchdogConfig
+
+        with pytest.raises(ValueError, match="watchdog.*pipelined-cpu"):
+            Stitcher(impl=impl,
+                     impl_options={"watchdog": WatchdogConfig(item_deadline=1)})
+
+    def test_subpixel_honoured_by_a_parallel_scheduler(self, dataset_4x4):
+        ref = Stitcher(subpixel=True).stitch(dataset_4x4)
+        res = Stitcher(
+            subpixel=True, impl="mt-cpu", impl_options={"workers": 2}
+        ).stitch(dataset_4x4)
+        assert res.displacements.west == ref.displacements.west
+        assert res.displacements.north == ref.displacements.north
+        assert any(
+            t is not None and t.tx_f is not None
+            for row in res.displacements.west for t in row
+        )
+        assert np.array_equal(res.positions.positions, ref.positions.positions)
+
+    def test_traversal_reaches_the_scheduler(self, dataset_4x4):
+        ref = Stitcher().stitch(dataset_4x4)
+        res = Stitcher(
+            traversal=Traversal.ROW, impl="pipelined-cpu",
+            impl_options={"workers": 2},
+        ).stitch(dataset_4x4)
+        assert res.implementation == "pipelined-cpu"
+        assert np.array_equal(res.positions.positions, ref.positions.positions)

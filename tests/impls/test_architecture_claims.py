@@ -26,20 +26,11 @@ class TestTransformReuse:
         assert res.stats["ffts"] == 2 * counts.pairs == 48
         assert res.stats["reads"] == 48
 
-    def test_mt_cpu_redundancy_limited_to_band_boundaries(self, dataset_4x4):
-        """Legacy SPMD mode: each band re-reads the boundary row above."""
-        res = MtCpu(workers=2, share_boundaries=False).run(dataset_4x4)
-        # 2 bands of a 4-row grid: exactly one duplicated boundary row.
-        assert res.stats["reads"] == 16 + 4
-        assert res.stats["boundary_refts"] == 4
-        assert res.stats["duplicated_boundary_reads"] == 4
-
     def test_mt_cpu_shared_boundaries_no_redundancy(self, dataset_4x4):
-        """Default mode: boundary products are computed once and shared."""
+        """Boundary products are computed once and shared across bands."""
         res = MtCpu(workers=2).run(dataset_4x4)
         assert res.stats["reads"] == 16
         assert res.stats["ffts"] == 16
-        assert res.stats["boundary_refts"] == 0
         assert res.stats["duplicated_boundary_reads"] == 0
 
     def test_proc_cpu_no_redundancy(self, dataset_4x4):

@@ -21,7 +21,6 @@ PARALLEL_IMPLS = [
     ("fiji-baseline", lambda: FijiBaseline()),
     ("mt-cpu-1", lambda: MtCpu(workers=1)),
     ("mt-cpu-3", lambda: MtCpu(workers=3)),
-    ("mt-cpu-3-legacy", lambda: MtCpu(workers=3, share_boundaries=False)),
     ("proc-cpu-1", lambda: ProcCpu(workers=1)),
     ("proc-cpu-3", lambda: ProcCpu(workers=3)),
     ("proc-cpu-3-nobatch", lambda: ProcCpu(workers=3, fft_batch=1)),

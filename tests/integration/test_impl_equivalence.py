@@ -1,36 +1,46 @@
-"""End-to-end equivalence across every implementation, traced and untraced.
+"""End-to-end equivalence of every scheduler through the one entry point.
 
-Two invariants the observability layer must not disturb:
+Every test drives ``Stitcher(impl=NAME)`` -- phases 1 and 2 -- for all
+eight scheduler names.  Invariants:
 
-1. every implementation resolves the *same absolute positions* as the
+1. every scheduler resolves the *same absolute positions* as the
    sequential reference, whether or not a tracer/metrics registry is
-   attached (instrumentation must be behaviour-neutral);
-2. under a skip policy with a damaged dataset, every implementation
-   reports the *same skip/drop accounting* (same skipped tiles, same
-   cancelled pairs), traced or not.
+   attached (instrumentation must be behaviour-neutral), coarse mode on
+   or off;
+2. under a skip policy with a damaged dataset, every scheduler reports
+   the *same skip/drop accounting* (same skipped tiles, same cancelled
+   pairs), traced or not;
+3. a checkpointed run resumes under any scheduler with nothing
+   recomputed: ``resumed_pairs`` + ``pairs`` partition the grid.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.global_opt import resolve_absolute_positions
-from repro.faults.report import FaultReport
+from repro.core.stitcher import SCHEDULERS, Stitcher
 from repro.impls import ALL_IMPLEMENTATIONS
 from repro.observe import MetricsRegistry, Tracer
-from repro.pipeline.stage import ErrorPolicy
 from repro.synth import make_synthetic_dataset
 
 IMPL_NAMES = sorted(ALL_IMPLEMENTATIONS)
 
+MISSING_PAIRS = [
+    ("north", 2, 1),
+    ("north", 3, 1),
+    ("west", 2, 1),
+    ("west", 2, 2),
+]
 
-def _make_impl(name, **kw):
-    return ALL_IMPLEMENTATIONS[name](**kw)
+
+def test_scheduler_table_names_every_implementation():
+    assert sorted(SCHEDULERS) == IMPL_NAMES
+    for name, cls in ALL_IMPLEMENTATIONS.items():
+        assert cls.name == name
 
 
 @pytest.fixture(scope="module")
-def reference_positions(dataset_4x4):
-    run = _make_impl("simple-cpu").run(dataset_4x4)
-    return resolve_absolute_positions(run.displacements, method="mst")
+def reference(dataset_4x4):
+    return Stitcher().stitch(dataset_4x4)
 
 
 @pytest.fixture(scope="module")
@@ -46,50 +56,47 @@ def damaged_dataset(tmp_path_factory):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize("impl_name", IMPL_NAMES)
-def test_identical_positions(impl_name, traced, dataset_4x4, reference_positions):
+def test_identical_positions(impl_name, traced, dataset_4x4, reference):
     kw = {}
     tracer = None
     if traced:
         tracer = Tracer()
-        kw = {"tracer": tracer, "metrics": MetricsRegistry()}
-    run = _make_impl(impl_name, **kw).run(dataset_4x4)
-    pos = resolve_absolute_positions(run.displacements, method="mst")
-    assert np.array_equal(pos.positions, reference_positions.positions), (
-        f"{impl_name} (traced={traced}) diverged from the reference positions"
-    )
+        kw = {"trace": tracer, "metrics": MetricsRegistry()}
+    result = Stitcher(impl=impl_name, **kw).stitch(dataset_4x4)
+    assert result.implementation == impl_name
+    assert result.phase2_seconds > 0
+    assert np.array_equal(
+        result.positions.positions, reference.positions.positions
+    ), f"{impl_name} (traced={traced}) diverged from the reference positions"
     if traced:
         # Tracing must actually have observed the run, not just stayed out
         # of its way.
         assert tracer.span_count() > 0
         assert "phase1" in tracer.tracks()
+        assert "stitcher" in tracer.tracks()
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize("impl_name", IMPL_NAMES)
 def test_identical_skip_accounting(impl_name, traced, damaged_dataset):
-    policy = ErrorPolicy(max_retries=1, backoff=0.0, on_exhausted="skip")
-    report = FaultReport()
-    kw = {"error_policy": policy, "fault_report": report}
+    kw = {}
     if traced:
-        kw["tracer"] = Tracer()
-        kw["metrics"] = MetricsRegistry()
-    run = _make_impl(impl_name, **kw).run(damaged_dataset)
+        kw = {"trace": Tracer(), "metrics": MetricsRegistry()}
+    result = Stitcher(
+        impl=impl_name, max_retries=1, retry_backoff=0.0,
+        on_tile_error="skip", **kw,
+    ).stitch(damaged_dataset)
+    report = result.fault_report
 
-    # Every implementation must drop exactly the unreadable tile and
-    # exactly its four incident pairs -- nothing more, nothing less.
+    # Every scheduler must drop exactly the unreadable tile and exactly
+    # its four incident pairs -- nothing more, nothing less.
     assert report.skipped_tiles == [(2, 1)]
-    assert report.skipped_pairs == [
-        ("north", 2, 1),
-        ("north", 3, 1),
-        ("west", 2, 1),
-        ("west", 2, 2),
-    ]
-    assert sorted(run.displacements.missing_pairs()) == [
-        ("north", 2, 1),
-        ("north", 3, 1),
-        ("west", 2, 1),
-        ("west", 2, 2),
-    ]
+    assert report.skipped_pairs == MISSING_PAIRS
+    assert sorted(result.displacements.missing_pairs()) == MISSING_PAIRS
+    assert result.stats["skipped_pairs"] == 4
+    # Phase 2 ran once, here, for every scheduler: the stranded tile is
+    # placed from the nominal stage model and reported as degraded.
+    assert report.degraded_tiles == [(2, 1)]
     if traced:
         # Metric counters are *event* counts (a band-partitioned impl may
         # hit the bad tile once per band), so bound rather than equate;
@@ -111,19 +118,18 @@ def _collect_translations(displacements):
 @pytest.mark.parametrize("real", [True, False], ids=["half-spectrum", "complex"])
 @pytest.mark.parametrize("impl_name", IMPL_NAMES)
 def test_half_spectrum_matrix_identical(impl_name, real, dataset_4x4):
-    """Every implementation, r2c on or off, agrees with the reference.
+    """Every scheduler, r2c on or off, agrees with the reference.
 
     Translations must match exactly; correlations to 1e-9 (the
     summed-area-table CCF evaluates the same Pearson r in a different
     summation order than the direct scan, and the optimization knobs must
     never change which candidate wins).
     """
-    ref = _make_impl(
-        "simple-cpu", real_transforms=False,
-        use_tile_stats=False, use_workspace=False,
-    ).run(dataset_4x4)
+    ref = Stitcher(
+        real_transforms=False, use_tile_stats=False, use_workspace=False,
+    ).stitch(dataset_4x4)
     ref_t = _collect_translations(ref.displacements)
-    run = _make_impl(impl_name, real_transforms=real).run(dataset_4x4)
+    run = Stitcher(impl=impl_name, real_transforms=real).stitch(dataset_4x4)
     got_t = _collect_translations(run.displacements)
     assert len(got_t) == len(ref_t)
     for got, want in zip(got_t, ref_t):
@@ -143,33 +149,24 @@ def test_half_spectrum_matrix_identical(impl_name, real, dataset_4x4):
 @pytest.mark.parametrize("impl_name", IMPL_NAMES)
 def test_half_spectrum_matrix_skip_accounting(impl_name, real, damaged_dataset):
     """r2c on/off must not change skip/drop accounting either."""
-    policy = ErrorPolicy(max_retries=0, backoff=0.0, on_exhausted="skip")
-    report = FaultReport()
-    run = _make_impl(
-        impl_name, real_transforms=real,
-        error_policy=policy, fault_report=report,
-    ).run(damaged_dataset)
-    assert report.skipped_tiles == [(2, 1)]
-    assert sorted(run.displacements.missing_pairs()) == [
-        ("north", 2, 1),
-        ("north", 3, 1),
-        ("west", 2, 1),
-        ("west", 2, 2),
-    ]
+    result = Stitcher(
+        impl=impl_name, real_transforms=real, on_tile_error="skip",
+    ).stitch(damaged_dataset)
+    assert result.fault_report.skipped_tiles == [(2, 1)]
+    assert sorted(result.displacements.missing_pairs()) == MISSING_PAIRS
 
 
 def test_surviving_pairs_match_reference(damaged_dataset):
-    """The pairs that survive a skip run agree across implementations."""
-    policy = ErrorPolicy(max_retries=0, backoff=0.0, on_exhausted="skip")
-    runs = {}
-    for name in IMPL_NAMES:
-        runs[name] = _make_impl(
-            name, error_policy=policy, fault_report=FaultReport()
-        ).run(damaged_dataset)
-    ref = runs["simple-cpu"].displacements
+    """The pairs that survive a skip run agree across schedulers."""
+    runs = {
+        name: Stitcher(impl=name, on_tile_error="skip").stitch(damaged_dataset)
+        for name in IMPL_NAMES
+    }
+    ref = runs["simple-cpu"]
     for name, run in runs.items():
         got = run.displacements
-        for arr_ref, arr_got in ((ref.west, got.west), (ref.north, got.north)):
+        for arr_ref, arr_got in ((ref.displacements.west, got.west),
+                                 (ref.displacements.north, got.north)):
             for row_ref, row_got in zip(arr_ref, arr_got):
                 for tr, tg in zip(row_ref, row_got):
                     if tr is None:
@@ -178,3 +175,60 @@ def test_surviving_pairs_match_reference(damaged_dataset):
                         assert (tg.tx, tg.ty) == (tr.tx, tr.ty), (
                             f"{name} diverged on a surviving pair"
                         )
+        # Same damage, same phase 2: positions agree tile for tile.
+        assert np.array_equal(
+            run.positions.positions, ref.positions.positions
+        ), f"{name} placed the degraded grid differently"
+
+
+@pytest.mark.parametrize("impl_name", IMPL_NAMES)
+def test_coarse_positions_and_provenance(impl_name, dataset_4x4, reference):
+    """Coarse mode never changes an answer, under any scheduler, and every
+    pair says which path produced it."""
+    result = Stitcher(impl=impl_name, coarse=True).stitch(dataset_4x4)
+    assert np.array_equal(
+        result.positions.positions, reference.positions.positions
+    )
+    provs = [
+        t.provenance
+        for arr in (result.displacements.west, result.displacements.north)
+        for row in arr for t in row if t is not None
+    ]
+    assert set(provs) <= {"coarse", "fallback"}
+    assert result.stats["coarse_hits"] == provs.count("coarse")
+    assert result.stats.get("full_fallbacks", 0) == provs.count("fallback")
+
+
+@pytest.mark.parametrize("impl_name", IMPL_NAMES)
+def test_checkpoint_then_resume_partitions_the_grid(
+    impl_name, dataset_4x4, reference, tmp_path
+):
+    """A run checkpointed by the sequential scheduler, with half its
+    journal cut away, resumes under every scheduler: journaled pairs are
+    served, the rest recomputed, positions unchanged."""
+    ckpt = tmp_path / "ckpt"
+    first = Stitcher(checkpoint=str(ckpt), journal_fsync=False).stitch(
+        dataset_4x4
+    )
+    assert first.stats["pairs"] == 24
+    journal = ckpt / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:13]))  # header + 12 of 24 pairs
+
+    resumed = Stitcher(
+        impl=impl_name, checkpoint=str(ckpt), resume="require",
+        journal_fsync=False,
+    ).stitch(dataset_4x4)
+    assert resumed.stats["resumed_pairs"] == 12
+    assert resumed.stats["pairs"] == 12
+    assert resumed.stats["journal"]["resumed_pairs"] == 12
+    assert resumed.stats["journal"]["recorded_pairs"] == 12
+    assert np.array_equal(
+        resumed.positions.positions, reference.positions.positions
+    )
+    for arr_a, arr_b in (
+        (first.displacements.west, resumed.displacements.west),
+        (first.displacements.north, resumed.displacements.north),
+    ):
+        for row_a, row_b in zip(arr_a, arr_b):
+            assert row_a == row_b

@@ -275,3 +275,90 @@ class TestRobustnessFlags:
         payload = json.loads((tmp_path / "fr.json").read_text())
         errs = payload["fault_report"]["skipped_tile_errors"]
         assert any("watchdog" in v for v in errs.values())
+
+
+class TestOneEntryPoint:
+    """Every ``--impl`` goes through ``Stitcher``: no flag is dropped."""
+
+    @pytest.fixture
+    def ds97(self, tmp_path):
+        main(["synth", str(tmp_path / "ds"), "--rows", "3", "--cols", "3",
+              "--tile-size", "97", "--overlap", "0.25", "--seed", "4"])
+        return tmp_path / "ds"
+
+    def test_pad_refine_checkpoint_take_effect_on_impl_path(
+        self, ds97, tmp_path, monkeypatch
+    ):
+        """The drift the second stitch path caused: ``--pad --refine
+        --impl mt-cpu --checkpoint d`` journaled ``fft_shape=[98,98],
+        refine=true`` while transforming at 97x97 and never refining."""
+        from repro.core.stitcher import Stitcher
+        from repro.fftlib import plans
+        from repro.recovery.journal import load_journal
+
+        caches, results = [], []
+
+        class RecordingCache(plans.PlanCache):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                caches.append(self)
+
+        stitch = Stitcher.stitch
+
+        def recording_stitch(self, dataset):
+            results.append(stitch(self, dataset))
+            return results[-1]
+
+        monkeypatch.setattr(plans, "PlanCache", RecordingCache)
+        monkeypatch.setattr(Stitcher, "stitch", recording_stitch)
+        ckpt = tmp_path / "d"
+        pa, pb = tmp_path / "impl.json", tmp_path / "default.json"
+        assert main(["stitch", str(ds97), "--pad", "--refine",
+                     "--impl", "mt-cpu", "--checkpoint", str(ckpt),
+                     "--positions-json", str(pa)]) == 0
+        options = load_journal(
+            ckpt / "journal.jsonl").header["fingerprint"]["options"]
+        assert options["fft_shape"] == [98, 98]
+        assert options["refine"] is True
+        # The run transformed at the shape its journal says it did ...
+        (cache,) = caches
+        shapes = {tuple(row["shape"]) for row in cache.stats()["per_shape"]}
+        assert shapes == {(98, 98)}
+        # ... ran the refine pass, phase 2 and the timing, once ...
+        (result,) = results
+        assert "refined_pairs" in result.stats
+        assert result.implementation == "mt-cpu"
+        assert result.phase2_seconds > 0
+        # ... and agrees byte for byte with the default path.
+        assert main(["stitch", str(ds97), "--pad", "--refine",
+                     "--positions-json", str(pb)]) == 0
+        assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize(
+        "impl", ["stitcher", "simple-cpu", "mt-cpu", "proc-cpu",
+                 "fiji-baseline", "simple-gpu"],
+    )
+    def test_watchdog_rejected_for_unsupervisable_impl(self, ds97, impl,
+                                                       capsys):
+        rc = main(["stitch", str(ds97), "--impl", impl, "--watchdog", "1",
+                   "--inject-faults", "7:hang=1,latency=0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--watchdog" in err
+        for name in ("pipelined-cpu", "pipelined-cpu-numa", "pipelined-gpu"):
+            assert name in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--complex-transforms", "--no-tile-stats", "--no-workspace"]
+    )
+    def test_escape_hatch_flags_removed(self, ds97, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["stitch", str(ds97), flag])
+        assert flag in capsys.readouterr().err
+
+    def test_stitch_argument_count(self):
+        from repro.cli import build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices["stitch"]
+        options = [a for a in sub._actions if a.dest != "help"]
+        assert len(options) == 39
