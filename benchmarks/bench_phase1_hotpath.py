@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import resource
+import statistics
 import sys
 import tempfile
 import time
@@ -116,7 +117,8 @@ def _load_tiles(rows: int, cols: int, tile: int, seed: int = 7):
         }
 
 
-def _run_once(tiles, rows, cols, *, real, stats, workspace, coarse=None):
+def _run_once(tiles, rows, cols, *, real, stats, workspace, coarse=None,
+              overlap=None):
     from repro.core.displacement import compute_grid_displacements
     from repro.core.pciam import CcfMode
     from repro.fftlib.plans import PlanCache
@@ -137,6 +139,7 @@ def _run_once(tiles, rows, cols, *, real, stats, workspace, coarse=None):
         cache=PlanCache(),
         tracer=tracer,
         coarse=coarse,
+        _overlap=overlap,
     )
     seconds = time.perf_counter() - t0
     stage_seconds = {name: 0.0 for name in STAGES}
@@ -244,6 +247,65 @@ def measure(mode: str) -> dict:
         / report["optimized"]["pairs_per_sec"], 3,
     )
     return report
+
+
+#: Tile sizes (px, square) of the ``--overlap-sweep`` on a 5x5 grid: the
+#: measurement behind ``OVERLAP_MIN_TILE_PIXELS`` in core/displacement.py.
+OVERLAP_SWEEP = (5, 5, (64, 128, 192, 256, 320, 384, 512))
+#: Each schedule of an overlap measurement runs at least this long (and
+#: at least three times).
+OVERLAP_BLOCK_SECONDS = 3.0
+
+
+def measure_overlap(rows: int, cols: int, tile: int) -> dict | None:
+    """Overlapped vs inline schedule of the optimized configuration.
+
+    Both schedules are forced (what is measured is the speedup, not the
+    decision); results must be identical.  Unlike the other ratios here the
+    repetitions are *not* interleaved: a kernel that is slow to spread two
+    runnable threads over two CPUs (observed: ~1.2 s on a 2-vCPU
+    Firecracker guest) only does so under sustained two-thread load, which
+    inline runs in between would keep resetting -- so each schedule runs
+    as one block of at least ``OVERLAP_BLOCK_SECONDS``.  Returns ``None`` when
+    this process may use fewer CPUs than the overlapped schedule needs --
+    it would never engage here.
+    """
+    from repro.core.displacement import OVERLAP_MIN_CPUS, _usable_cpus
+
+    if _usable_cpus() < OVERLAP_MIN_CPUS:
+        return None
+    tiles = _load_tiles(rows, cols, tile)
+    times: dict[bool, list[float]] = {False: [], True: []}
+    outputs = {}
+    for overlap in (False, True):
+        block_end = time.perf_counter() + OVERLAP_BLOCK_SECONDS
+        while len(times[overlap]) < 3 or time.perf_counter() < block_end:
+            result, seconds, _ = _run_once(
+                tiles, rows, cols, real=True, stats=True, workspace=True,
+                overlap=overlap,
+            )
+            times[overlap].append(seconds)
+            outputs[overlap] = _translations(result)
+    if outputs[False] != outputs[True]:
+        raise AssertionError("overlapped run diverged from the inline one")
+    best = {k: min(v) for k, v in times.items()}
+    median = {k: statistics.median(v) for k, v in times.items()}
+    return {
+        "rows": rows, "cols": cols, "tile": tile,
+        "repetitions": len(times[True]),
+        "inline_seconds": round(best[False], 4),
+        "overlapped_seconds": round(best[True], 4),
+        "speedup": round(best[False] / best[True], 3),
+        "median_speedup": round(median[False] / median[True], 3),
+    }
+
+
+def _print_overlap(report: dict) -> None:
+    print(f"  {report['rows']}x{report['cols']} grid, {report['tile']:4d}px "
+          f"tiles ({report['tile'] ** 2 // 1024:4d} Ki px, best of "
+          f"{report['repetitions']}): inline {report['inline_seconds']:.3f}s, "
+          f"overlapped {report['overlapped_seconds']:.3f}s, "
+          f"{report['speedup']:.2f}x (medians {report['median_speedup']:.2f}x)")
 
 
 def _disp_translations(displacements) -> list:
@@ -389,9 +451,44 @@ def main(argv: list[str] | None = None) -> int:
                          "geometry: coarse-to-fine only pays off at "
                          "paper-scale tile sizes, so --quick measures the "
                          "wrong regime")
+    ap.add_argument("--overlap-gate", type=float, default=None, metavar="X",
+                    help="fail unless the overlapped schedule (tile stage "
+                         "one tile ahead of the pair stage) reaches X times "
+                         "the inline one on the optimized configuration; "
+                         "skipped, with the reason printed, when fewer than "
+                         "two CPUs are usable.  Use the full geometry: the "
+                         "--quick tiles are below the size the overlap "
+                         "engages at")
+    ap.add_argument("--overlap-sweep", action="store_true",
+                    help="print the overlapped-over-inline ratio for a "
+                         "range of tile sizes on a 5x5 grid: the "
+                         "measurement the tile-size gate of the default "
+                         "schedule is set from")
     args = ap.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
+
+    if args.overlap_gate is not None or args.overlap_sweep:
+        rows, cols, tile, _ = MODES[mode]
+        sizes = (tile,)
+        if args.overlap_sweep:
+            rows, cols, sizes = OVERLAP_SWEEP
+        print("overlapped vs inline schedule, optimized configuration:")
+        for size in sizes:
+            report = measure_overlap(rows, cols, size)
+            if report is None:
+                print("SKIP: the overlapped schedule needs two usable CPUs "
+                      "(os.sched_getaffinity reports fewer)")
+                return 0
+            _print_overlap(report)
+        if args.overlap_gate is not None:
+            print(f"  gate: need >= {args.overlap_gate:.2f}x")
+            if report["speedup"] < args.overlap_gate:
+                print("FAIL: overlapped-schedule gate not met",
+                      file=sys.stderr)
+                return 1
+            print("OK: overlap gate met")
+        return 0
 
     if args.sweep:
         workers = SWEEP_WORKERS

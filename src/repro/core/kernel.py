@@ -301,15 +301,19 @@ class Phase1Kernel:
 
     # -- per-tile work ------------------------------------------------------
 
-    def read(self, load_tile, row: int, col: int):
-        """``load_tile(row, col)`` under the error policy.
+    def try_read(self, load_tile, row: int, col: int):
+        """``load_tile(row, col)`` under the error policy, journal untouched.
 
-        No policy: the original exception propagates.  With one, retries
-        are applied and recorded; exhaustion re-raises the last error
-        (abort) or records a skipped tile and returns ``None`` (skip).
+        Returns ``(pixels, None)``, or ``(None, reason)`` for a tile a skip
+        policy dropped.  No policy: the original exception propagates.
+        With one, retries are applied and recorded; exhaustion re-raises
+        the last error (abort) or records the skipped tile in the fault
+        report and the metrics (skip).  A scheduler whose journal has a
+        single writer elsewhere records ``reason`` there itself; everyone
+        else calls :meth:`read`.
         """
         if self.error_policy is None:
-            return load_tile(row, col)
+            return load_tile(row, col), None
         try:
             value, _ = run_with_retries(
                 lambda: load_tile(row, col),
@@ -319,16 +323,22 @@ class Phase1Kernel:
                     row, col, attempt, exc
                 ),
             )
-            return value
+            return value, None
         except Exception as exc:
             if not self.skips:
                 raise
             self.count_skipped_tile(row, col, exc)
-            if self.journal is not None:
-                # Forensic record only: skips are retried on resume (the
-                # fault may have been transient), so replay ignores these.
-                self.journal.record_skipped_tile(row, col, str(exc))
-            return None
+            return None, str(exc)
+
+    def read(self, load_tile, row: int, col: int):
+        """:meth:`try_read`, with a dropped tile also journaled; returns
+        the pixels, or ``None`` for a dropped tile."""
+        pixels, dropped = self.try_read(load_tile, row, col)
+        if dropped is not None and self.journal is not None:
+            # Forensic record only: skips are retried on resume (the
+            # fault may have been transient), so replay ignores these.
+            self.journal.record_skipped_tile(row, col, dropped)
+        return pixels
 
     def tile_stats(self, pixels) -> TileStats | None:
         """Per-tile summed-area tables: built once, shared by the tile's
@@ -349,6 +359,10 @@ class Phase1Kernel:
                  track: str | None = None, key: str | None = None) -> tuple:
         """``(pixels, spectrum, TileStats | None)`` of one tile.
 
+        ``pixels`` is kept as handed in -- any real dtype; the transform,
+        the statistics and the coarse fallback convert on use (exactly,
+        for integer tiles), so a native-dtype loader means no float64
+        copy of the raw tile stays live.
         Coarse mode never computes the full-resolution transform up front
         (the occasional gate-rejected pair recomputes it inside the
         fallback instead of every pair paying for it always).  With a

@@ -38,20 +38,26 @@ def top_peaks(
     ``n == 1`` reduces to :func:`peak_location` (the paper's scheme); the
     ImageJ/Fiji plugin the paper benchmarks against tests several peaks,
     which is markedly more robust on feature-poor overlaps, so callers may
-    ask for more.  Ordered by decreasing magnitude.  ``mag_out`` (float64,
-    same shape) receives the magnitude scratch so the reduction allocates
-    nothing.
+    ask for more.  Ordered by decreasing magnitude; equal magnitudes by
+    increasing flat index, so an all-equal surface yields its first ``n``
+    elements.  ``mag_out`` (float64, same shape) receives the magnitude
+    scratch so the reduction allocates nothing.
+
+    Callers ask for a handful of peaks from surfaces of ~10^5 elements,
+    so the reduction is ``n`` successive ``argmax`` passes (each found
+    peak is struck out of the scratch): cheaper than one ``argpartition``
+    of the whole surface, and ``argmax`` is what breaks ties low.
     """
     if n < 1:
         raise ValueError(f"need at least one peak, got n={n}")
     mag = np.abs(inv_ncc, out=mag_out)
-    n = min(n, mag.size)
-    flat = np.argpartition(mag.ravel(), mag.size - n)[-n:]
-    flat = flat[np.argsort(mag.ravel()[flat])[::-1]]
+    flat = mag.reshape(-1)
     out = []
-    for f in flat:
-        py, px = np.unravel_index(int(f), mag.shape)
-        out.append((float(mag[py, px]), int(py), int(px)))
+    for _ in range(min(n, flat.size)):
+        f = int(flat.argmax())
+        py, px = np.unravel_index(f, mag.shape)
+        out.append((float(flat[f]), int(py), int(px)))
+        flat[f] = -1.0  # magnitudes are >= 0: never picked again
     return out
 
 

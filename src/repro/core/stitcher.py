@@ -14,8 +14,10 @@ order and the phase-2 solver are all options with paper-faithful defaults.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +64,27 @@ SCHEDULERS: dict[str, frozenset[str]] = {
 def schedulers_honouring(option: str) -> list[str]:
     """Names of the schedulers that can honour ``option``."""
     return sorted(name for name, can in SCHEDULERS.items() if option in can)
+
+
+def scheduler_options(impl: str) -> list[str]:
+    """The ``impl_options`` keys scheduler ``impl`` takes, read off its
+    constructor chain (``traversal`` is ``Stitcher``'s own argument and
+    the kernel is built by it, so neither counts)."""
+    from repro.impls import ALL_IMPLEMENTATIONS
+
+    names: set[str] = set()
+    for cls in ALL_IMPLEMENTATIONS[impl].__mro__:
+        init = cls.__dict__.get("__init__")
+        if init is None:
+            continue
+        params = list(inspect.signature(init).parameters.values())
+        names.update(
+            p.name for p in params
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        )
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break  # no ``**kw`` handed further up the chain
+    return sorted(names - {"self", "kernel", "traversal"})
 
 
 @dataclass
@@ -276,6 +299,14 @@ class Stitcher:
             )
         self.impl = impl
         self.impl_options = dict(impl_options or {})
+        if self.impl_options:
+            accepted = scheduler_options(impl)
+            for key in self.impl_options:
+                if key not in accepted:
+                    raise ValueError(
+                        f"impl {impl!r} has no option {key!r} "
+                        f"(it accepts {accepted})"
+                    )
         requested = {
             "traversal": traversal is not Traversal.CHAINED_DIAGONAL,
             "subpixel": bool(subpixel),
@@ -447,9 +478,12 @@ class Stitcher:
         if self.impl == "simple-cpu":
             # The default stays import-free: repro.impls (and the virtual
             # GPU under it) loads only for a scheduler that needs it.
+            # Native dtype: the kernel converts on use (uint -> float64 is
+            # exact), so live products hold no float64 copy of the raw tile.
             with tracer.span("phase1:simple-cpu", "phase1"):
                 disp = compute_grid_displacements(
-                    dataset.load, dataset.rows, dataset.cols,
+                    partial(dataset.load, dtype=None),
+                    dataset.rows, dataset.cols,
                     traversal=self.traversal, kernel=kernel,
                 )
             return disp, dict(disp.stats)

@@ -1,9 +1,11 @@
 """Simple-CPU: the sequential reference implementation (Section IV.A).
 
-Single-threaded, transform-caching, early-freeing, with a configurable
-traversal order defaulting to the paper's chained diagonal.  This is a thin
-adapter over :func:`repro.core.displacement.compute_grid_displacements`,
-which *is* the reference algorithm; every other implementation's output is
+Transform-caching, early-freeing, with a configurable traversal order
+defaulting to the paper's chained diagonal.  This is a thin adapter over
+:func:`repro.core.displacement.compute_grid_displacements`, which *is* the
+reference algorithm (and which, for large tiles on two or more CPUs, runs
+its pair stage one tile behind its tile stage on a helper thread -- same
+steps, same order, same answers); every other implementation's output is
 compared against this one in the integration tests (as the paper's authors
 validated their parallel versions against their sequential code).
 """

@@ -28,6 +28,7 @@ out-of-core composition path work against images far larger than RAM.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +81,9 @@ COMPRESSION_PACKBITS = 32773
 
 #: Classic TIFF cannot address bytes at or past 4 GiB.
 _CLASSIC_LIMIT = 2**32 - 1
+
+#: This machine's byte order, as a ``struct`` / TIFF-header prefix.
+_NATIVE_BO = "<" if sys.byteorder == "little" else ">"
 
 
 class TiffError(Exception):
@@ -204,9 +208,9 @@ def _parse_header(f):
     raise TiffError(f"bad TIFF magic {magic} (42=classic, 43=BigTIFF)")
 
 
-def _parse_ifd_entry(f, off: int, bo: str, bigtiff: bool) -> _Entry:
-    entry_size = 20 if bigtiff else 12
-    raw = _read_at(f, off, entry_size, "IFD entry")
+def _parse_ifd_entry(f, raw: bytes, bo: str, bigtiff: bool) -> _Entry:
+    """Decode one IFD entry from its ``raw`` table bytes; only values too
+    large for the entry's inline field cost a read."""
     if bigtiff:
         tag, typ = struct.unpack(bo + "HH", raw[:4])
         (count,) = struct.unpack(bo + "Q", raw[4:12])
@@ -242,9 +246,10 @@ def _parse_first_ifd(f, bo: str, bigtiff: bool, ifd_off: int) -> dict[int, _Entr
         base, entry_size = ifd_off + 2, 12
     if n_entries > 65536:
         raise TiffError(f"implausible IFD entry count {n_entries}")
+    table = _read_at(f, base, entry_size * int(n_entries), "IFD entry")
     entries: dict[int, _Entry] = {}
-    for i in range(int(n_entries)):
-        e = _parse_ifd_entry(f, base + entry_size * i, bo, bigtiff)
+    for off in range(0, len(table), entry_size):
+        e = _parse_ifd_entry(f, table[off : off + entry_size], bo, bigtiff)
         entries[e.tag] = e
     return entries
 
@@ -368,21 +373,38 @@ class TiffReader:
     def read_rows(self, y0: int, y1: int) -> np.ndarray:
         """Decode rows ``[y0, y1)`` into a native-endian 2-D array.
 
-        Peak memory is the window itself (uncompressed files seek straight
-        to the needed row bytes; PackBits decodes the strips the window
-        intersects).
+        Peak memory is the window itself: uncompressed files are read
+        straight into the result (strips that follow each other in the
+        file in one read, however many there are), PackBits decodes the
+        strips the window intersects.
         """
         if not 0 <= y0 < y1 <= self.height:
             raise ValueError(
                 f"row window [{y0}, {y1}) outside image of {self.height} rows"
             )
         bpr = self.bytes_per_row
-        chunks: list[bytes] = []
+        arr = np.empty((y1 - y0, self.width), dtype=self.dtype)
+        dest = memoryview(arr.reshape(-1).view(np.uint8))
+        filled = 0  # bytes of ``dest`` decoded or claimed by a pending run
+        run_at = run_len = 0  # file-contiguous bytes not read yet
+
+        def read_run() -> None:
+            if not run_len:
+                return
+            self._f.seek(run_at)
+            got = self._f.readinto(dest[filled - run_len : filled])
+            if got != run_len:
+                raise TiffError(
+                    f"truncated file while reading strip data "
+                    f"(need {run_len} bytes at offset {run_at})"
+                )
+
         s0 = y0 // self.rows_per_strip
         s1 = (y1 - 1) // self.rows_per_strip
         for s in range(s0, s1 + 1):
             r0, r1 = self._strip_rows(s)
             a, b = max(r0, y0), min(r1, y1)
+            n = (b - a) * bpr
             if self._compression == COMPRESSION_NONE:
                 # Exact partial-strip read: row n of strip s lives at a
                 # fixed arithmetic offset, no need to touch the rest.
@@ -392,20 +414,25 @@ class TiffReader:
                         f"pixel data size mismatch: strip {s} holds "
                         f"{self.byte_counts[s]} bytes, needs {expected}"
                     )
-                chunks.append(_read_at(
-                    self._f, self.offsets[s] + (a - r0) * bpr,
-                    (b - a) * bpr, "strip data",
-                ))
+                if self.offsets[s] < 0:
+                    raise TiffError(
+                        f"truncated file while reading strip data "
+                        f"(negative offset {self.offsets[s]})"
+                    )
+                at = self.offsets[s] + (a - r0) * bpr
+                if at != run_at + run_len:
+                    read_run()
+                    run_at, run_len = at, 0
+                run_len += n
             else:
                 data = self._decoded_strip(s)
-                chunks.append(data[(a - r0) * bpr : (b - r0) * bpr])
-        buf = b"".join(chunks)
-        dtype = (np.dtype("u1") if self._bits == 8
-                 else np.dtype(self._bo + "u2"))
-        arr = np.frombuffer(buf, dtype=dtype).reshape(y1 - y0, self.width)
-        arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+                dest[filled : filled + n] = data[(a - r0) * bpr : (b - r0) * bpr]
+            filled += n
+        read_run()
+        if self._bits == 16 and self._bo != _NATIVE_BO:
+            arr.byteswap(inplace=True)
         if self._photometric == 0:  # WhiteIsZero -> BlackIsZero sense
-            arr = (np.iinfo(arr.dtype).max - arr).astype(arr.dtype)
+            np.subtract(np.iinfo(arr.dtype).max, arr, out=arr)
         return arr
 
     def read_region(self, y: int, x: int, height: int, width: int) -> np.ndarray:

@@ -43,6 +43,25 @@ class TestTopPeaks:
         with pytest.raises(ValueError):
             top_peaks(np.ones((2, 2), dtype=complex), 0)
 
+    def test_all_equal_surface_yields_first_elements(self):
+        # Ties go to the lowest flat index.
+        peaks = top_peaks(np.full((3, 4), 2.0), 5)
+        assert peaks == [(2.0, 0, 0), (2.0, 0, 1), (2.0, 0, 2), (2.0, 0, 3),
+                         (2.0, 1, 0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40])
+    def test_matches_a_stable_sort(self, n):
+        rng = np.random.default_rng(n)
+        # Few distinct values: plenty of ties at every rank.
+        a = rng.integers(-3, 4, (17, 23)).astype(np.float64)
+        order = np.argsort(-np.abs(a).ravel(), kind="stable")[:n]
+        expected = [(abs(float(a.ravel()[f])), *divmod(int(f), 23))
+                    for f in order]
+        scratch = np.empty_like(a)
+        assert top_peaks(a, n) == expected
+        assert top_peaks(a, n, mag_out=scratch) == expected
+        assert a.min() < 0  # the input surface is left alone
+
 
 class TestPeakCandidates:
     def test_paper4_combinations(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pciam import CcfMode
-from repro.core.stitcher import Stitcher
+from repro.core.stitcher import SCHEDULERS, Stitcher, scheduler_options
 from repro.grid.traversal import Traversal
 
 
@@ -81,6 +81,23 @@ class TestSchedulerSelection:
         with pytest.raises(ValueError, match="watchdog.*pipelined-cpu"):
             Stitcher(impl=impl,
                      impl_options={"watchdog": WatchdogConfig(item_deadline=1)})
+
+    @pytest.mark.parametrize("impl", sorted(SCHEDULERS))
+    def test_unknown_scheduler_option_named(self, impl):
+        # A stray key used to fall through ``**kw`` into the kernel options
+        # and surface as "pass a kernel or kernel options, not both".
+        with pytest.raises(ValueError, match="no option 'threads'") as err:
+            Stitcher(impl=impl, impl_options={"threads": 2})
+        for accepted in scheduler_options(impl):
+            assert accepted in str(err.value)
+
+    def test_scheduler_options_read_off_the_constructors(self):
+        assert scheduler_options("mt-cpu") == ["watchdog", "workers"]
+        assert "fft_batch" in scheduler_options("pipelined-cpu-numa")
+        assert "devices" in scheduler_options("pipelined-gpu")
+        for impl in SCHEDULERS:
+            assert not {"self", "kernel", "traversal"} & set(
+                scheduler_options(impl))
 
     def test_subpixel_honoured_by_a_parallel_scheduler(self, dataset_4x4):
         ref = Stitcher(subpixel=True).stitch(dataset_4x4)

@@ -166,3 +166,117 @@ class TestMalformedInputs:
         p.write_bytes(bytes(blob))
         with pytest.raises(TiffError):
             read_tiff(p)
+
+
+def _striped_tiff(pixels, rows_per_strip, bo="<", placement=None, gap=0):
+    """Hand-built classic TIFF whose strips sit where the test puts them.
+
+    ``placement`` is the order the strips are laid out in the file
+    (default: image order, i.e. one file-contiguous run); ``gap`` bytes of
+    filler follow every strip.  Returns ``(blob, offsets, counts)``.
+    """
+    h, w = pixels.shape
+    bits = pixels.dtype.itemsize * 8
+    strips = [
+        pixels[r : r + rows_per_strip].astype(bo + f"u{bits // 8}").tobytes()
+        for r in range(0, h, rows_per_strip)
+    ]
+    n = len(strips)
+    placement = list(range(n)) if placement is None else placement
+    entries = [
+        (256, 4, 1, (w,)), (257, 4, 1, (h,)), (258, 3, 1, (bits,)),
+        (259, 3, 1, (1,)), (262, 3, 1, (1,)), (273, 4, n, None),
+        (277, 3, 1, (1,)), (278, 4, 1, (rows_per_strip,)),
+        (279, 4, n, tuple(len(s) for s in strips)),
+    ]
+    tables_at = 8 + 2 + 12 * len(entries) + 4
+    data_at = tables_at + 2 * 4 * n
+    offsets = [0] * n
+    pos = data_at
+    body = b""
+    for s in placement:
+        offsets[s] = pos
+        body += strips[s] + b"\xee" * gap
+        pos += len(strips[s]) + gap
+    ifd = struct.pack(bo + "H", len(entries))
+    overflow = b""
+    for tag, typ, cnt, vals in entries:
+        vals = tuple(offsets) if vals is None else vals
+        payload = struct.pack(bo + {3: "H", 4: "I"}[typ] * cnt, *vals)
+        if len(payload) <= 4:
+            ifd += struct.pack(bo + "HHI", tag, typ, cnt) + payload.ljust(4, b"\0")
+        else:
+            ifd += struct.pack(bo + "HHII", tag, typ, cnt,
+                               tables_at + len(overflow))
+            overflow += payload
+    mark = b"II" if bo == "<" else b"MM"
+    blob = (struct.pack(bo + "2sHI", mark, 42, 8) + ifd
+            + struct.pack(bo + "I", 0) + overflow + body)
+    return blob, offsets, [len(s) for s in strips]
+
+
+class TestCoalescedStripReads:
+    """Uncompressed strips that follow each other in the file are fetched
+    in one read; every layout must still decode to the same pixels."""
+
+    pixels = np.arange(23 * 7, dtype=np.uint16).reshape(23, 7) * 257
+
+    def read(self, tmp_path, blob):
+        p = tmp_path / "t.tif"
+        p.write_bytes(blob)
+        return read_tiff(p)
+
+    @pytest.mark.parametrize("bo", ["<", ">"])
+    def test_contiguous_run_either_byte_order(self, tmp_path, bo):
+        blob, _, _ = _striped_tiff(self.pixels, 3, bo=bo)
+        got = self.read(tmp_path, blob)
+        assert got.dtype == np.uint16 and got.dtype.isnative
+        assert np.array_equal(got, self.pixels)
+
+    @pytest.mark.parametrize("bo", ["<", ">"])
+    def test_non_contiguous_strips(self, tmp_path, bo):
+        # Reversed on disk with filler between: no two strips form a run.
+        n = -(-23 // 3)
+        blob, offsets, _ = _striped_tiff(
+            self.pixels, 3, bo=bo, placement=list(range(n))[::-1], gap=5)
+        assert offsets == sorted(offsets, reverse=True)
+        assert np.array_equal(self.read(tmp_path, blob), self.pixels)
+
+    def test_runs_broken_in_the_middle(self, tmp_path):
+        # Strips 0-2 contiguous, then a jump, then 3-7 contiguous.
+        blob, _, _ = _striped_tiff(
+            self.pixels, 3, placement=[3, 4, 5, 6, 7, 0, 1, 2])
+        assert np.array_equal(self.read(tmp_path, blob), self.pixels)
+
+    def test_windowed_rows_from_a_run(self, tmp_path):
+        from repro.io.tiff import TiffReader
+
+        blob, _, _ = _striped_tiff(self.pixels, 3, bo=">")
+        p = tmp_path / "t.tif"
+        p.write_bytes(blob)
+        with TiffReader(p) as reader:
+            assert np.array_equal(reader.read_rows(4, 17), self.pixels[4:17])
+
+    def test_file_truncated_mid_run(self, tmp_path):
+        blob, offsets, counts = _striped_tiff(self.pixels, 3)
+        cut = offsets[4] + counts[4] // 2  # inside the run's fifth strip
+        with pytest.raises(TiffError, match="truncated"):
+            self.read(tmp_path, blob[:cut])
+
+    def test_byte_count_mismatch_inside_a_run(self, tmp_path):
+        blob, _, counts = _striped_tiff(self.pixels, 3)
+        blob = bytearray(blob)
+        # StripByteCounts is the second table of the overflow area.
+        tables_at = 8 + 2 + 12 * 9 + 4
+        at = tables_at + 4 * len(counts) + 4 * 2
+        struct.pack_into("<I", blob, at, counts[2] - 2)
+        with pytest.raises(TiffError, match="size mismatch"):
+            self.read(tmp_path, bytes(blob))
+
+    def test_strip_table_truncated_mid_run(self, tmp_path):
+        # The offsets table promises eight strips but the file ends inside
+        # it: the IFD read must fail typed, before any pixel read.
+        blob, _, _ = _striped_tiff(self.pixels, 3)
+        tables_at = 8 + 2 + 12 * 9 + 4
+        with pytest.raises(TiffError, match="truncated"):
+            self.read(tmp_path, blob[: tables_at + 4 * 3])
