@@ -265,14 +265,12 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
             # Out-of-core path: the canvas never exists.  Values are
             # clipped to uint16 rather than max-normalized (a global max
             # would need a second pass over the mosaic).
-            if args.outline:
-                print("note: --outline is ignored with "
-                      "--memory-budget/--pyramid (streaming compose)")
             sres = result.compose_to_tiff(
                 args.output,
                 blend=BlendMode(args.blend),
                 memory_budget=args.memory_budget,
                 pyramid_levels=args.pyramid,
+                outline=args.outline,
             )
             msg = (f"mosaic {sres.height}x{sres.width} -> {args.output} "
                    f"(streamed, {sres.stripes} stripes of {sres.band_rows} "

@@ -10,9 +10,10 @@ stitched image at varying resolutions" (Figs. 13-14 come from it).
 - tiles are downsampled per level by block averaging (factor ``2**level``),
   lazily and with a small LRU cache, so zoomed-out views never touch
   full-resolution pixels more than once;
-- :meth:`render_region` composes only the tiles intersecting a viewport,
-  so panning a 17k x 22k mosaic never materializes the whole canvas --
-  the paper "composes and renders the composite image without saving it".
+- :meth:`render_region` composes only the tiles intersecting a viewport
+  (one window of the renderer every phase-3 sink shares), so panning a
+  17k x 22k mosaic never materializes the whole canvas -- the paper
+  "composes and renders the composite image without saving it".
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.compose import BlendMode
-from repro.core.downsample import downsample
+from repro.core.compose import BlendMode, blend_window, plan_compose
+from repro.core.downsample import downsample, downsampled_shape
 from repro.core.global_opt import GlobalPositions
 
 __all__ = ["DiskPyramid", "MosaicPyramid", "downsample"]
@@ -126,42 +127,25 @@ class MosaicPyramid:
         """Compose the viewport ``[y, y+height) x [x, x+width)`` at a level.
 
         Coordinates are in *level* pixels.  Only tiles intersecting the
-        viewport are loaded.  ``OVERLAY`` and ``AVERAGE`` blends are
-        supported (feathering needs global weights, which defeats windowed
-        rendering).
+        viewport are loaded.  The viewport is one
+        :func:`repro.core.compose.blend_window` over the level-scaled
+        positions, so every blend mode renders exactly as
+        :func:`repro.core.compose.compose` would at that level.
         """
         if height < 1 or width < 1:
             raise ValueError("viewport must be at least 1x1")
-        if blend not in (BlendMode.OVERLAY, BlendMode.AVERAGE):
-            raise ValueError(f"windowed rendering supports OVERLAY/AVERAGE, not {blend}")
         f = self.level_factor(level)
-        th = (self.tile_shape[0] + f - 1) // f
-        tw = (self.tile_shape[1] + f - 1) // f
-        canvas = np.zeros((height, width), dtype=np.float64)
-        weight = (
-            np.zeros((height, width), dtype=np.float64)
-            if blend is BlendMode.AVERAGE
-            else None
+        plan = plan_compose(
+            GlobalPositions(self.positions.positions // f, self.positions.method),
+            downsampled_shape(self.tile_shape, f),
+            blend,
         )
-        for r in range(self.positions.rows):
-            for c in range(self.positions.cols):
-                ty, tx = (int(v) // f for v in self.positions.positions[r, c])
-                # Intersect tile box with the viewport.
-                y0, y1 = max(ty, y), min(ty + th, y + height)
-                x0, x1 = max(tx, x), min(tx + tw, x + width)
-                if y1 <= y0 or x1 <= x0:
-                    continue
-                tile = self._tile_at(r, c, level)
-                src = tile[y0 - ty : y1 - ty, x0 - tx : x1 - tx]
-                dst = (slice(y0 - y, y1 - y), slice(x0 - x, x1 - x))
-                if blend is BlendMode.OVERLAY:
-                    canvas[dst] = src
-                else:
-                    canvas[dst] += src
-                    weight[dst] += 1.0
-        if weight is not None:
-            covered = weight > 0
-            canvas[covered] /= weight[covered]
+        canvas = np.zeros((height, width), dtype=np.float64)
+        weight = np.zeros_like(canvas) if plan.blend.needs_weight else None
+        blend_window(
+            plan, canvas, weight, y, x, plan.tiles,
+            lambda r, c: self._tile_at(r, c, level),
+        )
         return canvas
 
 

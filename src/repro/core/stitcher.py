@@ -188,15 +188,17 @@ class StitchResult:
         band_rows: int | None = None,
         dtype=np.uint16,
         scale: float | None = None,
+        outline: bool = False,
         metrics=None,
         tracer=None,
     ):
         """Phase 3 straight to disk under a memory budget (out-of-core).
 
         Streams the mosaic to ``path`` in bounded stripes through
-        :func:`repro.core.streamcompose.stream_compose_to_tiff` --
-        bit-identical to :meth:`compose` + quantization for every blend
-        mode, but peak memory is the budget, not the canvas.
+        :func:`repro.core.streamcompose.stream_compose_to_tiff` -- the
+        renderer :meth:`compose` uses, over a TIFF sink, so bit-identical
+        to :meth:`compose` + quantization for every blend mode, but peak
+        memory is the budget, not the canvas.
         ``memory_budget`` (bytes) sizes the stripes and the LRU tile
         cache; ``pyramid_levels`` also writes 2x block-mean levels next
         to ``path`` for :class:`repro.core.pyramid.DiskPyramid` viewers.
@@ -219,6 +221,7 @@ class StitchResult:
             band_rows=band_rows,
             dtype=dtype,
             scale=scale,
+            outline=outline,
             skip_tiles=self.skipped_tiles(),
             on_tile_error=self.on_tile_error,
             pyramid_levels=pyramid_levels,

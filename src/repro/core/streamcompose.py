@@ -17,14 +17,13 @@ modeled on feabas's ``loader_config.cache_size``) absorbs the re-decodes
 of tiles that straddle stripe boundaries, keeping each source tile
 decoded O(1) amortized times.
 
-Bit-identity with the in-memory path holds for **all four blend modes**,
-including LINEAR feathering: every tile covering a pixel vertically
-intersects that pixel's stripe, so the per-stripe weighted accumulation
-and normalization are exactly the row-restriction of the global
-computation -- same contributors, same painter's order, same float64
-sums.  (The previous streaming writer rejected LINEAR out of caution;
-the restriction argument above is the same one that already justifies
-``_render_stripe``.)
+Every stripe is one :func:`repro.core.compose.blend_window` call -- the
+renderer the in-memory path uses -- so bit-identity with it holds for
+**all four blend modes**, including LINEAR feathering: every tile
+covering a pixel vertically intersects that pixel's stripe, so the
+per-stripe weighted accumulation and normalization are exactly the
+row-restriction of the global computation -- same contributors, same
+painter's order, same float64 sums.
 
 After the full-resolution pass, multi-resolution pyramid levels are
 emitted by streaming each level from the level above (block-mean 2x
@@ -43,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.compose import BlendMode, _linear_weight
+from repro.core.compose import BlendMode, blend_window, outline_rows, plan_compose
 from repro.core.downsample import downsample, downsampled_shape
 from repro.core.global_opt import GlobalPositions
 from repro.io.dataset import TileCache
@@ -77,7 +76,6 @@ def plan_stripe_rows(
     height: int,
     blend: BlendMode,
     out_dtype: np.dtype,
-    cache_fraction: float = CACHE_FRACTION,
 ) -> tuple[int, int]:
     """Split ``memory_budget`` bytes into stripe height + tile-cache bytes.
 
@@ -85,23 +83,20 @@ def plan_stripe_rows(
     ``width * (8 [band f64] + 8 [weight, AVERAGE/LINEAR only] +
     out_itemsize [quantized band])`` bytes; the budget must fit at least
     one row or the mosaic is simply not composable at this width
-    (:class:`ValueError`).  The cache gets ``cache_fraction`` of the
+    (:class:`ValueError`).  The cache gets ``CACHE_FRACTION`` of the
     budget, shrinking to whatever remains when even one stripe row is
     tight.
     """
     if memory_budget < 1:
         raise ValueError(f"memory budget must be positive, got {memory_budget}")
-    if not 0.0 <= cache_fraction < 1.0:
-        raise ValueError(f"cache_fraction must be in [0, 1), got {cache_fraction}")
-    need_weight = blend in (BlendMode.AVERAGE, BlendMode.LINEAR)
-    per_row = width * (8 + (8 if need_weight else 0) + out_dtype.itemsize)
+    per_row = width * (8 + (8 if blend.needs_weight else 0) + out_dtype.itemsize)
     if memory_budget < per_row:
         raise ValueError(
             f"memory budget {memory_budget} B cannot fit one canvas row "
             f"({per_row} B at width {width}); raise the budget or "
             f"compose a smaller mosaic"
         )
-    cache_bytes = int(memory_budget * cache_fraction)
+    cache_bytes = int(memory_budget * CACHE_FRACTION)
     band_rows = (memory_budget - cache_bytes) // per_row
     if band_rows < 1:
         # Budget is row-tight: give the stripe its one row, cache the rest.
@@ -132,28 +127,6 @@ class StreamComposeResult:
         return self.height, self.width
 
 
-def _stripe_tiles(
-    tiles: list[tuple[int, int, int, int]],
-    n_stripes: int,
-    band_rows: int,
-    tile_h: int,
-) -> list[list[tuple[int, int, int, int]]]:
-    """Bucket row-major tiles by the stripes they intersect (O(tiles)).
-
-    Appending in row-major order preserves painter's order inside every
-    bucket, which is what makes OVERLAY bit-identical to the sequential
-    render.
-    """
-    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n_stripes)]
-    for t in tiles:
-        ty = t[2]
-        s0 = max(0, ty // band_rows)
-        s1 = min(n_stripes - 1, (ty + tile_h - 1) // band_rows)
-        for s in range(s0, s1 + 1):
-            buckets[s].append(t)
-    return buckets
-
-
 def stream_compose_to_tiff(
     path,
     load_tile,
@@ -164,11 +137,10 @@ def stream_compose_to_tiff(
     band_rows: int | None = None,
     dtype=np.uint16,
     scale: float | None = None,
+    outline: bool = False,
     skip_tiles=None,
     on_tile_error: str = "abort",
     pyramid_levels: int = 0,
-    cache_fraction: float = CACHE_FRACTION,
-    bigtiff: bool | str = "auto",
     metrics=None,
     tracer=NULL_TRACER,
 ) -> StreamComposeResult:
@@ -179,13 +151,15 @@ def stream_compose_to_tiff(
     :func:`plan_stripe_rows` and funds an LRU tile cache with the
     remainder.  Passing ``band_rows`` explicitly overrides the derived
     stripe height (the cache still gets its budget share).  With neither,
-    stripes default to twice the tile height and no cache is used --
-    the legacy :func:`repro.core.compose.compose_to_tiff` behavior.
+    stripes default to twice the tile height and no cache is used.
 
     All four blend modes stream bit-identically to the in-memory path
     (see module docstring for the LINEAR argument).  ``scale`` maps pixel
     values into the integer output range exactly as the in-memory
     quantization does (multiply, clip, truncating ``astype``).
+    ``outline`` draws every rendered tile's border (Fig. 14) at the
+    dtype's maximum, stripe by stripe.  ``skip_tiles``/``on_tile_error``
+    mirror :func:`repro.core.compose.compose` for partial mosaics.
 
     ``pyramid_levels`` > 0 additionally writes that many 2x block-mean
     levels next to ``path`` (see :func:`pyramid_level_path`), each
@@ -203,35 +177,25 @@ def stream_compose_to_tiff(
     within ``memory_budget``.
     """
     # -- validate everything before any output I/O (atomicity contract).
-    blend = BlendMode(blend)
-    if on_tile_error not in ("abort", "skip"):
-        raise ValueError(
-            f"unknown on_tile_error {on_tile_error!r} (use 'abort' or 'skip')"
-        )
-    skip = {(int(r), int(c)) for r, c in (skip_tiles or ())}
+    plan = plan_compose(positions, tile_shape, blend, skip_tiles, on_tile_error)
     dtype = np.dtype(dtype)
     if dtype.kind not in "iu":
         raise ValueError(f"streaming compose needs an integer dtype, got {dtype}")
-    th, tw = (int(v) for v in tile_shape)
-    if th < 1 or tw < 1:
-        raise ValueError(f"bad tile shape {tile_shape}")
     if pyramid_levels < 0:
         raise ValueError(f"pyramid_levels must be >= 0, got {pyramid_levels}")
-    height, width = positions.mosaic_shape(tile_shape)
+    height, width = plan.height, plan.width
 
     cache_bytes = 0
     if memory_budget is not None:
         planned_rows, cache_bytes = plan_stripe_rows(
-            int(memory_budget), width, height, blend, dtype, cache_fraction
+            int(memory_budget), width, height, plan.blend, dtype
         )
         if band_rows is None:
             band_rows = planned_rows
     elif band_rows is None:
-        band_rows = 2 * th
+        band_rows = 2 * plan.tile_shape[0]
     band_rows = max(1, min(int(band_rows), height))
     limit = float(np.iinfo(dtype).max)
-    need_weight = blend in (BlendMode.AVERAGE, BlendMode.LINEAR)
-    lin_w = _linear_weight((th, tw)) if blend is BlendMode.LINEAR else None
 
     cache = TileCache(load_tile, cache_bytes) if cache_bytes > 0 else None
     fetch = cache.load if cache is not None else load_tile
@@ -247,32 +211,21 @@ def stream_compose_to_tiff(
         if gauge is not None:
             gauge.set(resident)
 
-    # Row-major painter's order, bucketed per stripe.
-    tiles = [
-        (r, c, int(positions.positions[r, c][0]), int(positions.positions[r, c][1]))
-        for r in range(positions.rows)
-        for c in range(positions.cols)
-        if (r, c) not in skip
-    ]
-    n_stripes = (height + band_rows - 1) // band_rows
-    buckets = _stripe_tiles(tiles, n_stripes, band_rows, th)
+    stripes = plan.stripes(band_rows)
 
     path = Path(path)
     level_paths = [pyramid_level_path(path, k) for k in range(pyramid_levels + 1)]
     parts = [p.with_name(p.name + ".part") for p in level_paths]
-    rendered: set[tuple[int, int]] = set()
+    rendered: set = set()
 
     try:
         # -- full-resolution pass -------------------------------------------
         with TiffStripWriter(
-            parts[0], height, width, dtype,
-            rows_per_strip=band_rows, bigtiff=bigtiff,
+            parts[0], height, width, dtype, rows_per_strip=band_rows
         ) as writer:
             band = np.zeros((band_rows, width), dtype=np.float64)
-            weight = np.zeros_like(band) if need_weight else None
-            for s in range(n_stripes):
-                y0 = s * band_rows
-                y1 = min(height, y0 + band_rows)
+            weight = np.zeros_like(band) if plan.blend.needs_weight else None
+            for s, (y0, y1, tiles) in enumerate(stripes):
                 b = band[: y1 - y0]
                 b[:] = 0.0
                 w = None
@@ -280,44 +233,15 @@ def stream_compose_to_tiff(
                     w = weight[: y1 - y0]
                     w[:] = 0.0
                 with tracer.span("compose.stripe", "compose", key=f"s{s}"):
-                    for r, c, ty, tx in buckets[s]:
-                        by0, by1 = max(ty, y0), min(ty + th, y1)
-                        if by1 <= by0:
-                            continue
-                        try:
-                            # Native dtype: float64 promotion inside the
-                            # blend ops is value-exact for uint tiles, so
-                            # no 4x-sized tile copy is ever made.
-                            tile = np.asarray(fetch(r, c))
-                        except Exception:
-                            if on_tile_error == "skip":
-                                continue
-                            raise
-                        if tile.shape != (th, tw):
-                            raise ValueError(
-                                f"tile ({r},{c}) has shape {tile.shape}, "
-                                f"expected {(th, tw)}"
-                            )
-                        src = tile[by0 - ty : by1 - ty, :]
-                        dst = (slice(by0 - y0, by1 - y0), slice(tx, tx + tw))
-                        if blend is BlendMode.OVERLAY:
-                            b[dst] = src
-                        elif blend is BlendMode.MAXIMUM:
-                            np.maximum(b[dst], src, out=b[dst])
-                        elif blend is BlendMode.AVERAGE:
-                            b[dst] += src
-                            w[dst] += 1.0
-                        else:  # LINEAR
-                            w_src = lin_w[by0 - ty : by1 - ty, :]
-                            b[dst] += src * w_src
-                            w[dst] += w_src
-                        rendered.add((r, c))
-                    if w is not None:
-                        covered = w > 0
-                        b[covered] /= w[covered]
+                    touched = blend_window(plan, b, w, y0, 0, tiles, fetch)
+                    rendered.update(touched)
                     if scale is not None:
                         b *= scale
                     np.clip(b, 0, limit, out=b)
+                    if outline:
+                        # After scale and clip, so the border quantises to
+                        # the dtype's maximum whatever ``scale`` is.
+                        outline_rows(b, y0, touched, plan.tile_shape, limit)
                     out = b.astype(dtype)
                     writer.write_rows(out)
                 track(band.nbytes + (weight.nbytes if weight is not None else 0)
@@ -353,7 +277,7 @@ def stream_compose_to_tiff(
         height=height,
         width=width,
         band_rows=band_rows,
-        stripes=n_stripes,
+        stripes=len(stripes),
         tiles_rendered=len(rendered),
         peak_bytes=peak_bytes,
         memory_budget=memory_budget,

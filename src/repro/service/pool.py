@@ -104,7 +104,6 @@ def _execute_job(msg: dict, warm: dict) -> dict:
     """Run one job in the worker; returns the reply summary payload."""
     import numpy as np
 
-    from repro.core.compose import BlendMode
     from repro.core.global_opt import GlobalPositions
     from repro.io.dataset import TileDataset
 
@@ -191,7 +190,7 @@ def _execute_job(msg: dict, warm: dict) -> dict:
             spec["output"],
             lambda r, c: dataset.load(r, c, dtype=None),
             gp, dataset.tile_shape,
-            blend=BlendMode(spec.get("blend", "overlay")),
+            blend=spec.get("blend", "overlay"),
             memory_budget=(
                 int(memory_budget) if memory_budget is not None else None
             ),

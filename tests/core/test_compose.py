@@ -80,6 +80,25 @@ class TestCompose:
         m = compose(load, gp, (8, 8), dtype=np.float64)
         assert m.dtype == np.float64
 
+    @pytest.mark.parametrize("blend", [BlendMode.OVERLAY, BlendMode.MAXIMUM])
+    def test_float64_result_is_the_canvas_not_a_copy(self, blend):
+        """The canvas is blended in float64; asking for float64 must not
+        duplicate it (~3 GB at the paper's 17k x 22k)."""
+        import tracemalloc
+
+        th = tw = 128
+        load = self.make_tiles(2, 2, th, tw)
+        gp = positions_grid(2, 2, 100, 100)
+        canvas_bytes = 228 * 228 * 8
+        tracemalloc.start()
+        m = compose(load, gp, (th, tw), blend, dtype=np.float64)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert m.nbytes == canvas_bytes
+        # These two blends have no weight accumulator: the canvas plus one
+        # tile's temporaries (well under two tiles) is all a render holds.
+        assert peak <= canvas_bytes + 2 * th * tw * 8
+
 
 class TestComposeAgainstGroundTruth:
     def test_full_plate_reconstruction(self, dataset_4x4):

@@ -102,7 +102,7 @@ class TestComposeToTiffSkip:
         path = tmp_path / "partial.tif"
         shape = compose_to_tiff(
             path, constant_tiles, gp, TILE, skip_tiles=[(1, 1)], band_rows=5
-        )
+        ).shape
         assert shape == (24, 16)
         arr = read_tiff(path)
         assert float(arr[8:16, 8:16].max()) == 0.0  # the hole

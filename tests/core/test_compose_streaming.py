@@ -74,13 +74,16 @@ class TestComposeToTiff:
         load = self.make_tiles()
         gp = grid_positions(3, 3, 12)
         p = tmp_path / "m.tif"
-        shape = compose_to_tiff(p, load, gp, (16, 16), blend=blend,
-                                band_rows=band_rows)
-        streamed = read_tiff(p)
-        ref = compose(load, gp, (16, 16), blend=blend, dtype=np.float64)
-        expected = np.clip(ref, 0, 65535).astype(np.uint16)
-        assert streamed.shape == shape
-        assert np.array_equal(streamed, expected)
+        for outline in (False, True):
+            shape = compose_to_tiff(p, load, gp, (16, 16), blend=blend,
+                                    band_rows=band_rows, outline=outline).shape
+            streamed = read_tiff(p)
+            ref = compose(load, gp, (16, 16), blend=blend, dtype=np.float64,
+                          outline=outline, outline_value=65535.0)
+            expected = np.clip(ref, 0, 65535).astype(np.uint16)
+            assert streamed.shape == shape
+            assert np.array_equal(streamed, expected)
+            assert (streamed[0, :16] == 65535).all() == outline
 
     def test_scale_parameter(self, tmp_path):
         load = lambda r, c: np.full((8, 8), 0.5)
@@ -95,7 +98,7 @@ class TestComposeToTiff:
         # band_rows=5 splits every tile across bands: per-pixel max must
         # still agree with the all-in-memory reference.
         shape = compose_to_tiff(p, load, gp, (16, 16),
-                                blend=BlendMode.MAXIMUM, band_rows=5)
+                                blend=BlendMode.MAXIMUM, band_rows=5).shape
         ref = compose(load, gp, (16, 16), blend=BlendMode.MAXIMUM,
                       dtype=np.float64)
         streamed = read_tiff(p)
@@ -111,7 +114,7 @@ class TestComposeToTiff:
         gp = grid_positions(3, 3, 12)
         p = tmp_path / "m.tif"
         shape = compose_to_tiff(p, load, gp, (16, 16),
-                                blend=BlendMode.LINEAR, band_rows=band_rows)
+                                blend=BlendMode.LINEAR, band_rows=band_rows).shape
         streamed = read_tiff(p)
         ref = compose(load, gp, (16, 16), blend=BlendMode.LINEAR,
                       dtype=np.float64)
@@ -181,7 +184,7 @@ class TestComposeToTiff:
         shape = compose_to_tiff(
             p, dataset_4x4.load, res.positions, dataset_4x4.tile_shape,
             band_rows=20,
-        )
+        ).shape
         streamed = read_tiff(p)
         ref = res.compose(BlendMode.OVERLAY, dtype=np.float64)
         assert streamed.shape == shape == ref.shape

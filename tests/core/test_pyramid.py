@@ -48,10 +48,11 @@ class TestMosaicPyramid:
 
     def test_level0_full_render_matches_compose(self):
         pyr, tiles, gp = self.make()
-        full = pyr.render(level=0)
-        ref = compose(lambda r, c: tiles[(r, c)], gp, (16, 16),
-                      BlendMode.OVERLAY, dtype=np.float64)
-        assert np.allclose(full, ref)
+        for blend in BlendMode:
+            full = pyr.render(level=0, blend=blend)
+            ref = compose(lambda r, c: tiles[(r, c)], gp, (16, 16),
+                          blend, dtype=np.float64)
+            assert np.array_equal(full, ref)
 
     def test_level_shapes_halve(self):
         pyr, _, gp = self.make(levels=3)
@@ -97,8 +98,6 @@ class TestMosaicPyramid:
             pyr.level_factor(99)
         with pytest.raises(ValueError):
             pyr.render_region(0, 0, 0, 5)
-        with pytest.raises(ValueError):
-            pyr.render_region(0, 0, 5, 5, blend=BlendMode.LINEAR)
         with pytest.raises(ValueError):
             self.make(levels=0)
         with pytest.raises(ValueError):

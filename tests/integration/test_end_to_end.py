@@ -158,5 +158,5 @@ class TestModerateScale:
         res = Stitcher().stitch(ds)
         assert res.position_errors().max() == 0.0
         out = tmp_path / "big.tif"
-        shape = compose_to_tiff(out, ds.load, res.positions, ds.tile_shape)
+        shape = compose_to_tiff(out, ds.load, res.positions, ds.tile_shape).shape
         assert read_tiff(out).shape == shape

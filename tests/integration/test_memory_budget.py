@@ -8,6 +8,8 @@ same shape the CI memory-budget smoke job runs at larger scale with an
 RSS assertion on top.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,19 @@ class TestCliMemoryBudget:
         for k in (1, 2):
             with TiffReader(pyramid_level_path(out, k)) as r:
                 assert r.height > 0
+
+    def test_outline_is_drawn_when_streaming(self, dataset_dir, tmp_path, capsys):
+        out, pos = tmp_path / "m.tif", tmp_path / "positions.json"
+        rc = main(["stitch", str(dataset_dir), "-o", str(out), "--outline",
+                   "--memory-budget", "256K", "--pyramid", "1",
+                   "--positions-json", str(pos)])
+        assert rc == 0
+        assert "note:" not in capsys.readouterr().out
+        mosaic = read_tiff(out)
+        for y, x in np.asarray(json.loads(pos.read_text())).reshape(-1, 2):
+            assert (mosaic[[y, y + 47], x:x + 48] == 65535).all()
+            assert (mosaic[y:y + 48, [x, x + 47]] == 65535).all()
+        assert (mosaic == 65535).mean() < 0.25  # borders, not a saturated image
 
     def test_pyramid_alone_streams(self, dataset_dir, tmp_path):
         out = tmp_path / "m.tif"
