@@ -15,6 +15,7 @@ from repro.core import (
     BlendMode,
     CcfMode,
     Stitcher,
+    StitchOptions,
     StitchResult,
     compose,
     pciam,
@@ -28,6 +29,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Stitcher",
+    "StitchOptions",
     "StitchResult",
     "BlendMode",
     "CcfMode",

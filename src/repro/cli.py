@@ -54,9 +54,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``--backend`` shorthand -> Table II implementation.
-_BACKEND_IMPLS = {"seq": "simple-cpu", "thread": "mt-cpu", "proc": "proc-cpu"}
-
 #: Scheduler constructor argument <- the ``repro stitch`` flag that feeds it.
 _IMPL_ARGS = {
     "mt-cpu": {"workers": "workers"},
@@ -101,46 +98,57 @@ def _bytes_arg(value: str) -> int:
     return n
 
 
+def _impl_arg(value: str) -> str:
+    """Parse ``--impl``: ``stitcher`` is a synonym of the default scheduler."""
+    from repro.core.options import StitchOptions
+
+    return StitchOptions.impl if value == "stitcher" else value
+
+
+def _stitch_options(args: argparse.Namespace):
+    """The :class:`StitchOptions` the ``repro stitch`` flags spell.
+
+    The option flags' ``dest`` names are the flat keys, so the sugar (a
+    quality/coarse knob turns its feature on) and the validation are
+    ``from_flat``'s, as for every other surface.
+    """
+    from repro.core.options import FLAT_KEYS, StitchOptions
+
+    flat = {k: v for k, v in vars(args).items() if k in FLAT_KEYS}
+    flat["impl_options"] = {
+        kwarg: getattr(args, flag)
+        for kwarg, flag in _IMPL_ARGS.get(args.impl, {}).items()
+    }
+    if args.watchdog is not None:
+        from repro.recovery import WatchdogConfig
+
+        flat["impl_options"]["watchdog"] = WatchdogConfig(
+            item_deadline=args.watchdog, stall_timeout=args.stall_timeout
+        )
+    if args.paper_faithful:
+        flat.update(ccf_mode="paper4", n_peaks=1)
+    return StitchOptions.from_flat(flat)
+
+
 def _cmd_stitch(args: argparse.Namespace) -> int:
     from repro.core.compose import BlendMode
-    from repro.core.pciam import CcfMode
-    from repro.core.stitcher import SCHEDULERS, Stitcher, schedulers_honouring
-    from repro.fftlib.plans import PlanCache, PlanningMode
+    from repro.core.options import SCHEDULERS, schedulers_honouring
+    from repro.core.stitcher import Stitcher
+    from repro.fftlib.plans import PlanCache
     from repro.io.dataset import TileDataset
     from repro.io.tiff import write_tiff
 
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
-    # ``stitcher`` (the default) is a synonym of the sequential scheduler.
-    impl = "simple-cpu" if args.impl == "stitcher" else args.impl
-    if args.backend is not None:
-        backend_impl = _BACKEND_IMPLS[args.backend]
-        if args.impl not in ("stitcher", backend_impl):
-            print(
-                f"error: --backend {args.backend} selects --impl "
-                f"{backend_impl}, which conflicts with --impl {args.impl}",
-                file=sys.stderr,
-            )
-            return 2
-        impl = backend_impl
-    impl_options = {
-        kwarg: getattr(args, flag)
-        for kwarg, flag in _IMPL_ARGS.get(impl, {}).items()
-    }
-    if args.watchdog is not None:
-        if "watchdog" not in SCHEDULERS[impl]:
-            print(
-                f"error: --watchdog cannot supervise --impl {impl}; use one "
-                f"of {', '.join(schedulers_honouring('watchdog'))}",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.recovery import WatchdogConfig
-
-        impl_options["watchdog"] = WatchdogConfig(
-            item_deadline=args.watchdog, stall_timeout=args.stall_timeout
+    if args.watchdog is not None and "watchdog" not in SCHEDULERS[args.impl]:
+        print(
+            f"error: --watchdog cannot supervise --impl {args.impl}; use one "
+            f"of {', '.join(schedulers_honouring('watchdog'))}",
+            file=sys.stderr,
         )
+        return 2
+    options = _stitch_options(args)
     if args.pattern:
         dataset = TileDataset.discover(
             args.dataset, pattern=args.pattern, overlap=args.overlap
@@ -168,46 +176,13 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         if args.trace:
             tracer = Tracer()
-    # Quality gate (docs/ROBUSTNESS.md): enabled by --quality-gate or by
-    # naming any of its knobs; off by default so positions stay
-    # bit-identical to ungated runs.
-    quality_on = (
-        args.quality_gate
-        or args.conf_thresh is not None
-        or args.residue_mode is not None
-        or args.min_peak_ratio is not None
-    )
-    # Coarse-to-fine registration (docs/PERFORMANCE.md): enabled by
-    # --coarse-registration or by naming either of its knobs; off by
-    # default so displacements stay bit-identical to single-pass runs.
-    coarse_on = (
-        args.coarse_registration
-        or args.coarse_scale is not None
-        or args.coarse_conf_thresh is not None
-    )
     stitcher = Stitcher(
-        ccf_mode=CcfMode.PAPER4 if args.paper_faithful else CcfMode.EXTENDED,
-        n_peaks=1 if args.paper_faithful else args.peaks,
-        pad_to_smooth=args.pad,
-        position_method=args.positions,
-        refine=args.refine,
-        quality=quality_on,
-        conf_thresh=args.conf_thresh,
-        residue_mode=args.residue_mode,
-        min_peak_ratio=args.min_peak_ratio,
-        coarse=coarse_on,
-        coarse_scale=args.coarse_scale,
-        coarse_conf_thresh=args.coarse_conf_thresh,
-        planning=PlanningMode(args.planning),
+        options,
         cache=cache,
-        max_retries=args.max_retries,
-        on_tile_error=args.on_tile_error,
         trace=tracer if tracer is not None else False,
         metrics=metrics if metrics is not None else False,
         checkpoint=str(args.checkpoint) if args.checkpoint else None,
         resume="require" if args.resume else "auto",
-        impl=impl,
-        impl_options=impl_options,
     )
     t0 = time.perf_counter()
     result = stitcher.stitch(dataset)
@@ -415,20 +390,33 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_synth)
 
+    from repro.core.options import (
+        POSITION_METHODS,
+        RESIDUE_MODES,
+        SCHEDULERS,
+        TILE_ERROR_POLICIES,
+        StitchOptions,
+    )
+    from repro.fftlib.plans import PlanningMode
+
     s = sub.add_parser("stitch", help="stitch a dataset directory")
+    # Option flags: ``dest`` is the StitchOptions flat key, defaults and
+    # choices are read off the declaration (repro.core.options).
     s.add_argument("dataset", type=Path)
     s.add_argument("-o", "--output", type=Path, help="mosaic TIFF path")
     s.add_argument("--blend", choices=[m.value for m in __import__(
         "repro.core.compose", fromlist=["BlendMode"]).BlendMode],
         default="overlay")
     s.add_argument("--outline", action="store_true", help="highlight tiles (Fig. 14)")
-    s.add_argument("--peaks", type=int, default=2)
+    s.add_argument("--peaks", dest="n_peaks", type=int,
+                   default=StitchOptions.n_peaks)
     s.add_argument("--paper-faithful", action="store_true",
                    help="Fig. 2 scheme verbatim: 1 peak, 4 interpretations")
-    s.add_argument("--pad", action="store_true", help="pad FFTs to smooth sizes")
+    s.add_argument("--pad", dest="pad_to_smooth", action="store_true",
+                   help="pad FFTs to smooth sizes")
     s.add_argument("--refine", action="store_true",
                    help="stage-model filter + repair between phases 1 and 2")
-    s.add_argument("--quality-gate", action="store_true",
+    s.add_argument("--quality-gate", dest="quality", action="store_true",
                    help="score every pair (confidence, peak sharpness, "
                         "stage-model deviation) and demote untrustworthy "
                         "pairs to nominal-prior edges before phase 2 "
@@ -436,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--conf-thresh", type=float, default=None, metavar="C",
                    help="demote pairs whose correlation falls below C "
                         "(default 0.33; implies --quality-gate)")
-    s.add_argument("--residue-mode", choices=["none", "huber", "threshold"],
-                   default=None,
+    s.add_argument("--residue-mode", choices=RESIDUE_MODES, default=None,
                    help="IRLS damping of large residuals in the "
                         "least_squares solver: huber re-weights, threshold "
                         "hard-rejects (default none; implies --quality-gate)")
@@ -445,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="demote pairs whose first/second correlation-peak "
                         "magnitude ratio falls below R (default 1.0 = off; "
                         "implies --quality-gate)")
-    s.add_argument("--coarse-registration", action="store_true",
+    s.add_argument("--coarse-registration", dest="coarse",
+                   action="store_true",
                    help="two-pass coarse-to-fine PCIAM: register on "
                         "block-mean downsampled tiles, refine confident "
                         "peaks at full resolution, fall back to full "
@@ -461,27 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "pass; below it the pair falls back to full "
                         "PCIAM (default 0.95; implies "
                         "--coarse-registration)")
-    s.add_argument("--positions", choices=["mst", "least_squares"], default="mst")
+    s.add_argument("--positions", dest="position_method",
+                   choices=POSITION_METHODS,
+                   default=StitchOptions.position_method)
     s.add_argument("--positions-json", type=Path)
-    s.add_argument("--planning",
-                   choices=["estimate", "measure", "patient", "exhaustive"],
-                   default="estimate", help="FFTW-style planning rigor")
+    s.add_argument("--planning", choices=[m.value for m in PlanningMode],
+                   default=StitchOptions.planning.value,
+                   help="FFTW-style planning rigor")
     s.add_argument("--wisdom", type=Path,
                    help="planning-wisdom file (loaded if present, saved after)")
-    from repro.core.stitcher import SCHEDULERS
-
-    s.add_argument("--impl", choices=["stitcher", *sorted(SCHEDULERS)],
-                   default="stitcher",
+    s.add_argument("--impl", type=_impl_arg, choices=sorted(SCHEDULERS),
+                   default=StitchOptions.impl,
                    help="phase-1 scheduler: a Table II implementation "
                         "('stitcher', the default, is simple-cpu)")
-    s.add_argument("--backend", choices=sorted(_BACKEND_IMPLS),
-                   default=None,
-                   help="phase-1 parallelism shorthand: seq (simple-cpu), "
-                        "thread (mt-cpu), proc (proc-cpu process workers)")
     s.add_argument("--workers", type=_workers_arg, default=2,
                    metavar="N|auto",
                    help="phase-1 workers (threads or processes, per "
-                        "--backend/--impl); 'auto' uses the CPU count")
+                        "--impl); 'auto' uses the CPU count")
     s.add_argument("--fft-batch", type=int, default=4, metavar="K",
                    help="batch K same-shape tiles per forward FFT in the "
                         "proc-cpu / pipelined-cpu impls (1 disables batching)")
@@ -506,10 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "'img_r{row:03d}_c{col:03d}.tif'")
     s.add_argument("--overlap", type=float, default=0.1,
                    help="nominal overlap for --pattern discovery")
-    s.add_argument("--max-retries", type=int, default=0,
+    s.add_argument("--max-retries", type=int,
+                   default=StitchOptions.max_retries,
                    help="retries per failing tile read (0 = fail fast)")
-    s.add_argument("--on-tile-error", choices=["abort", "skip"],
-                   default="abort",
+    s.add_argument("--on-tile-error", choices=TILE_ERROR_POLICIES,
+                   default=StitchOptions.on_tile_error,
                    help="after retries: abort the run, or drop the tile and "
                         "render a partial mosaic")
     s.add_argument("--inject-faults", type=str, default=None,

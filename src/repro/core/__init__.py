@@ -27,6 +27,7 @@ from repro.core.displacement import (
 from repro.core.global_opt import GlobalPositions, resolve_absolute_positions
 from repro.core.compose import BlendMode, compose, compose_to_tiff
 from repro.core.ncc import normalized_correlation
+from repro.core.options import StitchOptions
 from repro.core.pciam import CcfMode, pciam
 from repro.core.peak import peak_candidates, peak_location, top_peaks
 from repro.core.pyramid import MosaicPyramid, downsample
@@ -56,5 +57,6 @@ __all__ = [
     "RefineReport",
     "refine_displacements",
     "Stitcher",
+    "StitchOptions",
     "StitchResult",
 ]

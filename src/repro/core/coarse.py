@@ -172,7 +172,7 @@ class CoarseConfig:
         return 2 * self.factor
 
     @staticmethod
-    def from_scale(scale: float, **overrides) -> "CoarseConfig":
+    def from_scale(scale: float) -> "CoarseConfig":
         """Build a config from a downsampling *scale* (0.5 -> factor 2).
 
         The CLI exposes the feabas-style fractional scale; block-mean
@@ -183,7 +183,7 @@ class CoarseConfig:
             raise ValueError(
                 f"coarse scale must be in (0, 0.5], got {scale}"
             )
-        return CoarseConfig(factor=round(1.0 / scale), **overrides)
+        return CoarseConfig(factor=round(1.0 / scale))
 
     def to_fingerprint(self) -> dict:
         """JSON-able identity for journal fingerprint binding."""

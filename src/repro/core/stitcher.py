@@ -14,77 +14,34 @@ order and the phase-2 solver are all options with paper-faithful defaults.
 
 from __future__ import annotations
 
-import inspect
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from repro.core.coarse import CoarseConfig
 from repro.core.compose import BlendMode, compose
 from repro.core.displacement import DisplacementResult, compute_grid_displacements
 from repro.core.global_opt import GlobalPositions, resolve_absolute_positions
 from repro.core.kernel import Phase1Kernel
-from repro.core.pciam import CcfMode, smooth_fft_shape
-from repro.core.quality_gate import QualityConfig
-from repro.core.refine import RefineConfig, refine_displacements
+from repro.core.options import (  # noqa: F401 -- re-exported: importers of the scheduler table
+    SCHEDULERS,
+    StitchOptions,
+    scheduler_options,
+    schedulers_honouring,
+)
+from repro.core.refine import refine_displacements
 from repro.faults.report import FaultReport
-from repro.fftlib.plans import PlanCache, PlanningMode
-from repro.grid.traversal import Traversal
+from repro.fftlib.plans import PlanCache
 from repro.io.dataset import TileDataset
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.pipeline.stage import ErrorPolicy
 from repro.recovery.journal import (
+    RESUME_MODES,
     RunJournal,
     checkpoint_journal_path,
-    run_fingerprint,
 )
-
-#: The phase-1 schedulers by name, and which of the options a scheduler
-#: (rather than the kernel) has to honour each one can: a configurable
-#: ``traversal`` order, ``subpixel`` registration, and ``watchdog``
-#: supervision (only a staged pipeline can be supervised cooperatively --
-#: a single thread or a band worker cannot cancel itself).  Every other
-#: option is the kernel's and works under all of them.  The classes live
-#: in :mod:`repro.impls`, imported only when a non-default one is selected.
-SCHEDULERS: dict[str, frozenset[str]] = {
-    "simple-cpu": frozenset({"traversal", "subpixel"}),
-    "fiji-baseline": frozenset({"subpixel"}),
-    "mt-cpu": frozenset({"subpixel"}),
-    "proc-cpu": frozenset({"subpixel"}),
-    "pipelined-cpu": frozenset({"traversal", "subpixel", "watchdog"}),
-    "pipelined-cpu-numa": frozenset({"traversal", "subpixel", "watchdog"}),
-    "simple-gpu": frozenset({"traversal"}),
-    "pipelined-gpu": frozenset({"traversal", "watchdog"}),
-}
-
-
-def schedulers_honouring(option: str) -> list[str]:
-    """Names of the schedulers that can honour ``option``."""
-    return sorted(name for name, can in SCHEDULERS.items() if option in can)
-
-
-def scheduler_options(impl: str) -> list[str]:
-    """The ``impl_options`` keys scheduler ``impl`` takes, read off its
-    constructor chain (``traversal`` is ``Stitcher``'s own argument and
-    the kernel is built by it, so neither counts)."""
-    from repro.impls import ALL_IMPLEMENTATIONS
-
-    names: set[str] = set()
-    for cls in ALL_IMPLEMENTATIONS[impl].__mro__:
-        init = cls.__dict__.get("__init__")
-        if init is None:
-            continue
-        params = list(inspect.signature(init).parameters.values())
-        names.update(
-            p.name for p in params
-            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        )
-        if not any(p.kind is p.VAR_KEYWORD for p in params):
-            break  # no ``**kw`` handed further up the chain
-    return sorted(names - {"self", "kernel", "traversal"})
 
 
 @dataclass
@@ -253,149 +210,45 @@ class StitchResult:
 class Stitcher:
     """Configurable three-phase stitcher: the one entry point of a run.
 
-    ``impl`` names the phase-1 scheduler (a key of :data:`SCHEDULERS`;
-    the default is the sequential reference) and ``impl_options`` carries
-    that scheduler's own constructor arguments (``workers``,
-    ``fft_batch``, ``devices``, ``watchdog``, ...).  Every scheduler runs
-    the same :class:`~repro.core.kernel.Phase1Kernel`, so all produce
-    identical displacements; refinement, phase 2, fault/quality reporting
-    and timing happen here, once, whichever one ran.  An option the
-    chosen scheduler cannot honour raises ``ValueError`` rather than
-    being dropped.
+    What to compute is a :class:`~repro.core.options.StitchOptions`
+    value: pass one as ``options``, or spell its flat keys as keywords
+    (``Stitcher(coarse=True, conf_thresh=0.4, impl="mt-cpu")``; with
+    both, the keywords override ``options``).  Either way the value is
+    built and validated by ``StitchOptions.from_flat`` before anything
+    runs, and reads such as ``stitcher.coarse`` forward to
+    :attr:`options`.  The remaining arguments are the run's resources,
+    not options: the plan ``cache``, a tracer, a metrics registry and the
+    checkpoint directory.
+
+    Every scheduler (``impl``) runs the same
+    :class:`~repro.core.kernel.Phase1Kernel`, so all produce identical
+    displacements; refinement, phase 2, fault/quality reporting and
+    timing happen here, once, whichever one ran.
     """
 
     def __init__(
         self,
-        traversal: Traversal = Traversal.CHAINED_DIAGONAL,
-        ccf_mode: CcfMode = CcfMode.EXTENDED,
-        n_peaks: int = 2,
-        real_transforms: bool = True,
-        subpixel: bool = False,
-        use_tile_stats: bool = True,
-        use_workspace: bool = True,
-        pad_to_smooth: bool = False,
-        position_method: str = "mst",
-        refine: bool | RefineConfig = False,
-        quality: QualityConfig | bool | None = None,
-        conf_thresh: float | None = None,
-        residue_mode: str | None = None,
-        min_peak_ratio: float | None = None,
-        coarse: CoarseConfig | bool | None = None,
-        coarse_scale: float | None = None,
-        coarse_conf_thresh: float | None = None,
-        planning: PlanningMode = PlanningMode.ESTIMATE,
+        options: StitchOptions | None = None,
+        *,
         cache: PlanCache | None = None,
-        max_retries: int = 0,
-        retry_backoff: float = 0.05,
-        on_tile_error: str = "abort",
         trace: bool | Tracer = False,
         metrics: bool | MetricsRegistry = False,
         checkpoint: str | None = None,
         resume: str = "auto",
         journal_fsync: bool = True,
-        impl: str = "simple-cpu",
-        impl_options: dict | None = None,
+        **flat,
     ) -> None:
-        if impl not in SCHEDULERS:
-            raise ValueError(
-                f"unknown impl {impl!r} (choose from {sorted(SCHEDULERS)})"
+        if options is None:
+            options = StitchOptions.from_flat(flat)
+        elif not isinstance(options, StitchOptions):
+            raise TypeError(
+                f"options must be a StitchOptions, got {options!r} "
+                "(spell individual options as keywords)"
             )
-        self.impl = impl
-        self.impl_options = dict(impl_options or {})
-        if self.impl_options:
-            accepted = scheduler_options(impl)
-            for key in self.impl_options:
-                if key not in accepted:
-                    raise ValueError(
-                        f"impl {impl!r} has no option {key!r} "
-                        f"(it accepts {accepted})"
-                    )
-        requested = {
-            "traversal": traversal is not Traversal.CHAINED_DIAGONAL,
-            "subpixel": bool(subpixel),
-            "watchdog": self.impl_options.get("watchdog") is not None,
-        }
-        for option, wanted in requested.items():
-            if wanted and option not in SCHEDULERS[impl]:
-                raise ValueError(
-                    f"impl {impl!r} cannot honour {option}; "
-                    f"use one of {schedulers_honouring(option)}"
-                )
-        self.traversal = traversal
-        self.ccf_mode = ccf_mode
-        self.n_peaks = n_peaks
-        self.real_transforms = real_transforms
-        self.subpixel = subpixel
-        # Hot-path knobs (all on by default; see docs/PERFORMANCE.md):
-        # half-spectrum transforms, O(1)-statistics CCF, reusable pair
-        # workspaces.  Off switches exist for benchmarking each layer.
-        self.use_tile_stats = use_tile_stats
-        self.use_workspace = use_workspace
-        self.pad_to_smooth = pad_to_smooth
-        self.position_method = position_method
-        # ``refine`` enables the MIST-style stage-model filter/repair pass
-        # between phases 1 and 2 (see repro.core.refine).
-        if refine is True:
-            refine = RefineConfig()
-        self.refine: RefineConfig | None = refine or None
-        # ``quality`` enables the phase-2 registration quality gate
-        # (docs/ROBUSTNESS.md): True for the default gate, a QualityConfig
-        # for tuned gating, or None/False to solve exactly as before (the
-        # default -- positions stay bit-identical to ungated runs).  The
-        # convenience knobs mirror the CLI flags; passing any of them
-        # turns the gate on.
-        if quality is True:
-            quality = QualityConfig()
-        elif quality is False:
-            quality = None
-        overrides = {
-            k: v
-            for k, v in (
-                ("conf_thresh", conf_thresh),
-                ("residue_mode", residue_mode),
-                ("min_peak_ratio", min_peak_ratio),
-            )
-            if v is not None
-        }
-        if overrides:
-            quality = replace(quality or QualityConfig(), **overrides)
-        self.quality: QualityConfig | None = quality
-        # ``coarse`` enables two-pass coarse-to-fine registration
-        # (docs/PERFORMANCE.md): True for the defaults, a CoarseConfig for
-        # tuned behaviour, None/False for single-pass PCIAM (the default --
-        # displacements stay bit-identical to pre-coarse runs).  The
-        # convenience knobs mirror the CLI flags; passing either turns the
-        # two-pass mode on.
-        if coarse is True:
-            coarse = CoarseConfig()
-        elif coarse is False:
-            coarse = None
-        if coarse_scale is not None:
-            keep = (
-                {}
-                if coarse is None
-                else {
-                    k: getattr(coarse, k)
-                    for k in ("conf_thresh", "min_peak_ratio",
-                              "coarse_peaks", "search_radius",
-                              "min_overlap_frac")
-                }
-            )
-            coarse = CoarseConfig.from_scale(coarse_scale, **keep)
-        if coarse_conf_thresh is not None:
-            coarse = replace(
-                coarse or CoarseConfig(), conf_thresh=coarse_conf_thresh
-            )
-        self.coarse: CoarseConfig | None = coarse
-        self.planning = planning
+        elif flat:
+            options = StitchOptions.from_flat({**vars(options), **flat})
+        self.options = options
         self.cache = cache
-        if on_tile_error not in ("abort", "skip"):
-            raise ValueError(
-                f"unknown on_tile_error {on_tile_error!r} (use 'abort' or 'skip')"
-            )
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.on_tile_error = on_tile_error
         # Observability: ``trace=True`` (or a caller-owned Tracer) records
         # per-phase and per-operation spans; metrics are collected whenever
         # either switch is on, and land in ``StitchResult.stats["metrics"]``.
@@ -415,18 +268,30 @@ class Stitcher:
         # what never landed.  ``resume`` is the journal-open mode
         # (auto/require/never); ``journal_fsync=False`` trades the
         # per-record durability point for speed (tests, benchmarks).
+        if resume not in RESUME_MODES:
+            raise ValueError(
+                f"resume must be {'/'.join(RESUME_MODES)}, got {resume!r}"
+            )
         self.checkpoint = checkpoint
         self.resume = resume
         self.journal_fsync = journal_fsync
 
+    def __getattr__(self, name: str):
+        """Option reads (``stitcher.coarse``, ``.n_peaks``, ...) forward to
+        :attr:`options`; only names the stitcher itself lacks get here."""
+        if name == "options":  # not set yet: __init__ raised, or a copy
+            raise AttributeError(name)
+        return getattr(self.options, name)
+
     def _error_policy(self) -> ErrorPolicy | None:
         """Retry/skip policy for tile reads; None = strict legacy behaviour."""
-        if self.max_retries == 0 and self.on_tile_error == "abort":
+        opts = self.options
+        if opts.max_retries == 0 and opts.on_tile_error == "abort":
             return None
         return ErrorPolicy(
-            max_retries=self.max_retries,
-            backoff=self.retry_backoff,
-            on_exhausted=self.on_tile_error,
+            max_retries=opts.max_retries,
+            backoff=opts.retry_backoff,
+            on_exhausted=opts.on_tile_error,
         )
 
     @staticmethod
@@ -435,27 +300,6 @@ class Stitcher:
         th, tw = dataset.tile_shape
         ov = dataset.metadata.overlap
         return ((0.0, round(tw * (1.0 - ov))), (round(th * (1.0 - ov)), 0.0))
-
-    def _fft_shape(self, dataset: TileDataset):
-        return smooth_fft_shape(dataset.tile_shape) if self.pad_to_smooth else None
-
-    def run_fingerprint(self, dataset: TileDataset) -> dict:
-        """The identity a journal of this run is bound to.
-
-        Dataset geometry plus the result-affecting options; performance
-        knobs and implementation choice are excluded (all produce
-        identical displacements, so cross-implementation resume is legal).
-        """
-        return run_fingerprint(
-            dataset,
-            ccf_mode=self.ccf_mode,
-            n_peaks=self.n_peaks,
-            subpixel=self.subpixel,
-            fft_shape=self._fft_shape(dataset),
-            position_method=self.position_method,
-            refine=self.refine is not None,
-            coarse=self.coarse,
-        )
 
     def open_journal(self, dataset: TileDataset) -> RunJournal | None:
         """Open/create the checkpoint journal, or ``None`` (no checkpoint).
@@ -469,7 +313,7 @@ class Stitcher:
             return None
         return RunJournal.open(
             checkpoint_journal_path(self.checkpoint),
-            self.run_fingerprint(dataset),
+            self.options.fingerprint(dataset),
             fsync=self.journal_fsync,
             metrics=self.metrics,
             resume=self.resume,
@@ -477,8 +321,9 @@ class Stitcher:
 
     def _phase1(self, dataset: TileDataset, kernel: Phase1Kernel):
         """Run the selected scheduler; returns ``(displacements, stats)``."""
+        opts = self.options
         tracer = kernel.tracer
-        if self.impl == "simple-cpu":
+        if opts.impl == "simple-cpu":
             # The default stays import-free: repro.impls (and the virtual
             # GPU under it) loads only for a scheduler that needs it.
             # Native dtype: the kernel converts on use (uint -> float64 is
@@ -487,15 +332,15 @@ class Stitcher:
                 disp = compute_grid_displacements(
                     partial(dataset.load, dtype=None),
                     dataset.rows, dataset.cols,
-                    traversal=self.traversal, kernel=kernel,
+                    traversal=opts.traversal, kernel=kernel,
                 )
             return disp, dict(disp.stats)
         from repro.impls import ALL_IMPLEMENTATIONS
 
-        options = dict(self.impl_options)
-        if "traversal" in SCHEDULERS[self.impl]:
-            options["traversal"] = self.traversal
-        scheduler = ALL_IMPLEMENTATIONS[self.impl](kernel=kernel, **options)
+        options = dict(opts.impl_options)
+        if "traversal" in SCHEDULERS[opts.impl]:
+            options["traversal"] = opts.traversal
+        scheduler = ALL_IMPLEMENTATIONS[opts.impl](kernel=kernel, **options)
         run = scheduler.run(dataset)
         stats = dict(run.stats)
         if tracer.enabled:
@@ -516,21 +361,22 @@ class Stitcher:
         coordinates for any stranded grid component, and the resulting
         :class:`FaultReport` lands in ``result.stats["fault_report"]``.
         """
+        opts = self.options
         policy = self._error_policy()
         report = FaultReport() if policy is not None else None
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
         journal = self.open_journal(dataset)
         kernel = Phase1Kernel(
-            ccf_mode=self.ccf_mode,
-            n_peaks=self.n_peaks,
-            fft_shape=self._fft_shape(dataset),
-            subpixel=self.subpixel,
-            coarse=self.coarse,
-            real_transforms=self.real_transforms,
-            use_tile_stats=self.use_tile_stats,
-            use_workspace=self.use_workspace,
+            ccf_mode=opts.ccf_mode,
+            n_peaks=opts.n_peaks,
+            fft_shape=opts.fft_shape(dataset.tile_shape),
+            subpixel=opts.subpixel,
+            coarse=opts.coarse,
+            real_transforms=opts.real_transforms,
+            use_tile_stats=opts.use_tile_stats,
+            use_workspace=opts.use_workspace,
             cache=self.cache,
-            planning=self.planning,
+            planning=opts.planning,
             error_policy=policy,
             fault_report=report,
             tracer=tracer,
@@ -550,22 +396,22 @@ class Stitcher:
             if journal is not None:
                 journal.close()
             raise
-        if self.refine is not None:
+        if opts.refine is not None:
             with tracer.span("refine", "stitcher"):
-                disp, rep = refine_displacements(disp, dataset.load, self.refine)
+                disp, rep = refine_displacements(disp, dataset.load, opts.refine)
             stats["refined_pairs"] = rep.repaired
             stats["unrepairable_pairs"] = rep.unrepairable
         t1 = time.perf_counter()
         degrade = {}
-        if policy is not None and self.on_tile_error == "skip":
+        if policy is not None and opts.on_tile_error == "skip":
             degrade = {
                 "on_disconnected": "nominal",
                 "nominal_step": self._nominal_step(dataset),
             }
         with tracer.span("phase2:global-opt", "stitcher"):
             pos = resolve_absolute_positions(
-                disp, method=self.position_method, subpixel=self.subpixel,
-                quality=self.quality, **degrade,
+                disp, method=opts.position_method, subpixel=opts.subpixel,
+                quality=opts.quality, **degrade,
             )
         t2 = time.perf_counter()
         if journal is not None:
@@ -574,7 +420,7 @@ class Stitcher:
             # milestone records that (and when) the run got this far.
             journal.record_milestone(
                 "phase2_complete",
-                method=self.position_method,
+                method=opts.position_method,
                 degraded=len(pos.degraded_tiles()),
             )
             stats["journal"] = journal.summary()
@@ -609,9 +455,9 @@ class Stitcher:
             positions=pos,
             phase1_seconds=t1 - t0,
             phase2_seconds=t2 - t1,
-            implementation=self.impl,
+            implementation=opts.impl,
             stats=stats,
-            on_tile_error=self.on_tile_error,
+            on_tile_error=opts.on_tile_error,
         )
 
     def stitch_channels(

@@ -40,8 +40,6 @@ from repro.recovery.journal import (
     dataset_fingerprint,
     fingerprint_diff,
     load_journal,
-    options_fingerprint,
-    run_fingerprint,
 )
 from repro.recovery.watchdog import (
     Intervention,
@@ -72,8 +70,6 @@ __all__ = [
     "dataset_fingerprint",
     "fingerprint_diff",
     "load_journal",
-    "options_fingerprint",
-    "run_fingerprint",
     "Intervention",
     "StallReport",
     "Watchdog",

@@ -42,6 +42,8 @@ from typing import Any, Iterable
 
 JOURNAL_FILENAME = "journal.jsonl"
 JOURNAL_VERSION = 1
+#: Journal-open modes of :meth:`RunJournal.open` (``Stitcher(resume=...)``).
+RESUME_MODES = ("auto", "require", "never")
 
 #: Keys of :class:`~repro.core.displacement.Translation` fields in a pair
 #: record, in serialization order.
@@ -146,48 +148,6 @@ def dataset_fingerprint(dataset) -> dict:
         "overlap": float(meta.overlap),
         "bit_depth": int(meta.bit_depth),
         "pattern": str(meta.pattern),
-    }
-
-
-def options_fingerprint(
-    ccf_mode=None,
-    n_peaks: int = 2,
-    subpixel: bool = False,
-    fft_shape=None,
-    position_method: str = "mst",
-    refine: bool = False,
-    coarse=None,
-) -> dict:
-    """The result-affecting PCIAM/solver options.
-
-    Performance knobs (half-spectrum transforms, tile statistics,
-    workspaces, worker counts, implementation choice) are deliberately
-    excluded: every implementation and every hot-path mode produces
-    identical displacements, so a run checkpointed under one may resume
-    under another.  Coarse-to-fine registration *is* fingerprinted
-    (``coarse`` takes a :meth:`CoarseConfig.to_fingerprint` dict): its
-    refinement probes a subset of the full candidate contest, so its
-    correlations are not interchangeable with single-pass values.
-    Journals written before the option existed fingerprint-match a
-    coarse-off resume (absent key and ``None`` compare equal).
-    """
-    if coarse is not None and hasattr(coarse, "to_fingerprint"):
-        coarse = coarse.to_fingerprint()
-    return {
-        "ccf_mode": getattr(ccf_mode, "value", ccf_mode),
-        "n_peaks": int(n_peaks),
-        "subpixel": bool(subpixel),
-        "fft_shape": list(fft_shape) if fft_shape is not None else None,
-        "position_method": str(position_method),
-        "refine": bool(refine),
-        "coarse": coarse,
-    }
-
-
-def run_fingerprint(dataset, **options) -> dict:
-    return {
-        "dataset": dataset_fingerprint(dataset),
-        "options": options_fingerprint(**options),
     }
 
 
@@ -423,7 +383,7 @@ class RunJournal:
         ``resume="never"``
             always start fresh (truncates).
         """
-        if resume not in ("auto", "require", "never"):
+        if resume not in RESUME_MODES:
             raise ValueError(f"resume must be auto/require/never, got {resume!r}")
         path = Path(path)
         if resume == "never":

@@ -20,14 +20,21 @@ from __future__ import annotations
 
 import re
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from numbers import Integral
 from typing import Any
 
-#: Stitcher keyword arguments a job spec may set.  Everything else --
-#: tracing, checkpoint paths, plan caches -- is owned by the service
-#: (the checkpoint directory in particular *is* the job's durability
-#: story and must not be client-controlled).
+from repro.core.options import StitchOptions, check_number
+
+#: The options a job spec may set: the service's exposure policy, by
+#: name.  What the stitch options among them mean, default to and
+#: accept is :class:`~repro.core.options.StitchOptions`'s business
+#: (values are validated through its ``from_flat`` at submission).
+#: Everything else -- tracing, checkpoint paths, plan caches, the
+#: scheduler and its worker count -- is owned by the service (the
+#: checkpoint directory in particular *is* the job's durability story
+#: and must not be client-controlled).
 ALLOWED_OPTIONS = frozenset({
     "position_method",
     "subpixel",
@@ -48,6 +55,15 @@ ALLOWED_OPTIONS = frozenset({
     "memory_budget",
     "pyramid_levels",
 })
+
+#: The two allowed options that configure the compose stage rather than
+#: the stitch, with the smallest value each admits (``None`` = unset).
+COMPOSE_OPTIONS = {"memory_budget": 1, "pyramid_levels": 0}
+
+
+def stitch_keys_of(options: dict) -> dict:
+    """The stitch options of a job's ``options`` (compose keys dropped)."""
+    return {k: v for k, v in options.items() if k not in COMPOSE_OPTIONS}
 
 #: Output blend modes a job may request for its optional mosaic.
 #: All four stream bit-identically to the in-memory path (LINEAR
@@ -115,12 +131,21 @@ class JobSpec:
             )
         if not 0 <= int(self.priority) <= 9:
             raise ValueError(f"priority must be in [0, 9], got {self.priority}")
+        if not isinstance(self.options, dict):
+            raise ValueError(
+                f"options must be a JSON object, got {self.options!r}"
+            )
         unknown = set(self.options) - ALLOWED_OPTIONS
         if unknown:
             raise ValueError(
                 f"unknown job options {sorted(unknown)} "
                 f"(allowed: {sorted(ALLOWED_OPTIONS)})"
             )
+        # A bad value is refused here (HTTP 400), not after phase 1.
+        StitchOptions.from_flat(stitch_keys_of(self.options))
+        for key, minimum in COMPOSE_OPTIONS.items():
+            if self.options.get(key) is not None:
+                check_number(key, self.options[key], Integral, minimum)
         if self.blend not in ALLOWED_BLENDS:
             raise ValueError(
                 f"blend must be one of {ALLOWED_BLENDS}, got {self.blend!r}"
@@ -144,12 +169,7 @@ class JobSpec:
         """Build a spec from a request body, rejecting unknown keys."""
         if not isinstance(payload, dict):
             raise ValueError("job spec must be a JSON object")
-        known = {
-            "dataset", "tenant", "priority", "options",
-            "reuse_positions_from", "output", "blend", "inject_faults",
-            "deadline_seconds", "retry_budget",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown job spec keys {sorted(unknown)}")
         kwargs: dict[str, Any] = dict(payload)
@@ -162,18 +182,9 @@ class JobSpec:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "options": dict(self.options),
-            "reuse_positions_from": self.reuse_positions_from,
-            "output": self.output,
-            "blend": self.blend,
-            "inject_faults": self.inject_faults,
-            "deadline_seconds": self.deadline_seconds,
-            "retry_budget": self.retry_budget,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["options"] = dict(self.options)
+        return out
 
 
 @dataclass

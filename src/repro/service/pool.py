@@ -46,7 +46,7 @@ from repro.recovery.cancel import CancelToken
 from repro.recovery.harness import count_journal_records
 from repro.recovery.journal import checkpoint_journal_path
 from repro.recovery.watchdog import Watchdog, WatchdogConfig
-from repro.service.jobs import JobRecord, JobState
+from repro.service.jobs import JobRecord, JobState, stitch_keys_of
 from repro.service.queue import JobQueue
 from repro.service.resilience import (
     CircuitBreaker,
@@ -72,42 +72,18 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _build_stitcher(options: dict, plan_cache, checkpoint: str | None):
-    from repro.core.stitcher import Stitcher
-
-    quality = options.get("quality")
-    return Stitcher(
-        position_method=options.get("position_method", "mst"),
-        subpixel=bool(options.get("subpixel", False)),
-        n_peaks=int(options.get("n_peaks", 2)),
-        max_retries=int(options.get("max_retries", 0)),
-        on_tile_error=options.get("on_tile_error", "abort"),
-        quality=bool(quality) if quality is not None else None,
-        conf_thresh=options.get("conf_thresh"),
-        residue_mode=options.get("residue_mode"),
-        min_peak_ratio=options.get("min_peak_ratio"),
-        refine=bool(options.get("refine", False)),
-        coarse=(
-            bool(options["coarse"]) if options.get("coarse") is not None
-            else None
-        ),
-        coarse_scale=options.get("coarse_scale"),
-        coarse_conf_thresh=options.get("coarse_conf_thresh"),
-        cache=plan_cache,
-        checkpoint=checkpoint,
-        resume="auto",
-        metrics=True,
-    )
-
-
 def _execute_job(msg: dict, warm: dict) -> dict:
     """Run one job in the worker; returns the reply summary payload."""
     import numpy as np
 
     from repro.core.global_opt import GlobalPositions
+    from repro.core.options import StitchOptions
+    from repro.core.stitcher import Stitcher
     from repro.io.dataset import TileDataset
 
     spec = msg["spec"]
+    flat = spec.get("options", {})
+    options = StitchOptions.from_flat(stitch_keys_of(flat))
     job_dir = Path(msg["job_dir"])
     job_dir.mkdir(parents=True, exist_ok=True)
     dataset = TileDataset(spec["dataset"])
@@ -150,10 +126,10 @@ def _execute_job(msg: dict, warm: dict) -> dict:
             "phase2_seconds": 0.0,
         })
     else:
-        stitcher = _build_stitcher(
-            spec.get("options", {}), plan_cache, str(job_dir / "ckpt")
-        )
-        result = stitcher.stitch(dataset)
+        result = Stitcher(
+            options, cache=plan_cache, checkpoint=str(job_dir / "ckpt"),
+            metrics=True,
+        ).stitch(dataset)
         gp = result.positions
         skipped = result.skipped_tiles()
         summary.update({
@@ -184,19 +160,15 @@ def _execute_job(msg: dict, warm: dict) -> dict:
     if spec.get("output"):
         from repro.core.streamcompose import stream_compose_to_tiff
 
-        options = spec.get("options", {})
-        memory_budget = options.get("memory_budget")
         sres = stream_compose_to_tiff(
             spec["output"],
             lambda r, c: dataset.load(r, c, dtype=None),
             gp, dataset.tile_shape,
             blend=spec.get("blend", "overlay"),
-            memory_budget=(
-                int(memory_budget) if memory_budget is not None else None
-            ),
-            pyramid_levels=int(options.get("pyramid_levels", 0) or 0),
+            memory_budget=flat.get("memory_budget"),
+            pyramid_levels=flat.get("pyramid_levels") or 0,
             skip_tiles=skipped,
-            on_tile_error=options.get("on_tile_error", "abort"),
+            on_tile_error=options.on_tile_error,
         )
         summary["output"] = spec["output"]
         summary["compose"] = {

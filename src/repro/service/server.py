@@ -28,6 +28,7 @@ import json
 import re
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.observe.metrics import MetricsRegistry
@@ -244,29 +245,26 @@ class StitchService:
         out-of-core under the given byte budget (never *raising* a
         budget the client already set lower).
         """
-        fields = spec.to_dict()
+        options, output = dict(spec.options), spec.output
         applied: list[str] = []
-        if "coarse" in degradations and not fields["options"].get("coarse"):
-            fields["options"] = {**fields["options"], "coarse": True}
+        if "coarse" in degradations and not options.get("coarse"):
+            options["coarse"] = True
             applied.append("coarse")
-        if "skip_compose" in degradations and fields["output"] is not None:
-            fields["output"] = None
+        if "skip_compose" in degradations and output is not None:
+            output = None
             applied.append("skip_compose")
         for d in degradations:
             if not d.startswith("compose_budget:"):
                 continue
             budget = int(d.partition(":")[2])
-            current = fields["options"].get("memory_budget")
-            if fields["output"] is not None and (
-                current is None or int(current) > budget
-            ):
-                fields["options"] = {
-                    **fields["options"], "memory_budget": budget,
-                }
+            current = options.get("memory_budget")
+            if output is not None and (current is None or current > budget):
+                options["memory_budget"] = budget
                 applied.append(f"compose_budget:{budget}")
         if not applied:
             return spec, []
-        return JobSpec(**fields), applied
+        # replace() re-runs JobSpec's validation on the degraded options.
+        return replace(spec, options=options, output=output), applied
 
     def _resolve_dataset(self, spec: JobSpec) -> JobSpec:
         path = Path(spec.dataset)
@@ -281,7 +279,7 @@ class StitchService:
             path = candidate
         if not path.is_dir():
             raise ValueError(f"dataset directory {path} does not exist")
-        return JobSpec(**{**spec.to_dict(), "dataset": str(path)})
+        return replace(spec, dataset=str(path))
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:

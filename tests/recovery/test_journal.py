@@ -6,6 +6,7 @@ import zlib
 import pytest
 
 from repro.core.displacement import Translation
+from repro.core.options import StitchOptions
 from repro.recovery.journal import (
     JournalError,
     JournalMismatch,
@@ -13,8 +14,12 @@ from repro.recovery.journal import (
     checkpoint_journal_path,
     fingerprint_diff,
     load_journal,
-    options_fingerprint,
 )
+
+
+def options_fingerprint(**options):
+    return StitchOptions(**options).fingerprint_options()
+
 
 FP = {"dataset": {"rows": 2, "cols": 2}, "options": options_fingerprint()}
 

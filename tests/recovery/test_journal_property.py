@@ -8,9 +8,11 @@ invariant deterministically.
 import pytest
 
 from repro.core.displacement import Translation
-from repro.recovery.journal import RunJournal, load_journal, options_fingerprint
+from repro.core.options import StitchOptions
+from repro.recovery.journal import RunJournal, load_journal
 
-FP = {"dataset": {"rows": 8, "cols": 8}, "options": options_fingerprint()}
+FP = {"dataset": {"rows": 8, "cols": 8},
+      "options": StitchOptions().fingerprint_options()}
 
 
 def write_journal(path, records):

@@ -264,3 +264,24 @@ class TestOutOfCoreJobOptions:
             assert out.exists()
         finally:
             svc.stop()
+
+
+class TestOptionValidationAtSubmission:
+    def test_bad_option_value_is_a_400_and_nothing_is_queued(
+        self, tmp_path, e2e_ds
+    ):
+        """At the parent commit this was a 202, then a failed job with
+        all of phase 1 computed and journaled."""
+        from repro.service.client import ServiceError
+
+        svc, client = start_service(tmp_path, workers=1)
+        try:
+            with pytest.raises(ServiceError) as err:
+                client.submit({"dataset": str(e2e_ds.directory),
+                               "options": {"position_method": "bogus"}})
+            assert err.value.status == 400
+            assert "position_method" in str(err.value)
+            assert not svc.jobs
+            assert not (tmp_path / "spool" / "jobs").exists()
+        finally:
+            svc.stop()

@@ -349,7 +349,8 @@ class TestOneEntryPoint:
             assert name in err
 
     @pytest.mark.parametrize(
-        "flag", ["--complex-transforms", "--no-tile-stats", "--no-workspace"]
+        "flag", ["--complex-transforms", "--no-tile-stats", "--no-workspace",
+                 "--backend"]
     )
     def test_escape_hatch_flags_removed(self, ds97, flag, capsys):
         with pytest.raises(SystemExit):
@@ -361,4 +362,4 @@ class TestOneEntryPoint:
 
         sub = build_parser()._subparsers._group_actions[0].choices["stitch"]
         options = [a for a in sub._actions if a.dest != "help"]
-        assert len(options) == 39
+        assert len(options) == 38
