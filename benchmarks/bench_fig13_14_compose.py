@@ -7,7 +7,9 @@ known plate (position recovery must be exact for the render to be valid).
 
 Run as a script to benchmark out-of-core composition -- in-memory vs
 streaming at two memory budgets -- and write ``BENCH_compose.json`` at
-the repo root (the committed regression reference)::
+the repo root (the committed record; ``--check`` gates without writing:
+tracked peak within each budget, streaming no slower than
+``THROUGHPUT_FLOOR`` x in-memory)::
 
     python benchmarks/bench_fig13_14_compose.py           # full grid
     python benchmarks/bench_fig13_14_compose.py --quick
@@ -220,17 +222,13 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="CI-sized grid instead of the full one")
     ap.add_argument("--check", action="store_true",
-                    help="compare against the committed BENCH_compose.json "
-                         "instead of overwriting it")
-    ap.add_argument("--tolerance", type=float, default=0.20,
-                    help="allowed relative throughput regression in --check")
+                    help="gate only: leave the committed BENCH_compose.json "
+                         "as it is")
     args = ap.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     record = _run_compose_bench(mode)
 
-    loose = record["streaming"][0]
-    ratio = loose["throughput_vs_in_memory"]
     print(f"canvas {record['canvas'][0]}x{record['canvas'][1]} "
           f"({record['mpix']} MPix), in-memory "
           f"{record['in_memory']['mpix_per_sec']} MPix/s "
@@ -240,26 +238,19 @@ def main(argv=None) -> int:
               f"{s['mpix_per_sec']} MPix/s "
               f"({s['throughput_vs_in_memory']:.2f}x in-memory), "
               f"peak {s['peak_canvas_plus_cache_bytes']:,} "
-              f"<= {s['budget_bytes']:,} B")
+              f"<= {s['budget_bytes']:,} B")  # asserted by _measure_compose
 
+    # The only speed gate is this absolute floor.  A ratio against a
+    # committed run falls whenever the in-memory path gets faster; speed
+    # is judged by parent/change pairs through benchmarks/e2e/run.py.
+    ratio = record["streaming"][0]["throughput_vs_in_memory"]
     if ratio < THROUGHPUT_FLOOR:
         print(f"FAIL: streaming at the loose budget is {ratio:.2f}x "
               f"in-memory (floor {THROUGHPUT_FLOOR})")
         return 1
-
+    print(f"OK: streaming at the loose budget is {ratio:.2f}x in-memory "
+          f"(floor {THROUGHPUT_FLOOR}), peaks within budget")
     if args.check:
-        committed = (read_json(BENCH_COMPOSE_PATH) or {}).get(mode)
-        if committed is None:
-            print(f"no committed {BENCH_COMPOSE_PATH.name} entry for mode "
-                  f"'{mode}'; rerun without --check to create it")
-            return 1
-        ref = committed["streaming"][0]["throughput_vs_in_memory"]
-        if ratio < ref * (1.0 - args.tolerance):
-            print(f"FAIL: throughput ratio {ratio:.3f} regressed more than "
-                  f"{args.tolerance:.0%} vs committed {ref:.3f}")
-            return 1
-        print(f"OK: ratio {ratio:.3f} vs committed {ref:.3f} "
-              f"(tolerance {args.tolerance:.0%})")
         return 0
 
     merged = read_json(BENCH_COMPOSE_PATH) or {}

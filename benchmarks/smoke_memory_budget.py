@@ -21,15 +21,18 @@ memory.  Three measurements run in separate child processes so each
     honesty check: its RSS delta must *exceed* the budget, proving the
     grid genuinely cannot be composed in memory within it.
 
-The smoke fails unless ``stream - base <= budget + slack`` (slack covers
-allocator overhead and write buffers) while ``inmem - base > budget``.
-A smaller control grid is then composed both ways in-process and the
-streamed TIFF must be bit-identical to the in-memory reference.
+The smoke fails unless ``stream - base <= budget + slack`` while
+``inmem - base > budget``.  The budget is meant literally: measured, the
+streamed child's RSS delta is ~44 MiB under the 48 MiB budget (tracked
+peak 42.0 MiB), so the 8 MiB default slack is allocator headroom, not room
+for untracked working set.  A smaller control grid is then composed both
+ways in-process and the streamed TIFF must be bit-identical to the
+in-memory reference.
 
 Usage::
 
     python benchmarks/smoke_memory_budget.py            # CI defaults
-    python benchmarks/smoke_memory_budget.py --budget 48M --slack 32M
+    python benchmarks/smoke_memory_budget.py --budget 48M --slack 8M
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: Over-budget grid: 8x8 tiles of 384 px at 10% overlap is a ~2803x2803
-#: canvas -- a 63 MB float64 canvas and a ~141 MB LINEAR working set,
-#: both comfortably past the 48 MiB default budget.
+#: canvas -- a 63 MB float64 canvas, and canvas + weight plane + uint16
+#: copy make the in-memory LINEAR child's RSS delta ~138 MiB measured
+#: (141 MB), comfortably past the 48 MiB default budget.
 GRID = (8, 8, 384, 0.10)
 CONTROL_GRID = (4, 4, 128, 0.25)
 
@@ -181,9 +185,9 @@ def _control_bit_identity(tmp: Path) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budget", type=_parse_bytes, default=48 * MIB)
-    ap.add_argument("--slack", type=_parse_bytes, default=32 * MIB,
+    ap.add_argument("--slack", type=_parse_bytes, default=8 * MIB,
                     help="allowed RSS overhead beyond the budget "
-                         "(allocator, write buffers)")
+                         "(allocator headroom)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--dataset", help=argparse.SUPPRESS)
     ap.add_argument("--out", help=argparse.SUPPRESS)

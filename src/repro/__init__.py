@@ -23,7 +23,6 @@ from repro.core import (
 )
 from repro.faults import ErrorPolicy, FaultPlan, FaultReport
 from repro.io import TileDataset, read_tiff, write_tiff
-from repro.synth import make_synthetic_dataset
 
 __version__ = "1.0.0"
 
@@ -45,3 +44,13 @@ __all__ = [
     "FaultReport",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved on first use (PEP 562): a stitch never needs the synthetic
+    # microscope, so ``import repro`` does not import ``repro.synth``.
+    if name == "make_synthetic_dataset":
+        from repro.synth import make_synthetic_dataset
+
+        return make_synthetic_dataset
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

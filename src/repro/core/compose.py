@@ -49,6 +49,9 @@ from repro.core.global_opt import GlobalPositions
 #: ``(row, col, y, x)``: a tile's grid index and its canvas origin.
 Tile = tuple[int, int, int, int]
 
+#: Divisor given to uncovered pixels (weight 0) so normalisation needs no mask.
+_TINY = np.finfo(np.float64).tiny
+
 
 class BlendMode(Enum):
     OVERLAY = "overlay"
@@ -153,8 +156,9 @@ def blend_window(
     arrays owned by the caller and covering canvas rows
     ``[y0, y0 + band.shape[0])`` x columns ``[x0, x0 + band.shape[1])``.
     Tiles are visited in the order given and clipped to the window, and
-    AVERAGE/LINEAR are normalised before returning.  Windows are
-    disjoint arrays, so parallel renders need no locks or atomics.
+    AVERAGE/LINEAR are normalised in place before returning; ``weight`` is
+    scratch the kernel clobbers doing so.  Windows are disjoint arrays, so
+    parallel renders need no locks or atomics.
     """
     th, tw = plan.tile_shape
     y1, x1 = y0 + band.shape[0], x0 + band.shape[1]
@@ -199,8 +203,11 @@ def blend_window(
             raise AssertionError(blend)
         touched.append(t)
     if weight is not None:
-        covered = weight > 0
-        band[covered] /= weight[covered]
+        # In place, no window-sized temporary: covered weights are >= 1e-6
+        # (LINEAR's floor; AVERAGE counts from 1) so the clamp leaves them
+        # alone, and an uncovered pixel is +0.0 / tiny = +0.0.
+        np.maximum(weight, _TINY, out=weight)
+        np.divide(band, weight, out=band)
     return touched
 
 

@@ -46,8 +46,6 @@ from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.core.displacement import DisplacementResult, Translation
 from repro.core.quality_gate import (
@@ -386,6 +384,10 @@ def _least_squares_positions(
         extra_vals.append(1e-6)
         extra_by.append(1e-6 * nominal[0])
         extra_bx.append(1e-6 * nominal[1])
+
+    # Imported by their only user: an MST-only run never pays for them.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     def solve(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows_a: list[int] = []

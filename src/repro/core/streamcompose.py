@@ -225,6 +225,7 @@ def stream_compose_to_tiff(
         ) as writer:
             band = np.zeros((band_rows, width), dtype=np.float64)
             weight = np.zeros_like(band) if plan.blend.needs_weight else None
+            quantised = np.empty((band_rows, width), dtype=dtype)
             for s, (y0, y1, tiles) in enumerate(stripes):
                 b = band[: y1 - y0]
                 b[:] = 0.0
@@ -242,13 +243,14 @@ def stream_compose_to_tiff(
                         # After scale and clip, so the border quantises to
                         # the dtype's maximum whatever ``scale`` is.
                         outline_rows(b, y0, touched, plan.tile_shape, limit)
-                    out = b.astype(dtype)
+                    out = quantised[: y1 - y0]
+                    np.copyto(out, b, casting="unsafe")  # == b.astype(dtype)
                     writer.write_rows(out)
                 track(band.nbytes + (weight.nbytes if weight is not None else 0)
-                      + out.nbytes)
+                      + quantised.nbytes)
                 if metrics is not None:
                     metrics.counter("compose_stripes").inc()
-            del band, weight, out
+            del band, weight, quantised, out
 
         if cache is not None:
             if metrics is not None:

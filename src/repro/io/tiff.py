@@ -805,15 +805,18 @@ class TiffStripWriter:
             raise ValueError(
                 f"band shape {band.shape} incompatible with width {self.width}"
             )
-        if band.dtype != self.dtype:
+        if band.dtype.newbyteorder("=") != self.dtype:  # either byte order
             raise ValueError(f"band dtype {band.dtype} != {self.dtype}")
         if self._rows_written + band.shape[0] > self.height:
             raise ValueError(
                 f"band overruns image: {self._rows_written} + {band.shape[0]} "
                 f"> {self.height}"
             )
-        self._file.write(band.astype("<" + ("u1" if self._bits == 8 else "u2"),
-                                     copy=False).tobytes())
+        # The file is little-endian and row-major: a band already laid out
+        # that way is written from its own buffer, anything else (big-endian,
+        # a strided view) is converted first.
+        self._file.write(np.ascontiguousarray(
+            band, dtype="<" + ("u1" if self._bits == 8 else "u2")))
         self._file.flush()
         self._rows_written += band.shape[0]
 

@@ -8,6 +8,7 @@ definition of each mode.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -37,24 +38,38 @@ POSITIONS = GlobalPositions(
 )
 
 
-def loader(fail):
+class Scene(NamedTuple):
+    """What is rendered: the tiles and where they sit."""
+
+    tiles: dict
+    positions: GlobalPositions
+
+    @property
+    def tile_shape(self):
+        return next(iter(self.tiles.values())).shape
+
+
+SCENE = Scene(TILES, POSITIONS)
+
+
+def loader(fail, scene=SCENE):
     def load(r, c):
         if fail and (r, c) == FAILING:
             raise OSError("bad sector")
-        return TILES[(r, c)]
+        return scene.tiles[(r, c)]
 
     return load
 
 
-def naive_mosaic(blend, left_out, outline_value):
+def naive_mosaic(blend, left_out, outline_value, scene=SCENE):
     """For each pixel: its covering tiles in row-major order, blended by definition."""
-    th, tw = TILE
-    h, w = POSITIONS.mosaic_shape(TILE)
+    th, tw = scene.tile_shape
+    h, w = scene.positions.mosaic_shape((th, tw))
     ramp = np.maximum(np.multiply.outer(1.0 - np.abs(np.linspace(-1.0, 1.0, th)),
                                         1.0 - np.abs(np.linspace(-1.0, 1.0, tw))), 1e-6)
-    placed = [(int(POSITIONS.positions[rc][0]), int(POSITIONS.positions[rc][1]),
-               TILES[rc].astype(np.float64))
-              for rc in sorted(TILES) if rc not in left_out]
+    placed = [(int(scene.positions.positions[rc][0]), int(scene.positions.positions[rc][1]),
+               scene.tiles[rc].astype(np.float64))
+              for rc in sorted(scene.tiles) if rc not in left_out]
     out = np.zeros((h, w))
     for y, x in np.ndindex(h, w):
         cover = [(t[y - ty, x - tx], ramp[y - ty, x - tx])
@@ -83,36 +98,40 @@ def left_out(skip, fail):
 
 
 def ndarray_sink(workers):
-    def render(tmp_path, blend, skip, fail, outline):
-        got, mask = compose(loader(fail), POSITIONS, TILE, blend, outline=outline,
-                            dtype=np.float64, skip_tiles=SKIP if skip else None,
+    def render(tmp_path, blend, skip, fail, outline, scene=SCENE):
+        got, mask = compose(loader(fail, scene), scene.positions, scene.tile_shape, blend,
+                            outline=outline, dtype=np.float64,
+                            skip_tiles=SKIP if skip else None,
                             on_tile_error="skip", return_mask=True, workers=workers)
-        assert {rc for rc in TILES if not mask[rc]} == left_out(skip, fail)
+        assert {rc for rc in scene.tiles if not mask[rc]} == left_out(skip, fail)
         # compose() outlines at the finished canvas's maximum by default.
-        return got, naive_mosaic(blend, left_out(skip, fail), "max" if outline else None)
+        return got, naive_mosaic(blend, left_out(skip, fail), "max" if outline else None,
+                                 scene)
 
     return render
 
 
 def tiff_sink(**how):
-    def render(tmp_path, blend, skip, fail, outline):
-        res = stream_compose_to_tiff(tmp_path / "m.tif", loader(fail), POSITIONS, TILE,
+    def render(tmp_path, blend, skip, fail, outline, scene=SCENE):
+        res = stream_compose_to_tiff(tmp_path / "m.tif", loader(fail, scene),
+                                     scene.positions, scene.tile_shape,
                                      blend=blend, outline=outline,
                                      skip_tiles=SKIP if skip else None,
                                      on_tile_error="skip", **how)
         assert res.stripes == -(-res.height // res.band_rows)
-        expected = naive_mosaic(blend, left_out(skip, fail), 65535.0 if outline else None)
+        expected = naive_mosaic(blend, left_out(skip, fail), 65535.0 if outline else None,
+                                scene)
         return read_tiff(tmp_path / "m.tif"), np.clip(expected, 0, 65535).astype(np.uint16)
 
     return render
 
 
 def viewport_sink(window):
-    def render(tmp_path, blend, skip, fail, outline):
-        pyr = MosaicPyramid(loader(False), POSITIONS, TILE, levels=1)
+    def render(tmp_path, blend, skip, fail, outline, scene=SCENE):
+        pyr = MosaicPyramid(loader(False, scene), scene.positions, scene.tile_shape, levels=1)
         y, x, h, w = window or (0, 0, *pyr.level_shape(0))
         got = pyr.render_region(y, x, h, w, level=0, blend=blend)
-        return got, naive_mosaic(blend, set(), None)[y:y + h, x:x + w]
+        return got, naive_mosaic(blend, set(), None, scene)[y:y + h, x:x + w]
 
     return render
 
@@ -147,3 +166,72 @@ def test_sink_matches_per_pixel_oracle(tmp_path, sink, blend, skip, fail, outlin
     got, expected = SINKS[sink](tmp_path, blend, skip, fail, outline)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+# -- what an in-place, mask-free normalisation could get wrong -----------------
+
+WEIGHTED = [BlendMode.AVERAGE, BlendMode.LINEAR]
+FLOAT_SINKS = [name for name in SINKS if not name.startswith("tiff")]
+
+#: 2x2 px tiles lie entirely on LINEAR's ramp border, so every weight is the
+#: 1e-6 floor; 1 px overlaps (floor + floor) and 1 px gaps (no cover at all).
+FLOOR_SCENE = Scene(
+    {(r, c): RNG.integers(1, 60000, (2, 2)).astype(np.uint16)
+     for r in range(2) for c in range(3)},
+    GlobalPositions(positions=np.array([[(0, 0), (0, 1), (0, 4)],
+                                        [(3, 0), (3, 1), (3, 4)]], dtype=np.int64),
+                    method="test"),
+)
+
+NAN_SCENE = Scene({rc: t.astype(np.float64) for rc, t in TILES.items()}, POSITIONS)
+NAN_SCENE.tiles[(0, 0)][2:5, 1:4] = np.nan   # interior and, at the edges, overlap
+NAN_SCENE.tiles[(1, 1)][0, :] = np.nan       # a whole border row, under the ramp's floor
+NAN_SCENE.tiles[(2, 2)][-1, -1] = np.nan     # a canvas corner pixel
+
+
+def assert_holes_are_positive_zero(got, expected):
+    # Every tile value is >= 1, so the oracle is zero exactly where no tile covers.
+    hole = expected == 0
+    assert hole.any() and not hole.all()
+    assert not np.signbit(got[hole]).any()
+    assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("blend", WEIGHTED, ids=lambda b: b.value)
+# (the off-origin viewport's window is fully covered: nothing to check there)
+@pytest.mark.parametrize("sink", [name for name in SINKS if name != "viewport-off-origin"])
+def test_holes_and_margins_stay_positive_zero(tmp_path, sink, blend):
+    skip = not sink.startswith("viewport")
+    with np.errstate(all="raise"):
+        got, expected = SINKS[sink](tmp_path, blend, skip, False, False)
+    assert np.array_equal(got, expected)
+    assert_holes_are_positive_zero(got, expected)
+
+
+@pytest.mark.parametrize("sink", ["ndarray", "ndarray-w2", "tiff-rows1", "viewport-full"])
+def test_linear_floor_is_the_only_cover(tmp_path, sink):
+    with np.errstate(all="raise"):
+        got, expected = SINKS[sink](tmp_path, BlendMode.LINEAR, False, False, False,
+                                    FLOOR_SCENE)
+    assert np.array_equal(got, expected)
+    assert_holes_are_positive_zero(got, expected)
+
+
+@pytest.mark.parametrize("blend", WEIGHTED, ids=lambda b: b.value)
+@pytest.mark.parametrize("sink", FLOAT_SINKS)
+def test_nan_pixels_propagate(tmp_path, sink, blend):
+    skip = not sink.startswith("viewport")
+    got, expected = SINKS[sink](tmp_path, blend, skip, False, False, NAN_SCENE)
+    assert np.isnan(expected).any() and not np.isnan(expected).all()
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert not np.signbit(got[expected == 0]).any()
+
+
+@pytest.mark.parametrize("scene", [SCENE, FLOOR_SCENE, NAN_SCENE], ids=["int", "floor", "nan"])
+@pytest.mark.parametrize("blend", WEIGHTED, ids=lambda b: b.value)
+def test_schedules_agree_to_the_bit(tmp_path, blend, scene):
+    """Stripes in workers and the viewer give the bytes one window gives."""
+    one = SINKS["ndarray"](tmp_path, blend, False, False, False, scene)[0]
+    for other in ("ndarray-w2", "viewport-full"):
+        got = SINKS[other](tmp_path, blend, False, False, False, scene)[0]
+        assert got.tobytes() == one.tobytes(), other

@@ -1,5 +1,8 @@
 """Out-of-core composition: budget bounds, bit-identity, streamed pyramid."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,59 @@ class TestBudgetedCompose:
         img = read_tiff(tmp_path / "m.tif")
         assert not img[32:, 32:].any()
         assert img[:32, :32].any()
+
+
+class TestBudgetIsResidency:
+    """``memory_budget`` bounds what is allocated, not a model of it.
+
+    ``peak_bytes`` counts band + weight + quantised stripe + tile cache.
+    ``tracemalloc`` (numpy registers its buffers with it) sees everything,
+    so the difference is what the model omits -- written out below, all of
+    it O(tile) and none of it O(stripe) or O(canvas).
+    """
+
+    @pytest.mark.parametrize("budget", [2 << 20, 4 << 20])
+    @pytest.mark.parametrize("blend", ALL_BLENDS)
+    def test_traced_allocations_stay_within_budget(self, tmp_path, blend, budget):
+        th = tw = 128
+        tiles = make_tiles(10, 10, th, tw)
+        gp = grid_positions(10, 10, 112)
+        h, w = gp.mosaic_shape((th, tw))
+        assert h * w * 8 > 2 * budget  # the float64 canvas alone cannot fit
+
+        def load(r, c):
+            return tiles(r, c).copy()  # a decode allocates; so must this
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            res = stream_compose_to_tiff(tmp_path / "m.tif", load, gp, (th, tw),
+                                         blend=blend, memory_budget=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        allowance = (
+            # numpy's ufunc buffers for a strided or casting operand
+            # (in, in, out), a constant of the library:
+            3 * np.getbufsize() * 8
+            # the tile being loaded before the cache evicts to make room,
+            # and the previous one the kernel still holds:
+            + 2 * th * tw * 2
+            # Python objects: the plan, stripe buckets, cache entry headers:
+            + 128 * 1024
+        )
+        if blend is BlendMode.LINEAR:
+            # ``src * w_src`` for one (tile n stripe), and the plan's ramp
+            # ``lin_w`` -- resident once built, twice that while building.
+            allowance += min(res.band_rows, th) * tw * 8 + 2 * th * tw * 8
+        assert res.stripes > 1
+        assert res.peak_bytes <= budget
+        assert peak - baseline <= budget + allowance, (
+            f"{blend.value}: {peak - baseline - budget} B over a {budget} B "
+            f"budget (allowance {allowance} B, tracked {res.peak_bytes} B)")
 
 
 class TestStreamedPyramid:

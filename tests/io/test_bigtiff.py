@@ -72,6 +72,40 @@ class TestBigTiffRoundTrip:
             w._file.close()
 
 
+class TestStripWriterBandLayouts:
+    """``write_rows`` writes a band's own buffer when it can; the file must
+    not be able to tell which layout the caller handed over."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_file_bytes_independent_of_band_layout(self, tmp_path, dtype):
+        rng = np.random.default_rng(11)
+        img = rng.integers(0, np.iinfo(dtype).max + 1, (12, 9)).astype(dtype)
+        wide = np.zeros((12, 18), dtype=dtype)
+        wide[:, ::2] = img
+        layouts = {
+            "contiguous": img,
+            "strided": wide[:, ::2],
+            "fortran": np.asfortranarray(img),
+            "big-endian": img.astype(np.dtype(dtype).newbyteorder(">")),
+        }
+        assert not layouts["strided"].flags.c_contiguous
+        files = {}
+        for name, band in layouts.items():
+            p = tmp_path / f"{name}.tif"
+            with TiffStripWriter(p, 12, 9, dtype, rows_per_strip=5) as w:
+                w.write_rows(band[:7])
+                w.write_rows(band[7:])
+            files[name] = p.read_bytes()
+            assert np.array_equal(read_tiff(p), img), name
+        assert len(set(files.values())) == 1
+
+    def test_other_dtypes_still_rejected(self, tmp_path):
+        with TiffStripWriter(tmp_path / "x.tif", 2, 2, np.uint16) as w:
+            with pytest.raises(ValueError, match="band dtype"):
+                w.write_rows(np.zeros((2, 2), dtype=np.int16))
+            w.write_rows(np.zeros((2, 2), dtype=np.uint16))
+
+
 class TestSparseHugeOffsets:
     def test_offsets_past_4gib_roundtrip_sparse(self, tmp_path):
         """Strip offsets beyond 2**32 read back, with no multi-GB artifact.
