@@ -1,33 +1,32 @@
 #!/usr/bin/env python
-"""Phase-1 hot-path benchmark: half-spectrum FFTs + O(1) CCF + workspaces.
+"""Phase-1 hot-path benchmark: the sequential displacement phase, timed.
 
 Measures the sequential displacement phase (the hot path every Table II
-implementation shares) on a synthetic grid, twice:
+implementation shares) on a synthetic in-memory grid, in two
+configurations:
 
-``baseline``
-    the pre-optimization configuration -- full complex (c2c) transforms,
-    direct per-candidate CCF scans, fresh scratch allocations per pair;
 ``optimized``
     the defaults -- r2c half-spectrum transforms, summed-area-table CCF
-    statistics, and the per-worker pair workspace.
+    statistics, and the per-worker pair workspace;
+``coarse``
+    the same with coarse-to-fine registration (``CoarseConfig()``).
 
-Both runs must agree exactly on every translation (tx, ty) and to 1e-9 on
-every correlation (the summed-area-table CCF evaluates the same Pearson r
-in a different summation order); this is asserted.  The headline metric is
-phase-1 **pairs/sec**, with per-stage seconds (read / fft / tilestats /
-pair, from the tracer) and peak RSS recorded alongside.
-
-The committed artifact ``BENCH_phase1.json`` at the repo root is the CI
-regression reference: ``--check`` re-measures and fails when the
-optimized-over-baseline speedup (a machine-independent normalization of
-pairs/sec) regresses by more than ``--tolerance`` (default 20%) against
-the committed value for the same mode.
+The headline metric is phase-1 **pairs/sec**, with per-stage seconds
+(read / fft / tilestats / pair, from the tracer) and peak RSS recorded
+alongside, plus the overlapped-over-inline schedule ratio of the
+optimized configuration.  That the optimized path computes what Fig. 2
+defines is asserted by the naive oracle of
+``tests/integration/test_impl_equivalence.py``; regressions are gated end
+to end (``tiles_default/wall_s`` in ``BENCHMARK.json``).  The committed
+artifact ``BENCH_phase1.json`` at the repo root records a run of this
+file; the gates below compare configurations measured in the same run,
+never against it.
 
 Usage::
 
     python benchmarks/bench_phase1_hotpath.py          # full: 8x8 grid
     python benchmarks/bench_phase1_hotpath.py --quick  # CI-sized: 5x5 grid
-    python benchmarks/bench_phase1_hotpath.py --quick --check
+    python benchmarks/bench_phase1_hotpath.py --coarse-gate 1.4
 """
 
 from __future__ import annotations
@@ -117,8 +116,7 @@ def _load_tiles(rows: int, cols: int, tile: int, seed: int = 7):
         }
 
 
-def _run_once(tiles, rows, cols, *, real, stats, workspace, coarse=None,
-              overlap=None):
+def _run_once(tiles, rows, cols, *, coarse=None, overlap=None):
     from repro.core.displacement import compute_grid_displacements
     from repro.core.pciam import CcfMode
     from repro.fftlib.plans import PlanCache
@@ -133,9 +131,6 @@ def _run_once(tiles, rows, cols, *, real, stats, workspace, coarse=None,
         lambda r, c: tiles[(r, c)], rows, cols,
         ccf_mode=CcfMode.EXTENDED,
         n_peaks=2,
-        real_transforms=real,
-        use_tile_stats=stats,
-        use_workspace=workspace,
         cache=PlanCache(),
         tracer=tracer,
         coarse=coarse,
@@ -166,12 +161,7 @@ def measure(mode: str) -> dict:
     rows, cols, tile, reps = MODES[mode]
     tiles = _load_tiles(rows, cols, tile)
     pairs = 2 * rows * cols - rows - cols
-    configs = {
-        "baseline": dict(real=False, stats=False, workspace=False),
-        "optimized": dict(real=True, stats=True, workspace=True),
-        "coarse": dict(real=True, stats=True, workspace=True,
-                       coarse=CoarseConfig()),
-    }
+    configs = {"optimized": {}, "coarse": {"coarse": CoarseConfig()}}
     report: dict = {
         "mode": mode, "rows": rows, "cols": cols, "tile": tile,
         "pairs": pairs, "repetitions": reps,
@@ -213,20 +203,6 @@ def measure(mode: str) -> dict:
             report[name]["full_fallbacks"] = int(
                 result.stats.get("full_fallbacks", 0)
             )
-    for a, b in zip(outputs["baseline"], outputs["optimized"]):
-        if a is None and b is None:
-            continue
-        if a is None or b is None or a[1:] != b[1:] or abs(a[0] - b[0]) > 1e-9:
-            raise AssertionError(
-                "optimized run diverged from the complex-path baseline: "
-                f"{a} vs {b} -- translations must match exactly, "
-                "correlations to 1e-9"
-            )
-    report["identical_results"] = True
-    report["speedup"] = round(
-        report["optimized"]["pairs_per_sec"]
-        / report["baseline"]["pairs_per_sec"], 3,
-    )
     # Coarse-to-fine is allowed to disagree in *correlation* (its contest
     # probes a windowed subset of the full candidate set) but its
     # positions must track the full-resolution reference: RMS distance is
@@ -280,10 +256,7 @@ def measure_overlap(rows: int, cols: int, tile: int) -> dict | None:
     for overlap in (False, True):
         block_end = time.perf_counter() + OVERLAP_BLOCK_SECONDS
         while len(times[overlap]) < 3 or time.perf_counter() < block_end:
-            result, seconds, _ = _run_once(
-                tiles, rows, cols, real=True, stats=True, workspace=True,
-                overlap=overlap,
-            )
+            result, seconds, _ = _run_once(tiles, rows, cols, overlap=overlap)
             times[overlap].append(seconds)
             outputs[overlap] = _translations(result)
     if outputs[False] != outputs[True]:
@@ -404,15 +377,13 @@ def _print_report(report: dict) -> None:
     print(f"phase-1 hot path, {report['rows']}x{report['cols']} grid, "
           f"{report['tile']}px tiles, {report['pairs']} pairs "
           f"(best of {report['repetitions']}):")
-    for name in ("baseline", "optimized", "coarse"):
+    for name in ("optimized", "coarse"):
         r = report[name]
         stages = ", ".join(
             f"{k} {v:.3f}s" for k, v in r["stage_seconds"].items() if v
         )
         print(f"  {name:>9}: {r['pairs_per_sec']:8.1f} pairs/s "
               f"({r['seconds']:.3f}s; {stages}; rss {r['peak_rss_mb']} MB)")
-    print(f"  speedup: {report['speedup']:.2f}x (identical results: "
-          f"{report['identical_results']})")
     c = report["coarse"]
     print(f"  coarse: {c['speedup_vs_optimized']:.2f}x vs optimized, "
           f"{c['coarse_hits']} hits / {c['full_fallbacks']} fallbacks, "
@@ -423,12 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
                     help="CI-sized run (smaller grid, fewer repetitions)")
-    ap.add_argument("--check", action="store_true",
-                    help="compare against the committed BENCH_phase1.json "
-                         "instead of rewriting it; non-zero exit on a "
-                         "speedup regression beyond --tolerance")
-    ap.add_argument("--tolerance", type=float, default=0.20,
-                    help="allowed fractional speedup regression (default 0.20)")
     ap.add_argument("--output", type=Path, default=BENCH_PATH,
                     help=f"JSON artifact path (default {BENCH_PATH.name})")
     ap.add_argument("--sweep", action="store_true",
@@ -539,23 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         print("OK: coarse gate met")
         return 0
 
-    if args.check:
-        committed = read_json(args.output) or {}
-        ref = committed.get(mode)
-        if ref is None:
-            print(f"no committed `{mode}` entry in {args.output}; "
-                  "run without --check first", file=sys.stderr)
-            return 2
-        floor = ref["speedup"] * (1.0 - args.tolerance)
-        print(f"  committed speedup {ref['speedup']:.2f}x, regression floor "
-              f"{floor:.2f}x, measured {report['speedup']:.2f}x")
-        if report["speedup"] < floor:
-            print("FAIL: phase-1 speedup regressed beyond tolerance",
-                  file=sys.stderr)
-            return 1
-        print("OK: no regression")
-        return 0
-
+    report["overlap"] = measure_overlap(*MODES[mode][:3])
+    if report["overlap"] is not None:
+        _print_overlap(report["overlap"])
     merged = read_json(args.output) or {}
     merged[mode] = report
     write_json(args.output, merged)

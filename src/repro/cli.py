@@ -165,10 +165,6 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         dataset = plan.wrap_dataset(dataset)
         print(f"injecting faults (seed {plan.seed}): "
               + ", ".join(f"{k} x{v}" for k, v in sorted(plan.summary().items())))
-    cache = PlanCache()
-    if args.wisdom and Path(args.wisdom).exists():
-        n = cache.import_wisdom(Path(args.wisdom).read_text())
-        print(f"imported {n} wisdom entries from {args.wisdom}")
     tracer = metrics = None
     if args.trace or args.metrics:
         from repro.observe import MetricsRegistry, Tracer
@@ -178,7 +174,7 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
             tracer = Tracer()
     stitcher = Stitcher(
         options,
-        cache=cache,
+        cache=PlanCache(),
         trace=tracer if tracer is not None else False,
         metrics=metrics if metrics is not None else False,
         checkpoint=str(args.checkpoint) if args.checkpoint else None,
@@ -187,9 +183,6 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     result = stitcher.stitch(dataset)
     elapsed = time.perf_counter() - t0
-    if args.wisdom:
-        Path(args.wisdom).write_text(cache.export_wisdom())
-        print(f"wisdom -> {args.wisdom}")
     print(f"stitched {dataset.rows}x{dataset.cols} grid in {elapsed:.2f} s "
           f"({result.stats['pairs']} pairs)")
     if stitcher.coarse is not None:
@@ -397,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         TILE_ERROR_POLICIES,
         StitchOptions,
     )
-    from repro.fftlib.plans import PlanningMode
 
     s = sub.add_parser("stitch", help="stitch a dataset directory")
     # Option flags: ``dest`` is the StitchOptions flat key, defaults and
@@ -453,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=POSITION_METHODS,
                    default=StitchOptions.position_method)
     s.add_argument("--positions-json", type=Path)
-    s.add_argument("--planning", choices=[m.value for m in PlanningMode],
-                   default=StitchOptions.planning.value,
-                   help="FFTW-style planning rigor")
-    s.add_argument("--wisdom", type=Path,
-                   help="planning-wisdom file (loaded if present, saved after)")
     s.add_argument("--impl", type=_impl_arg, choices=sorted(SCHEDULERS),
                    default=StitchOptions.impl,
                    help="phase-1 scheduler: a Table II implementation "

@@ -46,18 +46,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.ccf import ccf_at, subpixel_refine
 from repro.core.downsample import downsample, downsampled_shape
-from repro.core.ncc import normalized_correlation
-from repro.core.peak import peak_candidates, peak_magnitude_ratio, top_peaks
-from repro.core.pciam import CcfMode, PciamResult, forward_fft, pciam
-from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
-from repro.fftlib.plans import (
-    PlanCache,
-    PlanningMode,
-    TransformKind,
-    default_cache,
+from repro.core.peak import peak_candidates, peak_magnitude_ratio
+from repro.core.pciam import (
+    CcfMode,
+    PciamResult,
+    bump,
+    correlation_peaks,
+    forward_fft,
+    pciam,
 )
+from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
+from repro.fftlib.plans import PlanCache, default_cache
 
 #: Provenance stamps carried on results (and journaled with each pair,
 #: so a resumed run can prove which path produced every translation).
@@ -215,9 +215,7 @@ def coarse_forward_fft(
     factor: int,
     fft_shape: tuple[int, int] | None = None,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
     real: bool = False,
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Coarse-pass spectrum of a tile: block-mean downsample, then FFT.
 
@@ -234,14 +232,8 @@ def coarse_forward_fft(
         else None
     )
     return forward_fft(
-        downsample(np.asarray(tile), factor), cshape, cache, mode,
-        real=real, stats=stats,
+        downsample(np.asarray(tile), factor), cshape, cache, real=real
     )
-
-
-def _bump(stats: dict | None, key: str) -> None:
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + 1
 
 
 def refine_from_coarse_peaks(
@@ -253,7 +245,6 @@ def refine_from_coarse_peaks(
     img_j: np.ndarray | None = None,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
-    use_tile_stats: bool = True,
     subpixel: bool = False,
 ) -> tuple[float, int, int, float, float]:
     """Full-resolution refinement of coarse peaks; returns the best probe.
@@ -276,28 +267,20 @@ def refine_from_coarse_peaks(
     centre, probes memoized); absent a decisive centre, a close
     runner-up hill is climbed too, since the true centre may merely sit
     a pixel further downhill than an impostor's.  No full-resolution
-    FFT is involved: with tile statistics each probe is O(overlap) for
-    the cross term and O(1) for everything else.
+    FFT is involved: each probe is O(overlap) for the cross term and
+    O(1) for everything else (the tile statistics, built here from the
+    pixels when the caller has none).
 
     Returns ``(correlation, tx, ty, tx_f, ty_f)`` of the best probe
     (``tx_f``/``ty_f`` carry the parabolic sub-pixel vertex when
     ``subpixel``, the integers otherwise).
     """
-    if use_tile_stats:
-        if stats_i is None:
-            stats_i = TileStats(img_i)
-        if stats_j is None:
-            stats_j = TileStats(img_j)
-
-        def evaluate(tx: int, ty: int) -> float:
-            return ccf_at_stats(stats_i, stats_j, tx, ty)
-    else:
-
-        def evaluate(tx: int, ty: int) -> float:
-            return ccf_at(img_i, img_j, tx, ty)
-
+    if stats_i is None:
+        stats_i = TileStats(img_i)
+    if stats_j is None:
+        stats_j = TileStats(img_j)
     memo: dict[tuple[int, int], float] = {}
-    h, w = stats_i.shape if use_tile_stats else img_i.shape
+    h, w = stats_i.shape
     # Probes overlapping fewer rows or columns than this are never
     # scored: Pearson correlation *inflates monotonically* as a strip of
     # smooth content thins (a 2-pixel overlap correlates at exactly 1.0),
@@ -314,7 +297,7 @@ def refine_from_coarse_peaks(
         c = memo.get(key)
         if c is None:
             if h - abs(ty) >= min_h and w - abs(tx) >= min_w:
-                c = evaluate(tx, ty)
+                c = ccf_at_stats(stats_i, stats_j, tx, ty)
             else:
                 c = -np.inf
             memo[key] = c
@@ -403,10 +386,7 @@ def refine_from_coarse_peaks(
     corr, tx, ty = float(best[0]), int(best[1]), int(best[2])
     tx_f, ty_f = float(tx), float(ty)
     if subpixel:
-        if use_tile_stats:
-            tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, tx, ty)
-        else:
-            tx_f, ty_f = subpixel_refine(img_i, img_j, tx, ty)
+        tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, tx, ty)
     return corr, tx, ty, tx_f, ty_f
 
 
@@ -419,7 +399,6 @@ def resolve_coarse_peaks(
     img_j: np.ndarray | None = None,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
-    use_tile_stats: bool = True,
     subpixel: bool = False,
     fallback=None,
     stats: dict | None = None,
@@ -438,14 +417,14 @@ def resolve_coarse_peaks(
     corr, tx, ty, tx_f, ty_f = refine_from_coarse_peaks(
         peaks, coarse_fft_shape, config, ccf_mode,
         img_i=img_i, img_j=img_j, stats_i=stats_i, stats_j=stats_j,
-        use_tile_stats=use_tile_stats, subpixel=subpixel,
+        subpixel=subpixel,
     )
     # Non-finite probe scores (degenerate overlap variance) fail the gate.
     confident = math.isfinite(corr) and corr >= config.conf_thresh and not (
         peak_ratio is not None and peak_ratio < config.min_peak_ratio
     )
     if confident:
-        _bump(stats, "coarse_hits")
+        bump(stats, "coarse_hits")
         mag, py, px = peaks[0]
         return PciamResult(
             correlation=corr,
@@ -458,7 +437,7 @@ def resolve_coarse_peaks(
             peak_ratio=peak_ratio,
             provenance=PROVENANCE_COARSE,
         )
-    _bump(stats, "full_fallbacks")
+    bump(stats, "full_fallbacks")
     if fallback is None:
         raise ValueError(
             "coarse confidence gate rejected the pair but no fallback "
@@ -479,11 +458,9 @@ def coarse_pciam(
     real_transforms: bool = False,
     subpixel: bool = False,
     cache: PlanCache | None = None,
-    planning: PlanningMode = PlanningMode.ESTIMATE,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
     workspace=None,
-    use_tile_stats: bool = True,
     stats: dict | None = None,
 ) -> PciamResult:
     """Two-pass drop-in for :func:`~repro.core.pciam.pciam`.
@@ -506,6 +483,8 @@ def coarse_pciam(
     ``stats``
         Dict receiving ``coarse_hits`` / ``full_fallbacks``.
 
+    The first pass is the front half of PCIAM
+    (:func:`~repro.core.pciam.correlation_peaks`) at the coarse shape.
     The fallback recomputes the full-resolution spectra on demand --
     coarse mode deliberately never computes them up front, which is
     where its speedup lives; the occasional rejected pair pays two extra
@@ -518,45 +497,27 @@ def coarse_pciam(
     cache = cache if cache is not None else default_cache()
     full_shape = tuple(fft_shape) if fft_shape is not None else img_i.shape
     cshape = coarse_transform_shape(full_shape, coarse.factor)
-    cspectrum = (
-        (cshape[0], cshape[1] // 2 + 1) if real_transforms else cshape
-    )
     if cfft_i is None:
         cfft_i = coarse_forward_fft(
-            img_i, coarse.factor, full_shape, cache, planning,
-            real=real_transforms,
+            img_i, coarse.factor, full_shape, cache, real=real_transforms
         )
     if cfft_j is None:
         cfft_j = coarse_forward_fft(
-            img_j, coarse.factor, full_shape, cache, planning,
-            real=real_transforms,
+            img_j, coarse.factor, full_shape, cache, real=real_transforms
         )
-    if cfft_i.shape != cspectrum or cfft_j.shape != cspectrum:
-        raise ValueError(
-            f"supplied coarse transforms have shape {cfft_i.shape}/"
-            f"{cfft_j.shape}, expected {cspectrum}"
-        )
-    if use_tile_stats:
-        # Full-resolution statistics back both the refinement probes and
-        # the fallback; build them once here when the caller did not.
-        if stats_i is None:
-            stats_i = TileStats(img_i)
-        if stats_j is None:
-            stats_j = TileStats(img_j)
-
-    out = workspace.ncc if workspace is not None else None
-    mag_out = workspace.ncc_mag if workspace is not None else None
-    peak_mag = workspace.peak_mag if workspace is not None else None
-    ncc = normalized_correlation(cfft_i, cfft_j, out=out, mag_out=mag_out)
-    inverse_kind = (
-        TransformKind.C2R if real_transforms else TransformKind.C2C_INVERSE
-    )
-    plan = cache.plan(cshape, inverse_kind, planning, allow_padding=False)
-    inv = plan.execute(ncc, overwrite_input=workspace is not None)
+    # Full-resolution statistics back both the refinement probes and the
+    # fallback; build them once here when the caller did not.
+    if stats_i is None:
+        stats_i = TileStats(img_i)
+    if stats_j is None:
+        stats_j = TileStats(img_j)
     # Reduce more peaks than the caller asked for: the coarse surface
     # demotes the true peak behind fixed-pattern artifacts on ~10% of
     # pairs, and the full-resolution contest is what sorts them out.
-    peaks = top_peaks(inv, max(n_peaks, coarse.coarse_peaks), mag_out=peak_mag)
+    peaks = correlation_peaks(
+        cfft_i, cfft_j, cshape, max(n_peaks, coarse.coarse_peaks),
+        real_transforms, cache, workspace,
+    )
 
     def fallback() -> PciamResult:
         return pciam(
@@ -567,16 +528,12 @@ def coarse_pciam(
             real_transforms=real_transforms,
             subpixel=subpixel,
             cache=cache,
-            planning=planning,
             stats_i=stats_i,
             stats_j=stats_j,
-            workspace=None,
-            use_tile_stats=use_tile_stats,
         )
 
     return resolve_coarse_peaks(
         peaks, cshape, config=coarse, ccf_mode=ccf_mode,
-        img_i=img_i, img_j=img_j, stats_i=stats_i, stats_j=stats_j,
-        use_tile_stats=use_tile_stats, subpixel=subpixel,
+        stats_i=stats_i, stats_j=stats_j, subpixel=subpixel,
         fallback=fallback, stats=stats,
     )

@@ -153,9 +153,8 @@ def compute_grid_displacements(
     ``kernel`` is the run's :class:`~repro.core.kernel.Phase1Kernel`;
     without one, ``kernel_options`` (``fft_shape``, ``ccf_mode``,
     ``n_peaks``, ``real_transforms``, ``subpixel``, ``cache``,
-    ``planning``, ``error_policy``, ``fault_report``, ``tracer``,
-    ``metrics``, ``use_tile_stats``, ``use_workspace``, ``journal``,
-    ``coarse``) build it -- see that class for what each does.
+    ``error_policy``, ``fault_report``, ``tracer``, ``metrics``,
+    ``journal``, ``coarse``) build it -- see that class for what each does.
 
     Whether the two stages overlap is decided here, from the first tile
     read and the CPUs this process may use (:func:`_overlap_pays`); it is
@@ -186,14 +185,13 @@ def compute_grid_displacements(
     grid = TileGrid(rows, cols)
     result = DisplacementResult.empty(rows, cols)
 
-    # Each key has one writer: the tile stage counts reads/ffts/copies and
-    # the live peak, the pair stage everything else.
+    # Each key has one writer: the tile stage counts reads/ffts and the
+    # live peak, the pair stage everything else.
     stats = {
         "reads": 0,
         "ffts": 0,
         "pairs": 0,
         "peak_live_transforms": 0,
-        "fft_copies_saved": 0,
     }
     if kernel.coarse is not None:
         stats["coarse_hits"] = 0
@@ -282,7 +280,7 @@ def compute_grid_displacements(
             first, second = products.get(pair.first), products.get(pair.second)
             if first is None or second is None:
                 continue
-            if workspace is None and kernel.use_workspace:
+            if workspace is None:
                 arena = kernel.arena(first[0].shape, count=1)
                 workspace = arena.acquire()
                 stats["workspace_bytes"] = arena.bytes_per_workspace

@@ -34,7 +34,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.ccf import ccf_at
 from repro.core.coarse import (
     CoarseConfig,
     coarse_pciam,
@@ -45,18 +44,14 @@ from repro.core.downsample import downsample
 from repro.core.pciam import (
     CcfMode,
     PciamResult,
+    bump,
+    contest,
     forward_fft,
     forward_fft_batch,
     pciam,
 )
-from repro.core.peak import peak_candidates, peak_magnitude_ratio
-from repro.core.tilestats import TileStats, ccf_at_stats
-from repro.fftlib.plans import (
-    PlanCache,
-    PlanningMode,
-    default_cache,
-    spectrum_shape,
-)
+from repro.core.tilestats import TileStats
+from repro.fftlib.plans import PlanCache, default_cache, spectrum_shape
 from repro.fftlib.smooth import pad_to_shape
 from repro.grid.neighbors import Direction
 from repro.memmodel.workspace import WorkspaceArena
@@ -141,6 +136,19 @@ class DisplacementResult:
         arr = self.west if direction is Direction.WEST else self.north
         return arr[row][col]
 
+    def entries(
+        self, direction: Direction
+    ) -> list[tuple[int, int, Translation]]:
+        """Computed pairs of ``direction`` as ``(row, col, translation)``,
+        row-major."""
+        arr = self.west if direction is Direction.WEST else self.north
+        return [
+            (r, c, t)
+            for r, row in enumerate(arr)
+            for c, t in enumerate(row)
+            if t is not None
+        ]
+
     def pair_count(self) -> int:
         n = sum(1 for row in self.west for t in row if t is not None)
         n += sum(1 for row in self.north for t in row if t is not None)
@@ -162,11 +170,6 @@ class DisplacementResult:
         return out
 
 
-def _bump(stats: dict | None, key: str, n: int = 1) -> None:
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + n
-
-
 @dataclass
 class Phase1Kernel:
     """One run's operators, options and accounting sinks (see module doc).
@@ -178,11 +181,8 @@ class Phase1Kernel:
     :func:`~repro.core.coarse.coarse_pciam`; results then carry their
     ``"coarse"``/``"fallback"`` provenance into the journal).
 
-    Cost-only options: ``real_transforms`` (half-spectrum R2C/C2R),
-    ``use_tile_stats`` (O(1)-statistics CCF from per-tile summed-area
-    tables), ``use_workspace`` (reusable pair scratch), ``cache`` and
-    ``planning``.  All on by default; the off switches exist so the
-    ablation benchmarks can measure each layer against its baseline.
+    Cost-only options: ``real_transforms`` (half-spectrum R2C/C2R; off
+    is the paper's verbatim complex scheme) and the plan ``cache``.
 
     Sinks, each optional: ``error_policy`` + ``fault_report`` (without a
     policy a failing read propagates raw -- the strict legacy contract),
@@ -201,10 +201,7 @@ class Phase1Kernel:
     subpixel: bool = False
     coarse: CoarseConfig | None = None
     real_transforms: bool = True
-    use_tile_stats: bool = True
-    use_workspace: bool = True
     cache: PlanCache | None = None
-    planning: PlanningMode = PlanningMode.ESTIMATE
     error_policy: ErrorPolicy | None = None
     fault_report: Any = None
     tracer: Any = None
@@ -249,10 +246,8 @@ class Phase1Kernel:
         shape = self.transform_shape(tile_shape)
         return spectrum_shape(shape) if self.real_transforms else shape
 
-    def arena(self, tile_shape, count: int) -> WorkspaceArena | None:
+    def arena(self, tile_shape, count: int) -> WorkspaceArena:
         """``count`` pair workspaces (one per concurrent pair worker)."""
-        if not self.use_workspace:
-            return None
         return WorkspaceArena(
             self.transform_shape(tile_shape), real=self.real_transforms,
             count=count,
@@ -340,10 +335,10 @@ class Phase1Kernel:
             self.journal.record_skipped_tile(row, col, dropped)
         return pixels
 
-    def tile_stats(self, pixels) -> TileStats | None:
+    def tile_stats(self, pixels) -> TileStats:
         """Per-tile summed-area tables: built once, shared by the tile's
         up-to-four incident pairs, released with its spectrum."""
-        return TileStats(pixels) if self.use_tile_stats else None
+        return TileStats(pixels)
 
     def transform_input(self, pixels, shape: tuple[int, int] | None = None):
         """Spatial input of the per-tile transform: block-mean downsampled
@@ -357,7 +352,7 @@ class Phase1Kernel:
 
     def products(self, pixels, stats: dict | None = None,
                  track: str | None = None, key: str | None = None) -> tuple:
-        """``(pixels, spectrum, TileStats | None)`` of one tile.
+        """``(pixels, spectrum, TileStats)`` of one tile.
 
         ``pixels`` is kept as handed in -- any real dtype; the transform,
         the statistics and the coarse fallback convert on use (exactly,
@@ -376,12 +371,12 @@ class Phase1Kernel:
                 src = downsample(pixels, self.coarse.factor)
         with tracer.span("fft", track, key=key):
             spectrum = forward_fft(
-                src, self._product_shape, self.cache, self.planning,
-                real=self.real_transforms, stats=stats,
+                src, self._product_shape, self.cache,
+                real=self.real_transforms,
             )
         with tracer.span("tilestats", track, key=key):
             tstats = self.tile_stats(pixels)
-        _bump(stats, "ffts")
+        bump(stats, "ffts")
         return pixels, spectrum, tstats
 
     def batch_products(self, tiles: list, stats: dict | None = None) -> list:
@@ -392,9 +387,9 @@ class Phase1Kernel:
         """
         spectra = forward_fft_batch(
             [self.transform_input(t) for t in tiles], self._product_shape,
-            self.cache, self.planning, real=self.real_transforms, stats=stats,
+            self.cache, real=self.real_transforms, stats=stats,
         )
-        _bump(stats, "ffts", len(tiles))
+        bump(stats, "ffts", len(tiles))
         return [(t, f, self.tile_stats(t)) for t, f in zip(tiles, spectra)]
 
     # -- per-pair work ------------------------------------------------------
@@ -409,8 +404,21 @@ class Phase1Kernel:
         if t is None:
             return False
         disp.set(direction, row, col, t)
-        _bump(stats, "resumed_pairs")
+        bump(stats, "resumed_pairs")
         return True
+
+    def _pair_options(self, stats_i: TileStats, stats_j: TileStats) -> dict:
+        """The keywords :func:`pciam` and :func:`coarse_pciam` share."""
+        return dict(
+            fft_shape=self.fft_shape,
+            ccf_mode=self.ccf_mode,
+            n_peaks=self.n_peaks,
+            real_transforms=self.real_transforms,
+            subpixel=self.subpixel,
+            cache=self.cache,
+            stats_i=stats_i,
+            stats_j=stats_j,
+        )
 
     def register_pair(self, disp, direction: Direction, row: int, col: int,
                       first: tuple, second: tuple, workspace=None,
@@ -422,36 +430,16 @@ class Phase1Kernel:
         """
         img_i, fft_i, stats_i = first
         img_j, fft_j, stats_j = second
+        options = self._pair_options(stats_i, stats_j)
         if self.coarse is not None:
             r = coarse_pciam(
-                img_i, img_j, self.coarse,
-                cfft_i=fft_i, cfft_j=fft_j,
-                fft_shape=self.fft_shape,
-                ccf_mode=self.ccf_mode,
-                n_peaks=self.n_peaks,
-                real_transforms=self.real_transforms,
-                subpixel=self.subpixel,
-                cache=self.cache,
-                planning=self.planning,
-                stats_i=stats_i, stats_j=stats_j,
-                workspace=workspace,
-                use_tile_stats=self.use_tile_stats,
-                stats=stats,
+                img_i, img_j, self.coarse, cfft_i=fft_i, cfft_j=fft_j,
+                workspace=workspace, stats=stats, **options,
             )
         else:
             r = pciam(
-                img_i, img_j,
-                fft_i=fft_i, fft_j=fft_j,
-                fft_shape=self.fft_shape,
-                ccf_mode=self.ccf_mode,
-                n_peaks=self.n_peaks,
-                real_transforms=self.real_transforms,
-                subpixel=self.subpixel,
-                cache=self.cache,
-                planning=self.planning,
-                stats_i=stats_i, stats_j=stats_j,
-                workspace=workspace,
-                use_tile_stats=self.use_tile_stats,
+                img_i, img_j, fft_i=fft_i, fft_j=fft_j,
+                workspace=workspace, **options,
             )
         t = Translation.from_pciam(r, subpixel=self.subpixel)
         self.commit(disp, direction, row, col, t, stats)
@@ -463,7 +451,7 @@ class Phase1Kernel:
         disp.set(direction, row, col, t)
         if self.journal is not None:
             self.journal.record_pair(direction.value, row, col, t)
-        _bump(stats, "pairs")
+        bump(stats, "pairs")
         if self.metrics is not None and t.provenance is not None:
             self.metrics.counter(
                 "coarse.hits" if t.provenance == "coarse"
@@ -485,51 +473,30 @@ class Phase1Kernel:
         device reduced from the inverse NCC surface of shape ``shape``.
 
         ``first`` / ``second`` are the host-side ``(pixels, TileStats)``
-        the CCFs run on.  Coarse mode resolves through the shared
-        :func:`~repro.core.coarse.resolve_coarse_peaks` gate (contest +
-        hill-climb over the upscaled peaks, full PCIAM from the retained
-        pixels when the gate rejects), which is what lands the GPU paths
-        on the same answers as the CPU ones.
+        the CCFs run on: the same :func:`~repro.core.pciam.contest` the CPU
+        pair runs, or in coarse mode the shared
+        :func:`~repro.core.coarse.resolve_coarse_peaks` gate (hill-climb
+        over the upscaled peaks, full PCIAM from the retained pixels when
+        the gate rejects) -- which is what lands the GPU paths on the same
+        answers as the CPU ones, sub-pixel estimates included.
         """
         img_i, stats_i = first
         img_j, stats_j = second
+        peaks = [
+            (float(mag), *map(int, np.unravel_index(int(flat), shape)))
+            for mag, flat in peaks
+        ]
         if self.coarse is not None:
-            res = resolve_coarse_peaks(
-                [(float(mag), *map(int, np.unravel_index(int(flat), shape)))
-                 for mag, flat in peaks],
-                shape, config=self.coarse, ccf_mode=self.ccf_mode,
-                img_i=img_i, img_j=img_j, stats_i=stats_i, stats_j=stats_j,
-                use_tile_stats=self.use_tile_stats,
+            r = resolve_coarse_peaks(
+                peaks, shape, config=self.coarse, ccf_mode=self.ccf_mode,
+                stats_i=stats_i, stats_j=stats_j, subpixel=self.subpixel,
                 fallback=lambda: pciam(
-                    img_i, img_j,
-                    fft_shape=self.fft_shape,
-                    ccf_mode=self.ccf_mode,
-                    n_peaks=self.n_peaks,
-                    real_transforms=self.real_transforms,
-                    cache=self.cache,
-                    planning=self.planning,
-                    stats_i=stats_i, stats_j=stats_j,
-                    use_tile_stats=self.use_tile_stats,
+                    img_i, img_j, **self._pair_options(stats_i, stats_j)
                 ),
                 stats=stats,
             )
-            return Translation.from_pciam(res)
-        extended = self.ccf_mode is CcfMode.EXTENDED
-        best = (-np.inf, 0, 0)
-        seen: set[tuple[int, int]] = set()
-        for _mag, flat in peaks:
-            py, px = np.unravel_index(int(flat), shape)
-            for tx, ty in peak_candidates(int(py), int(px), shape,
-                                          extended=extended):
-                if (tx, ty) in seen:
-                    continue
-                seen.add((tx, ty))
-                if stats_i is not None and stats_j is not None:
-                    c = ccf_at_stats(stats_i, stats_j, tx, ty)
-                else:
-                    c = ccf_at(img_i, img_j, tx, ty)
-                if c > best[0]:
-                    best = (c, tx, ty)
-        corr, tx, ty = best
-        ratio = peak_magnitude_ratio([m for m, _ in peaks])
-        return Translation(float(corr), int(tx), int(ty), peak_ratio=ratio)
+        else:
+            r = contest(
+                peaks, shape, self.ccf_mode, stats_i, stats_j, self.subpixel
+            )
+        return Translation.from_pciam(r, subpixel=self.subpixel)

@@ -21,24 +21,23 @@ from repro.core.coarse import CoarseConfig
 from repro.core.pciam import CcfMode, smooth_fft_shape
 from repro.core.quality_gate import RESIDUE_MODES, QualityConfig  # noqa: F401 -- RESIDUE_MODES re-exported (CLI choices)
 from repro.core.refine import RefineConfig
-from repro.fftlib.plans import PlanningMode
 from repro.grid.traversal import Traversal
 from repro.recovery.journal import dataset_fingerprint
 
 #: The phase-1 schedulers by name, and which of the options a scheduler
 #: (rather than the kernel) has to honour each one can: a configurable
-#: ``traversal`` order, ``subpixel`` registration, and ``watchdog``
-#: supervision (only a staged pipeline can be supervised cooperatively --
-#: a single thread or a band worker cannot cancel itself).  Every other
-#: option is the kernel's and works under all of them.  The classes live
-#: in :mod:`repro.impls`, imported only when a non-default one is selected.
+#: ``traversal`` order and ``watchdog`` supervision (only a staged
+#: pipeline can be supervised cooperatively -- a single thread or a band
+#: worker cannot cancel itself).  Every other option is the kernel's and
+#: works under all of them.  The classes live in :mod:`repro.impls`,
+#: imported only when a non-default one is selected.
 SCHEDULERS: dict[str, frozenset[str]] = {
-    "simple-cpu": frozenset({"traversal", "subpixel"}),
-    "fiji-baseline": frozenset({"subpixel"}),
-    "mt-cpu": frozenset({"subpixel"}),
-    "proc-cpu": frozenset({"subpixel"}),
-    "pipelined-cpu": frozenset({"traversal", "subpixel", "watchdog"}),
-    "pipelined-cpu-numa": frozenset({"traversal", "subpixel", "watchdog"}),
+    "simple-cpu": frozenset({"traversal"}),
+    "fiji-baseline": frozenset(),
+    "mt-cpu": frozenset(),
+    "proc-cpu": frozenset(),
+    "pipelined-cpu": frozenset({"traversal", "watchdog"}),
+    "pipelined-cpu-numa": frozenset({"traversal", "watchdog"}),
     "simple-gpu": frozenset({"traversal"}),
     "pipelined-gpu": frozenset({"traversal", "watchdog"}),
 }
@@ -125,24 +124,20 @@ class StitchOptions:
     ``refine`` / ``quality`` / ``coarse`` take ``True`` for the default
     config, a config object for tuned behaviour, or ``None``/``False``
     for off (the default -- results stay bit-identical to runs without
-    the feature).  ``traversal`` / ``ccf_mode`` / ``planning`` also take
-    the enum's string value.  ``impl`` names the phase-1 scheduler (a
-    key of :data:`SCHEDULERS`) and ``impl_options`` carries that
-    scheduler's own constructor arguments; an option the chosen
-    scheduler cannot honour raises ``ValueError`` rather than being
-    dropped.
+    the feature).  ``traversal`` / ``ccf_mode`` also take the enum's
+    string value.  ``impl`` names the phase-1 scheduler (a key of
+    :data:`SCHEDULERS`) and ``impl_options`` carries that scheduler's
+    own constructor arguments; an option the chosen scheduler cannot
+    honour raises ``ValueError`` rather than being dropped.
     """
 
     traversal: Traversal = Traversal.CHAINED_DIAGONAL
     ccf_mode: CcfMode = CcfMode.EXTENDED
     n_peaks: int = 2
-    # Hot-path knobs (all on by default; see docs/PERFORMANCE.md):
-    # half-spectrum transforms, O(1)-statistics CCF, reusable pair
-    # workspaces.  Off switches exist for benchmarking each layer.
+    #: Half-spectrum R2C/C2R transforms; off is the paper's verbatim
+    #: complex scheme (same answers, twice the work and footprint).
     real_transforms: bool = True
     subpixel: bool = False
-    use_tile_stats: bool = True
-    use_workspace: bool = True
     pad_to_smooth: bool = False
     position_method: str = "mst"
     #: MIST-style stage-model filter/repair pass between phases 1 and 2.
@@ -151,7 +146,6 @@ class StitchOptions:
     quality: QualityConfig | None = None
     #: Two-pass coarse-to-fine registration (docs/PERFORMANCE.md).
     coarse: CoarseConfig | None = None
-    planning: PlanningMode = PlanningMode.ESTIMATE
     max_retries: int = 0
     retry_backoff: float = 0.05
     on_tile_error: str = "abort"
@@ -159,15 +153,13 @@ class StitchOptions:
     impl_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, cls in (("traversal", Traversal), ("ccf_mode", CcfMode),
-                          ("planning", PlanningMode)):
+        for name, cls in (("traversal", Traversal), ("ccf_mode", CcfMode)):
             object.__setattr__(self, name, _enum(name, getattr(self, name), cls))
         for name, cls in (("refine", RefineConfig), ("quality", QualityConfig),
                           ("coarse", CoarseConfig)):
             object.__setattr__(self, name, _switch(name, getattr(self, name), cls))
         object.__setattr__(self, "impl_options", dict(self.impl_options or {}))
-        for name in ("real_transforms", "subpixel", "use_tile_stats",
-                     "use_workspace", "pad_to_smooth"):
+        for name in ("real_transforms", "subpixel", "pad_to_smooth"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(
                     f"{name} must be true or false, got {getattr(self, name)!r}"
@@ -191,7 +183,6 @@ class StitchOptions:
                     )
         requested = {
             "traversal": self.traversal is not Traversal.CHAINED_DIAGONAL,
-            "subpixel": self.subpixel,
             "watchdog": self.impl_options.get("watchdog") is not None,
         }
         for option, wanted in requested.items():
@@ -249,11 +240,10 @@ class StitchOptions:
     def fingerprint_options(self, tile_shape=None) -> dict:
         """The result-affecting options, as a journal header records them.
 
-        Performance knobs (half-spectrum transforms, tile statistics,
-        workspaces, planning, retries) and the scheduler choice are
-        deliberately excluded: every scheduler and every hot-path mode
-        produces identical displacements, so a run checkpointed under
-        one may resume under another.  Coarse-to-fine registration *is*
+        Half-spectrum transforms, retries and the scheduler choice are
+        deliberately excluded: every scheduler produces identical
+        displacements with either transform scheme, so a run
+        checkpointed under one may resume under another.  Coarse-to-fine registration *is*
         fingerprinted: its refinement probes a subset of the full
         candidate contest, so its correlations are not interchangeable
         with single-pass values.  Journals written before that option

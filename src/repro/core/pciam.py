@@ -10,6 +10,11 @@ factor.  The steps mirror the paper's pseudo-code exactly:
 4. max-magnitude reduction to a peak index,
 5. CCF contest over the peak's periodic interpretations.
 
+Steps 2-4 are :func:`correlation_peaks` and step 5 is :func:`contest`,
+each written once: :func:`pciam`, the coarse first pass and its fallback
+(:mod:`repro.core.coarse`) and the host half of a virtual-GPU pair
+(:meth:`~repro.core.kernel.Phase1Kernel.resolve_peaks`) compose them.
+
 The function accepts precomputed forward transforms because transform reuse
 across the four pairs incident to a tile is the core memory/compute
 trade-off every implementation in the paper manages.
@@ -22,11 +27,15 @@ from enum import Enum
 
 import numpy as np
 
-from repro.core.ccf import ccf_at, subpixel_refine
 from repro.core.ncc import normalized_correlation
 from repro.core.peak import peak_candidates, peak_magnitude_ratio, top_peaks
 from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
-from repro.fftlib.plans import PlanCache, PlanningMode, TransformKind, default_cache
+from repro.fftlib.plans import (
+    PlanCache,
+    TransformKind,
+    default_cache,
+    spectrum_shape,
+)
 from repro.fftlib.smooth import next_smooth_shape, pad_to_shape
 
 
@@ -69,18 +78,17 @@ class PciamResult:
         yield self.ty
 
 
-def _count_saved_copy(stats: dict | None) -> None:
+def bump(stats: dict | None, key: str, n: int = 1) -> None:
+    """``stats[key] += n`` on an optional accounting dict."""
     if stats is not None:
-        stats["fft_copies_saved"] = stats.get("fft_copies_saved", 0) + 1
+        stats[key] = stats.get(key, 0) + n
 
 
 def forward_fft(
     tile: np.ndarray,
     fft_shape: tuple[int, int] | None = None,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
     real: bool = False,
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Forward transform of a tile, optionally zero-padded to ``fft_shape``.
 
@@ -95,41 +103,22 @@ def forward_fft(
     invert through ``irfft2``.
 
     Inputs already in the transform dtype/layout are used without copying;
-    other dtypes convert in a single pass (the old path always went through
-    float64 first, costing an extra full copy per tile on the complex
-    branch).  Each copy avoided increments ``stats["fft_copies_saved"]``.
+    other dtypes convert in a single pass.
     """
     cache = cache if cache is not None else default_cache()
-    a = np.asarray(tile)
-    if real:
-        if a.dtype == np.float64 and a.flags.c_contiguous:
-            pass  # use as-is (ascontiguousarray would be a no-op anyway)
-        else:
-            a = np.ascontiguousarray(a, dtype=np.float64)
-        if fft_shape is not None and tuple(fft_shape) != a.shape:
-            a = pad_to_shape(a, fft_shape)
-        plan = cache.plan(a.shape, TransformKind.R2C, mode, allow_padding=False)
-        return plan.execute(a)
-    if a.dtype == np.complex128 and a.flags.c_contiguous:
-        _count_saved_copy(stats)  # previously forced through float64 + astype
-    elif a.dtype == np.float64 and a.flags.c_contiguous:
-        a = a.astype(np.complex128)
-    else:
-        # Single direct conversion; the old float64-then-complex route made
-        # two full copies for e.g. uint16 camera tiles.
-        _count_saved_copy(stats)
-        a = a.astype(np.complex128, order="C")
+    a = np.ascontiguousarray(
+        tile, dtype=np.float64 if real else np.complex128
+    )
     if fft_shape is not None and tuple(fft_shape) != a.shape:
         a = pad_to_shape(a, fft_shape)
-    plan = cache.plan(a.shape, TransformKind.C2C_FORWARD, mode, allow_padding=False)
-    return plan.execute(a)
+    kind = TransformKind.R2C if real else TransformKind.C2C_FORWARD
+    return cache.plan(a.shape, kind, allow_padding=False).execute(a)
 
 
 def forward_fft_batch(
     tiles: list[np.ndarray],
     fft_shape: tuple[int, int] | None = None,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
     real: bool = False,
     stats: dict | None = None,
 ) -> list[np.ndarray]:
@@ -149,8 +138,7 @@ def forward_fft_batch(
         return []
     cache = cache if cache is not None else default_cache()
     if len(tiles) == 1:
-        return [forward_fft(tiles[0], fft_shape, cache, mode, real=real,
-                            stats=stats)]
+        return [forward_fft(tiles[0], fft_shape, cache, real=real)]
     shape = tuple(fft_shape) if fft_shape is not None else tiles[0].shape
     dtype = np.float64 if real else np.complex128
     stack = np.zeros((len(tiles), *shape), dtype=dtype)
@@ -163,13 +151,10 @@ def forward_fft_batch(
             )
         stack[i, : a.shape[0], : a.shape[1]] = a
     kind = TransformKind.R2C if real else TransformKind.C2C_FORWARD
-    plan = cache.plan(stack.shape, kind, mode, allow_padding=False)
+    plan = cache.plan(stack.shape, kind, allow_padding=False)
     out = plan.execute(stack, overwrite_input=True)
-    if stats is not None:
-        stats["fft_batches"] = stats.get("fft_batches", 0) + 1
-        stats["fft_batched_tiles"] = (
-            stats.get("fft_batched_tiles", 0) + len(tiles)
-        )
+    bump(stats, "fft_batches")
+    bump(stats, "fft_batched_tiles", len(tiles))
     # Contiguous per-tile copies: downstream consumers cache these spectra
     # for the tile's lifetime, and holding k views would pin the whole
     # stack (k x spectrum) in memory instead.
@@ -179,6 +164,91 @@ def forward_fft_batch(
 def smooth_fft_shape(tile_shape: tuple[int, int]) -> tuple[int, int]:
     """The padded transform shape of the paper's future-work optimization."""
     return next_smooth_shape(tile_shape)  # type: ignore[return-value]
+
+
+def correlation_peaks(
+    fft_i: np.ndarray,
+    fft_j: np.ndarray,
+    shape: tuple[int, int],
+    k: int,
+    real: bool,
+    cache: PlanCache,
+    workspace=None,
+) -> list[tuple[float, int, int]]:
+    """Fig. 2 steps 2-4: NCC, inverse transform, top-``k`` peak reduction.
+
+    ``fft_i`` / ``fft_j`` are forward transforms at the spatial transform
+    ``shape`` (half-spectra when ``real``); returns the ``k`` largest
+    ``(magnitude, py, px)`` of the inverse NCC surface.  The same front
+    half runs at every resolution: full PCIAM calls it at the tile's
+    transform shape, the coarse first pass at the downsampled one.
+
+    ``workspace`` is an optional
+    :class:`~repro.memmodel.workspace.PairWorkspace` sized for ``shape``
+    whose scratch buffers receive the NCC, its magnitude, and the peak
+    magnitudes -- turning the per-pair allocation churn into reuse.  It
+    is scratch the caller refills every pair, so the inverse transform
+    consumes the workspace-held NCC in place (``overwrite_input``).
+    """
+    expected = spectrum_shape(shape) if real else tuple(shape)
+    if fft_i.shape != expected or fft_j.shape != expected:
+        raise ValueError(
+            f"supplied transforms have shape {fft_i.shape}/{fft_j.shape}, "
+            f"expected {expected}"
+        )
+    out = workspace.ncc if workspace is not None else None
+    mag_out = workspace.ncc_mag if workspace is not None else None
+    peak_mag = workspace.peak_mag if workspace is not None else None
+    ncc = normalized_correlation(fft_i, fft_j, out=out, mag_out=mag_out)
+    kind = TransformKind.C2R if real else TransformKind.C2C_INVERSE
+    plan = cache.plan(shape, kind, allow_padding=False)
+    inv = plan.execute(ncc, overwrite_input=workspace is not None)
+    return top_peaks(inv, k, mag_out=peak_mag)
+
+
+def contest(
+    peaks: list[tuple[float, int, int]],
+    shape: tuple[int, int],
+    ccf_mode: CcfMode,
+    stats_i: TileStats,
+    stats_j: TileStats,
+    subpixel: bool = False,
+) -> PciamResult:
+    """Fig. 2 step 5: the CCF contest over the peaks' interpretations.
+
+    Every periodic interpretation of every ``(magnitude, py, px)`` peak of
+    the transform of ``shape`` is scored once by the O(1)-statistics CCF;
+    the highest wins, the first on a tie.  ``subpixel`` adds the parabolic
+    vertex of the CCF surface around the integer winner -- fractional
+    stage positions (a successor-tool feature; the paper's pipeline
+    reports integers).
+    """
+    extended = ccf_mode is CcfMode.EXTENDED
+    seen: set[tuple[int, int]] = set()
+    best = (-np.inf, 0, 0)
+    for _mag, qy, qx in peaks:
+        for tx, ty in peak_candidates(qy, qx, shape, extended=extended):
+            if (tx, ty) in seen:
+                continue
+            seen.add((tx, ty))
+            c = ccf_at_stats(stats_i, stats_j, tx, ty)
+            if c > best[0]:
+                best = (c, tx, ty)
+    corr, tx, ty = best
+    tx_f, ty_f = float(tx), float(ty)
+    if subpixel:
+        tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, int(tx), int(ty))
+    peak_val, py, px = peaks[0]
+    return PciamResult(
+        correlation=float(corr),
+        tx=int(tx),
+        ty=int(ty),
+        peak_value=peak_val,
+        peak_index=(py, px),
+        tx_f=tx_f,
+        ty_f=ty_f,
+        peak_ratio=peak_magnitude_ratio([m for m, _, _ in peaks]),
+    )
 
 
 def pciam(
@@ -192,11 +262,9 @@ def pciam(
     real_transforms: bool = False,
     subpixel: bool = False,
     cache: PlanCache | None = None,
-    planning: PlanningMode = PlanningMode.ESTIMATE,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
     workspace=None,
-    use_tile_stats: bool = True,
 ) -> PciamResult:
     """Relative displacement of ``img_j`` with respect to ``img_i``.
 
@@ -226,19 +294,12 @@ def pciam(
         ``forward_fft(..., real=True)``.
     stats_i, stats_j:
         Optional precomputed :class:`~repro.core.tilestats.TileStats`
-        (computed here when omitted and ``use_tile_stats`` is on).  Like
-        the forward transforms, tile statistics are a per-tile product
-        shared by up to four incident pairs.
+        (computed here when omitted).  Like the forward transforms, tile
+        statistics are a per-tile product shared by up to four incident
+        pairs.
     workspace:
-        Optional :class:`~repro.memmodel.workspace.PairWorkspace` whose
-        scratch buffers receive the NCC, its magnitude, and the peak
-        magnitudes -- turning the per-pair allocation churn into reuse.
-        The workspace's ``ncc`` buffer is clobbered by the inverse
-        transform (``overwrite_input``) and must not be read afterwards.
-    use_tile_stats:
-        ``False`` falls back to the direct five-pass CCF of
-        :mod:`repro.core.ccf` (useful for benchmarking the O(1)-statistics
-        path against its baseline; results are identical).
+        Optional pair scratch, see :func:`correlation_peaks`; without one
+        every pair allocates its own.
 
     Returns the winning ``(correlation, tx, ty)`` plus peak diagnostics.
     """
@@ -248,70 +309,15 @@ def pciam(
         )
     cache = cache if cache is not None else default_cache()
     shape = tuple(fft_shape) if fft_shape is not None else img_i.shape
-    spectrum_shape = (shape[0], shape[1] // 2 + 1) if real_transforms else shape
     if fft_i is None:
-        fft_i = forward_fft(img_i, shape, cache, planning, real=real_transforms)
+        fft_i = forward_fft(img_i, shape, cache, real=real_transforms)
     if fft_j is None:
-        fft_j = forward_fft(img_j, shape, cache, planning, real=real_transforms)
-    if fft_i.shape != spectrum_shape or fft_j.shape != spectrum_shape:
-        raise ValueError(
-            f"supplied transforms have shape {fft_i.shape}/{fft_j.shape}, "
-            f"expected {spectrum_shape}"
-        )
-
-    out = workspace.ncc if workspace is not None else None
-    mag_out = workspace.ncc_mag if workspace is not None else None
-    peak_mag = workspace.peak_mag if workspace is not None else None
-    ncc = normalized_correlation(fft_i, fft_j, out=out, mag_out=mag_out)
-    # The workspace-held NCC is scratch the caller refills every pair, so
-    # the inverse transform may consume it in place.
-    overwrite = workspace is not None
-    inverse_kind = (
-        TransformKind.C2R if real_transforms else TransformKind.C2C_INVERSE
+        fft_j = forward_fft(img_j, shape, cache, real=real_transforms)
+    peaks = correlation_peaks(
+        fft_i, fft_j, shape, n_peaks, real_transforms, cache, workspace
     )
-    plan = cache.plan(shape, inverse_kind, planning, allow_padding=False)
-    inv = plan.execute(ncc, overwrite_input=overwrite)
-    peaks = top_peaks(inv, n_peaks, mag_out=peak_mag)
-    peak_val, py, px = peaks[0]
-    peak_ratio = peak_magnitude_ratio([m for m, _, _ in peaks])
-
-    if use_tile_stats:
-        if stats_i is None:
-            stats_i = TileStats(img_i)
-        if stats_j is None:
-            stats_j = TileStats(img_j)
-
-    extended = ccf_mode is CcfMode.EXTENDED
-    seen: set[tuple[int, int]] = set()
-    best = (-np.inf, 0, 0)
-    for _mag, qy, qx in peaks:
-        for tx, ty in peak_candidates(qy, qx, shape, extended=extended):
-            if (tx, ty) in seen:
-                continue
-            seen.add((tx, ty))
-            if use_tile_stats:
-                c = ccf_at_stats(stats_i, stats_j, tx, ty)
-            else:
-                c = ccf_at(img_i, img_j, tx, ty)
-            if c > best[0]:
-                best = (c, tx, ty)
-    corr, tx, ty = best
-    tx_f, ty_f = float(tx), float(ty)
-    if subpixel:
-        # Parabolic vertex of the CCF surface around the integer winner --
-        # recovers fractional stage positions (a successor-tool feature;
-        # the paper's pipeline reports integers).
-        if use_tile_stats:
-            tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, int(tx), int(ty))
-        else:
-            tx_f, ty_f = subpixel_refine(img_i, img_j, int(tx), int(ty))
-    return PciamResult(
-        correlation=float(corr),
-        tx=int(tx),
-        ty=int(ty),
-        peak_value=peak_val,
-        peak_index=(py, px),
-        tx_f=tx_f,
-        ty_f=ty_f,
-        peak_ratio=peak_ratio,
-    )
+    if stats_i is None:
+        stats_i = TileStats(img_i)
+    if stats_j is None:
+        stats_j = TileStats(img_j)
+    return contest(peaks, shape, ccf_mode, stats_i, stats_j, subpixel)

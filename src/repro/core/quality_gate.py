@@ -260,17 +260,6 @@ def _fit_stage_model(
     )
 
 
-def _collect(disp: DisplacementResult, direction: Direction):
-    arr = disp.west if direction is Direction.WEST else disp.north
-    out = []
-    for r in range(disp.rows):
-        for c in range(disp.cols):
-            t = arr[r][c]
-            if t is not None:
-                out.append((r, c, t))
-    return out
-
-
 def assess_quality(
     disp: DisplacementResult, cfg: QualityConfig | None = None
 ) -> QualityAssessment:
@@ -282,7 +271,7 @@ def assess_quality(
     cfg = cfg or QualityConfig()
     assessment = QualityAssessment(config=cfg)
     for direction in (Direction.WEST, Direction.NORTH):
-        entries = _collect(disp, direction)
+        entries = disp.entries(direction)
         if not entries:
             continue
         model = _fit_stage_model(entries, cfg)

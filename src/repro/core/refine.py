@@ -62,17 +62,6 @@ class RefineReport:
             self.medians = {}
 
 
-def _collect(disp: DisplacementResult, direction: Direction):
-    arr = disp.west if direction is Direction.WEST else disp.north
-    out = []
-    for r in range(disp.rows):
-        for c in range(disp.cols):
-            t = arr[r][c]
-            if t is not None:
-                out.append((r, c, t))
-    return out
-
-
 def _stage_model(entries, cfg: RefineConfig):
     """(median_tx, median_ty, radius) from trusted translations, or None."""
     good = [t for _, _, t in entries if t.correlation >= cfg.correlation_threshold]
@@ -144,7 +133,7 @@ def refine_displacements(
     report = RefineReport()
 
     for direction in (Direction.WEST, Direction.NORTH):
-        entries = _collect(disp, direction)
+        entries = disp.entries(direction)
         model = _stage_model(entries, cfg)
         if model is not None:
             report.medians[direction.value] = model

@@ -373,10 +373,7 @@ class Stitcher:
             subpixel=opts.subpixel,
             coarse=opts.coarse,
             real_transforms=opts.real_transforms,
-            use_tile_stats=opts.use_tile_stats,
-            use_workspace=opts.use_workspace,
             cache=self.cache,
-            planning=opts.planning,
             error_policy=policy,
             fault_report=report,
             tracer=tracer,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fftlib.plans import PlanCache, PlanningMode, TransformKind, default_cache
+from repro.fftlib.plans import PlanCache, TransformKind, default_cache
 
 
 def _cache(cache: PlanCache | None) -> PlanCache:
@@ -19,27 +19,24 @@ def _cache(cache: PlanCache | None) -> PlanCache:
 def fft2(
     a: np.ndarray,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
 ) -> np.ndarray:
     """Forward 2-D complex transform of ``a`` (shape-preserving)."""
-    plan = _cache(cache).plan(a.shape, TransformKind.C2C_FORWARD, mode, allow_padding=False)
+    plan = _cache(cache).plan(a.shape, TransformKind.C2C_FORWARD, allow_padding=False)
     return plan.execute(np.asarray(a, dtype=np.complex128))
 
 
 def ifft2(
     a: np.ndarray,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
 ) -> np.ndarray:
     """Inverse 2-D complex transform of ``a`` (shape-preserving)."""
-    plan = _cache(cache).plan(a.shape, TransformKind.C2C_INVERSE, mode, allow_padding=False)
+    plan = _cache(cache).plan(a.shape, TransformKind.C2C_INVERSE, allow_padding=False)
     return plan.execute(np.asarray(a, dtype=np.complex128))
 
 
 def rfft2(
     a: np.ndarray,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
 ) -> np.ndarray:
     """Real-to-complex forward transform (the paper's future-work variant).
 
@@ -47,7 +44,7 @@ def rfft2(
     :func:`irfft2` with the original shape.
     """
     a = np.asarray(a, dtype=np.float64)
-    plan = _cache(cache).plan(a.shape, TransformKind.R2C, mode, allow_padding=False)
+    plan = _cache(cache).plan(a.shape, TransformKind.R2C, allow_padding=False)
     return plan.execute(a)
 
 
@@ -55,7 +52,6 @@ def irfft2(
     a: np.ndarray,
     shape: tuple[int, int],
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
 ) -> np.ndarray:
     """Complex-to-real inverse of :func:`rfft2` producing ``shape``.
 
@@ -64,7 +60,7 @@ def irfft2(
     2*(kw-1)+1); the plan carries it.
     """
     plan = _cache(cache).plan(
-        tuple(shape), TransformKind.C2R, mode, allow_padding=False
+        tuple(shape), TransformKind.C2R, allow_padding=False
     )
     return plan.execute(np.asarray(a, dtype=np.complex128))
 
@@ -72,7 +68,6 @@ def irfft2(
 def batch_rfft2(
     stack: np.ndarray,
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
 ) -> np.ndarray:
     """Batched R2C transform of a ``(k, h, w)`` stack of same-shape tiles.
 
@@ -89,7 +84,7 @@ def batch_rfft2(
     if stack.ndim != 3:
         raise ValueError(f"expected a (k, h, w) stack, got shape {stack.shape}")
     plan = _cache(cache).plan(
-        stack.shape, TransformKind.R2C, mode, allow_padding=False
+        stack.shape, TransformKind.R2C, allow_padding=False
     )
     return plan.execute(stack)
 
@@ -98,7 +93,6 @@ def batch_irfft2(
     stack: np.ndarray,
     shape: tuple[int, int],
     cache: PlanCache | None = None,
-    mode: PlanningMode = PlanningMode.ESTIMATE,
 ) -> np.ndarray:
     """Batched C2R inverse of :func:`batch_rfft2`.
 
@@ -109,6 +103,6 @@ def batch_irfft2(
     if stack.ndim != 3:
         raise ValueError(f"expected a (k, h, kw) stack, got shape {stack.shape}")
     plan = _cache(cache).plan(
-        (stack.shape[0], *shape), TransformKind.C2R, mode, allow_padding=False
+        (stack.shape[0], *shape), TransformKind.C2R, allow_padding=False
     )
     return plan.execute(stack)

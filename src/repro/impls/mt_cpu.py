@@ -72,15 +72,14 @@ class MtCpu(Implementation):
             )
 
         def band_worker(k: int, r0: int, r1: int) -> None:
-            ws = arena.acquire() if arena is not None else None
+            ws = arena.acquire()
             try:
                 self._band(
                     dataset, disp, r0, r1, stats, stats_lock, k, ws,
                     prefetched,
                 )
             finally:
-                if arena is not None:
-                    arena.release(ws)
+                arena.release(ws)
 
         def run_all(target, arg_lists) -> None:
             def guarded(*args) -> None:

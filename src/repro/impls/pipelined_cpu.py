@@ -126,7 +126,7 @@ class PipelinedCpu(Implementation):
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         rows, cols = dataset.rows, dataset.cols
         disp = DisplacementResult.empty(rows, cols)
-        stats = {"reads": 0, "ffts": 0, "pairs": 0, "fft_copies_saved": 0}
+        stats = {"reads": 0, "ffts": 0, "pairs": 0}
         disp.stats = stats
         if rows * cols == 1:  # no pairs, nothing to pipeline
             return disp, stats
@@ -134,12 +134,11 @@ class PipelinedCpu(Implementation):
             dataset, TileGrid(rows, cols), disp, stats, threading.Lock()
         )
         pipe.run()
-        if workspaces is not None:
-            workspaces.release_all()
-            arena = workspaces.arena
-            stats["workspace_bytes"] = arena.bytes_per_workspace * max(
-                1, arena.stats()["peak_in_use"]
-            )
+        workspaces.release_all()
+        arena = workspaces.arena
+        stats["workspace_bytes"] = arena.bytes_per_workspace * max(
+            1, arena.stats()["peak_in_use"]
+        )
         stats["pool_peak_in_use"] = pool.peak_in_use
         stats["pool_size"] = pool.count
         stats.update({f"queue_{k}": v for k, v in pipe.stats()["queues"].items()})
@@ -147,7 +146,7 @@ class PipelinedCpu(Implementation):
 
     def _build_pipeline(
         self, dataset, grid, disp, stats, stats_lock, pairs=None,
-    ) -> tuple[Pipeline, BufferPool, ThreadLocalWorkspaces | None]:
+    ) -> tuple[Pipeline, BufferPool, ThreadLocalWorkspaces]:
         """One reader / compute / bookkeeping pipeline over ``pairs``.
 
         ``pairs=None`` is the whole grid; a subset (a column partition of
@@ -166,8 +165,9 @@ class PipelinedCpu(Implementation):
             self.pool_size or default_pool_size(grid.rows, n_cols),
             kernel.buffer_shape(dataset.tile_shape), dtype=np.complex128,
         )
-        arena = kernel.arena(dataset.tile_shape, count=self.workers)
-        workspaces = ThreadLocalWorkspaces(arena) if arena is not None else None
+        workspaces = ThreadLocalWorkspaces(
+            kernel.arena(dataset.tile_shape, count=self.workers)
+        )
 
         pipe = Pipeline(
             self.name if pairs is None else f"{self.name}-{c_lo}",
@@ -296,9 +296,7 @@ class PipelinedCpu(Implementation):
                     with state_lock:
                         first, second = products[pair.first], products[pair.second]
                     kernel.register_pair(
-                        disp, *cell, first, second,
-                        workspaces.get() if workspaces is not None else None,
-                        local,
+                        disp, *cell, first, second, workspaces.get(), local
                     )
                 q_events.put(_PairDone(pair))
             else:  # pragma: no cover - defensive

@@ -59,6 +59,5 @@ class PipelinedCpuNuma(PipelinedCpu):
         for pipe, _, _ in lines:
             pipe.join()
         for _, _, workspaces in lines:
-            if workspaces is not None:
-                workspaces.release_all()
+            workspaces.release_all()
         return disp, stats

@@ -190,8 +190,7 @@ def _worker_init(ppid: int) -> None:
     for shape in {kernel.transform_shape(tile_shape),
                   kernel.full_shape(tile_shape)}:
         for kind in kinds:
-            kernel.cache.plan(shape, kind, kernel.planning,
-                              allow_padding=False)
+            kernel.cache.plan(shape, kind, allow_padding=False)
 
 
 def _row_products(task: _Task, r: int, local: dict) -> list:
@@ -233,9 +232,7 @@ def _slab_entry(ctx: _RunCtx, b: int, c: int):
         return None
     slot = b * ctx.dataset.cols + c
     tile = ctx.tiles[slot]
-    ts = None
-    if ctx.tables is not None:
-        ts = TileStats.from_parts(tile - tile.mean(), ctx.tables[slot])
+    ts = TileStats.from_parts(tile - tile.mean(), ctx.tables[slot])
     return (tile, ctx.spectra[slot], ts)
 
 
@@ -252,8 +249,7 @@ def _boundary_task(b: int) -> _TaskOutcome:
         slot = b * ctx.dataset.cols + c
         ctx.tiles[slot][: tile.shape[0], : tile.shape[1]] = tile
         ctx.spectra[slot] = fft
-        if ts is not None:
-            ctx.tables[slot] = ts.table
+        ctx.tables[slot] = ts.table
         ctx.mask[b, c] = 1
     return task.finish(local)
 
@@ -271,8 +267,7 @@ def _band_task(k: int) -> _TaskOutcome:
     r0, r1 = ctx.bands[k]
     cols = ctx.dataset.cols
     local = {"reads": 0, "ffts": 0, "pairs": 0}
-    arena = kernel.arena(ctx.dataset.tile_shape, count=1)
-    workspace = arena.acquire() if arena is not None else None
+    workspace = kernel.arena(ctx.dataset.tile_shape, count=1).acquire()
 
     def pair(direction, r, c, first, second) -> None:
         if kernel.serve_journaled(out, direction, r, c, local):
@@ -350,22 +345,20 @@ class ProcCpu(Implementation):
                 arena = ShmArena()
                 tiles = arena.slab("tiles", slots, tile_shape, np.float64).array
                 spectra = arena.slab("spectra", slots, sshape, np.complex128).array
-                if kernel.use_tile_stats:
-                    tables = arena.slab(
-                        "tables", slots,
-                        (tile_shape[0] + 1, tile_shape[1] + 1), np.complex128,
-                    ).array
+                tables = arena.slab(
+                    "tables", slots,
+                    (tile_shape[0] + 1, tile_shape[1] + 1), np.complex128,
+                ).array
                 mask = arena.slab(
                     "mask", n_boundaries, (dataset.cols,), np.int8
                 ).array
             else:  # pragma: no cover - non-fork platforms
                 tiles = np.zeros((slots, *tile_shape))
                 spectra = np.zeros((slots, *sshape), dtype=np.complex128)
-                if kernel.use_tile_stats:
-                    tables = np.zeros(
-                        (slots, tile_shape[0] + 1, tile_shape[1] + 1),
-                        dtype=np.complex128,
-                    )
+                tables = np.zeros(
+                    (slots, tile_shape[0] + 1, tile_shape[1] + 1),
+                    dtype=np.complex128,
+                )
                 mask = np.zeros((n_boundaries, dataset.cols), dtype=np.int8)
 
         _CTX = _RunCtx(

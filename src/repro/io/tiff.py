@@ -481,6 +481,111 @@ def read_tiff(path: str | Path, return_description: bool = False):
         return arr
 
 
+def _strip_spans(
+    height: int, width: int, rows_per_strip: int
+) -> list[tuple[int, int]]:
+    """Row span ``[r0, r1)`` of every strip of a ``height x width`` image."""
+    if height < 1 or width < 1:
+        raise ValueError(f"bad dimensions {height}x{width}")
+    if rows_per_strip < 1:
+        raise ValueError(f"rows_per_strip must be >= 1, got {rows_per_strip}")
+    return [
+        (r0, min(height, r0 + rows_per_strip))
+        for r0 in range(0, height, rows_per_strip)
+    ]
+
+
+def _header_blob(
+    width: int,
+    height: int,
+    bits: int,
+    compression: int,
+    rows_per_strip: int,
+    strip_counts: list[int],
+    description: bytes = b"",
+    bigtiff: bool = False,
+) -> bytes:
+    """Header, IFD and out-of-line values of a single-IFD striped file.
+
+    The one layout both writers emit: entries in tag order, a value that
+    fits the entry's value field inline and any other in the overflow
+    area behind the IFD (word-aligned), strip data -- ``strip_counts``
+    bytes per strip, back to back -- starting right after the returned
+    bytes.  ``bigtiff`` widens counts, offsets and the strip tables to 64
+    bits.
+    """
+    table_typ = TYPE_LONG8 if bigtiff else TYPE_LONG
+    entries: list[tuple[int, int, int, tuple | bytes | None]] = [
+        (TAG_IMAGE_WIDTH, TYPE_LONG, 1, (width,)),
+        (TAG_IMAGE_LENGTH, TYPE_LONG, 1, (height,)),
+        (TAG_BITS_PER_SAMPLE, TYPE_SHORT, 1, (bits,)),
+        (TAG_COMPRESSION, TYPE_SHORT, 1, (compression,)),
+        (TAG_PHOTOMETRIC, TYPE_SHORT, 1, (1,)),  # BlackIsZero
+        # The offsets are known only once the layout below is.
+        (TAG_STRIP_OFFSETS, table_typ, len(strip_counts), None),
+        (TAG_SAMPLES_PER_PIXEL, TYPE_SHORT, 1, (1,)),
+        (TAG_ROWS_PER_STRIP, TYPE_LONG, 1, (rows_per_strip,)),
+        (TAG_STRIP_BYTE_COUNTS, table_typ, len(strip_counts), strip_counts),
+        (TAG_PLANAR_CONFIG, TYPE_SHORT, 1, (1,)),
+        (TAG_SAMPLE_FORMAT, TYPE_SHORT, 1, (1,)),
+    ]
+    if description:
+        entries.append(
+            (TAG_IMAGE_DESCRIPTION, TYPE_ASCII, len(description), description)
+        )
+        entries.sort(key=lambda e: e[0])
+    if bigtiff:
+        head = struct.pack("<2sHHHQ", b"II", 43, 8, 0, 16)
+        count_fmt, entry_fmt, word_fmt, word = "<Q", "<HHQ", "<Q", 8
+    else:
+        head = struct.pack("<2sHI", b"II", 42, 8)
+        count_fmt, entry_fmt, word_fmt, word = "<H", "<HHI", "<I", 4
+    ifd_size = (
+        struct.calcsize(count_fmt)
+        + (struct.calcsize(entry_fmt) + word) * len(entries)
+        + word
+    )
+    # Out-of-line values follow the IFD, each padded to word length;
+    # strip data follows them.
+    sizes = [_TYPE_SIZE[typ] * count for _tag, typ, count, _values in entries]
+    data_start = len(head) + ifd_size + sum(
+        n + n % 2 for n in sizes if n > word
+    )
+    offsets = [data_start]
+    for count in strip_counts:
+        offsets.append(offsets[-1] + count)
+    end = offsets.pop()
+    if not bigtiff and end > _CLASSIC_LIMIT:
+        raise TiffError(
+            f"image needs BigTIFF: pixel data ends at byte {end}, past "
+            f"the classic 32-bit limit (use TiffStripWriter(bigtiff=True))"
+        )
+
+    ifd = [struct.pack(count_fmt, len(entries))]
+    overflow: list[bytes] = []
+    overflow_at = len(head) + ifd_size
+    for tag, typ, count, values in entries:
+        payload = struct.pack(
+            "<" + _TYPE_FMT[typ] * count,
+            *(offsets if values is None else values),
+        )
+        ifd.append(struct.pack(entry_fmt, tag, typ, count))
+        if len(payload) <= word:
+            ifd.append(payload.ljust(word, b"\x00"))
+        else:
+            ifd.append(struct.pack(word_fmt, overflow_at))
+            overflow.append(payload + b"\x00" * (len(payload) % 2))
+            overflow_at += len(overflow[-1])
+    ifd.append(struct.pack(word_fmt, 0))  # no next IFD
+    blob = head + b"".join(ifd) + b"".join(overflow)
+    if len(blob) != data_start:
+        raise AssertionError(
+            f"TIFF layout bug: header+IFD+overflow is {len(blob)} bytes, "
+            f"expected {data_start}"
+        )
+    return blob
+
+
 def write_tiff(
     path: str | Path,
     array: np.ndarray,
@@ -516,110 +621,18 @@ def write_tiff(
     if rows_per_strip is None:
         rows_per_strip = max(1, 8192 // max(1, bytes_per_row))
     rows_per_strip = min(rows_per_strip, height)
-    n_strips = (height + rows_per_strip - 1) // rows_per_strip
+    spans = _strip_spans(height, width, rows_per_strip)
 
     raw = a.astype("<" + ("u1" if bits == 8 else "u2"), copy=False).tobytes()
-    strip_payloads: list[bytes] = []
-    for s in range(n_strips):
-        r0 = s * rows_per_strip
-        r1 = min(height, r0 + rows_per_strip)
-        payload = raw[r0 * bytes_per_row : r1 * bytes_per_row]
-        if comp_tag == COMPRESSION_PACKBITS:
-            payload = packbits_encode(payload)
-        strip_payloads.append(payload)
-    pixel_bytes = b"".join(strip_payloads)
-    strip_counts = [len(p) for p in strip_payloads]
-
-    desc_bytes = description.encode("ascii", "replace") + b"\x00" if description else b""
-
-    entries: list[tuple[int, int, int, object]] = [
-        (TAG_IMAGE_WIDTH, TYPE_LONG, 1, (width,)),
-        (TAG_IMAGE_LENGTH, TYPE_LONG, 1, (height,)),
-        (TAG_BITS_PER_SAMPLE, TYPE_SHORT, 1, (bits,)),
-        (TAG_COMPRESSION, TYPE_SHORT, 1, (comp_tag,)),
-        (TAG_PHOTOMETRIC, TYPE_SHORT, 1, (1,)),  # BlackIsZero
-        (TAG_SAMPLES_PER_PIXEL, TYPE_SHORT, 1, (1,)),
-        (TAG_ROWS_PER_STRIP, TYPE_LONG, 1, (rows_per_strip,)),
-        (TAG_PLANAR_CONFIG, TYPE_SHORT, 1, (1,)),
-        (TAG_SAMPLE_FORMAT, TYPE_SHORT, 1, (1,)),
-    ]
-    if desc_bytes:
-        entries.append((TAG_IMAGE_DESCRIPTION, TYPE_ASCII, len(desc_bytes), desc_bytes))
-    # Strip tables get placeholder values; patched once layout is known.
-    entries.append((TAG_STRIP_OFFSETS, TYPE_LONG, n_strips, None))
-    entries.append((TAG_STRIP_BYTE_COUNTS, TYPE_LONG, n_strips, tuple(strip_counts)))
-    entries.sort(key=lambda e: e[0])
-
-    header_size = 8
-    ifd_size = 2 + 12 * len(entries) + 4
-    # Out-of-line value area follows the IFD; strips follow that.
-    overflow_at = header_size + ifd_size
-    overflow: list[bytes] = []
-
-    def place(values: bytes) -> int:
-        nonlocal overflow_at
-        off = overflow_at
-        overflow.append(values)
-        overflow_at += len(values)
-        if overflow_at % 2:  # TIFF values must be word-aligned
-            overflow.append(b"\x00")
-            overflow_at += 1
-        return off
-
-    # First pass: compute where strip data starts (after all overflow values).
-    # Strip offsets themselves live in the overflow area when n_strips > 1,
-    # so lay everything out in two passes with a fixed entry order.
-    pending: list[tuple[int, int, int, bytes]] = []
-    strip_offsets_entry_index = None
-    for idx, (tag, typ, count, values) in enumerate(entries):
-        if tag == TAG_STRIP_OFFSETS:
-            strip_offsets_entry_index = idx
-            pending.append((tag, typ, count, b""))  # patched later
-            continue
-        if isinstance(values, bytes):
-            payload = values
-        else:
-            fmt = {TYPE_SHORT: "H", TYPE_LONG: "I", TYPE_ASCII: "B", TYPE_BYTE: "B"}[typ]
-            payload = struct.pack("<" + fmt * count, *values)
-        pending.append((tag, typ, count, payload))
-
-    # Account for overflow space of every oversized payload (and the strip
-    # offsets table itself if oversized) before fixing strip data position.
-    overflow_bytes = 0
-    for tag, typ, count, payload in pending:
-        n = len(payload) if tag != TAG_STRIP_OFFSETS else 4 * n_strips
-        if n > 4:
-            overflow_bytes += n + (n % 2)
-    data_start = header_size + ifd_size + overflow_bytes
-
-    strip_offsets = []
-    pos = data_start
-    for cnt in strip_counts:
-        strip_offsets.append(pos)
-        pos += cnt
-
-    assert strip_offsets_entry_index is not None
-    off_payload = struct.pack("<" + "I" * n_strips, *strip_offsets)
-    pending[strip_offsets_entry_index] = (TAG_STRIP_OFFSETS, TYPE_LONG, n_strips, off_payload)
-
-    # Serialize IFD with inline/overflow decision.
-    ifd = struct.pack("<H", len(pending))
-    for tag, typ, count, payload in pending:
-        if len(payload) <= 4:
-            inline = payload + b"\x00" * (4 - len(payload))
-            ifd += struct.pack("<HHI", tag, typ, count) + inline
-        else:
-            off = place(payload)
-            ifd += struct.pack("<HHII", tag, typ, count, off)
-    ifd += struct.pack("<I", 0)  # no next IFD
-
-    blob = struct.pack("<2sHI", b"II", 42, 8) + ifd + b"".join(overflow)
-    if len(blob) != data_start:
-        raise AssertionError(
-            f"TIFF layout bug: header+IFD+overflow is {len(blob)} bytes, "
-            f"expected {data_start}"
-        )
-    Path(path).write_bytes(blob + pixel_bytes)
+    strips = [raw[r0 * bytes_per_row : r1 * bytes_per_row] for r0, r1 in spans]
+    if comp_tag == COMPRESSION_PACKBITS:
+        strips = [packbits_encode(strip) for strip in strips]
+    desc = description.encode("ascii", "replace") + b"\x00" if description else b""
+    blob = _header_blob(
+        width, height, bits, comp_tag, rows_per_strip,
+        [len(strip) for strip in strips], desc,
+    )
+    Path(path).write_bytes(blob + b"".join(strips))
 
 
 class TiffStripWriter:
@@ -662,8 +675,6 @@ class TiffStripWriter:
         rows_per_strip: int | None = None,
         bigtiff: bool | str = "auto",
     ) -> None:
-        if height < 1 or width < 1:
-            raise ValueError(f"bad dimensions {height}x{width}")
         dtype = np.dtype(dtype)
         if dtype == np.uint8:
             self._bits = 8
@@ -675,124 +686,31 @@ class TiffStripWriter:
         self.width = width
         self.dtype = dtype
         self._bytes_per_row = width * (self._bits // 8)
-        total_bytes = height * self._bytes_per_row
         if rows_per_strip is None:
             rows_per_strip = height
         rows_per_strip = max(1, min(int(rows_per_strip), height))
-        self._rows_per_strip = rows_per_strip
-        self._n_strips = (height + rows_per_strip - 1) // rows_per_strip
+        counts = [
+            (r1 - r0) * self._bytes_per_row
+            for r0, r1 in _strip_spans(height, width, rows_per_strip)
+        ]
         if bigtiff == "auto":
             # Conservative: header + IFD + strip tables stay far below
             # 1 MiB, so the pixel payload decides the format.
-            bigtiff = total_bytes + (1 << 20) > _CLASSIC_LIMIT
+            bigtiff = height * self._bytes_per_row + (1 << 20) > _CLASSIC_LIMIT
         self.bigtiff = bool(bigtiff)
+        blob = _header_blob(
+            width, height, self._bits, COMPRESSION_NONE, rows_per_strip,
+            counts, bigtiff=self.bigtiff,
+        )
+        self._data_start = len(blob)
         self._rows_written = 0
         self._closed = False
         self._file = open(path, "wb")
         try:
-            self._write_header()
+            self._file.write(blob)
         except BaseException:
             self._file.close()
             raise
-
-    # -- layout ------------------------------------------------------------
-
-    def _strip_counts(self) -> list[int]:
-        counts = []
-        for s in range(self._n_strips):
-            r0 = s * self._rows_per_strip
-            r1 = min(self.height, r0 + self._rows_per_strip)
-            counts.append((r1 - r0) * self._bytes_per_row)
-        return counts
-
-    def _write_header(self) -> None:
-        big = self.bigtiff
-        counts = self._strip_counts()
-        table_typ = TYPE_LONG8 if big else TYPE_LONG
-        entries: list[tuple[int, int, int, tuple | None]] = [
-            (TAG_IMAGE_WIDTH, TYPE_LONG, 1, (self.width,)),
-            (TAG_IMAGE_LENGTH, TYPE_LONG, 1, (self.height,)),
-            (TAG_BITS_PER_SAMPLE, TYPE_SHORT, 1, (self._bits,)),
-            (TAG_COMPRESSION, TYPE_SHORT, 1, (COMPRESSION_NONE,)),
-            (TAG_PHOTOMETRIC, TYPE_SHORT, 1, (1,)),
-            (TAG_STRIP_OFFSETS, table_typ, self._n_strips, None),  # patched
-            (TAG_SAMPLES_PER_PIXEL, TYPE_SHORT, 1, (1,)),
-            (TAG_ROWS_PER_STRIP, TYPE_LONG, 1, (self._rows_per_strip,)),
-            (TAG_STRIP_BYTE_COUNTS, table_typ, self._n_strips, tuple(counts)),
-            (TAG_PLANAR_CONFIG, TYPE_SHORT, 1, (1,)),
-            (TAG_SAMPLE_FORMAT, TYPE_SHORT, 1, (1,)),
-        ]
-        header_size = 16 if big else 8
-        entry_size = 20 if big else 12
-        count_size = 8 if big else 2
-        next_size = 8 if big else 4
-        inline_max = 8 if big else 4
-        ifd_size = count_size + entry_size * len(entries) + next_size
-
-        # Overflow area: out-of-line payloads, each padded to word length.
-        overflow_bytes = 0
-        for tag, typ, count, _values in entries:
-            n = _TYPE_SIZE[typ] * count
-            if n > inline_max:
-                overflow_bytes += n + (n % 2)
-        data_start = header_size + ifd_size + overflow_bytes
-        self._data_start = data_start
-
-        offsets = []
-        pos = data_start
-        for cnt in counts:
-            offsets.append(pos)
-            pos += cnt
-        end = pos
-        if not big and end > _CLASSIC_LIMIT:
-            raise TiffError(
-                f"image needs BigTIFF: pixel data ends at byte {end}, past "
-                f"the classic 32-bit limit (pass bigtiff=True)"
-            )
-
-        # Serialize: IFD entries in tag order, overflow payloads after.
-        overflow: list[bytes] = []
-        overflow_at = header_size + ifd_size
-        if big:
-            ifd = struct.pack("<Q", len(entries))
-        else:
-            ifd = struct.pack("<H", len(entries))
-        for tag, typ, count, values in entries:
-            if values is None:
-                values = tuple(offsets)
-            payload = struct.pack(
-                "<" + _TYPE_FMT[typ] * count, *values
-            )
-            if len(payload) <= inline_max:
-                inline = payload + b"\x00" * (inline_max - len(payload))
-                if big:
-                    ifd += struct.pack("<HHQ", tag, typ, count) + inline
-                else:
-                    ifd += struct.pack("<HHI", tag, typ, count) + inline
-            else:
-                off = overflow_at
-                overflow.append(payload)
-                overflow_at += len(payload)
-                if overflow_at % 2:
-                    overflow.append(b"\x00")
-                    overflow_at += 1
-                if big:
-                    ifd += struct.pack("<HHQQ", tag, typ, count, off)
-                else:
-                    ifd += struct.pack("<HHII", tag, typ, count, off)
-        ifd += struct.pack("<Q" if big else "<I", 0)  # no next IFD
-
-        if big:
-            head = struct.pack("<2sHHHQ", b"II", 43, 8, 0, 16)
-        else:
-            head = struct.pack("<2sHI", b"II", 42, 8)
-        blob = head + ifd + b"".join(overflow)
-        if len(blob) != data_start:
-            raise AssertionError(
-                f"TIFF layout bug: header+IFD+overflow is {len(blob)} bytes, "
-                f"expected {data_start}"
-            )
-        self._file.write(blob)
 
     # -- streaming ---------------------------------------------------------
 

@@ -19,7 +19,6 @@ from repro.core.pciam import CcfMode
 from repro.core.quality_gate import QualityConfig
 from repro.core.refine import RefineConfig
 from repro.core.stitcher import Stitcher
-from repro.fftlib.plans import PlanningMode
 from repro.grid.traversal import Traversal
 from repro.service.jobs import (
     ALLOWED_OPTIONS,
@@ -39,9 +38,7 @@ RESOLVED = [
      {"max_retries": 2, "on_tile_error": "skip"}),
     ({"subpixel": True}, None, {"subpixel": True}),
     ({"traversal": "row"}, None, {"traversal": Traversal.ROW}),
-    ({"pad_to_smooth": True, "planning": "measure"},
-     ["--pad", "--planning", "measure"],
-     {"pad_to_smooth": True, "planning": PlanningMode.MEASURE}),
+    ({"pad_to_smooth": True}, ["--pad"], {"pad_to_smooth": True}),
     ({"refine": True}, ["--refine"], {"refine": RefineConfig()}),
     # The quality gate: the switch, or any knob -- even against the switch.
     ({"quality": True}, ["--quality-gate"], {"quality": QualityConfig()}),
@@ -162,6 +159,10 @@ def test_allowed_job_options_are_stitch_or_compose_keys():
 def test_unknown_option_name_is_a_type_error():
     with pytest.raises(TypeError, match="frobnicate"):
         Stitcher(frobnicate=1)
+    # Deleted options (they could not change an answer) are unknown too.
+    for name in ("planning", "use_tile_stats", "use_workspace"):
+        with pytest.raises(TypeError, match=name):
+            StitchOptions.from_flat({name: "measure"})
 
 
 def test_resume_mode_checked_at_construction(tmp_path):
@@ -224,7 +225,7 @@ def test_fingerprint_is_what_the_parent_commit_emitted(dataset_4x4, tmp_path):
         "ccf_mode": "paper4", "n_peaks": 1,
         # None of these is result-affecting, so none is fingerprinted.
         "quality": True, "real_transforms": False, "max_retries": 2,
-        "planning": "measure", "impl": "pipelined-cpu",
+        "impl": "pipelined-cpu",
     })
     assert json.dumps(variant.fingerprint(ds97)) == VARIANT_FINGERPRINT
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.pciam import CcfMode
 from repro.core.stitcher import SCHEDULERS, Stitcher, scheduler_options
+from repro.grid.neighbors import Direction
 from repro.grid.traversal import Traversal
 
 
@@ -61,10 +62,21 @@ class TestSchedulerSelection:
         with pytest.raises(ValueError, match="unknown impl"):
             Stitcher(impl="warp-drive")
 
-    @pytest.mark.parametrize("impl", ["simple-gpu", "pipelined-gpu"])
-    def test_subpixel_rejected_where_it_cannot_be_honoured(self, impl):
-        with pytest.raises(ValueError, match="subpixel"):
-            Stitcher(impl=impl, subpixel=True)
+    @pytest.mark.parametrize("coarse", [False, True], ids=["full", "coarse"])
+    @pytest.mark.parametrize("impl", sorted(SCHEDULERS))
+    def test_subpixel_equals_simple_cpu(self, impl, coarse, dataset_4x4):
+        """The contest and its sub-pixel vertex are the kernel's, so the
+        virtual-GPU host half honours ``subpixel`` like everyone else."""
+        def estimates(name):
+            disp = Stitcher(
+                impl=name, subpixel=True, coarse=coarse,
+            ).stitch(dataset_4x4).displacements
+            return [(t.tx_f, t.ty_f) for direction in Direction
+                    for _, _, t in disp.entries(direction)]
+
+        reference = estimates("simple-cpu")
+        assert any(x != round(x) for pair in reference for x in pair)
+        assert estimates(impl) == reference  # bit for bit
 
     @pytest.mark.parametrize("impl", ["fiji-baseline", "mt-cpu", "proc-cpu"])
     def test_traversal_rejected_where_it_cannot_be_honoured(self, impl):

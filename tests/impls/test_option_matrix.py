@@ -1,7 +1,7 @@
 """Option-matrix coverage: paper options across the parallel implementations.
 
 The equivalence suite runs defaults; this crosses the paper-relevant
-options (padded FFT shapes, planning modes, partition helpers) with the
+options (padded FFT shapes, partition helpers) with the
 parallel implementations to ensure no option silently only works on the
 sequential path.
 """
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.metrics import displacement_agreement
-from repro.fftlib.plans import PlanningMode
 from repro.fftlib.smooth import next_smooth_shape
 from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu
 from repro.impls.mt_cpu import row_bands
@@ -38,17 +37,6 @@ class TestPaddedFftAcrossImpls:
         _, padded = padded_reference
         plain = SimpleCpu().run(dataset_4x4)
         assert displacement_agreement(padded.displacements, plain.displacements) == 1.0
-
-
-class TestPlanningModes:
-    def test_patient_planning_end_to_end(self, dataset_4x4):
-        from repro.core.stitcher import Stitcher
-        from repro.fftlib.plans import PlanCache
-
-        cache = PlanCache()
-        res = Stitcher(planning=PlanningMode.MEASURE, cache=cache).stitch(dataset_4x4)
-        assert res.position_errors().max() == 0.0
-        assert len(cache) >= 1  # plans actually went through the cache
 
 
 class TestPartitionHelpers:

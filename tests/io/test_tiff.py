@@ -101,6 +101,17 @@ class TestWriterValidation:
         with pytest.raises(ValueError):
             write_tiff(tmp_path / "t.tif", np.zeros((2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape,options,match", [
+        ((0, 5), {}, "bad dimensions"),        # was ZeroDivisionError
+        ((5, 0), {}, "bad dimensions"),        # wrote a file read_tiff rejects
+        ((5, 5), {"rows_per_strip": 0}, "rows_per_strip"),   # ZeroDivisionError
+        ((5, 5), {"rows_per_strip": -1}, "rows_per_strip"),  # struct.error
+    ])
+    def test_rejects_empty_image_or_strip(self, tmp_path, shape, options, match):
+        with pytest.raises(ValueError, match=match):
+            write_tiff(tmp_path / "t.tif", np.zeros(shape, np.uint8), **options)
+        assert not (tmp_path / "t.tif").exists()
+
 
 class TestMalformedInputs:
     def write_valid(self, tmp_path):

@@ -120,21 +120,6 @@ def test_no_command_errors():
         main([])
 
 
-class TestWisdom:
-    def test_wisdom_saved_and_reused(self, tmp_path, capsys):
-        main(["synth", str(tmp_path / "ds"), "--rows", "2", "--cols", "2",
-              "--tile-size", "48"])
-        wisdom = tmp_path / "wisdom.json"
-        main(["stitch", str(tmp_path / "ds"), "--planning", "measure",
-              "--wisdom", str(wisdom)])
-        assert wisdom.exists()
-        capsys.readouterr()
-        main(["stitch", str(tmp_path / "ds"), "--planning", "measure",
-              "--wisdom", str(wisdom)])
-        out = capsys.readouterr().out
-        assert "imported" in out
-
-
 class TestImplSelection:
     @pytest.fixture
     def ds_dir(self, tmp_path):
@@ -183,6 +168,15 @@ class TestRobustnessFlags:
         with pytest.raises(SystemExit):
             main(["stitch", str(ds_dir), "--real-transforms"])
         assert "--real-transforms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--planning", "patient"], ["--wisdom", "f"]], ids=" ".join
+    )
+    def test_planning_flags_removed(self, ds_dir, argv, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["stitch", str(ds_dir), *argv])
+        assert refused.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
     def test_quality_gate_flag(self, ds_dir, capsys):
         assert main(["stitch", str(ds_dir), "--quality-gate"]) == 0
@@ -362,4 +356,4 @@ class TestOneEntryPoint:
 
         sub = build_parser()._subparsers._group_actions[0].choices["stitch"]
         options = [a for a in sub._actions if a.dest != "help"]
-        assert len(options) == 38
+        assert len(options) == 36
