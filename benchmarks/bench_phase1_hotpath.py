@@ -19,14 +19,16 @@ defines is asserted by the naive oracle of
 ``tests/integration/test_impl_equivalence.py``; regressions are gated end
 to end (``tiles_default/wall_s`` in ``BENCHMARK.json``).  The committed
 artifact ``BENCH_phase1.json`` at the repo root records a run of this
-file; the gates below compare configurations measured in the same run,
-never against it.
+file; the gates below compare *times* only between configurations
+measured in the same run, never against it (``--coarse-gate`` does hold
+the run's hit/fallback counts, which repeat exactly, to the committed
+ones).
 
 Usage::
 
     python benchmarks/bench_phase1_hotpath.py          # full: 8x8 grid
     python benchmarks/bench_phase1_hotpath.py --quick  # CI-sized: 5x5 grid
-    python benchmarks/bench_phase1_hotpath.py --coarse-gate 1.4
+    python benchmarks/bench_phase1_hotpath.py --coarse-gate 1.0
 """
 
 from __future__ import annotations
@@ -80,11 +82,10 @@ SWEEP_WORKERS = (1, 2, 4, 8)
 
 STAGES = ("read", "downsample", "fft", "tilestats", "pair")
 
-#: Positional agreement required of the coarse-to-fine configuration:
-#: RMS distance between its (tx, ty) and the optimized full-resolution
-#: reference, in pixels.  The refinement walks to the full-resolution
-#: integer peak, so on clean synthetic grids the RMS is exactly 0.
-COARSE_RMS_LIMIT_PX = 0.5
+#: What ``--coarse-gate`` holds to the committed artifact: the confidence
+#: gate's decisions are deterministic, so the counts repeat exactly from
+#: run to run where the timings (1.1-1.4x on one box) do not.
+COARSE_COUNTS = ("coarse_hits", "full_fallbacks")
 
 
 class LatencyDataset:
@@ -203,10 +204,10 @@ def measure(mode: str) -> dict:
             report[name]["full_fallbacks"] = int(
                 result.stats.get("full_fallbacks", 0)
             )
-    # Coarse-to-fine is allowed to disagree in *correlation* (its contest
-    # probes a windowed subset of the full candidate set) but its
-    # positions must track the full-resolution reference: RMS distance is
-    # the accuracy metric the coarse gate enforces.
+    # Coarse-to-fine must land on the full-resolution reference's
+    # positions: RMS distance is the accuracy metric the coarse gate
+    # enforces (exactly 0 -- accepted or fallen back, a pair's answer is
+    # the full-resolution integer peak).
     sq, n = 0.0, 0
     for a, b in zip(outputs["optimized"], outputs["coarse"]):
         if a is None and b is None:
@@ -409,13 +410,14 @@ def main(argv: list[str] | None = None) -> int:
                          "pairs/sec (CI gate; skips rewriting the artifact)")
     ap.add_argument("--coarse-gate", type=float, default=None, metavar="X",
                     help="fail unless the coarse-to-fine configuration "
-                         "reaches X times the optimized pairs/sec AND its "
-                         f"positions stay within {COARSE_RMS_LIMIT_PX} px "
-                         "RMS of the full-resolution reference (CI gate; "
-                         "skips rewriting the artifact).  Use the full "
-                         "geometry: coarse-to-fine only pays off at "
-                         "paper-scale tile sizes, so --quick measures the "
-                         "wrong regime")
+                         "decides as the committed artifact records "
+                         f"({' / '.join(COARSE_COUNTS)}), lands on the "
+                         "full-resolution reference's positions (0.0 px "
+                         "RMS) AND reaches X times the optimized pairs/sec "
+                         "(CI gate, X = 1.0: never slower; skips rewriting "
+                         "the artifact).  Use the full geometry: "
+                         "coarse-to-fine only pays off at paper-scale tile "
+                         "sizes, so --quick measures the wrong regime")
     ap.add_argument("--overlap-gate", type=float, default=None, metavar="X",
                     help="fail unless the overlapped schedule (tile stage "
                          "one tile ahead of the pair stage) reaches X times "
@@ -486,18 +488,26 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.coarse_gate is not None:
         c = report["coarse"]
+        committed = ((read_json(args.output) or {}).get(mode) or {}).get(
+            "coarse", {})
         ok = True
         print(f"  coarse gate: {c['speedup_vs_optimized']:.2f}x vs "
               f"optimized (need >= {args.coarse_gate:.2f}x), rms "
-              f"{c['rms_px_vs_optimized']:.3f} px "
-              f"(limit {COARSE_RMS_LIMIT_PX})")
+              f"{c['rms_px_vs_optimized']:.3f} px (need 0), committed "
+              + " / ".join(f"{committed.get(k)} {k}" for k in COARSE_COUNTS))
+        if any(c[k] != committed.get(k) for k in COARSE_COUNTS):
+            print("FAIL: coarse-to-fine hit/fallback counts differ from "
+                  f"{args.output.name} (they repeat exactly: a change in "
+                  "them is a change in the gate's decisions)",
+                  file=sys.stderr)
+            ok = False
+        if c["rms_px_vs_optimized"] != 0.0:
+            print("FAIL: coarse-to-fine positions differ from the "
+                  "full-resolution reference", file=sys.stderr)
+            ok = False
         if c["speedup_vs_optimized"] < args.coarse_gate:
             print("FAIL: coarse-to-fine speedup gate not met",
                   file=sys.stderr)
-            ok = False
-        if c["rms_px_vs_optimized"] > COARSE_RMS_LIMIT_PX:
-            print("FAIL: coarse-to-fine positions drifted beyond "
-                  f"{COARSE_RMS_LIMIT_PX} px RMS", file=sys.stderr)
             ok = False
         if not ok:
             return 1

@@ -16,13 +16,20 @@ does ~1/f^2 of the FFT work:
    ones (the cache is keyed on ``(shape, kind)``, so the two
    resolutions never cross-contaminate).
 2. **Windowed refinement** -- each coarse peak's periodic
-   interpretations are upscaled by ``factor`` and the full-resolution
-   CCF surface is probed only *around* those candidate hills: the O(1)
-   summed-area statistics (:func:`~repro.core.tilestats.ccf_at_stats`)
-   evaluate each probe without any full-resolution FFT.  A bounded
-   steepest-ascent walk (Chebyshev radius ``2 * factor`` by default,
-   covering the worst-case upscaling error of rounding + anti-alias
-   blur + edge padding) finds the full-resolution integer peak.
+   interpretations are upscaled by ``factor`` into candidate hills on
+   the full-resolution CCF surface, probed with the O(1) summed-area
+   statistics (:func:`~repro.core.tilestats.ccf_at_stats`) -- no
+   full-resolution FFT.  The coarse grid cannot represent an offset
+   that is not a multiple of ``factor``; such a summit shows up as *two*
+   adjacent coarse peaks with the summit between them, so a hill is
+   first localised to the pixel -- its centre plus the sub-factor
+   offsets towards its other samples -- and only then ranked.  That
+   matters wherever the specimen is pixel-granular: there the CCF
+   surface is a spike (0.99 at the summit, ~0 one pixel off), not a
+   hill to climb.  The best-ranked hill is then walked uphill (bounded
+   steepest ascent, Chebyshev radius ``2 * factor`` by default), which
+   is what finds the summit of a *smooth* surface from a centre a
+   pixel or two off (rounding + anti-alias blur + edge padding).
 3. **Confidence gate** -- the refined correlation and the coarse
    peak-sharpness ratio are judged with the same thresholds the
    quality gate uses (``conf_thresh`` / ``min_peak_ratio``).  A
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -64,10 +72,10 @@ from repro.fftlib.plans import PlanCache, default_cache
 PROVENANCE_COARSE = "coarse"
 PROVENANCE_FALLBACK = "fallback"
 
-#: A runner-up candidate hill is climbed when its centre probe is within
-#: this much correlation of the best centre's: the true hill's centre can
-#: sit a pixel or two off its peak (coarse quantization) and score below a
-#: smooth impostor, but never this far below.
+#: A runner-up candidate hill is climbed when its best probe is within
+#: this much correlation of the leader's: on a smooth surface the true
+#: hill's centre can sit a pixel or two off its peak (coarse
+#: quantization) and score below a smooth impostor's.
 _HILL_MARGIN = 0.2
 
 #: A centre probing at least this high is *decisive*: a genuinely aligned
@@ -76,14 +84,6 @@ _HILL_MARGIN = 0.2
 #: probing the remaining -- typically larger-overlap, costlier --
 #: candidates.  A ``conf_thresh`` above this raises the bar with it.
 _DECISIVE_CORR = 0.95
-
-#: The most a bounded climb has been observed to raise a hill centre's
-#: correlation (the centre sits at most ``radius`` from the summit, and
-#: the CCF surface is smooth at that distance).  A best centre further
-#: than this below ``conf_thresh`` cannot climb to a confident answer,
-#: so the walk is skipped and the pair goes straight to the
-#: full-resolution fallback -- the climb's probes would be pure waste.
-_CLIMB_HEADROOM = 0.25
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,13 @@ class CoarseConfig:
         probe ordering means extra candidates rarely cost anything),
         and every recovered pair is a full-PCIAM fallback avoided.
     ``search_radius``
-        Chebyshev radius of the full-resolution refinement window
-        around each upscaled candidate; ``None`` derives ``2 * factor``
-        (covers rounding of ±factor/2, ±1 coarse pixel of anti-alias
-        blur, and the edge-padding bias of partial blocks).
+        Chebyshev radius of the full-resolution climb around a localised
+        candidate; ``None`` derives ``2 * factor`` (covers rounding of
+        ±factor/2, ±1 coarse pixel of anti-alias blur, and the
+        edge-padding bias of partial blocks).  The climb only helps
+        where the CCF surface slopes towards its summit; a
+        pixel-granular specimen's does not, which is why hills are
+        localised from their coarse samples first.
     ``min_overlap_frac``
         Minimum overlap a refinement probe must cover *in each
         dimension* (as a fraction of that dimension) to be scored at
@@ -251,25 +254,26 @@ def refine_from_coarse_peaks(
 
     Every coarse peak's periodic interpretations (the same candidate set
     full PCIAM contests, but on the *coarse* grid) are upscaled by
-    ``config.factor`` into candidate hill centres.  Neighbouring coarse
-    peaks usually sit on the same hill, so a centre within Chebyshev
-    ``factor`` of one already listed is skipped -- the climb covers the
-    difference -- and zero-overlap centres are dropped outright.  The
-    survivors are probed smallest overlap first: a probe costs
-    O(overlap), and for a grid scan the true alignment *is* a
-    small-overlap candidate, so when one probes decisively (above both
+    ``config.factor`` into candidate hill centres.  A centre within one
+    coarse cell (Chebyshev ``factor``) of a hill already listed is a
+    second sample of that hill, whose summit then lies *between* the
+    two: it votes the side, per axis, on which the hill's sub-factor
+    offsets are searched.  Hills are contested smallest overlap first: a
+    probe costs O(overlap), and for a grid scan the true alignment *is*
+    a small-overlap candidate, so when one probes decisively (above both
     ``config.conf_thresh`` and the impostor ceiling) the contest stops
-    before paying for the near-full-overlap aliases at several times
-    the price.  The best centre's hill is then walked uphill on the
-    full-resolution CCF surface (deterministic steepest ascent:
-    orthogonal neighbours first, diagonals only on an orthogonal
-    plateau, bounded to Chebyshev ``config.radius`` from the hill's
-    centre, probes memoized); absent a decisive centre, a close
-    runner-up hill is climbed too, since the true centre may merely sit
-    a pixel further downhill than an impostor's.  No full-resolution
-    FFT is involved: each probe is O(overlap) for the cross term and
-    O(1) for everything else (the tile statistics, built here from the
-    pixels when the caller has none).
+    before paying for the near-full-overlap aliases at several times the
+    price.  Each hill is localised -- its centre, then the voted offsets
+    up to ``factor // 2`` -- and ranked by the best of those probes; the
+    best hill is then walked uphill from there (deterministic steepest
+    ascent: orthogonal neighbours first, diagonals only on an orthogonal
+    plateau, bounded to Chebyshev ``config.radius`` from the start,
+    probes memoized), and absent a decisive probe a close runner-up is
+    climbed too.  Every probe, voted or climbed, passes the same sliver
+    floor.  No full-resolution FFT is involved: each probe is
+    O(overlap) for the cross term and O(1) for everything else (the
+    tile statistics, built here from the pixels when the caller has
+    none).
 
     Returns ``(correlation, tx, ty, tx_f, ty_f)`` of the best probe
     (``tx_f``/``ty_f`` carry the parabolic sub-pixel vertex when
@@ -306,31 +310,48 @@ def refine_from_coarse_peaks(
     f = config.factor
     radius = config.radius
     extended = ccf_mode is CcfMode.EXTENDED
-    cands: list[tuple[int, int, int]] = []
-    taken: list[tuple[int, int]] = []
+    # Hill centre -> [sx, sy], the side (-1, 0, +1 per axis) on which the
+    # hill was sampled again: its summit lies between the two samples.
+    # Peaks arrive strongest first, so the first vote on an axis stands.
+    hills: dict[tuple[int, int], list[int]] = {}
     for _mag, qy, qx in peaks:
         for ctx, cty in peak_candidates(
             qy, qx, coarse_fft_shape, extended=extended
         ):
             cx, cy = ctx * f, cty * f
-            if any(
-                max(abs(cx - px), abs(cy - py)) <= f for px, py in taken
-            ):
-                continue
-            taken.append((cx, cy))
-            if h - abs(cy) < min_h or w - abs(cx) < min_w:
-                continue
-            area = (h - abs(cy)) * (w - abs(cx))
-            cands.append((area, cx, cy))
+            for (px, py), side in hills.items():
+                if max(abs(cx - px), abs(cy - py)) <= f:
+                    side[0] = side[0] or (cx - px) // f
+                    side[1] = side[1] or (cy - py) // f
+                    break
+            else:
+                hills[cx, cy] = [0, 0]
     # Contest the candidate hills like full PCIAM contests candidate
     # translations -- cheapest probes first, stopping at a decisive one.
-    cands.sort()
+    cands = sorted(
+        ((h - abs(cy)) * (w - abs(cx)), cx, cy)
+        for cx, cy in hills
+        if h - abs(cy) >= min_h and w - abs(cx) >= min_w
+    )
     decisive = max(config.conf_thresh, _DECISIVE_CORR)
     centers: list[tuple[float, tuple[int, int]]] = []
     for _area, cx, cy in cands:
-        c = probe(cx, cy)
-        centers.append((c, (cx, cy)))
-        if c >= decisive:
+        # Localise the hill before ranking it: its centre, then the
+        # sub-factor offsets towards each vote (the nearest sample is the
+        # strongest, so the summit is at most factor/2 from the centre).
+        sx, sy = hills[cx, cy]
+        c0, at = -np.inf, (cx, cy)
+        for dy, dx in product(
+            range(abs(sy) * (f // 2) + 1), range(abs(sx) * (f // 2) + 1)
+        ):
+            spot = (cx + sx * dx, cy + sy * dy)
+            c = probe(*spot)
+            if c > c0:
+                c0, at = c, spot
+            if c >= decisive:
+                break
+        centers.append((c0, at))
+        if c0 >= decisive:
             break
     centers.sort(key=lambda e: (-e[0], e[1]))
 
@@ -368,12 +389,7 @@ def refine_from_coarse_peaks(
         return bc, bx, by
 
     best = (-np.inf, 0, 0)
-    if centers and centers[0][0] < config.conf_thresh - _CLIMB_HEADROOM:
-        # Hopeless: even a perfect climb cannot reach the gate.  Return
-        # the raw centre so the gate rejects and the fallback runs.
-        c0, (sx, sy) = centers[0]
-        best = (c0, sx, sy)
-    elif centers:
+    if centers:
         c0, (sx, sy) = centers[0]
         best = max(best, climb(sx, sy, c0))
         # A decisive best centre (already above the gate) cannot be beaten

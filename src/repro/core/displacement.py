@@ -165,8 +165,9 @@ def compute_grid_displacements(
     number of live transforms (these feed the Table I verification bench).
     With a tracer, every read, (downsample,) forward FFT and statistics
     build becomes a span on the :data:`TILE_TRACK` timeline row and every
-    pair registration one on :data:`PAIR_TRACK` -- the two-row analogue of
-    the pipelined schedulers' per-stage timelines.
+    pair registration one on :data:`PAIR_TRACK` (``args["provenance"]``
+    says which path produced it) -- the two-row analogue of the pipelined
+    schedulers' per-stage timelines.
 
     Under an abort policy an exhausted read raises a
     :class:`~repro.pipeline.graph.PipelineError` naming the logical stage;
@@ -284,11 +285,16 @@ def compute_grid_displacements(
                 arena = kernel.arena(first[0].shape, count=1)
                 workspace = arena.acquire()
                 stats["workspace_bytes"] = arena.bytes_per_workspace
-            with tracer.span("pair", PAIR_TRACK, key=str(pair)):
-                kernel.register_pair(
+            # The span says which path produced the pair ("coarse" /
+            # "fallback", None = single pass) next to what it cost.
+            args = {} if tracer.enabled else None
+            with tracer.span("pair", PAIR_TRACK, key=str(pair), args=args):
+                t = kernel.register_pair(
                     result, pair.direction, pair.second.row, pair.second.col,
                     first, second, workspace, stats,
                 )
+                if args is not None:
+                    args["provenance"] = t.provenance
             pairs_done.add(pair)
         # Release this tile and any neighbour that just completed.
         maybe_release(pos)

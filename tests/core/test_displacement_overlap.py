@@ -26,6 +26,8 @@ from repro.core.displacement import (
 from repro.core.kernel import Phase1Kernel
 from repro.core.pciam import CcfMode
 from repro.faults.report import FaultReport
+from repro.grid.neighbors import grid_pairs
+from repro.grid.tile_grid import TileGrid
 from repro.grid.traversal import Traversal
 from repro.observe import Tracer
 from repro.pipeline.graph import PipelineError
@@ -270,8 +272,8 @@ def test_pair_stage_failure_supersedes_a_later_read_failure(tiles):
 
 def test_overlapped_trace_keeps_each_track_serial(tiles):
     tracer = Tracer()
-    run_once(tiles, True, traversal=Traversal.CHAINED_DIAGONAL, coarse=True,
-             tracer=tracer)
+    disp = run_once(tiles, True, traversal=Traversal.CHAINED_DIAGONAL,
+                    coarse=True, tracer=tracer)["result"]
     events = tracer_trace_events(tracer)
     validate_trace_events(events)
     by_track = {}
@@ -286,6 +288,12 @@ def test_overlapped_trace_keeps_each_track_serial(tiles):
         for earlier, later in zip(spans, spans[1:]):
             assert earlier.end <= later.start
     assert len(by_track[PAIR_TRACK]) == 2 * ROWS * COLS - ROWS - COLS
+    # Each pair span says which path produced the pair it timed.
+    provenance = {s.key: s.args["provenance"] for s in by_track[PAIR_TRACK]}
+    assert provenance == {
+        str(p): disp.get(p.direction, p.second.row, p.second.col).provenance
+        for p in grid_pairs(TileGrid(ROWS, COLS))}
+    assert set(provenance.values()) <= {"coarse", "fallback"}
 
 
 def test_live_products_hold_no_float64_copy_of_the_raw_tile(tiles):
