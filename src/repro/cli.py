@@ -148,6 +148,14 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    damping = args.residue_mode not in (None, "none")
+    if damping and args.position_method != "least_squares":
+        print(
+            f"error: --residue-mode {args.residue_mode} needs --positions "
+            "least_squares, the only solve that damps residues",
+            file=sys.stderr,
+        )
+        return 2
     options = _stitch_options(args)
     if args.pattern:
         dataset = TileDataset.discover(

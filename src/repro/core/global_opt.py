@@ -18,6 +18,11 @@ implemented here:
 
 Both return integer pixel positions normalized so ``min == (0, 0)``.
 
+Both consume one edge table (:func:`_edge_table`, DESIGN.md section 5d):
+what a pair contributes -- its measurement or, when demoted, the nominal
+prior -- is decided there and nowhere else; connectivity, degraded placement
+and the result are handled once in :func:`resolve_absolute_positions`.
+
 Robustness (docs/ROBUSTNESS.md): with a
 :class:`~repro.core.quality_gate.QualityConfig`, every pair is scored by
 :func:`~repro.core.quality_gate.assess_quality` first.  Gated pairs --
@@ -42,9 +47,10 @@ in ``GlobalPositions.degraded``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.displacement import DisplacementResult, Translation
@@ -54,6 +60,13 @@ from repro.core.quality_gate import (
     assess_quality,
     finite_correlation,
 )
+
+_MIN_WEIGHT = 1e-3  # least-squares weight floor of a measured edge
+#: Least-squares weight of a stranded tile's nominal-position row: pins its
+#: otherwise-free gauge to the nominal grid without perturbing measured edges.
+_PRIOR_WEIGHT = 1e-6
+
+_Tile = tuple[int, int]
 
 
 @dataclass
@@ -65,6 +78,8 @@ class GlobalPositions:
 
     positions: np.ndarray  # int64 [rows, cols, 2] (y, x), min at (0, 0)
     method: str
+    #: ``mst`` only: sum of the finite-clamped correlations of the tree's
+    #: measured edges (a demoted edge counts as its prior does: 0.0).
     spanning_tree_correlation: float | None = None
     #: Sub-pixel positions (float64, same normalization) when the
     #: displacements carried fractional estimates; ``None`` otherwise.
@@ -101,25 +116,18 @@ class GlobalPositions:
         return h, w
 
 
-def _edges(disp: DisplacementResult):
-    """Yield ``(u, v, translation, direction)``; u is v's west/north peer."""
-    for r in range(disp.rows):
-        for c in range(disp.cols):
-            t = disp.west[r][c]
-            if t is not None:
-                yield (r, c - 1), (r, c), t, "west"
-            t = disp.north[r][c]
-            if t is not None:
-                yield (r - 1, c), (r, c), t, "north"
+class _Edge(NamedTuple):
+    """One row of the edge table: tile ``v`` sits at ``u + translation``."""
 
+    u: _Tile  # v's west/north peer
+    v: _Tile
+    translation: Translation  # measured -- or, when gated, the nominal prior
+    confidence: float  # finite-clamped correlation of the *measurement*
+    gated: bool  # demoted to a nominal-prior edge by the quality gate
 
-def _normalize(pos: np.ndarray) -> np.ndarray:
-    pos = pos - pos.reshape(-1, 2).min(axis=0)
-    return np.rint(pos).astype(np.int64)
-
-
-def _normalize_f(pos: np.ndarray) -> np.ndarray:
-    return pos - pos.reshape(-1, 2).min(axis=0)
+    def step(self, subpixel: bool) -> tuple[float, float]:
+        t = self.translation
+        return (t.fy, t.fx) if subpixel else (float(t.ty), float(t.tx))
 
 
 def _nominal_prior_translation(
@@ -136,42 +144,55 @@ def _nominal_prior_translation(
     )
 
 
-def _build_graph(
-    disp: DisplacementResult,
-    assessment: QualityAssessment | None = None,
-) -> "nx.Graph":
-    """The displacement graph with confidence-derived MST weights.
+def _edge_table(
+    disp: DisplacementResult, assessment: QualityAssessment | None
+) -> list[_Edge]:
+    """Every computed pair, west then north, row-major -- demotion applied.
 
-    The maximum-confidence spanning tree is the minimum of
-    ``1 - confidence``, where confidence is the finite-clamped
-    correlation -- identical to the historical ``1 - correlation``
-    weight on clean (finite, ungated) data.  A non-finite correlation
-    previously produced a NaN weight, silently corrupting spanning-tree
-    selection; it now clamps to the floor (weight 2.0).  With an
-    ``assessment``, gated pairs carry a penalty offset of 2.0 so any
-    measured edge beats any demoted one, and their translation is
-    replaced by the stage model's nominal step so a tree forced through
-    one (connectivity) places the tile on the stage grid instead of at
-    the garbage measurement.
+    The one place the quality verdict is read: a gated pair's measured
+    (garbage) translation is replaced by the stage model's nominal step,
+    so whichever solver is forced through it (connectivity) places the
+    tile on the stage grid.  ``confidence`` clamps a non-finite
+    correlation to the floor, so every weight derived from it is finite.
     """
-    g = nx.Graph()
-    for u, v, t, direction in _edges(disp):
-        confidence = finite_correlation(t.correlation)
-        weight = 1.0 - confidence
-        if assessment is not None:
-            q = assessment.quality(direction, v[0], v[1])
-            if q is not None and q.gated:
-                prior = _nominal_prior_translation(assessment, direction)
-                if prior is not None:
-                    t = prior
-                # Any ungated edge (weight <= 2.0) is preferred to any
-                # gated one; among gated edges, higher confidence wins.
-                weight = 2.0 + (1.0 - confidence)
-        g.add_edge(u, v, weight=weight, translation=t, forward=(u, v))
+    table: list[_Edge] = []
     for r in range(disp.rows):
         for c in range(disp.cols):
-            g.add_node((r, c))
-    return g
+            for direction, u, t in (
+                ("west", (r, c - 1), disp.west[r][c]),
+                ("north", (r - 1, c), disp.north[r][c]),
+            ):
+                if t is None:
+                    continue
+                confidence = finite_correlation(t.correlation)
+                prior = None
+                if assessment is not None:
+                    q = assessment.quality(direction, r, c)
+                    if q is not None and q.gated:
+                        prior = _nominal_prior_translation(assessment, direction)
+                gated = prior is not None
+                table.append(_Edge(u, (r, c), prior if gated else t, confidence, gated))
+    return table
+
+
+class _TileSets:
+    """Union-find over tiles; a set's root is its smallest ``(row, col)``."""
+
+    def __init__(self) -> None:
+        self._parent: dict[_Tile, _Tile] = {}
+
+    def root(self, tile: _Tile) -> _Tile:
+        while (up := self._parent.get(tile, tile)) != tile:
+            self._parent[tile] = tile = self._parent.get(up, up)  # path halving
+        return tile
+
+    def join(self, a: _Tile, b: _Tile) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if they were one already."""
+        a, b = self.root(a), self.root(b)
+        if a == b:
+            return False
+        self._parent[max(a, b)] = min(a, b)
+        return True
 
 
 def estimate_nominal_step(
@@ -206,7 +227,7 @@ def estimate_nominal_step(
 
 
 def _nominal_position(
-    rc: tuple[int, int], step: tuple[tuple[float, float], tuple[float, float]]
+    rc: _Tile, step: tuple[tuple[float, float], tuple[float, float]]
 ) -> np.ndarray:
     (wy, wx), (ny, nx_) = step
     r, c = rc
@@ -214,70 +235,65 @@ def _nominal_position(
 
 
 def _mst_positions(
-    disp: DisplacementResult,
-    subpixel: bool = False,
-    on_disconnected: str = "error",
-    nominal_step=None,
-    assessment: QualityAssessment | None = None,
-) -> GlobalPositions:
-    g = _build_graph(disp, assessment)
-    connected = disp.rows * disp.cols <= 1 or nx.is_connected(g)
-    if not connected and on_disconnected != "nominal":
-        raise ValueError("displacement graph is disconnected; cannot stitch")
-    step = None
-    if not connected:
-        step = estimate_nominal_step(disp, nominal_step)
-    tree = nx.minimum_spanning_tree(g, weight="weight")
-    pos = np.zeros((disp.rows, disp.cols, 2), dtype=np.float64)
-    degraded = np.zeros((disp.rows, disp.cols), dtype=bool)
-    seen: set = set()
-    total_corr = 0.0
-    gated_in_tree = 0
-    # Anchor component: rooted at (0, 0).  Every other component is rooted
-    # at its smallest (row, col) member, anchored on the nominal grid.
-    roots = [(0, 0)]
-    if not connected:
-        for comp in nx.connected_components(g):
-            if (0, 0) not in comp:
-                roots.append(min(comp))
-    for root in roots:
-        if root == (0, 0):
-            pos[root] = 0.0
-        else:
-            pos[root] = _nominal_position(root, step)
-            degraded[root] = True
-        seen.add(root)
-        # BFS from the root accumulating signed translations along tree edges.
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in tree.neighbors(u):
-                if v in seen:
-                    continue
-                seen.add(v)
-                data = tree.edges[u, v]
-                t = data["translation"]
-                fu, fv = data["forward"]
-                sign = 1.0 if (fu, fv) == (u, v) else -1.0
-                dy, dx = (t.fy, t.fx) if subpixel else (float(t.ty), float(t.tx))
-                pos[v] = pos[u] + sign * np.array([dy, dx], dtype=np.float64)
-                degraded[v] = degraded[root]
-                total_corr += t.correlation
-                if data["weight"] > 2.0:
-                    gated_in_tree += 1
-                stack.append(v)
-    quality_report = None
-    if assessment is not None:
-        quality_report = assessment.report()
-        quality_report["gated_edges_in_tree"] = gated_in_tree
-    return GlobalPositions(
-        positions=_normalize(pos),
-        method="mst",
-        spanning_tree_correlation=total_corr,
-        positions_f=_normalize_f(pos) if subpixel else None,
-        degraded=degraded if degraded.any() else None,
-        quality_report=quality_report,
+    shape: tuple[int, int],
+    table: list[_Edge],
+    nominal: dict[_Tile, np.ndarray],
+    subpixel: bool,
+) -> tuple[np.ndarray, dict, float]:
+    """Maximum-confidence spanning forest, positions read off its paths.
+
+    ``nominal`` maps each tile cut off from the anchor component to its
+    nominal position.  Returns the positions, the solver's report counter
+    and the summed correlation of the tree -- the minimum tree of
+    ``1 - confidence``, identical to the historical ``1 - correlation`` on
+    clean data.  A demoted edge carries a penalty of 2.0, so any measured
+    edge (weight <= 2.0) is preferred to any demoted one and, among
+    demoted edges, higher confidence wins.
+    """
+    # Tie order is a contract (noise-free overlaps all score exactly 1.0):
+    # equal weights are taken in the order the historical graph library
+    # listed edges -- tiles ranked by first appearance in the table, each
+    # edge listed at its earlier-ranked endpoint, one tile's edges in
+    # table order.  ``sorted`` is stable, so the key below is that order.
+    rank: dict[_Tile, int] = {}
+    for e in table:
+        rank.setdefault(e.u, len(rank))
+        rank.setdefault(e.v, len(rank))
+    weights = [1.0 - e.confidence + (2.0 if e.gated else 0.0) for e in table]
+    order = sorted(
+        range(len(table)),
+        key=lambda i: (weights[i], min(rank[table[i].u], rank[table[i].v]), i),
     )
+    joined = _TileSets()
+    tree = [i for i in order if joined.join(table[i].u, table[i].v)]
+    adjacent: dict[_Tile, list[tuple[_Tile, float, _Edge]]] = {}
+    for i in tree:
+        e = table[i]
+        adjacent.setdefault(e.u, []).append((e.v, 1.0, e))
+        adjacent.setdefault(e.v, []).append((e.u, -1.0, e))
+
+    pos = np.zeros((*shape, 2), dtype=np.float64)
+    placed: set[_Tile] = set()
+    # Row-major, so the first unplaced tile of a component is its root: the
+    # anchor (0, 0) at the origin, a stranded one on the nominal grid.
+    for root in np.ndindex(shape):
+        if root in placed:
+            continue
+        pos[root] = nominal.get(root, 0.0)
+        placed.add(root)
+        stack = [root]
+        while stack:  # accumulate signed translations away from the root
+            u = stack.pop()
+            for v, sign, e in adjacent.get(u, ()):
+                if v not in placed:
+                    pos[v] = pos[u] + sign * np.array(e.step(subpixel))
+                    placed.add(v)
+                    stack.append(v)
+    # A demoted edge whose measurement scored exactly 1.0 weighs 2.0, level
+    # with a measured edge at the floor, and is not counted.
+    counters = {"gated_edges_in_tree": sum(weights[i] > 2.0 for i in tree)}
+    correlation = math.fsum(table[i].confidence for i in tree if not table[i].gated)
+    return pos, counters, correlation
 
 
 def _residue_damping(
@@ -300,155 +316,79 @@ def _residue_damping(
 
 
 def _least_squares_positions(
-    disp: DisplacementResult,
-    min_weight: float = 1e-3,
-    subpixel: bool = False,
-    on_disconnected: str = "error",
-    nominal_step=None,
-    assessment: QualityAssessment | None = None,
-) -> GlobalPositions:
-    n = disp.rows * disp.cols
+    shape: tuple[int, int],
+    table: list[_Edge],
+    nominal: dict[_Tile, np.ndarray],
+    subpixel: bool,
+    cfg: QualityConfig | None,
+) -> tuple[np.ndarray, dict]:
+    """Weighted least squares over every edge, anchored at tile (0, 0).
 
-    def idx(rc) -> int:
-        return rc[0] * disp.cols + rc[1]
+    ``nominal`` as for :func:`_mst_positions`.  Returns the positions and
+    the solver's report counters.  A demoted edge weighs
+    ``cfg.gate_weight``: the graph stays connected without the replaced
+    value pulling on anyone.
+    """
+    rows, cols = shape
+    n_edges = len(table)
+    iu = np.array([e.u[0] * cols + e.u[1] for e in table], dtype=np.int64)
+    iv = np.array([e.v[0] * cols + e.v[1] for e in table], dtype=np.int64)
+    steps = np.array([e.step(subpixel) for e in table], dtype=np.float64).reshape(-1, 2)
+    gated = np.array([e.gated for e in table], dtype=bool)
+    base_w = np.array([
+        cfg.gate_weight if e.gated else max(_MIN_WEIGHT, (e.confidence + 1.0) / 2.0)
+        for e in table
+    ], dtype=np.float64)
 
-    g = _build_graph(disp, assessment)
-    connected = n <= 1 or nx.is_connected(g)
-    if not connected and on_disconnected != "nominal":
-        raise ValueError("displacement graph is disconnected; cannot stitch")
-    degraded = np.zeros((disp.rows, disp.cols), dtype=bool)
-    off_anchor: list[tuple[int, int]] = []
-    if not connected:
-        for comp in nx.connected_components(g):
-            if (0, 0) not in comp:
-                off_anchor.extend(comp)
-        for rc in off_anchor:
-            degraded[rc] = True
-    step = estimate_nominal_step(disp, nominal_step) if off_anchor else None
-
-    cfg = assessment.config if assessment is not None else None
-
-    # Per-edge system data.  Gated pairs are demoted: their measurement is
-    # replaced by the stage model's nominal step at a token weight, so the
-    # graph stays connected without the garbage value pulling on anyone.
-    e_iu: list[int] = []
-    e_iv: list[int] = []
-    e_w: list[float] = []
-    e_dy: list[float] = []
-    e_dx: list[float] = []
-    e_gated: list[bool] = []
-    for u, v, t, direction in _edges(disp):
-        gated = False
-        if assessment is not None:
-            q = assessment.quality(direction, v[0], v[1])
-            if q is not None and q.gated:
-                prior = _nominal_prior_translation(assessment, direction)
-                if prior is not None:
-                    t = prior
-                    gated = True
-        if gated:
-            w = cfg.gate_weight
-        else:
-            # Clamp first: the historical expression fed a NaN correlation
-            # straight into max(), surviving only by argument order.
-            confidence = finite_correlation(t.correlation)
-            w = max(min_weight, (confidence + 1.0) / 2.0)
-        dy, dx = (t.fy, t.fx) if subpixel else (float(t.ty), float(t.tx))
-        e_iu.append(idx(u))
-        e_iv.append(idx(v))
-        e_w.append(w)
-        e_dy.append(dy)
-        e_dx.append(dx)
-        e_gated.append(gated)
-
-    n_edges = len(e_w)
-    base_w = np.asarray(e_w, dtype=np.float64)
-    arr_dy = np.asarray(e_dy, dtype=np.float64)
-    arr_dx = np.asarray(e_dx, dtype=np.float64)
-    gated_mask = np.asarray(e_gated, dtype=bool)
-    iu = np.asarray(e_iu, dtype=np.int64)
-    iv = np.asarray(e_iv, dtype=np.int64)
-
-    # Extra rows appended after the edge equations: the gauge anchor and
-    # (under degraded operation) the weak nominal priors for tiles cut off
-    # from the anchor component (weight 1e-6: pins their otherwise-free
-    # gauge to the nominal grid without measurably perturbing the
-    # measured edges).
-    extra_cols: list[int] = [0]
-    extra_vals: list[float] = [1.0]
-    extra_by: list[float] = [0.0]
-    extra_bx: list[float] = [0.0]
-    for rc in off_anchor:
-        nominal = _nominal_position(rc, step)
-        extra_cols.append(idx(rc))
-        extra_vals.append(1e-6)
-        extra_by.append(1e-6 * nominal[0])
-        extra_bx.append(1e-6 * nominal[1])
+    # One equation per edge, ``[+w at v, -w at u] . p = w * step``, then the
+    # gauge anchor and the weak nominal priors of the stranded tiles.  The
+    # layout is fixed; a re-weighted solve only recomputes the values.
+    a_shape = (n_edges + 1 + len(nominal), rows * cols)
+    a_rows = np.concatenate(
+        [np.repeat(np.arange(n_edges), 2), np.arange(n_edges, a_shape[0])]
+    )
+    a_cols = np.concatenate(
+        [np.stack([iv, iu], axis=1).ravel(), [0], [r * cols + c for r, c in nominal]]
+    ).astype(np.int64)
+    extra_vals = np.array([1.0] + [_PRIOR_WEIGHT] * len(nominal))
+    extra_b = np.array([np.zeros(2)] + [_PRIOR_WEIGHT * at for at in nominal.values()])
 
     # Imported by their only user: an MST-only run never pays for them.
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    def solve(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows_a: list[int] = []
-        cols_a: list[int] = []
-        vals: list[float] = []
-        b_y: list[float] = []
-        b_x: list[float] = []
-        eq = 0
-        for e in range(n_edges):
-            w = weights[e]
-            rows_a += [eq, eq]
-            cols_a += [int(iv[e]), int(iu[e])]
-            vals += [w, -w]
-            b_y.append(w * arr_dy[e])
-            b_x.append(w * arr_dx[e])
-            eq += 1
-        for col, val, by, bx in zip(extra_cols, extra_vals, extra_by, extra_bx):
-            rows_a.append(eq)
-            cols_a.append(col)
-            vals.append(val)
-            b_y.append(by)
-            b_x.append(bx)
-            eq += 1
-        a = sp.csr_matrix((vals, (rows_a, cols_a)), shape=(eq, n))
-        y = spla.lsqr(a, np.asarray(b_y), atol=1e-12, btol=1e-12)[0]
-        x = spla.lsqr(a, np.asarray(b_x), atol=1e-12, btol=1e-12)[0]
-        return y, x
+    def solve(weights: np.ndarray) -> np.ndarray:
+        edge_vals = np.stack([weights, -weights], axis=1).ravel()
+        vals = np.concatenate([edge_vals, extra_vals])
+        a = sp.csr_matrix((vals, (a_rows, a_cols)), shape=a_shape)
+        b = np.concatenate([weights[:, None] * steps, extra_b])
+        return np.stack([
+            spla.lsqr(a, np.ascontiguousarray(b[:, axis]), atol=1e-12, btol=1e-12)[0]
+            for axis in (0, 1)
+        ], axis=-1)
 
     residue_mode = cfg.residue_mode if cfg is not None else "none"
     damp = np.ones(n_edges, dtype=np.float64)
     irls_iterations = 0
-    y, x = solve(base_w)
+    pos = solve(base_w)
     if residue_mode != "none" and n_edges:
         # IRLS: damp edges whose residual exceeds the Huber delta /
         # threshold and re-solve until the damping stabilizes.  Demoted
         # (nominal-prior) edges are exempt -- they are already priors.
         for _ in range(cfg.max_irls_iterations):
-            res_y = (y[iv] - y[iu]) - arr_dy
-            res_x = (x[iv] - x[iu]) - arr_dx
-            residuals = np.hypot(res_y, res_x)
+            residuals = np.hypot(*(pos[iv] - pos[iu] - steps).T)
             new_damp = _residue_damping(residuals, residue_mode, cfg.residue_len)
-            new_damp[gated_mask] = 1.0
-            delta = float(np.max(np.abs(new_damp - damp)))
-            if delta <= cfg.irls_tol:
+            new_damp[gated] = 1.0
+            if float(np.max(np.abs(new_damp - damp))) <= cfg.irls_tol:
                 break
             damp = new_damp
             irls_iterations += 1
-            y, x = solve(base_w * damp)
-    pos = np.stack([y, x], axis=-1).reshape(disp.rows, disp.cols, 2)
-    quality_report = None
-    if assessment is not None:
-        quality_report = assessment.report()
-        quality_report["irls_iterations"] = irls_iterations
-        quality_report["residue_damped_edges"] = int((damp < 1.0).sum())
-    return GlobalPositions(
-        positions=_normalize(pos),
-        method="least_squares",
-        positions_f=_normalize_f(pos) if subpixel else None,
-        degraded=degraded if degraded.any() else None,
-        quality_report=quality_report,
-    )
+            pos = solve(base_w * damp)
+    counters = {
+        "irls_iterations": irls_iterations,
+        "residue_damped_edges": int((damp < 1.0).sum()),
+    }
+    return pos.reshape(rows, cols, 2), counters
 
 
 def resolve_absolute_positions(
@@ -494,17 +434,47 @@ def resolve_absolute_positions(
             raise ValueError(
                 "no displacements computed and no nominal_step to fall back on"
             )
+    if method not in ("mst", "least_squares"):
+        raise ValueError(f"unknown method {method!r} (use 'mst' or 'least_squares')")
     assessment = assess_quality(disp, quality) if quality is not None else None
+    table = _edge_table(disp, assessment)
+
+    # Connectivity.  The anchor component is (0, 0)'s; every other one is
+    # rooted at its smallest (row, col) member and placed on the nominal
+    # grid, its tiles -- listed row-major -- flagged as degraded.
+    shape = (disp.rows, disp.cols)
+    components = _TileSets()
+    for e in table:
+        components.join(e.u, e.v)
+    stranded = [rc for rc in np.ndindex(shape) if components.root(rc) != (0, 0)]
+    if stranded and on_disconnected != "nominal":
+        raise ValueError("displacement graph is disconnected; cannot stitch")
+    step = estimate_nominal_step(disp, nominal_step) if stranded else None
+    nominal = {rc: _nominal_position(rc, step) for rc in stranded}
+    degraded = np.zeros(shape, dtype=bool)
+    for rc in stranded:
+        degraded[rc] = True
+
+    tree_correlation = None
     if method == "mst":
-        return _mst_positions(
-            disp, subpixel=subpixel,
-            on_disconnected=on_disconnected, nominal_step=nominal_step,
-            assessment=assessment,
+        pos, counters, tree_correlation = _mst_positions(
+            shape, table, nominal, subpixel
         )
-    if method == "least_squares":
-        return _least_squares_positions(
-            disp, subpixel=subpixel,
-            on_disconnected=on_disconnected, nominal_step=nominal_step,
-            assessment=assessment,
+    else:
+        pos, counters = _least_squares_positions(
+            shape, table, nominal, subpixel, quality
         )
-    raise ValueError(f"unknown method {method!r} (use 'mst' or 'least_squares')")
+
+    quality_report = None
+    if assessment is not None:
+        quality_report = assessment.report()
+        quality_report.update(counters)
+    pos = pos - pos.reshape(-1, 2).min(axis=0)
+    return GlobalPositions(
+        positions=np.rint(pos).astype(np.int64),
+        method=method,
+        spanning_tree_correlation=tree_correlation,
+        positions_f=pos if subpixel else None,
+        degraded=degraded if stranded else None,
+        quality_report=quality_report,
+    )

@@ -128,7 +128,9 @@ class StitchOptions:
     string value.  ``impl`` names the phase-1 scheduler (a key of
     :data:`SCHEDULERS`) and ``impl_options`` carries that scheduler's
     own constructor arguments; an option the chosen scheduler cannot
-    honour raises ``ValueError`` rather than being dropped.
+    honour raises ``ValueError`` rather than being dropped, and so does
+    a ``quality.residue_mode`` under a ``position_method`` other than
+    ``"least_squares"``, the only solve that damps residues.
     """
 
     traversal: Traversal = Traversal.CHAINED_DIAGONAL
@@ -169,6 +171,12 @@ class StitchOptions:
         check_number("retry_backoff", self.retry_backoff, Real, 0)
         _check_choice("position_method", self.position_method, POSITION_METHODS)
         _check_choice("on_tile_error", self.on_tile_error, TILE_ERROR_POLICIES)
+        damping = self.quality.residue_mode if self.quality else "none"
+        if damping != "none" and self.position_method != "least_squares":
+            raise ValueError(
+                f"residue_mode {damping!r} needs position_method 'least_squares' "
+                f"(got {self.position_method!r}: that solve damps no residue)"
+            )
         if self.impl not in SCHEDULERS:
             raise ValueError(
                 f"unknown impl {self.impl!r} (choose from {sorted(SCHEDULERS)})"

@@ -16,10 +16,11 @@ global solve, which pairs are trustworthy:
   repeatable step) -- catches confidently-wrong matches such as a
   content shift, which correlate well at the *wrong* offset.
 
-A pair failing any gate is *demoted*, not dropped: the solvers in
-:mod:`repro.core.global_opt` replace its measurement with the stage
-model's nominal prediction at a token weight, so the graph stays
-connected but the bad measurement stops pulling on its neighbours.
+A pair failing any gate is *demoted*, not dropped: the edge table of
+:mod:`repro.core.global_opt` replaces its measurement with the stage
+model's nominal prediction and the solvers give it a token weight, so
+the graph stays connected but the bad measurement stops pulling on its
+neighbours.
 Ungated pairs keep their exact correlation as the confidence score, so
 a clean grid solves bit-identically to the ungated code path.
 

@@ -1,12 +1,18 @@
 """Phase 2: MST selection and least-squares adjustment."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.displacement import DisplacementResult, Translation
-from repro.core.global_opt import _build_graph, resolve_absolute_positions
-from repro.core.quality_gate import QualityConfig
+from repro.core.global_opt import (
+    _edge_table,
+    estimate_nominal_step,
+    resolve_absolute_positions,
+)
+from repro.core.quality_gate import QualityConfig, assess_quality, finite_correlation
 
 
 def exact_displacements(positions: np.ndarray, corr: float = 1.0) -> DisplacementResult:
@@ -120,6 +126,14 @@ class TestInterface:
                 exact_displacements(random_positions(2, 2, 0)), "magic"
             )
 
+    def test_method_is_checked_before_anything_is_built(self, monkeypatch):
+        monkeypatch.setattr("repro.core.global_opt.assess_quality", None)
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
+            resolve_absolute_positions(
+                exact_displacements(random_positions(2, 2, 0)), "magic",
+                quality=QualityConfig(),
+            )
+
     def test_mosaic_shape(self):
         pos = random_positions(2, 3, seed=6, step=40, jitter=0)
         gp = resolve_absolute_positions(exact_displacements(pos), "mst")
@@ -136,11 +150,11 @@ class TestInterface:
 class TestNonFiniteCorrelations:
     """Regression: NaN correlations used to poison the solvers.
 
-    ``_build_graph`` computed ``1.0 - nan`` as an MST edge weight
-    (corrupting spanning-tree selection), and the least-squares weight
+    The MST edge weight was computed as ``1.0 - nan`` (corrupting
+    spanning-tree selection), and the least-squares weight
     ``max(min_weight, (nan + 1) / 2)`` survived only by ``max()``'s
-    argument-order behaviour with NaN.  Both now clamp to a finite floor
-    first.
+    argument-order behaviour with NaN.  Both now derive from the edge
+    table's ``confidence``, clamped to a finite floor first.
     """
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -149,10 +163,15 @@ class TestNonFiniteCorrelations:
         disp = exact_displacements(pos)
         t = disp.west[1][1]
         disp.west[1][1] = Translation(bad, t.tx, t.ty)
-        g = _build_graph(disp)
-        assert all(
-            np.isfinite(data["weight"]) for _, _, data in g.edges(data=True)
-        )
+        table = _edge_table(disp, None)
+        assert len(table) == 4
+        assert all(np.isfinite(1.0 - e.confidence) for e in table)
+
+    def test_tree_correlation_is_finite_over_a_nan_bridge(self):
+        disp = DisplacementResult.empty(1, 2)
+        disp.west[0][1] = Translation(float("nan"), 10, 0)
+        gp = resolve_absolute_positions(disp, "mst")
+        assert gp.spanning_tree_correlation == -1.0  # the clamped floor
 
     @pytest.mark.parametrize("method", ["mst", "least_squares"])
     def test_nan_edge_avoided_like_worst_correlation(self, method):
@@ -275,3 +294,190 @@ class TestQualityGatedSolve:
         # The demoted edge places the tile on the stage model's step, not
         # at the garbage measurement.
         assert np.abs(gp.positions).max() < 200
+
+
+# -- oracles: phase 2 against references that share no code with it ----------
+#
+# ``resolve_absolute_positions`` hands both solvers one edge table, so
+# checking them against each other proves nothing about the table.  The
+# references below rebuild the system pair by pair: the spanning tree with
+# the graph library phase 2 used to run on (tie order included -- it is a
+# contract, noise-free overlaps all score exactly 1.0), least squares as a
+# dense ``lstsq`` of the weighted equations.
+
+NOMINAL_STEP = ((0.0, 50.0), (50.0, 0.0))
+
+
+def oracle_grid(seed, style, holes, subpixel):
+    """A seeded grid: tied correlations, outliers to demote, optional holes."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(n) for n in rng.integers(2, 7, 2))
+    pos = random_positions(rows, cols, seed)
+    palette = {"equal": [1.0], "partly": [1.0, 1.0, 0.9, 0.2, -1.0],
+               "trusted": [1.0, 0.9, 0.6]}[style]
+    disp = DisplacementResult.empty(rows, cols)
+    for r, c in np.ndindex(rows, cols):
+        for arr, (pr, pc) in ((disp.west, (r, c - 1)), (disp.north, (r - 1, c))):
+            if min(pr, pc) < 0 or (holes and rng.random() < 0.3):
+                continue
+            dy, dx = pos[r, c] - pos[pr, pc]
+            if rng.random() < 0.15:  # confidently wrong: what the stage gate demotes
+                dy, dx = (dy, dx) + rng.integers(-40, 40, 2)
+            corr = float(rng.choice(palette))
+            if subpixel:
+                fy, fx = rng.uniform(-0.5, 0.5, 2)
+                arr[r][c] = Translation(corr, int(dx), int(dy), float(dx + fx), float(dy + fy))
+            else:
+                arr[r][c] = Translation(corr, int(dx), int(dy))
+    return disp
+
+
+def reference_edges(disp, quality):
+    """``(u, v, translation, confidence, gated)`` per pair, demotion applied."""
+    assessment = assess_quality(disp, quality) if quality else None
+    for r, c in np.ndindex(disp.rows, disp.cols):
+        for direction, u, t in (("west", (r, c - 1), disp.west[r][c]),
+                                ("north", (r - 1, c), disp.north[r][c])):
+            if t is None:
+                continue
+            confidence = finite_correlation(t.correlation)
+            q = assessment.quality(direction, r, c) if assessment else None
+            gated = q is not None and q.gated
+            if gated:
+                dy, dx = assessment.nominal_translation(direction)
+                t = Translation(0.0, int(round(dx)), int(round(dy)), float(dx), float(dy))
+            yield u, (r, c), t, confidence, gated
+
+
+def step_of(t, subpixel):
+    return np.array((t.fy, t.fx) if subpixel else (t.ty, t.tx), dtype=np.float64)
+
+
+def nominal_at(rc, disp):
+    (wy, wx), (ny, nx_) = estimate_nominal_step(disp, NOMINAL_STEP)
+    return np.array([rc[0] * ny + rc[1] * wy, rc[0] * nx_ + rc[1] * wx])
+
+
+def networkx_mst(disp, quality, subpixel):
+    """Phase 2 as the parent commit ran it: graph, library MST, path sums."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    for u, v, t, confidence, gated in reference_edges(disp, quality):
+        g.add_edge(u, v, weight=(2.0 if gated else 0.0) + (1.0 - confidence),
+                   t=t, forward=(u, v))
+    g.add_nodes_from(np.ndindex(disp.rows, disp.cols))
+    tree = nx.minimum_spanning_tree(g, weight="weight")
+    pos = np.zeros((disp.rows, disp.cols, 2))
+    degraded = np.zeros((disp.rows, disp.cols), dtype=bool)
+    gated_in_tree = 0
+    for comp in nx.connected_components(g):
+        root = min(comp)
+        degraded[tuple(zip(*comp))] = root != (0, 0)
+        if degraded[root]:
+            pos[root] = nominal_at(root, disp)
+        for u, v in nx.dfs_edges(tree, root):
+            data = tree.edges[u, v]
+            sign = 1.0 if data["forward"] == (u, v) else -1.0
+            pos[v] = pos[u] + sign * step_of(data["t"], subpixel)
+            gated_in_tree += data["weight"] > 2.0
+    pos -= pos.reshape(-1, 2).min(axis=0)
+    return np.rint(pos).astype(np.int64), pos, degraded, gated_in_tree
+
+
+MST_MATRIX = list(itertools.product(
+    range(6), ["equal", "partly"], [False, True], [None, QualityConfig()], [False, True]))
+
+
+def mst_case_id(seed, style, holes, quality, subpixel):
+    return "-".join([str(seed), style, "holes" if holes else "full",
+                     "gate" if quality else "nogate",
+                     "subpixel" if subpixel else "integer"])
+
+
+@pytest.mark.parametrize("seed,style,holes,quality,subpixel", MST_MATRIX,
+                         ids=[mst_case_id(*case) for case in MST_MATRIX])
+def test_mst_equals_the_graph_library_oracle(seed, style, holes, quality, subpixel):
+    disp = oracle_grid(seed, style, holes, subpixel)
+    positions, positions_f, degraded, gated_in_tree = networkx_mst(disp, quality, subpixel)
+    gp = resolve_absolute_positions(
+        disp, "mst", subpixel=subpixel, quality=quality,
+        on_disconnected="nominal", nominal_step=NOMINAL_STEP)
+    assert np.array_equal(gp.positions, positions)
+    if subpixel:
+        assert np.array_equal(gp.positions_f, positions_f)
+    assert np.array_equal(
+        gp.degraded if gp.degraded is not None else np.zeros_like(degraded), degraded)
+    if quality:
+        assert gp.quality_report["gated_edges_in_tree"] == gated_in_tree
+
+
+def dense_least_squares(disp, quality, damping=None):
+    """Sub-pixel positions from a dense ``lstsq`` of the weighted system."""
+    edges = list(reference_edges(disp, quality))
+    n = disp.rows * disp.cols
+    stranded = sorted(set(np.ndindex(disp.rows, disp.cols)) - anchor_component(edges))
+    a = np.zeros((len(edges) + 1 + len(stranded), n))
+    b = np.zeros((len(a), 2))
+    for k, (u, v, t, confidence, gated) in enumerate(edges):
+        w = quality.gate_weight if gated else max(1e-3, (confidence + 1.0) / 2.0)
+        if damping is not None and not gated:
+            w *= damping(t, u, v)
+        a[k, v[0] * disp.cols + v[1]], a[k, u[0] * disp.cols + u[1]] = w, -w
+        b[k] = w * step_of(t, True)
+    a[len(edges), 0] = 1.0
+    for k, rc in enumerate(stranded, len(edges) + 1):
+        a[k, rc[0] * disp.cols + rc[1]] = 1e-6
+        b[k] = 1e-6 * nominal_at(rc, disp)
+    pos = np.linalg.lstsq(a, b, rcond=None)[0].reshape(disp.rows, disp.cols, 2)
+    return pos - pos.reshape(-1, 2).min(axis=0)
+
+
+def anchor_component(edges):
+    seen, grew = {(0, 0)}, True
+    while grew:
+        grew = False
+        for u, v, *_ in edges:
+            if (u in seen) != (v in seen):
+                seen |= {u, v}
+                grew = True
+    return seen
+
+
+@pytest.mark.parametrize("quality", [None, QualityConfig()], ids=["nogate", "gate"])
+@pytest.mark.parametrize("seed", range(6))
+def test_least_squares_equals_the_dense_solve(seed, quality):
+    disp = oracle_grid(seed, "trusted", holes=False, subpixel=True)
+    gp = resolve_absolute_positions(disp, "least_squares", subpixel=True, quality=quality)
+    assert np.abs(gp.positions_f - dense_least_squares(disp, quality)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("quality", [None, QualityConfig()], ids=["nogate", "gate"])
+def test_least_squares_with_a_stranded_component_equals_the_dense_solve(quality):
+    # Two tiles cut off together: only their 1e-6-weight prior rows tie them
+    # to the grid, which lsqr resolves loosely -- hence the wider bound (and
+    # on other seeds it stops at its iteration limit first, far from it).
+    disp = oracle_grid(1, "trusted", holes=False, subpixel=True)
+    rows, cols = disp.rows, disp.cols
+    disp.north[rows - 1][cols - 1] = disp.north[rows - 1][cols - 2] = None
+    disp.west[rows - 1][cols - 2] = None
+    gp = resolve_absolute_positions(
+        disp, "least_squares", subpixel=True, quality=quality,
+        on_disconnected="nominal", nominal_step=NOMINAL_STEP)
+    assert gp.degraded_tiles() == [(rows - 1, cols - 2), (rows - 1, cols - 1)]
+    assert np.abs(gp.positions_f - dense_least_squares(disp, quality)).max() <= 1e-3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_huber_run_is_a_fixed_point_of_the_dense_solve(seed):
+    """The dense solve under the damping the run converged to reproduces it."""
+    quality = QualityConfig(stage_radius=100.0, residue_mode="huber")
+    disp = oracle_grid(seed, "trusted", holes=False, subpixel=True)
+    gp = resolve_absolute_positions(disp, "least_squares", subpixel=True, quality=quality)
+    assert gp.quality_report["residue_damped_edges"] >= 1
+
+    def damping(t, u, v):
+        residual = np.hypot(*(gp.positions_f[v] - gp.positions_f[u] - step_of(t, True)))
+        return min(1.0, quality.residue_len / max(residual, 1e-12))
+
+    dense = dense_least_squares(disp, quality, damping)
+    assert np.abs(gp.positions_f - dense).max() <= 1e-4

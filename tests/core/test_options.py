@@ -83,6 +83,12 @@ REFUSED = [
     ({"on_tile_error": "bogus"}, ["--on-tile-error", "bogus"], "on_tile_error"),
     ({"conf_thresh": "x"}, ["--conf-thresh", "x"], "conf_thresh"),
     ({"residue_mode": "bogus"}, ["--residue-mode", "bogus"], "residue_mode"),
+    # Only the least-squares solve damps residues; "mst" used to drop the mode.
+    ({"residue_mode": "huber"}, ["--residue-mode", "huber"],
+     "residue_mode 'huber' needs position_method 'least_squares'"),
+    ({"position_method": "mst", "quality": True, "residue_mode": "threshold"},
+     ["--positions", "mst", "--quality-gate", "--residue-mode", "threshold"],
+     "residue_mode 'threshold' needs position_method"),
     ({"coarse_scale": 7}, ["--coarse-scale", "7"],
      r"coarse scale must be in \(0, 0.5\]"),
     ({"quality": "false"}, None, "quality"),
@@ -173,9 +179,10 @@ def test_resume_mode_checked_at_construction(tmp_path):
 def test_keywords_override_an_options_value():
     base = StitchOptions(n_peaks=3, quality=QualityConfig(conf_thresh=0.4))
     assert Stitcher(base).options is base
-    merged = Stitcher(base, residue_mode="huber", subpixel=True).options
+    merged = Stitcher(base, residue_mode="huber", subpixel=True,
+                      position_method="least_squares").options
     assert merged == StitchOptions(
-        n_peaks=3, subpixel=True,
+        n_peaks=3, subpixel=True, position_method="least_squares",
         quality=QualityConfig(conf_thresh=0.4, residue_mode="huber"),
     )
     with pytest.raises(TypeError, match="StitchOptions"):

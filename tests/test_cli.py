@@ -190,6 +190,11 @@ class TestRobustnessFlags:
                      "--min-peak-ratio", "1.0"]) == 0
         assert "quality gate:" in capsys.readouterr().out
 
+    def test_residue_mode_without_least_squares_is_a_usage_error(self, ds_dir, capsys):
+        assert main(["stitch", str(ds_dir), "--residue-mode", "huber"]) == 2
+        err = capsys.readouterr().err
+        assert "--residue-mode huber needs --positions least_squares" in err
+
     def test_quality_gate_on_impl_path(self, ds_dir, capsys):
         assert main(["stitch", str(ds_dir), "--impl", "mt-cpu",
                      "--quality-gate"]) == 0

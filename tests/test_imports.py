@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 LAZY = ("scipy.sparse", "repro.synth", "repro.impls", "repro.service")
+#: Not a dependency: only the phase-2 oracle in tests/core imports it.
+NEVER = "networkx"
 
 
 def run(code: str) -> str:
@@ -21,9 +23,20 @@ def test_default_stitcher_imports_no_optional_subsystem():
     out = run(
         "import sys, repro\n"
         "repro.Stitcher()\n"
-        f"print([m for m in {LAZY!r} if m in sys.modules])\n"
+        f"print([m for m in {LAZY + (NEVER,)!r} if m in sys.modules])\n"
     )
     assert out.strip() == "[]"
+
+
+def test_a_complete_default_stitch_never_imports_the_graph_library(tmp_path):
+    out = run(
+        "import sys, repro\n"
+        f"ds = repro.make_synthetic_dataset({str(tmp_path)!r}, rows=2, cols=2,\n"
+        "    tile_height=48, tile_width=48, overlap=0.25, seed=1)\n"
+        "res = repro.Stitcher().stitch(ds)\n"
+        f"print(res.positions.positions.shape, {NEVER!r} in sys.modules)\n"
+    )
+    assert out.strip() == "(2, 2, 2) False"
 
 
 def test_make_synthetic_dataset_still_served_from_the_package():
@@ -55,6 +68,7 @@ def test_least_squares_imports_the_sparse_solver_itself():
         "disp = DisplacementResult.empty(1, 2)\n"
         "disp.west[0][1] = Translation(0.9, 10, 0)\n"
         "pos = resolve_absolute_positions(disp, method='least_squares')\n"
-        "print(pos.positions.tolist(), 'scipy.sparse.linalg' in sys.modules)\n"
+        "print(pos.positions.tolist(), 'scipy.sparse.linalg' in sys.modules,\n"
+        f"      {NEVER!r} in sys.modules)\n"
     )
-    assert out.strip() == "[[[0, 0], [0, 10]]] True"
+    assert out.strip() == "[[[0, 0], [0, 10]]] True False"
