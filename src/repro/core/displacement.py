@@ -4,7 +4,9 @@ This is the sequential *reference* schedule -- the ground truth against
 which every other scheduler in :mod:`repro.impls` is checked.  It computes
 each tile's products once, reuses them across the tile's incident pairs,
 and frees them under the paper's early-release policy driven by the
-traversal order (Section IV.A).  What is computed per tile and per pair
+traversal order (Section IV.A) -- the ledger
+:class:`~repro.grid.ledger.PairBookkeeper` every memory-freeing scheduler
+shares.  What is computed per tile and per pair
 lives in :mod:`repro.core.kernel`, shared with every other scheduler.
 
 Every traversal step has two halves: the *tile stage* reads the tile under
@@ -26,7 +28,8 @@ from contextlib import ExitStack, contextmanager
 from typing import NamedTuple
 
 from repro.core.kernel import DisplacementResult, Phase1Kernel, Translation
-from repro.grid.neighbors import grid_pairs, pairs_for_tile
+from repro.grid.ledger import PairBookkeeper
+from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import Traversal, traverse
 from repro.pipeline.graph import aggregate_failures
@@ -77,8 +80,6 @@ class _TileStep(NamedTuple):
     pos: GridPosition
     #: ``None``: nothing left to compute for this tile, or it was dropped.
     products: tuple | None = None
-    #: Pairs that can never be computed because this tile was dropped.
-    lost: tuple = ()
     #: Why it was dropped (the journal's forensic record), else ``None``.
     dropped: str | None = None
 
@@ -197,20 +198,70 @@ def compute_grid_displacements(
     if kernel.coarse is not None:
         stats["coarse_hits"] = 0
         stats["full_fallbacks"] = 0
-    # Resume: serve journaled pairs up front so the traversal below skips
-    # their computation (and the loads of tiles with nothing left to do).
-    journaled = frozenset(
+    # Resume: serve journaled pairs up front; the ledger below covers only
+    # the rest, so the traversal skips their computation (and the loads of
+    # tiles with nothing left to do).
+    fresh = frozenset(
         pair for pair in grid_pairs(grid)
-        if kernel.serve_journaled(
+        if not kernel.serve_journaled(
             result, pair.direction, pair.second.row, pair.second.col, stats
         )
     )
+
+    # -- pair stage: owns products, the ledger and the journal ---------------
+
+    products: dict[GridPosition, tuple] = {}
+    built = released = 0  # products built by the tile stage / freed here
+
+    def release(pos: GridPosition) -> None:
+        nonlocal released
+        del products[pos]
+        released += 1
+
+    # The early-release ledger over the pairs still to compute.  Only the
+    # pair stage feeds it; the tile stage reads nothing but its incident
+    # lists, which never change.
+    ledger = PairBookkeeper(grid, pairs=fresh, release=release)
+    # One workspace for the whole run: pairs are processed one at a time,
+    # so a single scratch set serves every pair (built once the first
+    # pair reveals the native tile shape).
+    arena = workspace = None
+
+    def register(step: _TileStep) -> None:
+        nonlocal arena, workspace
+        pos = step.pos
+        if step.dropped is not None:
+            if kernel.journal is not None:
+                # What kernel.read() would have journaled, at this step's turn.
+                kernel.journal.record_skipped_tile(pos.row, pos.col, step.dropped)
+            # Its pairs are cancelled, so surviving neighbours still free.
+            ledger.tile_failed(pos)
+            return
+        if step.products is None:
+            return
+        products[pos] = step.products
+        for pair in ledger.transform_ready(pos):
+            first, second = products[pair.first], products[pair.second]
+            if workspace is None:
+                arena = kernel.arena(first[0].shape, count=1)
+                workspace = arena.acquire()
+                stats["workspace_bytes"] = arena.bytes_per_workspace
+            # The span says which path produced the pair ("coarse" /
+            # "fallback", None = single pass) next to what it cost.
+            args = {} if tracer.enabled else None
+            with tracer.span("pair", PAIR_TRACK, key=str(pair), args=args):
+                t = kernel.register_pair(
+                    result, pair.direction, pair.second.row, pair.second.col,
+                    first, second, workspace, stats,
+                )
+                if args is not None:
+                    args["provenance"] = t.provenance
+            ledger.pair_completed(pair)
 
     # -- tile stage: owns failed_tiles and the read side of the books --------
 
     failed_tiles: set[GridPosition] = set()
     n_skipped = 0
-    built = released = 0  # products built here / dropped by the pair stage
 
     def build(pos: GridPosition) -> _TileStep:
         nonlocal n_skipped, built
@@ -218,9 +269,8 @@ def compute_grid_displacements(
         # at an earlier step.  Decided from what this stage alone writes,
         # never from the pair stage's progress.
         todo = tuple(
-            p for p in pairs_for_tile(grid, pos.row, pos.col)
-            if p not in journaled
-            and (p.first if p.second == pos else p.second) not in failed_tiles
+            p for p in ledger.incident(pos)
+            if (p.first if p.second == pos else p.second) not in failed_tiles
         )
         if not todo:
             return _TileStep(pos)  # contributes nothing: don't even read it
@@ -238,7 +288,7 @@ def compute_grid_displacements(
             failed_tiles.add(pos)
             n_skipped += len(todo)
             kernel.skip_tile_pairs(pos, todo)
-            return _TileStep(pos, lost=todo, dropped=dropped)
+            return _TileStep(pos, dropped=dropped)
         stats["reads"] += 1
         products = kernel.products(pixels, stats, track=TILE_TRACK, key=key)
         built += 1
@@ -246,60 +296,6 @@ def compute_grid_displacements(
             stats["peak_live_transforms"], built - released
         )
         return _TileStep(pos, products)
-
-    # -- pair stage: owns products, pairs_done and the journal ---------------
-
-    products: dict[GridPosition, tuple] = {}
-    pairs_done = set(journaled)
-    # One workspace for the whole run: pairs are processed one at a time,
-    # so a single scratch set serves every pair (built once the first
-    # pair reveals the native tile shape).
-    arena = workspace = None
-
-    def maybe_release(pos: GridPosition) -> None:
-        nonlocal released
-        if pos in products and all(
-            p in pairs_done for p in pairs_for_tile(grid, pos.row, pos.col)
-        ):
-            del products[pos]
-            released += 1
-
-    def register(step: _TileStep) -> None:
-        nonlocal arena, workspace
-        pos = step.pos
-        if step.dropped is not None and kernel.journal is not None:
-            # What kernel.read() would have journaled, at this step's turn.
-            kernel.journal.record_skipped_tile(pos.row, pos.col, step.dropped)
-        # A dropped tile's pairs count as done so the early-free policy
-        # still releases the surviving neighbours.
-        pairs_done.update(step.lost)
-        if step.products is not None:
-            products[pos] = step.products
-        for pair in pairs_for_tile(grid, pos.row, pos.col):
-            if pair in pairs_done:
-                continue
-            first, second = products.get(pair.first), products.get(pair.second)
-            if first is None or second is None:
-                continue
-            if workspace is None:
-                arena = kernel.arena(first[0].shape, count=1)
-                workspace = arena.acquire()
-                stats["workspace_bytes"] = arena.bytes_per_workspace
-            # The span says which path produced the pair ("coarse" /
-            # "fallback", None = single pass) next to what it cost.
-            args = {} if tracer.enabled else None
-            with tracer.span("pair", PAIR_TRACK, key=str(pair), args=args):
-                t = kernel.register_pair(
-                    result, pair.direction, pair.second.row, pair.second.col,
-                    first, second, workspace, stats,
-                )
-                if args is not None:
-                    args["provenance"] = t.provenance
-            pairs_done.add(pair)
-        # Release this tile and any neighbour that just completed.
-        maybe_release(pos)
-        for pair in pairs_for_tile(grid, pos.row, pos.col):
-            maybe_release(pair.first if pair.second == pos else pair.second)
 
     # -- the schedule ----------------------------------------------------------
 

@@ -6,11 +6,13 @@ is governed by the *order* in which tiles are visited (Section IV.A: the
 chained-diagonal traversal frees transform memory earliest and is the
 default) and by the 4-neighbour adjacency that defines which relative
 displacements exist (Fig. 4: one *west* and one *north* translation per
-tile, where present).
+tile, where present).  :class:`PairBookkeeper` is the early-release
+ledger over those pairs that every memory-freeing scheduler runs on.
 """
 
-from repro.grid.tile_grid import TileGrid, GridPosition
+from repro.grid.tile_grid import TileGrid, GridPosition, split_range
 from repro.grid.neighbors import Direction, Pair, grid_pairs, pairs_for_tile
+from repro.grid.ledger import PairBookkeeper
 from repro.grid.traversal import (
     Traversal,
     traverse,
@@ -21,10 +23,12 @@ from repro.grid.traversal import (
 __all__ = [
     "TileGrid",
     "GridPosition",
+    "split_range",
     "Direction",
     "Pair",
     "grid_pairs",
     "pairs_for_tile",
+    "PairBookkeeper",
     "Traversal",
     "traverse",
     "peak_live_transforms",

@@ -139,3 +139,20 @@ class TileGrid:
         for r in range(self.rows):
             for c in range(self.cols):
                 yield GridPosition(r, c)
+
+
+def split_range(n: int, parts: int) -> list[tuple[int, int]]:
+    """Split ``range(n)`` into ``min(parts, n)`` contiguous ``[lo, hi)``
+    ranges whose sizes differ by at most one, the larger ones first.
+
+    The spatial decomposition of every partitioned scheduler: MT-CPU's and
+    Proc-CPU's row bands, the per-GPU and per-socket column partitions.
+    """
+    parts = min(parts, n)
+    base, extra = divmod(n, parts)
+    out, lo = [], 0
+    for k in range(parts):
+        hi = lo + base + (1 if k < extra else 0)
+        out.append((lo, hi))
+        lo = hi
+    return out

@@ -14,6 +14,10 @@ forward spectrum, tile statistics) exactly once and shares them with both
 adjacent bands -- tiles and their products are read-only, so threads share
 them for free.  Every tile is read and transformed exactly once:
 ``duplicated_boundary_reads`` is 0 by construction.
+
+:func:`row_products` and :func:`band_pairs` are the SPMD band loop itself,
+shared with :class:`~repro.impls.proc_cpu.ProcCpu`; the two schedulers
+differ only in where results go and where boundary rows come from.
 """
 
 from __future__ import annotations
@@ -22,21 +26,78 @@ import threading
 
 from repro.core.displacement import DisplacementResult
 from repro.grid.neighbors import Direction
+from repro.grid.tile_grid import split_range
 from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 
 
-def row_bands(rows: int, workers: int) -> list[tuple[int, int]]:
-    """Split ``rows`` into ``<= workers`` contiguous ``[r0, r1)`` bands."""
-    workers = min(workers, rows)
-    base, extra = divmod(rows, workers)
-    bands = []
-    r0 = 0
-    for k in range(workers):
-        r1 = r0 + base + (1 if k < extra else 0)
-        bands.append((r0, r1))
-        r0 = r1
-    return bands
+def row_products(kernel, dataset: TileDataset, r: int, local: dict,
+                 track: str, fft_batch: int | None = None) -> list:
+    """Load + transform grid row ``r``: ``[(tile, fft, stats) | None] * cols``.
+
+    ``None`` marks a tile a skip policy dropped.  With ``fft_batch`` the
+    tiles go ``fft_batch`` at a time through one batched forward FFT
+    (slices are bit-identical to the per-tile transform); without, one by
+    one through :meth:`~repro.core.kernel.Phase1Kernel.products`.
+    ``local`` must hold a ``reads`` counter.
+    """
+    cols = dataset.cols
+    step = fft_batch or 1
+    entries: list[tuple | None] = [None] * cols
+    for c0 in range(0, cols, step):
+        c1 = min(c0 + step, cols)
+        with kernel.tracer.span("read", track, key=f"row{r}[{c0}:{c1}]"):
+            tiles = {c: kernel.read(dataset.load, r, c) for c in range(c0, c1)}
+        live = [c for c, tile in tiles.items() if tile is not None]
+        if not live:
+            continue
+        local["reads"] += len(live)
+        with kernel.tracer.span("fft", track, key=f"row{r}x{len(live)}"):
+            if fft_batch is None:
+                products = [kernel.products(tiles[c], local) for c in live]
+            else:
+                products = kernel.batch_products([tiles[c] for c in live], local)
+        for c, entry in zip(live, products):
+            entries[c] = entry
+    return entries
+
+
+def band_pairs(kernel, sink, r0: int, r1: int, cols: int, row, workspace,
+               local: dict, track: str) -> None:
+    """Register every pair owned by the row band ``[r0, r1)``.
+
+    West pairs within rows ``>= r0``, north pairs down into the band --
+    including from row ``r0 - 1``, the band above's boundary row.  Rows
+    are visited top to bottom with a 2-row sliding window, so the band's
+    working set is two rows of products regardless of its height.
+    ``row(r)`` supplies row ``r``'s :func:`row_products` entries; results
+    go to ``sink`` (anything with ``DisplacementResult.set``).  Each pair
+    is owned by exactly one band, so serving it from the journal here
+    neither races nor double-records.
+    """
+
+    def pair(direction, r, c, first, second) -> None:
+        if kernel.serve_journaled(sink, direction, r, c, local):
+            return
+        if first is None or second is None:
+            kernel.note_skipped_pair(direction, r, c, "member tile unreadable")
+            return
+        key = f"{direction.name.lower()}({r},{c})"
+        with kernel.tracer.span("pair", track, key=key):
+            kernel.register_pair(
+                sink, direction, r, c, first, second, workspace, local
+            )
+
+    prev_row: list[tuple | None] | None = None
+    for r in range(max(r0 - 1, 0), r1):
+        cur_row = row(r)
+        if r >= r0:
+            for c in range(cols):
+                if c > 0:
+                    pair(Direction.WEST, r, c, cur_row[c - 1], cur_row[c])
+                if prev_row is not None:
+                    pair(Direction.NORTH, r, c, prev_row[c], cur_row[c])
+        prev_row = cur_row
 
 
 class MtCpu(Implementation):
@@ -51,35 +112,45 @@ class MtCpu(Implementation):
         self.workers = workers
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
+        kernel = self.kernel
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats_lock = threading.Lock()
         stats = {"reads": 0, "ffts": 0, "pairs": 0,
                  "duplicated_boundary_reads": 0}
         errors: list[BaseException] = []
 
-        bands = row_bands(dataset.rows, self.workers)
+        bands = split_range(dataset.rows, self.workers)
         # One pair workspace per band: each band worker processes its pairs
         # sequentially, so one scratch set per worker suffices.
-        arena = self.kernel.arena(dataset.tile_shape, count=len(bands))
+        arena = kernel.arena(dataset.tile_shape, count=len(bands))
 
         #: grid row -> shared entry list, for rows prefetched once and
         #: consumed by both adjacent bands (read-only after the barrier).
         prefetched: dict[int, list] = {}
 
         def prefetch_worker(b: int, r: int) -> None:
-            prefetched[r] = self._row_products(
-                dataset, r, stats, stats_lock, track=f"mt-cpu/boundary-{b}"
+            local = {"reads": 0}
+            prefetched[r] = row_products(
+                kernel, dataset, r, local, f"mt-cpu/boundary-{b}"
             )
+            fold_stats(stats, local, stats_lock)
 
         def band_worker(k: int, r0: int, r1: int) -> None:
+            local = {"reads": 0, "pairs": 0}
+            track = f"mt-cpu/band-{k}"
+
+            def row(r: int) -> list:
+                if r in prefetched:
+                    return prefetched[r]
+                return row_products(kernel, dataset, r, local, track)
+
             ws = arena.acquire()
             try:
-                self._band(
-                    dataset, disp, r0, r1, stats, stats_lock, k, ws,
-                    prefetched,
-                )
+                band_pairs(kernel, disp, r0, r1, dataset.cols, row, ws,
+                           local, track)
             finally:
                 arena.release(ws)
+            fold_stats(stats, local, stats_lock)
 
         def run_all(target, arg_lists) -> None:
             def guarded(*args) -> None:
@@ -109,80 +180,3 @@ class MtCpu(Implementation):
         stats["bands"] = len(bands)
         disp.stats = stats
         return disp, stats
-
-    def _row_products(self, dataset, r: int, stats, stats_lock,
-                      track: str) -> list:
-        """Load + transform one grid row; entries are ``None`` for skips
-        (their pairs are recorded as skipped and never computed)."""
-        kernel = self.kernel
-        local = {"reads": 0}
-        entries: list[tuple | None] = []
-        for c in range(dataset.cols):
-            with kernel.tracer.span("read+fft", track, key=f"({r},{c})"):
-                tile = kernel.read(dataset.load, r, c)
-                if tile is None:
-                    entries.append(None)
-                    continue
-                local["reads"] += 1
-                entries.append(kernel.products(tile, local))
-        fold_stats(stats, local, stats_lock)
-        return entries
-
-    def _band(
-        self,
-        dataset: TileDataset,
-        disp: DisplacementResult,
-        r0: int,
-        r1: int,
-        stats: dict,
-        stats_lock: threading.Lock,
-        band: int,
-        workspace,
-        prefetched: dict,
-    ) -> None:
-        """Sequential pass over rows [r0, r1) with a 2-row sliding window.
-
-        Row-major traversal within the band: computing row ``r`` needs only
-        rows ``r-1`` and ``r`` live, so the band's working set is two rows
-        of transforms (plus tile statistics) regardless of band height.
-        Rows present in ``prefetched`` (the shared boundary rows) are
-        consumed in place -- no read, no FFT.
-        """
-        kernel = self.kernel
-        local = {"pairs": 0}
-        prev_row: list[tuple | None] | None = None
-        track = f"mt-cpu/band-{band}"
-
-        def pair(direction, r, c, first, second) -> None:
-            # Each pair is owned by exactly one band, so serving it from
-            # the journal here neither races nor double-records.
-            if kernel.serve_journaled(disp, direction, r, c, local):
-                return
-            if first is None or second is None:
-                kernel.note_skipped_pair(
-                    direction, r, c, "member tile unreadable"
-                )
-                return
-            key = f"{direction.name.lower()}({r},{c})"
-            with kernel.tracer.span("pair", track, key=key):
-                kernel.register_pair(
-                    disp, direction, r, c, first, second, workspace, local
-                )
-
-        start = r0 - 1 if r0 > 0 else r0  # include boundary row from the band above
-        for r in range(start, r1):
-            cur_row = prefetched.get(r)
-            if cur_row is None:
-                cur_row = self._row_products(
-                    dataset, r, stats, stats_lock, track
-                )
-            if r >= r0:
-                for c in range(dataset.cols):
-                    # West pair within this row (owned by this band).
-                    if c > 0:
-                        pair(Direction.WEST, r, c, cur_row[c - 1], cur_row[c])
-                    # North pair down from the previous row.
-                    if prev_row is not None:
-                        pair(Direction.NORTH, r, c, prev_row[c], cur_row[c])
-            prev_row = cur_row
-        fold_stats(stats, local, stats_lock)

@@ -14,9 +14,10 @@ Topology (queues are bounded monitor queues)::
 The compute stage handles two item kinds: a *tile* item is FFT'd into a
 pool slot; a *pair* item runs the displacement computation (NCC, inverse
 FFT, reduction, CCFs).  The bookkeeper is the single-threaded state
-machine (:class:`repro.pipeline.PairBookkeeper`): it turns FFT-ready
-events into pair work and pair completions into pool releases, and closes
-the queues when the last pair completes.
+machine: it feeds FFT-ready events, pair completions and dropped tiles
+to the early-release ledger (:class:`repro.grid.ledger.PairBookkeeper`),
+turns the pairs it emits into pair work and the tiles it frees into pool
+releases, and closes the queues when the last pair completes.
 
 The transform pool bounds memory exactly as on the GPU: if it is sized
 below the traversal wavefront the reader stalls; the default
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.displacement import DisplacementResult
+from repro.grid.ledger import PairBookkeeper
 from repro.grid.neighbors import Pair
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import Traversal, traverse
@@ -39,7 +41,6 @@ from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 from repro.memmodel.pool import BufferPool, PoolExhausted
 from repro.memmodel.workspace import ThreadLocalWorkspaces
-from repro.pipeline.bookkeeper import PairBookkeeper
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
 from repro.recovery.cancel import ItemCancelled
@@ -304,37 +305,34 @@ class PipelinedCpu(Implementation):
             fold_stats(stats, local, stats_lock)
             return None
 
-        def release_tiles(freed) -> None:
-            for pos in freed:
-                with state_lock:
-                    slot = slots.pop(pos)
-                    products.pop(pos)
-                pool.release(slot)
-            if bk.all_pairs_completed():
-                q_work.close()
-                q_events.close()
+        def release_tile(pos: GridPosition) -> None:
+            with state_lock:
+                slot = slots.pop(pos)
+                products.pop(pos)
+            pool.release(slot)
+
+        bk.release = release_tile
 
         def bookkeeper(event, _ctx):
             if isinstance(event, _FftDone):
                 for pair in bk.transform_ready(event.pos):
                     q_work.put(_PairItem(pair))
-                # All of this tile's pairs were cancelled by failed
-                # neighbours: its slot will never be consumed by pair work.
-                release_tiles([event.pos] if bk.releasable(event.pos) else [])
             elif isinstance(event, _PairDone):
-                release_tiles(bk.pair_completed(event.pair))
+                bk.pair_completed(event.pair)
             elif isinstance(event, _PairFailed):
                 pair = event.pair
                 kernel.note_skipped_pair(
                     pair.direction, pair.second.row, pair.second.col,
                     "pair computation cancelled",
                 )
-                release_tiles(bk.pair_failed(pair))
+                bk.pair_failed(pair)
             elif isinstance(event, _TileFailed):
-                kernel.skip_tile_pairs(event.pos, bk.incident(event.pos))
-                release_tiles(bk.tile_failed(event.pos))
+                kernel.skip_tile_pairs(event.pos, bk.tile_failed(event.pos))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unexpected event {event!r}")
+            if bk.all_pairs_completed():
+                q_work.close()
+                q_events.close()
             return None
 
         pipe.stage("reader", reader, workers=1, input=None, output=None)

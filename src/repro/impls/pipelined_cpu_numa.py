@@ -20,9 +20,8 @@ import threading
 
 from repro.core.displacement import DisplacementResult
 from repro.grid.neighbors import grid_pairs
-from repro.grid.tile_grid import TileGrid
+from repro.grid.tile_grid import TileGrid, split_range
 from repro.impls.pipelined_cpu import PipelinedCpu
-from repro.impls.pipelined_gpu import column_partitions
 from repro.io.dataset import TileDataset
 
 
@@ -47,7 +46,7 @@ class PipelinedCpuNuma(PipelinedCpu):
 
         all_pairs = list(grid_pairs(grid))
         lines = []
-        for c0, c1 in column_partitions(dataset.cols, self.sockets):
+        for c0, c1 in split_range(dataset.cols, self.sockets):
             pairs = frozenset(p for p in all_pairs if c0 <= p.second.col < c1)
             if pairs:  # none on a 1x1 grid or a pairless first column
                 lines.append(self._build_pipeline(

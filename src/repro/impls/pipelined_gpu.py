@@ -43,26 +43,14 @@ from repro.gpu.kernels import (
     reduce_max_kernel,
     rfft2_kernel,
 )
+from repro.grid.ledger import PairBookkeeper
 from repro.grid.neighbors import Pair, grid_pairs
-from repro.grid.tile_grid import GridPosition, TileGrid
+from repro.grid.tile_grid import GridPosition, TileGrid, split_range
 from repro.grid.traversal import Traversal, traverse
 from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
-from repro.pipeline.bookkeeper import PairBookkeeper
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
-
-
-def column_partitions(cols: int, n: int) -> list[tuple[int, int]]:
-    """Split ``cols`` into ``<= n`` contiguous ``[c0, c1)`` ranges."""
-    n = min(n, cols)
-    base, extra = divmod(cols, n)
-    out, c0 = [], 0
-    for k in range(n):
-        c1 = c0 + base + (1 if k < extra else 0)
-        out.append((c0, c1))
-        c0 = c1
-    return out
 
 
 @dataclass
@@ -75,7 +63,8 @@ class _TileItem:
 class _SlotItem:
     pos: GridPosition
     slot: int
-    copied_at: float = 0.0  # virtual completion time of the H2D copy
+    copied_at: float  # virtual completion time of the H2D copy
+    pixels: np.ndarray  # what a p2p export ships with the transform
 
 
 @dataclass
@@ -141,7 +130,7 @@ class PipelinedGpu(Implementation):
 
     def _partition(self, grid: TileGrid) -> list[dict]:
         """Per-GPU partition descriptors: pair subset + tile columns."""
-        ranges = column_partitions(grid.cols, len(self.devices))
+        ranges = split_range(grid.cols, len(self.devices))
         all_pairs = list(grid_pairs(grid))
         parts = []
         for k, (c0, c1) in enumerate(ranges):
@@ -293,15 +282,18 @@ class PipelinedGpu(Implementation):
             """Device transform for ``pos`` (caller holds state_lock)."""
             g = ghost_arrays.get(pos)
             return g.data if g is not None else pool.array(slots[pos])
-        # Host pixels live until CCFs of all incident pairs are done.
+        # Host pixels live until CCFs of all incident pairs are done or
+        # cancelled -- longer than the device slot, which the ledger frees
+        # once the displacement stage is through with it.
         host_refcount = {pos: len(bk.incident(pos)) for pos in my_tiles}
 
-        def host_pair_done(pair: Pair) -> None:
+        def host_pairs_done(pairs) -> None:
             with state_lock:
-                for pos in (pair.first, pair.second):
-                    host_refcount[pos] -= 1
-                    if host_refcount[pos] == 0:
-                        host.pop(pos)
+                for pair in pairs:
+                    for pos in (pair.first, pair.second):
+                        host_refcount[pos] -= 1
+                        if host_refcount[pos] == 0:
+                            host.pop(pos, None)  # None: never stored
 
         # Local traversal over the partition's tile columns.
         sub = TileGrid(grid.rows, c1 - c0)
@@ -342,9 +334,12 @@ class PipelinedGpu(Implementation):
                 ev = device.h2d(src.astype(np.complex128), pool.array(slot), stream_copy)
             entry = (item.pixels, kernel.tile_stats(item.pixels))
             with state_lock:
-                host[item.pos] = entry
+                # Not if dropped neighbours already cancelled every pair
+                # that would read it: nothing would ever pop it.
+                if host_refcount[item.pos]:
+                    host[item.pos] = entry
                 slots[item.pos] = slot
-            return _SlotItem(item.pos, slot, copied_at=ev.end)
+            return _SlotItem(item.pos, slot, ev.end, item.pixels)
 
         def fft_stage(item: _SlotItem, _ctx):
             buf = pool.array(item.slot)
@@ -364,9 +359,7 @@ class PipelinedGpu(Implementation):
             if export_col is not None and item.pos.col == export_col:
                 hook = import_hooks[index] if index < len(import_hooks) else None
                 if hook is not None:
-                    with state_lock:
-                        pix = host[item.pos][0]
-                    hook(item.pos, device, buf, ev.end, pix)
+                    hook(item.pos, device, buf, ev.end, item.pixels)
             q23.put(_FftDone(item.pos))
             return None
 
@@ -381,7 +374,8 @@ class PipelinedGpu(Implementation):
                                  not_before=ready)
             entry = (pix, kernel.tile_stats(pix))
             with state_lock:
-                host[pos] = entry
+                if host_refcount[pos]:
+                    host[pos] = entry
                 ghost_arrays[pos] = buf
                 fft_done_at[pos] = ev.end
             with stats_lock:
@@ -398,31 +392,23 @@ class PipelinedGpu(Implementation):
                 with state_lock:
                     pool.release(slots.pop(pos))
 
-        def maybe_finish() -> None:
-            if bk.all_pairs_completed():
-                q34.close()
-                q23.close()
+        bk.release = release_device_tile
 
         def bookkeeper(event, _ctx):
             if isinstance(event, _FftDone):
                 for pair in bk.transform_ready(event.pos):
                     q34.put(pair)
-                # Every incident pair cancelled by failed neighbours: the
-                # slot will never be consumed by pair work.
-                if bk.releasable(event.pos):
-                    release_device_tile(event.pos)
-                maybe_finish()
             elif isinstance(event, _PairDone):
-                for pos in bk.pair_completed(event.pair):
-                    release_device_tile(pos)
-                maybe_finish()
+                bk.pair_completed(event.pair)
             elif isinstance(event, _TileFailed):
-                kernel.skip_tile_pairs(event.pos, bk.incident(event.pos))
-                for pos in bk.tile_failed(event.pos):
-                    release_device_tile(pos)
-                maybe_finish()
+                cancelled = bk.tile_failed(event.pos)
+                kernel.skip_tile_pairs(event.pos, cancelled)
+                host_pairs_done(cancelled)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unexpected event {event!r}")
+            if bk.all_pairs_completed():
+                q34.close()
+                q23.close()
             return None
 
         def displacement(pair: Pair, ctx):
@@ -434,7 +420,7 @@ class PipelinedGpu(Implementation):
                 disp, pair.direction, pair.second.row, pair.second.col, local
             ):
                 fold_stats(stats, local, stats_lock)
-                host_pair_done(pair)
+                host_pairs_done([pair])
                 q23.put(_PairDone(pair))
                 return None
             with state_lock:
@@ -474,7 +460,7 @@ class PipelinedGpu(Implementation):
                 t, local,
             )
             fold_stats(stats, local, stats_lock)
-            host_pair_done(pair)
+            host_pairs_done([pair])
             return None
 
         pipe.stage("read", reader, workers=1, input=None, output=q01)

@@ -1,9 +1,12 @@
 """Proc-CPU: SPMD row bands over processes (GIL-free phase 1).
 
-Same spatial decomposition as :class:`~repro.impls.mt_cpu.MtCpu`, but the
-band workers are OS *processes*, so the non-numpy half of the phase-1
-loop (peak contests, CCF dispatch, bookkeeping) runs truly concurrently
-instead of serializing on the GIL.  The pieces that make that practical:
+Same spatial decomposition and the same band loop
+(:func:`~repro.impls.mt_cpu.row_products`,
+:func:`~repro.impls.mt_cpu.band_pairs`) as
+:class:`~repro.impls.mt_cpu.MtCpu`, but the band workers are OS
+*processes*, so the non-numpy half of the phase-1 loop (peak contests,
+CCF dispatch, bookkeeping) runs truly concurrently instead of
+serializing on the GIL.  The pieces that make that practical:
 
 - **fork + shared memory, zero pickling of pixels.**  Workers are forked
   from the parent after the run context (dataset handle, configuration,
@@ -60,8 +63,9 @@ from repro.core.kernel import Phase1Kernel
 from repro.core.tilestats import TileStats
 from repro.fftlib.plans import TransformKind
 from repro.grid.neighbors import Direction
+from repro.grid.tile_grid import split_range
 from repro.impls.base import Implementation
-from repro.impls.mt_cpu import row_bands
+from repro.impls.mt_cpu import band_pairs, row_products
 from repro.io.dataset import TileDataset
 from repro.memmodel.shm import ShmArena
 from repro.observe.tracer import Tracer
@@ -193,33 +197,6 @@ def _worker_init(ppid: int) -> None:
             kernel.cache.plan(shape, kind, allow_padding=False)
 
 
-def _row_products(task: _Task, r: int, local: dict) -> list:
-    """Load + transform one grid row, ``fft_batch`` tiles per FFT call.
-
-    Returns ``[(tile, fft, stats) | None] * cols`` -- the per-tile entry
-    triple every band loop consumes.
-    """
-    kernel, dataset = task.kernel, task.ctx.dataset
-    cols = dataset.cols
-    batch = task.ctx.impl.fft_batch
-    entries: list[tuple | None] = [None] * cols
-    for c0 in range(0, cols, batch):
-        c1 = min(c0 + batch, cols)
-        with task.tracer.span("read", task.track, key=f"row{r}[{c0}:{c1}]"):
-            tiles = [kernel.read(dataset.load, r, c) for c in range(c0, c1)]
-        live = [c for c, t in zip(range(c0, c1), tiles) if t is not None]
-        if not live:
-            continue
-        local["reads"] += len(live)
-        with task.tracer.span("fft", task.track, key=f"row{r}x{len(live)}"):
-            products = kernel.batch_products(
-                [tiles[c - c0] for c in live], local
-            )
-        for c, entry in zip(live, products):
-            entries[c] = entry
-    return entries
-
-
 def _slab_entry(ctx: _RunCtx, b: int, c: int):
     """Entry triple for boundary ``b``, column ``c`` from the shared slabs.
 
@@ -241,7 +218,10 @@ def _boundary_task(b: int) -> _TaskOutcome:
     task = _Task(f"proc-cpu/boundary-{b}")
     ctx = task.ctx
     local = {"reads": 0, "ffts": 0}
-    entries = _row_products(task, ctx.bands[b][1] - 1, local)
+    entries = row_products(
+        task.kernel, ctx.dataset, ctx.bands[b][1] - 1, local, task.track,
+        ctx.impl.fft_batch,
+    )
     for c, entry in enumerate(entries):
         if entry is None:
             continue
@@ -257,49 +237,31 @@ def _boundary_task(b: int) -> _TaskOutcome:
 def _band_task(k: int) -> _TaskOutcome:
     """Phase B: all pairs owned by band ``k`` (rows ``[r0, r1)``).
 
-    Traversal and pair ownership match :class:`MtCpu` exactly -- west
-    pairs within rows ``>= r0``, north pairs down into the band -- except
-    that boundary rows (the row above, and this band's own last row when
-    it is interior) come from the Phase A slabs instead of fresh reads.
+    :func:`~repro.impls.mt_cpu.band_pairs`, with boundary rows (the row
+    above, and this band's own last row when it is interior) from the
+    Phase A slabs instead of fresh reads, and the outcome as the sink.
     """
     task = _Task(f"proc-cpu/band-{k}")
-    ctx, kernel, out = task.ctx, task.kernel, task.out
+    ctx, kernel = task.ctx, task.kernel
     r0, r1 = ctx.bands[k]
     cols = ctx.dataset.cols
     local = {"reads": 0, "ffts": 0, "pairs": 0}
     workspace = kernel.arena(ctx.dataset.tile_shape, count=1).acquire()
 
-    def pair(direction, r, c, first, second) -> None:
-        if kernel.serve_journaled(out, direction, r, c, local):
-            return
-        if first is None or second is None:
-            kernel.note_skipped_pair(direction, r, c, "member tile unreadable")
-            return
-        key = f"{direction.name.lower()}({r},{c})"
-        with task.tracer.span("pair", task.track, key=key):
-            kernel.register_pair(
-                out, direction, r, c, first, second, workspace, local
-            )
-
-    prev_row: list[tuple | None] | None = None
-    start = r0 - 1 if r0 > 0 else r0
-    for r in range(start, r1):
+    def row(r: int) -> list:
         if r == r0 - 1:
             # Boundary row from the band above: published by Phase A.
-            cur_row = [_slab_entry(ctx, k - 1, c) for c in range(cols)]
-        elif r == r1 - 1 and k < len(ctx.bands) - 1:
+            return [_slab_entry(ctx, k - 1, c) for c in range(cols)]
+        if r == r1 - 1 and k < len(ctx.bands) - 1:
             # This band's own last row is the next band's boundary row;
             # Phase A already read + transformed it.
-            cur_row = [_slab_entry(ctx, k, c) for c in range(cols)]
-        else:
-            cur_row = _row_products(task, r, local)
-        if r >= r0:
-            for c in range(cols):
-                if c > 0:
-                    pair(Direction.WEST, r, c, cur_row[c - 1], cur_row[c])
-                if prev_row is not None:
-                    pair(Direction.NORTH, r, c, prev_row[c], cur_row[c])
-        prev_row = cur_row
+            return [_slab_entry(ctx, k, c) for c in range(cols)]
+        return row_products(
+            kernel, ctx.dataset, r, local, task.track, ctx.impl.fft_batch
+        )
+
+    band_pairs(kernel, task.out, r0, r1, cols, row, workspace, local,
+               task.track)
     return task.finish(local)
 
 
@@ -326,7 +288,7 @@ class ProcCpu(Implementation):
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         global _CTX
         kernel = self.kernel
-        bands = row_bands(dataset.rows, self.workers)
+        bands = split_range(dataset.rows, self.workers)
         n_boundaries = len(bands) - 1
         use_pool = n_boundaries > 0 and "fork" in mp.get_all_start_methods()
 

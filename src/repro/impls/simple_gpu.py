@@ -3,11 +3,12 @@
 "The reference GPU implementation is single threaded on the CPU, executes
 CUDA memory copies synchronously, and invokes all kernels on the default
 stream."  It keeps forward transforms on-device in a tracked pool, frees
-them by the early-release policy, copies only the reduction result back,
-and runs the CCFs on the host -- all the paper's Simple-GPU optimizations,
-with the paper's Simple-GPU architectural flaw: every device operation
-round-trips through host synchronization, so the GPU idles during reads
-and CCFs (the gaps of Fig. 7).
+them by the early-release ledger (:class:`repro.grid.ledger.PairBookkeeper`),
+copies only the reduction result back, and runs the CCFs on the host --
+all the paper's Simple-GPU optimizations, with the paper's Simple-GPU
+architectural flaw: every device operation round-trips through host
+synchronization, so the GPU idles during reads and CCFs (the gaps of
+Fig. 7).
 
 The host/device interleaving is modeled on the device's virtual clock: each
 synchronous submission carries ``not_before = host_clock`` and advances the
@@ -32,7 +33,8 @@ from repro.gpu.kernels import (
     rfft2_kernel,
 )
 from repro.gpu.profiler import TraceEvent
-from repro.grid.neighbors import grid_pairs, pairs_for_tile
+from repro.grid.ledger import PairBookkeeper
+from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import Traversal, traverse
 from repro.impls.base import Implementation
@@ -89,14 +91,19 @@ class SimpleGpu(Implementation):
         slots: dict[GridPosition, int] = {}
         host_clock = 0.0
 
-        # Resume: journaled pairs never touch the device; tiles whose
-        # incident pairs are all journaled are not even read or copied.
-        pairs_done = {
+        def release(pos: GridPosition) -> None:
+            pool.release(slots.pop(pos))
+            host.pop(pos)
+
+        # Resume: journaled pairs never touch the device; the ledger covers
+        # the rest, so tiles whose incident pairs are all journaled are not
+        # even read or copied.
+        ledger = PairBookkeeper(grid, release=release, pairs=frozenset(
             pair for pair in grid_pairs(grid)
-            if kernel.serve_journaled(
+            if not kernel.serve_journaled(
                 disp, pair.direction, pair.second.row, pair.second.col, stats
             )
-        }
+        ))
 
         def host_op(name: str, seconds: float) -> None:
             nonlocal host_clock
@@ -116,19 +123,17 @@ class SimpleGpu(Implementation):
         # alias the half-spectrum scratch slot; one dedicated buffer.
         inv_buf = device.alloc(fft_shape, dtype=np.float64) if real else None
 
-        def load_and_transform(pos: GridPosition) -> None:
+        def load_and_transform(pos: GridPosition) -> list:
+            """Make ``pos`` resident; return the pairs that completes."""
             nonlocal host_clock
-            incident = pairs_for_tile(grid, pos.row, pos.col)
-            if all(p in pairs_done for p in incident):
-                return
+            if not ledger.pending(pos):
+                return []
             tile = kernel.read(dataset.load, pos.row, pos.col)
             if tile is None:
-                # Mark the failed tile's pairs done so surviving
-                # neighbours' transform slots are still recycled.
-                lost = [p for p in incident if p not in pairs_done]
-                pairs_done.update(lost)
-                kernel.skip_tile_pairs(pos, lost)
-                return
+                # Cancelling its pairs still recycles surviving
+                # neighbours' transform slots.
+                kernel.skip_tile_pairs(pos, ledger.tile_failed(pos))
+                return []
             host_op("read-tile", self.host_costs.read(hw) + self.host_costs.decode(hw))
             stats["reads"] += 1
             src = kernel.transform_input(tile, fft_shape)
@@ -142,21 +147,13 @@ class SimpleGpu(Implementation):
             stats["ffts"] += 1
             host[pos] = (tile, kernel.tile_stats(tile))
             slots[pos] = slot
-
-        def release_if_done(pos: GridPosition) -> None:
-            if pos not in slots:
-                return
-            if all(p in pairs_done for p in pairs_for_tile(grid, pos.row, pos.col)):
-                pool.release(slots.pop(pos))
-                host.pop(pos)
+            return ledger.transform_ready(pos)
 
         tracer = kernel.tracer
         for pos in traverse(grid, self.traversal):
             with tracer.span("read+fft", "simple-gpu", key=str(pos)):
-                load_and_transform(pos)
-            for pair in pairs_for_tile(grid, pos.row, pos.col):
-                if pair in pairs_done or pair.first not in slots or pair.second not in slots:
-                    continue
+                ready = load_and_transform(pos)
+            for pair in ready:
                 pair_t0 = tracer.now() if tracer.enabled else 0.0
                 scratch = pool.acquire(blocking=False)
                 buf = pool.array(scratch)
@@ -192,13 +189,10 @@ class SimpleGpu(Implementation):
                     disp, pair.direction, pair.second.row, pair.second.col,
                     t, stats,
                 )
-                pairs_done.add(pair)
                 if tracer.enabled:
                     tracer.record_span("pair", "simple-gpu", pair_t0,
                                        tracer.now(), key=str(pair))
-            release_if_done(pos)
-            for pair in pairs_for_tile(grid, pos.row, pos.col):
-                release_if_done(pair.first if pair.second == pos else pair.second)
+                ledger.pair_completed(pair)
 
         if inv_buf is not None:
             device.free(inv_buf)

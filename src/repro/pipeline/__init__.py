@@ -17,7 +17,7 @@ framework, matching the structure of the paper's Fig. 8.
 from repro.pipeline.queues import MonitorQueue, QueueClosed
 from repro.pipeline.stage import Stage, StageContext, END_OF_STREAM
 from repro.pipeline.graph import Pipeline, PipelineError, PipelineStallError
-from repro.pipeline.bookkeeper import PairBookkeeper
+from repro.grid.ledger import PairBookkeeper
 
 __all__ = [
     "MonitorQueue",

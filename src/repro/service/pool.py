@@ -745,13 +745,6 @@ class WorkerPool:
             self.metrics.counter("service.full_fallbacks").inc(
                 summary.get("full_fallbacks", 0)
             )
-        pc = summary.get("plan_cache", {})
-        self.metrics.counter("service.plan_cache_hits").inc(
-            int(pc.get("hits", 0))
-        )
-        self.metrics.counter("service.plan_cache_misses").inc(
-            int(pc.get("misses", 0))
-        )
         journal = summary.get("journal") or {}
         self.metrics.counter("service.pairs_resumed").inc(
             int(journal.get("resumed_pairs", 0))

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.grid.neighbors import Pair, pairs_for_tile
-from repro.grid.tile_grid import GridPosition, TileGrid
+from repro.grid.tile_grid import GridPosition, TileGrid, split_range
 from repro.grid.traversal import Traversal, traverse
-from repro.impls.mt_cpu import row_bands
-from repro.impls.pipelined_gpu import column_partitions
 from repro.simulate.costmodel import (
     FIJI_CHECK_PEAKS,
     FIJI_THREADS,
@@ -110,7 +108,7 @@ def simulate_mt_cpu(
     sim = TaskGraphSimulator()
     cores = sim.resource("cpu", threads)
     disk = sim.resource("disk", 1)
-    for r0, r1 in row_bands(rows, threads):
+    for r0, r1 in split_range(rows, threads):
         prev = None
         start = r0 - 1 if r0 > 0 else r0
         band_cols_prev: list = [None] * cols
@@ -321,7 +319,7 @@ def simulate_pipelined_gpu(
     ccf_pool = sim.resource("ccf", ccf_threads)
     grid = TileGrid(rows, cols)
 
-    parts = column_partitions(cols, n_gpus)
+    parts = split_range(cols, n_gpus)
     p2p_link = sim.resource("p2p", 1) if p2p and len(parts) > 1 else None
     for g in range(len(parts)):
         sim.resource(f"gpu{g}.h2d", 1)
@@ -423,7 +421,7 @@ def simulate_pipelined_cpu_numa(
     sim = TaskGraphSimulator()
     disk = sim.resource("disk", 1)
     grid = TileGrid(rows, cols)
-    parts = column_partitions(cols, sockets)
+    parts = split_range(cols, sockets)
     for k, (c0, c1) in enumerate(parts):
         pool = sim.resource(f"cpu{k}", per_socket)
         tile_c0 = c0 - 1 if k > 0 else c0

@@ -1,8 +1,10 @@
 """Traversal orders and their memory consequences (Section IV.A)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.displacement import compute_grid_displacements
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import (
     Traversal,
@@ -103,3 +105,18 @@ class TestPeakLiveTransforms:
     def test_1x1(self):
         g = TileGrid(1, 1)
         assert peak_live_transforms(g, Traversal.CHAINED_DIAGONAL) == 1
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 5), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("order", list(Traversal))
+    def test_model_is_the_reference_schedules_measurement(self, shape, order):
+        """The replay and the default path run one ledger: the model's
+        peak is exactly what the inline schedule measures."""
+        rng = np.random.default_rng(5)
+        tiles = {pos: rng.random((16, 16)) for pos in TileGrid(*shape).positions()}
+        disp = compute_grid_displacements(
+            lambda r, c: tiles[GridPosition(r, c)], *shape, traversal=order,
+            _overlap=False,
+        )
+        assert disp.stats["peak_live_transforms"] == peak_live_transforms(
+            TileGrid(*shape), order
+        )

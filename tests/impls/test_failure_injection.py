@@ -1,12 +1,16 @@
 """Failure injection: errors must surface promptly, never deadlock."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.faults.report import FaultReport
 from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu
 from repro.io.dataset import TileDataset
 from repro.io.tiff import TiffError, write_tiff
 from repro.pipeline.graph import PipelineError
+from repro.pipeline.stage import ErrorPolicy
 from repro.synth import make_synthetic_dataset
 
 
@@ -61,6 +65,45 @@ class TestMissingTile:
     def test_simple_cpu(self, missing_tile_dataset):
         with pytest.raises(FileNotFoundError):
             SimpleCpu().run(missing_tile_dataset)
+
+
+def test_pipelined_gpu_frees_host_pixels_around_a_dropped_tile(tmp_path):
+    """A tile's host pixels go once its last pair is computed *or
+    cancelled*: by the last commit only that pair's own tiles remain."""
+    ds = make_synthetic_dataset(
+        tmp_path / "ds", rows=3, cols=4, tile_height=48, tile_width=48,
+        overlap=0.25, seed=4,
+    )
+    ds.path(1, 1).unlink()
+    loaded: dict[tuple, weakref.ref] = {}
+    load = ds.load
+
+    def tracked_load(r, c):
+        tile = np.array(load(r, c))  # private copy: no cache keeps it alive
+        loaded[(r, c)] = weakref.ref(tile)
+        return tile
+
+    ds.load = tracked_load
+    impl = PipelinedGpu(
+        ccf_workers=1, error_policy=ErrorPolicy(on_exhausted="skip"),
+        fault_report=FaultReport(),
+    )
+    commit = impl.kernel.commit
+    held_at_end: list = []
+
+    def observed_commit(disp, direction, row, col, t, stats=None):
+        commit(disp, direction, row, col, t, stats)
+        if disp.pair_count() == 17 - 4:
+            first = (row, col - 1) if direction.value == "west" else (row - 1, col)
+            held_at_end.extend(
+                rc for rc, ref in loaded.items()
+                if ref() is not None and rc not in (first, (row, col))
+            )
+
+    impl.kernel.commit = observed_commit
+    impl.run(ds)
+    assert len(loaded) == 11
+    assert held_at_end == []
 
 
 class TestUndersizedPool:

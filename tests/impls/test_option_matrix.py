@@ -12,8 +12,7 @@ from hypothesis import given, strategies as st
 from repro.analysis.metrics import displacement_agreement
 from repro.fftlib.smooth import next_smooth_shape
 from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu
-from repro.impls.mt_cpu import row_bands
-from repro.impls.pipelined_gpu import column_partitions
+from repro.grid.tile_grid import split_range
 
 
 class TestPaddedFftAcrossImpls:
@@ -42,7 +41,7 @@ class TestPaddedFftAcrossImpls:
 class TestPartitionHelpers:
     @given(rows=st.integers(1, 40), workers=st.integers(1, 20))
     def test_row_bands_cover_exactly(self, rows, workers):
-        bands = row_bands(rows, workers)
+        bands = split_range(rows, workers)
         assert bands[0][0] == 0
         assert bands[-1][1] == rows
         for (a0, a1), (b0, b1) in zip(bands, bands[1:]):
@@ -54,7 +53,7 @@ class TestPartitionHelpers:
 
     @given(cols=st.integers(1, 60), n=st.integers(1, 8))
     def test_column_partitions_cover_exactly(self, cols, n):
-        parts = column_partitions(cols, n)
+        parts = split_range(cols, n)
         assert parts[0][0] == 0
         assert parts[-1][1] == cols
         for (a0, a1), (b0, b1) in zip(parts, parts[1:]):

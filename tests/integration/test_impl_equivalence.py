@@ -108,6 +108,31 @@ def test_identical_skip_accounting(impl_name, traced, damaged_dataset):
         assert reg.counter("pairs.skipped").value >= 4
 
 
+@pytest.fixture(scope="module")
+def adjacent_holes_dataset(tmp_path_factory):
+    """3x4 grid with neighbours (1,1) and (1,2) deleted: the west pair
+    between them is lost to both drops, so 7 pairs are lost, not 8."""
+    d = tmp_path_factory.mktemp("holes")
+    ds = make_synthetic_dataset(
+        d, rows=3, cols=4, tile_height=48, tile_width=48, overlap=0.25, seed=5
+    )
+    ds.path(1, 1).unlink()
+    ds.path(1, 2).unlink()
+    return ds
+
+
+@pytest.mark.parametrize("impl_name", IMPL_NAMES)
+def test_skipped_pair_counter_counts_each_pair_once(
+    impl_name, adjacent_holes_dataset
+):
+    result = Stitcher(
+        impl=impl_name, on_tile_error="skip", metrics=MetricsRegistry(),
+    ).stitch(adjacent_holes_dataset)
+    skipped = result.fault_report.skipped_pairs
+    assert len(skipped) == 7
+    assert result.stats["metrics"]["counters"]["pairs.skipped"] == len(skipped)
+
+
 def _collect_translations(displacements):
     out = []
     for arr in (displacements.west, displacements.north):

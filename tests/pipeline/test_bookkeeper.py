@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import Traversal, traverse
-from repro.pipeline.bookkeeper import PairBookkeeper
+from repro.grid.ledger import PairBookkeeper
 
 
 class TestTransformReady:
@@ -110,3 +110,61 @@ class TestPartitions:
                 freed.extend(bk.pair_completed(pair))
         assert bk.all_pairs_completed()
         assert set(freed) == bk.tiles
+
+
+class TestReferenceCounts:
+    """The per-tile reference count of Section IV.B: one per incident pair."""
+
+    def test_initial_counts_match_adjacency(self):
+        bk = PairBookkeeper(TileGrid(3, 3))
+        assert bk.pending(GridPosition(1, 1)) == 4  # interior
+        assert bk.pending(GridPosition(0, 0)) == 2  # corner
+        assert bk.pending(GridPosition(0, 1)) == 3  # edge
+
+    def test_degenerate_grids(self):
+        bk = PairBookkeeper(TileGrid(1, 3))
+        assert bk.pending(GridPosition(0, 0)) == 1
+        assert bk.pending(GridPosition(0, 1)) == 2
+        assert PairBookkeeper(TileGrid(1, 1)).pending(GridPosition(0, 0)) == 0
+
+    def test_release_at_zero(self):
+        freed = []
+        bk = PairBookkeeper(TileGrid(2, 2), release=freed.append)
+        corner = GridPosition(0, 0)
+        bk.transform_ready(corner)
+        (west,) = bk.transform_ready(GridPosition(0, 1))
+        (north,) = bk.transform_ready(GridPosition(1, 0))
+        bk.pair_completed(west)
+        assert bk.pending(corner) == 1
+        assert freed == []
+        assert bk.pair_completed(north) == [corner]
+        assert freed == [corner]
+
+    def test_underflow_rejected(self):
+        """A drained tile's count cannot be taken below zero."""
+        freed = []
+        bk = PairBookkeeper(TileGrid(2, 2), release=freed.append)
+        corner = GridPosition(0, 0)
+        bk.transform_ready(corner)
+        (west,) = bk.transform_ready(GridPosition(0, 1))
+        (north,) = bk.transform_ready(GridPosition(1, 0))
+        bk.pair_completed(west)
+        bk.pair_completed(north)
+        assert bk.pending(corner) == 0
+        with pytest.raises(ValueError, match="completed twice"):
+            bk.pair_completed(north)
+        with pytest.raises(ValueError, match="already completed"):
+            bk.pair_failed(west)
+        assert bk.pending(corner) == 0
+        assert freed.count(corner) == 1
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6))
+    def test_every_tile_freed_once(self, rows, cols):
+        grid = TileGrid(rows, cols)
+        freed = []
+        bk = PairBookkeeper(grid, release=freed.append)
+        for pos in traverse(grid, Traversal.ROW):
+            for pair in bk.transform_ready(pos):
+                bk.pair_completed(pair)
+        assert sorted(freed) == sorted(grid.positions())
+        assert all(bk.pending(pos) == 0 for pos in grid.positions())

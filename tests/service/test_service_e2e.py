@@ -103,6 +103,24 @@ class TestWarmWorkers:
         finally:
             svc.stop()
 
+    def test_plan_cache_counters_count_each_job_once(self, tmp_path, e2e_ds):
+        svc, client = start_service(tmp_path, workers=1)
+        try:
+            records = [
+                client.wait(
+                    client.submit({"dataset": str(e2e_ds.directory)})["id"],
+                    timeout=120,
+                )
+                for _ in range(2)
+            ]
+            counters = client.metrics()["counters"]
+            for key in ("hits", "misses"):
+                assert counters.get(f"service.plan_cache_{key}", 0) == sum(
+                    r["result"]["plan_cache"][key] for r in records
+                )
+        finally:
+            svc.stop()
+
     def test_reuse_job_skips_registration(self, tmp_path, e2e_ds,
                                           direct_positions):
         svc, client = start_service(tmp_path, workers=1)
