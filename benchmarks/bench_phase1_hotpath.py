@@ -6,8 +6,8 @@ implementation shares) on a synthetic in-memory grid, in two
 configurations:
 
 ``optimized``
-    the defaults -- r2c half-spectrum transforms, summed-area-table CCF
-    statistics, and the per-worker pair workspace;
+    the defaults -- r2c half-spectrum transforms, O(1)-statistics CCF
+    (``TileStats``), and the per-worker pair workspace;
 ``coarse``
     the same with coarse-to-fine registration (``CoarseConfig()``).
 
@@ -29,6 +29,7 @@ Usage::
     python benchmarks/bench_phase1_hotpath.py          # full: 8x8 grid
     python benchmarks/bench_phase1_hotpath.py --quick  # CI-sized: 5x5 grid
     python benchmarks/bench_phase1_hotpath.py --coarse-gate 1.0
+    python benchmarks/bench_phase1_hotpath.py --stats-sweep  # TileStats threshold
 """
 
 from __future__ import annotations
@@ -282,6 +283,76 @@ def _print_overlap(report: dict) -> None:
           f"{report['speedup']:.2f}x (medians {report['median_speedup']:.2f}x)")
 
 
+#: Tile sizes (px, square) of the ``--stats-sweep`` on a 5x5 grid: the
+#: measurement behind ``MARGINAL_MIN_TILE_PIXELS`` in core/tilestats.py.
+STATS_SWEEP = (5, 5, (64, 128, 192, 256, 320, 384, 512))
+#: Repetitions per (size, configuration, summary); the summaries alternate
+#: within each repetition so both sample the same host load.
+STATS_SWEEP_REPS = 7
+
+
+def measure_stats(rows: int, cols: int, tile: int,
+                  reps: int = STATS_SWEEP_REPS) -> dict:
+    """Phase 1 with each ``TileStats`` summary forced, default and coarse.
+
+    The summary is forced through the size constant itself (0: marginals
+    for every tile; unreachable: summed-area tables for every tile), on
+    the inline schedule so only the statistics differ between the runs.
+    Integer translations must agree between the two summaries.
+    """
+    from repro.core import tilestats
+    from repro.core.coarse import CoarseConfig
+
+    tiles = _load_tiles(rows, cols, tile)
+    forced = {"table": 1 << 62, "marginal": 0}
+    configs = {"optimized": {}, "coarse": {"coarse": CoarseConfig()}}
+    times = {(c, s): [] for c in configs for s in forced}
+    outputs = {}
+    saved = tilestats.MARGINAL_MIN_TILE_PIXELS
+    try:
+        for _ in range(reps):
+            for cname, cfg in configs.items():
+                for sname, threshold in forced.items():
+                    tilestats.MARGINAL_MIN_TILE_PIXELS = threshold
+                    result, seconds, _ = _run_once(
+                        tiles, rows, cols, overlap=False, **cfg
+                    )
+                    times[cname, sname].append(seconds)
+                    outputs[cname, sname] = [
+                        None if t is None else t[1:]
+                        for t in _translations(result)
+                    ]
+    finally:
+        tilestats.MARGINAL_MIN_TILE_PIXELS = saved
+    report: dict = {"rows": rows, "cols": cols, "tile": tile,
+                    "repetitions": reps}
+    for cname in configs:
+        if outputs[cname, "table"] != outputs[cname, "marginal"]:
+            raise AssertionError(
+                f"{cname}: the two summaries registered different pairs"
+            )
+        best = {s: min(times[cname, s]) for s in forced}
+        median = {s: statistics.median(times[cname, s]) for s in forced}
+        report[cname] = {
+            "table_seconds": round(best["table"], 4),
+            "marginal_seconds": round(best["marginal"], 4),
+            "speedup": round(best["table"] / best["marginal"], 3),
+            "median_speedup": round(median["table"] / median["marginal"], 3),
+        }
+    return report
+
+
+def _print_stats(report: dict) -> None:
+    cells = []
+    for cname in ("optimized", "coarse"):
+        r = report[cname]
+        cells.append(f"{cname} table {r['table_seconds']:.3f}s / marginal "
+                     f"{r['marginal_seconds']:.3f}s = {r['speedup']:.2f}x "
+                     f"(medians {r['median_speedup']:.2f}x)")
+    print(f"  {report['tile']:4d}px ({report['tile'] ** 2 // 1024:4d} Ki px): "
+          + "; ".join(cells))
+
+
 def _disp_translations(displacements) -> list:
     class _Shim:
         west = displacements.west
@@ -431,9 +502,29 @@ def main(argv: list[str] | None = None) -> int:
                          "range of tile sizes on a 5x5 grid: the "
                          "measurement the tile-size gate of the default "
                          "schedule is set from")
+    ap.add_argument("--stats-sweep", action="store_true",
+                    help="time phase 1 with each TileStats summary "
+                         "(summed-area table, marginals) forced, for a "
+                         "range of tile sizes on a 5x5 grid: the "
+                         "measurement the summary's tile-size threshold is "
+                         "set from; recorded in the artifact")
     args = ap.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
+
+    if args.stats_sweep:
+        rows, cols, sizes = STATS_SWEEP
+        print("TileStats summaries, table over marginal (best of "
+              f"{STATS_SWEEP_REPS}, inline schedule, EXTENDED + 2 peaks):")
+        sweep = []
+        for size in sizes:
+            sweep.append(measure_stats(rows, cols, size))
+            _print_stats(sweep[-1])
+        merged = read_json(args.output) or {}
+        merged["stats_sweep"] = sweep
+        write_json(args.output, merged)
+        print(f"wrote {args.output}")
+        return 0
 
     if args.overlap_gate is not None or args.overlap_sweep:
         rows, cols, tile, _ = MODES[mode]

@@ -309,7 +309,7 @@ def compute_grid_displacements(
             if overlap and submit is register:
                 # The pair stage moves to the helper, not the tile stage:
                 # the large allocations (decoded tile, float64 staging,
-                # spectrum, tables) stay in the caller's malloc arena.
+                # spectrum, statistics) stay in the caller's malloc arena.
                 submit = stack.enter_context(_on_helper_thread(register))
             submit(step)
             del step  # the pair stage's now: don't pin it for another build

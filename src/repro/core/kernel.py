@@ -336,8 +336,9 @@ class Phase1Kernel:
         return pixels
 
     def tile_stats(self, pixels) -> TileStats:
-        """Per-tile summed-area tables: built once, shared by the tile's
-        up-to-four incident pairs, released with its spectrum."""
+        """Per-tile rectangle statistics (summed-area table or marginals,
+        by tile size): built once, shared by the tile's up-to-four
+        incident pairs, released with its spectrum."""
         return TileStats(pixels)
 
     def transform_input(self, pixels, shape: tuple[int, int] | None = None):

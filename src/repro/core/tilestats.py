@@ -1,4 +1,4 @@
-"""Per-tile summed-area tables for O(1)-statistics CCF.
+"""Per-tile rectangle statistics for O(1)-statistics CCF.
 
 The CCF contest (``repro.core.ccf``) evaluates the Pearson correlation of
 4-8 candidate overlap rectangles per pair; the direct formulation makes five
@@ -8,17 +8,29 @@ except the cross term is a *single-tile* quantity, and each tile takes part
 in up to four pairs (west/north/east/south neighbours), so the same sums are
 recomputed up to ``4 * candidates`` times.
 
-:class:`TileStats` computes two summed-area tables (integral images) of the
-tile -- ``sum(I)`` and ``sum(I^2)`` -- once per tile, packed as the real
-and imaginary parts of a single complex table so one cumsum pass per axis
-builds both (IEEE accumulates the parts independently, so the values are
-bit-identical to two separate real tables).  Any rectangle's sum
-and sum-of-squares then costs four lookups, reducing each CCF candidate to
-O(1) statistics lookups plus one fused dot product for the cross term:
+:class:`TileStats` summarises ``sum(I)`` and ``sum(I^2)`` of the tile once,
+so each CCF candidate costs a few statistics lookups plus one fused dot
+product for the cross term:
 
     r = (cross - S1*S2/n) / sqrt((S11 - S1^2/n) * (S22 - S2^2/n))
 
-The tables are built on *mean-shifted* pixels (tile minus its global mean).
+It keeps one of two summaries, chosen from the tile's pixel count
+(:data:`MARGINAL_MIN_TILE_PIXELS`):
+
+- **summed-area table** (small tiles): two integral images packed as the
+  real and imaginary parts of one complex ``(h+1, w+1)`` table, so one
+  cumsum pass per axis builds both (IEEE accumulates the parts
+  independently, so the values are bit-identical to two separate real
+  tables).  Any rectangle costs four lookups.  16 B/px on top of the
+  8 B/px pixels.
+- **marginals** (paper-sized tiles): 1-D prefix sums of the row and column
+  marginals, O(h+w).  A rectangle's sums are a band read off the prefixes
+  corrected by the directly reduced blocks the band adds outside it --
+  the cheapest of four such decompositions.  Every overlap rectangle of
+  two equal tiles touches a tile corner, and grid overlaps are a few rows
+  (or columns) off a full band, so the correction is a sliver.
+
+Both are built on *mean-shifted* pixels (tile minus its global mean).
 Pearson correlation is shift-invariant, so every rectangle's ``r`` is
 mathematically unchanged, while the shift (a) keeps the running sums small,
 bounding the cancellation error of the ``S11 - S1^2/n`` subtraction, and
@@ -33,28 +45,42 @@ import math
 
 import numpy as np
 
-#: Relative variance floor for trusting the summed-area-table path.  The
+#: Relative variance floor for trusting the rectangle statistics.  The
 #: cancellation error of ``S11 - S1^2/n`` is bounded by a few ulps of the
-#: table's largest entry (~eps * sum(I^2) over the whole tile); a rectangle
-#: variance below ``_VAR_GUARD * sq_total`` is indistinguishable from that
-#: noise, so the overlap carries no usable texture and scores the ``-1.0``
-#: degenerate sentinel.  (The direct path lands in the same regime on such
-#: overlaps -- exactly ``-1.0`` when the constant view's mean reconstructs
-#: bit-exactly, otherwise ``r`` of pure rounding noise, ~1e-15 -- either
-#: way a guaranteed loser of the interpretation contest.)
+#: largest partial sum either summary holds (~eps * sum(I^2) over the whole
+#: tile); a rectangle variance below ``_VAR_GUARD * sq_total`` is
+#: indistinguishable from that noise, so the overlap carries no usable
+#: texture and scores the ``-1.0`` degenerate sentinel.  (The direct path
+#: lands in the same regime on such overlaps -- exactly ``-1.0`` when the
+#: constant view's mean reconstructs bit-exactly, otherwise ``r`` of pure
+#: rounding noise, ~1e-15 -- either way a guaranteed loser of the
+#: interpretation contest.)
 _VAR_GUARD = 1e-12
+
+#: Tiles of at least this many pixels keep marginals instead of a
+#: summed-area table.  Below it one residual reduction per probe costs more
+#: than the whole table (~7 µs of numpy dispatch per residual block against
+#: a table that builds in 0.1-0.4 ms); above it the table's build (~6-9 ms
+#: at 696x520) and its 16 B/px dominate.  ``python
+#: benchmarks/bench_phase1_hotpath.py --stats-sweep`` (5x5 grid, EXTENDED
+#: contest, each summary forced, default and coarse, table time over
+#: marginal time): 0.71x / 0.81x coarse at 64 / 128 px, break-even at
+#: 192 px (coarse 0.97x), and both configurations win from 256 px
+#: (1.16-1.22x, up to 1.38x at 512 px) -- where the constant sits
+#: (docs/PERFORMANCE.md, "O(1)-statistics CCF").
+MARGINAL_MIN_TILE_PIXELS = 256 * 256
 
 
 class TileStats:
-    """Summed-area tables of one tile's intensities and squared intensities.
+    """``sum(I)`` / ``sum(I^2)`` over any rectangle of one tile.
 
-    Built once per tile (O(hw)); shared by every pair the tile takes part
-    in.  ``pixels`` holds the mean-shifted float64 tile used for the cross
+    Built once per tile; shared by every pair the tile takes part in.
+    ``pixels`` holds the mean-shifted float64 tile used for the cross
     term, so callers that cache a ``TileStats`` need not also keep the raw
     tile alive for the CCF stage.
     """
 
-    __slots__ = ("pixels", "shape", "_table", "sq_total")
+    __slots__ = ("pixels", "shape", "sq_total", "_table", "_rows", "_cols")
 
     def __init__(self, tile: np.ndarray) -> None:
         px = np.asarray(tile, dtype=np.float64)
@@ -64,6 +90,14 @@ class TileStats:
         self.pixels = px
         self.shape = px.shape
         h, w = px.shape
+        if h * w >= MARGINAL_MIN_TILE_PIXELS:
+            # Prefix sums of the row / column marginals, padded with a
+            # leading zero and packed like the table (real: I, imag: I^2).
+            self._table = None
+            self._rows = _prefix(px.sum(axis=1), np.einsum("ij,ij->i", px, px))
+            self._cols = _prefix(px.sum(axis=0), np.einsum("ij,ij->j", px, px))
+            self.sq_total = float(self._rows[h].imag)
+            return
         # Padded tables: row/col 0 are zero so rect() needs no branching.
         # Both tables come from ONE complex cumsum: real part carries I,
         # imaginary part I^2.  IEEE accumulates the parts independently, so
@@ -79,44 +113,70 @@ class TileStats:
         np.cumsum(table, axis=0, out=table)
         np.cumsum(table, axis=1, out=table)
         self._table = table
+        self._rows = self._cols = None
         # Whole-tile sum of squares: the error scale of every rectangle
         # variance the table can produce (see _VAR_GUARD).
         self.sq_total = float(table[h, w].imag)
 
-    @classmethod
-    def from_parts(cls, pixels: np.ndarray, table: np.ndarray) -> "TileStats":
-        """Rebuild a ``TileStats`` around precomputed arrays (zero-copy).
-
-        Used by the process backend: a worker builds the stats once,
-        publishes ``pixels`` and ``_table`` into shared-memory slabs, and
-        peers wrap the slab views with this constructor instead of
-        recomputing the cumsums.  The arrays are adopted as-is (views
-        welcome); values must have been produced by ``__init__`` for the
-        numerical guarantees to hold.
-        """
-        self = cls.__new__(cls)
-        self.pixels = pixels
-        self.shape = pixels.shape
-        self._table = table
-        h, w = pixels.shape
-        self.sq_total = float(table[h, w].imag)
-        return self
-
-    @property
-    def table(self) -> np.ndarray:
-        """The padded complex summed-area table (for slab publication)."""
-        return self._table
-
     @property
     def nbytes(self) -> int:
-        return self.pixels.nbytes + self._table.nbytes
+        """Resident bytes: the pixels plus whichever summary is kept."""
+        if self._table is not None:
+            return self.pixels.nbytes + self._table.nbytes
+        return self.pixels.nbytes + self._rows.nbytes + self._cols.nbytes
 
     def rect(self, y0: int, y1: int, x0: int, x1: int) -> tuple[float, float]:
-        """``(sum, sum_of_squares)`` over ``[y0:y1, x0:x1]`` in O(1)."""
+        """``(sum, sum_of_squares)`` over ``[y0:y1, x0:x1]``: four lookups
+        in the table, or a band of the marginals plus a residual block."""
         t = self._table
-        z = complex(t[y1, x1]) - complex(t[y0, x1]) - complex(t[y1, x0]) \
-            + complex(t[y0, x0])
+        if t is not None:
+            z = complex(t[y1, x1]) - complex(t[y0, x1]) - complex(t[y1, x0]) \
+                + complex(t[y0, x0])
+            return z.real, z.imag
+        h, w = self.shape
+        rh, rw = y1 - y0, x1 - x0
+        # Four ways to the same sums; take the one reducing fewest pixels:
+        # the rectangle itself; its row band minus the columns outside it;
+        # its column band minus the rows outside it; or its row band minus
+        # every column outside it plus the outside corners added back.
+        costs = (rh * rw, rh * (w - rw), (h - rh) * rw, (h - rh) * (w - rw))
+        way = costs.index(min(costs))
+        if way == 0:
+            z = self._block(y0, y1, x0, x1)
+        else:
+            rows, cols = self._rows, self._cols
+            outside_rows = ((0, y0), (y1, h))
+            outside_cols = ((0, x0), (x1, w))
+            if way == 1:
+                z = complex(rows[y1]) - complex(rows[y0])
+                for a, b in outside_cols:
+                    z -= self._block(y0, y1, a, b)
+            elif way == 2:
+                z = complex(cols[x1]) - complex(cols[x0])
+                for a, b in outside_rows:
+                    z -= self._block(a, b, x0, x1)
+            else:
+                z = complex(rows[y1]) - complex(rows[y0]) - complex(cols[w]) \
+                    + complex(cols[x1]) - complex(cols[x0])
+                for a, b in outside_rows:
+                    for c, d in outside_cols:
+                        z += self._block(a, b, c, d)
         return z.real, z.imag
+
+    def _block(self, y0: int, y1: int, x0: int, x1: int) -> complex:
+        """``sum + 1j * sum_of_squares`` of ``pixels[y0:y1, x0:x1]``."""
+        if y1 <= y0 or x1 <= x0:
+            return 0j
+        v = self.pixels[y0:y1, x0:x1]
+        return complex(v.sum(), np.einsum("ij,ij->", v, v))
+
+
+def _prefix(sums: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Zero-padded running totals of ``sums + 1j * squares``."""
+    out = np.zeros(sums.size + 1, dtype=np.complex128)
+    out.real[1:] = sums
+    out.imag[1:] = squares
+    return np.cumsum(out, out=out)
 
 
 def ccf_at_stats(s1: TileStats, s2: TileStats, tx: int, ty: int) -> float:

@@ -19,10 +19,11 @@ serializing on the GIL.  The pieces that make that practical:
 - **two-phase boundary exchange.**  The north pairs joining band ``k`` to
   band ``k-1`` need the boundary row's tiles/spectra/statistics in *both*
   bands.  Phase A loads each interior boundary row exactly once and
-  publishes tile + forward spectrum + summed-area table into the arena;
-  Phase B band workers consume the slab views from both sides.  Every
-  tile in the grid is therefore read and transformed exactly once --
-  ``duplicated_boundary_reads`` is 0 by construction.
+  publishes tile + forward spectrum into the arena; Phase B band workers
+  consume the slab views from both sides and rebuild the tile statistics
+  from the shared tile (cheap at every tile size, and no 16 B/px slab).
+  Every tile in the grid is therefore read and transformed exactly once
+  -- ``duplicated_boundary_reads`` is 0 by construction.
 
 - **batched forward FFTs.**  Row tiles are transformed ``fft_batch`` at a
   time through :func:`repro.core.pciam.forward_fft_batch` -- one backend
@@ -90,7 +91,6 @@ class _RunCtx:
     #: (the last row of band ``b``); ``None`` when the grid has one band.
     tiles: np.ndarray | None
     spectra: np.ndarray | None
-    tables: np.ndarray | None
     #: ``(n_boundaries, cols)`` int8: 1 = products published, 0 = tile
     #: skipped (or Phase A not run -- never observed by Phase B).
     mask: np.ndarray | None
@@ -200,17 +200,16 @@ def _worker_init(ppid: int) -> None:
 def _slab_entry(ctx: _RunCtx, b: int, c: int):
     """Entry triple for boundary ``b``, column ``c`` from the shared slabs.
 
-    ``TileStats`` is rebuilt around zero-copy slab views: the summed-area
-    table is adopted as published, and the mean-shifted pixels recompute
-    from the shared raw tile exactly as the original constructor did, so
-    every downstream value is bit-identical.
+    Tile and spectrum are zero-copy slab views; ``TileStats`` is rebuilt
+    from the shared tile, which holds the loaded pixels exactly (float64
+    represents every integer sample), so every downstream value is
+    bit-identical to the publisher's.
     """
     if ctx.mask is None or not ctx.mask[b, c]:
         return None
     slot = b * ctx.dataset.cols + c
     tile = ctx.tiles[slot]
-    ts = TileStats.from_parts(tile - tile.mean(), ctx.tables[slot])
-    return (tile, ctx.spectra[slot], ts)
+    return (tile, ctx.spectra[slot], TileStats(tile))
 
 
 def _boundary_task(b: int) -> _TaskOutcome:
@@ -225,11 +224,10 @@ def _boundary_task(b: int) -> _TaskOutcome:
     for c, entry in enumerate(entries):
         if entry is None:
             continue
-        tile, fft, ts = entry
+        tile, fft, _ = entry
         slot = b * ctx.dataset.cols + c
         ctx.tiles[slot][: tile.shape[0], : tile.shape[1]] = tile
         ctx.spectra[slot] = fft
-        ctx.tables[slot] = ts.table
         ctx.mask[b, c] = 1
     return task.finish(local)
 
@@ -299,7 +297,7 @@ class ProcCpu(Implementation):
         slots = n_boundaries * dataset.cols
 
         arena = None
-        tiles = spectra = tables = mask = None
+        tiles = spectra = mask = None
         if n_boundaries:
             if use_pool:
                 # MAP_SHARED slabs: Phase A writes in workers must be
@@ -307,25 +305,17 @@ class ProcCpu(Implementation):
                 arena = ShmArena()
                 tiles = arena.slab("tiles", slots, tile_shape, np.float64).array
                 spectra = arena.slab("spectra", slots, sshape, np.complex128).array
-                tables = arena.slab(
-                    "tables", slots,
-                    (tile_shape[0] + 1, tile_shape[1] + 1), np.complex128,
-                ).array
                 mask = arena.slab(
                     "mask", n_boundaries, (dataset.cols,), np.int8
                 ).array
             else:  # pragma: no cover - non-fork platforms
                 tiles = np.zeros((slots, *tile_shape))
                 spectra = np.zeros((slots, *sshape), dtype=np.complex128)
-                tables = np.zeros(
-                    (slots, tile_shape[0] + 1, tile_shape[1] + 1),
-                    dtype=np.complex128,
-                )
                 mask = np.zeros((n_boundaries, dataset.cols), dtype=np.int8)
 
         _CTX = _RunCtx(
             impl=self, dataset=dataset, bands=bands,
-            tiles=tiles, spectra=spectra, tables=tables, mask=mask,
+            tiles=tiles, spectra=spectra, mask=mask,
         )
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats = {

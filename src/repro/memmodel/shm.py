@@ -1,9 +1,9 @@
 """Shared-memory arena: zero-copy ndarray slabs for process workers.
 
 The process-parallel backend (:mod:`repro.impls.proc_cpu`, striped
-composition in :mod:`repro.core.compose`) moves tiles, forward spectra,
-:class:`~repro.core.tilestats.TileStats` tables and the output canvas
-between workers without serializing a single pixel.  The mechanism is a
+composition in :mod:`repro.core.compose`) moves tiles, forward spectra
+and the output canvas between workers without serializing a single
+pixel.  The mechanism is a
 family of named ``multiprocessing.shared_memory`` segments, each wrapped
 as a :class:`SharedTileSlab` -- a fixed stack of same-shape ndarray slots
 that any process can view in place.
