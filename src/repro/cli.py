@@ -98,6 +98,16 @@ def _bytes_arg(value: str) -> int:
     return n
 
 
+def _fault_spec_arg(value: str):
+    """Parse ``--inject-faults``: refused at the door, naming the bad part."""
+    from repro.faults import parse_fault_spec
+
+    try:
+        return parse_fault_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _impl_arg(value: str) -> str:
     """Parse ``--impl``: ``stitcher`` is a synonym of the default scheduler."""
     from repro.core.options import StitchOptions
@@ -165,11 +175,11 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     else:
         dataset = TileDataset(args.dataset)
     if args.inject_faults is not None:
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan.from_spec(
-            args.inject_faults, dataset.rows, dataset.cols
-        )
+        try:
+            plan = args.inject_faults.plan(dataset.rows, dataset.cols)
+        except ValueError as exc:
+            print(f"error: --inject-faults: {exc}", file=sys.stderr)
+            return 2
         dataset = plan.wrap_dataset(dataset)
         print(f"injecting faults (seed {plan.seed}): "
               + ", ".join(f"{k} x{v}" for k, v in sorted(plan.summary().items())))
@@ -492,11 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=StitchOptions.on_tile_error,
                    help="after retries: abort the run, or drop the tile and "
                         "render a partial mosaic")
-    s.add_argument("--inject-faults", type=str, default=None,
+    s.add_argument("--inject-faults", type=_fault_spec_arg, default=None,
                    metavar="SEED[:kind=count,...]",
-                   help="damage the run with a seeded fault plan (testing); "
-                        "a bare SEED keeps the default mix, the extended "
-                        "form names counts per kind, e.g. "
+                   help="damage the run's tile reads with a seeded fault "
+                        "plan (testing); a bare SEED keeps the default mix, "
+                        "the extended form names tile counts per kind "
+                        "(missing, corrupt, transient, slow, hang, crash, "
+                        "dust, saturate, shift) plus latency=SECONDS, e.g. "
                         "'42:missing=1,transient=2' or '7:hang=1,latency=0'")
     s.add_argument("--fault-report", type=Path, default=None,
                    metavar="OUT.json",

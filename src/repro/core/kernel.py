@@ -5,7 +5,8 @@ operators and differ only in architecture".  This module is the shared
 half.  :class:`Phase1Kernel` owns, once:
 
 - the tile **read under the error policy** (retries, skip, fault report,
-  metrics, the journal's forensic skip record);
+  metrics, the journal's forensic skip record) -- the one place phase 1
+  survives a failure;
 - the **per-tile products** ``(pixels, spectrum, TileStats)`` -- the
   full-resolution spectrum, or the block-mean-downsampled *coarse*
   spectrum in coarse-to-fine mode; one tile at a time or batched;
@@ -29,6 +30,7 @@ the difference is stated.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -56,7 +58,38 @@ from repro.fftlib.smooth import pad_to_shape
 from repro.grid.neighbors import Direction
 from repro.memmodel.workspace import WorkspaceArena
 from repro.observe.tracer import NULL_TRACER
-from repro.pipeline.stage import ErrorPolicy, run_with_retries
+from repro.recovery.cancel import ItemCancelled
+
+
+@dataclass(frozen=True)
+class ErrorPolicy:
+    """What a failing tile read does (see :meth:`Phase1Kernel.try_read`).
+
+    Up to ``max_retries`` more attempts follow the first failure, retry
+    ``n`` (0-based) after ``backoff * 2**n`` seconds; once they are spent,
+    ``on_exhausted`` either aborts the run with the last error or skips
+    the tile.
+    """
+
+    max_retries: int = 0
+    backoff: float = 0.0
+    on_exhausted: str = "abort"
+
+    def __post_init__(self) -> None:
+        # Deferred: core.options reaches this module through its imports.
+        from repro.core.options import TILE_ERROR_POLICIES
+
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.on_exhausted not in TILE_ERROR_POLICIES:
+            raise ValueError(
+                f"on_exhausted must be one of {'/'.join(TILE_ERROR_POLICIES)}, "
+                f"got {self.on_exhausted!r}"
+            )
+
+    def delay(self, attempt: int) -> float:
+        """Backoff before retry number ``attempt`` (0-based)."""
+        return self.backoff * 2**attempt
 
 
 @dataclass(frozen=True)
@@ -260,7 +293,7 @@ class Phase1Kernel:
         """Exhausted reads drop the tile instead of failing the run."""
         return (
             self.error_policy is not None
-            and self.error_policy.on_exhausted in ("skip", "degrade")
+            and self.error_policy.on_exhausted == "skip"
         )
 
     def note_retry(self, row: int, col: int, attempt: int,
@@ -307,23 +340,27 @@ class Phase1Kernel:
         single writer elsewhere records ``reason`` there itself; everyone
         else calls :meth:`read`.
         """
-        if self.error_policy is None:
+        policy = self.error_policy
+        if policy is None:
             return load_tile(row, col), None
-        try:
-            value, _ = run_with_retries(
-                lambda: load_tile(row, col),
-                self.error_policy,
-                key=(row, col),
-                on_retry=lambda attempt, exc: self.note_retry(
-                    row, col, attempt, exc
-                ),
-            )
-            return value, None
-        except Exception as exc:
-            if not self.skips:
-                raise
-            self.count_skipped_tile(row, col, exc)
-            return None, str(exc)
+        for attempt in range(policy.max_retries + 1):
+            try:
+                return load_tile(row, col), None
+            except ItemCancelled as exc:
+                # The watchdog cancelled this read and its token stays
+                # cancelled: another attempt could only fail again.
+                error = exc
+                break
+            except Exception as exc:
+                error = exc
+                if attempt < policy.max_retries:
+                    self.note_retry(row, col, attempt, exc)
+                    if policy.backoff > 0:
+                        time.sleep(policy.delay(attempt))
+        if not self.skips:
+            raise error
+        self.count_skipped_tile(row, col, error)
+        return None, str(error)
 
     def read(self, load_tile, row: int, col: int):
         """:meth:`try_read`, with a dropped tile also journaled; returns

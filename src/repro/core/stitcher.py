@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.compose import BlendMode, compose
 from repro.core.displacement import DisplacementResult, compute_grid_displacements
 from repro.core.global_opt import GlobalPositions, resolve_absolute_positions
-from repro.core.kernel import Phase1Kernel
+from repro.core.kernel import ErrorPolicy, Phase1Kernel
 from repro.core.options import (  # noqa: F401 -- re-exported: importers of the scheduler table
     SCHEDULERS,
     StitchOptions,
@@ -36,7 +36,6 @@ from repro.fftlib.plans import PlanCache
 from repro.io.dataset import TileDataset
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import NULL_TRACER, Tracer
-from repro.pipeline.stage import ErrorPolicy
 from repro.recovery.journal import (
     RESUME_MODES,
     RunJournal,

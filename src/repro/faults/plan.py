@@ -1,20 +1,13 @@
 """Deterministic, seedable fault injection.
 
 A :class:`FaultPlan` is a list of :class:`Fault` specs plus trigger
-bookkeeping.  It damages a run *without touching the files on disk* by
-wrapping the surfaces the paper's pipeline touches:
-
-- :meth:`FaultPlan.wrap_dataset` proxies ``TileDataset.load`` to inject
-  missing files (``FileNotFoundError``), corrupt bytes
-  (:class:`~repro.io.tiff.TiffError`, raised from the decoder on a
-  truncated copy of the real bytes), transient ``IOError`` s that succeed
-  after ``failures`` attempts, and slow reads (latency spikes);
-- :meth:`FaultPlan.wrap_handler` makes a named pipeline stage raise for
-  its first ``failures`` invocations;
-- :meth:`FaultPlan.wrap_pool` makes a transform pool (host
-  :class:`~repro.memmodel.pool.BufferPool` or the GPU
-  ``DevicePool``) report exhaustion for its first ``failures`` acquires,
-  simulating GPU buffer-pool pressure.
+bookkeeping.  It damages a run *without touching the files on disk*,
+through the one surface of the paper's pipeline that touches the
+filesystem -- the tile read: :meth:`FaultPlan.wrap_dataset` proxies
+``TileDataset.load`` to inject missing files (``FileNotFoundError``),
+corrupt bytes (:class:`~repro.io.tiff.TiffError`), transient
+``IOError`` s that succeed after ``failures`` attempts, slow and hanging
+reads, process crashes, and -- on a read that succeeds -- damaged pixels.
 
 Every trigger is recorded as a :class:`FaultEvent`, and all trigger
 decisions are deterministic (per-tile attempt counters, no clocks or
@@ -35,7 +28,6 @@ from typing import Any
 import numpy as np
 
 from repro.io.tiff import TiffError
-from repro.memmodel.pool import PoolExhausted
 
 
 class FaultKind(str, Enum):
@@ -43,10 +35,7 @@ class FaultKind(str, Enum):
     CORRUPT = "corrupt"            # tile bytes truncated -> TiffError
     TRANSIENT_IO = "transient_io"  # IOError for the first N attempts
     SLOW_READ = "slow_read"        # latency spike on read
-    POOL_EXHAUSTED = "pool_exhausted"  # transform pool acquire fails
-    STAGE_ERROR = "stage_error"    # handler exception in a named stage
-    HANG = "hang"                  # operation blocks until cancelled (or a bound)
-    STALL = "stall"                # named stage silently swallows items
+    HANG = "hang"                  # read blocks until cancelled (or a bound)
     #: Process suicide: the first ``failures`` reads of the target tile
     #: SIGKILL the *current process* -- how the chaos harness makes a
     #: specific job deterministically kill every worker it lands on
@@ -73,10 +62,8 @@ _DATA_KIND_SALT = {
 class Fault:
     """One injected fault.
 
-    ``tile`` addresses tile-scoped kinds; ``stage`` addresses
-    :data:`FaultKind.STAGE_ERROR`, :data:`FaultKind.STALL` and
-    stage-scoped :data:`FaultKind.HANG`; ``failures`` is how many
-    attempts fail before the operation succeeds (transient kinds) --
+    ``tile`` is the tile whose reads it damages; ``failures`` is how many
+    attempts fail before the read succeeds (transient kinds) --
     permanent kinds (missing/corrupt) fail every attempt regardless;
     ``latency`` is the injected delay in seconds for
     :data:`FaultKind.SLOW_READ`, and for :data:`FaultKind.HANG` the
@@ -84,8 +71,7 @@ class Fault:
     """
 
     kind: FaultKind
-    tile: tuple[int, int] | None = None
-    stage: str | None = None
+    tile: tuple[int, int]
     failures: int = 1
     latency: float = 0.0
 
@@ -95,9 +81,118 @@ class FaultEvent:
     """A fault actually firing (one per failed/delayed attempt)."""
 
     kind: FaultKind
-    tile: tuple[int, int] | None
-    stage: str | None
+    tile: tuple[int, int]
     attempt: int
+
+
+#: Count keys of a fault spec, in the order :meth:`FaultSpec.plan` draws
+#: their tiles.
+SPEC_KINDS = {
+    "missing": FaultKind.MISSING,
+    "corrupt": FaultKind.CORRUPT,
+    "transient": FaultKind.TRANSIENT_IO,
+    "slow": FaultKind.SLOW_READ,
+    "hang": FaultKind.HANG,
+    "crash": FaultKind.CRASH,
+    "dust": FaultKind.DUST,
+    "saturate": FaultKind.SATURATE,
+    "shift": FaultKind.SHIFT,
+}
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """A parsed ``SEED[:key=value,...]`` fault spec (:func:`parse_fault_spec`).
+
+    ``counts`` maps :data:`SPEC_KINDS` keys to how many tiles get that
+    fault; ``None`` (a bare seed) is :meth:`FaultPlan.random`'s default
+    mix.  ``latency`` (seconds) is the slow-read delay and the hang bound.
+    """
+
+    seed: int
+    counts: dict | None = None
+    latency: float = 0.02
+
+    def plan(self, rows: int, cols: int) -> "FaultPlan":
+        """The seeded plan over a ``rows x cols`` grid; raises
+        ``ValueError`` when the counts do not fit it."""
+        if self.counts is None:
+            return FaultPlan.random(rows, cols, seed=self.seed)
+        rng = Random(self.seed)
+        candidates = [
+            (r, c) for r in range(rows) for c in range(cols) if (r, c) != (0, 0)
+        ]
+        need = sum(self.counts.values())
+        if need > len(candidates):
+            raise ValueError(
+                f"{need} tile faults requested but only {len(candidates)} "
+                f"tiles available on a {rows}x{cols} grid"
+            )
+        picked = iter(rng.sample(candidates, need))
+        plan = FaultPlan(seed=self.seed)
+        for key, kind in SPEC_KINDS.items():
+            for _ in range(self.counts.get(key, 0)):
+                plan.add(Fault(kind, tile=next(picked), latency=self.latency))
+        return plan
+
+
+def parse_fault_spec(spec: str) -> FaultSpec:
+    """Check and parse a ``SEED[:key=value,...]`` fault spec.
+
+    A bare integer (``"42"``) keeps the historical ``--inject-faults
+    SEED`` behaviour: the default :meth:`FaultPlan.random` mix.  The
+    extended form names explicit counts per kind, so a test can damage a
+    run with exactly the failure mode it is exercising::
+
+        42:missing=1,transient=2      # only these two kinds
+        7:hang=1,latency=0.5          # one read hangs for <= 0.5 s
+        7:hang=1,latency=0            # ... hangs until cancelled
+
+    Count keys are :data:`SPEC_KINDS` (tiles drawn like
+    :meth:`FaultPlan.random`); ``latency`` (seconds) sets the slow-read
+    delay and the hang bound.  Anything else raises ``ValueError`` naming
+    the offending part -- the CLI, a service job and
+    :meth:`FaultPlan.from_spec` all refuse a spec here, before any tile
+    is read.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"fault spec must be a string, got {spec!r}")
+    head, sep, rest = spec.partition(":")
+    try:
+        seed = int(head)
+    except ValueError:
+        raise ValueError(
+            f"fault spec must start with an integer seed: {spec!r}"
+        ) from None
+    if not sep:
+        return FaultSpec(seed)
+    counts: dict[str, int] = {}
+    latency = 0.02
+    for item in rest.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value in fault spec: {item!r}")
+        if key != "latency" and key not in SPEC_KINDS:
+            raise ValueError(
+                f"unknown fault-spec key {key!r} (known: "
+                f"{', '.join(sorted({*SPEC_KINDS, 'latency'}))})"
+            )
+        try:
+            number = float(value) if key == "latency" else int(value)
+        except ValueError:
+            raise ValueError(
+                f"fault-spec key {key!r} needs a number, got {value!r}"
+            ) from None
+        if number < 0:
+            raise ValueError(f"fault-spec key {key!r} must be >= 0, got {value}")
+        if key == "latency":
+            latency = number
+        else:
+            counts[key] = number
+    return FaultSpec(seed, counts, latency)
 
 
 @dataclass
@@ -158,98 +253,11 @@ class FaultPlan:
             plan.add(Fault(FaultKind.SLOW_READ, tile=picked[i], latency=latency)); i += 1
         return plan
 
-    _SPEC_TILE_KINDS = {
-        "missing": FaultKind.MISSING,
-        "corrupt": FaultKind.CORRUPT,
-        "transient": FaultKind.TRANSIENT_IO,
-        "slow": FaultKind.SLOW_READ,
-        "hang": FaultKind.HANG,
-        "crash": FaultKind.CRASH,
-        "dust": FaultKind.DUST,
-        "saturate": FaultKind.SATURATE,
-        "shift": FaultKind.SHIFT,
-    }
-    _SPEC_STAGE_KINDS = {
-        "stall": FaultKind.STALL,
-        "stage_error": FaultKind.STAGE_ERROR,
-    }
-
     @classmethod
     def from_spec(cls, spec: str, rows: int, cols: int) -> "FaultPlan":
-        """Parse a ``SEED[:key=value,...]`` fault spec into a seeded plan.
-
-        A bare integer (``"42"``) keeps the historical
-        ``--inject-faults SEED`` behaviour: the default :meth:`random`
-        mix.  The extended form names explicit counts per kind, so a
-        test can damage a run with exactly the failure mode it is
-        exercising::
-
-            42:missing=1,transient=2      # only these two kinds
-            7:hang=1,latency=0.5          # one read hangs for <= 0.5 s
-            7:hang=1,latency=0            # ... hangs until cancelled
-            11:stall=3,stage=compute      # compute stage swallows 3 items
-
-        Keys ``missing``/``corrupt``/``transient``/``slow``/``hang``
-        are tile-scoped counts (tiles drawn like :meth:`random`);
-        ``stall``/``stage_error`` are stage-scoped counts of swallowed /
-        failing attempts; ``latency`` (seconds) sets the slow-read delay
-        and the hang bound; ``stage`` names the target stage for the
-        stage-scoped kinds (default ``"compute"``).
-        """
-        head, sep, rest = spec.partition(":")
-        try:
-            seed = int(head)
-        except ValueError:
-            raise ValueError(
-                f"fault spec must start with an integer seed: {spec!r}"
-            ) from None
-        if not sep:
-            return cls.random(rows, cols, seed=seed)
-
-        counts: dict[str, int] = {}
-        latency = 0.02
-        stage = "compute"
-        for item in rest.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ValueError(f"expected key=value in fault spec: {item!r}")
-            if key == "latency":
-                latency = float(value)
-            elif key == "stage":
-                stage = value
-            elif key in cls._SPEC_TILE_KINDS or key in cls._SPEC_STAGE_KINDS:
-                counts[key] = int(value)
-            else:
-                raise ValueError(
-                    f"unknown fault-spec key {key!r} (known: "
-                    f"{', '.join(sorted({*cls._SPEC_TILE_KINDS, *cls._SPEC_STAGE_KINDS, 'latency', 'stage'}))})"
-                )
-
-        rng = Random(seed)
-        candidates = [
-            (r, c) for r in range(rows) for c in range(cols) if (r, c) != (0, 0)
-        ]
-        need = sum(n for k, n in counts.items() if k in cls._SPEC_TILE_KINDS)
-        if need > len(candidates):
-            raise ValueError(
-                f"{need} tile faults requested but only {len(candidates)} "
-                f"tiles available on a {rows}x{cols} grid"
-            )
-        picked = rng.sample(candidates, need)
-        plan = cls(seed=seed)
-        i = 0
-        for key, kind in cls._SPEC_TILE_KINDS.items():
-            for _ in range(counts.get(key, 0)):
-                plan.add(Fault(kind, tile=picked[i], latency=latency))
-                i += 1
-        for key, kind in cls._SPEC_STAGE_KINDS.items():
-            n = counts.get(key, 0)
-            if n > 0:
-                plan.add(Fault(kind, stage=stage, failures=n, latency=latency))
-        return plan
+        """Parse a ``SEED[:key=value,...]`` fault spec (grammar:
+        :func:`parse_fault_spec`) into a seeded plan over the grid."""
+        return parse_fault_spec(spec).plan(rows, cols)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -260,9 +268,7 @@ class FaultPlan:
             self.events.clear()
 
     def _record(self, fault: Fault, attempt: int) -> None:
-        self.events.append(
-            FaultEvent(fault.kind, fault.tile, fault.stage, attempt)
-        )
+        self.events.append(FaultEvent(fault.kind, fault.tile, attempt))
 
     def _next_attempt(self, key: tuple) -> int:
         """Post-increment the per-fault attempt counter (caller holds lock)."""
@@ -288,56 +294,13 @@ class FaultPlan:
     def faults_for_tile(self, row: int, col: int) -> list[Fault]:
         return [f for f in self.faults if f.tile == (row, col)]
 
-    _STAGE_KINDS = (FaultKind.STAGE_ERROR, FaultKind.HANG, FaultKind.STALL)
-
-    def faults_for_stage(self, stage: str) -> list[Fault]:
-        return [
-            f for f in self.faults
-            if f.kind in self._STAGE_KINDS and f.stage == stage
-        ]
-
     # -- wrapping ------------------------------------------------------------
 
     def wrap_dataset(self, dataset) -> "FaultyDataset":
         """Proxy ``dataset`` so ``load`` injects this plan's tile faults."""
         return FaultyDataset(dataset, self)
 
-    def wrap_handler(self, stage: str, handler):
-        """Wrap a pipeline stage handler with this plan's stage faults."""
-        stage_faults = self.faults_for_stage(stage)
-        if not stage_faults:
-            return handler
-
-        def wrapped(item, ctx):
-            for fault in stage_faults:
-                with self._lock:
-                    attempt = self._next_attempt((id(fault), "stage"))
-                    fire = attempt < fault.failures
-                    if fire:
-                        self._record(fault, attempt)
-                if not fire:
-                    continue
-                if fault.kind is FaultKind.STAGE_ERROR:
-                    raise RuntimeError(
-                        f"injected stage fault in {stage!r} "
-                        f"(attempt {attempt + 1}/{fault.failures})"
-                    )
-                if fault.kind is FaultKind.STALL:
-                    # Swallow the item: downstream never hears about it,
-                    # which is exactly the silent wedge the watchdog's
-                    # pipeline-stall detector exists to catch.
-                    return None
-                if fault.kind is FaultKind.HANG:
-                    self._hang(fault.latency)
-            return handler(item, ctx)
-
-        return wrapped
-
-    def wrap_pool(self, pool) -> "FaultyPool":
-        """Proxy a buffer pool so early acquires report exhaustion."""
-        return FaultyPool(pool, self)
-
-    # -- injection core (used by the proxies) --------------------------------
+    # -- injection core (used by the proxy) ----------------------------------
 
     @staticmethod
     def _hang(bound: float, poll: float = 0.005) -> None:
@@ -444,23 +407,6 @@ class FaultPlan:
                 pixels = apply_content_shift(pixels, rng)
         return pixels
 
-    def before_acquire(self) -> None:
-        """Raise :class:`PoolExhausted` per pending pool faults."""
-        for fault in self.faults:
-            if fault.kind is not FaultKind.POOL_EXHAUSTED:
-                continue
-            with self._lock:
-                attempt = self._next_attempt((id(fault), "pool"))
-                fire = attempt < fault.failures
-                if fire:
-                    self._record(fault, attempt)
-            if fire:
-                raise PoolExhausted(
-                    f"injected pool exhaustion "
-                    f"(attempt {attempt + 1}/{fault.failures})"
-                )
-
-
 class FaultyDataset:
     """Transparent :class:`~repro.io.dataset.TileDataset` proxy.
 
@@ -497,22 +443,3 @@ class FaultyDataset:
         bit_depth = int(getattr(meta, "bit_depth", 16) or 16)
         level = float((1 << bit_depth) - 1)
         return self.fault_plan.transform_tile(row, col, pixels, level)
-
-
-class FaultyPool:
-    """Buffer-pool proxy injecting :class:`PoolExhausted` on early acquires.
-
-    Works for both the host :class:`~repro.memmodel.pool.BufferPool` and
-    the GPU ``DevicePool`` (same acquire/release/array surface).
-    """
-
-    def __init__(self, pool, plan: FaultPlan) -> None:
-        self._pool = pool
-        self.fault_plan = plan
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._pool, name)
-
-    def acquire(self, *args, **kw):
-        self.fault_plan.before_acquire()
-        return self._pool.acquire(*args, **kw)

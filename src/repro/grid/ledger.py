@@ -158,10 +158,10 @@ class PairBookkeeper:
     def tile_failed(self, pos: GridPosition) -> list[Pair]:
         """Cancel every pending pair of a dropped tile; return those pairs.
 
-        Called when a tile could not be read (or transformed) and its
-        retries are exhausted under a skip policy: the tile will never
-        report ``transform_ready``, so every pair waiting on it is
-        cancelled as if it had completed, freeing neighbours it emptied.
+        Called when a tile could not be read (retries exhausted, or the
+        read cancelled) under a skip policy: the tile will never report
+        ``transform_ready``, so every pair waiting on it is cancelled as
+        if it had completed, freeing neighbours it emptied.
         The returned pairs are the ones *this* drop cancelled -- a pair
         an earlier dropped neighbour already cancelled is not repeated,
         so callers can account each lost pair exactly once.
@@ -185,28 +185,6 @@ class PairBookkeeper:
                 )
             self._publish()
         return cancelled
-
-    def pair_failed(self, pair: Pair) -> list[GridPosition]:
-        """Cancel an *emitted* pair whose computation will never finish.
-
-        The watchdog path: a pair was emitted (both transforms resident),
-        its compute-stage item hung, and the cancellation dropped it under
-        a skip policy.  Settled as if it had completed -- otherwise its
-        members' buffers (and the pipeline's completion count) would leak.
-        Returns the tiles it freed.  Idempotent per pair.
-        """
-        if pair not in self._emitted:
-            raise ValueError(f"pair {pair} failed but never emitted")
-        if pair in self._completed:
-            raise ValueError(f"pair {pair} already completed; cannot fail it")
-        if pair in self._cancelled:
-            return []
-        self._cancelled.add(pair)
-        freed = self._settle(pair)
-        if self.metrics is not None:
-            self.metrics.counter("bookkeeper.pairs_cancelled").inc()
-            self._publish()
-        return freed
 
     # -- progress ------------------------------------------------------------
 

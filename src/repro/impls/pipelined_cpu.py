@@ -43,7 +43,6 @@ from repro.memmodel.pool import BufferPool, PoolExhausted
 from repro.memmodel.workspace import ThreadLocalWorkspaces
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
-from repro.recovery.cancel import ItemCancelled
 
 
 @dataclass
@@ -72,13 +71,6 @@ class _PairItem:
 
 @dataclass
 class _PairDone:
-    pair: Pair
-
-
-@dataclass
-class _PairFailed:
-    """An emitted pair's computation was abandoned (e.g. watchdog cancel)."""
-
     pair: Pair
 
 
@@ -204,10 +196,6 @@ class PipelinedCpu(Implementation):
                 q_work.put(_TileBatch(list(pending_batch)))
                 pending_batch.clear()
 
-        def tile_failed(pos: GridPosition) -> None:
-            tiles_in_flight.release()
-            q_events.put(_TileFailed(pos))
-
         def reader(_item, _ctx):
             try:
                 pos = next(order)
@@ -221,7 +209,8 @@ class PipelinedCpu(Implementation):
                     return END_OF_STREAM
             tile = kernel.read(dataset.load, pos.row, pos.col)
             if tile is None:
-                tile_failed(pos)
+                tiles_in_flight.release()
+                q_events.put(_TileFailed(pos))
                 return None
             with stats_lock:
                 stats["reads"] += 1
@@ -230,25 +219,7 @@ class PipelinedCpu(Implementation):
                 flush_batch()
             return None
 
-        def compute(item, ctx):
-            # Cooperative-cancellation wrapper (watchdog supervision): a
-            # cancelled item must still notify the bookkeeper, otherwise
-            # its refcounts never drain and the pipeline waits forever on
-            # a pair/tile that will never complete.  The exception is
-            # re-raised so stage-level accounting (drop records, abort
-            # dispositions) still applies.
-            try:
-                return _compute(item, ctx)
-            except ItemCancelled:
-                if kernel.skips:
-                    if isinstance(item, _TileBatch):
-                        for pos, _ in item.items:
-                            tile_failed(pos)
-                    elif isinstance(item, _PairItem):
-                        q_events.put(_PairFailed(item.pair))
-                raise
-
-        def _compute(item, _ctx):
+        def compute(item, _ctx):
             local: dict = {}
             if isinstance(item, _TileBatch):
                 # Grab as many pool slots as are free right now; transform
@@ -319,13 +290,6 @@ class PipelinedCpu(Implementation):
                     q_work.put(_PairItem(pair))
             elif isinstance(event, _PairDone):
                 bk.pair_completed(event.pair)
-            elif isinstance(event, _PairFailed):
-                pair = event.pair
-                kernel.note_skipped_pair(
-                    pair.direction, pair.second.row, pair.second.col,
-                    "pair computation cancelled",
-                )
-                bk.pair_failed(pair)
             elif isinstance(event, _TileFailed):
                 kernel.skip_tile_pairs(event.pos, bk.tile_failed(event.pos))
             else:  # pragma: no cover - defensive

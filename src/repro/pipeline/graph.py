@@ -21,7 +21,7 @@ from typing import Any, Callable
 from repro.observe.sampler import QueueDepthSampler
 from repro.observe.tracer import NULL_TRACER
 from repro.pipeline.queues import MonitorQueue
-from repro.pipeline.stage import DroppedItem, ErrorPolicy, Stage
+from repro.pipeline.stage import Stage
 from repro.recovery.watchdog import StallReport, Watchdog, WatchdogConfig
 
 
@@ -139,7 +139,6 @@ class Pipeline:
         workers: int = 1,
         input: MonitorQueue | None = None,
         output: MonitorQueue | None = None,
-        policy: ErrorPolicy | None = None,
     ) -> Stage:
         s = Stage(
             name,
@@ -148,7 +147,6 @@ class Pipeline:
             input=input,
             output=output,
             on_error=self.abort,
-            policy=policy,
             tracer=self.tracer,
             metrics=self.metrics,
             track_base=f"{self.name}/{name}",
@@ -166,13 +164,11 @@ class Pipeline:
         self,
         specs: list[tuple[str, Callable, int]],
         queue_size: int = 0,
-        policy: ErrorPolicy | None = None,
     ) -> list[Stage]:
         """Convenience: wire ``specs`` (name, handler, workers) into a chain.
 
         The first stage is a source, the last a sink; a bounded queue of
-        ``queue_size`` sits between each consecutive pair.  ``policy``
-        applies to every stage in the chain.
+        ``queue_size`` sits between each consecutive pair.
         """
         stages: list[Stage] = []
         prev_q: MonitorQueue | None = None
@@ -181,10 +177,8 @@ class Pipeline:
             if i + 1 < len(specs):
                 out_q = self.queue(maxsize=queue_size, name=f"{name}-out")
             stages.append(
-                self.stage(
-                    name, handler, workers=workers, input=prev_q, output=out_q,
-                    policy=policy,
-                )
+                self.stage(name, handler, workers=workers, input=prev_q,
+                           output=out_q)
             )
             prev_q = out_q
         return stages
@@ -284,18 +278,12 @@ class Pipeline:
 
     # -- telemetry ---------------------------------------------------------------
 
-    def dropped(self) -> list[DroppedItem]:
-        """All items dropped under stage error policies, in stage order."""
-        return [d for s in self.stages for d in s.dropped]
-
     def stats(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "stages": {
                 s.name: {
                     "workers": s.workers,
                     "items": s.items_processed,
-                    "retried": s.items_retried,
-                    "dropped": len(s.dropped),
                     "busy_seconds": s.busy_seconds,
                     "queue_wait_seconds": s.queue_wait_seconds,
                 }

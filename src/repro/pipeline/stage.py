@@ -11,27 +11,21 @@ values: with multiple workers per stage a single poison pill would be
 consumed by one worker and lost.  The framework closes each stage's output
 once all its workers exit.
 
-Failure handling: by default any handler exception aborts the whole
-pipeline (the pre-fault-tolerance behavior).  A stage constructed with an
-:class:`ErrorPolicy` instead retries the failing item with deterministic
-exponential backoff and, when retries are exhausted, either aborts, or
-drops the item with a structured :class:`DroppedItem` record so the rest
-of the graph keeps flowing -- the paper's redundant displacement graph
-tolerates missing edges, so a dropped pair degrades the mosaic instead of
-killing the run.
+Failure handling: any handler exception aborts the whole pipeline.  A
+handler that can survive a failure handles it itself -- in phase 1 that
+is only the tile read, under :class:`~repro.core.kernel.ErrorPolicy`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.observe.tracer import NULL_TRACER
 from repro.pipeline.queues import MonitorQueue, QueueClosed
-from repro.recovery.cancel import CancelToken, ItemCancelled, install_token
+from repro.recovery.cancel import CancelToken, install_token
 
 #: Sentinel a *source* handler returns to end its stream.
 END_OF_STREAM = object()
@@ -53,128 +47,6 @@ def item_key(item: Any) -> str | None:
     if isinstance(item, (str, int, float, tuple)):
         return str(item)[:64]
     return type(item).__name__
-
-
-class StageItemTimeout(Exception):
-    """An item's handler exceeded the policy's per-item timeout.
-
-    Python threads cannot be interrupted, so the timeout is *cooperative*:
-    it is detected when the handler returns, the (late) result is
-    discarded, and the overrun counts as one failed attempt.
-    """
-
-
-@dataclass(frozen=True)
-class ErrorPolicy:
-    """Per-stage retry and error-disposition policy.
-
-    ``max_retries``
-        Additional attempts after the first failure (0 = fail immediately).
-    ``backoff`` / ``backoff_factor`` / ``jitter``
-        Exponential backoff schedule between attempts:
-        ``backoff * backoff_factor**attempt``, inflated by up to
-        ``jitter`` (a fraction) using a *deterministic* hash of
-        ``(seed, attempt, key)`` so runs are reproducible.
-    ``item_timeout``
-        Cooperative per-item wall-clock budget (seconds); an overrunning
-        handler invocation counts as a failed attempt (see
-        :class:`StageItemTimeout`).
-    ``on_exhausted``
-        ``"abort"`` re-raises (poisoning the pipeline, the legacy
-        behavior); ``"skip"`` and ``"degrade"`` drop the item with a
-        :class:`DroppedItem` record.  The two non-abort values are
-        identical at stage level; ``"degrade"`` documents that a
-        downstream consumer will substitute a fallback (e.g. nominal
-        stage coordinates) rather than simply omit the item.
-    ``retryable``
-        Exception types eligible for retry; anything else fails the item
-        on the first occurrence (still honoring ``on_exhausted``).
-    """
-
-    max_retries: int = 0
-    backoff: float = 0.0
-    backoff_factor: float = 2.0
-    jitter: float = 0.0
-    item_timeout: float | None = None
-    on_exhausted: str = "abort"
-    retryable: tuple = (Exception,)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.on_exhausted not in ("abort", "skip", "degrade"):
-            raise ValueError(
-                f"on_exhausted must be abort/skip/degrade, got {self.on_exhausted!r}"
-            )
-
-    def delay(self, attempt: int, key: Any = 0) -> float:
-        """Backoff before retry number ``attempt`` (0-based), deterministic."""
-        base = self.backoff * self.backoff_factor**attempt
-        if base <= 0.0:
-            return 0.0
-        if self.jitter:
-            digest = zlib.crc32(repr((self.seed, attempt, key)).encode())
-            base *= 1.0 + self.jitter * ((digest & 0xFFFF) / 0xFFFF)
-        return base
-
-
-@dataclass
-class DroppedItem:
-    """Structured record of an item abandoned under an :class:`ErrorPolicy`."""
-
-    stage: str
-    item: str  # repr of the offending item (items may be unpicklable/huge)
-    error: BaseException
-    attempts: int
-
-
-def run_with_retries(
-    fn: Callable[[], Any],
-    policy: ErrorPolicy,
-    key: Any = 0,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> tuple[Any, int]:
-    """Invoke ``fn`` under ``policy``; return ``(value, attempts_used)``.
-
-    Raises the last exception once retries are exhausted (disposition --
-    abort vs skip -- is the *caller's* job, since only the caller knows
-    how to record the drop).  :class:`~repro.pipeline.queues.QueueClosed`
-    is control flow, never retried, and always re-raised immediately.
-    """
-    attempt = 0
-    while True:
-        t0 = time.perf_counter()
-        try:
-            value = fn()
-        except (QueueClosed, ItemCancelled):
-            # QueueClosed is control flow; ItemCancelled means the
-            # watchdog flagged this item -- the token stays cancelled, so
-            # retrying could only burn backoff time before failing again.
-            raise
-        except policy.retryable as exc:
-            if attempt >= policy.max_retries:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            delay = policy.delay(attempt, key)
-            if delay > 0:
-                sleep(delay)
-            attempt += 1
-            continue
-        dt = time.perf_counter() - t0
-        if policy.item_timeout is not None and dt > policy.item_timeout:
-            exc = StageItemTimeout(
-                f"handler took {dt:.3f}s (> {policy.item_timeout}s budget)"
-            )
-            if attempt >= policy.max_retries:
-                raise exc
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            attempt += 1
-            continue
-        return value, attempt
 
 
 @dataclass
@@ -203,13 +75,6 @@ class Stage:
       ``None`` repeatedly until it returns :data:`END_OF_STREAM`;
     - *transform/sink* stages: the handler is called once per input item
       until the input queue closes and drains.
-
-    With a ``policy``, failing items are retried per the policy and --
-    under ``skip``/``degrade`` -- recorded in :attr:`dropped` instead of
-    aborting the graph.  Retrying re-invokes the handler, so handlers
-    that ``ctx.emit`` before failing have at-least-once emit semantics;
-    the built-in implementations only emit after their side effects
-    complete.
     """
 
     def __init__(
@@ -220,7 +85,6 @@ class Stage:
         input: MonitorQueue | None = None,
         output: MonitorQueue | None = None,
         on_error: Callable[[], None] | None = None,
-        policy: ErrorPolicy | None = None,
         tracer=None,
         metrics=None,
         track_base: str | None = None,
@@ -234,7 +98,6 @@ class Stage:
         self.input = input
         self.output = output
         self.on_error = on_error
-        self.policy = policy
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         #: Span-track stem (one track per worker: ``"<track_base>-<i>"``);
@@ -243,9 +106,7 @@ class Stage:
         self.track_base = track_base or name
         self.threads: list[threading.Thread] = []
         self.errors: list[BaseException] = []
-        self.dropped: list[DroppedItem] = []
         self.items_processed = 0
-        self.items_retried = 0
         #: Wall-clock seconds spent inside the handler, summed over
         #: workers -- the numerator of the stage-utilization telemetry
         #: (how the pipeline's balance is diagnosed, cf. the paper's
@@ -339,10 +200,7 @@ class Stage:
             )
         t0 = time.perf_counter()
         try:
-            if self.policy is None:
-                result = self.handler(item, ctx)
-            else:
-                result = self._handle_with_policy(item, ctx)
+            result = self.handler(item, ctx)
         finally:
             dt = time.perf_counter() - t0
             if self.supervised:
@@ -363,41 +221,6 @@ class Stage:
                 self.metrics.counter(f"stage.{self.name}.items").inc()
                 self.metrics.histogram(f"stage.{self.name}.seconds").observe(dt)
         return result
-
-    def _handle_with_policy(self, item: Any, ctx: StageContext) -> Any:
-        def record_retry(_attempt: int, _exc: BaseException) -> None:
-            with self._count_lock:
-                self.items_retried += 1
-            if self.metrics is not None:
-                self.metrics.counter(f"stage.{self.name}.retries").inc()
-
-        attempts = 0
-
-        def attempt_counter(attempt: int, exc: BaseException) -> None:
-            nonlocal attempts
-            attempts = attempt + 1
-            record_retry(attempt, exc)
-
-        try:
-            result, _ = run_with_retries(
-                lambda: self.handler(item, ctx),
-                self.policy,
-                key=(self.name, repr(item)[:64]),
-                on_retry=attempt_counter,
-            )
-            return result
-        except QueueClosed:
-            raise
-        except Exception as exc:
-            if self.policy.on_exhausted == "abort":
-                raise
-            with self._count_lock:
-                self.dropped.append(
-                    DroppedItem(self.name, repr(item), exc, attempts + 1)
-                )
-            if self.metrics is not None:
-                self.metrics.counter(f"stage.{self.name}.dropped").inc()
-            return None
 
     def _run_source(self, ctx: StageContext) -> None:
         while True:

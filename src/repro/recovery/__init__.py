@@ -17,7 +17,6 @@ Three pillars (see ``docs/ROBUSTNESS.md``):
 from repro.recovery.cancel import (
     CancelToken,
     ItemCancelled,
-    checkpoint_cancelled,
     current_token,
     install_token,
 )
@@ -51,7 +50,6 @@ from repro.recovery.watchdog import (
 __all__ = [
     "CancelToken",
     "ItemCancelled",
-    "checkpoint_cancelled",
     "current_token",
     "install_token",
     "KillResult",

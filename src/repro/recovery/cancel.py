@@ -1,11 +1,13 @@
 """Cooperative cancellation tokens for in-flight work items.
 
 Python threads cannot be interrupted, so the watchdog's "cancel that hung
-item" operation is *cooperative*: every pipeline stage installs a
-:class:`CancelToken` for the item it is currently processing, and any code
-running under that item -- injected hang faults, pool-acquire loops, long
-host computations -- can poll :func:`current_token` and bail out with
-:class:`ItemCancelled` once the watchdog has flagged the item.
+item" operation is *cooperative*: every supervised pipeline stage installs
+a :class:`CancelToken` for the item it is currently processing, and code
+running under that item can poll :func:`current_token` and bail out with
+:class:`ItemCancelled` once the watchdog has flagged the item.  In phase 1
+that code is the tile read (an injected hang polls its token), and
+:meth:`repro.core.kernel.Phase1Kernel.try_read` is the one handler of the
+exception.
 
 The token is a plain boolean flag (no :class:`threading.Event`): setting
 and reading it are GIL-atomic, and the hot path -- one token per stage
@@ -23,9 +25,9 @@ class ItemCancelled(Exception):
     """The current work item was cancelled (typically by the watchdog).
 
     Raised from *inside* a handler by cooperative code that polls the
-    item's :class:`CancelToken`.  Stage error policies treat it like any
-    other failure: retried attempts see the already-cancelled token and
-    fail fast, so a skip/degrade policy drops the item promptly.
+    item's :class:`CancelToken`.  The tile read's error policy never
+    retries it (the token stays cancelled): a skip policy drops the tile
+    at once, an abort policy fails the run.
     """
 
 
@@ -87,15 +89,3 @@ def install_token(token: CancelToken | None) -> CancelToken | None:
     prev = getattr(_tls, "token", None)
     _tls.token = token
     return prev
-
-
-def checkpoint_cancelled() -> None:
-    """Raise :class:`ItemCancelled` if the current item was cancelled.
-
-    Convenience for long loops deep inside handlers: call this at safe
-    points; it is a no-op when no token is installed (sequential,
-    unsupervised execution).
-    """
-    tok = current_token()
-    if tok is not None:
-        tok.raise_if_cancelled()

@@ -1,25 +1,24 @@
 """Stage supervision: per-item deadlines and whole-pipeline stall detection.
 
-A pipelined stitch can wedge in two distinct ways that PR 1's in-process
-retry machinery cannot see:
+A pipelined stitch can wedge in two distinct ways that the tile read's
+retry policy cannot see:
 
 - **item hang** -- one handler invocation never returns (a stuck read, a
-  dead remote filesystem, an injected :class:`FaultKind.HANG`).  The
-  existing ``item_timeout`` is *post hoc*: it only notices the overrun
-  when the handler finally returns, which a true hang never does.
-- **pipeline stall** -- every worker is blocked (e.g. a stage silently
-  swallowing items starves its consumers) and ``Pipeline.join()`` would
-  wait forever.
+  dead remote filesystem, an injected :class:`FaultKind.HANG`); a retry
+  only follows a failure, and a true hang never fails.
+- **pipeline stall** -- every worker is blocked (e.g. a wedged worker
+  starves its consumers) and ``Pipeline.join()`` would wait forever.
 
 The :class:`Watchdog` is one daemon thread polling the supervised
 pipeline's progress counters and per-worker in-flight table.  An item past
 its deadline gets its :class:`~repro.recovery.cancel.CancelToken`
 cancelled -- cooperative code raises
-:class:`~repro.recovery.cancel.ItemCancelled`, the stage's
-:class:`ErrorPolicy` fails the item fast (cancellation is never retried),
-and a ``skip``/``degrade`` policy drops it exactly like any other
-exhausted failure, flowing into PR 1's bookkeeper-cancellation and
-degraded-stitch semantics.  An item that ignores its cancelled token past
+:class:`~repro.recovery.cancel.ItemCancelled`.  In phase 1 only the tile
+read polls its token, so the disposition is the kernel's read policy
+(:meth:`repro.core.kernel.Phase1Kernel.try_read`): a cancelled read is
+never retried, and under ``skip`` the tile is dropped exactly like any
+other exhausted read, flowing into the ledger's cancellation of its
+pairs and the degraded stitch; under ``abort`` the run fails.  An item that ignores its cancelled token past
 the escalation grace, or a pipeline making no progress for
 ``stall_timeout`` seconds, triggers **escalation**: the watchdog aborts
 the pipeline (closing every queue so blocked workers unblock), records a

@@ -26,6 +26,7 @@ from numbers import Integral
 from typing import Any
 
 from repro.core.options import StitchOptions, check_number
+from repro.faults.plan import parse_fault_spec
 
 #: The options a job spec may set: the service's exposure policy, by
 #: name.  What the stitch options among them mean, default to and
@@ -146,6 +147,8 @@ class JobSpec:
         for key, minimum in COMPOSE_OPTIONS.items():
             if self.options.get(key) is not None:
                 check_number(key, self.options[key], Integral, minimum)
+        if self.inject_faults is not None:
+            parse_fault_spec(self.inject_faults)
         if self.blend not in ALLOWED_BLENDS:
             raise ValueError(
                 f"blend must be one of {ALLOWED_BLENDS}, got {self.blend!r}"

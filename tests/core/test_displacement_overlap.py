@@ -25,13 +25,13 @@ from repro.core.displacement import (
 )
 from repro.core.kernel import Phase1Kernel
 from repro.core.pciam import CcfMode
+from repro.faults import ErrorPolicy
 from repro.faults.report import FaultReport
 from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import TileGrid
 from repro.grid.traversal import Traversal
 from repro.observe import Tracer
 from repro.pipeline.graph import PipelineError
-from repro.pipeline.stage import ErrorPolicy
 from repro.recovery.journal import RunJournal
 from repro.synth import make_synthetic_dataset
 

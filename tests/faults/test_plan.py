@@ -1,4 +1,5 @@
-"""FaultPlan: determinism, wrapping surfaces, trigger bookkeeping."""
+"""FaultPlan: determinism, the spec grammar, the read proxy, trigger
+bookkeeping."""
 
 from __future__ import annotations
 
@@ -9,11 +10,11 @@ from repro.faults import (
     Fault,
     FaultKind,
     FaultPlan,
+    FaultSpec,
     FaultyDataset,
-    FaultyPool,
+    parse_fault_spec,
 )
 from repro.io.tiff import TiffError
-from repro.memmodel.pool import BufferPool, PoolExhausted
 
 
 class FakeDataset:
@@ -142,36 +143,46 @@ class TestDatasetWrapping:
         assert plan.triggered_summary() == {"slow_read": 1}
 
 
-class TestHandlerAndPoolWrapping:
-    def test_wrap_handler_injects_stage_errors(self):
-        plan = FaultPlan().add(
-            Fault(FaultKind.STAGE_ERROR, stage="fft", failures=2)
-        )
-        calls = []
+class TestSpecGrammar:
+    def test_bare_seed_is_the_default_mix(self):
+        assert parse_fault_spec("42") == FaultSpec(42)
+        plan = FaultPlan.from_spec("42", 6, 6)
+        assert [(f.kind, f.tile) for f in plan.faults] == [
+            (f.kind, f.tile) for f in FaultPlan.random(6, 6, seed=42).faults
+        ]
 
-        def handler(item, ctx):
-            calls.append(item)
-            return item
+    def test_counts_and_latency(self):
+        spec = parse_fault_spec("7:missing=1, hang=2,latency=0.5")
+        assert spec == FaultSpec(7, {"missing": 1, "hang": 2}, 0.5)
+        plan = spec.plan(4, 4)
+        assert [f.kind for f in plan.faults] == [
+            FaultKind.MISSING, FaultKind.HANG, FaultKind.HANG
+        ]
+        assert {f.latency for f in plan.faults} == {0.5}
+        assert len({f.tile for f in plan.faults}) == 3
 
-        wrapped = plan.wrap_handler("fft", handler)
-        with pytest.raises(RuntimeError, match="injected stage fault"):
-            wrapped(1, None)
-        with pytest.raises(RuntimeError):
-            wrapped(2, None)
-        assert wrapped(3, None) == 3
-        assert calls == [3]
+    @pytest.mark.parametrize("spec, named", [
+        ("nope", "integer seed"),
+        ("7:missing", "key=value"),
+        ("11:stall=3", "'stall'"),
+        ("11:stage_error=2", "'stage_error'"),
+        ("11:hang=1,stage=compute", "'stage'"),
+        ("11:pool_exhausted=1", "'pool_exhausted'"),
+        ("3:missing=x", "'missing'"),
+        ("3:latency=soon", "'latency'"),
+        ("3:corrupt=-1", "'corrupt'"),
+    ])
+    def test_malformed_spec_refused_naming_the_part(self, spec, named):
+        with pytest.raises(ValueError, match=named):
+            parse_fault_spec(spec)
+        with pytest.raises(ValueError, match=named):
+            FaultPlan.from_spec(spec, 4, 4)
 
-    def test_wrap_handler_no_faults_returns_original(self):
-        plan = FaultPlan()
-        handler = lambda item, ctx: item  # noqa: E731
-        assert plan.wrap_handler("fft", handler) is handler
+    def test_non_string_refused(self):
+        with pytest.raises(ValueError, match="must be a string"):
+            parse_fault_spec(42)
 
-    def test_wrap_pool_injects_exhaustion(self):
-        plan = FaultPlan().add(Fault(FaultKind.POOL_EXHAUSTED, failures=1))
-        pool = plan.wrap_pool(BufferPool(2, (4, 4)))
-        assert isinstance(pool, FaultyPool)
-        with pytest.raises(PoolExhausted, match="injected"):
-            pool.acquire(blocking=False)
-        slot = pool.acquire(blocking=False)  # second acquire succeeds
-        assert pool.array(slot).shape == (4, 4)
-        pool.release(slot)
+    def test_counts_must_fit_the_grid(self):
+        spec = parse_fault_spec("5:missing=9")  # the grammar is fine ...
+        with pytest.raises(ValueError, match="9 tile faults.*3x3"):
+            spec.plan(3, 3)  # ... the grid is not

@@ -38,16 +38,6 @@ class TestTransformReady:
         assert freed == [P(0, 1)]
 
 
-def test_pair_failed_frees_like_a_completion():
-    freed = []
-    bk = PairBookkeeper(TileGrid(1, 2), release=freed.append)
-    bk.transform_ready(P(0, 0))
-    (pair,) = bk.transform_ready(P(0, 1))
-    assert bk.pair_failed(pair) == [P(0, 0), P(0, 1)]
-    assert freed == [P(0, 0), P(0, 1)]
-    assert bk.pair_failed(pair) == []
-
-
 def test_subset_incident_lists_are_fixed_and_filtered():
     grid = TileGrid(2, 3)
     todo = frozenset(p for p in grid_pairs(grid) if p.second.col == 2)

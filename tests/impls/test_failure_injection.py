@@ -5,12 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.faults import ErrorPolicy
 from repro.faults.report import FaultReport
 from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu
 from repro.io.dataset import TileDataset
 from repro.io.tiff import TiffError, write_tiff
 from repro.pipeline.graph import PipelineError
-from repro.pipeline.stage import ErrorPolicy
 from repro.synth import make_synthetic_dataset
 
 

@@ -153,8 +153,8 @@ class TestReferenceCounts:
         assert bk.pending(corner) == 0
         with pytest.raises(ValueError, match="completed twice"):
             bk.pair_completed(north)
-        with pytest.raises(ValueError, match="already completed"):
-            bk.pair_failed(west)
+        with pytest.raises(ValueError, match="already ready"):
+            bk.tile_failed(corner)
         assert bk.pending(corner) == 0
         assert freed.count(corner) == 1
 

@@ -1,4 +1,4 @@
-"""ErrorPolicy / run_with_retries / stage retry-and-drop semantics,
+"""The tile read's ErrorPolicy and its retry loop in Phase1Kernel.try_read,
 Pipeline.result() aggregation, and queue-close races under failure.
 """
 
@@ -9,16 +9,13 @@ import time
 
 import pytest
 
+import repro.core.kernel as kernel_module
+from repro.core.kernel import Phase1Kernel
+from repro.faults import ErrorPolicy, FaultReport
 from repro.pipeline.graph import Pipeline, PipelineError, aggregate_failures
 from repro.pipeline.queues import MonitorQueue, QueueClosed
-from repro.pipeline.stage import (
-    END_OF_STREAM,
-    DroppedItem,
-    ErrorPolicy,
-    Stage,
-    StageItemTimeout,
-    run_with_retries,
-)
+from repro.pipeline.stage import END_OF_STREAM, Stage
+from repro.recovery.cancel import CancelToken, ItemCancelled
 
 
 class TestErrorPolicy:
@@ -30,139 +27,121 @@ class TestErrorPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
             ErrorPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="on_exhausted"):
-            ErrorPolicy(on_exhausted="explode")
+        for value in ("explode", "degrade"):
+            with pytest.raises(ValueError, match="on_exhausted"):
+                ErrorPolicy(on_exhausted=value)
 
     def test_delay_exponential(self):
-        p = ErrorPolicy(max_retries=3, backoff=0.1, backoff_factor=2.0)
+        p = ErrorPolicy(max_retries=3, backoff=0.1)
         assert p.delay(0) == pytest.approx(0.1)
         assert p.delay(1) == pytest.approx(0.2)
         assert p.delay(2) == pytest.approx(0.4)
-
-    def test_delay_jitter_is_deterministic_and_bounded(self):
-        p = ErrorPolicy(max_retries=3, backoff=0.1, jitter=0.5, seed=7)
-        d1 = p.delay(1, key=("read", 3))
-        d2 = p.delay(1, key=("read", 3))
-        assert d1 == d2  # same (seed, attempt, key) -> same delay
-        base = 0.1 * 2.0
-        assert base <= d1 <= base * 1.5
-        # A different key perturbs the jitter.
-        assert p.delay(1, key=("read", 4)) != d1
 
     def test_zero_backoff_means_no_delay(self):
         assert ErrorPolicy(max_retries=2).delay(5) == 0.0
 
 
-class TestRunWithRetries:
-    def test_success_first_try(self):
-        value, attempts = run_with_retries(lambda: 42, ErrorPolicy())
-        assert (value, attempts) == (42, 0)
+@pytest.fixture
+def slept(monkeypatch):
+    """Backoff delays ``try_read`` asked for, instead of sleeping them."""
+    delays: list[float] = []
+    monkeypatch.setattr(kernel_module.time, "sleep", delays.append)
+    return delays
 
-    def test_retries_then_succeeds(self):
+
+def try_read(load, policy, report=None, row=2, col=3):
+    kernel = Phase1Kernel(error_policy=policy, fault_report=report)
+    return kernel.try_read(load, row, col)
+
+
+class TestRunWithRetries:
+    """The read's retry loop, :meth:`Phase1Kernel.try_read`."""
+
+    def test_success_first_try(self, slept):
+        assert try_read(lambda r, c: 42, ErrorPolicy()) == (42, None)
+        assert slept == []
+
+    def test_retries_then_succeeds(self, slept):
         calls = []
 
-        def flaky():
-            calls.append(1)
+        def flaky(row, col):
+            calls.append((row, col))
             if len(calls) < 3:
                 raise IOError("transient")
             return "ok"
 
-        retried = []
-        value, attempts = run_with_retries(
-            flaky,
-            ErrorPolicy(max_retries=3),
-            on_retry=lambda a, e: retried.append((a, type(e).__name__)),
-            sleep=lambda s: None,
-        )
-        assert value == "ok"
-        assert attempts == 2
-        assert retried == [(0, "OSError"), (1, "OSError")]
+        report = FaultReport()
+        assert try_read(flaky, ErrorPolicy(max_retries=3), report) == ("ok", None)
+        assert calls == [(2, 3)] * 3
+        assert [(r["attempt"], r["error"]) for r in report.retries] == [
+            (0, "OSError: transient"), (1, "OSError: transient")
+        ]
+        assert report.skipped_tiles == []
 
-    def test_exhaustion_raises_last_error(self):
-        def always():
-            raise ValueError("permanent")
-
-        with pytest.raises(ValueError, match="permanent"):
-            run_with_retries(always, ErrorPolicy(max_retries=2),
-                             sleep=lambda s: None)
-
-    def test_queue_closed_never_retried(self):
+    def test_exhaustion_raises_last_error(self, slept):
         calls = []
 
-        def touch_closed_queue():
+        def always(_row, _col):
             calls.append(1)
-            raise QueueClosed("q")
+            raise ValueError(f"permanent #{len(calls)}")
 
-        with pytest.raises(QueueClosed):
-            run_with_retries(touch_closed_queue, ErrorPolicy(max_retries=5))
-        assert len(calls) == 1
+        with pytest.raises(ValueError, match="permanent #3"):
+            try_read(always, ErrorPolicy(max_retries=2))
 
-    def test_non_retryable_fails_immediately(self):
+    def test_sleep_receives_backoff_delays(self, slept):
         calls = []
 
-        def bad():
-            calls.append(1)
-            raise TypeError("not retryable")
-
-        with pytest.raises(TypeError):
-            run_with_retries(
-                bad, ErrorPolicy(max_retries=5, retryable=(IOError,))
-            )
-        assert len(calls) == 1
-
-    def test_cooperative_timeout_counts_as_failed_attempt(self):
-        calls = []
-
-        def slow_then_fast():
-            calls.append(1)
-            if len(calls) == 1:
-                time.sleep(0.05)
-            return "done"
-
-        value, attempts = run_with_retries(
-            slow_then_fast,
-            ErrorPolicy(max_retries=1, item_timeout=0.01),
-            sleep=lambda s: None,
-        )
-        assert value == "done"
-        assert attempts == 1
-
-    def test_cooperative_timeout_exhausts(self):
-        def always_slow():
-            time.sleep(0.03)
-            return "late"
-
-        with pytest.raises(StageItemTimeout):
-            run_with_retries(
-                always_slow,
-                ErrorPolicy(max_retries=1, item_timeout=0.001),
-                sleep=lambda s: None,
-            )
-
-    def test_sleep_receives_backoff_delays(self):
-        slept = []
-        calls = []
-
-        def flaky():
+        def flaky(_row, _col):
             calls.append(1)
             if len(calls) < 3:
                 raise IOError("x")
             return 1
 
-        run_with_retries(
-            flaky,
-            ErrorPolicy(max_retries=2, backoff=0.1, backoff_factor=2.0),
-            sleep=slept.append,
-        )
+        try_read(flaky, ErrorPolicy(max_retries=2, backoff=0.1))
         assert slept == [pytest.approx(0.1), pytest.approx(0.2)]
+
+    @pytest.mark.parametrize("on_exhausted", ["abort", "skip"])
+    def test_item_cancelled_never_retried(self, slept, on_exhausted):
+        """The watchdog's cancellation keeps the token cancelled, so a
+        retry could only burn backoff time before failing again."""
+        calls = []
+        token = CancelToken()
+        token.cancel("watchdog: read overran its deadline")
+
+        def hung(_row, _col):
+            calls.append(1)
+            token.raise_if_cancelled()
+
+        report = FaultReport()
+        policy = ErrorPolicy(max_retries=3, backoff=0.1,
+                             on_exhausted=on_exhausted)
+        if on_exhausted == "abort":
+            with pytest.raises(ItemCancelled, match="watchdog"):
+                try_read(hung, policy, report)
+        else:
+            pixels, reason = try_read(hung, policy, report)
+            assert pixels is None and "watchdog" in reason
+            assert report.skipped_tiles == [(2, 3)]
+        assert calls == [1]
+        assert slept == []
+        assert report.retries == []
 
 
 class TestStageWithPolicy:
-    def _run_stage(self, handler, policy, items):
+    """A stage survives a failing item only through its handler's own
+    policy; the pipelines' reader stage reads under the kernel's."""
+
+    def _run_stage(self, load, policy, items):
+        report = FaultReport()
+        kernel = Phase1Kernel(error_policy=policy, fault_report=report)
+
+        def handler(item, _ctx):
+            pixels, _ = kernel.try_read(load, item, 0)
+            return pixels
+
         q_in = MonitorQueue(name="in")
         q_out = MonitorQueue(name="out")
-        stage = Stage("work", handler, workers=1, input=q_in, output=q_out,
-                      policy=policy)
+        stage = Stage("work", handler, workers=1, input=q_in, output=q_out)
         for item in items:
             q_in.put(item)
         q_in.close()
@@ -174,38 +153,32 @@ class TestStageWithPolicy:
                 out.append(q_out.get(timeout=0.1))
             except QueueClosed:
                 break
-        return stage, out
+        return stage, out, report
 
     def test_skip_policy_drops_and_continues(self):
-        def handler(item, ctx):
-            if item == 2:
+        def load(row, _col):
+            if row == 2:
                 raise IOError("bad item")
-            return item * 10
+            return row * 10
 
-        stage, out = self._run_stage(
-            handler, ErrorPolicy(max_retries=1, on_exhausted="skip"),
-            [1, 2, 3],
+        stage, out, report = self._run_stage(
+            load, ErrorPolicy(max_retries=1, on_exhausted="skip"), [1, 2, 3],
         )
         assert out == [10, 30]
         assert stage.errors == []
-        assert len(stage.dropped) == 1
-        d = stage.dropped[0]
-        assert isinstance(d, DroppedItem)
-        assert d.stage == "work"
-        assert "2" in d.item
-        assert isinstance(d.error, IOError)
-        assert d.attempts == 2  # initial + 1 retry
-        assert stage.items_retried == 1
+        assert report.skipped_tiles == [(2, 0)]
+        assert report.to_dict()["skipped_tile_errors"] == {"2,0": "OSError: bad item"}
+        assert len(report.retries) == 1  # initial + 1 retry
 
     def test_abort_policy_propagates_after_retries(self):
         calls = []
 
-        def handler(item, ctx):
-            calls.append(item)
+        def load(row, _col):
+            calls.append(row)
             raise IOError("always")
 
-        stage, out = self._run_stage(
-            handler, ErrorPolicy(max_retries=2, on_exhausted="abort"), [7]
+        stage, out, _ = self._run_stage(
+            load, ErrorPolicy(max_retries=2, on_exhausted="abort"), [7]
         )
         assert out == []
         assert len(calls) == 3
@@ -215,18 +188,18 @@ class TestStageWithPolicy:
     def test_transient_failure_recovers_without_drop(self):
         attempts = {}
 
-        def handler(item, ctx):
-            attempts[item] = attempts.get(item, 0) + 1
-            if attempts[item] == 1:
+        def load(row, _col):
+            attempts[row] = attempts.get(row, 0) + 1
+            if attempts[row] == 1:
                 raise IOError("transient")
-            return item
+            return row
 
-        stage, out = self._run_stage(
-            handler, ErrorPolicy(max_retries=1, on_exhausted="skip"), [1, 2]
+        stage, out, report = self._run_stage(
+            load, ErrorPolicy(max_retries=1, on_exhausted="skip"), [1, 2]
         )
         assert sorted(out) == [1, 2]
-        assert stage.dropped == []
-        assert stage.items_retried == 2
+        assert report.skipped_tiles == []
+        assert len(report.retries) == 2
 
 
 class TestPipelineResult:
@@ -247,8 +220,10 @@ class TestPipelineResult:
         stats = pipe.result()
         assert sorted(seen) == [0, 1, 2]
         assert stats["stages"]["src"]["items"] >= 3
-        assert stats["stages"]["sink"]["retried"] == 0
-        assert stats["stages"]["sink"]["dropped"] == 0
+        # A stage neither retries nor drops: only the tile read does.
+        assert set(stats["stages"]["sink"]) == {
+            "workers", "items", "busy_seconds", "queue_wait_seconds"
+        }
 
     def test_result_raises_single_error_naming_all_stages(self):
         pipe = Pipeline("doomed")

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.faults import ErrorPolicy, Fault, FaultKind, FaultPlan
+from repro.core.kernel import Phase1Kernel
+from repro.faults import ErrorPolicy, Fault, FaultKind, FaultPlan, FaultReport
 from repro.pipeline.graph import Pipeline, PipelineStallError
 from repro.pipeline.stage import END_OF_STREAM
 from repro.recovery.cancel import CancelToken, ItemCancelled, current_token
@@ -45,41 +46,50 @@ class TestCancelToken:
         assert current_token() is None
 
 
+def cooperative_hang(_row, _col):
+    """A tile read that hangs until its item is cancelled."""
+    current_token().sleep(30.0)
+
+
 class TestCooperativeCancellation:
+    """The watchdog cancels a hung read; the kernel's read policy -- the
+    one handler of ``ItemCancelled`` -- decides what becomes of it."""
+
     def test_hung_item_is_cancelled_and_skipped(self):
-        """A handler that honors its token is cancelled within the
-        deadline; under skip the pipeline completes and join() returns
-        normally with a non-escalated report."""
+        """A read that honors its token is cancelled within the deadline;
+        under skip the pipeline completes and join() returns normally
+        with a non-escalated report."""
         pipe = Pipeline(
             "coop", watchdog=WatchdogConfig(item_deadline=0.2, stall_timeout=10)
         )
+        report = FaultReport()
+        kernel = Phase1Kernel(error_policy=ErrorPolicy(on_exhausted="skip"),
+                              fault_report=report)
         results = []
 
         def work(x, _ctx):
-            if x == 1:
-                tok = current_token()
-                while True:  # cooperative hang: polls its token
-                    tok.raise_if_cancelled()
-                    time.sleep(0.005)
-            results.append(x)
+            load = cooperative_hang if x == 1 else (lambda r, c: r)
+            pixels = kernel.read(load, x, 0)
+            if pixels is not None:
+                results.append(pixels)
             return None
 
         q = pipe.queue(maxsize=0, name="work")
         pipe.stage("src", make_source(5), workers=1, output=q)
-        pipe.stage("work", work, workers=2, input=q,
-                   policy=ErrorPolicy(on_exhausted="skip"))
+        pipe.stage("work", work, workers=2, input=q)
         t0 = time.monotonic()
         pipe.run()  # must NOT raise and must NOT hang
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0
         assert sorted(results) == [0, 2, 3, 4]
-        report = pipe.watchdog_report()
-        assert report is not None and not report.escalated
-        assert report.kind == "item_hang"
-        assert [i.action for i in report.interventions] == ["cancelled"]
+        watchdog = pipe.watchdog_report()
+        assert watchdog is not None and not watchdog.escalated
+        assert watchdog.kind == "item_hang"
+        assert [i.action for i in watchdog.interventions] == ["cancelled"]
         assert pipe.stats()["watchdog"]["escalated"] is False
-        drops = pipe.dropped()
-        assert len(drops) == 1 and "watchdog" in str(drops[0].error)
+        assert report.skipped_tiles == [(1, 0)]
+        error = report.to_dict()["skipped_tile_errors"]["1,0"]
+        assert error.startswith("ItemCancelled") and "watchdog" in error
 
     def test_cancellation_is_never_retried(self):
         """ItemCancelled must not burn retry attempts: the token stays
@@ -88,20 +98,24 @@ class TestCooperativeCancellation:
         pipe = Pipeline(
             "noretry", watchdog=WatchdogConfig(item_deadline=0.15, stall_timeout=10)
         )
+        kernel = Phase1Kernel(error_policy=ErrorPolicy(
+            max_retries=3, backoff=0.0, on_exhausted="skip"))
+
+        def load(row, col):
+            attempts.append(row)
+            if row == 0:
+                cooperative_hang(row, col)
+            return row
 
         def work(x, _ctx):
-            attempts.append(x)
-            if x == 0:
-                current_token().sleep(30.0)
-            return None
+            kernel.read(load, x, 0)
 
         q = pipe.queue(maxsize=0, name="work")
         pipe.stage("src", make_source(2), workers=1, output=q)
-        pipe.stage("work", work, workers=1, input=q,
-                   policy=ErrorPolicy(max_retries=3, backoff=0.0,
-                                      on_exhausted="skip"))
+        pipe.stage("work", work, workers=1, input=q)
         pipe.run()
         assert attempts.count(0) == 1  # one attempt, no retries
+        assert attempts.count(1) == 1
 
 
 class TestEscalation:
@@ -123,8 +137,7 @@ class TestEscalation:
 
         q = pipe.queue(maxsize=0, name="work")
         pipe.stage("src", make_source(3), workers=1, output=q)
-        pipe.stage("work", work, workers=1, input=q,
-                   policy=ErrorPolicy(on_exhausted="skip"))
+        pipe.stage("work", work, workers=1, input=q)
         with pytest.raises(PipelineStallError) as ei:
             pipe.run()
         report = ei.value.report
@@ -175,29 +188,36 @@ class TestIdleOverhead:
 
 
 class TestInjectedHangEndToEnd:
+    @pytest.mark.parametrize("max_retries", [0, 3])
+    @pytest.mark.parametrize(
+        "impl", ["pipelined-cpu", "pipelined-cpu-numa", "pipelined-gpu"]
+    )
     def test_hang_fault_in_pipelined_cpu_degrades_not_deadlocks(
-        self, dataset_4x4
+        self, dataset_4x4, impl, max_retries
     ):
-        """ISSUE acceptance: FaultKind.HANG + watchdog + skip policy ->
-        the hung tile is cancelled and dropped per PR 1 degradation
-        semantics, and the run completes."""
-        from repro.faults import FaultReport
+        """FaultKind.HANG + watchdog + skip policy, on every scheduler a
+        watchdog can supervise: the hung read is cancelled once (never
+        retried), the tile is dropped, and the run completes degraded.
+        Tile (2, 2) is no column partition's ghost, so exactly one
+        pipeline reads it."""
         from repro.impls import ALL_IMPLEMENTATIONS
 
         plan = FaultPlan().add(
-            Fault(FaultKind.HANG, tile=(2, 1), latency=0.0)  # until cancelled
+            Fault(FaultKind.HANG, tile=(2, 2), latency=0.0)  # until cancelled
         )
         report = FaultReport()
-        impl = ALL_IMPLEMENTATIONS["pipelined-cpu"](
-            error_policy=ErrorPolicy(on_exhausted="skip"),
+        run_impl = ALL_IMPLEMENTATIONS[impl](
+            error_policy=ErrorPolicy(max_retries=max_retries,
+                                     on_exhausted="skip"),
             fault_report=report,
             watchdog=WatchdogConfig(item_deadline=0.3, stall_timeout=30),
         )
         t0 = time.monotonic()
-        run = impl.run(plan.wrap_dataset(dataset_4x4))
+        run = run_impl.run(plan.wrap_dataset(dataset_4x4))
         assert time.monotonic() - t0 < 30.0
-        assert report.skipped_tiles == [(2, 1)]
-        assert "ItemCancelled" in report.to_dict()["skipped_tile_errors"]["2,1"]
+        assert report.skipped_tiles == [(2, 2)]
+        assert "ItemCancelled" in report.to_dict()["skipped_tile_errors"]["2,2"]
+        assert plan.triggered_summary() == {"hang": 1}
         # Every pair not touching the hung tile was still computed.
         assert run.stats["pairs"] == 24 - 4
 

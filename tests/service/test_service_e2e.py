@@ -303,3 +303,26 @@ class TestOptionValidationAtSubmission:
             assert not (tmp_path / "spool" / "jobs").exists()
         finally:
             svc.stop()
+
+    def test_malformed_fault_spec_is_a_400_and_nothing_is_queued(
+        self, tmp_path, e2e_ds
+    ):
+        """The spec's grammar is checked at submission, not in the worker:
+        a malformed one never becomes a job."""
+        from repro.service.client import ServiceError
+
+        svc, client = start_service(tmp_path, workers=1)
+        try:
+            for spec, named in (("nope", "integer seed"),
+                                ("11:stall=3", "'stall'"),
+                                ("3:missing=x", "'missing'"),
+                                (42, "must be a string")):
+                with pytest.raises(ServiceError) as err:
+                    client.submit({"dataset": str(e2e_ds.directory),
+                                   "inject_faults": spec})
+                assert err.value.status == 400
+                assert named in str(err.value)
+            assert not svc.jobs
+            assert not (tmp_path / "spool" / "jobs").exists()
+        finally:
+            svc.stop()

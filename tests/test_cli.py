@@ -259,9 +259,37 @@ class TestRobustnessFlags:
         out = capsys.readouterr().out
         assert "injecting faults (seed 42)" in out
 
-    def test_inject_faults_bad_spec_errors(self, ds_dir):
-        with pytest.raises(ValueError, match="fault spec"):
-            main(["stitch", str(ds_dir), "--inject-faults", "nope"])
+    @staticmethod
+    def refused_spec(ds_dir, capsys, spec) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(["stitch", str(ds_dir), "--inject-faults", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --inject-faults:" in err
+        return err
+
+    def test_inject_faults_bad_spec_errors(self, ds_dir, capsys):
+        """A malformed spec is a usage error naming the bad part, before
+        the dataset is opened -- not a traceback."""
+        assert "integer seed" in self.refused_spec(ds_dir, capsys, "nope")
+
+    @pytest.mark.parametrize("spec, named", [
+        ("11:stall=3", "'stall'"),
+        ("2:stage_error=2,stage=compute", "'stage_error'"),
+        ("7:hang=1,stage=compute", "'stage'"),
+        ("7:hang=1,latency=soon", "'latency'"),
+    ])
+    def test_inject_faults_unknown_key_or_value_errors(self, ds_dir, capsys,
+                                                       spec, named):
+        """Faults enter only through the tile read: there is no stage fault
+        kind and no ``stage=`` target to name."""
+        assert named in self.refused_spec(ds_dir, capsys, spec)
+
+    def test_inject_faults_count_beyond_the_grid_errors(self, ds_dir, capsys):
+        rc = main(["stitch", str(ds_dir), "--inject-faults", "5:missing=99"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --inject-faults: 99 tile faults")
 
     def test_watchdog_cancels_injected_hang(self, ds_dir, tmp_path, capsys):
         rc = main(["stitch", str(ds_dir),
