@@ -7,8 +7,9 @@ and are traced on the device's compute engine with modeled durations.
 
 The max-reduce returns only the flat index and magnitude -- the paper
 "minimizes transfers from device to host memory by only copying the result
-of the parallel reduction", and these kernels preserve that structure: the
-caller d2h-copies a scalar, never the 22 MB correlation surface.
+of the parallel reduction", and these kernels preserve that structure:
+:func:`correlate_pair`, the one pair sequence both GPU schedulers run,
+d2h-copies the O(k) reduction result, never the 22 MB correlation surface.
 """
 
 from __future__ import annotations
@@ -163,3 +164,33 @@ def reduce_max_kernel(
         "reduce-max", "compute", do, device.costs.reduce_max(_area(src)), 0, not_before
     )
     return result, event
+
+
+def correlate_pair(
+    device: VirtualGpu,
+    fft_i: np.ndarray,
+    fft_j: np.ndarray,
+    scratch: np.ndarray,
+    inverse: np.ndarray | None,
+    stream: Stream,
+    k: int,
+    not_before: float = 0.0,
+):
+    """One pair's device work: NCC -> inverse -> top-``k`` reduce -> D2H.
+
+    The NCC lands in ``scratch``; the inverse is a C2R into ``inverse``
+    (real transforms) or, when that is ``None``, a C2C in place.  Only the
+    NCC waits for ``not_before`` (both forward transforms done); stream
+    order chains the rest.  Only the O(k) reduction scalars are copied
+    back.  Returns ``(peaks, d2h event)``.
+    """
+    ncc_kernel(device, fft_i, fft_j, scratch, stream, not_before=not_before)
+    if inverse is not None:
+        irfft2_kernel(device, scratch, inverse, stream)
+    else:
+        ifft2_kernel(device, scratch, scratch, stream)
+        inverse = scratch
+    peaks, _ = reduce_max_kernel(device, inverse, stream, k=k)
+    flat = np.array([v for p in peaks for v in p], dtype=np.float64)
+    _, event = device.d2h(flat, stream)
+    return peaks, event

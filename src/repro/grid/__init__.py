@@ -7,17 +7,24 @@ chained-diagonal traversal frees transform memory earliest and is the
 default) and by the 4-neighbour adjacency that defines which relative
 displacements exist (Fig. 4: one *west* and one *north* translation per
 tile, where present).  :class:`PairBookkeeper` is the early-release
-ledger over those pairs that every memory-freeing scheduler runs on.
+ledger over those pairs that every memory-freeing scheduler runs on;
+:func:`replay` visits an order on it, and :func:`column_partitions` is the
+one spatial decomposition of the partitioned pipelines and their
+simulated schedules.
 """
 
 from repro.grid.tile_grid import TileGrid, GridPosition, split_range
 from repro.grid.neighbors import Direction, Pair, grid_pairs, pairs_for_tile
 from repro.grid.ledger import PairBookkeeper
 from repro.grid.traversal import (
+    ColumnPartition,
     Traversal,
+    column_partitions,
+    default_pool_size,
     traverse,
     peak_live_transforms,
     release_schedule,
+    replay,
 )
 
 __all__ = [
@@ -33,4 +40,8 @@ __all__ = [
     "traverse",
     "peak_live_transforms",
     "release_schedule",
+    "replay",
+    "ColumnPartition",
+    "column_partitions",
+    "default_pool_size",
 ]

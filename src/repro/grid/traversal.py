@@ -1,4 +1,4 @@
-"""Grid traversal orders and their memory consequences.
+"""Grid traversal orders, their memory consequences, column partitions.
 
 The paper's sequential implementation (Section IV.A) frees a tile's
 transform "as soon as the relative displacements of its eastern, southern,
@@ -8,24 +8,28 @@ earliest and is the default; the minimum GPU buffer-pool size "must exceed
 the smallest dimension of the image grid" precisely because a diagonal
 wavefront keeps about one grid-diagonal of transforms live.
 
-:func:`peak_live_transforms` quantifies this: it replays a traversal on
-the early-release ledger (:class:`~repro.grid.ledger.PairBookkeeper`) and
-reports the maximum number of simultaneously live transforms -- the
-quantity the sequential reference schedule measures as
-``stats["peak_live_transforms"]``, which tests use to verify the
-chained-diagonal claim.  It does not size any pool: the pipelines default
-to ``2 * min(rows, cols) + 4`` slots and Simple-GPU to ``+ 5`` (one NCC
-scratch slot more), fixed rules the tests hold above this peak for the
-chained-diagonal order.
+The early-release ledger (:class:`~repro.grid.ledger.PairBookkeeper`)
+gives every schedule its pair readiness: :func:`replay` visits an order on
+it, yielding each tile with the pairs it made ready.  From that replay
+:func:`peak_live_transforms` reports the maximum number of simultaneously
+live transforms (``stats["peak_live_transforms"]`` of the sequential
+schedule); the tests hold :func:`default_pool_size`, the pool rule every
+transform pool starts from, above it for the chained-diagonal order.
+
+:func:`column_partitions` is the spatial decomposition of the multi-GPU
+pipeline (Section IV.B) and its per-socket variant: column ranges, each
+also reading its western "ghost" column unless a p2p link delivers it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.grid.ledger import PairBookkeeper
-from repro.grid.tile_grid import GridPosition, TileGrid
+from repro.grid.neighbors import Pair, grid_pairs
+from repro.grid.tile_grid import GridPosition, TileGrid, split_range
 
 
 class Traversal(Enum):
@@ -79,22 +83,38 @@ def traverse(grid: TileGrid, order: Traversal) -> Iterator[GridPosition]:
         raise AssertionError(order)
 
 
+def replay(
+    grid: TileGrid,
+    order: Iterable[GridPosition],
+    pairs: Iterable[Pair] | None = None,
+    release: Callable[[GridPosition], None] = lambda pos: None,
+) -> Iterator[tuple[GridPosition, list[Pair]]]:
+    """Visit ``order`` on the early-release ledger over ``pairs`` (``None``:
+    the whole grid), computing each pair the moment both its transforms
+    exist; yield every visit with the pairs it made ready.
+
+    ``release`` sees each tile freed, before its visit is yielded.
+    """
+    ledger = PairBookkeeper(grid, pairs=pairs, release=release)
+    for pos in order:
+        ready = ledger.transform_ready(pos)
+        for pair in ready:
+            ledger.pair_completed(pair)
+        yield pos, ready
+
+
 def release_schedule(
     grid: TileGrid, order: Traversal
 ) -> list[tuple[GridPosition, list[GridPosition]]]:
     """Replay a traversal under the paper's early-free policy.
 
-    For each visited tile, pair computations become *ready* when both
-    members' transforms are live; a tile's transform is released once all
-    its incident pairs have been computed.  Returns, per visit,
-    ``(position, [transforms released after this visit])``.
+    Returns, per visit, ``(position, [transforms released after this
+    visit])``: a tile's transform is released once all its incident pairs
+    have been computed.
     """
     freed: list[GridPosition] = []
-    ledger = PairBookkeeper(grid, release=freed.append)
     out: list[tuple[GridPosition, list[GridPosition]]] = []
-    for pos in traverse(grid, order):
-        for pair in ledger.transform_ready(pos):
-            ledger.pair_completed(pair)
+    for pos, _ready in replay(grid, traverse(grid, order), release=freed.append):
         out.append((pos, sorted(freed)))
         freed.clear()
     return out
@@ -114,3 +134,54 @@ def peak_live_transforms(grid: TileGrid, order: Traversal) -> int:
         peak = max(peak, live)
         live -= len(freed)
     return peak
+
+
+def default_pool_size(rows: int, cols: int) -> int:
+    """Transform-pool slots for a ``rows x cols`` chained-diagonal
+    wavefront (Simple-GPU adds one NCC scratch slot)."""
+    return 2 * min(rows, cols) + 4
+
+
+@dataclass(frozen=True)
+class ColumnPartition:
+    """One pipeline's share of the grid.
+
+    ``cols`` is the owned column range ``[c0, c1)``; ``pairs`` are the
+    pairs whose second tile lies in it (north pairs are column-local, a
+    west pair belongs to the partition of its eastern tile), in
+    :func:`~repro.grid.neighbors.grid_pairs` order; ``first_col`` is the
+    first column the partition reads -- ``c0 - 1`` when it reads its
+    western ghost column itself -- and ``order`` its traversal over the
+    columns ``[first_col, c1)`` it reads.
+    """
+
+    cols: tuple[int, int]
+    pairs: tuple[Pair, ...]
+    first_col: int
+    order: tuple[GridPosition, ...]
+
+
+def column_partitions(
+    grid: TileGrid, parts: int, traversal: Traversal, p2p: bool = False
+) -> list[ColumnPartition]:
+    """Split the grid into at most ``parts`` column partitions.
+
+    Ranges come from :func:`~repro.grid.tile_grid.split_range`; only those
+    that own a pair are kept (a 1x1 grid, or a one-row grid's first
+    column, owns none).  A kept partition reads its ghost column unless it
+    starts the grid or, under ``p2p``, a kept partition to its west ships
+    that column's transforms over the link.
+    """
+    all_pairs = list(grid_pairs(grid))
+    out: list[ColumnPartition] = []
+    for c0, c1 in split_range(grid.cols, parts):
+        pairs = tuple(p for p in all_pairs if c0 <= p.second.col < c1)
+        if not pairs:
+            continue
+        lo = c0 if c0 == 0 or (p2p and out) else c0 - 1
+        visit = traverse(TileGrid(grid.rows, c1 - lo), traversal)
+        out.append(ColumnPartition(
+            (c0, c1), pairs, lo,
+            tuple(GridPosition(p.row, p.col + lo) for p in visit),
+        ))
+    return out

@@ -21,14 +21,19 @@ releases, and closes the queues when the last pair completes.
 
 The transform pool bounds memory exactly as on the GPU: if it is sized
 below the traversal wavefront the reader stalls; the default
-(2 x min(rows, cols) + 4) is safe for the chained-diagonal order (tests
-probe the boundary).
+(:func:`~repro.grid.traversal.default_pool_size`) is safe for the
+chained-diagonal order (tests probe the boundary).
+
+Each pipeline runs over one :class:`~repro.grid.traversal.ColumnPartition`
+(here the whole grid); the per-socket variant and Pipelined-GPU import the
+bookkeeping events, :func:`bookkeeping_handler` and :func:`run_pipelines`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,7 +41,12 @@ from repro.core.displacement import DisplacementResult
 from repro.grid.ledger import PairBookkeeper
 from repro.grid.neighbors import Pair
 from repro.grid.tile_grid import GridPosition, TileGrid
-from repro.grid.traversal import Traversal, traverse
+from repro.grid.traversal import (
+    ColumnPartition,
+    Traversal,
+    column_partitions,
+    default_pool_size,
+)
 from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 from repro.memmodel.pool import BufferPool, PoolExhausted
@@ -81,9 +91,46 @@ class _TileFailed:
     pos: GridPosition
 
 
-def default_pool_size(rows: int, cols: int) -> int:
-    """Safe transform-pool size for the chained-diagonal wavefront."""
-    return 2 * min(rows, cols) + 4
+def bookkeeping_handler(
+    kernel,
+    bk: PairBookkeeper,
+    emit: Callable[[Pair], None],
+    close: Iterable,
+    cancelled: Callable[[list[Pair]], None] = lambda pairs: None,
+):
+    """The bookkeeping stage (stage 4 of Fig. 8) over ledger ``bk``.
+
+    Feeds each event to the ledger, hands every pair that became ready to
+    ``emit``, reports a dropped tile's cancelled pairs to the kernel (and
+    to ``cancelled``), and closes the ``close`` queues once every pair
+    has settled.
+    """
+    def bookkeeper(event, _ctx):
+        if isinstance(event, _FftDone):
+            for pair in bk.transform_ready(event.pos):
+                emit(pair)
+        elif isinstance(event, _PairDone):
+            bk.pair_completed(event.pair)
+        elif isinstance(event, _TileFailed):
+            lost = bk.tile_failed(event.pos)
+            kernel.skip_tile_pairs(event.pos, lost)
+            cancelled(lost)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unexpected event {event!r}")
+        if bk.all_pairs_completed():
+            for queue in close:
+                queue.close()
+        return None
+
+    return bookkeeper
+
+
+def run_pipelines(pipelines: list[Pipeline]) -> None:
+    """Start every partition's pipeline, then join them all."""
+    for pipe in pipelines:
+        pipe.start()
+    for pipe in pipelines:
+        pipe.join()
 
 
 class PipelinedCpu(Implementation):
@@ -117,14 +164,15 @@ class PipelinedCpu(Implementation):
         self.fft_batch = fft_batch
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
-        rows, cols = dataset.rows, dataset.cols
-        disp = DisplacementResult.empty(rows, cols)
+        grid = TileGrid(dataset.rows, dataset.cols)
+        disp = DisplacementResult.empty(grid.rows, grid.cols)
         stats = {"reads": 0, "ffts": 0, "pairs": 0}
         disp.stats = stats
-        if rows * cols == 1:  # no pairs, nothing to pipeline
+        parts = column_partitions(grid, 1, self.traversal)
+        if not parts:  # 1x1: no pairs, nothing to pipeline
             return disp, stats
         pipe, pool, workspaces = self._build_pipeline(
-            dataset, TileGrid(rows, cols), disp, stats, threading.Lock()
+            dataset, grid, disp, stats, threading.Lock(), parts[0], self.name
         )
         pipe.run()
         workspaces.release_all()
@@ -138,35 +186,27 @@ class PipelinedCpu(Implementation):
         return disp, stats
 
     def _build_pipeline(
-        self, dataset, grid, disp, stats, stats_lock, pairs=None,
+        self, dataset, grid, disp, stats, stats_lock,
+        part: ColumnPartition, name: str,
     ) -> tuple[Pipeline, BufferPool, ThreadLocalWorkspaces]:
-        """One reader / compute / bookkeeping pipeline over ``pairs``.
-
-        ``pairs=None`` is the whole grid; a subset (a column partition of
-        the per-socket variant) gets a private pool sized for, and a
-        traversal restricted to, the tile columns those pairs touch.
-        Results land in the shared ``disp``/``stats``.
-        """
+        """One reader / compute / bookkeeping pipeline over ``part``, with
+        a private pool sized for the columns it reads.  Results land in
+        the shared ``disp``/``stats``."""
         kernel = self.kernel
-        bk = PairBookkeeper(grid, pairs=pairs, metrics=kernel.metrics)
-        my_tiles = bk.tiles
-        c_lo = min(p.col for p in my_tiles)
-        n_cols = max(p.col for p in my_tiles) - c_lo + 1
+        bk = PairBookkeeper(grid, pairs=part.pairs, metrics=kernel.metrics)
         # The pool holds per-tile spectra: half-spectrum buffers under
         # real transforms, coarse-shaped ones in coarse mode.
         pool = BufferPool(
-            self.pool_size or default_pool_size(grid.rows, n_cols),
+            self.pool_size
+            or default_pool_size(grid.rows, part.cols[1] - part.first_col),
             kernel.buffer_shape(dataset.tile_shape), dtype=np.complex128,
         )
         workspaces = ThreadLocalWorkspaces(
             kernel.arena(dataset.tile_shape, count=self.workers)
         )
 
-        pipe = Pipeline(
-            self.name if pairs is None else f"{self.name}-{c_lo}",
-            tracer=kernel.tracer, metrics=kernel.metrics,
-            watchdog=self.watchdog,
-        )
+        pipe = Pipeline(name, tracer=kernel.tracer, metrics=kernel.metrics,
+                        watchdog=self.watchdog)
         # Q1 carries tile and pair work into the compute stage; it has two
         # producers (reader + bookkeeper), so stages put into it manually and
         # only the bookkeeper closes it (at end of computation).
@@ -183,10 +223,7 @@ class PipelinedCpu(Implementation):
         products: dict[GridPosition, tuple] = {}
         slots: dict[GridPosition, int] = {}
 
-        order = iter([
-            pos for p in traverse(TileGrid(grid.rows, n_cols), self.traversal)
-            if (pos := GridPosition(p.row, p.col + c_lo)) in my_tiles
-        ])
+        order = iter(part.order)
 
         #: Tiles awaiting a full batch (reader is single-threaded).
         pending_batch: list[tuple] = []
@@ -283,21 +320,10 @@ class PipelinedCpu(Implementation):
             pool.release(slot)
 
         bk.release = release_tile
-
-        def bookkeeper(event, _ctx):
-            if isinstance(event, _FftDone):
-                for pair in bk.transform_ready(event.pos):
-                    q_work.put(_PairItem(pair))
-            elif isinstance(event, _PairDone):
-                bk.pair_completed(event.pair)
-            elif isinstance(event, _TileFailed):
-                kernel.skip_tile_pairs(event.pos, bk.tile_failed(event.pos))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unexpected event {event!r}")
-            if bk.all_pairs_completed():
-                q_work.close()
-                q_events.close()
-            return None
+        bookkeeper = bookkeeping_handler(
+            kernel, bk, lambda pair: q_work.put(_PairItem(pair)),
+            (q_work, q_events),
+        )
 
         pipe.stage("reader", reader, workers=1, input=None, output=None)
         pipe.stage("compute", compute, workers=self.workers, input=q_work, output=None)

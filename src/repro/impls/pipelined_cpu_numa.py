@@ -6,7 +6,8 @@ one pipeline per socket keeps each pipeline's working set on its socket's
 memory controller and halves contention on the shared queues.
 
 Structure: the grid is decomposed into contiguous column partitions (one
-per socket), exactly like the multi-GPU decomposition; each partition runs
+per socket) by :func:`~repro.grid.traversal.column_partitions`, the
+multi-GPU decomposition; each partition runs
 :class:`~repro.impls.pipelined_cpu.PipelinedCpu`'s 3-stage pipeline
 (reader / compute / bookkeeping) over its own pair set with a private
 transform pool, and boundary ("ghost") columns are read and transformed by
@@ -19,9 +20,9 @@ from __future__ import annotations
 import threading
 
 from repro.core.displacement import DisplacementResult
-from repro.grid.neighbors import grid_pairs
-from repro.grid.tile_grid import TileGrid, split_range
-from repro.impls.pipelined_cpu import PipelinedCpu
+from repro.grid.tile_grid import TileGrid
+from repro.grid.traversal import column_partitions
+from repro.impls.pipelined_cpu import PipelinedCpu, run_pipelines
 from repro.io.dataset import TileDataset
 
 
@@ -44,19 +45,13 @@ class PipelinedCpuNuma(PipelinedCpu):
         stats = {"reads": 0, "ffts": 0, "pairs": 0}
         disp.stats = stats
 
-        all_pairs = list(grid_pairs(grid))
-        lines = []
-        for c0, c1 in split_range(dataset.cols, self.sockets):
-            pairs = frozenset(p for p in all_pairs if c0 <= p.second.col < c1)
-            if pairs:  # none on a 1x1 grid or a pairless first column
-                lines.append(self._build_pipeline(
-                    dataset, grid, disp, stats, stats_lock, pairs
-                ))
+        lines = [
+            self._build_pipeline(dataset, grid, disp, stats, stats_lock, part,
+                                 f"{self.name}-{part.first_col}")
+            for part in column_partitions(grid, self.sockets, self.traversal)
+        ]
         stats["sockets"] = len(lines)
-        for pipe, _, _ in lines:
-            pipe.start()
-        for pipe, _, _ in lines:
-            pipe.join()
+        run_pipelines([pipe for pipe, _, _ in lines])
         for _, _, workspaces in lines:
             workspaces.release_all()
         return disp, stats

@@ -20,10 +20,13 @@ in parentheses, queues are bounded monitor queues):
    translations and computes the cross-correlation factors on the CPU,
    producing the final (correlation, x, y) per pair.
 
+The partitions come from :func:`~repro.grid.traversal.column_partitions`.
 Boundary ("ghost") columns are read and transformed by both adjacent
 partitions -- the duplicated work is how the paper's spatial decomposition
 avoids cross-GPU communication (peer-to-peer copies are listed as future
-work).  All partitions share the output arrays; cells are disjoint.
+work; ``p2p=True`` implements them).  All partitions share the output
+arrays; cells are disjoint.  The bookkeeping events and handler are
+Pipelined-CPU's (:mod:`repro.impls.pipelined_cpu`).
 """
 
 from __future__ import annotations
@@ -35,19 +38,24 @@ import numpy as np
 
 from repro.core.displacement import DisplacementResult
 from repro.gpu.device import VirtualGpu
-from repro.gpu.kernels import (
-    fft2_kernel,
-    ifft2_kernel,
-    irfft2_kernel,
-    ncc_kernel,
-    reduce_max_kernel,
-    rfft2_kernel,
-)
+from repro.gpu.kernels import correlate_pair, fft2_kernel, rfft2_kernel
 from repro.grid.ledger import PairBookkeeper
-from repro.grid.neighbors import Pair, grid_pairs
-from repro.grid.tile_grid import GridPosition, TileGrid, split_range
-from repro.grid.traversal import Traversal, traverse
+from repro.grid.neighbors import Pair
+from repro.grid.tile_grid import GridPosition, TileGrid
+from repro.grid.traversal import (
+    ColumnPartition,
+    Traversal,
+    column_partitions,
+    default_pool_size,
+)
 from repro.impls.base import Implementation, fold_stats
+from repro.impls.pipelined_cpu import (
+    _FftDone,
+    _PairDone,
+    _TileFailed,
+    bookkeeping_handler,
+    run_pipelines,
+)
 from repro.io.dataset import TileDataset
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
@@ -68,26 +76,9 @@ class _SlotItem:
 
 
 @dataclass
-class _FftDone:
-    pos: GridPosition
-
-
-@dataclass
-class _PairDone:
-    pair: Pair
-
-
-@dataclass
 class _CcfWork:
     pair: Pair
     peaks: list  # [(magnitude, flat_index), ...]
-
-
-@dataclass
-class _TileFailed:
-    """Reader could not deliver a tile (retries exhausted, skip policy)."""
-
-    pos: GridPosition
 
 
 class PipelinedGpu(Implementation):
@@ -121,89 +112,43 @@ class PipelinedGpu(Implementation):
         self.pool_timeout = pool_timeout
         #: Peer-to-peer ghost exchange (the paper's Section VI enabler for
         #: scaling past 2 cards): instead of reading and re-transforming
-        #: its western ghost column, each pipeline receives the owner
-        #: card's transforms over p2p copies.  Ghost transforms live in
+        #: its western ghost column, each pipeline but the first receives
+        #: the western card's transforms over p2p copies.  Ghost transforms live in
         #: dedicated (non-pooled) device buffers, freed by reference count.
         self.p2p = p2p
-
-    # -- partitioning ---------------------------------------------------------
-
-    def _partition(self, grid: TileGrid) -> list[dict]:
-        """Per-GPU partition descriptors: pair subset + tile columns."""
-        ranges = split_range(grid.cols, len(self.devices))
-        all_pairs = list(grid_pairs(grid))
-        parts = []
-        for k, (c0, c1) in enumerate(ranges):
-            pairs = {
-                p
-                for p in all_pairs
-                if c0 <= p.second.col < c1
-                # north pairs are fully inside one column range; west pairs
-                # owned by the partition holding their *second* tile.
-            }
-            # With p2p the ghost column arrives over the link instead of
-            # being read + transformed redundantly.
-            tile_c0 = c0 if (self.p2p or k == 0) else c0 - 1
-            export_col = c1 - 1 if (self.p2p and k + 1 < len(ranges)) else None
-            parts.append({
-                "cols": (tile_c0, c1),
-                "pairs": frozenset(pairs),
-                "export_col": export_col,
-            })
-        return parts
-
-    # -- execution --------------------------------------------------------------
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         rows, cols = dataset.rows, dataset.cols
         grid = TileGrid(rows, cols)
         disp = DisplacementResult.empty(rows, cols)
-        parts = self._partition(grid)
+        parts = column_partitions(
+            grid, len(self.devices), self.traversal, self.p2p
+        )
         stats_lock = threading.Lock()
         stats = {"reads": 0, "ffts": 0, "pairs": 0, "gpus": len(parts)}
+        disp.stats = stats
+        if not parts:  # 1x1 grid: nothing to do
+            return disp, stats
 
-        if self.p2p and any(not part["pairs"] for part in parts) and len(parts) > 1:
-            # A pairless partition never runs, so its neighbour would wait
-            # forever for ghost transforms.  This only happens on degenerate
-            # grids (e.g. 1-row grids split into 1-column partitions).
-            raise ValueError(
-                "p2p ghost exchange needs every partition to own pairs; "
-                "use fewer GPUs for this grid shape"
-            )
         # Ghost-import hooks: slot k holds partition k+1's import function;
         # partition k's FFT stage looks it up lazily (late binding is safe:
         # no stage starts before every pipeline is built).
         import_hooks: list = [None] * len(parts)
         pipelines: list[Pipeline] = []
         for index, (part, device) in enumerate(zip(parts, self.devices)):
-            if part["pairs"]:
-                pipe, import_ghost = self._build_pipeline(
-                    dataset, grid, disp, part, device, stats, stats_lock,
-                    index, import_hooks,
-                )
-                pipelines.append(pipe)
-                if self.p2p and index > 0:
-                    import_hooks[index - 1] = import_ghost
+            pipe, import_ghost = self._build_pipeline(
+                dataset, grid, disp, part, device, stats, stats_lock,
+                index, import_hooks,
+            )
+            pipelines.append(pipe)
+            if self.p2p and index > 0:
+                import_hooks[index - 1] = import_ghost
+        run_pipelines(pipelines)
 
-        if not pipelines:  # 1x1 grid: nothing to do
-            disp.stats = stats
-            return disp, stats
-
-        for p in pipelines:
-            p.start()
-        for p in pipelines:
-            p.join()
-
-        for device in self.devices[: len(parts)]:
-            with stats_lock:
-                stats.setdefault("device_peak_bytes", 0)
-                stats["device_peak_bytes"] = max(
-                    stats["device_peak_bytes"], device.allocator.peak_bytes
-                )
-                stats.setdefault("d2h_bytes", 0)
-                stats["d2h_bytes"] += device.profiler.bytes_copied("d2h")
+        used = self.devices[: len(parts)]
+        stats["device_peak_bytes"] = max(d.allocator.peak_bytes for d in used)
+        stats["d2h_bytes"] = sum(d.profiler.bytes_copied("d2h") for d in used)
         stats["streams_per_gpu"] = 3
-        disp.stats = stats
         return disp, stats
 
     def _build_pipeline(
@@ -211,32 +156,31 @@ class PipelinedGpu(Implementation):
         dataset: TileDataset,
         grid: TileGrid,
         disp: DisplacementResult,
-        part: dict,
+        part: ColumnPartition,
         device: VirtualGpu,
         stats: dict,
         stats_lock: threading.Lock,
-        index: int = 0,
-        import_hooks: list | None = None,
+        index: int,
+        import_hooks: list,
     ) -> tuple[Pipeline, "object"]:
         kernel = self.kernel
-        c0, c1 = part["cols"]
-        export_col = part.get("export_col")
-        import_hooks = import_hooks if import_hooks is not None else []
         # Coarse mode shrinks every device surface (pool slots, ghost
         # buffers, NCC scratch, inverse scratch) to the coarse transform
         # shape -- factor^2 less device memory, H2D and p2p traffic.  The
         # host keeps full-resolution pixels + statistics for the CCF
         # stage's refinement probes and the full-PCIAM fallback.
         fft_shape = kernel.transform_shape(dataset.tile_shape)
-        bk = PairBookkeeper(grid, pairs=part["pairs"], metrics=kernel.metrics)
-        my_tiles = bk.tiles
+        bk = PairBookkeeper(grid, pairs=part.pairs, metrics=kernel.metrics)
 
         real = kernel.real_transforms
         # Half-spectrum transforms shrink every pool buffer to (h, w//2+1)
         # complex values -- cuFFT R2C halves both footprint and FFT work.
         buf_shape = kernel.buffer_shape(dataset.tile_shape)
-        pool_size = self.pool_size or (2 * min(grid.rows, c1 - c0) + 4)
-        pool = device.create_pool(pool_size, buf_shape)
+        pool = device.create_pool(
+            self.pool_size
+            or default_pool_size(grid.rows, part.cols[1] - part.first_col),
+            buf_shape,
+        )
         # Dedicated streams per GPU stage (copier / fft / displacement):
         # "one CUDA stream per GPU stage (a total of 3 for stages 2, 3 & 5)".
         stream_copy = device.create_stream()
@@ -285,7 +229,7 @@ class PipelinedGpu(Implementation):
         # Host pixels live until CCFs of all incident pairs are done or
         # cancelled -- longer than the device slot, which the ledger frees
         # once the displacement stage is through with it.
-        host_refcount = {pos: len(bk.incident(pos)) for pos in my_tiles}
+        host_refcount = {pos: len(bk.incident(pos)) for pos in bk.tiles}
 
         def host_pairs_done(pairs) -> None:
             with state_lock:
@@ -295,11 +239,14 @@ class PipelinedGpu(Implementation):
                         if host_refcount[pos] == 0:
                             host.pop(pos, None)  # None: never stored
 
-        # Local traversal over the partition's tile columns.
-        sub = TileGrid(grid.rows, c1 - c0)
-        order = iter(
-            [GridPosition(p.row, p.col + c0) for p in traverse(sub, self.traversal)]
-        )
+        order = iter(part.order)
+
+        def export(pos: GridPosition, *transform) -> None:
+            """P2P: ship a last-column transform -- or, with none, the
+            tile's loss -- to the eastern neighbour pipeline."""
+            hook = import_hooks[index]
+            if hook is not None and pos.col == part.cols[1] - 1:
+                hook(pos, *transform)
 
         def reader(_item, _ctx):
             try:
@@ -309,15 +256,7 @@ class PipelinedGpu(Implementation):
             tile = kernel.read(dataset.load, pos.row, pos.col)
             if tile is None:
                 q23.put(_TileFailed(pos))
-                # The eastern neighbour expects this tile's transform
-                # over p2p; tell it the tile is lost instead.
-                if export_col is not None and pos.col == export_col:
-                    hook = (
-                        import_hooks[index]
-                        if index < len(import_hooks) else None
-                    )
-                    if hook is not None:
-                        hook(pos, None, None, 0.0, None)
+                export(pos, None, None, 0.0, None)
                 return None
             with stats_lock:
                 stats["reads"] += 1
@@ -354,12 +293,8 @@ class PipelinedGpu(Implementation):
                 fft_done_at[item.pos] = ev.end
             with stats_lock:
                 stats["ffts"] += 1
-            # P2P export: push boundary-column transforms to the eastern
-            # neighbour pipeline instead of letting it re-read + re-FFT.
-            if export_col is not None and item.pos.col == export_col:
-                hook = import_hooks[index] if index < len(import_hooks) else None
-                if hook is not None:
-                    hook(item.pos, device, buf, ev.end, item.pixels)
+            # Spares the eastern neighbour re-reading + re-transforming it.
+            export(item.pos, device, buf, ev.end, item.pixels)
             q23.put(_FftDone(item.pos))
             return None
 
@@ -393,23 +328,9 @@ class PipelinedGpu(Implementation):
                     pool.release(slots.pop(pos))
 
         bk.release = release_device_tile
-
-        def bookkeeper(event, _ctx):
-            if isinstance(event, _FftDone):
-                for pair in bk.transform_ready(event.pos):
-                    q34.put(pair)
-            elif isinstance(event, _PairDone):
-                bk.pair_completed(event.pair)
-            elif isinstance(event, _TileFailed):
-                cancelled = bk.tile_failed(event.pos)
-                kernel.skip_tile_pairs(event.pos, cancelled)
-                host_pairs_done(cancelled)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unexpected event {event!r}")
-            if bk.all_pairs_completed():
-                q34.close()
-                q23.close()
-            return None
+        bookkeeper = bookkeeping_handler(
+            kernel, bk, q34.put, (q34, q23), cancelled=host_pairs_done
+        )
 
         def displacement(pair: Pair, ctx):
             # Resume: a journaled pair skips the device work *and* the CCF
@@ -430,18 +351,11 @@ class PipelinedGpu(Implementation):
                 # start before both forward transforms completed on the FFT
                 # stream's virtual timeline.
                 ready = max(fft_done_at[pair.first], fft_done_at[pair.second])
-            ncc_kernel(device, fft_i, fft_j, scratch.data, stream_disp,
-                       not_before=ready)
-            if real:
-                irfft2_kernel(device, scratch.data, inv_scratch.data, stream_disp)
-                surface = inv_scratch.data
-            else:
-                ifft2_kernel(device, scratch.data, scratch.data, stream_disp)
-                surface = scratch.data
-            peaks, _ = reduce_max_kernel(device, surface, stream_disp,
-                                         k=kernel.peak_count)
-            flat = np.array([v for p in peaks for v in p], dtype=np.float64)
-            device.d2h(flat, stream_disp)  # O(k) scalars only
+            peaks, _ = correlate_pair(
+                device, fft_i, fft_j, scratch.data,
+                inv_scratch.data if real else None, stream_disp,
+                kernel.peak_count, not_before=ready,
+            )
             ctx.emit(_CcfWork(pair, peaks))
             # Feedback entry for memory management (Fig. 8).
             q23.put(_PairDone(pair))

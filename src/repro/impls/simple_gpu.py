@@ -11,8 +11,10 @@ synchronization, so the GPU idles during reads and CCFs (the gaps of
 Fig. 7).
 
 The host/device interleaving is modeled on the device's virtual clock: each
-synchronous submission carries ``not_before = host_clock`` and advances the
-host clock to the operation's end; host-only work (reads, CCFs) advances
+synchronous submission starts no earlier than ``host_clock`` and advances
+the host clock to the operation's end (a pair's device sequence,
+:func:`~repro.gpu.kernels.correlate_pair`, waits on the host clock once;
+stream order chains the rest); host-only work (reads, CCFs) advances
 the host clock by its modeled duration.  The trace's compute-engine density
 is the quantity Fig. 7 visualizes.
 """
@@ -24,19 +26,12 @@ import numpy as np
 from repro.core.displacement import DisplacementResult
 from repro.gpu.costs import XEON_E5620, CpuCostModel
 from repro.gpu.device import VirtualGpu
-from repro.gpu.kernels import (
-    fft2_kernel,
-    ifft2_kernel,
-    irfft2_kernel,
-    ncc_kernel,
-    reduce_max_kernel,
-    rfft2_kernel,
-)
+from repro.gpu.kernels import correlate_pair, fft2_kernel, rfft2_kernel
 from repro.gpu.profiler import TraceEvent
 from repro.grid.ledger import PairBookkeeper
 from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid
-from repro.grid.traversal import Traversal, traverse
+from repro.grid.traversal import Traversal, default_pool_size, traverse
 from repro.impls.base import Implementation
 from repro.io.dataset import TileDataset
 
@@ -78,7 +73,7 @@ class SimpleGpu(Implementation):
         # Pool of (half-)spectra: live transforms of the traversal
         # wavefront plus one scratch slot for the NCC / inverse-FFT
         # surface; cuFFT R2C halves both work and footprint.
-        pool_size = self.pool_size or (2 * min(rows, cols) + 5)
+        pool_size = self.pool_size or default_pool_size(rows, cols) + 1
         pool = device.create_pool(
             pool_size, kernel.buffer_shape(dataset.tile_shape)
         )
@@ -156,27 +151,13 @@ class SimpleGpu(Implementation):
             for pair in ready:
                 pair_t0 = tracer.now() if tracer.enabled else 0.0
                 scratch = pool.acquire(blocking=False)
-                buf = pool.array(scratch)
-                ev = ncc_kernel(
-                    device, pool.array(slots[pair.first]), pool.array(slots[pair.second]),
-                    buf, stream, not_before=host_clock,
+                # Synchronous: the host waits for the O(k) D2H copy.
+                peaks, ev = correlate_pair(
+                    device, pool.array(slots[pair.first]),
+                    pool.array(slots[pair.second]), pool.array(scratch),
+                    inv_buf.data if real else None, stream,
+                    kernel.peak_count, not_before=host_clock,
                 )
-                host_clock = ev.end
-                if real:
-                    ev = irfft2_kernel(device, buf, inv_buf.data, stream,
-                                       not_before=host_clock)
-                    surface = inv_buf.data
-                else:
-                    ev = ifft2_kernel(device, buf, buf, stream, not_before=host_clock)
-                    surface = buf
-                host_clock = ev.end
-                peaks, ev = reduce_max_kernel(device, surface, stream,
-                                              not_before=host_clock,
-                                              k=kernel.peak_count)
-                host_clock = ev.end
-                # D2H of the reduction result only (O(k) scalars).
-                flat = np.array([v for p in peaks for v in p], dtype=np.float64)
-                _, ev = device.d2h(flat, stream, not_before=host_clock)
                 host_clock = ev.end
                 pool.release(scratch)
 

@@ -9,8 +9,11 @@ set of hardware resources.
 :mod:`repro.simulate.des` is a deterministic task-graph scheduler
 (operations with dependencies, resources with capacities, FIFO dispatch).
 :mod:`repro.simulate.schedules` builds each implementation's operation
-graph -- the same topology the real implementations execute, driven by the
-same traversal/bookkeeping logic.  :mod:`repro.simulate.costmodel` holds
+graph -- the same topology the real implementations execute; the
+pipelined and GPU graphs take the real schedulers' column partitions and
+ledger replay (:mod:`repro.grid.traversal`), so they read the tiles and
+compute the pairs the real runs do.  The MT-CPU graph models the paper's
+MT-CPU, whose band below re-reads the boundary row.  :mod:`repro.simulate.costmodel` holds
 machine models calibrated from the paper's own microbenchmarks, and
 :mod:`repro.simulate.experiments` packages the paper's experiments.
 """

@@ -1,21 +1,21 @@
 """Per-implementation operation-graph builders for the DES.
 
-Each ``simulate_*`` function builds the operation DAG the corresponding
-real implementation executes -- same traversal order, same pair readiness
-logic (a pair becomes computable when both transforms exist), same stage
-topology -- and runs it through the task-graph scheduler.  The functions
-share a replay of the sequential program (:func:`serial_program`) so the
-graphs provably cover every tile and every pair.
+Each ``simulate_*`` function builds the operation DAG of the paper's
+implementation and runs it through the task-graph scheduler.  Traversal,
+pair readiness (:func:`~repro.grid.traversal.replay` on the early-release
+ledger) and column partitions (:func:`~repro.grid.traversal.column_partitions`)
+are the real schedulers' own, so the pipelined and GPU graphs read the
+tiles and compute the pairs the real runs do.  :func:`simulate_mt_cpu`
+models the paper's MT-CPU rather than :class:`~repro.impls.mt_cpu.MtCpu`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from repro.grid.neighbors import Pair, pairs_for_tile
+from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid, split_range
-from repro.grid.traversal import Traversal, traverse
+from repro.grid.traversal import Traversal, column_partitions, replay, traverse
 from repro.simulate.costmodel import (
     FIJI_CHECK_PEAKS,
     FIJI_THREADS,
@@ -40,27 +40,6 @@ class SimResult:
         return self.makespan_seconds / 60.0
 
 
-def serial_program(
-    rows: int, cols: int, traversal: Traversal = Traversal.CHAINED_DIAGONAL
-) -> Iterator[tuple[str, object]]:
-    """Replay the sequential implementation's program order.
-
-    Yields ``("tile", pos)`` on first visit and ``("pair", pair)`` as soon
-    as both members have been visited -- the readiness rule every
-    implementation shares.
-    """
-    grid = TileGrid(rows, cols)
-    visited: set[GridPosition] = set()
-    done: set[Pair] = set()
-    for pos in traverse(grid, traversal):
-        visited.add(pos)
-        yield ("tile", pos)
-        for pair in pairs_for_tile(grid, pos.row, pos.col):
-            if pair not in done and pair.first in visited and pair.second in visited:
-                done.add(pair)
-                yield ("pair", pair)
-
-
 # ---------------------------------------------------------------------------
 # CPU implementations
 # ---------------------------------------------------------------------------
@@ -77,14 +56,14 @@ def simulate_simple_cpu(
     cpu = machine.cpu
     sim = TaskGraphSimulator()
     core = sim.resource("cpu", 1)
+    grid = TileGrid(rows, cols)
     prev = None
-    for kind, _ in serial_program(rows, cols):
-        if kind == "tile":
-            prev = sim.op("read+fft", core,
-                          cpu.read(hw) + cpu.decode(hw) + cpu.fft(hw),
-                          deps=[prev] if prev else [])
-        else:
-            prev = sim.op("pair", core, cpu.pair_cpu(hw), deps=[prev] if prev else [])
+    for _pos, ready in replay(grid, traverse(grid, Traversal.CHAINED_DIAGONAL)):
+        prev = sim.op("read+fft", core,
+                      cpu.read(hw) + cpu.decode(hw) + cpu.fft(hw),
+                      deps=[prev] if prev else [])
+        for _pair in ready:
+            prev = sim.op("pair", core, cpu.pair_cpu(hw), deps=[prev])
     makespan = sim.run()
     return SimResult("simple-cpu", makespan, sim, {"rows": rows, "cols": cols})
 
@@ -98,9 +77,12 @@ def simulate_mt_cpu(
 ) -> SimResult:
     """SPMD row bands: one serial chain per band, time-shared cores.
 
-    Band boundary rows are read and transformed redundantly by the lower
-    band (exactly as :class:`repro.impls.mt_cpu.MtCpu` does), which is why
-    MT-CPU trails Pipelined-CPU at high thread counts in Table II.
+    This models the paper's MT-CPU, in which the band below reads and
+    transforms each band-boundary row again -- what Table II's MT-CPU row
+    measures, and why MT-CPU trails Pipelined-CPU at high thread counts.
+    :class:`repro.impls.mt_cpu.MtCpu` prefetches each boundary row once
+    instead, so it reads fewer tiles than this schedule (24 against 32 on
+    a 6x4 grid in 3 bands).
     """
     hw = tile[0] * tile[1]
     cpu = machine.cpu
@@ -146,19 +128,19 @@ def simulate_pipelined_cpu(
     sim = TaskGraphSimulator()
     disk = sim.resource("disk", 1)
     pool = sim.resource("cpu", threads)
+    grid = TileGrid(rows, cols)
     fft_of: dict[GridPosition, object] = {}
     prev_read = None
-    for kind, item in serial_program(rows, cols, traversal):
-        if kind == "tile":
-            rd = sim.op("read", disk, cpu.read(hw), deps=[prev_read] if prev_read else [])
-            prev_read = rd
-            fft_of[item] = sim.op(
-                "fft", pool, (cpu.decode(hw) + cpu.fft(hw)) * slow, deps=[rd]
-            )
-        else:
+    for pos, ready in replay(grid, traverse(grid, traversal)):
+        rd = sim.op("read", disk, cpu.read(hw), deps=[prev_read] if prev_read else [])
+        prev_read = rd
+        fft_of[pos] = sim.op(
+            "fft", pool, (cpu.decode(hw) + cpu.fft(hw)) * slow, deps=[rd]
+        )
+        for pair in ready:
             sim.op(
                 "pair", pool, cpu.pair_cpu(hw) * slow,
-                deps=[fft_of[item.first], fft_of[item.second]],
+                deps=[fft_of[pair.first], fft_of[pair.second]],
             )
     makespan = sim.run()
     return SimResult(
@@ -198,8 +180,6 @@ def simulate_fiji(
     pool = sim.resource("cpu", threads)
     disk = sim.resource("disk", 1)
     grid = TileGrid(rows, cols)
-    from repro.grid.neighbors import grid_pairs
-
     slow = machine.thread_slowdown(min(threads, machine.logical_cores))
     per_pair_compute = java_factor * slow * (
         2 * cpu.decode(hw)
@@ -254,14 +234,14 @@ def simulate_simple_gpu(
         prev = sim.op(name, res, dur, deps=[prev] if prev else [])
         return prev
 
-    for kind, _ in serial_program(rows, cols):
-        if kind == "tile":
-            chain("read", host, cpu.read(hw) + cpu.decode(hw))
-            chain("sync", host, gpu.sync_overhead)
-            chain("h2d", h2d, gpu.h2d(transform_bytes))
-            chain("sync", host, gpu.sync_overhead)
-            chain("cufft-fwd", compute, gpu.fft(hw))
-        else:
+    grid = TileGrid(rows, cols)
+    for _pos, ready in replay(grid, traverse(grid, Traversal.CHAINED_DIAGONAL)):
+        chain("read", host, cpu.read(hw) + cpu.decode(hw))
+        chain("sync", host, gpu.sync_overhead)
+        chain("h2d", h2d, gpu.h2d(transform_bytes))
+        chain("sync", host, gpu.sync_overhead)
+        chain("cufft-fwd", compute, gpu.fft(hw))
+        for _pair in ready:
             chain("sync", host, gpu.sync_overhead)
             chain("ncc", compute, gpu.ncc(hw))
             chain("sync", host, gpu.sync_overhead)
@@ -289,8 +269,9 @@ def simulate_pipelined_gpu(
 ) -> SimResult:
     """The Fig. 8 pipeline: per-GPU engines + a shared CCF thread pool.
 
-    Column partitions with ghost columns, one read chain per pipeline
-    contending on the shared disk, fully asynchronous engines.
+    :class:`~repro.impls.pipelined_gpu.PipelinedGpu`'s column partitions
+    (ghost columns included), one read chain per pipeline contending on
+    the shared disk, fully asynchronous engines.
 
     ``p2p=True`` models the paper's future-work variant for machines with
     more GPUs: instead of redundantly reading and transforming its ghost
@@ -305,8 +286,6 @@ def simulate_pipelined_gpu(
     that the pipeline "can be changed easily to take advantage of
     Hyper-Q".
     """
-    from repro.grid.neighbors import grid_pairs
-
     hw = tile[0] * tile[1]
     cpu, gpu = machine.cpu, machine.gpu
     transform_bytes = 16 * hw
@@ -317,9 +296,7 @@ def simulate_pipelined_gpu(
     sim = TaskGraphSimulator()
     disk = sim.resource("disk", 1)
     ccf_pool = sim.resource("ccf", ccf_threads)
-    grid = TileGrid(rows, cols)
-
-    parts = split_range(cols, n_gpus)
+    parts = column_partitions(TileGrid(rows, cols), n_gpus, traversal, p2p)
     p2p_link = sim.resource("p2p", 1) if p2p and len(parts) > 1 else None
     for g in range(len(parts)):
         sim.resource(f"gpu{g}.h2d", 1)
@@ -328,16 +305,12 @@ def simulate_pipelined_gpu(
         if hyper_q:
             sim.resource(f"gpu{g}.compute2", 1)
 
-    # Pass 1: owned-tile chains (read -> h2d -> fft) per pipeline.  With
-    # p2p each partition owns exactly its columns; without it the ghost
-    # column is duplicated into the higher partition (the paper's scheme).
+    # Pass 1: the chain (read -> h2d -> fft) of every tile a pipeline
+    # reads, its ghost column included unless p2p delivers it.
     fft_by_gpu: list[dict[GridPosition, object]] = [dict() for _ in parts]
-    for g, (c0, c1) in enumerate(parts):
-        tile_c0 = c0 if (p2p or g == 0) else c0 - 1
-        sub = TileGrid(grid.rows, c1 - tile_c0)
+    for g, part in enumerate(parts):
         prev_read = None
-        for pos_local in traverse(sub, traversal):
-            pos = GridPosition(pos_local.row, pos_local.col + tile_c0)
+        for pos in part.order:
             rd = sim.op("read", disk, cpu.read(hw),
                         deps=[prev_read] if prev_read else [])
             prev_read = rd
@@ -346,28 +319,21 @@ def simulate_pipelined_gpu(
             fft_by_gpu[g][pos] = ft
 
     # Pass 2 (p2p only): ghost transforms arrive over the peer link from
-    # the owning card instead of being recomputed.
+    # the western card instead of being recomputed.
     if p2p_link is not None:
-        for g, (c0, _c1) in enumerate(parts):
-            if g == 0:
-                continue
-            for r in range(grid.rows):
-                ghost = GridPosition(r, c0 - 1)
+        for g in range(1, len(parts)):
+            for r in range(rows):
+                ghost = GridPosition(r, parts[g].cols[0] - 1)
                 src = fft_by_gpu[g - 1][ghost]
                 fft_by_gpu[g][ghost] = sim.op(
                     "p2p-copy", "p2p",
                     transform_bytes / p2p_bandwidth, deps=[src],
                 )
 
-    # Pass 3: pair chains on the owning pipeline (west pairs owned by the
-    # partition holding their second tile; north pairs are column-local).
-    for g, (c0, c1) in enumerate(parts):
+    # Pass 3: each partition's pair chains.
+    for g, part in enumerate(parts):
         local_fft = fft_by_gpu[g]
-        for pair in grid_pairs(grid):
-            if not (c0 <= pair.second.col < c1):
-                continue
-            if pair.first not in local_fft:
-                continue
+        for pair in part.pairs:
             kq = f"gpu{g}.compute2" if hyper_q else f"gpu{g}.compute"
             ncc = sim.op("ncc", kq, gpu.ncc(hw),
                          deps=[local_fft[pair.first], local_fft[pair.second]])
@@ -401,8 +367,6 @@ def simulate_pipelined_cpu_numa(
     ``core_efficiency``) at the price of ghost-column duplication between
     partitions -- the same trade the multi-GPU decomposition makes.
     """
-    from repro.grid.neighbors import pairs_for_tile as _pft
-
     hw = tile[0] * tile[1]
     cpu = machine.cpu
     sockets = max(1, min(sockets, threads, cols))
@@ -421,30 +385,18 @@ def simulate_pipelined_cpu_numa(
     sim = TaskGraphSimulator()
     disk = sim.resource("disk", 1)
     grid = TileGrid(rows, cols)
-    parts = split_range(cols, sockets)
-    for k, (c0, c1) in enumerate(parts):
+    for k, part in enumerate(column_partitions(grid, sockets, traversal)):
         pool = sim.resource(f"cpu{k}", per_socket)
-        tile_c0 = c0 - 1 if k > 0 else c0
-        sub = TileGrid(rows, c1 - tile_c0)
         fft_of: dict[GridPosition, object] = {}
-        visited: set[GridPosition] = set()
         prev_read = None
-        for pos_local in traverse(sub, traversal):
-            pos = GridPosition(pos_local.row, pos_local.col + tile_c0)
+        for pos, ready in replay(grid, part.order, part.pairs):
             rd = sim.op("read", disk, cpu.read(hw),
                         deps=[prev_read] if prev_read else [])
             prev_read = rd
             fft_of[pos] = sim.op(
                 "fft", pool, (cpu.decode(hw) + cpu.fft(hw)) * slow, deps=[rd]
             )
-            visited.add(pos)
-            for pair in _pft(grid, pos.row, pos.col):
-                if not (c0 <= pair.second.col < c1):
-                    continue
-                if pair.first.col < tile_c0:
-                    continue
-                if pair.first not in visited or pair.second not in visited:
-                    continue
+            for pair in ready:
                 sim.op("pair", pool, cpu.pair_cpu(hw) * slow,
                        deps=[fft_of[pair.first], fft_of[pair.second]])
     makespan = sim.run()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import displacement_agreement
+from repro.core.stitcher import Stitcher
 from repro.gpu.device import VirtualGpu
 from repro.impls import PipelinedGpu, SimpleCpu
 from repro.synth import make_synthetic_dataset
@@ -75,14 +76,31 @@ class TestP2pStructure:
         )
 
 
+@pytest.fixture(scope="module")
+def strip(tmp_path_factory):
+    return make_synthetic_dataset(
+        tmp_path_factory.mktemp("strip"), rows=1, cols=4, tile_height=64,
+        tile_width=64, overlap=0.3, seed=2,
+    )
+
+
 class TestP2pValidation:
-    def test_degenerate_grid_rejected(self, tmp_path):
-        ds = make_synthetic_dataset(
-            tmp_path / "strip", rows=1, cols=4, tile_height=64, tile_width=64,
-            overlap=0.3, seed=2,
-        )
-        with pytest.raises(ValueError, match="p2p"):
-            PipelinedGpu(devices=4, p2p=True).run(ds)
+    def test_one_row_grid_splits(self, strip):
+        """The first column of a one-row grid owns no pair: the first
+        pipeline reads that column itself and ships its own last column
+        east, so every tile is read once."""
+        ref = Stitcher().stitch(strip)
+        res = Stitcher(
+            impl="pipelined-gpu", impl_options={"devices": 4, "p2p": True}
+        ).stitch(strip)
+        assert np.array_equal(res.positions.positions, ref.positions.positions)
+        assert res.stats["reads"] == 4
+        assert res.stats["p2p_copies"] == 2
+
+    @pytest.mark.parametrize("p2p", [False, True])
+    def test_gpus_counts_pipelines_run(self, strip, p2p):
+        res = PipelinedGpu(devices=5, p2p=p2p).run(strip)
+        assert res.stats["gpus"] == 3  # the first column's range is idle
 
     def test_single_gpu_p2p_is_noop(self, dataset, reference):
         res = PipelinedGpu(devices=1, p2p=True).run(dataset)

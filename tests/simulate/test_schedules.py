@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.grid import TileGrid, replay, traverse
+from repro.grid.traversal import Traversal
 from repro.simulate.costmodel import PAPER_MACHINE
 from repro.simulate.schedules import (
-    serial_program,
     simulate_fiji,
     simulate_mt_cpu,
     simulate_pipelined_cpu,
@@ -17,21 +18,26 @@ SMALL = dict(rows=4, cols=5)
 TILE = (64, 64)
 
 
+def serial_program(rows, cols):
+    """The sequential program order the serial schedules replay."""
+    grid = TileGrid(rows, cols)
+    return list(replay(grid, traverse(grid, Traversal.CHAINED_DIAGONAL)))
+
+
 class TestSerialProgram:
     def test_covers_every_tile_and_pair(self):
-        events = list(serial_program(4, 5))
-        tiles = [e for k, e in events if k == "tile"]
-        pairs = [e for k, e in events if k == "pair"]
+        visits = serial_program(4, 5)
+        tiles = [pos for pos, _ in visits]
+        pairs = [pair for _, ready in visits for pair in ready]
         assert len(tiles) == 20 and len(set(tiles)) == 20
         assert len(pairs) == 2 * 20 - 4 - 5 and len(set(pairs)) == len(pairs)
 
     def test_pairs_emitted_after_both_tiles(self):
         seen = set()
-        for kind, item in serial_program(3, 3):
-            if kind == "tile":
-                seen.add(item)
-            else:
-                assert item.first in seen and item.second in seen
+        for pos, ready in serial_program(3, 3):
+            seen.add(pos)
+            for pair in ready:
+                assert pair.first in seen and pair.second in seen
 
 
 class TestScheduleStructure:
