@@ -13,10 +13,10 @@
 
 import numpy as np
 import pytest
-import scipy.fft as sf
 
 from benchmarks._util import emit, once
 from repro.analysis.report import format_series, format_table
+from repro.fftlib import fft2, rfft2
 from repro.fftlib.smooth import next_smooth_shape, pad_to_shape
 from repro.grid.tile_grid import TileGrid
 from repro.grid.traversal import Traversal, peak_live_transforms
@@ -49,9 +49,9 @@ def test_ablation_padding_to_smooth(benchmark):
             b = min(b, time.perf_counter() - t0)
         return b
 
-    t_native = best_of(lambda: sf.fft2(a))
-    t_padded = best_of(lambda: sf.fft2(pad_to_shape(a, padded_shape, out=workspace)))
-    once(benchmark, lambda: sf.fft2(a))
+    t_native = best_of(lambda: fft2(a))
+    t_padded = best_of(lambda: fft2(pad_to_shape(a, padded_shape, out=workspace)))
+    once(benchmark, lambda: fft2(a))
     emit(
         "ablation_padding",
         f"Padding ablation ({AWKWARD} -> {padded_shape}):\n"
@@ -78,9 +78,9 @@ def test_ablation_real_to_complex(benchmark):
             b = min(b, time.perf_counter() - t0)
         return b
 
-    t_c2c = best_of(lambda: sf.fft2(ac))
-    t_r2c = best_of(lambda: sf.rfft2(a))
-    once(benchmark, lambda: sf.rfft2(a))
+    t_c2c = best_of(lambda: fft2(ac))
+    t_r2c = best_of(lambda: rfft2(a))
+    once(benchmark, lambda: rfft2(a))
     emit(
         "ablation_r2c",
         f"Real-to-complex ablation (512x512):\n"

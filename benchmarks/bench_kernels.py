@@ -7,12 +7,12 @@ ran (patient vs estimate).
 
 import numpy as np
 import pytest
-import scipy.fft as sf
 
 from repro.core.ccf import ccf_at
 from repro.core.ncc import normalized_correlation
 from repro.core.peak import top_peaks
 from repro.core.pciam import pciam, CcfMode
+from repro.fftlib import fft2, ifft2
 from repro.fftlib.plans import PlanCache, PlanningMode, TransformKind
 from repro.synth.specimen import generate_plate
 
@@ -27,12 +27,12 @@ def tiles():
 
 @pytest.fixture(scope="module")
 def spectra(tiles):
-    return sf.fft2(tiles[0]), sf.fft2(tiles[1])
+    return fft2(tiles[0]), fft2(tiles[1])
 
 
 def test_bench_forward_fft(benchmark, tiles):
     a = tiles[0].astype(np.complex128)
-    benchmark(lambda: sf.fft2(a))
+    benchmark(lambda: fft2(a))
 
 
 def test_bench_ncc(benchmark, spectra):
@@ -43,11 +43,11 @@ def test_bench_ncc(benchmark, spectra):
 
 def test_bench_inverse_fft(benchmark, spectra):
     fa, _ = spectra
-    benchmark(lambda: sf.ifft2(fa))
+    benchmark(lambda: ifft2(fa))
 
 
 def test_bench_reduce_max(benchmark, spectra):
-    inv = sf.ifft2(normalized_correlation(*spectra))
+    inv = ifft2(normalized_correlation(*spectra))
     benchmark(lambda: top_peaks(inv, 1))
 
 

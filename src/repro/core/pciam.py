@@ -185,10 +185,12 @@ def correlation_peaks(
 
     ``workspace`` is an optional
     :class:`~repro.memmodel.workspace.PairWorkspace` sized for ``shape``
-    whose scratch buffers receive the NCC, its magnitude, and the peak
-    magnitudes -- turning the per-pair allocation churn into reuse.  It
+    whose scratch buffers receive the NCC, its magnitude, the inverse and
+    the peak magnitudes -- a warm pair allocates nothing array-sized.  It
     is scratch the caller refills every pair, so the inverse transform
-    consumes the workspace-held NCC in place (``overwrite_input``).
+    consumes the workspace-held NCC in place (``overwrite_input``); a
+    ``C2R`` inverse lands in the spatial buffer, whose magnitude the
+    reduction then takes in place.
     """
     expected = spectrum_shape(shape) if real else tuple(shape)
     if fft_i.shape != expected or fft_j.shape != expected:
@@ -196,14 +198,19 @@ def correlation_peaks(
             f"supplied transforms have shape {fft_i.shape}/{fft_j.shape}, "
             f"expected {expected}"
         )
-    out = workspace.ncc if workspace is not None else None
-    mag_out = workspace.ncc_mag if workspace is not None else None
-    peak_mag = workspace.peak_mag if workspace is not None else None
-    ncc = normalized_correlation(fft_i, fft_j, out=out, mag_out=mag_out)
+    ncc_out = mag_out = spatial = None
+    if workspace is not None:
+        ncc_out, mag_out, spatial = (
+            workspace.ncc, workspace.ncc_mag, workspace.spatial
+        )
+    ncc = normalized_correlation(fft_i, fft_j, out=ncc_out, mag_out=mag_out)
     kind = TransformKind.C2R if real else TransformKind.C2C_INVERSE
     plan = cache.plan(shape, kind, allow_padding=False)
-    inv = plan.execute(ncc, overwrite_input=workspace is not None)
-    return top_peaks(inv, k, mag_out=peak_mag)
+    inv = plan.execute(
+        ncc, overwrite_input=workspace is not None,
+        out=spatial if real else None,
+    )
+    return top_peaks(inv, k, mag_out=spatial)
 
 
 def contest(

@@ -7,7 +7,13 @@ executed many times.  The paper amortizes a 4 min 20 s ``patient`` planning
 step over thousands of 1392x1040 transforms and reports a 2x execution-speed
 improvement over ``estimate`` mode.
 
-This package reproduces the plan/execute structure on top of ``scipy.fft``:
+This package reproduces the plan/execute structure on top of numpy's
+pocketfft (``numpy.fft``), the same C++ library ``scipy.fft`` wraps, run
+axis by axis so every result equals ``scipy.fft``'s byte for byte; the
+second pass of a transform runs in place, and ``Plan.execute(out=)`` lets a
+caller's buffer receive the result.  Every transform in the package goes
+through :func:`repro.fftlib.plans.transform`, the only code that names an
+FFT library:
 
 - :mod:`repro.fftlib.smooth` -- "nice size" search (products of 2/3/5/7) and
   pad/crop helpers; padding tiles to smooth sizes is one of the paper's

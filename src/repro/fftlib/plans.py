@@ -22,6 +22,9 @@ Two strategies exist for every problem:
     transform at the padded size.  This is the paper's future-work "padding
     image tiles" optimization; whether it wins is decided empirically at
     planning time, as FFTW would.
+
+Every plan executes through :func:`transform`, the package's one FFT
+gateway (numpy's pocketfft, byte-identical to ``scipy.fft``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _sfft
+from numpy import fft as _pocketfft
 
 from repro.fftlib.smooth import next_smooth_shape, pad_to_shape
 
@@ -93,25 +96,52 @@ def spectrum_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
     return (*shape[:-1], shape[-1] // 2 + 1)
 
 
-def _raw_transform(
+def transform(
     kind: TransformKind,
     a: np.ndarray,
-    inverse_shape=None,
+    shape: tuple[int, ...],
     overwrite_input: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    if kind is TransformKind.C2C_FORWARD:
-        return _sfft.fft2(a, overwrite_x=overwrite_input)
-    if kind is TransformKind.C2C_INVERSE:
-        return _sfft.ifft2(a, overwrite_x=overwrite_input)
+    """The one FFT gateway: run ``kind`` over the last two axes of ``a``.
+
+    ``shape`` is the spatial problem shape (its last two entries are read;
+    a leading batch axis is untouched).  ``overwrite_input`` lets the
+    first pass run in place in ``a``; ``out`` receives the result (the
+    real spatial surface for ``C2R``, the spectrum otherwise).
+
+    Runs on numpy's C++ pocketfft one axis at a time, in the order
+    ``scipy.fft``'s multi-axis transforms use and with the ``1/(h*w)``
+    of an inverse applied where they apply it, so every spectrum and
+    surface equals ``scipy.fft``'s byte for byte (``C2C`` input must be
+    complex).  Each second pass runs in place, so a transform allocates
+    at most its output -- plus, for a ``C2R`` that may not clobber its
+    input, one spectrum-sized intermediate.
+    """
+    h, w = shape[-2:]
     if kind is TransformKind.R2C:
-        return _sfft.rfft2(a, overwrite_x=overwrite_input)
+        spec = _pocketfft.rfft(a, axis=-1, out=out)
+        return _pocketfft.fft(spec, axis=-2, out=spec)
+    first = out if out is not None else (a if overwrite_input else None)
+    if kind is TransformKind.C2C_FORWARD:
+        spec = _pocketfft.fft(a, axis=-2, out=first)
+        return _pocketfft.fft(spec, axis=-1, out=spec)
+    # Inverses pass norm="forward" (no scaling of their own) and take
+    # scipy's 1/(h*w): per component after the first pass for C2C, on the
+    # real output for C2R.
+    scale = 1.0 / (h * w)
+    if kind is TransformKind.C2C_INVERSE:
+        spec = _pocketfft.ifft(a, axis=-2, norm="forward", out=first)
+        parts = spec.view(np.float64)
+        np.multiply(parts, scale, out=parts)
+        return _pocketfft.ifft(spec, axis=-1, norm="forward", out=spec)
     if kind is TransformKind.C2R:
-        # irfft2 transforms the last two axes; for batched (3-D) problems
-        # the leading axis is untouched, so only the spatial tail of the
-        # plan's shape parameterizes the inverse.
-        return _sfft.irfft2(
-            a, s=tuple(inverse_shape)[-2:], overwrite_x=overwrite_input
+        spec = _pocketfft.ifft(
+            a, axis=-2, norm="forward", out=a if overwrite_input else None
         )
+        real = _pocketfft.irfft(spec, n=w, axis=-1, norm="forward", out=out)
+        real *= scale
+        return real
     raise ValueError(kind)  # pragma: no cover - exhaustive enum
 
 
@@ -166,12 +196,15 @@ class Plan:
         a: np.ndarray,
         reuse_workspace: bool = True,
         overwrite_input: bool = False,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run the transform on ``a`` (shape must match the plan key).
 
-        ``overwrite_input=True`` permits the backend to clobber ``a``
-        (scipy's ``overwrite_x``); use it when ``a`` is scratch the caller
-        owns, e.g. a workspace buffer that will be refilled next pair.
+        ``overwrite_input=True`` lets the transform run in place in ``a``
+        (a ``C2C`` result then *is* ``a``); use it when ``a`` is scratch
+        the caller owns, e.g. a workspace buffer refilled next pair.
+        ``out`` receives the result instead of a fresh array -- a pair's
+        ``C2R`` inverse lands in its workspace's spatial buffer.
         """
         if tuple(a.shape) != self.input_shape:
             raise ValueError(
@@ -181,13 +214,13 @@ class Plan:
         self.executions += 1
         kind = self.key.kind
         if self.strategy == "direct":
-            return _raw_transform(
-                kind, a, inverse_shape=self.key.shape,
-                overwrite_input=overwrite_input,
+            return transform(
+                kind, a, self.key.shape, overwrite_input=overwrite_input,
+                out=out,
             )
         padded = self._padded_input(a, reuse_workspace)
-        return _raw_transform(
-            kind, padded, inverse_shape=self.fft_shape, overwrite_input=True
+        return transform(
+            kind, padded, self.fft_shape, overwrite_input=True, out=out
         )
 
 

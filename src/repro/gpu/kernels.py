@@ -2,8 +2,10 @@
 
 Each kernel mirrors one custom CUDA kernel or cuFFT call of the paper's
 Simple-GPU / Pipelined-GPU implementations.  They operate on device-side
-arrays (``DeviceBuffer.data`` or pool slots), run genuine NumPy/SciPy math,
-and are traced on the device's compute engine with modeled durations.
+arrays (``DeviceBuffer.data`` or pool slots), run genuine NumPy math (the
+transforms through :func:`repro.fftlib.plans.transform`, writing straight
+into ``dst``), and are traced on the device's compute engine with modeled
+durations.
 
 The max-reduce returns only the flat index and magnitude -- the paper
 "minimizes transfers from device to host memory by only copying the result
@@ -15,9 +17,9 @@ d2h-copies the O(k) reduction result, never the 22 MB correlation surface.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as _sfft
 
 from repro.core.ncc import normalized_correlation
+from repro.fftlib.plans import TransformKind, transform
 from repro.gpu.device import VirtualGpu
 from repro.gpu.stream import Stream
 
@@ -37,7 +39,7 @@ def fft2_kernel(
     stream = stream or device.default_stream
 
     def do() -> None:
-        dst[...] = _sfft.fft2(src)
+        transform(TransformKind.C2C_FORWARD, src, dst.shape, out=dst)
 
     _, event = stream.submit(
         "cufft-fwd", "compute", do, device.costs.fft(_area(src)), 0, not_before
@@ -61,7 +63,7 @@ def rfft2_kernel(
     stream = stream or device.default_stream
 
     def do() -> None:
-        dst[...] = _sfft.rfft2(src)
+        transform(TransformKind.R2C, src, src.shape, out=dst)
 
     _, event = stream.submit(
         "cufft-fwd-r2c", "compute", do,
@@ -81,12 +83,15 @@ def irfft2_kernel(
 
     ``dst``'s spatial shape disambiguates the target width (the
     half-spectrum alone cannot distinguish even from odd widths), exactly
-    as a cuFFT C2R plan carries the full transform size.
+    as a cuFFT C2R plan carries the full transform size.  Like cuFFT's
+    C2R, the transform clobbers ``src``.
     """
     stream = stream or device.default_stream
 
     def do() -> None:
-        dst[...] = _sfft.irfft2(src, s=dst.shape)
+        transform(
+            TransformKind.C2R, src, dst.shape, overwrite_input=True, out=dst
+        )
 
     _, event = stream.submit(
         "cufft-inv-c2r", "compute", do,
@@ -126,7 +131,7 @@ def ifft2_kernel(
     stream = stream or device.default_stream
 
     def do() -> None:
-        dst[...] = _sfft.ifft2(src)
+        transform(TransformKind.C2C_INVERSE, src, dst.shape, out=dst)
 
     _, event = stream.submit(
         "cufft-inv", "compute", do, device.costs.fft(_area(src)), 0, not_before

@@ -6,19 +6,24 @@ Each registered pair needs three scratch surfaces:
     The normalized cross-power spectrum (complex128, spectrum-shaped) --
     written through the ``out=`` parameter of
     :func:`repro.core.ncc.normalized_correlation` and then consumed (and
-    clobbered, via ``overwrite_input=True``) by the inverse transform.
+    clobbered, via ``overwrite_input=True``) by the inverse transform; a
+    ``C2C`` inverse runs in place in it.
 ``ncc_mag``
     Magnitude scratch for the NCC normalization (float64, spectrum-shaped).
-``peak_mag``
-    Magnitude scratch for the peak reduction (float64, spatial-shaped).
+``spatial``
+    The spatial surface (float64, transform-shaped): a ``C2R`` inverse
+    lands in it through ``Plan.execute(out=)``, and the peak reduction
+    takes the magnitude of the inverse in it, in place.
 
-Without reuse these three are freshly allocated *per pair* -- ~22 MB of
-churn at the paper's 1392x1040 tile size, which dominates small-grid
-runtime.  A :class:`WorkspaceArena` allocates them once per worker (the
-paper's one-time-allocation rule, Section IV.B, applied host-side) from
-fixed :class:`~repro.memmodel.pool.BufferPool` instances; workers acquire a
-:class:`PairWorkspace` for the duration of their run and every pair they
-process reuses the same memory.
+Together they are ~7 MB at 696x520 and ~29 MB at the paper's 1392x1040
+tile size (half-spectrum transforms).  With a workspace a warm pair
+allocates nothing array-sized; without one every pair allocates these
+surfaces afresh, and first-touch page faults make that churn a time
+cost.  A :class:`WorkspaceArena` allocates the surfaces once per worker
+(the paper's one-time-allocation rule, Section IV.B, applied host-side)
+from fixed :class:`~repro.memmodel.pool.BufferPool` instances; workers
+acquire a :class:`PairWorkspace` for the duration of their run and every
+pair they process reuses the same memory.
 """
 
 from __future__ import annotations
@@ -35,23 +40,23 @@ from repro.memmodel.pool import BufferPool
 class PairWorkspace:
     """One worker's scratch buffers, handed out by :class:`WorkspaceArena`."""
 
-    __slots__ = ("ncc", "ncc_mag", "peak_mag", "_indices")
+    __slots__ = ("ncc", "ncc_mag", "spatial", "_indices")
 
     def __init__(
         self,
         ncc: np.ndarray,
         ncc_mag: np.ndarray,
-        peak_mag: np.ndarray,
+        spatial: np.ndarray,
         indices: tuple[int, int, int],
     ) -> None:
         self.ncc = ncc
         self.ncc_mag = ncc_mag
-        self.peak_mag = peak_mag
+        self.spatial = spatial
         self._indices = indices
 
     @property
     def nbytes(self) -> int:
-        return self.ncc.nbytes + self.ncc_mag.nbytes + self.peak_mag.nbytes
+        return self.ncc.nbytes + self.ncc_mag.nbytes + self.spatial.nbytes
 
 
 class WorkspaceArena:
@@ -77,14 +82,14 @@ class WorkspaceArena:
         self.spectrum_shape = spec
         self._ncc = BufferPool(self.count, spec, dtype=np.complex128)
         self._mag = BufferPool(self.count, spec, dtype=np.float64)
-        self._peak = BufferPool(self.count, self.fft_shape, dtype=np.float64)
+        self._spatial = BufferPool(self.count, self.fft_shape, dtype=np.float64)
 
     @property
     def bytes_per_workspace(self) -> int:
         return (
             self._ncc.array(0).nbytes
             + self._mag.array(0).nbytes
-            + self._peak.array(0).nbytes
+            + self._spatial.array(0).nbytes
         )
 
     @property
@@ -94,16 +99,17 @@ class WorkspaceArena:
     def acquire(self, timeout: float | None = 60.0) -> PairWorkspace:
         i = self._ncc.acquire(timeout=timeout)
         j = self._mag.acquire(timeout=timeout)
-        k = self._peak.acquire(timeout=timeout)
+        k = self._spatial.acquire(timeout=timeout)
         return PairWorkspace(
-            self._ncc.array(i), self._mag.array(j), self._peak.array(k), (i, j, k)
+            self._ncc.array(i), self._mag.array(j), self._spatial.array(k),
+            (i, j, k),
         )
 
     def release(self, ws: PairWorkspace) -> None:
         i, j, k = ws._indices
         self._ncc.release(i)
         self._mag.release(j)
-        self._peak.release(k)
+        self._spatial.release(k)
 
     @contextmanager
     def workspace(self, timeout: float | None = 60.0):

@@ -3,14 +3,23 @@
 Every CLI run and every service worker respawn pays the import, so the
 optional subsystems resolve on first use.  Checked in a fresh interpreter:
 this process has long since imported all of them.
+
+scipy in particular is loaded only by the least-squares solve: the FFTs
+run on numpy's pocketfft (``repro.fftlib.plans.transform``).
 """
 
 import subprocess
 import sys
 
+import pytest
+
 LAZY = ("scipy.sparse", "repro.synth", "repro.impls", "repro.service")
 #: Not a dependency: only the phase-2 oracle in tests/core imports it.
 NEVER = "networkx"
+#: Prints the scipy modules loaded so far (``[]`` when none).
+SCIPY_LOADED = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
 
 
 def run(code: str) -> str:
@@ -37,6 +46,23 @@ def test_a_complete_default_stitch_never_imports_the_graph_library(tmp_path):
         f"print(res.positions.positions.shape, {NEVER!r} in sys.modules)\n"
     )
     assert out.strip() == "(2, 2, 2) False"
+
+
+def test_import_repro_loads_no_scipy():
+    assert run("import sys, repro\n" + SCIPY_LOADED).strip() == "[]"
+
+
+@pytest.mark.parametrize("impl", ["simple-cpu", "simple-gpu"])
+def test_a_stitch_and_its_mosaic_load_no_scipy(tmp_path, impl):
+    out = run(
+        "import sys, repro\n"
+        f"ds = repro.make_synthetic_dataset({str(tmp_path)!r}, rows=2, cols=2,\n"
+        "    tile_height=48, tile_width=48, overlap=0.25, seed=1)\n"
+        f"res = repro.Stitcher(impl={impl!r}).stitch(ds)\n"
+        f"res.compose_to_tiff({str(tmp_path / 'mosaic.tif')!r})\n"
+        + SCIPY_LOADED
+    )
+    assert out.strip() == "[]"
 
 
 def test_make_synthetic_dataset_still_served_from_the_package():
