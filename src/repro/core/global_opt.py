@@ -38,18 +38,19 @@ before any weight is derived from them.
 
 Degraded operation: when phase 1 dropped tiles (fault tolerance), the
 displacement graph may be disconnected.  ``on_disconnected="nominal"``
-places each disconnected component by anchoring it at the nominal stage
-coordinate of its local root -- the grid-index position scaled by the
-nominal step, estimated from the median of the surviving edges (or
-supplied explicitly from acquisition metadata).  Such tiles are flagged
-in ``GlobalPositions.degraded``.
+places each disconnected component on the nominal stage grid -- the
+grid-index position scaled by the nominal step, estimated from the median
+of the surviving edges (or supplied explicitly from acquisition
+metadata): ``mst`` anchors it at its local root's nominal coordinate,
+``least_squares`` puts its mean on its tiles' nominal mean.  Such tiles
+are flagged in ``GlobalPositions.degraded``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,9 +63,6 @@ from repro.core.quality_gate import (
 )
 
 _MIN_WEIGHT = 1e-3  # least-squares weight floor of a measured edge
-#: Least-squares weight of a stranded tile's nominal-position row: pins its
-#: otherwise-free gauge to the nominal grid without perturbing measured edges.
-_PRIOR_WEIGHT = 1e-6
 
 _Tile = tuple[int, int]
 
@@ -315,24 +313,70 @@ def _residue_damping(
     raise ValueError(f"unknown residue mode {mode!r}")
 
 
+def _block_tridiagonal_factor(
+    diag: np.ndarray, couple: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of a symmetric positive-definite block-tridiagonal system.
+
+    ``diag[k]`` is block ``k``'s ``(bs, bs)`` diagonal block and
+    ``couple[k]`` the diagonal of its (symmetric) coupling to block
+    ``k - 1`` (``couple[0]`` is unused).  Block Thomas: the forward sweep
+    inverts each Schur complement ``S_k = D_k - C_k S_{k-1}^-1 C_k`` once;
+    the returned function maps ``rhs[nb, bs, m]`` to ``x`` by one sweep
+    each way.
+    """
+    nb, bs = couple.shape
+    inverse = np.empty((nb, bs, bs))
+    for k in range(nb):
+        schur = diag[k]
+        if k:
+            schur = schur - couple[k][:, None] * inverse[k - 1] * couple[k]
+        inverse[k] = np.linalg.inv(schur)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rhs)
+        for k in range(nb):
+            g = rhs[k] - couple[k][:, None] * x[k - 1] if k else rhs[0]
+            x[k] = inverse[k] @ g
+        for k in range(nb - 2, -1, -1):
+            x[k] -= inverse[k] @ (couple[k + 1][:, None] * x[k + 1])
+        return x
+
+    return solve
+
+
 def _least_squares_positions(
     shape: tuple[int, int],
     table: list[_Edge],
     nominal: dict[_Tile, np.ndarray],
+    components: _TileSets,
     subpixel: bool,
     cfg: QualityConfig | None,
 ) -> tuple[np.ndarray, dict]:
-    """Weighted least squares over every edge, anchored at tile (0, 0).
+    """Weighted least squares over every edge, one gauge per component.
 
-    ``nominal`` as for :func:`_mst_positions`.  Returns the positions and
-    the solver's report counters.  A demoted edge weighs
-    ``cfg.gate_weight``: the graph stays connected without the replaced
-    value pulling on anyone.
+    ``nominal`` as for :func:`_mst_positions`; ``components`` holds each
+    stranded tile's component root.  Returns the positions and the
+    solver's report counters.  A demoted edge weighs ``cfg.gate_weight``:
+    the graph stays connected without the replaced value pulling on
+    anyone.  The anchor component has tile (0, 0) at the origin; a
+    stranded component keeps its least-squares shape with its mean on its
+    tiles' nominal mean.
     """
     rows, cols = shape
     n_edges = len(table)
-    iu = np.array([e.u[0] * cols + e.u[1] for e in table], dtype=np.int64)
-    iv = np.array([e.v[0] * cols + e.v[1] for e in table], dtype=np.int64)
+    # Tiles are numbered along the longer grid axis in blocks of the
+    # shorter side (``order[r, c]``; tile ``i`` is slot ``i % bs`` of block
+    # ``i // bs``).  An edge then joins two slots of one block or one slot
+    # of adjacent blocks, so the normal matrix ``sum w^2 (e_v - e_u)
+    # (e_v - e_u)^T + anchors`` is block-tridiagonal with diagonal
+    # couplings -- and both axes share it.
+    nb, bs = max(rows, cols), min(rows, cols)
+    order = np.arange(rows * cols).reshape(nb, bs)
+    if rows < cols:
+        order = order.T
+    ends = np.array([(*e.u, *e.v) for e in table], dtype=np.int64).reshape(-1, 4).T
+    iu, iv = order[ends[0], ends[1]], order[ends[2], ends[3]]
     steps = np.array([e.step(subpixel) for e in table], dtype=np.float64).reshape(-1, 2)
     gated = np.array([e.gated for e in table], dtype=bool)
     base_w = np.array([
@@ -340,32 +384,64 @@ def _least_squares_positions(
         for e in table
     ], dtype=np.float64)
 
-    # One equation per edge, ``[+w at v, -w at u] . p = w * step``, then the
-    # gauge anchor and the weak nominal priors of the stranded tiles.  The
-    # layout is fixed; a re-weighted solve only recomputes the values.
-    a_shape = (n_edges + 1 + len(nominal), rows * cols)
-    a_rows = np.concatenate(
-        [np.repeat(np.arange(n_edges), 2), np.arange(n_edges, a_shape[0])]
-    )
-    a_cols = np.concatenate(
-        [np.stack([iv, iu], axis=1).ravel(), [0], [r * cols + c for r, c in nominal]]
-    ).astype(np.int64)
-    extra_vals = np.array([1.0] + [_PRIOR_WEIGHT] * len(nominal))
-    extra_b = np.array([np.zeros(2)] + [_PRIOR_WEIGHT * at for at in nominal.values()])
+    # Every component is anchored at its root.  A stranded one is then
+    # shifted so that its mean is its tiles' nominal mean: the optimum
+    # under a weak prior row per tile pinning it to the nominal grid
+    # (summing the component's normal equations leaves ``sum x = sum
+    # nominal``), which perturbs no measured edge.
+    s_at = np.array([order[rc] for rc in nominal], dtype=np.int64)
+    s_root = np.array([order[components.root(rc)] for rc in nominal], dtype=np.int64)
+    s_size = np.bincount(s_root, minlength=rows * cols)[s_root]
+    s_nominal = np.array(list(nominal.values()), dtype=np.float64).reshape(-1, 2)
 
-    # Imported by their only user: an MST-only run never pays for them.
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    # The matrix layout is fixed; a re-weighted solve only recomputes the
+    # values: entry ``at[i]`` of the flat ``[diagonal blocks | couplings]``
+    # array gains ``sign[i] * w[edge[i]]**2`` on top of the unit anchors.
+    n_diag = nb * bs * bs
+    inner = np.flatnonzero(iu // bs == iv // bs)
+    cross = np.flatnonzero(iu // bs != iv // bs)
+    every = np.arange(n_edges)
+    at = np.concatenate([
+        iu * bs + iu % bs, iv * bs + iv % bs,  # both ends' diagonal entries
+        (iu * bs + iv % bs)[inner], (iv * bs + iu % bs)[inner],  # in a block
+        n_diag + iv[cross],  # v's block to u's, at their shared slot
+    ])
+    edge = np.concatenate([every, every, inner, inner, cross])
+    sign = np.repeat([1.0, -1.0], [2 * n_edges, 2 * len(inner) + len(cross)])
+    anchors = np.zeros(n_diag + rows * cols)
+    roots = np.append(s_root, 0)
+    anchors[roots * bs + roots % bs] = 1.0
+    heads_tails = np.concatenate([iv, iu])
 
     def solve(weights: np.ndarray) -> np.ndarray:
-        edge_vals = np.stack([weights, -weights], axis=1).ravel()
-        vals = np.concatenate([edge_vals, extra_vals])
-        a = sp.csr_matrix((vals, (a_rows, a_cols)), shape=a_shape)
-        b = np.concatenate([weights[:, None] * steps, extra_b])
-        return np.stack([
-            spla.lsqr(a, np.ascontiguousarray(b[:, axis]), atol=1e-12, btol=1e-12)[0]
-            for axis in (0, 1)
-        ], axis=-1)
+        w2 = weights * weights
+        m = anchors + np.bincount(at, sign * w2[edge], minlength=anchors.size)
+        normal_solve = _block_tridiagonal_factor(
+            m[:n_diag].reshape(nb, bs, bs), m[n_diag:].reshape(nb, bs)
+        )
+
+        def pulled(along: np.ndarray) -> np.ndarray:
+            """``sum w^2 along_e (e_v - e_u)``: the edges' pull on each tile."""
+            pull = w2[:, None] * along
+            return np.stack([
+                np.bincount(heads_tails, np.concatenate([p, -p]), minlength=rows * cols)
+                for p in pull.T
+            ], axis=-1).reshape(nb, bs, 2)
+
+        x = normal_solve(pulled(steps)).reshape(-1, 2)
+        # The normal equations square the system's condition: across a
+        # 1e-3-weight bridge this is only ~1e-6 px exact at paper scale.
+        # One refinement step on the edges' own residuals brings it to
+        # ~1e-10 px.  Each component keeps the offset the first solve gave
+        # it (~1e-9 px), so both gauges are set exactly here.
+        x += normal_solve(pulled(steps - (x[iv] - x[iu]))).reshape(-1, 2)
+        x -= x[0]
+        if nominal:
+            gap = s_nominal - x[s_at]
+            x[s_at] += np.stack([
+                np.bincount(s_root, g, minlength=rows * cols)[s_root] for g in gap.T
+            ], axis=-1) / s_size[:, None]
+        return x
 
     residue_mode = cfg.residue_mode if cfg is not None else "none"
     damp = np.ones(n_edges, dtype=np.float64)
@@ -388,7 +464,7 @@ def _least_squares_positions(
         "irls_iterations": irls_iterations,
         "residue_damped_edges": int((damp < 1.0).sum()),
     }
-    return pos.reshape(rows, cols, 2), counters
+    return pos[order], counters
 
 
 def resolve_absolute_positions(
@@ -462,7 +538,7 @@ def resolve_absolute_positions(
         )
     else:
         pos, counters = _least_squares_positions(
-            shape, table, nominal, subpixel, quality
+            shape, table, nominal, components, subpixel, quality
         )
 
     quality_report = None

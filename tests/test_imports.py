@@ -4,16 +4,21 @@ Every CLI run and every service worker respawn pays the import, so the
 optional subsystems resolve on first use.  Checked in a fresh interpreter:
 this process has long since imported all of them.
 
-scipy in particular is loaded only by the least-squares solve: the FFTs
-run on numpy's pocketfft (``repro.fftlib.plans.transform``).
+scipy is not a runtime dependency at all: the FFTs run on numpy's
+pocketfft (``repro.fftlib.plans.transform``) and the least-squares
+position solve on ``numpy.linalg``.  The tests use it as an oracle only.
 """
 
+import ast
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-LAZY = ("scipy.sparse", "repro.synth", "repro.impls", "repro.service")
+import repro
+
+LAZY = ("repro.synth", "repro.impls", "repro.service")
 #: Not a dependency: only the phase-2 oracle in tests/core imports it.
 NEVER = "networkx"
 #: Prints the scipy modules loaded so far (``[]`` when none).
@@ -84,17 +89,31 @@ def test_make_synthetic_dataset_still_served_from_the_package():
     assert "no attribute 'no_such_name'" in out
 
 
-def test_least_squares_imports_the_sparse_solver_itself():
+def test_a_gated_least_squares_stitch_and_its_mosaic_load_no_scipy(tmp_path):
     out = run(
         "import sys, repro\n"
-        "repro.Stitcher(position_method='least_squares')\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
-        "from repro.core.displacement import DisplacementResult, Translation\n"
-        "from repro.core.global_opt import resolve_absolute_positions\n"
-        "disp = DisplacementResult.empty(1, 2)\n"
-        "disp.west[0][1] = Translation(0.9, 10, 0)\n"
-        "pos = resolve_absolute_positions(disp, method='least_squares')\n"
-        "print(pos.positions.tolist(), 'scipy.sparse.linalg' in sys.modules,\n"
-        f"      {NEVER!r} in sys.modules)\n"
+        f"ds = repro.make_synthetic_dataset({str(tmp_path)!r}, rows=3, cols=3,\n"
+        "    tile_height=48, tile_width=48, overlap=0.25, seed=1)\n"
+        "res = repro.Stitcher(position_method='least_squares', quality=True,\n"
+        "                     residue_mode='huber').stitch(ds)\n"
+        f"res.compose_to_tiff({str(tmp_path / 'mosaic.tif')!r})\n"
+        f"print(res.positions.method, {NEVER!r} in sys.modules)\n"
+        + SCIPY_LOADED
     )
-    assert out.strip() == "[[[0, 0], [0, 10]]] True False"
+    assert out.split("\n")[:2] == ["least_squares False", "[]"]
+
+
+def test_no_module_under_src_imports_scipy():
+    package = pathlib.Path(repro.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.relative_to(package)}:{node.lineno}: {n}"
+                      for n in names if n.split(".")[0] == "scipy"]
+    assert not found, found
