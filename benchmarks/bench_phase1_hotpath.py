@@ -62,7 +62,7 @@ MODES = {
 
 #: (rows, cols, tile_px) for the worker-scaling sweep.  Smaller tiles than
 #: the hot-path bench: the sweep measures *architecture* (latency hiding
-#: and band decomposition), so modeled I/O should dominate compute.
+#: and spatial decomposition), so modeled I/O should dominate compute.
 SWEEP_MODES = {
     "full": (8, 8, 128),
     "quick": (5, 5, 128),
@@ -73,7 +73,7 @@ SWEEP_MODES = {
 #: ~75 MB/s is ~40 ms.  The synthetic tiles here are far smaller, so the
 #: sweep injects this latency explicitly; parallel backends then earn
 #: their speedup the same way they do at paper scale -- by overlapping
-#: reads across bands -- rather than by exploiting an unrealistically hot
+#: reads across partitions -- rather than by exploiting an unrealistically hot
 #: page cache.  (On a single-core CI runner the FFT/NCC compute cannot
 #: parallelize at all, so latency hiding is also the only *honest* source
 #: of speedup to measure there.)
@@ -403,7 +403,7 @@ def measure_sweep(mode: str, workers: tuple[int, ...] = SWEEP_WORKERS,
         }
         curves = {
             "threads": lambda w: MtCpu(workers=w),
-            "processes": lambda w: ProcCpu(workers=w, fft_batch=4),
+            "processes": lambda w: ProcCpu(workers=w),
         }
         for curve, make in curves.items():
             for w in workers:

@@ -57,8 +57,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 #: Scheduler constructor argument <- the ``repro stitch`` flag that feeds it.
 _IMPL_ARGS = {
     "mt-cpu": {"workers": "workers"},
-    "proc-cpu": {"workers": "workers", "fft_batch": "fft_batch"},
-    "pipelined-cpu": {"workers": "workers", "fft_batch": "fft_batch"},
+    "proc-cpu": {"workers": "workers"},
+    "pipelined-cpu": {"workers": "workers"},
     "pipelined-cpu-numa": {"workers_per_socket": "workers"},
     "pipelined-gpu": {"devices": "gpus"},
 }
@@ -142,7 +142,6 @@ def _stitch_options(args: argparse.Namespace):
 
 def _cmd_stitch(args: argparse.Namespace) -> int:
     from repro.core.compose import BlendMode
-    from repro.core.options import SCHEDULERS, schedulers_honouring
     from repro.core.stitcher import Stitcher
     from repro.fftlib.plans import PlanCache
     from repro.io.dataset import TileDataset
@@ -151,22 +150,11 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
         return 2
-    if args.watchdog is not None and "watchdog" not in SCHEDULERS[args.impl]:
-        print(
-            f"error: --watchdog cannot supervise --impl {args.impl}; use one "
-            f"of {', '.join(schedulers_honouring('watchdog'))}",
-            file=sys.stderr,
-        )
+    try:
+        options = _stitch_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    damping = args.residue_mode not in (None, "none")
-    if damping and args.position_method != "least_squares":
-        print(
-            f"error: --residue-mode {args.residue_mode} needs --positions "
-            "least_squares, the only solve that damps residues",
-            file=sys.stderr,
-        )
-        return 2
-    options = _stitch_options(args)
     if args.pattern:
         dataset = TileDataset.discover(
             args.dataset, pattern=args.pattern, overlap=args.overlap
@@ -471,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N|auto",
                    help="phase-1 workers (threads or processes, per "
                         "--impl); 'auto' uses the CPU count")
-    s.add_argument("--fft-batch", type=int, default=4, metavar="K",
-                   help="batch K same-shape tiles per forward FFT in the "
-                        "proc-cpu / pipelined-cpu impls (1 disables batching)")
     s.add_argument("--compose-workers", type=_workers_arg, default=1,
                    metavar="N|auto",
                    help="phase-3 stripe workers for the output mosaic "

@@ -17,6 +17,11 @@ says so -- the paper's way: reader + FFT overlapped with the displacement
 computation, the tile stage working exactly one tile ahead of the pair
 stage.  Either way the pair stage sees the same steps in the same order,
 so translations, counts, fault report and journal bytes are identical.
+
+The same loop is MT-CPU's and Proc-CPU's SPMD worker (the paper builds
+MT-CPU from Simple-CPU): run over one column partition, it computes that
+partition's pairs and takes the tiles it shares with a neighbouring
+partition from products built once before the partitions started.
 """
 
 from __future__ import annotations
@@ -25,20 +30,21 @@ import os
 import queue
 import threading
 from contextlib import ExitStack, contextmanager
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from repro.core.kernel import DisplacementResult, Phase1Kernel, Translation
 from repro.grid.ledger import PairBookkeeper
 from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import GridPosition, TileGrid
-from repro.grid.traversal import Traversal, traverse
+from repro.grid.traversal import ColumnPartition, Traversal, traverse
 from repro.pipeline.graph import aggregate_failures
 
 __all__ = ["DisplacementResult", "Translation", "compute_grid_displacements"]
 
-#: Tracer timeline rows: ``read`` / ``downsample`` / ``fft`` / ``tilestats``
-#: spans land on the first, ``pair`` spans on the second.  Spans of one row
-#: never overlap each other; the two rows overlap when the stages do.
+#: Tracer timeline rows of a run on the default ``track``: ``read`` /
+#: ``downsample`` / ``fft`` / ``tilestats`` spans land on the first,
+#: ``pair`` spans on the second.  Spans of one row never overlap each
+#: other; the two rows overlap when the stages do.
 TILE_TRACK = "phase1-tiles"
 PAIR_TRACK = "phase1-pairs"
 
@@ -80,8 +86,25 @@ class _TileStep(NamedTuple):
     pos: GridPosition
     #: ``None``: nothing left to compute for this tile, or it was dropped.
     products: tuple | None = None
-    #: Why it was dropped (the journal's forensic record), else ``None``.
-    dropped: str | None = None
+    #: The tile was dropped: its pairs are cancelled.
+    dropped: bool = False
+    #: Why, for the journal's forensic record; ``None`` when the tile's
+    #: builder in another partition journaled it already.
+    reason: str | None = None
+
+
+def read_tile(kernel: Phase1Kernel, load_tile, pos: GridPosition, track: str):
+    """:meth:`~repro.core.kernel.Phase1Kernel.try_read` of ``pos`` as a
+    ``read`` span on ``track``.  Under an abort policy an exhausted read
+    raises a :class:`~repro.pipeline.graph.PipelineError` naming the
+    logical stage; with no policy the original exception propagates."""
+    with kernel.tracer.span("read", track, key=str(pos)):
+        try:
+            return kernel.try_read(load_tile, pos.row, pos.col)
+        except Exception as exc:
+            if kernel.error_policy is None:
+                raise
+            raise aggregate_failures("displacement", [("read", exc)]) from exc
 
 
 @contextmanager
@@ -138,10 +161,23 @@ def compute_grid_displacements(
     cols: int,
     traversal: Traversal = Traversal.CHAINED_DIAGONAL,
     kernel: Phase1Kernel | None = None,
+    partition: ColumnPartition | None = None,
+    shared: Mapping[GridPosition, tuple | None] | None = None,
+    track: str = "phase1",
     _overlap: bool | None = None,
     **kernel_options,
 ) -> DisplacementResult:
-    """Compute west/north translations for the whole grid.
+    """Compute west/north translations for the whole grid, or one partition.
+
+    With a ``partition`` (one of
+    :func:`~repro.grid.traversal.column_partitions`) the run visits its
+    ``order`` and computes its ``pairs`` only -- the SPMD share of one
+    worker; the result holds those pairs and nothing else.  ``shared``
+    maps the tiles another partition also reads to their products, built
+    once before the partitions started (``None``: the builder dropped and
+    journaled the tile); the run takes them from there instead of reading
+    and transforming them again.  A partition runs its two stages inline:
+    its scheduler already runs partitions side by side.
 
     ``load_tile(row, col) -> ndarray`` supplies pixels in any real dtype
     (e.g. ``TileDataset.load``; a loader that keeps the stored integer
@@ -165,9 +201,10 @@ def compute_grid_displacements(
     Instrumented: ``result.stats`` records FFT/pair/read counts and the peak
     number of live transforms (these feed the Table I verification bench).
     With a tracer, every read, (downsample,) forward FFT and statistics
-    build becomes a span on the :data:`TILE_TRACK` timeline row and every
-    pair registration one on :data:`PAIR_TRACK` (``args["provenance"]``
-    says which path produced it) -- the two-row analogue of the pipelined
+    build becomes a span on the ``{track}-tiles`` timeline row
+    (:data:`TILE_TRACK`) and every pair registration one on
+    ``{track}-pairs`` (:data:`PAIR_TRACK`; ``args["provenance"]`` says
+    which path produced it) -- the two-row analogue of the pipelined
     schedulers' per-stage timelines.
 
     Under an abort policy an exhausted read raises a
@@ -184,7 +221,13 @@ def compute_grid_displacements(
     elif kernel_options:
         raise TypeError("pass a kernel or kernel options, not both")
     tracer = kernel.tracer
+    tile_track, pair_track = f"{track}-tiles", f"{track}-pairs"
     grid = TileGrid(rows, cols)
+    if partition is None:
+        order, pairs = traverse(grid, traversal), grid_pairs(grid)
+    else:
+        order, pairs = partition.order, partition.pairs
+    shared = shared or {}
     result = DisplacementResult.empty(rows, cols)
 
     # Each key has one writer: the tile stage counts reads/ffts and the
@@ -202,7 +245,7 @@ def compute_grid_displacements(
     # the rest, so the traversal skips their computation (and the loads of
     # tiles with nothing left to do).
     fresh = frozenset(
-        pair for pair in grid_pairs(grid)
+        pair for pair in pairs
         if not kernel.serve_journaled(
             result, pair.direction, pair.second.row, pair.second.col, stats
         )
@@ -230,10 +273,10 @@ def compute_grid_displacements(
     def register(step: _TileStep) -> None:
         nonlocal arena, workspace
         pos = step.pos
-        if step.dropped is not None:
-            if kernel.journal is not None:
+        if step.dropped:
+            if step.reason is not None and kernel.journal is not None:
                 # What kernel.read() would have journaled, at this step's turn.
-                kernel.journal.record_skipped_tile(pos.row, pos.col, step.dropped)
+                kernel.journal.record_skipped_tile(pos.row, pos.col, step.reason)
             # Its pairs are cancelled, so surviving neighbours still free.
             ledger.tile_failed(pos)
             return
@@ -249,7 +292,7 @@ def compute_grid_displacements(
             # The span says which path produced the pair ("coarse" /
             # "fallback", None = single pass) next to what it cost.
             args = {} if tracer.enabled else None
-            with tracer.span("pair", PAIR_TRACK, key=str(pair), args=args):
+            with tracer.span("pair", pair_track, key=str(pair), args=args):
                 t = kernel.register_pair(
                     result, pair.direction, pair.second.row, pair.second.col,
                     first, second, workspace, stats,
@@ -274,23 +317,21 @@ def compute_grid_displacements(
         )
         if not todo:
             return _TileStep(pos)  # contributes nothing: don't even read it
-        key = str(pos)
-        with tracer.span("read", TILE_TRACK, key=key):
-            try:
-                pixels, dropped = kernel.try_read(load_tile, pos.row, pos.col)
-            except Exception as exc:
-                if kernel.error_policy is None:
-                    raise
-                raise aggregate_failures(
-                    "displacement", [("read", exc)]
-                ) from exc
-        if pixels is None:
+        products = reason = None
+        if pos in shared:
+            products = shared[pos]
+        else:
+            pixels, reason = read_tile(kernel, load_tile, pos, tile_track)
+            if pixels is not None:
+                stats["reads"] += 1
+                products = kernel.products(
+                    pixels, stats, track=tile_track, key=str(pos)
+                )
+        if products is None:
             failed_tiles.add(pos)
             n_skipped += len(todo)
             kernel.skip_tile_pairs(pos, todo)
-            return _TileStep(pos, dropped=dropped)
-        stats["reads"] += 1
-        products = kernel.products(pixels, stats, track=TILE_TRACK, key=key)
+            return _TileStep(pos, dropped=True, reason=reason)
         built += 1
         stats["peak_live_transforms"] = max(
             stats["peak_live_transforms"], built - released
@@ -299,10 +340,10 @@ def compute_grid_displacements(
 
     # -- the schedule ----------------------------------------------------------
 
-    overlap = _overlap
+    overlap = False if _overlap is None and partition is not None else _overlap
     with ExitStack() as stack:
         submit = register
-        for pos in traverse(grid, traversal):
+        for pos in order:
             step = build(pos)
             if overlap is None and step.products is not None:
                 overlap = _overlap_pays(step.products[0].shape)
@@ -320,9 +361,9 @@ def compute_grid_displacements(
         stats["skipped_tiles"] = sorted((p.row, p.col) for p in failed_tiles)
         stats["skipped_pairs"] = n_skipped
     result.stats = stats
-    if not result.is_complete() and not failed_tiles:  # pragma: no cover
+    if not ledger.all_pairs_completed():  # pragma: no cover
         raise RuntimeError(
-            f"displacement phase incomplete: {result.pair_count()} pairs of "
-            f"{2 * rows * cols - rows - cols}"
+            f"displacement phase incomplete: {ledger.pending_pairs()} pairs "
+            "never computed"
         )
     return result

@@ -9,7 +9,7 @@ half.  :class:`Phase1Kernel` owns, once:
   survives a failure;
 - the **per-tile products** ``(pixels, spectrum, TileStats)`` -- the
   full-resolution spectrum, or the block-mean-downsampled *coarse*
-  spectrum in coarse-to-fine mode; one tile at a time or batched;
+  spectrum in coarse-to-fine mode;
 - the **journal lookup** that serves an already-durable pair;
 - the **pair registration**: PCIAM (or coarse PCIAM) ->
   :class:`Translation` -> ``disp.set`` -> journal record -> hit/fallback
@@ -19,7 +19,7 @@ half.  :class:`Phase1Kernel` owns, once:
 
 A *scheduler* (:func:`repro.core.displacement.compute_grid_displacements`
 and every class of :mod:`repro.impls`) decides only order, placement and
-buffering: its traversal, bands, queues, pools and virtual-GPU streams.
+buffering: its traversal, partitions, queues, pools and virtual-GPU streams.
 
 Defaults are the paper's Fig. 2 scheme verbatim (``PAPER4``, one peak),
 like :func:`~repro.core.pciam.pciam`; :class:`repro.core.stitcher.Stitcher`
@@ -49,7 +49,6 @@ from repro.core.pciam import (
     bump,
     contest,
     forward_fft,
-    forward_fft_batch,
     pciam,
 )
 from repro.core.tilestats import TileStats
@@ -168,6 +167,12 @@ class DisplacementResult:
     def get(self, direction: Direction, row: int, col: int) -> Translation | None:
         arr = self.west if direction is Direction.WEST else self.north
         return arr[row][col]
+
+    def update(self, other: "DisplacementResult") -> None:
+        """Copy in every pair ``other`` computed (a partition's share)."""
+        for direction in Direction:
+            for row, col, t in other.entries(direction):
+                self.set(direction, row, col, t)
 
     def entries(
         self, direction: Direction
@@ -417,20 +422,14 @@ class Phase1Kernel:
         bump(stats, "ffts")
         return pixels, spectrum, tstats
 
-    def batch_products(self, tiles: list, stats: dict | None = None) -> list:
-        """:meth:`products` of same-shape tiles through one batched FFT.
-
-        Batch slices are bit-identical to per-tile transforms, so batching
-        never changes a displacement.
-        """
-        spectra = forward_fft_batch(
-            [self.transform_input(t) for t in tiles], self._product_shape,
-            self.cache, real=self.real_transforms, stats=stats,
-        )
-        bump(stats, "ffts", len(tiles))
-        return [(t, f, self.tile_stats(t)) for t, f in zip(tiles, spectra)]
-
     # -- per-pair work ------------------------------------------------------
+
+    def journaled(self, pair) -> bool:
+        """Whether the journal holds ``pair`` already (a peek: no resume
+        hit is counted)."""
+        return self.journal is not None and self.journal.peek(
+            pair.direction.value, pair.second.row, pair.second.col
+        ) is not None
 
     def serve_journaled(self, disp, direction: Direction, row: int, col: int,
                         stats: dict) -> bool:

@@ -25,21 +25,21 @@ from repro.grid.traversal import Traversal
 from repro.recovery.journal import dataset_fingerprint
 
 #: The phase-1 schedulers by name, and which of the options a scheduler
-#: (rather than the kernel) has to honour each one can: a configurable
-#: ``traversal`` order and ``watchdog`` supervision (only a staged
-#: pipeline can be supervised cooperatively -- a single thread or a band
-#: worker cannot cancel itself).  Every other option is the kernel's and
-#: works under all of them.  The classes live in :mod:`repro.impls`,
-#: imported only when a non-default one is selected.
+#: (rather than the kernel) has to honour each one can: ``watchdog``
+#: supervision (only a staged pipeline can be supervised cooperatively --
+#: a single thread or a partition worker cannot cancel itself).  Every
+#: other option -- ``traversal`` included -- works under all of them.  The
+#: classes live in :mod:`repro.impls`, imported only when a non-default
+#: one is selected.
 SCHEDULERS: dict[str, frozenset[str]] = {
-    "simple-cpu": frozenset({"traversal"}),
+    "simple-cpu": frozenset(),
     "fiji-baseline": frozenset(),
     "mt-cpu": frozenset(),
     "proc-cpu": frozenset(),
-    "pipelined-cpu": frozenset({"traversal", "watchdog"}),
-    "pipelined-cpu-numa": frozenset({"traversal", "watchdog"}),
-    "simple-gpu": frozenset({"traversal"}),
-    "pipelined-gpu": frozenset({"traversal", "watchdog"}),
+    "pipelined-cpu": frozenset({"watchdog"}),
+    "pipelined-cpu-numa": frozenset({"watchdog"}),
+    "simple-gpu": frozenset(),
+    "pipelined-gpu": frozenset({"watchdog"}),
 }
 
 POSITION_METHODS = ("mst", "least_squares")
@@ -189,16 +189,12 @@ class StitchOptions:
                         f"impl {self.impl!r} has no option {key!r} "
                         f"(it accepts {accepted})"
                     )
-        requested = {
-            "traversal": self.traversal is not Traversal.CHAINED_DIAGONAL,
-            "watchdog": self.impl_options.get("watchdog") is not None,
-        }
-        for option, wanted in requested.items():
-            if wanted and option not in SCHEDULERS[self.impl]:
-                raise ValueError(
-                    f"impl {self.impl!r} cannot honour {option}; "
-                    f"use one of {schedulers_honouring(option)}"
-                )
+        if (self.impl_options.get("watchdog") is not None
+                and "watchdog" not in SCHEDULERS[self.impl]):
+            raise ValueError(
+                f"impl {self.impl!r} cannot honour watchdog; "
+                f"use one of {schedulers_honouring('watchdog')}"
+            )
 
     @classmethod
     def from_flat(cls, flat: dict) -> "StitchOptions":

@@ -115,52 +115,6 @@ def forward_fft(
     return cache.plan(a.shape, kind, allow_padding=False).execute(a)
 
 
-def forward_fft_batch(
-    tiles: list[np.ndarray],
-    fft_shape: tuple[int, int] | None = None,
-    cache: PlanCache | None = None,
-    real: bool = False,
-    stats: dict | None = None,
-) -> list[np.ndarray]:
-    """Forward transforms of ``k`` same-shape tiles in one backend call.
-
-    Batching amortizes per-transform dispatch overhead (plan lookup,
-    argument checking, backend setup) across the stack -- the many-small-
-    FFT optimization.  Each output slice is bit-identical to
-    ``forward_fft(tile, ...)`` of the matching input: the pooled backend
-    runs the identical 2-D transform per slice, so results feed every
-    downstream consumer unchanged.
-
-    Increments ``stats["fft_batches"]`` / ``stats["fft_batched_tiles"]``
-    so callers can verify the batch path actually engaged.
-    """
-    if not tiles:
-        return []
-    cache = cache if cache is not None else default_cache()
-    if len(tiles) == 1:
-        return [forward_fft(tiles[0], fft_shape, cache, real=real)]
-    shape = tuple(fft_shape) if fft_shape is not None else tiles[0].shape
-    dtype = np.float64 if real else np.complex128
-    stack = np.zeros((len(tiles), *shape), dtype=dtype)
-    for i, tile in enumerate(tiles):
-        a = np.asarray(tile)
-        if a.shape != tiles[0].shape:
-            raise ValueError(
-                f"batch requires same-shape tiles, got {a.shape} "
-                f"vs {tiles[0].shape}"
-            )
-        stack[i, : a.shape[0], : a.shape[1]] = a
-    kind = TransformKind.R2C if real else TransformKind.C2C_FORWARD
-    plan = cache.plan(stack.shape, kind, allow_padding=False)
-    out = plan.execute(stack, overwrite_input=True)
-    bump(stats, "fft_batches")
-    bump(stats, "fft_batched_tiles", len(tiles))
-    # Contiguous per-tile copies: downstream consumers cache these spectra
-    # for the tile's lifetime, and holding k views would pin the whole
-    # stack (k x spectrum) in memory instead.
-    return [np.ascontiguousarray(out[i]) for i in range(len(tiles))]
-
-
 def smooth_fft_shape(tile_shape: tuple[int, int]) -> tuple[int, int]:
     """The padded transform shape of the paper's future-work optimization."""
     return next_smooth_shape(tile_shape)  # type: ignore[return-value]

@@ -336,10 +336,9 @@ class Stitcher:
             return disp, dict(disp.stats)
         from repro.impls import ALL_IMPLEMENTATIONS
 
-        options = dict(opts.impl_options)
-        if "traversal" in SCHEDULERS[opts.impl]:
-            options["traversal"] = opts.traversal
-        scheduler = ALL_IMPLEMENTATIONS[opts.impl](kernel=kernel, **options)
+        scheduler = ALL_IMPLEMENTATIONS[opts.impl](
+            kernel=kernel, traversal=opts.traversal, **opts.impl_options
+        )
         run = scheduler.run(dataset)
         stats = dict(run.stats)
         if tracer.enabled:

@@ -33,8 +33,6 @@ from repro.fftlib.plans import (
 )
 from repro.fftlib.smooth import is_smooth, next_smooth, pad_to_shape
 from repro.fftlib.transforms import (
-    batch_irfft2,
-    batch_rfft2,
     fft2,
     ifft2,
     irfft2,
@@ -51,8 +49,6 @@ __all__ = [
     "ifft2",
     "rfft2",
     "irfft2",
-    "batch_rfft2",
-    "batch_irfft2",
     "is_smooth",
     "next_smooth",
     "pad_to_shape",

@@ -63,46 +63,3 @@ def irfft2(
         tuple(shape), TransformKind.C2R, allow_padding=False
     )
     return plan.execute(np.asarray(a, dtype=np.complex128))
-
-
-def batch_rfft2(
-    stack: np.ndarray,
-    cache: PlanCache | None = None,
-) -> np.ndarray:
-    """Batched R2C transform of a ``(k, h, w)`` stack of same-shape tiles.
-
-    One backend call transforms every slice over the trailing two axes
-    (the standard fix for many-small-FFT workloads: per-transform Python
-    and dispatch overhead is paid once per *batch* instead of once per
-    tile).  The plan is keyed on the full ``(k, h, w)`` shape, so each
-    distinct batch size gets its own cached plan.  Output slices are
-    bit-identical to per-tile :func:`rfft2` -- the pooled backend runs
-    the same 2-D transform per slice, so batching is purely an overhead
-    optimization, never a numerics change.
-    """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (k, h, w) stack, got shape {stack.shape}")
-    plan = _cache(cache).plan(
-        stack.shape, TransformKind.R2C, allow_padding=False
-    )
-    return plan.execute(stack)
-
-
-def batch_irfft2(
-    stack: np.ndarray,
-    shape: tuple[int, int],
-    cache: PlanCache | None = None,
-) -> np.ndarray:
-    """Batched C2R inverse of :func:`batch_rfft2`.
-
-    ``shape`` is the *spatial* ``(h, w)`` of each output slice; the batch
-    size comes from the stack's leading axis.
-    """
-    stack = np.asarray(stack, dtype=np.complex128)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (k, h, kw) stack, got shape {stack.shape}")
-    plan = _cache(cache).plan(
-        (stack.shape[0], *shape), TransformKind.C2R, allow_padding=False
-    )
-    return plan.execute(stack)

@@ -10,8 +10,8 @@ is the paper's entire point:
 ``FijiBaseline``          the ImageJ/Fiji plugin architecture: same operators,
                           no transform caching, per-pair allocation
 ``SimpleCpu``             sequential reference with early-free traversal
-``MtCpu``                 SPMD spatial decomposition over worker threads
-``ProcCpu``               the same row bands over forked processes
+``MtCpu``                 Simple-CPU over column partitions on worker threads
+``ProcCpu``               the same partitions over forked processes
 ``PipelinedCpu``          3-stage pipeline (read / fft+displacement / bookkeeping)
 ``PipelinedCpuNuma``      one such pipeline per socket over column partitions
 ``SimpleGpu``             synchronous single-stream port onto the virtual GPU

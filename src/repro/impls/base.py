@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.displacement import DisplacementResult
@@ -24,17 +25,21 @@ class RunResult:
     stats: dict = field(default_factory=dict)
 
 
-def fold_stats(stats: dict, local: dict, lock: threading.Lock) -> None:
-    """Add a worker's ``local`` counters into the shared ``stats``."""
-    with lock:
+def fold_stats(stats: dict, local: dict,
+               lock: threading.Lock | None = None) -> None:
+    """Add a worker's ``local`` counters into the shared ``stats``; its
+    per-tile lists (``skipped_tiles``) stay with the worker -- the fault
+    report holds the run's."""
+    with lock or nullcontext():
         for key, value in local.items():
-            stats[key] = stats.get(key, 0) + value
+            if isinstance(value, int):
+                stats[key] = stats.get(key, 0) + value
 
 
 class Implementation(abc.ABC):
     """A phase-1 (relative displacement) scheduler.
 
-    Subclasses implement :meth:`_run` -- traversal, bands, queues, pools,
+    Subclasses implement :meth:`_run` -- traversal, partitions, queues, pools,
     virtual-GPU placement -- on top of ``self.kernel``, the
     :class:`~repro.core.kernel.Phase1Kernel` that owns everything computed
     per tile and per pair (reads under the error policy, products,

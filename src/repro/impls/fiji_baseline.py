@@ -17,14 +17,16 @@ here too:
   ``checkPeaks`` default), which costs extra CCF evaluations per pair.
 
 Its *output* is equivalent to the reference implementation (same operators,
-same answers); only the cost structure differs.
+same answers); only the cost structure differs.  It visits its pairs in
+the order the traversal makes them ready
+(:func:`~repro.grid.traversal.replay`), like every other scheduler.
 """
 
 from __future__ import annotations
 
 from repro.core.displacement import DisplacementResult
-from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import TileGrid
+from repro.grid.traversal import Traversal, replay, traverse
 from repro.impls.base import Implementation
 from repro.io.dataset import TileDataset
 
@@ -34,17 +36,20 @@ class FijiBaseline(Implementation):
 
     name = "fiji-baseline"
 
-    def __init__(self, **kw) -> None:
+    def __init__(self, traversal: Traversal = Traversal.CHAINED_DIAGONAL,
+                 **kw) -> None:
         if "kernel" not in kw:
             kw.setdefault("n_peaks", 5)
         super().__init__(**kw)
+        self.traversal = traversal
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         kernel = self.kernel
         grid = TileGrid(dataset.rows, dataset.cols)
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats = {"reads": 0, "ffts": 0, "pairs": 0, "resumed_pairs": 0}
-        for pair in grid_pairs(grid):
+        order = traverse(grid, self.traversal)
+        for pair in (p for _pos, ready in replay(grid, order) for p in ready):
             cell = (pair.direction, pair.second.row, pair.second.col)
             if kernel.serve_journaled(disp, *cell, stats):
                 continue

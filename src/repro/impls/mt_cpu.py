@@ -4,179 +4,137 @@
 implementation MT CPU.  This implementation uses spatial domain
 decomposition and a thread-variant of the SPMD approach."
 
-The grid is split into contiguous row bands, one per worker.  Each worker
-runs the sequential algorithm over its band; the north pairs joining band
-``k`` to band ``k-1`` are owned by band ``k``, whose worker needs the
-boundary row of the band above.
+So it is built here: the grid is split into column partitions
+(:func:`~repro.grid.traversal.column_partitions`, one per worker), and
+each worker thread runs Simple-CPU's loop,
+:func:`~repro.core.displacement.compute_grid_displacements`, over its
+partition -- the partition's traversal, its pairs, the early-release
+ledger.  The west pairs joining partition ``k`` to partition ``k-1``
+belong to partition ``k``, which also reads the last column of the
+partition to its west.
 
-A prefetch phase computes each interior boundary row's products (tile,
-forward spectrum, tile statistics) exactly once and shares them with both
-adjacent bands -- tiles and their products are read-only, so threads share
-them for free.  Every tile is read and transformed exactly once:
-``duplicated_boundary_reads`` is 0 by construction.
-
-:func:`row_products` and :func:`band_pairs` are the SPMD band loop itself,
-shared with :class:`~repro.impls.proc_cpu.ProcCpu`; the two schedulers
-differ only in where results go and where boundary rows come from.
+Each such shared column is built once (tile, forward spectrum, tile
+statistics) before the partitions start, by :func:`build_shared`, and
+handed to both partitions -- tiles and their products are read-only, so
+threads share them for free.  Every tile is read and transformed at most
+once: ``duplicated_boundary_reads`` is 0 by construction.
+:class:`~repro.impls.proc_cpu.ProcCpu` runs the same partitions over
+processes.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.core.displacement import DisplacementResult
-from repro.grid.neighbors import Direction
-from repro.grid.tile_grid import split_range
+from repro.core.displacement import (
+    DisplacementResult,
+    compute_grid_displacements,
+    read_tile,
+)
+from repro.core.kernel import Phase1Kernel
+from repro.core.pciam import bump
+from repro.grid.neighbors import pairs_for_tile
+from repro.grid.tile_grid import GridPosition, TileGrid
+from repro.grid.traversal import ColumnPartition, Traversal, column_partitions
 from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
 
 
-def row_products(kernel, dataset: TileDataset, r: int, local: dict,
-                 track: str, fft_batch: int | None = None) -> list:
-    """Load + transform grid row ``r``: ``[(tile, fft, stats) | None] * cols``.
+def shared_columns(kernel: Phase1Kernel, grid: TileGrid,
+                   parts: list[ColumnPartition]) -> list[list[GridPosition]]:
+    """For each column two partitions read -- a partition's ghost column,
+    the last one of its western neighbour -- the tiles a pair not yet
+    journaled still needs (a tile with nothing left to do is not read)."""
+    def needed(pos: GridPosition) -> bool:
+        return not all(kernel.journaled(pair)
+                       for pair in pairs_for_tile(grid, pos.row, pos.col))
 
-    ``None`` marks a tile a skip policy dropped.  With ``fft_batch`` the
-    tiles go ``fft_batch`` at a time through one batched forward FFT
-    (slices are bit-identical to the per-tile transform); without, one by
-    one through :meth:`~repro.core.kernel.Phase1Kernel.products`.
-    ``local`` must hold a ``reads`` counter.
-    """
-    cols = dataset.cols
-    step = fft_batch or 1
-    entries: list[tuple | None] = [None] * cols
-    for c0 in range(0, cols, step):
-        c1 = min(c0 + step, cols)
-        with kernel.tracer.span("read", track, key=f"row{r}[{c0}:{c1}]"):
-            tiles = {c: kernel.read(dataset.load, r, c) for c in range(c0, c1)}
-        live = [c for c, tile in tiles.items() if tile is not None]
-        if not live:
-            continue
-        local["reads"] += len(live)
-        with kernel.tracer.span("fft", track, key=f"row{r}x{len(live)}"):
-            if fft_batch is None:
-                products = [kernel.products(tiles[c], local) for c in live]
-            else:
-                products = kernel.batch_products([tiles[c] for c in live], local)
-        for c, entry in zip(live, products):
-            entries[c] = entry
-    return entries
+    return [
+        [pos for pos in (GridPosition(r, part.first_col)
+                         for r in range(grid.rows)) if needed(pos)]
+        for part in parts if part.first_col < part.cols[0]
+    ]
 
 
-def band_pairs(kernel, sink, r0: int, r1: int, cols: int, row, workspace,
-               local: dict, track: str) -> None:
-    """Register every pair owned by the row band ``[r0, r1)``.
+def build_shared(kernel: Phase1Kernel, load_tile, pos: GridPosition,
+                 stats: dict, track: str) -> tuple | None:
+    """Read and transform shared tile ``pos``: its products, or ``None``
+    for a tile a skip policy dropped (journaled here, once)."""
+    pixels, reason = read_tile(kernel, load_tile, pos, track)
+    if pixels is None:
+        if kernel.journal is not None:
+            kernel.journal.record_skipped_tile(pos.row, pos.col, reason)
+        return None
+    bump(stats, "reads")
+    return kernel.products(pixels, stats, track=track, key=str(pos))
 
-    West pairs within rows ``>= r0``, north pairs down into the band --
-    including from row ``r0 - 1``, the band above's boundary row.  Rows
-    are visited top to bottom with a 2-row sliding window, so the band's
-    working set is two rows of products regardless of its height.
-    ``row(r)`` supplies row ``r``'s :func:`row_products` entries; results
-    go to ``sink`` (anything with ``DisplacementResult.set``).  Each pair
-    is owned by exactly one band, so serving it from the journal here
-    neither races nor double-records.
-    """
 
-    def pair(direction, r, c, first, second) -> None:
-        if kernel.serve_journaled(sink, direction, r, c, local):
-            return
-        if first is None or second is None:
-            kernel.note_skipped_pair(direction, r, c, "member tile unreadable")
-            return
-        key = f"{direction.name.lower()}({r},{c})"
-        with kernel.tracer.span("pair", track, key=key):
-            kernel.register_pair(
-                sink, direction, r, c, first, second, workspace, local
-            )
+def run_threads(target, arg_lists) -> None:
+    """Run ``target(*args)`` on one thread per entry; re-raise the first
+    failure once every thread has finished."""
+    errors: list[BaseException] = []
 
-    prev_row: list[tuple | None] | None = None
-    for r in range(max(r0 - 1, 0), r1):
-        cur_row = row(r)
-        if r >= r0:
-            for c in range(cols):
-                if c > 0:
-                    pair(Direction.WEST, r, c, cur_row[c - 1], cur_row[c])
-                if prev_row is not None:
-                    pair(Direction.NORTH, r, c, prev_row[c], cur_row[c])
-        prev_row = cur_row
+    def guarded(*args) -> None:
+        try:
+            target(*args)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=args, daemon=True)
+               for args in arg_lists]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 class MtCpu(Implementation):
-    """SPMD over row bands (best: 96 s at 16 threads on the paper's machine)."""
+    """SPMD over column partitions (best: 96 s at 16 threads on the
+    paper's machine)."""
 
     name = "mt-cpu"
 
-    def __init__(self, workers: int = 4, **kw) -> None:
+    def __init__(self, workers: int = 4,
+                 traversal: Traversal = Traversal.CHAINED_DIAGONAL,
+                 **kw) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         super().__init__(**kw)
         self.workers = workers
+        self.traversal = traversal
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         kernel = self.kernel
-        disp = DisplacementResult.empty(dataset.rows, dataset.cols)
+        grid = TileGrid(dataset.rows, dataset.cols)
+        parts = column_partitions(grid, self.workers, self.traversal)
+        disp = DisplacementResult.empty(grid.rows, grid.cols)
         stats_lock = threading.Lock()
         stats = {"reads": 0, "ffts": 0, "pairs": 0,
-                 "duplicated_boundary_reads": 0}
-        errors: list[BaseException] = []
+                 "duplicated_boundary_reads": 0, "partitions": len(parts)}
 
-        bands = split_range(dataset.rows, self.workers)
-        # One pair workspace per band: each band worker processes its pairs
-        # sequentially, so one scratch set per worker suffices.
-        arena = kernel.arena(dataset.tile_shape, count=len(bands))
+        #: Shared tile -> products, written before the partitions start and
+        #: read-only after that join barrier.
+        shared: dict[GridPosition, tuple | None] = {}
 
-        #: grid row -> shared entry list, for rows prefetched once and
-        #: consumed by both adjacent bands (read-only after the barrier).
-        prefetched: dict[int, list] = {}
+        def build(j: int, column: list[GridPosition]) -> None:
+            local: dict = {}
+            for pos in column:
+                shared[pos] = build_shared(
+                    kernel, dataset.load, pos, local, f"mt-cpu/shared-{j}"
+                )
+            fold_stats(stats, local, stats_lock)
 
-        def prefetch_worker(b: int, r: int) -> None:
-            local = {"reads": 0}
-            prefetched[r] = row_products(
-                kernel, dataset, r, local, f"mt-cpu/boundary-{b}"
+        def run_partition(k: int, part: ColumnPartition) -> None:
+            res = compute_grid_displacements(
+                dataset.load, grid.rows, grid.cols, kernel=kernel,
+                partition=part, shared=shared, track=f"mt-cpu/partition-{k}",
             )
-            fold_stats(stats, local, stats_lock)
+            disp.update(res)  # partitions own disjoint cells
+            fold_stats(stats, res.stats, stats_lock)
 
-        def band_worker(k: int, r0: int, r1: int) -> None:
-            local = {"reads": 0, "pairs": 0}
-            track = f"mt-cpu/band-{k}"
-
-            def row(r: int) -> list:
-                if r in prefetched:
-                    return prefetched[r]
-                return row_products(kernel, dataset, r, local, track)
-
-            ws = arena.acquire()
-            try:
-                band_pairs(kernel, disp, r0, r1, dataset.cols, row, ws,
-                           local, track)
-            finally:
-                arena.release(ws)
-            fold_stats(stats, local, stats_lock)
-
-        def run_all(target, arg_lists) -> None:
-            def guarded(*args) -> None:
-                try:
-                    target(*args)
-                except BaseException as exc:
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=guarded, args=args, daemon=True)
-                for args in arg_lists
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
-
-        # Phase A: build each interior boundary row's products once.  The
-        # rows are disjoint, so the prefetch threads share nothing but the
-        # (locked) stats dict, and the band phase reads ``prefetched``
-        # without locks -- it is frozen after the join barrier.
-        run_all(prefetch_worker,
-                [(b, r1 - 1) for b, (_, r1) in enumerate(bands[:-1])])
-        run_all(band_worker, [(k, *band) for k, band in enumerate(bands)])
-        stats["bands"] = len(bands)
+        run_threads(build, enumerate(shared_columns(kernel, grid, parts)))
+        run_threads(run_partition, enumerate(parts))
         disp.stats = stats
         return disp, stats

@@ -49,23 +49,22 @@ from repro.grid.traversal import (
 )
 from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
-from repro.memmodel.pool import BufferPool, PoolExhausted
+from repro.memmodel.pool import BufferPool
 from repro.memmodel.workspace import ThreadLocalWorkspaces
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
 
 
 @dataclass
-class _TileBatch:
-    """Up to ``fft_batch`` read tiles, transformed through one forward FFT.
+class _TileItem:
+    """A read tile on its way to a pool slot and its forward FFT.
 
-    ``blocked_seconds`` accumulates the time the batch spent waiting for
-    pool slots (see the requeue logic in the compute stage); when only
-    some of the batch gets slots, the remainder is requeued as a smaller
-    batch keeping its accumulated blocked time.
+    ``blocked_seconds`` accumulates the time the tile spent waiting for a
+    pool slot (see the requeue logic in the compute stage).
     """
 
-    items: list  # [(GridPosition, pixels), ...]
+    pos: GridPosition
+    pixels: np.ndarray
     blocked_seconds: float = 0.0
 
 
@@ -145,23 +144,16 @@ class PipelinedCpu(Implementation):
         traversal: Traversal = Traversal.CHAINED_DIAGONAL,
         queue_size: int = 8,
         pool_timeout: float = 60.0,
-        fft_batch: int = 1,
         **kw,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one compute worker, got {workers}")
-        if fft_batch < 1:
-            raise ValueError(f"fft_batch must be >= 1, got {fft_batch}")
         super().__init__(**kw)
         self.workers = workers
         self.pool_size = pool_size
         self.traversal = traversal
         self.queue_size = queue_size
         self.pool_timeout = pool_timeout
-        #: Tiles per batched forward transform in the FFT stage; 1 keeps
-        #: the classic one-FFT-per-item flow.  Batch slices are
-        #: bit-identical to single transforms, so this is throughput-only.
-        self.fft_batch = fft_batch
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         grid = TileGrid(dataset.rows, dataset.cols)
@@ -225,19 +217,10 @@ class PipelinedCpu(Implementation):
 
         order = iter(part.order)
 
-        #: Tiles awaiting a full batch (reader is single-threaded).
-        pending_batch: list[tuple] = []
-
-        def flush_batch() -> None:
-            if pending_batch:
-                q_work.put(_TileBatch(list(pending_batch)))
-                pending_batch.clear()
-
         def reader(_item, _ctx):
             try:
                 pos = next(order)
             except StopIteration:
-                flush_batch()
                 return END_OF_STREAM
             # Bounded wait so a pipeline abort cannot strand the reader on
             # the semaphore.
@@ -251,28 +234,20 @@ class PipelinedCpu(Implementation):
                 return None
             with stats_lock:
                 stats["reads"] += 1
-            pending_batch.append((pos, tile))
-            if len(pending_batch) >= self.fft_batch:
-                flush_batch()
+            q_work.put(_TileItem(pos, tile))
             return None
 
         def compute(item, _ctx):
             local: dict = {}
-            if isinstance(item, _TileBatch):
-                # Grab as many pool slots as are free right now; transform
-                # that sub-batch in one backend call and requeue the rest
+            if isinstance(item, _TileItem):
+                # Wait briefly for a pool slot, else requeue the tile
                 # behind any pending pair work (whose completion is what
                 # releases slots).  Blocking for a slot with every worker
                 # would deadlock: tiles ahead of pairs in the FIFO would
                 # pin all workers.
-                acquired: list[int] = []
                 try:
-                    acquired.append(pool.acquire(timeout=0.05))
-                    while len(acquired) < len(item.items):
-                        acquired.append(pool.acquire(blocking=False))
-                except (TimeoutError, PoolExhausted):
-                    pass
-                if not acquired:
+                    slot = pool.acquire(timeout=0.05)
+                except TimeoutError:
                     item.blocked_seconds += 0.05
                     if item.blocked_seconds > self.pool_timeout:
                         raise TimeoutError(
@@ -282,19 +257,14 @@ class PipelinedCpu(Implementation):
                         )
                     q_work.put(item)
                     return None
-                take = item.items[: len(acquired)]
-                rest = item.items[len(acquired):]
-                if rest:
-                    q_work.put(_TileBatch(rest, item.blocked_seconds))
-                batch = kernel.batch_products([px for _, px in take], local)
-                for (pos, _), slot, (px, fft, ts) in zip(take, acquired, batch):
-                    buf = pool.array(slot)
-                    buf[...] = fft
-                    with state_lock:
-                        products[pos] = (px, buf, ts)
-                        slots[pos] = slot
-                    tiles_in_flight.release()
-                    q_events.put(_FftDone(pos))
+                px, fft, ts = kernel.products(item.pixels, local)
+                buf = pool.array(slot)
+                buf[...] = fft
+                with state_lock:
+                    products[item.pos] = (px, buf, ts)
+                    slots[item.pos] = slot
+                tiles_in_flight.release()
+                q_events.put(_FftDone(item.pos))
             elif isinstance(item, _PairItem):
                 pair = item.pair
                 cell = (pair.direction, pair.second.row, pair.second.col)

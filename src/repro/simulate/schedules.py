@@ -80,9 +80,10 @@ def simulate_mt_cpu(
     This models the paper's MT-CPU, in which the band below reads and
     transforms each band-boundary row again -- what Table II's MT-CPU row
     measures, and why MT-CPU trails Pipelined-CPU at high thread counts.
-    :class:`repro.impls.mt_cpu.MtCpu` prefetches each boundary row once
-    instead, so it reads fewer tiles than this schedule (24 against 32 on
-    a 6x4 grid in 3 bands).
+    :class:`repro.impls.mt_cpu.MtCpu` runs Simple-CPU's loop over column
+    partitions instead and builds each column two partitions share once,
+    so it reads every tile once: fewer than this schedule (24 against 32
+    on a 6x4 grid in 3 bands).
     """
     hw = tile[0] * tile[1]
     cpu = machine.cpu

@@ -78,10 +78,22 @@ class TestSchedulerSelection:
         assert any(x != round(x) for pair in reference for x in pair)
         assert estimates(impl) == reference  # bit for bit
 
-    @pytest.mark.parametrize("impl", ["fiji-baseline", "mt-cpu", "proc-cpu"])
-    def test_traversal_rejected_where_it_cannot_be_honoured(self, impl):
-        with pytest.raises(ValueError, match="traversal"):
-            Stitcher(impl=impl, traversal=Traversal.ROW)
+    def test_every_scheduler_honours_every_traversal(self, dataset_4x4,
+                                                     dataset_3x5):
+        """Every scheduler takes every order, and the order changes no
+        translation: each equals simple-cpu's bit for bit."""
+        def translations(ds, impl, traversal):
+            disp = Stitcher(impl=impl, traversal=traversal).stitch(
+                ds).displacements
+            return repr((disp.west, disp.north))
+
+        for ds in (dataset_4x4, dataset_3x5):
+            reference = translations(ds, "simple-cpu",
+                                     Traversal.CHAINED_DIAGONAL)
+            for impl in sorted(SCHEDULERS):
+                for traversal in Traversal:
+                    assert translations(ds, impl, traversal) == reference, (
+                        ds.rows, ds.cols, impl, traversal)
 
     @pytest.mark.parametrize(
         "impl", ["simple-cpu", "mt-cpu", "proc-cpu", "fiji-baseline",
@@ -105,7 +117,6 @@ class TestSchedulerSelection:
 
     def test_scheduler_options_read_off_the_constructors(self):
         assert scheduler_options("mt-cpu") == ["watchdog", "workers"]
-        assert "fft_batch" in scheduler_options("pipelined-cpu-numa")
         assert "devices" in scheduler_options("pipelined-gpu")
         for impl in SCHEDULERS:
             assert not {"self", "kernel", "traversal"} & set(

@@ -10,7 +10,34 @@ import numpy as np
 import pytest
 
 from repro.analysis.opcounts import OperationCounts
-from repro.impls import FijiBaseline, MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu, SimpleGpu
+from repro.faults import ErrorPolicy
+from repro.faults.plan import Fault, FaultKind, FaultPlan
+from repro.faults.report import FaultReport
+from repro.grid.traversal import Traversal
+from repro.impls import (
+    FijiBaseline,
+    MtCpu,
+    PipelinedCpu,
+    PipelinedGpu,
+    ProcCpu,
+    SimpleCpu,
+    SimpleGpu,
+)
+from repro.synth import make_synthetic_dataset
+
+SPMD = {"mt-cpu": MtCpu, "proc-cpu": ProcCpu}
+
+
+@pytest.fixture(scope="module")
+def grids(tmp_path_factory, dataset_4x4, dataset_3x5):
+    root = tmp_path_factory.mktemp("spmd")
+    out = {(4, 4): dataset_4x4, (3, 5): dataset_3x5}
+    for rows, cols in ((1, 5), (5, 1)):
+        out[rows, cols] = make_synthetic_dataset(
+            root / f"{rows}x{cols}", rows=rows, cols=cols, tile_height=32,
+            tile_width=32, overlap=0.25, seed=5,
+        )
+    return out
 
 
 class TestTransformReuse:
@@ -27,16 +54,53 @@ class TestTransformReuse:
         assert res.stats["reads"] == 48
 
     def test_mt_cpu_shared_boundaries_no_redundancy(self, dataset_4x4):
-        """Boundary products are computed once and shared across bands."""
+        """Shared columns are built once and handed to both partitions."""
         res = MtCpu(workers=2).run(dataset_4x4)
         assert res.stats["reads"] == 16
         assert res.stats["ffts"] == 16
         assert res.stats["duplicated_boundary_reads"] == 0
 
-    def test_proc_cpu_no_redundancy(self, dataset_4x4):
-        """Process bands exchange boundary products through the arena."""
-        from repro.impls import ProcCpu
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (3, 5), (4, 4)],
+                             ids=lambda g: f"{g[0]}x{g[1]}")
+    @pytest.mark.parametrize("impl", sorted(SPMD))
+    def test_spmd_reads_every_tile_once(self, impl, grid, workers, grids):
+        """Column partitions share a column with their western neighbour;
+        it is built once, so every tile is read and transformed once --
+        under every traversal."""
+        rows, cols = grid
+        ds = grids[grid]
+        ref = SimpleCpu().run(ds).displacements
+        for traversal in Traversal:
+            res = SPMD[impl](workers=workers, traversal=traversal).run(ds)
+            assert res.stats["reads"] == res.stats["ffts"] == rows * cols
+            assert res.stats["duplicated_boundary_reads"] == 0
+            assert 1 <= res.stats["partitions"] <= workers
+            assert repr(res.displacements.west) == repr(ref.west)
+            assert repr(res.displacements.north) == repr(ref.north)
 
+    @pytest.mark.parametrize("impl", sorted(SPMD))
+    def test_dropped_shared_tile_skips_what_simple_cpu_skips(self, impl,
+                                                             dataset_4x4):
+        """Tile (1, 1) sits in column 1, which both partitions of two
+        workers read; dropping it loses exactly simple-cpu's pairs."""
+        def skipped(make):
+            report = FaultReport()
+            ds = FaultPlan().add(
+                Fault(FaultKind.MISSING, tile=(1, 1))
+            ).wrap_dataset(dataset_4x4)
+            res = make(error_policy=ErrorPolicy(on_exhausted="skip"),
+                       fault_report=report).run(ds)
+            return report.skipped_pairs, report.skipped_tiles, res
+
+        want, _, _ = skipped(SimpleCpu)
+        got, tiles, res = skipped(lambda **kw: SPMD[impl](workers=2, **kw))
+        assert got == want and len(want) == 4
+        assert tiles == [(1, 1)]
+        assert res.stats["reads"] == res.stats["ffts"] == 15
+
+    def test_proc_cpu_no_redundancy(self, dataset_4x4):
+        """Process partitions exchange shared columns through the arena."""
         res = ProcCpu(workers=2).run(dataset_4x4)
         assert res.stats["reads"] == 16
         assert res.stats["ffts"] == 16

@@ -23,7 +23,6 @@ PARALLEL_IMPLS = [
     ("mt-cpu-3", lambda: MtCpu(workers=3)),
     ("proc-cpu-1", lambda: ProcCpu(workers=1)),
     ("proc-cpu-3", lambda: ProcCpu(workers=3)),
-    ("proc-cpu-3-nobatch", lambda: ProcCpu(workers=3, fft_batch=1)),
     ("pipelined-cpu-1", lambda: PipelinedCpu(workers=1)),
     ("pipelined-cpu-3", lambda: PipelinedCpu(workers=3)),
     ("simple-gpu", lambda: SimpleGpu()),
@@ -47,7 +46,6 @@ def test_matches_reference(name, factory, dataset_4x4, reference_displacements):
     ("mt-cpu", lambda: MtCpu(workers=2)),
     ("proc-cpu", lambda: ProcCpu(workers=2)),
     ("pipelined-cpu", lambda: PipelinedCpu(workers=2)),
-    ("pipelined-cpu-batched", lambda: PipelinedCpu(workers=2, fft_batch=3)),
     ("pipelined-gpu", lambda: PipelinedGpu(devices=2, ccf_workers=2)),
 ])
 def test_nonsquare_grid(name, factory, dataset_3x5):

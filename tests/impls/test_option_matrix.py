@@ -1,18 +1,22 @@
 """Option-matrix coverage: paper options across the parallel implementations.
 
 The equivalence suite runs defaults; this crosses the paper-relevant
-options (padded FFT shapes, partition helpers) with the
+options (padded FFT shapes, the partitioner) with the
 parallel implementations to ensure no option silently only works on the
 sequential path.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.metrics import displacement_agreement
 from repro.fftlib.smooth import next_smooth_shape
+from repro.grid.neighbors import grid_pairs
+from repro.grid.tile_grid import TileGrid, split_range
+from repro.grid.traversal import Traversal, column_partitions
 from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu
-from repro.grid.tile_grid import split_range
 
 
 class TestPaddedFftAcrossImpls:
@@ -51,13 +55,24 @@ class TestPartitionHelpers:
         sizes = [b1 - b0 for b0, b1 in bands]
         assert max(sizes) - min(sizes) <= 1  # balanced
 
-    @given(cols=st.integers(1, 60), n=st.integers(1, 8))
-    def test_column_partitions_cover_exactly(self, cols, n):
-        parts = split_range(cols, n)
-        assert parts[0][0] == 0
-        assert parts[-1][1] == cols
-        for (a0, a1), (b0, b1) in zip(parts, parts[1:]):
-            assert a1 == b0
-        sizes = [c1 - c0 for c0, c1 in parts]
-        assert all(s >= 1 for s in sizes)
-        assert max(sizes) - min(sizes) <= 1
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 40),
+           n=st.integers(1, 8), traversal=st.sampled_from(Traversal),
+           p2p=st.booleans())
+    def test_column_partitions_cover_exactly(self, rows, cols, n, traversal,
+                                             p2p):
+        grid = TileGrid(rows, cols)
+        parts = column_partitions(grid, n, traversal, p2p=p2p)
+        owned = [pair for part in parts for pair in part.pairs]
+        assert sorted(owned) == sorted(grid_pairs(grid))  # disjoint cover
+        assert 0 < len(parts) <= n or not owned
+        readers = Counter(
+            c for part in parts for c in range(part.first_col, part.cols[1])
+        )
+        assert max(readers.values(), default=0) <= 2
+        for part in parts:
+            visited = set(part.order)
+            assert len(visited) == len(part.order)
+            # Under p2p a link delivers the ghost column instead.
+            needed = {pos for pair in part.pairs for pos in (pair.first,
+                      pair.second) if not p2p or pos.col >= part.cols[0]}
+            assert needed <= visited

@@ -1,4 +1,4 @@
-"""Proc-CPU specifics: batching knobs, arena hygiene, checkpoint/resume.
+"""Proc-CPU specifics: per-tile counters, arena hygiene, checkpoint/resume.
 
 Cross-implementation equivalence, determinism and degenerate grids are
 covered by the shared matrices (proc-cpu is registered in
@@ -33,33 +33,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProcCpu(workers=0)
 
-    def test_rejects_bad_fft_batch(self):
-        with pytest.raises(ValueError):
-            ProcCpu(fft_batch=0)
-
 
 class TestBatching:
-    @pytest.mark.parametrize("fft_batch", [1, 2, 8])
-    def test_fft_batch_is_throughput_only(self, fft_batch, dataset_4x4,
-                                          reference_displacements):
-        res = ProcCpu(workers=2, fft_batch=fft_batch).run(dataset_4x4)
-        assert displacement_agreement(
-            res.displacements, reference_displacements.displacements
-        ) == 1.0
-
     def test_batch_counters(self, dataset_4x4):
-        res = ProcCpu(workers=2, fft_batch=4).run(dataset_4x4)
-        # Every multi-tile forward transform goes through the batch path.
-        assert res.stats.get("fft_batches", 0) > 0
-        assert res.stats.get("fft_batched_tiles", 0) > 1
+        """The workers' counters fold into one run: every tile read and
+        transformed once, whichever partition reads it."""
+        res = ProcCpu(workers=2).run(dataset_4x4)
         assert res.stats["ffts"] == 16
+        assert res.stats["reads"] == 16
 
     def test_single_worker_runs_inline(self, dataset_4x4,
                                        reference_displacements):
         """One band needs no pool, no arena -- and still matches."""
         res = ProcCpu(workers=1).run(dataset_4x4)
         assert res.stats["process_workers"] == 0
-        assert res.stats["bands"] == 1
+        assert res.stats["partitions"] == 1
         assert displacement_agreement(
             res.displacements, reference_displacements.displacements
         ) == 1.0

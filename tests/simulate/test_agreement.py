@@ -52,9 +52,10 @@ SCHEDULERS = {
 #: Schedulers whose simulated schedule is deliberately not the real one.
 EXEMPT = {
     "mt-cpu": (
-        "simulate_mt_cpu models the paper's MT-CPU, where the band below "
-        "re-reads the boundary row (what Table II's MT-CPU row measures); "
-        "MtCpu prefetches each boundary row once"
+        "simulate_mt_cpu models the paper's MT-CPU, row bands where the "
+        "band below re-reads the boundary row (what Table II's MT-CPU row "
+        "measures); MtCpu runs Simple-CPU over column partitions and builds "
+        "each shared column once"
     ),
 }
 

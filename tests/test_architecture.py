@@ -1,0 +1,101 @@
+"""Architecture rules: what is written once stays written once.
+
+Each test scans the package's source with :mod:`ast` and names the
+sites that break its rule, so a second copy of a policy fails here, in
+the tier-1 suite, rather than drifting unnoticed.
+"""
+
+import ast
+import collections
+from pathlib import Path
+
+import repro
+
+PACKAGE = Path(repro.__file__).resolve().parent
+
+
+def modules():
+    """``(path relative to the package, parsed module)``, sorted."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(PACKAGE).as_posix(), ast.parse(path.read_text())
+
+
+def test_phase1_holds_one_release_ledger_and_no_band_loop():
+    """The early-release policy (a tile's buffers go once every pair
+    touching it is computed or cancelled) is grid/ledger.py's
+    PairBookkeeper under every scheduler that frees memory; a second
+    per-tile pair count is a second policy.  The one exception is
+    pipelined-gpu's host-pixel count, which outlives the device slot by
+    the CCF stage.  The discrete-event simulator's counters model time,
+    not tile memory, and phase 2's block back substitution updates
+    solution blocks, not counts.  No scheduler writes its own loop over
+    west and north pairs: MT-CPU and Proc-CPU run Simple-CPU's over their
+    partitions."""
+    gone = {"RefCounter", "pairs_done", "maybe_release", "release_if_done",
+            "row_products", "band_pairs"}
+    counts, band_loops = set(), set()
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            names = {getattr(node, a, None)
+                     for a in ("id", "attr", "name", "arg", "asname")}
+            assert not names & gone, f"{where}:{node.lineno}: {names & gone}"
+            if (isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.Sub)
+                    and isinstance(node.target, ast.Subscript)
+                    and not isinstance(node.target.slice, ast.Constant)
+                    and where not in ("simulate/des.py",
+                                      "core/global_opt.py")):
+                counts.add(f"{where}::{ast.unparse(node.target.value)}")
+            if isinstance(node, ast.FunctionDef) and where.startswith("impls/"):
+                dirs = {n.attr for n in ast.walk(node)
+                        if isinstance(n, ast.Attribute)
+                        and getattr(n.value, "id", None) == "Direction"}
+                if {"WEST", "NORTH"} <= dirs:
+                    band_loops.add(f"{where}::{node.name}")
+    assert counts == {"grid/ledger.py::self._refcount",
+                      "impls/pipelined_gpu.py::host_refcount"}, counts
+    assert band_loops == set(), band_loops
+
+
+def test_grid_decomposition_is_written_once():
+    """Column partitions and ghost columns come from
+    grid/traversal.py::column_partitions and pair readiness from the
+    ledger, so the simulator reads what the schedulers read.  The
+    pipelines share pipelined_cpu.py's bookkeeping events, both GPU
+    schedulers gpu/kernels.py::correlate_pair, and every pool
+    default_pool_size.  A second split of the grid, a second event class,
+    a second device pair sequence or a second pool rule is a copy that can
+    drift.  The one split outside grid/ is simulate_mt_cpu's row bands:
+    the paper's MT-CPU, which Table II measures."""
+    events = collections.Counter()
+    splits, reduces, pool_rules = set(), set(), []
+
+    def visit(where, node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name in (
+                    "_FftDone", "_PairDone", "_TileFailed"):
+                events[child.name] += 1
+            if isinstance(child, ast.Call):
+                called = (getattr(child.func, "id", None)
+                          or getattr(child.func, "attr", None))
+                if called == "split_range":
+                    splits.add(f"{where}::{fn}")
+                if called == "reduce_max_kernel":
+                    reduces.add(where)
+            if (isinstance(child, ast.BinOp)
+                    and isinstance(child.op, ast.Mult)
+                    and getattr(child.left, "value", None) == 2
+                    and getattr(getattr(child.right, "func", None),
+                                "id", None) == "min"):
+                pool_rules.append(f"{where}::{fn}")
+            visit(where, child,
+                  child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    for where, tree in modules():
+        visit(where, tree, None)
+    assert events == {"_FftDone": 1, "_PairDone": 1, "_TileFailed": 1}, events
+    for site in splits:
+        assert (site.startswith("grid/")
+                or site == "simulate/schedules.py::simulate_mt_cpu"), site
+    assert reduces == {"gpu/kernels.py"}, reduces
+    assert pool_rules == ["grid/traversal.py::default_pool_size"], pool_rules

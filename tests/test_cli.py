@@ -74,9 +74,27 @@ class TestStitch:
                      "--coarse-registration"]) == 0
         assert "coarse:" in capsys.readouterr().out
 
-    def test_bad_coarse_scale_errors(self, dataset_dir):
-        with pytest.raises(ValueError):
-            main(["stitch", str(dataset_dir), "--coarse-scale", "0.7"])
+    def test_bad_coarse_scale_errors(self, dataset_dir, capsys):
+        assert main(["stitch", str(dataset_dir), "--coarse-scale", "0.7"]) == 2
+        assert "error: coarse scale must be in (0, 0.5]" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--coarse-scale", "3"], "coarse scale must be in (0, 0.5]"),
+        (["--conf-thresh", "7"], "conf_thresh must be in [-1, 1]"),
+        (["--max-retries", "-1"], "max_retries must be >= 0"),
+        (["--watchdog", "1"], "impl 'simple-cpu' cannot honour watchdog"),
+        (["--residue-mode", "huber"],
+         "residue_mode 'huber' needs position_method 'least_squares'"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_refused_option_value_is_a_usage_error(self, dataset_dir, argv,
+                                                   message, capsys):
+        """StitchOptions refuses the value; the CLI says why and exits 2
+        before any tile is read -- no traceback."""
+        assert main(["stitch", str(dataset_dir), *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_outline(self, dataset_dir, tmp_path):
         out = tmp_path / "o.tif"
@@ -193,7 +211,7 @@ class TestRobustnessFlags:
     def test_residue_mode_without_least_squares_is_a_usage_error(self, ds_dir, capsys):
         assert main(["stitch", str(ds_dir), "--residue-mode", "huber"]) == 2
         err = capsys.readouterr().err
-        assert "--residue-mode huber needs --positions least_squares" in err
+        assert "residue_mode 'huber' needs position_method 'least_squares'" in err
 
     def test_quality_gate_on_impl_path(self, ds_dir, capsys):
         assert main(["stitch", str(ds_dir), "--impl", "mt-cpu",
@@ -371,7 +389,7 @@ class TestOneEntryPoint:
                    "--inject-faults", "7:hang=1,latency=0"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--watchdog" in err
+        assert "cannot honour watchdog" in err
         for name in ("pipelined-cpu", "pipelined-cpu-numa", "pipelined-gpu"):
             assert name in err
 
@@ -389,4 +407,4 @@ class TestOneEntryPoint:
 
         sub = build_parser()._subparsers._group_actions[0].choices["stitch"]
         options = [a for a in sub._actions if a.dest != "help"]
-        assert len(options) == 36
+        assert len(options) == 35
