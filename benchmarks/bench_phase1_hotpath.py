@@ -6,8 +6,10 @@ implementation shares) on a synthetic in-memory grid, in two
 configurations:
 
 ``optimized``
-    the defaults -- r2c half-spectrum transforms, O(1)-statistics CCF
-    (``TileStats``), and the per-worker pair workspace;
+    single-pass full PCIAM -- r2c half-spectrum transforms,
+    O(1)-statistics CCF (``TileStats``), and the per-worker pair
+    workspace; pinned to ``coarse=False``, so it stays the single-pass
+    reference at tile sizes where the stitcher's default is coarse;
 ``coarse``
     the same with coarse-to-fine registration (``CoarseConfig()``).
 
@@ -30,11 +32,13 @@ Usage::
     python benchmarks/bench_phase1_hotpath.py --quick  # CI-sized: 5x5 grid
     python benchmarks/bench_phase1_hotpath.py --coarse-gate 1.0
     python benchmarks/bench_phase1_hotpath.py --stats-sweep  # TileStats threshold
+    python benchmarks/bench_phase1_hotpath.py --coarse-corpus  # coarse gate
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import resource
 import statistics
 import sys
@@ -163,7 +167,8 @@ def measure(mode: str) -> dict:
     rows, cols, tile, reps = MODES[mode]
     tiles = _load_tiles(rows, cols, tile)
     pairs = 2 * rows * cols - rows - cols
-    configs = {"optimized": {}, "coarse": {"coarse": CoarseConfig()}}
+    configs = {"optimized": {"coarse": False},
+               "coarse": {"coarse": CoarseConfig()}}
     report: dict = {
         "mode": mode, "rows": rows, "cols": cols, "tile": tile,
         "pairs": pairs, "repetitions": reps,
@@ -305,7 +310,8 @@ def measure_stats(rows: int, cols: int, tile: int,
 
     tiles = _load_tiles(rows, cols, tile)
     forced = {"table": 1 << 62, "marginal": 0}
-    configs = {"optimized": {}, "coarse": {"coarse": CoarseConfig()}}
+    configs = {"optimized": {"coarse": False},
+               "coarse": {"coarse": CoarseConfig()}}
     times = {(c, s): [] for c in configs for s in forced}
     outputs = {}
     saved = tilestats.MARGINAL_MIN_TILE_PIXELS
@@ -351,6 +357,116 @@ def _print_stats(report: dict) -> None:
                      f"(medians {r['median_speedup']:.2f}x)")
     print(f"  {report['tile']:4d}px ({report['tile'] ** 2 // 1024:4d} Ki px): "
           + "; ".join(cells))
+
+
+#: The ``--coarse-corpus`` datasets: 3x3 grids from the virtual microscope
+#: (factory stage) over tile shape x overlap x specimen x seed -- the
+#: measurement behind ``COARSE_MIN_TILE_PIXELS`` in core/options.py and
+#: ``PROBE_BUDGET`` in core/coarse.py.  ``granular`` is the e2e
+#: benchmark's specimen, ``sparse`` has a few colonies and no pixel-scale
+#: granularity: most of its overlaps are featureless.
+CORPUS_SHAPES = ((128, 128), (192, 192), (256, 256), (260, 348), (320, 320),
+                 (384, 384), (448, 448), (512, 512), (520, 696))
+CORPUS_OVERLAPS = (0.10, 0.20, 0.35)
+CORPUS_SPECIMENS = {
+    "default": {},
+    "granular": {"fine_texture": 0.0, "background_texture": 0.0},
+    "sparse": {"colony_count": 4, "granularity": 0.0},
+}
+CORPUS_SEEDS = (0, 1)
+#: Repetitions per dataset; the three configurations alternate within each.
+CORPUS_REPS = 3
+
+
+def _pair_translations(result) -> dict:
+    from repro.grid.neighbors import Direction
+
+    return {
+        (d.value, r, c): (t.tx, t.ty)
+        for d in Direction for r, c, t in result.displacements.entries(d)
+    }
+
+
+def measure_coarse_corpus(reps: int = CORPUS_REPS) -> list[dict]:
+    """Phase 1 of every corpus dataset three ways: full PCIAM
+    (``coarse=False``), coarse forced (``coarse=True``) and the default
+    (undecided: the tile shape decides).  Records the median phase-1
+    seconds of each, the forced run's hits and fallbacks, the pairs whose
+    translation differs from full PCIAM's and both runs' position error."""
+    from repro.core.options import StitchOptions
+    from repro.core.stitcher import Stitcher
+    from repro.synth import SpecimenParams, make_synthetic_dataset
+
+    configs = {"full": False, "coarse": True, "default": None}
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="bench_corpus_") as tmp:
+        for (h, w), overlap, (name, specimen), seed in itertools.product(
+            CORPUS_SHAPES, CORPUS_OVERLAPS, CORPUS_SPECIMENS.items(),
+            CORPUS_SEEDS,
+        ):
+            ds = make_synthetic_dataset(
+                Path(tmp) / f"{h}x{w}-{overlap}-{name}-{seed}", rows=3,
+                cols=3, tile_height=h, tile_width=w, overlap=overlap,
+                seed=seed, specimen=SpecimenParams(**specimen) if specimen
+                else None,
+            )
+            times = {k: [] for k in configs}
+            results = {}
+            for _ in range(reps):
+                for key, coarse in configs.items():
+                    results[key] = Stitcher(coarse=coarse).stitch(ds)
+                    times[key].append(results[key].phase1_seconds)
+            full, coarse = (_pair_translations(results[k])
+                            for k in ("full", "coarse"))
+            phase1 = {k: statistics.median(v) for k, v in times.items()}
+            stats = results["coarse"].displacements.stats
+            rows.append({
+                "shape": [h, w], "overlap": overlap, "specimen": name,
+                "seed": seed,
+                "default_is_coarse": StitchOptions().coarse_for((h, w))
+                is not None,
+                "full_seconds": round(phase1["full"], 4),
+                "coarse_ratio": round(phase1["coarse"] / phase1["full"], 3),
+                "default_ratio": round(phase1["default"] / phase1["full"], 3),
+                "hits": stats["coarse_hits"],
+                "fallbacks": stats["full_fallbacks"],
+                "differing_pairs": sum(full[k] != coarse[k] for k in full),
+                "full_error_px": round(float(
+                    results["full"].position_errors().max()), 2),
+                "coarse_error_px": round(float(
+                    results["coarse"].position_errors().max()), 2),
+            })
+            _print_corpus_row(rows[-1])
+    return rows
+
+
+def _print_corpus_row(row: dict) -> None:
+    h, w = row["shape"]
+    print(f"  {h:3d}x{w:<3d} ov {row['overlap']:.2f} {row['specimen']:8s} "
+          f"seed {row['seed']}: default/full {row['default_ratio']:.2f} "
+          f"({'coarse' if row['default_is_coarse'] else 'full'}), "
+          f"coarse/full {row['coarse_ratio']:.2f}, {row['hits']:2d} hits "
+          f"{row['fallbacks']:2d} fallbacks, {row['differing_pairs']} "
+          f"differing pairs, error full {row['full_error_px']:.1f} px / "
+          f"coarse {row['coarse_error_px']:.1f} px")
+
+
+def _print_corpus_summary(rows: list[dict]) -> None:
+    print("  coarse/full phase-1 ratio by tile shape (median / max over "
+          "every specimen; non-sparse datasets with differing pairs):")
+    for h, w in CORPUS_SHAPES:
+        mine = [r for r in rows if r["shape"] == [h, w]]
+        ratios = [r["coarse_ratio"] for r in mine]
+        differing = sum(1 for r in mine
+                        if r["specimen"] != "sparse" and r["differing_pairs"])
+        print(f"    {h:3d}x{w:<3d} ({h * w // 1024:3d} Ki px): "
+              f"{statistics.median(ratios):.2f} / {max(ratios):.2f}; "
+              f"{differing}")
+    gated = [r["default_ratio"] for r in rows if r["default_is_coarse"]]
+    if gated:
+        print(f"  default/full at or above the gate: median "
+              f"{statistics.median(gated):.2f}, max {max(gated):.2f} "
+              f"({len(gated)} datasets)")
 
 
 def _disp_translations(displacements) -> list:
@@ -508,9 +624,27 @@ def main(argv: list[str] | None = None) -> int:
                          "range of tile sizes on a 5x5 grid: the "
                          "measurement the summary's tile-size threshold is "
                          "set from; recorded in the artifact")
+    ap.add_argument("--coarse-corpus", action="store_true",
+                    help="time phase 1 full, coarse and default on every "
+                         "dataset of a seeded 3x3 corpus (tile shape x "
+                         "overlap x specimen x seed) and count hits, "
+                         "fallbacks and pairs that differ from full PCIAM: "
+                         "the measurement the default's tile-size gate is "
+                         "set from; recorded in the artifact")
     args = ap.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
+
+    if args.coarse_corpus:
+        print("coarse-to-fine corpus, phase-1 seconds over full PCIAM's "
+              f"(median of {CORPUS_REPS}):")
+        rows = measure_coarse_corpus()
+        _print_corpus_summary(rows)
+        merged = read_json(args.output) or {}
+        merged["coarse_corpus"] = rows
+        write_json(args.output, merged)
+        print(f"wrote {args.output}")
+        return 0
 
     if args.stats_sweep:
         rows, cols, sizes = STATS_SWEEP

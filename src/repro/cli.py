@@ -137,6 +137,8 @@ def _stitch_options(args: argparse.Namespace):
         )
     if args.paper_faithful:
         flat.update(ccf_mode="paper4", n_peaks=1)
+        if flat["coarse"] is None:  # an explicit --coarse-registration wins
+            flat["coarse"] = False
     return StitchOptions.from_flat(flat)
 
 
@@ -191,11 +193,11 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
     print(f"stitched {dataset.rows}x{dataset.cols} grid in {elapsed:.2f} s "
           f"({result.stats['pairs']} pairs)")
-    if stitcher.coarse is not None:
+    coarse = options.coarse_for(dataset.tile_shape)
+    if coarse is not None:
         print(f"coarse: {result.stats.get('coarse_hits', 0)} hits, "
               f"{result.stats.get('full_fallbacks', 0)} fallbacks "
-              f"(factor {stitcher.coarse.factor}, "
-              f"conf >= {stitcher.coarse.conf_thresh})")
+              f"(factor {coarse.factor}, conf >= {coarse.conf_thresh})")
     report = result.stats.get("fault_report")
     if report is not None and report:
         print(f"fault report: {report.summary()}")
@@ -409,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--peaks", dest="n_peaks", type=int,
                    default=StitchOptions.n_peaks)
     s.add_argument("--paper-faithful", action="store_true",
-                   help="Fig. 2 scheme verbatim: 1 peak, 4 interpretations")
+                   help="Fig. 2 scheme verbatim: 1 peak, 4 interpretations, "
+                        "full-resolution PCIAM")
     s.add_argument("--pad", dest="pad_to_smooth", action="store_true",
                    help="pad FFTs to smooth sizes")
     s.add_argument("--refine", action="store_true",
@@ -431,12 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "magnitude ratio falls below R (default 1.0 = off; "
                         "implies --quality-gate)")
     s.add_argument("--coarse-registration", dest="coarse",
-                   action="store_true",
+                   action=argparse.BooleanOptionalAction,
                    help="two-pass coarse-to-fine PCIAM: register on "
                         "block-mean downsampled tiles, refine confident "
                         "peaks at full resolution, fall back to full "
-                        "PCIAM otherwise (docs/PERFORMANCE.md); implied "
-                        "by the knobs below")
+                        "PCIAM otherwise (docs/PERFORMANCE.md).  Default: "
+                        "decided from the tile size -- on for paper-scale "
+                        "tiles, off for small ones and under "
+                        "--paper-faithful; --no-coarse-registration is "
+                        "full PCIAM at every size.  Implied by the knobs "
+                        "below")
     s.add_argument("--coarse-scale", type=float, default=None, metavar="S",
                    help="coarse-pass downsampling scale in (0, 0.5] "
                         "(default 0.5 = factor 2; implies "

@@ -26,10 +26,13 @@ does ~1/f^2 of the FFT work:
    offsets towards its other samples -- and only then ranked.  That
    matters wherever the specimen is pixel-granular: there the CCF
    surface is a spike (0.99 at the summit, ~0 one pixel off), not a
-   hill to climb.  The best-ranked hill is then walked uphill (bounded
-   steepest ascent, Chebyshev radius ``2 * factor`` by default), which
-   is what finds the summit of a *smooth* surface from a centre a
-   pixel or two off (rounding + anti-alias blur + edge padding).
+   hill to climb.  The best-ranked hill is then walked uphill (steepest
+   ascent), which is what finds the summit of a *smooth* surface from a
+   centre a pixel or two off (rounding + anti-alias blur + edge
+   padding).  Only a strict 8-neighbour maximum of the full-resolution
+   CCF counts as a summit, and one pair's probes are held to a budget
+   (:data:`PROBE_BUDGET`): a climb that cannot settle near its centre,
+   or a pair that runs out, falls back.
 3. **Confidence gate** -- the refined correlation and the coarse
    peak-sharpness ratio are judged with the same thresholds the
    quality gate uses (``conf_thresh`` / ``min_peak_ratio``).  A
@@ -49,6 +52,7 @@ implementation bit-identical to ``simple-cpu`` in coarse mode.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -85,6 +89,26 @@ _HILL_MARGIN = 0.2
 #: candidates.  A ``conf_thresh`` above this raises the bar with it.
 _DECISIVE_CORR = 0.95
 
+#: Most full-resolution CCF probing one pair's refinement may spend, as
+#: summed overlap area in tile areas; a pair whose next probe would
+#: overrun it falls back, so running out costs speed, never an answer.
+#: Full PCIAM's contest spends one tile area per contested peak (a peak's
+#: interpretations partition the tile): two at the stitcher's
+#: ``n_peaks``.  The coarse contest covers ``coarse_peaks`` (8) peaks the
+#: same way, so this is twice what that contest can spend before it
+#: localises voted hills.  Counted over the 512x512 and 696x520 datasets
+#: of ``python benchmarks/bench_phase1_hotpath.py --coarse-corpus``: a hit
+#: spends 2.4 tile areas at the median and 9.2 at most, while a pair that
+#: falls back spent up to 63 unbudgeted.  At 696x520 a tile area of
+#: probes costs ~0.34 ms, a full-resolution pair ~11 ms
+#: (docs/PERFORMANCE.md, "Fallback cost").
+PROBE_BUDGET = 16.0
+
+#: Climb moves as ``(dx, dy)``: the orthogonal neighbours, then the
+#: diagonal ones.
+_ORTHOGONAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
 
 @dataclass(frozen=True)
 class CoarseConfig:
@@ -118,10 +142,13 @@ class CoarseConfig:
         probe ordering means extra candidates rarely cost anything),
         and every recovered pair is a full-PCIAM fallback avoided.
     ``search_radius``
-        Chebyshev radius of the full-resolution climb around a localised
-        candidate; ``None`` derives ``2 * factor`` (covers rounding of
-        ±factor/2, ±1 coarse pixel of anti-alias blur, and the
-        edge-padding bias of partial blocks).  The climb only helps
+        Chebyshev radius around a localised candidate within which the
+        full-resolution climb is expected to settle; ``None`` derives
+        ``2 * factor`` (covers rounding of ±factor/2, ±1 coarse pixel of
+        anti-alias blur, and the edge-padding bias of partial blocks).
+        A climb still ascending at that radius keeps going, out to twice
+        it; one that would go further has not found a summit the coarse
+        pass points at, and the pair falls back.  The climb only helps
         where the CCF surface slopes towards its summit; a
         pixel-granular specimen's does not, which is why hills are
         localised from their coarse samples first.
@@ -239,6 +266,33 @@ def coarse_forward_fft(
     )
 
 
+class FullSpectrum:
+    """One tile's full-resolution spectrum, transformed on first need.
+
+    Coarse mode never transforms a tile at full resolution up front.  The
+    first of the tile's pairs the gate rejects asks for this spectrum,
+    and the tile's other rejected pairs reuse it, so a fallback costs the
+    pair's inverse rather than two more forward transforms.  It is a
+    per-tile product like the coarse spectrum, released with it;
+    concurrent pairs of one tile wait for the one transform.
+    """
+
+    __slots__ = ("_args", "_lock", "_spectrum")
+
+    def __init__(self, pixels: np.ndarray, fft_shape: tuple[int, int],
+                 real: bool, cache: PlanCache) -> None:
+        self._args = (pixels, fft_shape, cache, real)
+        self._lock = threading.Lock()
+        self._spectrum = None
+
+    def get(self) -> np.ndarray:
+        with self._lock:
+            if self._spectrum is None:
+                pixels, shape, cache, real = self._args
+                self._spectrum = forward_fft(pixels, shape, cache, real=real)
+            return self._spectrum
+
+
 def refine_from_coarse_peaks(
     peaks: list[tuple[float, int, int]],
     coarse_fft_shape: tuple[int, int],
@@ -267,10 +321,14 @@ def refine_from_coarse_peaks(
     up to ``factor // 2`` -- and ranked by the best of those probes; the
     best hill is then walked uphill from there (deterministic steepest
     ascent: orthogonal neighbours first, diagonals only on an orthogonal
-    plateau, bounded to Chebyshev ``config.radius`` from the start,
-    probes memoized), and absent a decisive probe a close runner-up is
-    climbed too.  Every probe, voted or climbed, passes the same sliver
-    floor.  No full-resolution FFT is involved: each probe is
+    plateau, probes memoized), and absent a decisive probe a close
+    runner-up is climbed too.  A climb scores only where it settles on a
+    strict maximum of all eight neighbours within Chebyshev
+    ``2 * config.radius`` of its start; one that ends on a tie or would
+    walk further scores ``-inf``.  Every probe, voted or climbed, passes
+    the same sliver floor, and all of them together stay within
+    :data:`PROBE_BUDGET` -- the best probe is ``-inf`` when the next one
+    would overrun it.  No full-resolution FFT is involved: each probe is
     O(overlap) for the cross term and O(1) for everything else (the
     tile statistics, built here from the pixels when the caller has
     none).
@@ -289,26 +347,30 @@ def refine_from_coarse_peaks(
     # scored: Pearson correlation *inflates monotonically* as a strip of
     # smooth content thins (a 2-pixel overlap correlates at exactly 1.0),
     # so slivers would sail through the confidence gate with garbage
-    # translations.  The absolute term keeps the whole climb window out
-    # of the sliver regime even when the fractional floor rounds to a
-    # couple of pixels on small tiles.
+    # translations.  The absolute term keeps the floor clear of the
+    # sliver regime even when the fractional one rounds to a couple of
+    # pixels on small tiles.
     floor = 2 * config.radius + 1
     min_h = max(floor, math.ceil(config.min_overlap_frac * h))
     min_w = max(floor, math.ceil(config.min_overlap_frac * w))
+    # What is left of the pair's probe budget, in overlap pixels; once
+    # it is overrun nothing more is scored, and the pair scores nothing.
+    left = PROBE_BUDGET * h * w
 
     def probe(tx: int, ty: int) -> float:
+        nonlocal left
         key = (tx, ty)
         c = memo.get(key)
         if c is None:
+            c = -np.inf
             if h - abs(ty) >= min_h and w - abs(tx) >= min_w:
-                c = ccf_at_stats(stats_i, stats_j, tx, ty)
-            else:
-                c = -np.inf
+                left -= (h - abs(ty)) * (w - abs(tx))
+                if left >= 0:
+                    c = ccf_at_stats(stats_i, stats_j, tx, ty)
             memo[key] = c
         return c
 
     f = config.factor
-    radius = config.radius
     extended = ccf_mode is CcfMode.EXTENDED
     # Hill centre -> [sx, sy], the side (-1, 0, +1 per axis) on which the
     # hill was sampled again: its summit lies between the two samples.
@@ -355,38 +417,33 @@ def refine_from_coarse_peaks(
             break
     centers.sort(key=lambda e: (-e[0], e[1]))
 
-    def climb(sx: int, sy: int, c0: float) -> tuple[float, int, int]:
-        bx, by, bc = sx, sy, c0
-        for _ in range(2 * radius):
-            step = None
-            sc = bc
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nx, ny = bx + dx, by + dy
-                if abs(nx - sx) > radius or abs(ny - sy) > radius:
-                    continue
-                c = probe(nx, ny)
-                if c > sc:
-                    sc, step = c, (nx, ny)
+    reach = 2 * config.radius
+
+    def climb(x: int, y: int, c: float) -> tuple[float, int, int]:
+        # Steepest ascent, orthogonal neighbours first and the diagonals
+        # only on an orthogonal plateau (ridges at ~45 degrees can hide
+        # the summit there), until no neighbour scores higher.
+        x0, y0 = x, y
+        while True:
+            step, sc = None, c
+            for moves in (_ORTHOGONAL, _DIAGONAL):
+                for dx, dy in moves:
+                    n = probe(x + dx, y + dy)
+                    if n > sc:
+                        sc, step = n, (x + dx, y + dy)
+                if step is not None:
+                    break
             if step is None:
-                # Orthogonal plateau: a concave hill peaks here, and a
-                # summit already above the decisive bar cannot move by a
-                # diagonal pixel of correlation.  Otherwise check the
-                # diagonals once before declaring a maximum (ridges at
-                # ~45 degrees can hide the true peak there).
-                if bc >= decisive:
-                    break
-                for dx, dy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    nx, ny = bx + dx, by + dy
-                    if abs(nx - sx) > radius or abs(ny - sy) > radius:
-                        continue
-                    c = probe(nx, ny)
-                    if c > sc:
-                        sc, step = c, (nx, ny)
-                if step is None:
-                    break
-            bx, by = step
-            bc = sc
-        return bc, bx, by
+                break
+            (x, y), c = step, sc
+            if max(abs(x - x0), abs(y - y0)) > reach:
+                return -np.inf, x, y
+        # All eight neighbours are probed and none is higher: a summit
+        # only if none ties.
+        if any(memo[x + dx, y + dy] == c
+               for dx, dy in _ORTHOGONAL + _DIAGONAL):
+            return -np.inf, x, y
+        return c, x, y
 
     best = (-np.inf, 0, 0)
     if centers:
@@ -399,9 +456,11 @@ def refine_from_coarse_peaks(
             c1, (sx, sy) = centers[1]
             if c1 >= c0 - _HILL_MARGIN:
                 best = max(best, climb(sx, sy, c1))
+    if left < 0:
+        best = (-np.inf, 0, 0)
     corr, tx, ty = float(best[0]), int(best[1]), int(best[2])
     tx_f, ty_f = float(tx), float(ty)
-    if subpixel:
+    if subpixel and math.isfinite(corr):
         tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, tx, ty)
     return corr, tx, ty, tx_f, ty_f
 
@@ -478,6 +537,8 @@ def coarse_pciam(
     stats_j: TileStats | None = None,
     workspace=None,
     stats: dict | None = None,
+    full_i: FullSpectrum | None = None,
+    full_j: FullSpectrum | None = None,
 ) -> PciamResult:
     """Two-pass drop-in for :func:`~repro.core.pciam.pciam`.
 
@@ -493,18 +554,22 @@ def coarse_pciam(
     ``workspace``
         A pair workspace sized for the **coarse** transform shape (the
         arena in coarse mode is built at
-        :func:`coarse_transform_shape`); the fallback path allocates its
-        own scratch since the coarse buffers cannot hold a
-        full-resolution NCC.
+        :func:`coarse_transform_shape`).  The coarse buffers cannot hold a
+        full-resolution NCC: the fallback runs in the workspace's
+        full-resolution :attr:`~repro.memmodel.workspace.PairWorkspace.
+        fallback` scratch, or allocates its own without one.
     ``stats``
         Dict receiving ``coarse_hits`` / ``full_fallbacks``.
+    ``full_i`` / ``full_j``
+        The tiles' :class:`FullSpectrum` products, which the fallback
+        transforms on first need and a later fallback of the same tile
+        reuses; without them the fallback transforms both tiles itself.
 
     The first pass is the front half of PCIAM
     (:func:`~repro.core.pciam.correlation_peaks`) at the coarse shape.
-    The fallback recomputes the full-resolution spectra on demand --
-    coarse mode deliberately never computes them up front, which is
-    where its speedup lives; the occasional rejected pair pays two extra
-    FFTs instead of every pair paying them always.
+    Coarse mode deliberately never computes the full-resolution spectra
+    up front, which is where its speedup lives: only a tile with a
+    rejected pair pays its full-resolution transform.
     """
     if img_i.shape != img_j.shape:
         raise ValueError(
@@ -538,6 +603,9 @@ def coarse_pciam(
     def fallback() -> PciamResult:
         return pciam(
             img_i, img_j,
+            fft_i=None if full_i is None else full_i.get(),
+            fft_j=None if full_j is None else full_j.get(),
+            workspace=None if workspace is None else workspace.fallback,
             fft_shape=fft_shape,
             ccf_mode=ccf_mode,
             n_peaks=n_peaks,

@@ -7,9 +7,10 @@ half.  :class:`Phase1Kernel` owns, once:
 - the tile **read under the error policy** (retries, skip, fault report,
   metrics, the journal's forensic skip record) -- the one place phase 1
   survives a failure;
-- the **per-tile products** ``(pixels, spectrum, TileStats)`` -- the
-  full-resolution spectrum, or the block-mean-downsampled *coarse*
-  spectrum in coarse-to-fine mode;
+- the **per-tile products** ``(pixels, spectrum, TileStats, fallback)``
+  -- the full-resolution spectrum, or in coarse-to-fine mode the
+  block-mean-downsampled *coarse* spectrum plus the full-resolution one a
+  rejected pair transforms on first need;
 - the **journal lookup** that serves an already-durable pair;
 - the **pair registration**: PCIAM (or coarse PCIAM) ->
   :class:`Translation` -> ``disp.set`` -> journal record -> hit/fallback
@@ -38,6 +39,7 @@ import numpy as np
 
 from repro.core.coarse import (
     CoarseConfig,
+    FullSpectrum,
     coarse_pciam,
     coarse_transform_shape,
     resolve_coarse_peaks,
@@ -247,6 +249,7 @@ class Phase1Kernel:
     journal: Any = None
 
     def __post_init__(self) -> None:
+        self.coarse = self.coarse or None  # False: single pass, as None
         if self.fft_shape is not None:
             self.fft_shape = tuple(self.fft_shape)
         if self.cache is None:
@@ -285,10 +288,15 @@ class Phase1Kernel:
         return spectrum_shape(shape) if self.real_transforms else shape
 
     def arena(self, tile_shape, count: int) -> WorkspaceArena:
-        """``count`` pair workspaces (one per concurrent pair worker)."""
+        """``count`` pair workspaces (one per concurrent pair worker); in
+        coarse mode each carries full-resolution scratch for fallbacks,
+        allocated on the first."""
         return WorkspaceArena(
             self.transform_shape(tile_shape), real=self.real_transforms,
             count=count,
+            fallback_shape=(
+                None if self.coarse is None else self.full_shape(tile_shape)
+            ),
         )
 
     # -- accounting ---------------------------------------------------------
@@ -383,6 +391,22 @@ class Phase1Kernel:
         incident pairs, released with its spectrum."""
         return TileStats(pixels)
 
+    def fallback_spectrum(self, pixels) -> FullSpectrum | None:
+        """The full-resolution spectrum a coarse fallback of the tile
+        reuses, transformed on first need; ``None`` in single-pass mode,
+        where the tile's spectrum already is one."""
+        if self.coarse is None:
+            return None
+        return FullSpectrum(
+            pixels, self.full_shape(pixels.shape), self.real_transforms,
+            self.cache,
+        )
+
+    def host_products(self, pixels) -> tuple:
+        """``(pixels, TileStats, fallback)``: what the host keeps of a tile
+        whose spectrum lives on a device (see :meth:`resolve_peaks`)."""
+        return pixels, self.tile_stats(pixels), self.fallback_spectrum(pixels)
+
     def transform_input(self, pixels, shape: tuple[int, int] | None = None):
         """Spatial input of the per-tile transform: block-mean downsampled
         in coarse mode, zero-padded to ``shape`` when one is given."""
@@ -395,15 +419,16 @@ class Phase1Kernel:
 
     def products(self, pixels, stats: dict | None = None,
                  track: str | None = None, key: str | None = None) -> tuple:
-        """``(pixels, spectrum, TileStats)`` of one tile.
+        """``(pixels, spectrum, TileStats, fallback)`` of one tile.
 
         ``pixels`` is kept as handed in -- any real dtype; the transform,
         the statistics and the coarse fallback convert on use (exactly,
         for integer tiles), so a native-dtype loader means no float64
         copy of the raw tile stays live.
-        Coarse mode never computes the full-resolution transform up front
-        (the occasional gate-rejected pair recomputes it inside the
-        fallback instead of every pair paying for it always).  With a
+        Coarse mode never computes the full-resolution transform up front:
+        ``fallback`` (:meth:`fallback_spectrum`) computes it for the first
+        gate-rejected pair of the tile and keeps it for the others, instead
+        of every pair paying for it always.  With a
         ``track`` the three steps become ``downsample`` / ``fft`` /
         ``tilestats`` spans on that timeline row.
         """
@@ -420,7 +445,7 @@ class Phase1Kernel:
         with tracer.span("tilestats", track, key=key):
             tstats = self.tile_stats(pixels)
         bump(stats, "ffts")
-        return pixels, spectrum, tstats
+        return pixels, spectrum, tstats, self.fallback_spectrum(pixels)
 
     # -- per-pair work ------------------------------------------------------
 
@@ -465,13 +490,14 @@ class Phase1Kernel:
         ``stats`` receives ``pairs`` and, in coarse mode, the gate's
         ``coarse_hits`` / ``full_fallbacks`` decisions.
         """
-        img_i, fft_i, stats_i = first
-        img_j, fft_j, stats_j = second
+        img_i, fft_i, stats_i, full_i = first
+        img_j, fft_j, stats_j, full_j = second
         options = self._pair_options(stats_i, stats_j)
         if self.coarse is not None:
             r = coarse_pciam(
                 img_i, img_j, self.coarse, cfft_i=fft_i, cfft_j=fft_j,
-                workspace=workspace, stats=stats, **options,
+                workspace=workspace, stats=stats, full_i=full_i,
+                full_j=full_j, **options,
             )
         else:
             r = pciam(
@@ -509,7 +535,7 @@ class Phase1Kernel:
         """Translation from the ``[(magnitude, flat_index), ...]`` peaks a
         device reduced from the inverse NCC surface of shape ``shape``.
 
-        ``first`` / ``second`` are the host-side ``(pixels, TileStats)``
+        ``first`` / ``second`` are the host-side :meth:`host_products`
         the CCFs run on: the same :func:`~repro.core.pciam.contest` the CPU
         pair runs, or in coarse mode the shared
         :func:`~repro.core.coarse.resolve_coarse_peaks` gate (hill-climb
@@ -517,8 +543,8 @@ class Phase1Kernel:
         the gate rejects) -- which is what lands the GPU paths on the same
         answers as the CPU ones, sub-pixel estimates included.
         """
-        img_i, stats_i = first
-        img_j, stats_j = second
+        img_i, stats_i, full_i = first
+        img_j, stats_j, full_j = second
         peaks = [
             (float(mag), *map(int, np.unravel_index(int(flat), shape)))
             for mag, flat in peaks
@@ -528,7 +554,8 @@ class Phase1Kernel:
                 peaks, shape, config=self.coarse, ccf_mode=self.ccf_mode,
                 stats_i=stats_i, stats_j=stats_j, subpixel=self.subpixel,
                 fallback=lambda: pciam(
-                    img_i, img_j, **self._pair_options(stats_i, stats_j)
+                    img_i, img_j, fft_i=full_i.get(), fft_j=full_j.get(),
+                    **self._pair_options(stats_i, stats_j)
                 ),
                 stats=stats,
             )

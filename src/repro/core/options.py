@@ -42,6 +42,19 @@ SCHEDULERS: dict[str, frozenset[str]] = {
     "pipelined-gpu": frozenset({"watchdog"}),
 }
 
+#: Undecided, coarse-to-fine registration runs from this many pixels per
+#: tile (:meth:`StitchOptions.coarse_for`).  Measured by ``python
+#: benchmarks/bench_phase1_hotpath.py --coarse-corpus`` (3x3 grids, three
+#: specimens x three overlaps x two seeds per tile shape), coarse phase-1
+#: time over full PCIAM's, corpus median with the sparse specimen's
+#: fallback-heavy frames included: 128 px tiles (16 Ki px) 1.49x, 256 px
+#: (64 Ki) 1.14x, 348x260 (88 Ki) 0.92x, 384 px (144 Ki) 1.18x, 448 px
+#: (196 Ki) 0.92x, 512 px (256 Ki) 0.87x, 696x520 (353 Ki) 0.71x.  The
+#: gate admits only sizes whose median is a clear win (<= 0.75x): the
+#: paper's 696x520 camera tile and up (docs/PERFORMANCE.md,
+#: "Coarse-to-fine registration").
+COARSE_MIN_TILE_PIXELS = 320 * 1024
+
 POSITION_METHODS = ("mst", "least_squares")
 TILE_ERROR_POLICIES = ("abort", "skip")
 
@@ -121,14 +134,16 @@ def _switch(name: str, value, cls):
 class StitchOptions:
     """What a stitch computes and how; frozen, validated at construction.
 
-    ``refine`` / ``quality`` / ``coarse`` take ``True`` for the default
-    config, a config object for tuned behaviour, or ``None``/``False``
-    for off (the default -- results stay bit-identical to runs without
-    the feature).  ``traversal`` / ``ccf_mode`` also take the enum's
-    string value.  ``impl`` names the phase-1 scheduler (a key of
-    :data:`SCHEDULERS`) and ``impl_options`` carries that scheduler's
-    own constructor arguments; an option the chosen scheduler cannot
-    honour raises ``ValueError`` rather than being dropped, and so does
+    ``refine`` / ``quality`` take ``True`` for the default config, a
+    config object for tuned behaviour, or ``None``/``False`` for off (the
+    default -- results stay bit-identical to runs without the feature).
+    ``coarse`` takes the same values, except that its default ``None``
+    means undecided: the tile shape decides (:meth:`coarse_for`), and
+    only ``False`` turns it off at every size.  ``traversal`` /
+    ``ccf_mode`` also take the enum's string value.  ``impl`` names the
+    phase-1 scheduler (a key of :data:`SCHEDULERS`) and ``impl_options``
+    carries that scheduler's own constructor arguments; an option the
+    chosen scheduler cannot honour raises ``ValueError`` rather than being dropped, and so does
     a ``quality.residue_mode`` under a ``position_method`` other than
     ``"least_squares"``, the only solve that damps residues.
     """
@@ -146,8 +161,9 @@ class StitchOptions:
     refine: RefineConfig | None = None
     #: Phase-2 registration quality gate (docs/ROBUSTNESS.md).
     quality: QualityConfig | None = None
-    #: Two-pass coarse-to-fine registration (docs/PERFORMANCE.md).
-    coarse: CoarseConfig | None = None
+    #: Two-pass coarse-to-fine registration (docs/PERFORMANCE.md):
+    #: ``None`` = from :data:`COARSE_MIN_TILE_PIXELS` up, ``False`` = never.
+    coarse: CoarseConfig | bool | None = None
     max_retries: int = 0
     retry_backoff: float = 0.05
     on_tile_error: str = "abort"
@@ -159,7 +175,9 @@ class StitchOptions:
             object.__setattr__(self, name, _enum(name, getattr(self, name), cls))
         for name, cls in (("refine", RefineConfig), ("quality", QualityConfig),
                           ("coarse", CoarseConfig)):
-            object.__setattr__(self, name, _switch(name, getattr(self, name), cls))
+            value = getattr(self, name)
+            if not (name == "coarse" and value is False):
+                object.__setattr__(self, name, _switch(name, value, cls))
         object.__setattr__(self, "impl_options", dict(self.impl_options or {}))
         for name in ("real_transforms", "subpixel", "pad_to_smooth"):
             if not isinstance(getattr(self, name), bool):
@@ -241,20 +259,39 @@ class StitchOptions:
         """Transform shape for ``tile_shape`` tiles; ``None`` = unpadded."""
         return smooth_fft_shape(tile_shape) if self.pad_to_smooth else None
 
+    def coarse_for(self, tile_shape) -> CoarseConfig | None:
+        """The coarse-to-fine config a stitch of ``tile_shape`` tiles runs;
+        ``None`` = full PCIAM.  Undecided, the default config from
+        :data:`COARSE_MIN_TILE_PIXELS` up."""
+        if self.coarse is None:
+            h, w = tile_shape
+            return CoarseConfig() if h * w >= COARSE_MIN_TILE_PIXELS else None
+        return self.coarse or None
+
     def fingerprint_options(self, tile_shape=None) -> dict:
         """The result-affecting options, as a journal header records them.
 
         Half-spectrum transforms, retries and the scheduler choice are
         deliberately excluded: every scheduler produces identical
         displacements with either transform scheme, so a run
-        checkpointed under one may resume under another.  Coarse-to-fine registration *is*
-        fingerprinted: its refinement probes a subset of the full
+        checkpointed under one may resume under another.  Coarse-to-fine
+        registration *is* fingerprinted, as the config the tile shape
+        resolves it to (:meth:`coarse_for`; undecided without a tile
+        shape, ``None``): its refinement probes a subset of the full
         candidate contest, so its correlations are not interchangeable
-        with single-pass values.  Journals written before that option
-        existed match a coarse-off resume (absent key and ``None``
-        compare equal).
+        with single-pass values.  So below :data:`COARSE_MIN_TILE_PIXELS`
+        an undecided run and a ``coarse=False`` one write the same header,
+        while from it up a journal written under ``coarse=False`` (full
+        PCIAM, the default before coarse-to-fine was) is refused by an
+        undecided resume, naming ``options.coarse``, and resumes under
+        ``coarse=False``.  Journals written before the option existed
+        match a full-PCIAM resume (absent key and ``None`` compare equal).
         """
         fft_shape = None if tile_shape is None else self.fft_shape(tile_shape)
+        coarse = (
+            (self.coarse or None) if tile_shape is None
+            else self.coarse_for(tile_shape)
+        )
         return {
             "ccf_mode": self.ccf_mode.value,
             "n_peaks": int(self.n_peaks),
@@ -262,10 +299,7 @@ class StitchOptions:
             "fft_shape": list(fft_shape) if fft_shape is not None else None,
             "position_method": self.position_method,
             "refine": self.refine is not None,
-            "coarse": (
-                self.coarse.to_fingerprint() if self.coarse is not None
-                else None
-            ),
+            "coarse": coarse.to_fingerprint() if coarse is not None else None,
         }
 
     def fingerprint(self, dataset) -> dict:

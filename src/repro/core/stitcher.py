@@ -369,7 +369,8 @@ class Stitcher:
             n_peaks=opts.n_peaks,
             fft_shape=opts.fft_shape(dataset.tile_shape),
             subpixel=opts.subpixel,
-            coarse=opts.coarse,
+            # Resolved once, here: every scheduler runs the same config.
+            coarse=opts.coarse_for(dataset.tile_shape),
             real_transforms=opts.real_transforms,
             cache=self.cache,
             error_policy=policy,

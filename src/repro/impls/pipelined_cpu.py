@@ -257,11 +257,11 @@ class PipelinedCpu(Implementation):
                         )
                     q_work.put(item)
                     return None
-                px, fft, ts = kernel.products(item.pixels, local)
+                px, fft, ts, fallback = kernel.products(item.pixels, local)
                 buf = pool.array(slot)
                 buf[...] = fft
                 with state_lock:
-                    products[item.pos] = (px, buf, ts)
+                    products[item.pos] = (px, buf, ts, fallback)
                     slots[item.pos] = slot
                 tiles_in_flight.release()
                 q_events.put(_FftDone(item.pos))

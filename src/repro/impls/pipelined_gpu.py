@@ -271,7 +271,7 @@ class PipelinedGpu(Implementation):
                 ev = device.h2d(src, real_slot_view(pool.array(slot)), stream_copy)
             else:
                 ev = device.h2d(src.astype(np.complex128), pool.array(slot), stream_copy)
-            entry = (item.pixels, kernel.tile_stats(item.pixels))
+            entry = kernel.host_products(item.pixels)
             with state_lock:
                 # Not if dropped neighbours already cancelled every pair
                 # that would read it: nothing would ever pop it.
@@ -307,7 +307,7 @@ class PipelinedGpu(Implementation):
             buf = device.alloc(buf_shape, dtype=np.complex128)
             ev = device.p2p_from(src_device, src_array, buf, stream_copy,
                                  not_before=ready)
-            entry = (pix, kernel.tile_stats(pix))
+            entry = kernel.host_products(pix)
             with state_lock:
                 if host_refcount[pos]:
                     host[pos] = entry

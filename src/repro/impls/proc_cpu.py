@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.core.displacement import DisplacementResult, compute_grid_displacements
 from repro.core.kernel import Phase1Kernel
-from repro.core.tilestats import TileStats
 from repro.fftlib.plans import TransformKind
 from repro.grid.neighbors import Direction
 from repro.grid.tile_grid import GridPosition, TileGrid
@@ -192,19 +191,20 @@ def _worker_init(ppid: int) -> None:
             kernel.cache.plan(shape, kind, allow_padding=False)
 
 
-def _slab_entry(ctx: _RunCtx, slot: int):
+def _slab_entry(kernel, ctx: _RunCtx, slot: int):
     """Products of the shared tile in ``slot`` from the slabs, ``None``
     for a tile Phase A dropped.
 
-    Tile and spectrum are zero-copy slab views; ``TileStats`` is rebuilt
-    from the shared tile, which holds the loaded pixels exactly (float64
-    represents every integer sample), so every downstream value is
-    bit-identical to the publisher's.
+    Tile and spectrum are zero-copy slab views; ``TileStats`` (and a coarse
+    fallback's spectrum) are rebuilt from the shared tile, which holds the
+    loaded pixels exactly (float64 represents every integer sample), so
+    every downstream value is bit-identical to the publisher's.
     """
     if not ctx.mask[slot]:
         return None
     tile = ctx.tiles[slot]
-    return (tile, ctx.spectra[slot], TileStats(tile))
+    return (tile, ctx.spectra[slot], kernel.tile_stats(tile),
+            kernel.fallback_spectrum(tile))
 
 
 def _column_task(j: int) -> _TaskOutcome:
@@ -217,7 +217,7 @@ def _column_task(j: int) -> _TaskOutcome:
                              task.track)
         if entry is None:
             continue
-        tile, fft, _ = entry
+        tile, fft = entry[:2]
         slot = ctx.slots[pos]
         ctx.tiles[slot][: tile.shape[0], : tile.shape[1]] = tile
         ctx.spectra[slot] = fft
@@ -232,7 +232,8 @@ def _partition_task(k: int) -> _TaskOutcome:
     ctx = task.ctx
     part = ctx.parts[k]
     shared = {
-        pos: _slab_entry(ctx, slot) for pos, slot in ctx.slots.items()
+        pos: _slab_entry(task.kernel, ctx, slot)
+        for pos, slot in ctx.slots.items()
         if part.first_col <= pos.col < part.cols[1]
     }
     disp = compute_grid_displacements(

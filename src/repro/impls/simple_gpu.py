@@ -140,7 +140,7 @@ class SimpleGpu(Implementation):
             ev = fwd(device, staging.data, pool.array(slot), stream, not_before=host_clock)
             host_clock = ev.end  # default stream, synchronous: host waits
             stats["ffts"] += 1
-            host[pos] = (tile, kernel.tile_stats(tile))
+            host[pos] = kernel.host_products(tile)
             slots[pos] = slot
             return ledger.transform_ready(pos)
 

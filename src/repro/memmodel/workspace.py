@@ -40,31 +40,53 @@ from repro.memmodel.pool import BufferPool
 class PairWorkspace:
     """One worker's scratch buffers, handed out by :class:`WorkspaceArena`."""
 
-    __slots__ = ("ncc", "ncc_mag", "spatial", "_indices")
+    __slots__ = ("ncc", "ncc_mag", "spatial", "_indices", "_fallback")
 
     def __init__(
         self,
         ncc: np.ndarray,
         ncc_mag: np.ndarray,
         spatial: np.ndarray,
-        indices: tuple[int, int, int],
+        indices: tuple[int, int, int] | None,
+        fallback: tuple[tuple[int, int], bool] | None = None,
     ) -> None:
         self.ncc = ncc
         self.ncc_mag = ncc_mag
         self.spatial = spatial
         self._indices = indices
+        self._fallback = fallback
 
     @property
     def nbytes(self) -> int:
         return self.ncc.nbytes + self.ncc_mag.nbytes + self.spatial.nbytes
+
+    @property
+    def fallback(self) -> PairWorkspace | None:
+        """Full-resolution scratch for the fallbacks of a coarse-shaped
+        workspace (see :class:`WorkspaceArena`): allocated on the first
+        one and kept for the rest; ``None`` for a workspace without."""
+        if isinstance(self._fallback, tuple):
+            shape, real = self._fallback
+            spec = spectrum_shape(shape) if real else shape
+            self._fallback = PairWorkspace(
+                np.empty(spec, dtype=np.complex128),
+                np.empty(spec, dtype=np.float64),
+                np.empty(shape, dtype=np.float64),
+                None,
+            )
+        return self._fallback
 
 
 class WorkspaceArena:
     """Fixed arena of :class:`PairWorkspace` sets (one per concurrent worker).
 
     ``real=True`` sizes the complex surfaces for the half-spectrum
-    ``(h, w//2+1)``; ``real=False`` for the full complex spectrum.  The
-    arena never allocates after construction; ``acquire`` blocks when all
+    ``(h, w//2+1)``; ``real=False`` for the full complex spectrum.  A
+    ``fallback_shape`` (the full-resolution transform shape of a
+    coarse-shaped arena) gives every workspace a
+    :attr:`PairWorkspace.fallback` of that shape, allocated only if a pair
+    falls back.  The arena itself never allocates after construction;
+    ``acquire`` blocks when all
     ``count`` workspaces are out (which would indicate a worker-count
     mismatch, so a generous timeout raises instead of deadlocking).
     """
@@ -74,10 +96,15 @@ class WorkspaceArena:
         fft_shape: tuple[int, int],
         real: bool = True,
         count: int = 1,
+        fallback_shape: tuple[int, int] | None = None,
     ) -> None:
         self.fft_shape = tuple(int(n) for n in fft_shape)
         self.real = real
         self.count = int(count)
+        self._fallback = (
+            None if fallback_shape is None
+            else (tuple(int(n) for n in fallback_shape), real)
+        )
         spec = spectrum_shape(self.fft_shape) if real else self.fft_shape
         self.spectrum_shape = spec
         self._ncc = BufferPool(self.count, spec, dtype=np.complex128)
@@ -102,7 +129,7 @@ class WorkspaceArena:
         k = self._spatial.acquire(timeout=timeout)
         return PairWorkspace(
             self._ncc.array(i), self._mag.array(j), self._spatial.array(k),
-            (i, j, k),
+            (i, j, k), self._fallback,
         )
 
     def release(self, ws: PairWorkspace) -> None:

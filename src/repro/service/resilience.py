@@ -583,7 +583,10 @@ class LoadShedder:
 
         Only the ``degrade`` mode touches jobs, in two tiers.  Browned
         out: coarse registration (4x less FFT work at the default 0.5x
-        scale) is forced on and compose output is skipped.  Merely
+        scale) is forced on -- unless the job asked for ``"coarse":
+        false``; tiles large enough that the default phase 1 is
+        coarse-to-fine already see no change -- and compose output is
+        skipped.  Merely
         degraded: the job keeps its output but the compose stage runs
         out-of-core under ``degraded_compose_budget`` bytes -- same
         pixels (the streaming path is bit-identical), just a capped

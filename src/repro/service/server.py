@@ -238,7 +238,12 @@ class StitchService:
         Returns the (possibly rebuilt) spec plus the degradations that
         actually changed it -- forcing coarse on a job already running
         coarse, or skipping compose on a job with no output, is a no-op
-        the record should not advertise.
+        the record should not advertise.  A job that asked for
+        ``"coarse": false`` keeps full PCIAM.  Forcing coarse on an
+        undecided job changes nothing on tiles from
+        ``COARSE_MIN_TILE_PIXELS`` (core/options.py) up, whose default
+        phase 1 is coarse-to-fine already; it is below that size that
+        the degradation saves FFT work.
 
         ``compose_budget:<bytes>`` is the degraded-tier middle ground:
         the job keeps its output, but the compose stage streams
@@ -247,7 +252,7 @@ class StitchService:
         """
         options, output = dict(spec.options), spec.output
         applied: list[str] = []
-        if "coarse" in degradations and not options.get("coarse"):
+        if "coarse" in degradations and options.get("coarse") is None:
             options["coarse"] = True
             applied.append("coarse")
         if "skip_compose" in degradations and output is not None:

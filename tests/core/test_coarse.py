@@ -24,6 +24,8 @@ from repro.synth.specimen import generate_plate
 
 PLATE = generate_plate(420, 420, seed=3)
 H = W = 128
+#: The e2e benchmark's specimen: colonies and pixel-scale granularity.
+GRANULAR = SpecimenParams(fine_texture=0.0, background_texture=0.0)
 
 
 def cut_pair(ty: int, tx: int, base: int = 60, plate=PLATE, size: int = H):
@@ -373,3 +375,45 @@ class TestCoarseNeverChangesAnAnswer:
         stats = coarse.displacements.stats
         assert stats["coarse_hits"] + stats["full_fallbacks"] == 12
         assert stats["full_fallbacks"] <= self.MEASURED_FALLBACKS[seed]
+
+    #: ``(tile shape, overlap, specimen, seed)`` where a climb once stopped
+    #: at its window edge still ascending -- one pixel short of the summit
+    #: (tx -4 at CCF 0.963 against -5 at 0.999) -- and the gate accepted
+    #: it.  The factory stage; ``None`` is the factory specimen.
+    CLIMB_CASES = {
+        "smoke-default": ((260, 348), 0.10, None, 0),
+        "smoke-granular": ((260, 348), 0.10, GRANULAR, 1),
+        "small-granular-10": ((128, 128), 0.10, GRANULAR, 0),
+        "small-granular-20": ((128, 128), 0.20, GRANULAR, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLIMB_CASES))
+    def test_climb_settles_on_the_summit(self, case, tmp_path):
+        (h, w), overlap, specimen, seed = self.CLIMB_CASES[case]
+        ds = make_synthetic_dataset(
+            tmp_path, rows=3, cols=3, tile_height=h, tile_width=w,
+            overlap=overlap, seed=seed, specimen=specimen,
+        )
+        full = Stitcher(coarse=False).stitch(ds)
+        coarse = Stitcher(coarse=True).stitch(ds)
+        for d in Direction:
+            assert [(r, c, t.tx, t.ty)
+                    for r, c, t in coarse.displacements.entries(d)] == [
+                   (r, c, t.tx, t.ty)
+                   for r, c, t in full.displacements.entries(d)]
+
+    def test_default_equals_full_pciam_on_the_benchmark_geometry(
+            self, tmp_path):
+        """The e2e benchmark's ``paper`` dataset (3x3, 520x696, 10 %,
+        its granular specimen on the ``STRUCTURE_SEED`` structure): the
+        default runs coarse-to-fine there and lands where full PCIAM
+        does."""
+        from benchmarks.e2e.workloads import make_dataset
+
+        ds = make_dataset("paper", 7, tmp_path)
+        default = Stitcher().stitch(ds)
+        full = Stitcher(coarse=False).stitch(ds)
+        assert default.displacements.stats["coarse_hits"] > 0
+        assert "coarse_hits" not in full.displacements.stats
+        assert np.array_equal(default.positions.positions,
+                              full.positions.positions)

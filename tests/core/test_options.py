@@ -10,9 +10,10 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.cli import _stitch_options, build_parser
+from repro.cli import _stitch_options, build_parser, main
 from repro.core.coarse import CoarseConfig
 from repro.core.options import FLAT_KEYS, StitchOptions
 from repro.core.pciam import CcfMode
@@ -64,8 +65,9 @@ RESOLVED = [
     ({"coarse": CoarseConfig(coarse_peaks=3, conf_thresh=0.9),
       "coarse_scale": 0.25}, None,
      {"coarse": CoarseConfig(factor=4, coarse_peaks=3, conf_thresh=0.9)}),
-    ({"ccf_mode": "paper4", "n_peaks": 1}, ["--paper-faithful"],
-     {"ccf_mode": CcfMode.PAPER4, "n_peaks": 1}),
+    # The paper's Fig. 2 verbatim: full-resolution PCIAM at every size.
+    ({"ccf_mode": "paper4", "n_peaks": 1, "coarse": False}, ["--paper-faithful"],
+     {"ccf_mode": CcfMode.PAPER4, "n_peaks": 1, "coarse": False}),
     ({"impl": "mt-cpu", "impl_options": {"workers": 3}},
      ["--impl", "mt-cpu", "--workers", "3"],
      {"impl": "mt-cpu", "impl_options": {"workers": 3}}),
@@ -237,6 +239,66 @@ def test_fingerprint_is_what_the_parent_commit_emitted(dataset_4x4, tmp_path):
     assert json.dumps(variant.fingerprint(ds97)) == VARIANT_FINGERPRINT
 
 
+def test_a_job_that_says_coarse_false_runs_full_pciam_at_every_size():
+    assert job_options({"coarse": False}).coarse_for((520, 696)) is None
+    assert job_options({}).coarse_for((520, 696)) == CoarseConfig()
+
+
+@pytest.mark.parametrize("shape,decided", [
+    ((128, 128), None), ((512, 512), None), ((520, 696), CoarseConfig()),
+    ((1040, 1392), CoarseConfig()),
+])
+def test_the_tile_shape_decides_an_undecided_coarse(shape, decided):
+    assert StitchOptions().coarse_for(shape) == decided
+    assert StitchOptions(coarse=False).coarse_for(shape) is None
+    forced = CoarseConfig(factor=4)
+    assert StitchOptions(coarse=forced).coarse_for(shape) is forced
+
+
+def test_fingerprint_records_the_resolved_coarse_config():
+    below, above = (128, 128), (520, 696)
+    for tile_shape in (None, below):
+        assert StitchOptions().fingerprint_options(tile_shape) == (
+            StitchOptions(coarse=False).fingerprint_options(tile_shape))
+    assert StitchOptions().fingerprint_options(above)["coarse"] == (
+        CoarseConfig().to_fingerprint())
+    assert StitchOptions(coarse=False).fingerprint_options(above)[
+        "coarse"] is None
+
+
+def test_journal_under_the_old_default_is_refused_from_the_gate(tmp_path):
+    """A journal written with ``coarse=False`` -- full PCIAM, the default
+    before coarse-to-fine was -- on tiles at the gate: the new default
+    refuses it, naming ``options.coarse``; ``coarse=False`` and
+    ``--no-coarse-registration`` resume it bit-identically."""
+    from repro.recovery.journal import JournalMismatch
+
+    dataset = make_synthetic_dataset(
+        tmp_path / "ds", rows=1, cols=2, tile_height=520, tile_width=696,
+        overlap=0.20, seed=3,
+    )
+    assert StitchOptions().coarse_for(dataset.tile_shape) is not None
+    ckpt = tmp_path / "ckpt"
+    first = Stitcher(coarse=False, checkpoint=str(ckpt)).stitch(dataset)
+    header = (ckpt / "journal.jsonl").read_bytes().splitlines()[0]
+    with pytest.raises(JournalMismatch, match="options.coarse") as ei:
+        Stitcher(checkpoint=str(ckpt)).stitch(dataset)
+    assert {path for path, _, _ in ei.value.differences} == {"options.coarse"}
+    resumed = Stitcher(coarse=False, checkpoint=str(ckpt),
+                       resume="require").stitch(dataset)
+    journal = resumed.stats["journal"]
+    assert (journal["resumed_pairs"], journal["recorded_pairs"]) == (1, 0)
+    assert np.array_equal(resumed.positions.positions,
+                          first.positions.positions)
+    pj = tmp_path / "positions.json"
+    assert main(["stitch", str(dataset.directory), "--no-coarse-registration",
+                 "--checkpoint", str(ckpt), "--resume",
+                 "--positions-json", str(pj)]) == 0
+    assert np.array_equal(json.loads(pj.read_text()),
+                          first.positions.positions)
+    assert (ckpt / "journal.jsonl").read_bytes().splitlines()[0] == header
+
+
 def test_journal_written_by_the_parent_commit_resumes(tmp_path):
     """``data/parent_1x4_journal.jsonl``: a default run of the parent
     commit over this 1x4 acquisition (3 pairs + both milestones)."""
@@ -252,3 +314,18 @@ def test_journal_written_by_the_parent_commit_resumes(tmp_path):
     journal = result.stats["journal"]
     assert (journal["resumed_pairs"], journal["recorded_pairs"]) == (3, 0)
     assert result.position_errors().max() == 0.0
+
+
+def test_default_journal_header_is_unchanged_below_the_gate(tmp_path):
+    """Below the gate an undecided coarse is full PCIAM and fingerprints
+    as ``null``: a fresh default run writes the parent commit's header."""
+    dataset = make_synthetic_dataset(
+        tmp_path / "ds", rows=1, cols=4, tile_height=48, tile_width=48,
+        overlap=0.25, seed=5,
+    )
+    fixture = Path(__file__).parents[1] / "recovery/data/parent_1x4_journal.jsonl"
+    for coarse in (None, False):
+        ckpt = tmp_path / f"ckpt-{coarse}"
+        Stitcher(coarse=coarse, checkpoint=str(ckpt)).stitch(dataset)
+        assert ((ckpt / "journal.jsonl").read_bytes().splitlines()[0]
+                == fixture.read_bytes().splitlines()[0])

@@ -7,6 +7,13 @@ from repro.core.pciam import CcfMode
 from repro.core.stitcher import SCHEDULERS, Stitcher, scheduler_options
 from repro.grid.neighbors import Direction
 from repro.grid.traversal import Traversal
+from repro.synth import make_synthetic_dataset
+
+
+def translations(result) -> list:
+    return [(d.value, r, c, t.tx, t.ty, t.correlation, t.provenance)
+            for d in Direction
+            for r, c, t in result.displacements.entries(d)]
 
 
 class TestStitcher:
@@ -77,6 +84,26 @@ class TestSchedulerSelection:
         reference = estimates("simple-cpu")
         assert any(x != round(x) for pair in reference for x in pair)
         assert estimates(impl) == reference  # bit for bit
+
+    @pytest.fixture(scope="class")
+    def paper_scale(self, tmp_path_factory):
+        """A 2x3 grid of the paper's 696x520 tiles (the default phase 1
+        is coarse-to-fine there), with its simple-cpu translations."""
+        ds = make_synthetic_dataset(
+            tmp_path_factory.mktemp("paper-scale"), rows=2, cols=3,
+            tile_height=520, tile_width=696, overlap=0.10, seed=0,
+        )
+        return ds, translations(Stitcher().stitch(ds))
+
+    @pytest.mark.parametrize("impl", sorted(SCHEDULERS))
+    def test_default_at_paper_scale_equals_simple_cpu(self, impl,
+                                                      paper_scale):
+        """The Stitcher resolves the tile-size gate once, before any
+        scheduler runs, so all eight run coarse-to-fine here and land on
+        simple-cpu's translations, hits and fallbacks alike."""
+        ds, reference = paper_scale
+        assert {t[-1] for t in reference} == {"coarse", "fallback"}
+        assert translations(Stitcher(impl=impl).stitch(ds)) == reference
 
     def test_every_scheduler_honours_every_traversal(self, dataset_4x4,
                                                      dataset_3x5):

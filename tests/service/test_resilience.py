@@ -438,6 +438,12 @@ class TestDegradeSpec:
         assert applied == []
         assert new is spec
 
+    def test_brownout_honours_a_job_that_asked_for_full_pciam(self):
+        spec = self.make_spec(output="/out/m.tif", options={"coarse": False})
+        new, applied = self.degrade(spec, ["coarse", "skip_compose"])
+        assert applied == ["skip_compose"]
+        assert new.options["coarse"] is False
+
     def test_brownout_tier_still_skips_compose(self):
         spec = self.make_spec(output="/out/m.tif")
         new, applied = self.degrade(spec, ["coarse", "skip_compose"])

@@ -99,3 +99,72 @@ def test_grid_decomposition_is_written_once():
                 or site == "simulate/schedules.py::simulate_mt_cpu"), site
     assert reduces == {"gpu/kernels.py"}, reduces
     assert pool_rules == ["grid/traversal.py::default_pool_size"], pool_rules
+
+
+def test_cli_holds_no_second_stitch_path():
+    """``repro stitch`` builds a Stitcher and reads its result: phase 2,
+    the result object and the fault report are the Stitcher's business."""
+    cli = (PACKAGE / "cli.py").read_text()
+    for name in ("resolve_absolute_positions", "StitchResult(", "FaultReport("):
+        assert name not in cli, name
+
+
+def test_stitch_options_are_declared_once():
+    """The consumers hold no default, vocabulary or sugar rule of their
+    own: no "mst"/"abort" literal and no ``.get(<option>, <default>)`` in
+    the worker or the journal, no quality_on/coarse_on in the CLI, every
+    option flag's default=/choices= is read off repro.core.options rather
+    than written as a literal, and only core/options.py reads the tile
+    size from which the default phase 1 is coarse-to-fine."""
+    from repro.core.options import FLAT_KEYS as keys
+
+    def tree(path):
+        return ast.parse((PACKAGE / path).read_text())
+
+    for path in ("service/pool.py", "recovery/journal.py"):
+        for node in ast.walk(tree(path)):
+            if isinstance(node, ast.Constant):
+                assert node.value not in ("mst", "abort"), (
+                    f"{path}:{node.lineno}: option default literal {node.value!r}")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and len(node.args) == 2
+                    and isinstance(node.args[0], ast.Constant)):
+                assert node.args[0].value not in keys, (
+                    f"{path}:{node.lineno}: private default for "
+                    f"stitch option {node.args[0].value!r}")
+        assert "_build_stitcher" not in (PACKAGE / path).read_text()
+
+    cli = (PACKAGE / "cli.py").read_text()
+    assert "quality_on" not in cli and "coarse_on" not in cli
+    checked = 0
+    for node in ast.walk(tree("cli.py")):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        kw = {k.arg: k.value for k in node.keywords}
+        flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+        dest = (kw["dest"].value if "dest" in kw
+                else flags[-1].lstrip("-").replace("-", "_"))
+        if dest not in keys:
+            continue
+        checked += 1
+        for name in ("default", "choices"):
+            value = kw.get(name)
+            literal = isinstance(value, (ast.List, ast.Tuple)) or (
+                isinstance(value, ast.Constant) and value.value is not None)
+            assert not literal, (
+                f"cli.py:{node.lineno}: --{dest} writes its {name} as a "
+                "literal; read it off repro.core.options")
+    assert checked >= 14, checked
+
+    readers = {
+        f"{where}:{node.lineno}"
+        for where, module in modules()
+        for node in ast.walk(module)
+        if "COARSE_MIN_TILE_PIXELS" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None))
+    }
+    assert readers and all(r.startswith("core/options.py:") for r in readers), (
+        readers)

@@ -74,6 +74,38 @@ class TestStitch:
                      "--coarse-registration"]) == 0
         assert "coarse:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,coarse", [
+        ([], None), (["--coarse-registration"], True),
+        (["--no-coarse-registration"], False), (["--paper-faithful"], False),
+        (["--paper-faithful", "--coarse-registration"], True),
+    ])
+    def test_coarse_registration_switch(self, argv, coarse):
+        from repro.cli import _stitch_options, build_parser
+        from repro.core.options import StitchOptions
+
+        args = build_parser().parse_args(["stitch", "ds", *argv])
+        assert _stitch_options(args).coarse == StitchOptions(
+            coarse=coarse).coarse
+
+    def test_coarse_line_follows_the_tile_size(self, tmp_path, capsys):
+        """576 px tiles are above the gate: the default runs coarse and
+        says so; --no-coarse-registration and --paper-faithful do not."""
+        ds = tmp_path / "big"
+        main(["synth", str(ds), "--rows", "1", "--cols", "2",
+              "--tile-size", "576", "--overlap", "0.2", "--seed", "1"])
+        runs = {}
+        for flag in (None, "--no-coarse-registration", "--paper-faithful"):
+            capsys.readouterr()
+            pj = tmp_path / f"{flag}.json"
+            argv = ["stitch", str(ds), "--positions-json", str(pj)]
+            assert main(argv + ([flag] if flag else [])) == 0
+            runs[flag] = ("coarse: 1 hits, 0 fallbacks" in
+                          capsys.readouterr().out, json.loads(pj.read_text()))
+        assert runs[None][0]
+        assert not runs["--no-coarse-registration"][0]
+        assert not runs["--paper-faithful"][0]
+        assert runs[None][1] == runs["--no-coarse-registration"][1]
+
     def test_bad_coarse_scale_errors(self, dataset_dir, capsys):
         assert main(["stitch", str(dataset_dir), "--coarse-scale", "0.7"]) == 2
         assert "error: coarse scale must be in (0, 0.5]" in (
