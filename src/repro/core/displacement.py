@@ -11,12 +11,13 @@ lives in :mod:`repro.core.kernel`, shared with every other scheduler.
 
 Every traversal step has two halves: the *tile stage* reads the tile under
 the error policy and builds its products, the *pair stage* registers,
-commits and journals the pairs that tile completes and releases what is
-done.  They run one after the other, or -- where :func:`_overlap_pays`
-says so -- the paper's way: reader + FFT overlapped with the displacement
-computation, the tile stage working exactly one tile ahead of the pair
-stage.  Either way the pair stage sees the same steps in the same order,
-so translations, counts, fault report and journal bytes are identical.
+commits and journals the pairs that tile completes -- one journal group
+commit per step -- and releases what is done.  They run one after the
+other, or -- where :func:`_overlap_pays` says so -- the paper's way:
+reader + FFT overlapped with the displacement computation, the tile
+stage working exactly one tile ahead of the pair stage.  Either way the
+pair stage sees the same steps in the same order, so translations,
+counts, fault report and journal bytes are identical.
 
 The same loop is MT-CPU's and Proc-CPU's SPMD worker (the paper builds
 MT-CPU from Simple-CPU): run over one column partition, it computes that
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Mapping, NamedTuple
 
 from repro.core.kernel import DisplacementResult, Phase1Kernel, Translation
@@ -265,6 +266,13 @@ def compute_grid_displacements(
     # pair stage feeds it; the tile stage reads nothing but its incident
     # lists, which never change.
     ledger = PairBookkeeper(grid, pairs=fresh, release=release)
+    # Group commit: a step's pair records share one fsync, at the step's
+    # end.  Each is still flushed as it lands, so SIGKILL loses none of
+    # them; power loss costs at most the current step, which resume
+    # recomputes.
+    commit_step = (
+        nullcontext if kernel.journal is None else kernel.journal.group
+    )
     # One workspace for the whole run: pairs are processed one at a time,
     # so a single scratch set serves every pair (built once the first
     # pair reveals the native tile shape).
@@ -283,23 +291,24 @@ def compute_grid_displacements(
         if step.products is None:
             return
         products[pos] = step.products
-        for pair in ledger.transform_ready(pos):
-            first, second = products[pair.first], products[pair.second]
-            if workspace is None:
-                arena = kernel.arena(first[0].shape, count=1)
-                workspace = arena.acquire()
-                stats["workspace_bytes"] = arena.bytes_per_workspace
-            # The span says which path produced the pair ("coarse" /
-            # "fallback", None = single pass) next to what it cost.
-            args = {} if tracer.enabled else None
-            with tracer.span("pair", pair_track, key=str(pair), args=args):
-                t = kernel.register_pair(
-                    result, pair.direction, pair.second.row, pair.second.col,
-                    first, second, workspace, stats,
-                )
-                if args is not None:
-                    args["provenance"] = t.provenance
-            ledger.pair_completed(pair)
+        with commit_step():
+            for pair in ledger.transform_ready(pos):
+                first, second = products[pair.first], products[pair.second]
+                if workspace is None:
+                    arena = kernel.arena(first[0].shape, count=1)
+                    workspace = arena.acquire()
+                    stats["workspace_bytes"] = arena.bytes_per_workspace
+                # The span says which path produced the pair ("coarse" /
+                # "fallback", None = single pass) next to what it cost.
+                args = {} if tracer.enabled else None
+                with tracer.span("pair", pair_track, key=str(pair), args=args):
+                    t = kernel.register_pair(
+                        result, pair.direction, pair.second.row,
+                        pair.second.col, first, second, workspace, stats,
+                    )
+                    if args is not None:
+                        args["provenance"] = t.provenance
+                ledger.pair_completed(pair)
 
     # -- tile stage: owns failed_tiles and the read side of the books --------
 

@@ -262,11 +262,12 @@ class Stitcher:
         else:
             self.metrics = None
         # Durability (docs/ROBUSTNESS.md): ``checkpoint`` names a directory
-        # holding the run journal; every completed pair is fsync'd there,
-        # and a rerun over the same directory resumes, recomputing only
-        # what never landed.  ``resume`` is the journal-open mode
-        # (auto/require/never); ``journal_fsync=False`` trades the
-        # per-record durability point for speed (tests, benchmarks).
+        # holding the run journal; every completed pair is flushed there
+        # (and fsync'd once per traversal step), and a rerun over the
+        # same directory resumes, recomputing only what never landed.
+        # ``resume`` is the journal-open mode (auto/require/never);
+        # ``journal_fsync=False`` drops the fsyncs -- the guard against
+        # power loss -- for speed (tests, benchmarks).
         if resume not in RESUME_MODES:
             raise ValueError(
                 f"resume must be {'/'.join(RESUME_MODES)}, got {resume!r}"

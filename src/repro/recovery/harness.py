@@ -3,9 +3,9 @@
 The journal's end-to-end guarantee -- *kill at any point, resume, get
 bit-identical positions* -- can only be proven by actually killing a
 process.  This harness launches a stitch as a subprocess, watches its
-journal grow (each fsync'd record is one newline-terminated line, so the
-file's newline count *is* the durable-record count), and delivers SIGKILL
-once a chosen number of records has landed.  SIGKILL is deliberate: it
+journal grow (each flushed record is one newline-terminated line, so the
+file's newline count *is* the count of records that survive SIGKILL),
+and delivers SIGKILL once a chosen number of records has landed.  SIGKILL is deliberate: it
 cannot be caught, so the child gets no chance to flush, close, or
 otherwise tidy up -- exactly the crash the journal must survive,
 including a torn final line.

@@ -6,9 +6,12 @@ journal that records each completed pair makes the whole run resumable: a
 killed process restarts, replays the journal, and recomputes only the
 pairs that never landed on disk.  The guarantees:
 
-- **append-only**: one JSONL record per event, written under a lock,
-  flushed and (by default) fsync'd before the write returns, so a record
-  the journal reports as durable survives SIGKILL;
+- **append-only**: one JSONL record per event, written under a lock and
+  flushed before the write returns, so every record survives SIGKILL;
+  it is also fsync'd there (by default) -- the guard against power loss
+  -- except that pair records appended inside :meth:`RunJournal.group`
+  are fsync'd together when the group ends (*group commit*: one fsync per
+  phase-1 traversal step instead of one per pair);
 - **CRC-checked**: every line carries a CRC-32 of its canonical payload;
   lines that fail the check are skipped with a counted warning rather
   than poisoning the replay;
@@ -36,6 +39,7 @@ import math
 import os
 import threading
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -265,13 +269,106 @@ def _apply_line(state: JournalState, line: bytes) -> bool:
     return True
 
 
-class RunJournal:
+class _JournalWriter:
+    """The append side both journal handles share.
+
+    Every append is written and flushed under a lock before it returns,
+    so the record is visible to readers (the kill harness, a watchdog, a
+    respawned worker) and survives the death of the process.  Unless
+    ``fsync=False`` it is also fsync'd there -- except pair records
+    appended inside :meth:`group`, which share one fsync at the group's
+    end.  Each fsync counts as ``journal.fsyncs`` when there are metrics.
+    """
+
+    def __init__(self, path: str | Path, fh: io.TextIOBase, fsync: bool,
+                 metrics=None) -> None:
+        self.path = Path(path)
+        self._fh = fh
+        self._fsync = fsync
+        self.metrics = metrics
+        self._lock = threading.Lock()
+        #: Per-thread depth of open :meth:`group` blocks.
+        self._groups = threading.local()
+        #: Records written since the last fsync.
+        self._unsynced = False
+        self._closed = False
+        #: Pairs appended this run.
+        self.recorded_pairs = 0
+
+    @contextmanager
+    def group(self):
+        """Group commit: the pair records this thread appends inside the
+        block are written and flushed one by one, as always, but fsync'd
+        once, when the outermost block exits.  Header, milestone and
+        skipped-tile records keep their own fsync; bytes and order are
+        the same either way."""
+        self._groups.depth = getattr(self._groups, "depth", 0) + 1
+        try:
+            yield self
+        finally:
+            self._groups.depth -= 1
+            if not self._groups.depth and self._fsync:
+                with self._lock:
+                    try:
+                        self._sync()
+                    except OSError as exc:
+                        raise JournalWriteError(self.path, exc) from exc
+
+    def _sync(self) -> None:
+        """fsync what is unsynced; the caller holds the lock."""
+        if not self._unsynced:
+            return
+        os.fsync(self._fh.fileno())
+        self._unsynced = False
+        if self.metrics is not None:
+            self.metrics.counter("journal.fsyncs").inc()
+
+    def _append(self, payload: dict, groupable: bool = False) -> None:
+        if self._closed:
+            raise JournalError(f"journal {self.path} is closed")
+        line = _encode_line(payload)
+        with self._lock:
+            try:
+                self._fh.write(line)
+                self._fh.flush()
+                self._unsynced = True
+                if self._fsync and not (
+                    groupable and getattr(self._groups, "depth", 0)
+                ):
+                    self._sync()
+            except OSError as exc:
+                # ENOSPC (or EIO) mid-run: the record is NOT durable.
+                # Surface a typed error the caller can treat as a clean
+                # job failure; the file holds at most a torn tail, which
+                # load_journal() already drops, so resume stays safe.
+                raise JournalWriteError(self.path, exc) from exc
+
+    def _append_pair(self, direction: str, row: int, col: int, t) -> None:
+        self._append(_pair_record(direction, row, col, t), groupable=True)
+        self.recorded_pairs += 1
+
+    def record_skipped_tile(self, row: int, col: int, error: str = "") -> None:
+        self._append({
+            "t": "tile_skipped", "r": int(row), "c": int(col),
+            "error": str(error)[:200],
+        })
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class RunJournal(_JournalWriter):
     """Append-side handle plus the resume state replayed at open time.
 
     Thread-safe: pipelined implementations append from many compute
-    workers concurrently.  Every append is flushed (and fsync'd unless
-    ``fsync=False``) before returning, so the durability point is the
-    method return -- the invariant the kill harness relies on.
+    workers concurrently.  Every append is flushed before returning and,
+    outside a :meth:`group`, fsync'd unless ``fsync=False`` -- so the
+    durability point of a record is the method return, or the end of its
+    group for a grouped pair (the invariant the kill harness relies on
+    holds either way: a flushed record survives SIGKILL).
     """
 
     def __init__(
@@ -283,18 +380,11 @@ class RunJournal:
         fsync: bool = True,
         metrics=None,
     ) -> None:
-        self.path = Path(path)
+        super().__init__(path, fh, fsync, metrics)
         self.fingerprint = fingerprint
         self.state = state
-        self._fh = fh
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        self.metrics = metrics
         #: Pairs served from the journal this run (resume hits).
         self.resumed_pairs = 0
-        #: Pairs appended this run.
-        self.recorded_pairs = 0
-        self._closed = False
 
     # -- opening -------------------------------------------------------------
 
@@ -400,35 +490,12 @@ class RunJournal:
 
     # -- appending -----------------------------------------------------------
 
-    def _append(self, payload: dict) -> None:
-        if self._closed:
-            raise JournalError(f"journal {self.path} is closed")
-        line = _encode_line(payload)
-        with self._lock:
-            try:
-                self._fh.write(line)
-                self._fh.flush()
-                if self._fsync:
-                    os.fsync(self._fh.fileno())
-            except OSError as exc:
-                # ENOSPC (or EIO) mid-run: the record is NOT durable.
-                # Surface a typed error the caller can treat as a clean
-                # job failure; the file holds at most a torn tail, which
-                # load_journal() already drops, so resume stays safe.
-                raise JournalWriteError(self.path, exc) from exc
-
     def record_pair(self, direction: str, row: int, col: int, t) -> None:
-        """Journal one completed pairwise displacement (durable on return)."""
-        self._append(_pair_record(direction, row, col, t))
-        self.recorded_pairs += 1
+        """Journal one completed pairwise displacement (durable on return,
+        or at the end of the enclosing :meth:`group`)."""
+        self._append_pair(direction, row, col, t)
         if self.metrics is not None:
             self.metrics.counter("journal.pairs_recorded").inc()
-
-    def record_skipped_tile(self, row: int, col: int, error: str = "") -> None:
-        self._append({
-            "t": "tile_skipped", "r": int(row), "c": int(col),
-            "error": str(error)[:200],
-        })
 
     def record_milestone(self, name: str, **data: Any) -> None:
         """Journal a phase boundary (phase1 complete, phase2 solved, ...)."""
@@ -503,19 +570,13 @@ class RunJournal:
         with self._lock:
             self._fh.flush()
             try:
-                os.fsync(self._fh.fileno())
+                self._sync()
             except (OSError, ValueError):  # pragma: no cover - defensive
                 pass
             self._fh.close()
 
-    def __enter__(self) -> "RunJournal":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class JournalAppender:
+class JournalAppender(_JournalWriter):
     """Append-only pair-record writer for process workers.
 
     Workers in the ``proc-cpu`` backend journal each completed pair from
@@ -537,44 +598,20 @@ class JournalAppender:
 
     def __init__(self, path: str | Path, fsync: bool = True,
                  lookup=None) -> None:
-        self.path = Path(path)
-        self._fsync = fsync
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self.recorded_pairs = 0
+        super().__init__(path, open(path, "a", encoding="utf-8"), fsync)
         self.lookup = lookup if lookup is not None else (lambda d, r, c: None)
 
-    def _append(self, payload: dict) -> None:
-        line = _encode_line(payload)
-        try:
-            self._fh.write(line)
-            self._fh.flush()
-            if self._fsync:
-                os.fsync(self._fh.fileno())
-        except OSError as exc:
-            raise JournalWriteError(self.path, exc) from exc
-
     def record_pair(self, direction: str, row: int, col: int, t) -> None:
-        """Journal one completed pair (durable on return)."""
-        self._append(_pair_record(direction, row, col, t))
-        self.recorded_pairs += 1
-
-    def record_skipped_tile(self, row: int, col: int, error: str = "") -> None:
-        self._append({
-            "t": "tile_skipped", "r": int(row), "c": int(col),
-            "error": str(error)[:200],
-        })
+        """Journal one completed pair (durable on return, or at the end
+        of the enclosing :meth:`group`)."""
+        self._append_pair(direction, row, col, t)
 
     def close(self) -> None:
+        self._closed = True
         try:
             self._fh.close()
         except OSError:  # pragma: no cover - defensive
             pass
-
-    def __enter__(self) -> "JournalAppender":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def checkpoint_journal_path(checkpoint_dir: str | Path) -> Path:

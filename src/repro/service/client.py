@@ -8,7 +8,10 @@ other non-2xx become :class:`ServiceError` with the server's message,
 and a terminal failed/quarantined job surfaces (on request) as
 :class:`JobFailedError` rendering the server's structured error detail
 -- exception type, last journal milestone, per-attempt death signals --
-instead of a flat string.
+instead of a flat string.  Waiting on a job is a long-poll
+(:meth:`ServiceClient.watch`): the server answers when the job is
+terminal, so a wait costs one request per ``MAX_WAIT_SECONDS``, not one
+per poll interval.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import http.client
 import json
 import random
 import time
+
+from repro.service.jobs import JobState
 
 
 class ServiceError(Exception):
@@ -78,9 +83,11 @@ class ServiceClient:
 
     # -- transport -----------------------------------------------------------
 
-    def _request(self, method: str, path: str, body: dict | None = None):
+    def _request(self, method: str, path: str, body: dict | None = None,
+                 timeout: float | None = None):
         conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host, self.port,
+            timeout=self.timeout if timeout is None else timeout,
         )
         try:
             payload = json.dumps(body).encode() if body is not None else None
@@ -145,6 +152,13 @@ class ServiceClient:
     def status(self, job_id: str) -> dict:
         return self._request("GET", f"/jobs/{job_id}")
 
+    def watch(self, job_id: str, seconds: float) -> dict:
+        """One long-poll: the job's record once it is terminal, or as it
+        stands after ``seconds`` (the server caps them at
+        ``MAX_WAIT_SECONDS``)."""
+        return self._request("GET", f"/jobs/{job_id}?wait={seconds:.3f}",
+                             timeout=self.timeout + seconds)
+
     def list_jobs(self, tenant: str | None = None) -> list[dict]:
         path = "/jobs" + (f"?tenant={tenant}" if tenant else "")
         return self._request("GET", path)["jobs"]
@@ -157,27 +171,39 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 120.0,
              poll: float = 0.2, raise_on_failure: bool = False) -> dict:
-        """Poll until the job is terminal; returns the final record.
+        """Wait until the job is terminal; returns the final record.
+
+        Each round is one :meth:`watch` for what is left of ``timeout``
+        (at most ``MAX_WAIT_SECONDS``).  Only a server that answers a
+        running job early -- one that ignores ``wait`` -- makes the loop
+        sleep ``poll`` between requests.
 
         With ``raise_on_failure`` a terminal ``failed``/``quarantined``
         state raises :class:`JobFailedError` rendering the structured
         error detail instead of returning a record the caller must
         inspect.
         """
+        # Read at call time: importing the server with this module would
+        # reorder the package's imports and raise its peak RSS by ~0.8 MiB.
+        from repro.service.server import MAX_WAIT_SECONDS
+
         deadline = time.monotonic() + timeout
         while True:
-            record = self.status(job_id)
-            if record["state"] in ("done", "failed", "cancelled",
-                                   "quarantined"):
+            asked = time.monotonic()
+            seconds = max(0.0, min(deadline - asked, MAX_WAIT_SECONDS))
+            record = self.watch(job_id, seconds)
+            if JobState(record["state"]).terminal:
                 if raise_on_failure and record["state"] in ("failed",
                                                             "quarantined"):
                     raise JobFailedError(record)
                 return record
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {record['state']} after {timeout}s"
                 )
-            time.sleep(poll)
+            if now - asked < seconds:
+                time.sleep(poll)
 
     def metrics_text(self) -> str:
         return self._request("GET", "/metrics")

@@ -11,10 +11,14 @@ Durability and supervision reuse the recovery layer wholesale:
 
 - every job runs with ``Stitcher(checkpoint=<spool>/jobs/<id>/ckpt)``,
   so its :class:`~repro.recovery.journal.RunJournal` is the per-job
-  durability store.  A worker SIGKILLed mid-phase-1 loses nothing
-  durable; the pool detects the death, re-queues the job (within its
-  retry budget), and the next attempt resumes from the journal --
-  recomputing only un-journaled pairs, positions bit-identical;
+  durability store.  Every record is flushed as it is written, so a
+  worker SIGKILLed mid-phase-1 loses none of them; the fsync that also
+  guards them against power loss lands once per phase-1 traversal step
+  for pair records (group commit), so a power loss costs at most the
+  current step's pairs.  The pool detects a death, re-queues the job
+  (within its retry budget), and the next attempt resumes from the
+  journal -- recomputing only un-journaled pairs, positions
+  bit-identical;
 - each running job is supervised by a
   :class:`~repro.recovery.watchdog.Watchdog` over a small adapter that
   presents the job as a one-item pipeline whose progress counter is the
@@ -138,6 +142,13 @@ def _execute_job(msg: dict, warm: dict) -> dict:
             "phase1_seconds": result.phase1_seconds,
             "phase2_seconds": result.phase2_seconds,
             "journal": result.stats.get("journal"),
+            # journal.pairs_recorded / .milestones / .fsyncs / ...: the
+            # parent folds them into the service registry (/metrics).
+            "journal_counters": {
+                name: value
+                for name, value in result.stats["metrics"]["counters"].items()
+                if name.startswith("journal.")
+            },
             "degraded_tiles": len(gp.degraded_tiles()),
             "skipped_tiles": [list(rc) for rc in skipped],
         })
@@ -249,7 +260,7 @@ class _JobRun:
     Progress (``items_processed``) is the job journal's durable record
     count, so "stall" means *no durable progress*, not merely no return
     value.  ``abort`` SIGKILLs the worker -- the escalation path; the
-    fsync'd journal is exactly what makes that safe.
+    flushed journal is exactly what makes that safe.
     """
 
     def __init__(self, name: str, journal_path: Path, token: CancelToken,
@@ -574,8 +585,10 @@ class WorkerPool:
             )
             record.result = summary
             self.poison.forget(record.id)
-            self._finish(record, JobState.DONE)
+            # Books first: a client woken by the terminal state reads
+            # /metrics with this job in them.
             self._observe_success(record, summary)
+            self._finish(record, JobState.DONE)
         else:
             record.error = reply.get("error", "unknown worker error")
             record.error_type = reply.get(
@@ -708,10 +721,11 @@ class WorkerPool:
         self._notify(record)
 
     def _observe_success(self, record: JobRecord, summary: dict) -> None:
-        if record.started_at is not None and record.finished_at is not None:
-            self.queue.note_job_seconds(
-                record.finished_at - record.started_at
-            )
+        # Folded into the registry, not kept: the job table holds every
+        # record for the life of the service.
+        journal_counters = summary.pop("journal_counters", {})
+        if record.started_at is not None:
+            self.queue.note_job_seconds(self.clock() - record.started_at)
         if self.metrics is None:
             return
         self.metrics.histogram("service.job_seconds").observe(
@@ -745,6 +759,8 @@ class WorkerPool:
             self.metrics.counter("service.full_fallbacks").inc(
                 summary.get("full_fallbacks", 0)
             )
+        for name, value in journal_counters.items():
+            self.metrics.counter(name).inc(value)
         journal = summary.get("journal") or {}
         self.metrics.counter("service.pairs_resumed").inc(
             int(journal.get("resumed_pairs", 0))

@@ -8,7 +8,9 @@ below it (admission control, durability, supervision).  Endpoints:
 ``POST /jobs``            submit a job spec; 202 + record, or 429 +
                           ``Retry-After`` on backpressure
 ``GET /jobs``             list job summaries (``?tenant=`` filter)
-``GET /jobs/<id>``        one job's full record
+``GET /jobs/<id>``        one job's full record; ``?wait=S`` holds the
+                          response until the job is terminal or ``S``
+                          seconds pass (capped at ``MAX_WAIT_SECONDS``)
 ``POST /jobs/<id>/cancel``cancel a queued or running job
 ``GET /jobs/<id>/result`` solved positions + run summary (409 until done)
 ``GET /metrics``          Prometheus-style text exposition
@@ -49,6 +51,9 @@ _JOB_PATH = re.compile(r"^/jobs/(?P<id>[a-f0-9]{12})(?P<rest>/result|/cancel)?$"
 #: Largest request body the server will read (a job spec is ~1 KB).
 MAX_BODY_BYTES = 64 * 1024
 
+#: Longest a ``GET /jobs/<id>?wait=`` long-poll is held open, in seconds.
+MAX_WAIT_SECONDS = 30.0
+
 
 class ServiceHTTPError(Exception):
     def __init__(self, status: int, payload: dict,
@@ -57,6 +62,33 @@ class ServiceHTTPError(Exception):
         self.status = status
         self.payload = payload
         self.headers = headers or {}
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait=`` of a query string, clamped to :data:`MAX_WAIT_SECONDS`;
+    0 when there is none.  Not a non-negative number: 400."""
+    for part in query.split("&"):
+        key, _, value = part.partition("=")
+        if key != "wait":
+            continue
+        try:
+            seconds = float(value)
+        except ValueError:
+            seconds = float("nan")
+        if not seconds >= 0:
+            raise ServiceHTTPError(400, {
+                "error": f"wait must be a non-negative number of seconds, "
+                         f"got {value!r}",
+            })
+        return min(seconds, MAX_WAIT_SECONDS)
+    return 0.0
+
+
+def _release(waiters: list) -> None:
+    """Wake parked long-polls (on the server loop)."""
+    for waiter in waiters:
+        if not waiter.done():
+            waiter.set_result(None)
 
 
 class StitchService:
@@ -125,6 +157,8 @@ class StitchService:
         self.jobs: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
         self._transitions = threading.Condition(self._lock)
+        #: Parked ``?wait=`` long-polls: job id -> futures on the HTTP loop.
+        self._waiters: dict[str, list[asyncio.Future]] = {}
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._http_thread: threading.Thread | None = None
@@ -173,6 +207,12 @@ class StitchService:
                 loop.run_forever()
             finally:
                 server.close()
+                # Parked long-polls answer with the record as it stands,
+                # so no client hangs on a stopped server.
+                self._release_waiters()
+                handlers = asyncio.all_tasks(loop)
+                if handlers:
+                    loop.run_until_complete(asyncio.wait(handlers, timeout=1.0))
                 loop.run_until_complete(server.wait_closed())
                 loop.close()
 
@@ -361,6 +401,21 @@ class StitchService:
     def _on_transition(self, record: JobRecord) -> None:
         with self._transitions:
             self._transitions.notify_all()
+            # Only a terminal state answers a long-poll: a requeue after a
+            # worker death keeps it parked.
+            waiters = (self._waiters.pop(record.id, [])
+                       if record.state.terminal else [])
+        if waiters:
+            try:
+                waiters[0].get_loop().call_soon_threadsafe(_release, waiters)
+            except RuntimeError:  # the loop closed; stop_http released them
+                pass
+
+    def _release_waiters(self) -> None:
+        with self._lock:
+            waiters = [w for ws in self._waiters.values() for w in ws]
+            self._waiters.clear()
+        _release(waiters)
 
     def _resolve_positions(self, job_id: str) -> tuple[Path, str]:
         record = self.get(job_id)  # KeyError -> failed job with message
@@ -471,14 +526,45 @@ class StitchService:
                 break
             key, _, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ServiceHTTPError(400, {
+                "error": f"malformed Content-Length header {raw_length!r}",
+            })
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise ServiceHTTPError(
                 400, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
             )
         body = await reader.readexactly(length) if length else b""
         path, _, query = target.partition("?")
+        m = _JOB_PATH.match(path)
+        if method == "GET" and m is not None and m.group("rest") is None:
+            await self._long_poll(m.group("id"), _wait_seconds(query))
         return self._route(method, path, query, body)
+
+    async def _long_poll(self, job_id: str, seconds: float) -> None:
+        """Return once job ``job_id`` is terminal or ``seconds`` have
+        passed; an unknown id is 404 at once.  The request is parked as a
+        future that :meth:`_on_transition` resolves -- nothing polls."""
+        record = self._record(job_id)
+        if not seconds:
+            return
+        waiter = asyncio.get_running_loop().create_future()
+        with self._lock:
+            # A request read while stop_http drains must not park.
+            if record.state.terminal or not self._server.is_serving():
+                return
+            self._waiters.setdefault(job_id, []).append(waiter)
+        try:
+            await asyncio.wait((waiter,), timeout=seconds)
+        finally:
+            with self._lock:
+                parked = self._waiters.get(job_id, [])
+                if waiter in parked:
+                    parked.remove(waiter)
+                    if not parked:
+                        del self._waiters[job_id]
 
     def _route(self, method: str, path: str, query: str, body: bytes):
         if path == "/jobs" and method == "POST":

@@ -149,6 +149,10 @@ class WaitStub(ServiceClient):
     def status(self, job_id: str) -> dict:
         return self.states.pop(0) if len(self.states) > 1 else self.states[0]
 
+    def watch(self, job_id: str, seconds: float) -> dict:
+        # Answers at once, like a server that ignores ``wait``.
+        return self.status(job_id)
+
 
 class TestWait:
     def test_wait_returns_terminal_record_by_default(self):

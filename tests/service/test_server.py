@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -232,3 +233,38 @@ class TestMetricsEndpoints:
         assert snap["counters"]["service.jobs_submitted"] == (
             jobs["queued"] + jobs["cancelled"]
         )
+
+
+def raw_exchange(service, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; return the status code and JSON body."""
+    with socket.create_connection(service.address, timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400_naming_the_header(self, service,
+                                                         length):
+        status, payload = raw_exchange(
+            service,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: " + length
+            + b"\r\n\r\n{}",
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize("wait", [b"abc", b"-1", b"nan"])
+    def test_bad_wait_is_400(self, service, client, dataset_dir, wait):
+        job_id = client.submit({"dataset": dataset_dir})["id"]
+        status, payload = raw_exchange(
+            service,
+            b"GET /jobs/" + job_id.encode() + b"?wait=" + wait
+            + b" HTTP/1.1\r\n\r\n",
+        )
+        assert status == 400
+        assert "wait" in payload["error"]

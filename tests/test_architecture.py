@@ -168,3 +168,145 @@ def test_stitch_options_are_declared_once():
     }
     assert readers and all(r.startswith("core/options.py:") for r in readers), (
         readers)
+
+
+def test_phase3_holds_one_blend_loop():
+    """compose(), the streamed TIFF writer and the pyramid viewer are
+    sinks over repro.core.compose.blend_window; a second function
+    branching on the blend mode is a second renderer."""
+    modes = {"MAXIMUM", "AVERAGE", "LINEAR"}
+    found = {}
+    for where, tree in modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            tested = {
+                c.attr
+                for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                for c in node.comparators
+                if isinstance(c, ast.Attribute) and c.attr in modes
+                and getattr(c.value, "id", None) == "BlendMode"
+            }
+            if tested:
+                found[f"{where}::{fn.name}"] = tested
+    assert found == {"core/compose.py::blend_window": modes}, found
+
+
+def test_phase1_holds_one_correlation_front_half_and_one_ccf_contest():
+    """pciam(), the coarse first pass and its fallback, and the host half
+    of a virtual-GPU pair compose core/pciam.py's correlation_peaks
+    (NCC -> inverse -> top-k) and contest (the CCF over a peak's
+    interpretations); the coarse hill-climb is the only other reader of a
+    peak.  Another function calling peak_candidates, or naming an inverse
+    transform under core/, is a second copy of the operator."""
+    contests, inverses = set(), set()
+    for where, tree in modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "peak_candidates" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    contests.add(f"{where}::{fn.name}")
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("C2R", "C2C_INVERSE")
+                        and where.startswith("core/")):
+                    inverses.add(f"{where}::{fn.name}")
+    assert contests == {
+        "core/pciam.py::contest",
+        "core/coarse.py::refine_from_coarse_peaks",
+    }, contests
+    assert inverses == {"core/pciam.py::correlation_peaks"}, inverses
+
+
+def test_ffts_have_one_gateway():
+    """Every transform goes through repro.fftlib.plans.transform (numpy's
+    pocketfft, byte-identical to scipy.fft); a module naming an FFT
+    library itself is a second backend, and scipy.fft would put scipy
+    back on ``import repro``."""
+
+    def fft_module(name):
+        return name.split(".")[:2] in (["scipy", "fft"], ["scipy", "fftpack"],
+                                       ["numpy", "fft"], ["np", "fft"])
+
+    found = []
+    for where, tree in modules():
+        if where == "fftlib/plans.py":
+            continue
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            found += [f"{where}:{node.lineno}: {n}"
+                      for n in names if fft_module(n)]
+    assert not found, found
+
+
+def test_phase2_holds_one_edge_table_under_both_solvers():
+    """core/global_opt.py decides what a pair contributes -- its
+    measurement or, when demoted, the nominal prior -- in _edge_table,
+    and handles connectivity / degraded placement / the result in
+    resolve_absolute_positions.  A second function reading the quality
+    verdict is a second demotion policy; a solver naming on_disconnected
+    is a second connectivity check.  Nothing imports networkx, so the
+    product runs without it."""
+    readers = {"_nominal_prior_translation": set(), "quality": set()}
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "networkx" for n in names), (
+                f"{where}:{node.lineno}: imports networkx")
+        if where != "core/global_opt.py":
+            continue
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = (getattr(node.func, "id", None)
+                          or getattr(node.func, "attr", None))
+                if called in readers:
+                    readers[called].add(fn.name)
+            if fn.name in ("_mst_positions", "_least_squares_positions"):
+                assert "on_disconnected" not in ast.unparse(fn), fn.name
+    assert readers == {"_nominal_prior_translation": {"_edge_table"},
+                       "quality": {"_edge_table"}}, readers
+
+
+def test_phase1_has_one_failure_surface():
+    """Faults enter phase 1 only through the tile read, and only the
+    kernel's read policy (Phase1Kernel.try_read) retries, skips or
+    survives a cancelled item.  A policy= on a pipeline stage, a second
+    ItemCancelled handler, or a stage/pool fault wrapper is a second
+    failure layer no scheduler wires."""
+    gone = {"DroppedItem", "StageItemTimeout", "wrap_handler",
+            "FaultyPool", "pair_failed", "checkpoint_cancelled"}
+    policies, handlers, params = set(), set(), {}
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            names = {getattr(node, a, None)
+                     for a in ("id", "attr", "name", "arg", "asname")}
+            assert not names & gone, f"{where}:{node.lineno}: {names & gone}"
+            if isinstance(node, ast.ClassDef) and node.name == "ErrorPolicy":
+                policies.add(where)
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "ItemCancelled" in ast.unparse(node.type)):
+                handlers.add(where)
+            if (isinstance(node, ast.FunctionDef)
+                    and where.startswith("pipeline/")):
+                params[f"{Path(where).name}::{node.name}"] = {
+                    a.arg for a in node.args.args + node.args.kwonlyargs}
+    assert policies == {"core/kernel.py"}, policies
+    assert handlers == {"core/kernel.py"}, handlers
+    for fn in ("stage.py::__init__", "graph.py::stage", "graph.py::add_chain"):
+        assert "policy" not in params[fn], fn
