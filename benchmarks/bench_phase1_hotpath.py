@@ -125,7 +125,6 @@ def _load_tiles(rows: int, cols: int, tile: int, seed: int = 7):
 def _run_once(tiles, rows, cols, *, coarse=None, overlap=None):
     from repro.core.displacement import compute_grid_displacements
     from repro.core.pciam import CcfMode
-    from repro.fftlib.plans import PlanCache
     from repro.observe import Tracer
 
     tracer = Tracer()
@@ -137,7 +136,6 @@ def _run_once(tiles, rows, cols, *, coarse=None, overlap=None):
         lambda r, c: tiles[(r, c)], rows, cols,
         ccf_mode=CcfMode.EXTENDED,
         n_peaks=2,
-        cache=PlanCache(),
         tracer=tracer,
         coarse=coarse,
         _overlap=overlap,

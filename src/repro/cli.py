@@ -108,6 +108,16 @@ def _fault_spec_arg(value: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _brownout_arg(value: str):
+    """Parse ``--brownout``: refused at the door, before the service starts."""
+    from repro.service.resilience import BrownoutPolicy
+
+    try:
+        return BrownoutPolicy.parse(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _impl_arg(value: str) -> str:
     """Parse ``--impl``: ``stitcher`` is a synonym of the default scheduler."""
     from repro.core.options import StitchOptions
@@ -145,7 +155,6 @@ def _stitch_options(args: argparse.Namespace):
 def _cmd_stitch(args: argparse.Namespace) -> int:
     from repro.core.compose import BlendMode
     from repro.core.stitcher import Stitcher
-    from repro.fftlib.plans import PlanCache
     from repro.io.dataset import TileDataset
     from repro.io.tiff import write_tiff
 
@@ -182,7 +191,6 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
             tracer = Tracer()
     stitcher = Stitcher(
         options,
-        cache=PlanCache(),
         trace=tracer if tracer is not None else False,
         metrics=metrics if metrics is not None else False,
         checkpoint=str(args.checkpoint) if args.checkpoint else None,
@@ -281,18 +289,9 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.recovery import WatchdogConfig
-    from repro.service.resilience import (
-        BreakerConfig,
-        BrownoutPolicy,
-        ResilienceConfig,
-    )
+    from repro.service.resilience import BreakerConfig, ResilienceConfig
     from repro.service.server import StitchService
 
-    try:
-        brownout = BrownoutPolicy.parse(args.brownout)
-    except ValueError as exc:
-        print(f"bad --brownout spec: {exc}")
-        return 2
     resilience = ResilienceConfig(
         quarantine_threshold=args.quarantine_threshold,
         breaker=BreakerConfig(
@@ -300,7 +299,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             window_seconds=args.breaker_window,
             cooldown_seconds=args.breaker_cooldown,
         ),
-        brownout=brownout,
+        brownout=args.brownout,
         spool_budget_bytes=args.spool_budget,
     )
     service = StitchService(
@@ -540,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 = ephemeral)")
     s.add_argument("--workers", type=_workers_arg, default=2,
                    metavar="N|auto",
-                   help="persistent worker processes; each keeps a warm "
-                        "FFT plan cache across jobs")
+                   help="persistent worker processes; each stays warm "
+                        "(imports, FFT tables) across jobs")
     s.add_argument("--spool", type=Path, default=Path("stitch-spool"),
                    help="per-job state root (checkpoints, positions)")
     s.add_argument("--dataset-root", type=Path, default=None,
@@ -579,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="BYTES",
                    help="spool disk budget (suffixes K/M/G); submissions "
                         "that would exceed it are rejected with 429")
-    s.add_argument("--brownout", type=str, default="off",
+    s.add_argument("--brownout", type=_brownout_arg, default="off",
                    metavar="MODE[:k=v,...]",
                    help="overload policy: off, shed, or degrade "
                         "(e.g. 'degrade:depth=0.8,shed-priority=4')")

@@ -25,7 +25,7 @@ from repro.core.displacement import (
     compute_grid_displacements,
 )
 from repro.core.global_opt import GlobalPositions, resolve_absolute_positions
-from repro.core.compose import BlendMode, compose, compose_to_tiff
+from repro.core.compose import BlendMode, compose
 from repro.core.ncc import normalized_correlation
 from repro.core.options import StitchOptions
 from repro.core.pciam import CcfMode, pciam
@@ -49,7 +49,6 @@ __all__ = [
     "resolve_absolute_positions",
     "BlendMode",
     "compose",
-    "compose_to_tiff",
     "MosaicPyramid",
     "downsample",
     "top_peaks",

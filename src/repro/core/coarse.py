@@ -11,10 +11,9 @@ does ~1/f^2 of the FFT work:
 1. **Coarse pass** -- both tiles are block-mean downsampled by an
    integer ``factor`` (:mod:`repro.core.downsample`) and a standard
    PCIAM front half runs at the coarse shape: forward FFTs, NCC,
-   inverse, peak reduction.  Plans are cached per coarse shape in the
-   same :class:`~repro.fftlib.plans.PlanCache` as the full-resolution
-   ones (the cache is keyed on ``(shape, kind)``, so the two
-   resolutions never cross-contaminate).
+   inverse, peak reduction.  The process's transform ledger
+   (:class:`~repro.fftlib.plans.TransformLedger`) counts the coarse
+   shape in rows of its own, apart from the full-resolution ones.
 2. **Windowed refinement** -- each coarse peak's periodic
    interpretations are upscaled by ``factor`` into candidate hills on
    the full-resolution CCF surface, probed with the O(1) summed-area
@@ -69,7 +68,6 @@ from repro.core.pciam import (
     pciam,
 )
 from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
-from repro.fftlib.plans import PlanCache, default_cache
 
 #: Provenance stamps carried on results (and journaled with each pair,
 #: so a resumed run can prove which path produced every translation).
@@ -244,7 +242,6 @@ def coarse_forward_fft(
     tile: np.ndarray,
     factor: int,
     fft_shape: tuple[int, int] | None = None,
-    cache: PlanCache | None = None,
     real: bool = False,
 ) -> np.ndarray:
     """Coarse-pass spectrum of a tile: block-mean downsample, then FFT.
@@ -262,7 +259,7 @@ def coarse_forward_fft(
         else None
     )
     return forward_fft(
-        downsample(np.asarray(tile), factor), cshape, cache, real=real
+        downsample(np.asarray(tile), factor), cshape, real=real
     )
 
 
@@ -280,16 +277,16 @@ class FullSpectrum:
     __slots__ = ("_args", "_lock", "_spectrum")
 
     def __init__(self, pixels: np.ndarray, fft_shape: tuple[int, int],
-                 real: bool, cache: PlanCache) -> None:
-        self._args = (pixels, fft_shape, cache, real)
+                 real: bool) -> None:
+        self._args = (pixels, fft_shape, real)
         self._lock = threading.Lock()
         self._spectrum = None
 
     def get(self) -> np.ndarray:
         with self._lock:
             if self._spectrum is None:
-                pixels, shape, cache, real = self._args
-                self._spectrum = forward_fft(pixels, shape, cache, real=real)
+                pixels, shape, real = self._args
+                self._spectrum = forward_fft(pixels, shape, real=real)
             return self._spectrum
 
 
@@ -532,7 +529,6 @@ def coarse_pciam(
     n_peaks: int = 1,
     real_transforms: bool = False,
     subpixel: bool = False,
-    cache: PlanCache | None = None,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
     workspace=None,
@@ -575,16 +571,15 @@ def coarse_pciam(
         raise ValueError(
             f"pciam requires same-size tiles, got {img_i.shape} vs {img_j.shape}"
         )
-    cache = cache if cache is not None else default_cache()
     full_shape = tuple(fft_shape) if fft_shape is not None else img_i.shape
     cshape = coarse_transform_shape(full_shape, coarse.factor)
     if cfft_i is None:
         cfft_i = coarse_forward_fft(
-            img_i, coarse.factor, full_shape, cache, real=real_transforms
+            img_i, coarse.factor, full_shape, real=real_transforms
         )
     if cfft_j is None:
         cfft_j = coarse_forward_fft(
-            img_j, coarse.factor, full_shape, cache, real=real_transforms
+            img_j, coarse.factor, full_shape, real=real_transforms
         )
     # Full-resolution statistics back both the refinement probes and the
     # fallback; build them once here when the caller did not.
@@ -597,7 +592,7 @@ def coarse_pciam(
     # pairs, and the full-resolution contest is what sorts them out.
     peaks = correlation_peaks(
         cfft_i, cfft_j, cshape, max(n_peaks, coarse.coarse_peaks),
-        real_transforms, cache, workspace,
+        real_transforms, workspace,
     )
 
     def fallback() -> PciamResult:
@@ -611,7 +606,6 @@ def coarse_pciam(
             n_peaks=n_peaks,
             real_transforms=real_transforms,
             subpixel=subpixel,
-            cache=cache,
             stats_i=stats_i,
             stats_j=stats_j,
         )

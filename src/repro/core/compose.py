@@ -358,13 +358,3 @@ def _compose_striped(
     finally:
         if arena is not None:
             arena.close()
-
-
-def __getattr__(name: str):
-    # ``compose_to_tiff`` is the streamed sink's older name; resolved on
-    # first use because streamcompose imports this module.
-    if name == "compose_to_tiff":
-        from repro.core.streamcompose import stream_compose_to_tiff
-
-        return stream_compose_to_tiff
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -190,9 +190,9 @@ def compute_grid_displacements(
 
     ``kernel`` is the run's :class:`~repro.core.kernel.Phase1Kernel`;
     without one, ``kernel_options`` (``fft_shape``, ``ccf_mode``,
-    ``n_peaks``, ``real_transforms``, ``subpixel``, ``cache``,
-    ``error_policy``, ``fault_report``, ``tracer``, ``metrics``,
-    ``journal``, ``coarse``) build it -- see that class for what each does.
+    ``n_peaks``, ``real_transforms``, ``subpixel``, ``error_policy``,
+    ``fault_report``, ``tracer``, ``metrics``, ``journal``, ``coarse``)
+    build it -- see that class for what each does.
 
     Whether the two stages overlap is decided here, from the first tile
     read and the CPUs this process may use (:func:`_overlap_pays`); it is

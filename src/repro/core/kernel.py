@@ -54,7 +54,7 @@ from repro.core.pciam import (
     pciam,
 )
 from repro.core.tilestats import TileStats
-from repro.fftlib.plans import PlanCache, default_cache, spectrum_shape
+from repro.fftlib.plans import spectrum_shape
 from repro.fftlib.smooth import pad_to_shape
 from repro.grid.neighbors import Direction
 from repro.memmodel.workspace import WorkspaceArena
@@ -221,8 +221,8 @@ class Phase1Kernel:
     :func:`~repro.core.coarse.coarse_pciam`; results then carry their
     ``"coarse"``/``"fallback"`` provenance into the journal).
 
-    Cost-only options: ``real_transforms`` (half-spectrum R2C/C2R; off
-    is the paper's verbatim complex scheme) and the plan ``cache``.
+    Cost-only option: ``real_transforms`` (half-spectrum R2C/C2R; off
+    is the paper's verbatim complex scheme).
 
     Sinks, each optional: ``error_policy`` + ``fault_report`` (without a
     policy a failing read propagates raw -- the strict legacy contract),
@@ -241,7 +241,6 @@ class Phase1Kernel:
     subpixel: bool = False
     coarse: CoarseConfig | None = None
     real_transforms: bool = True
-    cache: PlanCache | None = None
     error_policy: ErrorPolicy | None = None
     fault_report: Any = None
     tracer: Any = None
@@ -252,8 +251,6 @@ class Phase1Kernel:
         self.coarse = self.coarse or None  # False: single pass, as None
         if self.fft_shape is not None:
             self.fft_shape = tuple(self.fft_shape)
-        if self.cache is None:
-            self.cache = default_cache()
         if self.tracer is None:
             self.tracer = NULL_TRACER
         #: ``fft_shape`` argument of the per-tile transform: the spectrum
@@ -398,8 +395,7 @@ class Phase1Kernel:
         if self.coarse is None:
             return None
         return FullSpectrum(
-            pixels, self.full_shape(pixels.shape), self.real_transforms,
-            self.cache,
+            pixels, self.full_shape(pixels.shape), self.real_transforms
         )
 
     def host_products(self, pixels) -> tuple:
@@ -439,8 +435,7 @@ class Phase1Kernel:
                 src = downsample(pixels, self.coarse.factor)
         with tracer.span("fft", track, key=key):
             spectrum = forward_fft(
-                src, self._product_shape, self.cache,
-                real=self.real_transforms,
+                src, self._product_shape, real=self.real_transforms
             )
         with tracer.span("tilestats", track, key=key):
             tstats = self.tile_stats(pixels)
@@ -477,7 +472,6 @@ class Phase1Kernel:
             n_peaks=self.n_peaks,
             real_transforms=self.real_transforms,
             subpixel=self.subpixel,
-            cache=self.cache,
             stats_i=stats_i,
             stats_j=stats_j,
         )

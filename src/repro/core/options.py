@@ -6,9 +6,9 @@ builds the value through :meth:`StitchOptions.from_flat` --
 ``Stitcher(**flat)``, the ``repro stitch`` flags (``dest=`` names are
 the flat keys), a service job's ``options`` object -- so a bad value is
 refused where it enters (constructor, ``argparse``, ``POST /jobs``)
-rather than after phase 1 has run.  Runtime resources (plan cache,
-tracer, metrics registry, checkpoint directory) are not options; they
-stay :class:`~repro.core.stitcher.Stitcher` arguments.
+rather than after phase 1 has run.  Runtime resources (tracer, metrics
+registry, checkpoint directory) are not options; they stay
+:class:`~repro.core.stitcher.Stitcher` arguments.
 """
 
 from __future__ import annotations

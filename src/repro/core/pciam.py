@@ -4,7 +4,7 @@
 ``I_i``'s coordinate frame together with the winning cross-correlation
 factor.  The steps mirror the paper's pseudo-code exactly:
 
-1. forward FFTs of both tiles (cached transforms may be supplied),
+1. forward FFTs of both tiles (precomputed transforms may be supplied),
 2. normalized correlation coefficient,
 3. inverse FFT,
 4. max-magnitude reduction to a peak index,
@@ -30,12 +30,7 @@ import numpy as np
 from repro.core.ncc import normalized_correlation
 from repro.core.peak import peak_candidates, peak_magnitude_ratio, top_peaks
 from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
-from repro.fftlib.plans import (
-    PlanCache,
-    TransformKind,
-    default_cache,
-    spectrum_shape,
-)
+from repro.fftlib.plans import TransformKind, spectrum_shape, transform
 from repro.fftlib.smooth import next_smooth_shape, pad_to_shape
 
 
@@ -87,7 +82,6 @@ def bump(stats: dict | None, key: str, n: int = 1) -> None:
 def forward_fft(
     tile: np.ndarray,
     fft_shape: tuple[int, int] | None = None,
-    cache: PlanCache | None = None,
     real: bool = False,
 ) -> np.ndarray:
     """Forward transform of a tile, optionally zero-padded to ``fft_shape``.
@@ -100,19 +94,18 @@ def forward_fft(
     half-spectrum of shape ``(h, w // 2 + 1)`` carries all information at
     roughly half the work and memory.  The resulting spectra plug into the
     same NCC (Hermitian symmetry is preserved by the normalization) and
-    invert through ``irfft2``.
+    invert through a ``C2R`` transform.
 
     Inputs already in the transform dtype/layout are used without copying;
     other dtypes convert in a single pass.
     """
-    cache = cache if cache is not None else default_cache()
     a = np.ascontiguousarray(
         tile, dtype=np.float64 if real else np.complex128
     )
     if fft_shape is not None and tuple(fft_shape) != a.shape:
         a = pad_to_shape(a, fft_shape)
     kind = TransformKind.R2C if real else TransformKind.C2C_FORWARD
-    return cache.plan(a.shape, kind, allow_padding=False).execute(a)
+    return transform(kind, a, a.shape)
 
 
 def smooth_fft_shape(tile_shape: tuple[int, int]) -> tuple[int, int]:
@@ -126,7 +119,6 @@ def correlation_peaks(
     shape: tuple[int, int],
     k: int,
     real: bool,
-    cache: PlanCache,
     workspace=None,
 ) -> list[tuple[float, int, int]]:
     """Fig. 2 steps 2-4: NCC, inverse transform, top-``k`` peak reduction.
@@ -159,9 +151,8 @@ def correlation_peaks(
         )
     ncc = normalized_correlation(fft_i, fft_j, out=ncc_out, mag_out=mag_out)
     kind = TransformKind.C2R if real else TransformKind.C2C_INVERSE
-    plan = cache.plan(shape, kind, allow_padding=False)
-    inv = plan.execute(
-        ncc, overwrite_input=workspace is not None,
+    inv = transform(
+        kind, ncc, shape, overwrite_input=workspace is not None,
         out=spatial if real else None,
     )
     return top_peaks(inv, k, mag_out=spatial)
@@ -222,7 +213,6 @@ def pciam(
     n_peaks: int = 1,
     real_transforms: bool = False,
     subpixel: bool = False,
-    cache: PlanCache | None = None,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
     workspace=None,
@@ -248,8 +238,8 @@ def pciam(
         contest.  ``1`` is the paper's scheme; the Fiji plugin tests
         several, which is more robust on feature-poor overlaps.
     real_transforms:
-        Use real-to-complex transforms (half-spectrum NCC, cached ``C2R``
-        inverse plan) -- the paper's future-work optimization.  Results are
+        Use real-to-complex transforms (half-spectrum NCC, ``C2R``
+        inverse) -- the paper's future-work optimization.  Results are
         identical to the complex path; work and footprint roughly halve.
         Precomputed ``fft_i``/``fft_j`` must then be half-spectra from
         ``forward_fft(..., real=True)``.
@@ -268,14 +258,13 @@ def pciam(
         raise ValueError(
             f"pciam requires same-size tiles, got {img_i.shape} vs {img_j.shape}"
         )
-    cache = cache if cache is not None else default_cache()
     shape = tuple(fft_shape) if fft_shape is not None else img_i.shape
     if fft_i is None:
-        fft_i = forward_fft(img_i, shape, cache, real=real_transforms)
+        fft_i = forward_fft(img_i, shape, real=real_transforms)
     if fft_j is None:
-        fft_j = forward_fft(img_j, shape, cache, real=real_transforms)
+        fft_j = forward_fft(img_j, shape, real=real_transforms)
     peaks = correlation_peaks(
-        fft_i, fft_j, shape, n_peaks, real_transforms, cache, workspace
+        fft_i, fft_j, shape, n_peaks, real_transforms, workspace
     )
     if stats_i is None:
         stats_i = TileStats(img_i)

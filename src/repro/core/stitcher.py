@@ -32,7 +32,6 @@ from repro.core.options import (  # noqa: F401 -- re-exported: importers of the 
 )
 from repro.core.refine import refine_displacements
 from repro.faults.report import FaultReport
-from repro.fftlib.plans import PlanCache
 from repro.io.dataset import TileDataset
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import NULL_TRACER, Tracer
@@ -216,8 +215,8 @@ class Stitcher:
     built and validated by ``StitchOptions.from_flat`` before anything
     runs, and reads such as ``stitcher.coarse`` forward to
     :attr:`options`.  The remaining arguments are the run's resources,
-    not options: the plan ``cache``, a tracer, a metrics registry and the
-    checkpoint directory.
+    not options: a tracer, a metrics registry and the checkpoint
+    directory.
 
     Every scheduler (``impl``) runs the same
     :class:`~repro.core.kernel.Phase1Kernel`, so all produce identical
@@ -229,7 +228,6 @@ class Stitcher:
         self,
         options: StitchOptions | None = None,
         *,
-        cache: PlanCache | None = None,
         trace: bool | Tracer = False,
         metrics: bool | MetricsRegistry = False,
         checkpoint: str | None = None,
@@ -247,7 +245,6 @@ class Stitcher:
         elif flat:
             options = StitchOptions.from_flat({**vars(options), **flat})
         self.options = options
-        self.cache = cache
         # Observability: ``trace=True`` (or a caller-owned Tracer) records
         # per-phase and per-operation spans; metrics are collected whenever
         # either switch is on, and land in ``StitchResult.stats["metrics"]``.
@@ -373,7 +370,6 @@ class Stitcher:
             # Resolved once, here: every scheduler runs the same config.
             coarse=opts.coarse_for(dataset.tile_shape),
             real_transforms=opts.real_transforms,
-            cache=self.cache,
             error_policy=policy,
             fault_report=report,
             tracer=tracer,

@@ -35,8 +35,7 @@ def is_smooth(n: int, radices: Sequence[int] = DEFAULT_RADICES) -> bool:
 def next_smooth(n: int, radices: Sequence[int] = DEFAULT_RADICES) -> int:
     """Return the smallest smooth length ``>= n``.
 
-    This is the padding target used when planning a transform in a padded
-    strategy.  A simple increasing scan is fine here: smooth numbers are
+    This is the per-axis padding target of ``pad_to_smooth``.  A simple increasing scan is fine here: smooth numbers are
     dense (gaps are tiny relative to ``n`` for the radix set {2,3,5,7}).
     """
     if n < 1:

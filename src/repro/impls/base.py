@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from repro.core.displacement import DisplacementResult
 from repro.core.kernel import Phase1Kernel
 from repro.core.pciam import CcfMode
-from repro.fftlib.plans import PlanCache
 from repro.io.dataset import TileDataset
 
 
@@ -49,7 +48,7 @@ class Implementation(abc.ABC):
     Construct with a ready ``kernel`` (what
     :class:`~repro.core.stitcher.Stitcher` does), or with the kernel's
     options as keyword arguments; standalone the defaults are the robust
-    ``EXTENDED`` contest over two peaks and a private plan cache.
+    ``EXTENDED`` contest over two peaks.
 
     ``watchdog`` is a :class:`~repro.recovery.watchdog.WatchdogConfig` the
     pipelined schedulers hand to their
@@ -69,8 +68,6 @@ class Implementation(abc.ABC):
         if kernel is None:
             kernel_options.setdefault("ccf_mode", CcfMode.EXTENDED)
             kernel_options.setdefault("n_peaks", 2)
-            if kernel_options.get("cache") is None:
-                kernel_options["cache"] = PlanCache()
             kernel = Phase1Kernel(**kernel_options)
         elif kernel_options:
             raise TypeError("pass a kernel or kernel options, not both")

@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.core.displacement import DisplacementResult, compute_grid_displacements
 from repro.core.kernel import Phase1Kernel
-from repro.fftlib.plans import TransformKind
 from repro.grid.neighbors import Direction
 from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import ColumnPartition, Traversal, column_partitions
@@ -168,27 +167,8 @@ def _watch_parent(ppid: int) -> None:  # pragma: no cover - daemon loop
 
 
 def _worker_init(ppid: int) -> None:
-    """Per-process setup: orphan watch + plan-cache warmup."""
+    """Per-process setup: the orphan watch."""
     threading.Thread(target=_watch_parent, args=(ppid,), daemon=True).start()
-    ctx = _CTX
-    if ctx is None:  # pragma: no cover - defensive
-        return
-    kernel = ctx.impl.kernel
-    # Warm the forward/inverse plans once per worker so the first pair in
-    # every partition pays no planning cost (the forked cache already holds
-    # plans the parent created, but a fresh parent cache arrives cold).
-    # Coarse mode warms the coarse shapes (the per-pair hot path) *and*
-    # the full-resolution shapes (the fallback path) -- the PlanCache is
-    # keyed on (kind, shape), so the two never collide.
-    tile_shape = ctx.dataset.tile_shape
-    kinds = (
-        (TransformKind.R2C, TransformKind.C2R) if kernel.real_transforms
-        else (TransformKind.C2C_FORWARD, TransformKind.C2C_INVERSE)
-    )
-    for shape in {kernel.transform_shape(tile_shape),
-                  kernel.full_shape(tile_shape)}:
-        for kind in kinds:
-            kernel.cache.plan(shape, kind, allow_padding=False)
 
 
 def _slab_entry(kernel, ctx: _RunCtx, slot: int):

@@ -27,6 +27,7 @@ out-of-core composition path work against images far larger than RAM.
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -165,11 +166,17 @@ class _Entry:
     values: tuple
 
 
-def _read_at(f, offset: int, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes at ``offset`` or raise a truncation error."""
+def _read_at(f, file_size: int, offset: int, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes at ``offset`` of a ``file_size``-byte file,
+    or raise a truncation error -- before reading anything when the span
+    ends past the file, so a length field cannot size an allocation."""
     if offset < 0:
         raise TiffError(f"truncated file while reading {what} "
                         f"(negative offset {offset})")
+    if offset + n > file_size:
+        raise TiffError(f"truncated file while reading {what} "
+                        f"(need {n} bytes at offset {offset}, file holds "
+                        f"{file_size})")
     f.seek(offset)
     data = f.read(n)
     if len(data) != n:
@@ -178,7 +185,7 @@ def _read_at(f, offset: int, n: int, what: str) -> bytes:
     return data
 
 
-def _parse_header(f):
+def _parse_header(f, file_size: int):
     """Parse the TIFF/BigTIFF header; returns ``(bo, bigtiff, ifd_offset)``."""
     f.seek(0)
     head = f.read(8)
@@ -202,13 +209,14 @@ def _parse_header(f):
                 f"reserved {reserved}; expected 8, 0)"
             )
         (ifd_off,) = struct.unpack(
-            bo + "Q", _read_at(f, 8, 8, "BigTIFF IFD offset")
+            bo + "Q", _read_at(f, file_size, 8, 8, "BigTIFF IFD offset")
         )
         return bo, True, ifd_off
     raise TiffError(f"bad TIFF magic {magic} (42=classic, 43=BigTIFF)")
 
 
-def _parse_ifd_entry(f, raw: bytes, bo: str, bigtiff: bool) -> _Entry:
+def _parse_ifd_entry(f, file_size: int, raw: bytes, bo: str,
+                     bigtiff: bool) -> _Entry:
     """Decode one IFD entry from its ``raw`` table bytes; only values too
     large for the entry's inline field cost a read."""
     if bigtiff:
@@ -227,29 +235,34 @@ def _parse_ifd_entry(f, raw: bytes, bo: str, bigtiff: bool) -> _Entry:
         payload = inline[:total]
     else:
         (ptr,) = struct.unpack(bo + ptr_fmt, inline)
-        payload = _read_at(f, ptr, total, f"tag {tag} values")
+        payload = _read_at(f, file_size, ptr, total, f"tag {tag} values")
     fmt = _TYPE_FMT[typ]
     values = struct.unpack(bo + fmt * count, payload)
     return _Entry(tag, typ, count, values)
 
 
-def _parse_first_ifd(f, bo: str, bigtiff: bool, ifd_off: int) -> dict[int, _Entry]:
+def _parse_first_ifd(f, file_size: int, bo: str, bigtiff: bool,
+                     ifd_off: int) -> dict[int, _Entry]:
     if bigtiff:
         (n_entries,) = struct.unpack(
-            bo + "Q", _read_at(f, ifd_off, 8, "IFD count")
+            bo + "Q", _read_at(f, file_size, ifd_off, 8, "IFD count")
         )
         base, entry_size = ifd_off + 8, 20
     else:
         (n_entries,) = struct.unpack(
-            bo + "H", _read_at(f, ifd_off, 2, "IFD count")
+            bo + "H", _read_at(f, file_size, ifd_off, 2, "IFD count")
         )
         base, entry_size = ifd_off + 2, 12
     if n_entries > 65536:
         raise TiffError(f"implausible IFD entry count {n_entries}")
-    table = _read_at(f, base, entry_size * int(n_entries), "IFD entry")
+    table = _read_at(
+        f, file_size, base, entry_size * int(n_entries), "IFD entry"
+    )
     entries: dict[int, _Entry] = {}
     for off in range(0, len(table), entry_size):
-        e = _parse_ifd_entry(f, table[off : off + entry_size], bo, bigtiff)
+        e = _parse_ifd_entry(
+            f, file_size, table[off : off + entry_size], bo, bigtiff
+        )
         entries[e.tag] = e
     return entries
 
@@ -271,9 +284,12 @@ class TiffReader:
         self.path = Path(path)
         self._f = open(self.path, "rb")
         try:
-            self._bo, self.bigtiff, ifd_off = _parse_header(self._f)
+            self._size = os.fstat(self._f.fileno()).st_size
+            self._bo, self.bigtiff, ifd_off = _parse_header(
+                self._f, self._size
+            )
             self._entries = _parse_first_ifd(
-                self._f, self._bo, self.bigtiff, ifd_off
+                self._f, self._size, self._bo, self.bigtiff, ifd_off
             )
             self._validate()
         except BaseException:
@@ -354,19 +370,37 @@ class TiffReader:
         r0 = s * self.rows_per_strip
         return r0, min(self.height, r0 + self.rows_per_strip)
 
-    def _decoded_strip(self, s: int) -> bytes:
+    def _check_strip(self, s: int) -> None:
+        """Refuse strip ``s`` unless its bytes lie inside the file and can
+        hold its rows: checked before a window is allocated, so a corrupt
+        dimension or count cannot size a buffer the file could never fill.
+        PackBits expands a strip at most 64-fold (128 bytes per 2)."""
         r0, r1 = self._strip_rows(s)
         expected = (r1 - r0) * self.bytes_per_row
-        raw = _read_at(self._f, self.offsets[s], self.byte_counts[s],
-                       "strip data")
-        if self._compression == COMPRESSION_PACKBITS:
-            return packbits_decode(raw, expected)
-        if len(raw) != expected:
+        at, n = self.offsets[s], self.byte_counts[s]
+        if self._compression == COMPRESSION_NONE and n != expected:
             raise TiffError(
-                f"pixel data size mismatch: strip {s} holds {len(raw)} "
-                f"bytes, needs {expected}"
+                f"pixel data size mismatch: strip {s} holds {n} bytes, "
+                f"needs {expected}"
             )
-        return raw
+        if at < 0 or at + n > self._size:
+            raise TiffError(
+                f"truncated file while reading strip data "
+                f"(need {n} bytes at offset {at}, file holds {self._size})"
+            )
+        if 64 * n < expected:
+            raise TiffError(
+                f"PackBits strip {s} of {n} bytes cannot decode to "
+                f"{expected} bytes"
+            )
+
+    def _decoded_strip(self, s: int) -> bytes:
+        """PackBits strip ``s``, decoded (uncompressed strips are read
+        straight into the window)."""
+        r0, r1 = self._strip_rows(s)
+        raw = _read_at(self._f, self._size, self.offsets[s],
+                       self.byte_counts[s], "strip data")
+        return packbits_decode(raw, (r1 - r0) * self.bytes_per_row)
 
     # -- windowed access ---------------------------------------------------
 
@@ -382,6 +416,10 @@ class TiffReader:
             raise ValueError(
                 f"row window [{y0}, {y1}) outside image of {self.height} rows"
             )
+        s0 = y0 // self.rows_per_strip
+        s1 = (y1 - 1) // self.rows_per_strip
+        for s in range(s0, s1 + 1):
+            self._check_strip(s)
         bpr = self.bytes_per_row
         arr = np.empty((y1 - y0, self.width), dtype=self.dtype)
         dest = memoryview(arr.reshape(-1).view(np.uint8))
@@ -399,8 +437,6 @@ class TiffReader:
                     f"(need {run_len} bytes at offset {run_at})"
                 )
 
-        s0 = y0 // self.rows_per_strip
-        s1 = (y1 - 1) // self.rows_per_strip
         for s in range(s0, s1 + 1):
             r0, r1 = self._strip_rows(s)
             a, b = max(r0, y0), min(r1, y1)
@@ -408,17 +444,6 @@ class TiffReader:
             if self._compression == COMPRESSION_NONE:
                 # Exact partial-strip read: row n of strip s lives at a
                 # fixed arithmetic offset, no need to touch the rest.
-                expected = (r1 - r0) * bpr
-                if self.byte_counts[s] != expected:
-                    raise TiffError(
-                        f"pixel data size mismatch: strip {s} holds "
-                        f"{self.byte_counts[s]} bytes, needs {expected}"
-                    )
-                if self.offsets[s] < 0:
-                    raise TiffError(
-                        f"truncated file while reading strip data "
-                        f"(negative offset {self.offsets[s]})"
-                    )
                 at = self.offsets[s] + (a - r0) * bpr
                 if at != run_at + run_len:
                     read_run()

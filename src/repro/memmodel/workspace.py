@@ -12,7 +12,7 @@ Each registered pair needs three scratch surfaces:
     Magnitude scratch for the NCC normalization (float64, spectrum-shaped).
 ``spatial``
     The spatial surface (float64, transform-shaped): a ``C2R`` inverse
-    lands in it through ``Plan.execute(out=)``, and the peak reduction
+    lands in it through ``transform(..., out=)``, and the peak reduction
     takes the magnitude of the inverse in it, in place.
 
 Together they are ~7 MB at 696x520 and ~29 MB at the paper's 1392x1040

@@ -9,8 +9,8 @@ them into a standing service:
 - :mod:`repro.service.queue` -- multi-tenant priority queue with
   admission control and backpressure;
 - :mod:`repro.service.pool` -- persistent forked worker processes that
-  keep warm :class:`~repro.fftlib.plans.PlanCache` state between jobs,
-  journal every job for crash-resume, and run under per-job
+  stay warm (imports, FFT tables) between jobs, journal every job for
+  crash-resume, and run under per-job
   :class:`~repro.recovery.watchdog.Watchdog` supervision;
 - :mod:`repro.service.server` -- the asyncio HTTP/JSON front end
   (submit/status/cancel/result/metrics endpoints);

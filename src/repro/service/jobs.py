@@ -32,8 +32,8 @@ from repro.faults.plan import parse_fault_spec
 #: name.  What the stitch options among them mean, default to and
 #: accept is :class:`~repro.core.options.StitchOptions`'s business
 #: (values are validated through its ``from_flat`` at submission).
-#: Everything else -- tracing, checkpoint paths, plan caches, the
-#: scheduler and its worker count -- is owned by the service (the
+#: Everything else -- tracing, checkpoint paths, the scheduler and its
+#: worker count -- is owned by the service (the
 #: checkpoint directory in particular *is* the job's durability story
 #: and must not be client-controlled).
 ALLOWED_OPTIONS = frozenset({
@@ -221,7 +221,7 @@ class JobRecord:
     #: Exception class name for worker-reported failures (structured
     #: error detail; the flat ``error`` string keeps the full message).
     error_type: str | None = None
-    #: Worker-reported summary (pairs, timings, plan-cache hits, journal).
+    #: Worker-reported summary (pairs, timings, transform-ledger hits, journal).
     result: dict | None = None
     cancel_requested: bool = False
     #: Per-attempt worker-death records (signal, cause, clock) filled in

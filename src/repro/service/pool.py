@@ -1,11 +1,12 @@
 """Persistent warm worker pool: forked processes that outlive their jobs.
 
 Copik's parallel-registration thesis motivates the core economics here:
-per-job startup cost (process spawn, FFT planning, import time) must
+per-job startup cost (process spawn, import time, FFT set-up) must
 amortize to zero under sustained traffic, which means workers are
-*persistent* -- each holds a warm :class:`~repro.fftlib.plans.PlanCache`
-across jobs, so the second same-geometry job plans nothing and reports
-``plan_cache.hits > 0``.
+*persistent* -- each keeps its imports and numpy's per-length FFT tables
+across jobs.  The worker's :class:`~repro.fftlib.plans.TransformLedger`
+shows it: a second same-geometry job reports ``plan_cache.hits > 0`` and
+no misses.
 
 Durability and supervision reuse the recovery layer wholesale:
 
@@ -83,6 +84,7 @@ def _execute_job(msg: dict, warm: dict) -> dict:
     from repro.core.global_opt import GlobalPositions
     from repro.core.options import StitchOptions
     from repro.core.stitcher import Stitcher
+    from repro.fftlib.plans import default_cache
     from repro.io.dataset import TileDataset
 
     spec = msg["spec"]
@@ -99,7 +101,7 @@ def _execute_job(msg: dict, warm: dict) -> dict:
         )
         dataset = plan.wrap_dataset(dataset)
 
-    plan_cache = warm["plan_cache"]
+    plan_cache = default_cache()
     hits0, misses0 = plan_cache.hits, plan_cache.misses
     shapes0 = {
         (tuple(row["shape"]), row["kind"]): (row["hits"], row["misses"])
@@ -131,8 +133,7 @@ def _execute_job(msg: dict, warm: dict) -> dict:
         })
     else:
         result = Stitcher(
-            options, cache=plan_cache, checkpoint=str(job_dir / "ckpt"),
-            metrics=True,
+            options, checkpoint=str(job_dir / "ckpt"), metrics=True,
         ).stitch(dataset)
         gp = result.positions
         skipped = result.skipped_tiles()
@@ -199,10 +200,11 @@ def _execute_job(msg: dict, warm: dict) -> dict:
             "hits": plan_cache.hits - hits0,
             "misses": plan_cache.misses - misses0,
             "entries": len(plan_cache),
-            # Per-(shape, kind) deltas for *this* job: a warm worker's
-            # second same-geometry job shows hits and no misses on every
-            # row -- including the coarse-shape rows when the job ran
-            # coarse-to-fine registration.
+            # Per-(shape, kind) deltas of the process's transform ledger
+            # for *this* job: a warm worker's second same-geometry job
+            # shows hits and no misses on every row -- including the
+            # coarse-shape rows when the job ran coarse-to-fine
+            # registration.
             "per_shape": [
                 {
                     **row,
@@ -223,14 +225,18 @@ def _execute_job(msg: dict, warm: dict) -> dict:
 def _worker_main(conn, worker_id: int) -> None:
     """Worker loop: serve jobs from the pipe until told to shut down.
 
-    The warm dict survives across jobs -- that persistence is the whole
-    point of the pool.  Every exception is reported back as a failed
+    The process -- its imports, numpy's FFT tables, the ``warm`` job
+    count -- survives across jobs: that persistence is the whole point
+    of the pool.  Every exception is reported back as a failed
     job, never a dead worker; only SIGKILL (or a shutdown message) ends
     the loop.
     """
-    from repro.fftlib.plans import PlanCache
+    from repro.fftlib.plans import default_cache
 
-    warm = {"plan_cache": PlanCache(), "jobs_served": 0}
+    # A fork inherits the parent's transform counts: start from zero, so
+    # the first job's misses are this worker's own.
+    default_cache().clear()
+    warm = {"jobs_served": 0}
     while True:
         try:
             msg = conn.recv()
@@ -743,8 +749,8 @@ class WorkerPool:
         if pc.get("misses"):
             self.metrics.counter("service.plan_cache_misses").inc(pc["misses"])
         # Per-shape reuse counters: coarse-to-fine jobs surface their
-        # coarse-shape plan rows here, so /metrics proves the coarse
-        # plans are being reused across jobs, not re-planned.
+        # coarse-shape rows here, so /metrics shows the coarse transforms
+        # warm across jobs too.
         for row in pc.get("per_shape", []):
             shape = "x".join(str(n) for n in row["shape"])
             base = f"service.plan_cache.{row['kind']}.{shape}"

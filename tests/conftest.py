@@ -36,3 +36,13 @@ def reference_displacements(dataset_4x4):
     from repro.impls import SimpleCpu
 
     return SimpleCpu().run(dataset_4x4)
+
+
+@pytest.fixture
+def ledger():
+    """The process-wide transform ledger, emptied for this test."""
+    from repro.fftlib.plans import default_cache
+
+    ledger = default_cache()
+    ledger.clear()
+    return ledger

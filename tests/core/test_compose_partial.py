@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.compose import BlendMode, compose, compose_to_tiff
+from repro.core.compose import BlendMode, compose
+from repro.core.streamcompose import stream_compose_to_tiff
 from repro.core.global_opt import GlobalPositions
 from repro.io.tiff import read_tiff
 
@@ -100,7 +101,7 @@ class TestComposeToTiffSkip:
     def test_skip_tiles_stream_holes(self, tmp_path):
         gp = grid_positions(3, 2)
         path = tmp_path / "partial.tif"
-        shape = compose_to_tiff(
+        shape = stream_compose_to_tiff(
             path, constant_tiles, gp, TILE, skip_tiles=[(1, 1)], band_rows=5
         ).shape
         assert shape == (24, 16)
@@ -117,7 +118,7 @@ class TestComposeToTiffSkip:
             return constant_tiles(row, col)
 
         path = tmp_path / "flaky.tif"
-        compose_to_tiff(path, flaky, gp, TILE, on_tile_error="skip")
+        stream_compose_to_tiff(path, flaky, gp, TILE, on_tile_error="skip")
         streamed = read_tiff(path).astype(np.float64)
         in_memory = compose(flaky, gp, TILE, on_tile_error="skip")
         np.testing.assert_array_equal(streamed, in_memory.astype(np.float64))
@@ -129,4 +130,4 @@ class TestComposeToTiffSkip:
             raise IOError("dead disk")
 
         with pytest.raises(IOError):
-            compose_to_tiff(tmp_path / "x.tif", broken, gp, TILE)
+            stream_compose_to_tiff(tmp_path / "x.tif", broken, gp, TILE)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.compose import BlendMode, compose, compose_to_tiff
+from repro.core.compose import BlendMode, compose
+from repro.core.streamcompose import stream_compose_to_tiff
 from repro.core.global_opt import GlobalPositions
 from repro.core.stitcher import Stitcher
 from repro.io.tiff import TiffStripWriter, read_tiff
@@ -75,7 +76,7 @@ class TestComposeToTiff:
         gp = grid_positions(3, 3, 12)
         p = tmp_path / "m.tif"
         for outline in (False, True):
-            shape = compose_to_tiff(p, load, gp, (16, 16), blend=blend,
+            shape = stream_compose_to_tiff(p, load, gp, (16, 16), blend=blend,
                                     band_rows=band_rows, outline=outline).shape
             streamed = read_tiff(p)
             ref = compose(load, gp, (16, 16), blend=blend, dtype=np.float64,
@@ -88,7 +89,7 @@ class TestComposeToTiff:
     def test_scale_parameter(self, tmp_path):
         load = lambda r, c: np.full((8, 8), 0.5)
         gp = grid_positions(1, 1, 0)
-        compose_to_tiff(tmp_path / "m.tif", load, gp, (8, 8), scale=1000.0)
+        stream_compose_to_tiff(tmp_path / "m.tif", load, gp, (8, 8), scale=1000.0)
         assert read_tiff(tmp_path / "m.tif")[0, 0] == 500
 
     def test_maximum_blend_matches_in_memory(self, tmp_path):
@@ -97,7 +98,7 @@ class TestComposeToTiff:
         p = tmp_path / "m.tif"
         # band_rows=5 splits every tile across bands: per-pixel max must
         # still agree with the all-in-memory reference.
-        shape = compose_to_tiff(p, load, gp, (16, 16),
+        shape = stream_compose_to_tiff(p, load, gp, (16, 16),
                                 blend=BlendMode.MAXIMUM, band_rows=5).shape
         ref = compose(load, gp, (16, 16), blend=BlendMode.MAXIMUM,
                       dtype=np.float64)
@@ -113,7 +114,7 @@ class TestComposeToTiff:
         load = self.make_tiles()
         gp = grid_positions(3, 3, 12)
         p = tmp_path / "m.tif"
-        shape = compose_to_tiff(p, load, gp, (16, 16),
+        shape = stream_compose_to_tiff(p, load, gp, (16, 16),
                                 blend=BlendMode.LINEAR, band_rows=band_rows).shape
         streamed = read_tiff(p)
         ref = compose(load, gp, (16, 16), blend=BlendMode.LINEAR,
@@ -135,7 +136,7 @@ class TestComposeToTiff:
         gp = grid_positions(2, 2, 12)
         p = tmp_path / "m.tif"
         with pytest.raises(ValueError):
-            compose_to_tiff(p, self.make_tiles(2, 2), gp, (16, 16), **kwargs)
+            stream_compose_to_tiff(p, self.make_tiles(2, 2), gp, (16, 16), **kwargs)
         assert list(tmp_path.iterdir()) == []
 
     def test_midstream_failure_leaves_no_partial_output(self, tmp_path):
@@ -150,7 +151,7 @@ class TestComposeToTiff:
         gp = grid_positions(3, 3, 12)
         p = tmp_path / "m.tif"
         with pytest.raises(OSError, match="tile rotted"):
-            compose_to_tiff(p, load, gp, (16, 16), band_rows=5,
+            stream_compose_to_tiff(p, load, gp, (16, 16), band_rows=5,
                             on_tile_error="abort")
         assert list(tmp_path.iterdir()) == []
 
@@ -159,14 +160,14 @@ class TestComposeToTiff:
         load = self.make_tiles(2, 2)
         gp = grid_positions(2, 2, 12)
         p = tmp_path / "m.tif"
-        compose_to_tiff(p, load, gp, (16, 16))
+        stream_compose_to_tiff(p, load, gp, (16, 16))
         before = read_tiff(p)
 
         def broken(r, c):
             raise OSError("gone")
 
         with pytest.raises(OSError):
-            compose_to_tiff(p, broken, gp, (16, 16), on_tile_error="abort")
+            stream_compose_to_tiff(p, broken, gp, (16, 16), on_tile_error="abort")
         assert np.array_equal(read_tiff(p), before)
         assert list(tmp_path.iterdir()) == [p]
 
@@ -174,14 +175,14 @@ class TestComposeToTiff:
         """The service layer passes blend names; coercion is up front."""
         load = self.make_tiles(1, 1)
         gp = grid_positions(1, 1, 0)
-        compose_to_tiff(tmp_path / "m.tif", load, gp, (16, 16),
+        stream_compose_to_tiff(tmp_path / "m.tif", load, gp, (16, 16),
                         blend="average")
         assert (tmp_path / "m.tif").exists()
 
     def test_end_to_end_with_stitcher(self, dataset_4x4, tmp_path):
         res = Stitcher().stitch(dataset_4x4)
         p = tmp_path / "mosaic.tif"
-        shape = compose_to_tiff(
+        shape = stream_compose_to_tiff(
             p, dataset_4x4.load, res.positions, dataset_4x4.tile_shape,
             band_rows=20,
         ).shape

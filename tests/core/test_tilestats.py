@@ -21,7 +21,7 @@ from repro.core import tilestats
 from repro.core.ccf import ccf_at, overlap_views, subpixel_refine
 from repro.core.pciam import pciam
 from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
-from repro.fftlib.plans import PlanCache, TransformKind
+from repro.fftlib.plans import TransformKind
 from repro.synth.specimen import generate_plate
 
 PLATE = generate_plate(260, 260, seed=3)
@@ -259,18 +259,19 @@ class TestSubpixelStats:
 
 
 class TestC2rPlanCache:
-    def test_pciam_real_inverse_hits_plan_cache(self):
-        """Satellite check: the real inverse routes through a cached C2R plan.
-
-        The first pair plants one C2R plan keyed by the *spatial* shape;
-        subsequent pairs of the same shape must reuse that very object.
-        """
+    def test_pciam_real_inverse_hits_plan_cache(self, ledger):
+        """The real inverse is one C2R transform keyed by the *spatial*
+        shape: the first pair's is the shape's miss, the next pair's a
+        hit."""
         img_i, img_j = cut_pair(5, 60)
-        cache = PlanCache()
-        assert cache.cached(img_i.shape, TransformKind.C2R) is None
-        r1 = pciam(img_i, img_j, real_transforms=True, cache=cache)
-        plan = cache.cached(img_i.shape, TransformKind.C2R)
-        assert plan is not None
-        r2 = pciam(img_i, img_j, real_transforms=True, cache=cache)
-        assert cache.cached(img_i.shape, TransformKind.C2R) is plan
+
+        def c2r():
+            (row,) = [r for r in ledger.stats()["per_shape"]
+                      if r["kind"] == TransformKind.C2R.value]
+            return tuple(row["shape"]), row["hits"], row["misses"]
+
+        r1 = pciam(img_i, img_j, real_transforms=True)
+        assert c2r() == (img_i.shape, 0, 1)
+        r2 = pciam(img_i, img_j, real_transforms=True)
+        assert c2r() == (img_i.shape, 1, 1)
         assert (r1.tx, r1.ty) == (r2.tx, r2.ty)

@@ -1,6 +1,6 @@
 """Every transform equals ``scipy.fft``'s byte for byte.
 
-The plans run on numpy's pocketfft one axis at a time
+The gateway runs numpy's pocketfft one axis at a time
 (:func:`repro.fftlib.plans.transform`); scipy's multi-axis transforms run
 the same C++ pocketfft in the same axis order with the same placement of
 the ``1/(h*w)`` normalisation, so every spectrum, surface and therefore
@@ -12,7 +12,7 @@ alone).
 import numpy as np
 import pytest
 
-from repro.fftlib.plans import PlanCache, TransformKind, spectrum_shape
+from repro.fftlib.plans import TransformKind, spectrum_shape, transform
 
 sfft = pytest.importorskip("scipy.fft")
 
@@ -46,22 +46,19 @@ def problem(kind: TransformKind, shape: tuple, rng) -> np.ndarray:
 @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
 def test_every_transform_matches_scipy_byte_for_byte(kind, batched):
     rng = np.random.default_rng(7)
-    cache = PlanCache()
     for hw in SHAPES:
         shape = (BATCH, *hw) if batched else hw
         a = problem(kind, shape, rng)
         ref = reference(kind, a, hw)
-        plan = cache.plan(shape, kind, allow_padding=False)
         if batched:
             # Batching is throughput only: every slice is its 2-D transform.
-            single = cache.plan(hw, kind, allow_padding=False)
             for i in range(BATCH):
-                assert single.execute(a[i]).tobytes() == ref[i].tobytes(), hw
+                assert transform(kind, a[i], hw).tobytes() == ref[i].tobytes(), hw
         for overwrite in (False, True):
             for given_out in (False, True):
                 src = a.copy()
                 out = np.empty_like(ref) if given_out else None
-                got = plan.execute(src, overwrite_input=overwrite, out=out)
+                got = transform(kind, src, hw, overwrite_input=overwrite, out=out)
                 where = f"{kind.value} {shape} overwrite={overwrite} out={given_out}"
                 assert got.dtype == ref.dtype and got.shape == ref.shape, where
                 assert got.tobytes() == ref.tobytes(), where

@@ -1,174 +1,135 @@
-"""Plan cache, planning modes, and wisdom semantics."""
+"""The FFT gateway and the transform ledger it counts in."""
 
-import json
+import sys
+import threading
 
 import numpy as np
-import pytest
 
-from repro.fftlib.plans import (
-    Plan,
-    PlanCache,
-    PlanKey,
-    PlanningMode,
-    TransformKind,
-)
+from repro.fftlib.plans import TransformKind, transform
+
+
+def rows(ledger) -> dict:
+    return {
+        (tuple(r["shape"]), r["kind"]): (r["hits"], r["misses"])
+        for r in ledger.stats()["per_shape"]
+    }
 
 
 class TestPlanExecution:
     def test_direct_forward_matches_numpy(self):
         a = np.random.default_rng(0).random((12, 10)) + 0j
-        plan = PlanCache().plan(a.shape, TransformKind.C2C_FORWARD)
-        assert np.allclose(plan.execute(a), np.fft.fft2(a))
+        out = transform(TransformKind.C2C_FORWARD, a, a.shape)
+        assert np.allclose(out, np.fft.fft2(a))
 
     def test_inverse_roundtrip(self):
-        cache = PlanCache()
         a = np.random.default_rng(1).random((9, 14)).astype(np.complex128)
-        fwd = cache.plan(a.shape, TransformKind.C2C_FORWARD)
-        inv = cache.plan(a.shape, TransformKind.C2C_INVERSE)
-        assert np.allclose(inv.execute(fwd.execute(a)), a)
+        spec = transform(TransformKind.C2C_FORWARD, a, a.shape)
+        assert np.allclose(transform(TransformKind.C2C_INVERSE, spec, a.shape), a)
 
     def test_r2c_matches_rfft(self):
         a = np.random.default_rng(2).random((8, 6))
-        plan = PlanCache().plan(a.shape, TransformKind.R2C)
-        assert np.allclose(plan.execute(a), np.fft.rfft2(a))
+        assert np.allclose(
+            transform(TransformKind.R2C, a, a.shape), np.fft.rfft2(a)
+        )
 
-    def test_padded_strategy_transforms_at_padded_size(self):
-        key = PlanKey((11, 13), TransformKind.C2C_FORWARD)
-        plan = Plan(key, "padded", (12, 14))
-        a = np.ones((11, 13), dtype=np.complex128)
-        out = plan.execute(a)
-        assert out.shape == (12, 14)
-        # Padded transform equals transform of the zero-padded input.
-        padded = np.zeros((12, 14), dtype=np.complex128)
-        padded[:11, :13] = a
-        assert np.allclose(out, np.fft.fft2(padded))
-
-    def test_shape_mismatch_rejected(self):
-        plan = PlanCache().plan((4, 4), TransformKind.C2C_FORWARD)
-        with pytest.raises(ValueError):
-            plan.execute(np.ones((5, 5), dtype=np.complex128))
-
-    def test_execution_counter(self):
-        plan = PlanCache().plan((4, 4), TransformKind.C2C_FORWARD)
+    def test_execution_counter(self, ledger):
+        """Every transform is counted once, the first of a problem as a
+        miss."""
         a = np.ones((4, 4), dtype=np.complex128)
-        plan.execute(a)
-        plan.execute(a)
-        assert plan.executions == 2
+        transform(TransformKind.C2C_FORWARD, a, a.shape)
+        transform(TransformKind.C2C_FORWARD, a, a.shape)
+        assert (ledger.hits, ledger.misses) == (1, 1)
 
 
 class TestPlanCache:
-    def test_caches_by_shape_and_kind(self):
-        cache = PlanCache()
-        p1 = cache.plan((8, 8), TransformKind.C2C_FORWARD)
-        p2 = cache.plan((8, 8), TransformKind.C2C_FORWARD)
-        p3 = cache.plan((8, 8), TransformKind.C2C_INVERSE)
-        assert p1 is p2
-        assert p1 is not p3
-        assert len(cache) == 2
+    def test_caches_by_shape_and_kind(self, ledger):
+        a = np.ones((8, 8), dtype=np.complex128)
+        transform(TransformKind.C2C_FORWARD, a, a.shape)
+        transform(TransformKind.C2C_FORWARD, a, a.shape)
+        transform(TransformKind.C2C_INVERSE, a, a.shape)
+        assert len(ledger) == 2
+        assert rows(ledger) == {
+            ((8, 8), "c2c_forward"): (1, 1),
+            ((8, 8), "c2c_inverse"): (0, 1),
+        }
 
-    def test_estimate_mode_never_measures(self):
-        cache = PlanCache()
-        cache.plan((11, 13), TransformKind.C2C_FORWARD, PlanningMode.ESTIMATE)
-        assert cache.planning_seconds == 0.0
+    def test_c2r_keyed_by_spatial_shape(self, ledger):
+        """The half-spectrum cannot tell an even width from an odd one;
+        a C2R row names the real output."""
+        for w in (6, 7):
+            spec = np.ones((5, 4), dtype=np.complex128)
+            assert transform(TransformKind.C2R, spec, (5, w)).shape == (5, w)
+        assert set(rows(ledger)) == {((5, 6), "c2r"), ((5, 7), "c2r")}
 
-    def test_measured_modes_record_planning_time(self):
-        cache = PlanCache()
-        cache.plan((11, 13), TransformKind.C2C_FORWARD, PlanningMode.PATIENT)
-        assert cache.planning_seconds > 0.0
+    def test_batch_axis_counts_under_its_slice_shape(self, ledger):
+        a = np.ones((3, 4, 6))
+        transform(TransformKind.R2C, a, a.shape)
+        assert rows(ledger) == {((4, 6), "r2c"): (0, 1)}
 
-    def test_planning_effort_ordering(self):
-        assert (
-            PlanningMode.ESTIMATE.trials
-            < PlanningMode.MEASURE.trials
-            < PlanningMode.PATIENT.trials
-            < PlanningMode.EXHAUSTIVE.trials
-        )
-
-    def test_allow_padding_false_is_shape_preserving(self):
-        cache = PlanCache()
-        plan = cache.plan((11, 13), TransformKind.C2C_FORWARD,
-                          PlanningMode.PATIENT, allow_padding=False)
-        assert plan.strategy == "direct"
-        assert plan.fft_shape == (11, 13)
+    def test_clear(self, ledger):
+        transform(TransformKind.R2C, np.ones((4, 4)), (4, 4))
+        ledger.clear()
+        assert (ledger.hits, ledger.misses, len(ledger)) == (0, 0, 0)
+        assert ledger.stats()["per_shape"] == []
 
 
 class TestPerShapeStats:
-    def test_hits_and_misses_tallied_per_key(self):
-        cache = PlanCache()
-        cache.plan((8, 8), TransformKind.C2C_FORWARD)   # miss
-        cache.plan((8, 8), TransformKind.C2C_FORWARD)   # hit
-        cache.plan((8, 8), TransformKind.C2C_FORWARD)   # hit
-        cache.plan((4, 4), TransformKind.C2C_FORWARD)   # miss
-        stats = cache.stats()
+    def test_hits_and_misses_tallied_per_key(self, ledger):
+        big, small = np.ones((8, 8)) + 0j, np.ones((4, 4)) + 0j
+        for a in (big, big, big, small):
+            transform(TransformKind.C2C_FORWARD, a, a.shape)
+        stats = ledger.stats()
         assert stats["hits"] == 2 and stats["misses"] == 2
-        by_key = {
-            (tuple(r["shape"]), r["kind"]): r for r in stats["per_shape"]
+        assert rows(ledger) == {
+            ((8, 8), TransformKind.C2C_FORWARD.value): (2, 1),
+            ((4, 4), TransformKind.C2C_FORWARD.value): (0, 1),
         }
-        big = by_key[((8, 8), TransformKind.C2C_FORWARD.value)]
-        small = by_key[((4, 4), TransformKind.C2C_FORWARD.value)]
-        assert (big["hits"], big["misses"]) == (2, 1)
-        assert (small["hits"], small["misses"]) == (0, 1)
 
-    def test_mixed_resolutions_stay_separate(self):
-        """Coarse-to-fine uses one cache for both resolutions: the
-        (shape, kind) keying must never let one shape's plan satisfy
-        the other's lookups."""
-        cache = PlanCache()
-        full = cache.plan((128, 128), TransformKind.C2C_INVERSE)
-        coarse = cache.plan((64, 64), TransformKind.C2C_INVERSE)
-        assert full is not coarse
-        assert cache.plan((128, 128), TransformKind.C2C_INVERSE) is full
-        assert cache.plan((64, 64), TransformKind.C2C_INVERSE) is coarse
-        by_shape = {
-            tuple(r["shape"]): r for r in cache.stats()["per_shape"]
+    def test_mixed_resolutions_stay_separate(self, ledger):
+        """Coarse-to-fine transforms at two resolutions in one process:
+        each shape keeps its own row."""
+        for shape in [(128, 128), (64, 64)] * 2:
+            spec = np.ones(shape, dtype=np.complex128)
+            transform(TransformKind.C2C_INVERSE, spec, shape)
+        assert rows(ledger) == {
+            ((128, 128), "c2c_inverse"): (1, 1),
+            ((64, 64), "c2c_inverse"): (1, 1),
         }
-        assert by_shape[(128, 128)]["misses"] == 1
-        assert by_shape[(64, 64)]["misses"] == 1
-        assert by_shape[(128, 128)]["hits"] == 1
-        assert by_shape[(64, 64)]["hits"] == 1
 
-    def test_per_shape_sorted_largest_first(self):
-        cache = PlanCache()
-        cache.plan((4, 4), TransformKind.R2C)
-        cache.plan((64, 64), TransformKind.R2C)
-        cache.plan((16, 16), TransformKind.R2C)
-        shapes = [tuple(r["shape"]) for r in cache.stats()["per_shape"]]
+    def test_per_shape_sorted_largest_first(self, ledger):
+        for n in (4, 64, 16):
+            transform(TransformKind.R2C, np.ones((n, n)), (n, n))
+        shapes = [tuple(r["shape"]) for r in ledger.stats()["per_shape"]]
         assert shapes == [(64, 64), (16, 16), (4, 4)]
 
-    def test_executions_reported(self):
-        cache = PlanCache()
-        plan = cache.plan((4, 4), TransformKind.C2C_FORWARD)
+    def test_executions_reported(self, ledger):
+        """A row's hits plus misses is the transforms run at its shape."""
         a = np.ones((4, 4), dtype=np.complex128)
-        plan.execute(a)
-        plan.execute(a)
-        (row,) = cache.stats()["per_shape"]
-        assert row["executions"] == 2
+        for _ in range(3):
+            transform(TransformKind.C2C_FORWARD, a, a.shape)
+        (row,) = ledger.stats()["per_shape"]
+        assert row["hits"] + row["misses"] == 3
 
-
-class TestWisdom:
-    def test_roundtrip(self):
-        cache = PlanCache()
-        cache.plan((11, 13), TransformKind.C2C_FORWARD, PlanningMode.MEASURE)
-        blob = cache.export_wisdom()
-        fresh = PlanCache()
-        assert fresh.import_wisdom(blob) == 1
-        # Wisdom short-circuits measurement entirely.
-        fresh.plan((11, 13), TransformKind.C2C_FORWARD, PlanningMode.EXHAUSTIVE)
-        assert fresh.planning_seconds == 0.0
-
-    def test_import_is_accumulative_not_overwriting(self):
-        cache = PlanCache()
-        cache.plan((8, 8), TransformKind.C2C_FORWARD, PlanningMode.MEASURE)
-        blob = cache.export_wisdom()
-        assert cache.import_wisdom(blob) == 0  # already known
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(ValueError):
-            PlanCache().import_wisdom(json.dumps({"version": 99, "wisdom": []}))
-
-    def test_wisdom_is_json(self):
-        cache = PlanCache()
-        cache.plan((4, 4), TransformKind.R2C)
-        data = json.loads(cache.export_wisdom())
-        assert data["version"] == 1
-        assert data["wisdom"][0]["key"]["shape"] == [4, 4]
+    def test_concurrent_transforms_all_counted(self, ledger):
+        """Pair workers share the ledger: every transform counts once and
+        each new problem is one miss, however the threads interleave."""
+        threads, shapes = 8, [(2, n) for n in range(2, 202)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=lambda: [
+                    transform(TransformKind.R2C, np.ones(shape), shape)
+                    for shape in shapes
+                ])
+                for _ in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert ledger.misses == len(shapes)
+        assert ledger.hits == (threads - 1) * len(shapes)

@@ -148,7 +148,7 @@ class TestNegativeControls:
 class TestModerateScale:
     def test_10x10_grid_full_pipeline(self, tmp_path):
         """A 100-tile acquisition through stitch + streaming compose."""
-        from repro.core.compose import compose_to_tiff
+        from repro.core.streamcompose import stream_compose_to_tiff
         from repro.io.tiff import read_tiff
 
         ds = make_synthetic_dataset(
@@ -158,5 +158,5 @@ class TestModerateScale:
         res = Stitcher().stitch(ds)
         assert res.position_errors().max() == 0.0
         out = tmp_path / "big.tif"
-        shape = compose_to_tiff(out, ds.load, res.positions, ds.tile_shape).shape
+        shape = stream_compose_to_tiff(out, ds.load, res.positions, ds.tile_shape).shape
         assert read_tiff(out).shape == shape

@@ -1,6 +1,7 @@
 """TIFF codec: roundtrip, structure, and malformed-input rejection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,3 +292,62 @@ class TestCoalescedStripReads:
         tables_at = 8 + 2 + 12 * 9 + 4
         with pytest.raises(TiffError, match="truncated"):
             self.read(tmp_path, blob[: tables_at + 4 * 3])
+
+
+class TestBoundedReads:
+    """No length field of the file sizes a read or a buffer past the file."""
+
+    def test_huge_tag_count_fails_typed_without_allocating(self, tmp_path):
+        p = tmp_path / "t.tif"
+        write_tiff(p, np.zeros((4, 4), dtype=np.uint16))
+        blob = bytearray(p.read_bytes())
+        (ifd,) = struct.unpack_from("<I", blob, 4)
+        (n,) = struct.unpack_from("<H", blob, ifd)
+        for entry in range(ifd + 2, ifd + 2 + 12 * n, 12):
+            if struct.unpack_from("<H", blob, entry)[0] == 256:  # ImageWidth
+                struct.pack_into("<I", blob, entry + 4, 2**30)  # 4 GiB of LONGs
+        p.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TiffError, match="truncated"):
+                read_tiff(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_width_past_the_strips_fails_before_the_window(self, tmp_path):
+        p = tmp_path / "t.tif"
+        write_tiff(p, np.zeros((30, 40), dtype=np.uint16),
+                   compression="packbits")
+        blob = bytearray(p.read_bytes())
+        (ifd,) = struct.unpack_from("<I", blob, 4)
+        struct.pack_into("<I", blob, ifd + 2 + 8, 2**31)  # ImageWidth value
+        p.write_bytes(bytes(blob))
+        with pytest.raises(TiffError, match="cannot decode"):
+            read_tiff(p)
+
+    @pytest.mark.parametrize("compression", ["none", "packbits"])
+    def test_seeded_mutations_decode_or_fail_typed(self, tmp_path, compression):
+        """Groundwork for parser fuzzing: 1-4 random byte writes into a
+        valid file either still decode or raise :class:`TiffError` --
+        never ``MemoryError``, ``struct.error`` or another crash."""
+        rng = np.random.default_rng(35)
+        src = tmp_path / "src.tif"
+        pixels = (np.arange(30 * 40).reshape(30, 40) // 7).astype(np.uint16)
+        write_tiff(src, pixels, description="r=1 c=2", rows_per_strip=4,
+                   compression=compression)
+        blob = src.read_bytes()
+        p = tmp_path / "m.tif"
+        outcomes = {"decoded": 0, "TiffError": 0}
+        for _ in range(2000):
+            mutated = bytearray(blob)
+            for at in rng.integers(0, len(blob), rng.integers(1, 5)):
+                mutated[at] = rng.integers(0, 256)
+            p.write_bytes(bytes(mutated))
+            try:
+                read_tiff(p)
+                outcomes["decoded"] += 1
+            except TiffError:
+                outcomes["TiffError"] += 1
+        assert outcomes["decoded"] and outcomes["TiffError"]

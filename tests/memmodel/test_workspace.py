@@ -1,7 +1,7 @@
 """A warm pair with a workspace allocates nothing array-sized.
 
 The pair workspace holds the NCC, its magnitude and one spatial surface;
-the inverse transform lands in that surface (``Plan.execute(out=)``) and
+the inverse transform lands in that surface (``transform(..., out=)``) and
 the peak reduction takes its magnitude there in place.  Measured by
 tracemalloc (numpy registers its buffers with it), at the size of one
 696x520 camera tile.

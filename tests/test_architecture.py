@@ -248,6 +248,29 @@ def test_ffts_have_one_gateway():
     assert not found, found
 
 
+def test_only_the_tile_forward_and_the_pair_inverse_call_the_gateway():
+    """Phase 1 transforms in two places: a tile's forward spectrum
+    (forward_fft) and a pair's inverse NCC (correlation_peaks), plus
+    their virtual-GPU twins in gpu/kernels.py.  No layer sits between
+    them and fftlib.plans.transform, and nothing else transforms."""
+    callers = set()
+    for where, tree in modules():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "transform" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add((where, fn.name))
+    assert {where for where, _ in callers} == {
+        "core/pciam.py", "gpu/kernels.py",
+    }, callers
+    assert {name for where, name in callers if where == "core/pciam.py"} == {
+        "forward_fft", "correlation_peaks",
+    }, callers
+
+
 def test_phase2_holds_one_edge_table_under_both_solvers():
     """core/global_opt.py decides what a pair contributes -- its
     measurement or, when demoted, the nominal prior -- in _edge_table,

@@ -354,6 +354,20 @@ class TestRobustnessFlags:
         assert any("watchdog" in v for v in errs.values())
 
 
+class TestServeFlags:
+    def test_bad_brownout_is_a_usage_error(self, tmp_path, capsys):
+        """A malformed ``--brownout`` is refused by argparse on stderr,
+        before the service creates its spool."""
+        spool = tmp_path / "spool"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--spool", str(spool), "--brownout", "bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --brownout:" in captured.err
+        assert not spool.exists()
+
+
 class TestOneEntryPoint:
     """Every ``--impl`` goes through ``Stitcher``: no flag is dropped."""
 
@@ -364,29 +378,21 @@ class TestOneEntryPoint:
         return tmp_path / "ds"
 
     def test_pad_refine_checkpoint_take_effect_on_impl_path(
-        self, ds97, tmp_path, monkeypatch
+        self, ds97, tmp_path, monkeypatch, ledger
     ):
         """The drift the second stitch path caused: ``--pad --refine
         --impl mt-cpu --checkpoint d`` journaled ``fft_shape=[98,98],
         refine=true`` while transforming at 97x97 and never refining."""
         from repro.core.stitcher import Stitcher
-        from repro.fftlib import plans
         from repro.recovery.journal import load_journal
 
-        caches, results = [], []
-
-        class RecordingCache(plans.PlanCache):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                caches.append(self)
-
+        results = []
         stitch = Stitcher.stitch
 
         def recording_stitch(self, dataset):
             results.append(stitch(self, dataset))
             return results[-1]
 
-        monkeypatch.setattr(plans, "PlanCache", RecordingCache)
         monkeypatch.setattr(Stitcher, "stitch", recording_stitch)
         ckpt = tmp_path / "d"
         pa, pb = tmp_path / "impl.json", tmp_path / "default.json"
@@ -398,8 +404,7 @@ class TestOneEntryPoint:
         assert options["fft_shape"] == [98, 98]
         assert options["refine"] is True
         # The run transformed at the shape its journal says it did ...
-        (cache,) = caches
-        shapes = {tuple(row["shape"]) for row in cache.stats()["per_shape"]}
+        shapes = {tuple(row["shape"]) for row in ledger.stats()["per_shape"]}
         assert shapes == {(98, 98)}
         # ... ran the refine pass, phase 2 and the timing, once ...
         (result,) = results
