@@ -414,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "full-resolution PCIAM")
     s.add_argument("--pad", dest="pad_to_smooth", action="store_true",
                    help="pad FFTs to smooth sizes")
-    s.add_argument("--refine", action="store_true",
-                   help="stage-model filter + repair between phases 1 and 2")
+    s.add_argument("--refine", action="store_true", default=None,
+                   help="re-measure the pairs the quality gate demotes "
+                        "from its stage model (implies --quality-gate)")
     s.add_argument("--quality-gate", dest="quality", action="store_true",
                    help="score every pair (confidence, peak sharpness, "
                         "stage-model deviation) and demote untrustworthy "

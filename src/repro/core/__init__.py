@@ -31,7 +31,6 @@ from repro.core.options import StitchOptions
 from repro.core.pciam import CcfMode, pciam
 from repro.core.peak import peak_candidates, peak_location, top_peaks
 from repro.core.pyramid import MosaicPyramid, downsample
-from repro.core.refine import RefineConfig, RefineReport, refine_displacements
 from repro.core.stitcher import Stitcher, StitchResult
 
 __all__ = [
@@ -52,9 +51,6 @@ __all__ = [
     "MosaicPyramid",
     "downsample",
     "top_peaks",
-    "RefineConfig",
-    "RefineReport",
-    "refine_displacements",
     "Stitcher",
     "StitchOptions",
     "StitchResult",

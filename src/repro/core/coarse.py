@@ -290,6 +290,36 @@ class FullSpectrum:
             return self._spectrum
 
 
+def climb(probe, x: int, y: int, c: float,
+          reach: int) -> tuple[float, int, int]:
+    """Steepest ascent of the memoized CCF ``probe(tx, ty)`` from ``(x, y)``,
+    which scores ``c``: orthogonal neighbours first, the diagonals only on
+    an orthogonal plateau (ridges at ~45 degrees can hide the summit
+    there).  Returns ``(c, tx, ty)`` of the summit; ``c`` is ``-inf`` on a
+    tie (no strict 8-neighbour maximum) or past Chebyshev ``reach``.
+    """
+    x0, y0 = x, y
+    while True:
+        step, sc = None, c
+        for moves in (_ORTHOGONAL, _DIAGONAL):
+            for dx, dy in moves:
+                n = probe(x + dx, y + dy)
+                if n > sc:
+                    sc, step = n, (x + dx, y + dy)
+            if step is not None:
+                break
+        if step is None:
+            break
+        (x, y), c = step, sc
+        if max(abs(x - x0), abs(y - y0)) > reach:
+            return -np.inf, x, y
+    # All eight neighbours are probed and none is higher: a summit only
+    # if none ties.
+    if any(probe(x + dx, y + dy) == c for dx, dy in _ORTHOGONAL + _DIAGONAL):
+        return -np.inf, x, y
+    return c, x, y
+
+
 def refine_from_coarse_peaks(
     peaks: list[tuple[float, int, int]],
     coarse_fft_shape: tuple[int, int],
@@ -316,13 +346,9 @@ def refine_from_coarse_peaks(
     before paying for the near-full-overlap aliases at several times the
     price.  Each hill is localised -- its centre, then the voted offsets
     up to ``factor // 2`` -- and ranked by the best of those probes; the
-    best hill is then walked uphill from there (deterministic steepest
-    ascent: orthogonal neighbours first, diagonals only on an orthogonal
-    plateau, probes memoized), and absent a decisive probe a close
-    runner-up is climbed too.  A climb scores only where it settles on a
-    strict maximum of all eight neighbours within Chebyshev
-    ``2 * config.radius`` of its start; one that ends on a tie or would
-    walk further scores ``-inf``.  Every probe, voted or climbed, passes
+    best hill is then climbed from there (:func:`climb`, within
+    Chebyshev ``2 * config.radius``), and absent a decisive probe a
+    close runner-up is climbed too.  Every probe, voted or climbed, passes
     the same sliver floor, and all of them together stay within
     :data:`PROBE_BUDGET` -- the best probe is ``-inf`` when the next one
     would overrun it.  No full-resolution FFT is involved: each probe is
@@ -415,44 +441,17 @@ def refine_from_coarse_peaks(
     centers.sort(key=lambda e: (-e[0], e[1]))
 
     reach = 2 * config.radius
-
-    def climb(x: int, y: int, c: float) -> tuple[float, int, int]:
-        # Steepest ascent, orthogonal neighbours first and the diagonals
-        # only on an orthogonal plateau (ridges at ~45 degrees can hide
-        # the summit there), until no neighbour scores higher.
-        x0, y0 = x, y
-        while True:
-            step, sc = None, c
-            for moves in (_ORTHOGONAL, _DIAGONAL):
-                for dx, dy in moves:
-                    n = probe(x + dx, y + dy)
-                    if n > sc:
-                        sc, step = n, (x + dx, y + dy)
-                if step is not None:
-                    break
-            if step is None:
-                break
-            (x, y), c = step, sc
-            if max(abs(x - x0), abs(y - y0)) > reach:
-                return -np.inf, x, y
-        # All eight neighbours are probed and none is higher: a summit
-        # only if none ties.
-        if any(memo[x + dx, y + dy] == c
-               for dx, dy in _ORTHOGONAL + _DIAGONAL):
-            return -np.inf, x, y
-        return c, x, y
-
     best = (-np.inf, 0, 0)
     if centers:
         c0, (sx, sy) = centers[0]
-        best = max(best, climb(sx, sy, c0))
+        best = max(best, climb(probe, sx, sy, c0, reach))
         # A decisive best centre (already above the gate) cannot be beaten
         # by another hill -- wrong hills top out well below the gate -- so
         # the runner-up climb is only paid when the contest was close.
         if len(centers) > 1 and c0 < config.conf_thresh:
             c1, (sx, sy) = centers[1]
             if c1 >= c0 - _HILL_MARGIN:
-                best = max(best, climb(sx, sy, c1))
+                best = max(best, climb(probe, sx, sy, c1, reach))
     if left < 0:
         best = (-np.inf, 0, 0)
     corr, tx, ty = float(best[0]), int(best[1]), int(best[2])

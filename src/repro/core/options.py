@@ -20,7 +20,6 @@ from numbers import Integral, Real
 from repro.core.coarse import CoarseConfig
 from repro.core.pciam import CcfMode, smooth_fft_shape
 from repro.core.quality_gate import RESIDUE_MODES, QualityConfig  # noqa: F401 -- RESIDUE_MODES re-exported (CLI choices)
-from repro.core.refine import RefineConfig
 from repro.grid.traversal import Traversal
 from repro.recovery.journal import dataset_fingerprint
 
@@ -59,8 +58,9 @@ POSITION_METHODS = ("mst", "least_squares")
 TILE_ERROR_POLICIES = ("abort", "skip")
 
 #: Flat keys that are sugar for one field of a nested config; naming any
-#: of them turns the feature on (``quality`` / ``coarse``).
-QUALITY_KNOBS = ("conf_thresh", "residue_mode", "min_peak_ratio")
+#: of them turns the feature on (``quality`` / ``coarse``), bar
+#: ``refine=False`` (``refine`` is ``quality.refine``, the gate's repair).
+QUALITY_KNOBS = ("conf_thresh", "residue_mode", "min_peak_ratio", "refine")
 COARSE_KNOBS = ("coarse_scale", "coarse_conf_thresh")
 
 
@@ -134,9 +134,9 @@ def _switch(name: str, value, cls):
 class StitchOptions:
     """What a stitch computes and how; frozen, validated at construction.
 
-    ``refine`` / ``quality`` take ``True`` for the default config, a
-    config object for tuned behaviour, or ``None``/``False`` for off (the
-    default -- results stay bit-identical to runs without the feature).
+    ``quality`` takes ``True`` for the default config, a config object
+    for tuned behaviour, or ``None``/``False`` for off (the default --
+    results stay bit-identical to runs without the feature).
     ``coarse`` takes the same values, except that its default ``None``
     means undecided: the tile shape decides (:meth:`coarse_for`), and
     only ``False`` turns it off at every size.  ``traversal`` /
@@ -157,9 +157,7 @@ class StitchOptions:
     subpixel: bool = False
     pad_to_smooth: bool = False
     position_method: str = "mst"
-    #: MIST-style stage-model filter/repair pass between phases 1 and 2.
-    refine: RefineConfig | None = None
-    #: Phase-2 registration quality gate (docs/ROBUSTNESS.md).
+    #: Phase-2 quality gate and its repair step (docs/ROBUSTNESS.md).
     quality: QualityConfig | None = None
     #: Two-pass coarse-to-fine registration (docs/PERFORMANCE.md):
     #: ``None`` = from :data:`COARSE_MIN_TILE_PIXELS` up, ``False`` = never.
@@ -173,8 +171,7 @@ class StitchOptions:
     def __post_init__(self) -> None:
         for name, cls in (("traversal", Traversal), ("ccf_mode", CcfMode)):
             object.__setattr__(self, name, _enum(name, getattr(self, name), cls))
-        for name, cls in (("refine", RefineConfig), ("quality", QualityConfig),
-                          ("coarse", CoarseConfig)):
+        for name, cls in (("quality", QualityConfig), ("coarse", CoarseConfig)):
             value = getattr(self, name)
             if not (name == "coarse" and value is False):
                 object.__setattr__(self, name, _switch(name, value, cls))
@@ -237,8 +234,12 @@ class StitchOptions:
             if (value := flat.pop(key, None)) is not None
         }
         for key, value in knobs.items():
-            if key != "residue_mode":
+            if key == "refine" and not isinstance(value, bool):
+                raise ValueError(f"refine must be true or false, got {value!r}")
+            if key not in ("refine", "residue_mode"):
                 check_number(key, value)
+        if knobs.get("refine") is False:
+            del knobs["refine"]
         options = cls(**flat)
         quality = {k: knobs[k] for k in QUALITY_KNOBS if k in knobs}
         coarse = {}
@@ -298,7 +299,7 @@ class StitchOptions:
             "subpixel": self.subpixel,
             "fft_shape": list(fft_shape) if fft_shape is not None else None,
             "position_method": self.position_method,
-            "refine": self.refine is not None,
+            "refine": bool(self.quality and self.quality.refine),
             "coarse": coarse.to_fingerprint() if coarse is not None else None,
         }
 

@@ -24,6 +24,10 @@ neighbours.
 Ungated pairs keep their exact correlation as the confidence score, so
 a clean grid solves bit-identically to the ungated code path.
 
+Opt-in, :func:`repair` (``refine``, MIST's refinement) then measures
+the demoted pairs again, climbing each one's CCF from the same stage
+model's step; it reads their tiles again, so it stays off by default.
+
 The damped side of the same coin -- Huber/threshold IRLS re-weighting of
 large residuals during the least-squares solve -- is configured here
 (``residue_mode``, after feabas's ``residue_mode: huber`` +
@@ -35,10 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
+from repro.core.coarse import climb
 from repro.core.displacement import DisplacementResult, Translation
+from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
 from repro.grid.neighbors import Direction
 
 #: Confidence assigned to a non-finite correlation (NaN/inf CCF values
@@ -68,16 +75,17 @@ class QualityConfig:
         The ratio is always >= 1 when defined, so the default ``1.0``
         never gates; raise to ~1.05-1.2 to reject diffuse surfaces.
         Pairs without a recorded ratio (``n_peaks == 1`` runs, resumed
-        journals from older versions, refined pairs) pass this gate.
+        journals from older versions, repaired pairs) pass this gate.
     ``stage_radius``
         Stage repeatability radius in pixels: translations deviating
         from the per-direction median by more than this are demoted.
         ``None`` derives it from the trusted translations themselves
-        (``max(8, 5 x MAD)`` -- deliberately wider than the refine
-        pass's repair radius so clean stage jitter never gates).
+        (``max(8, 5 x MAD)``, wide enough that clean stage jitter never
+        gates).  It is also how far repair may climb from the median.
     ``min_valid_for_model``
         Minimum trusted pairs per direction before a stage model is fit
-        (below it, the deviation gate is off for that direction).
+        (below it, the deviation gate is off for that direction and its
+        gated pairs are not repaired).
     ``residue_mode``
         IRLS damping of large post-solve residuals in the
         least-squares solver: ``"none"`` (single solve, the legacy
@@ -94,6 +102,8 @@ class QualityConfig:
         Least-squares weight of a demoted (nominal-prior) edge --
         strong enough to keep the graph numerically connected, weak
         enough that measured edges dominate.
+    ``refine``
+        Repair gated pairs before the solve (:func:`repair`).
     """
 
     conf_thresh: float = 0.33
@@ -105,6 +115,7 @@ class QualityConfig:
     max_irls_iterations: int = 50
     irls_tol: float = 1e-6
     gate_weight: float = 1e-3
+    refine: bool = False
 
     def __post_init__(self) -> None:
         if self.residue_mode not in RESIDUE_MODES:
@@ -115,6 +126,15 @@ class QualityConfig:
         if not -1.0 <= self.conf_thresh <= 1.0:
             raise ValueError(
                 f"conf_thresh must be in [-1, 1], got {self.conf_thresh}"
+            )
+        if self.stage_radius is not None and self.stage_radius <= 0:
+            raise ValueError(
+                f"stage_radius must be > 0, got {self.stage_radius}"
+            )
+        if self.min_valid_for_model < 1:
+            raise ValueError(
+                f"min_valid_for_model must be >= 1, "
+                f"got {self.min_valid_for_model}"
             )
         if self.min_peak_ratio < 0:
             raise ValueError(
@@ -326,3 +346,40 @@ def assess_quality(
                 reasons=tuple(reasons),
             )
     return assessment
+
+
+def repair(disp: DisplacementResult, assessment: QualityAssessment,
+           load_tile, subpixel: bool = False) -> tuple[int, int]:
+    """Re-measure, in place, the pairs of ``disp`` that ``assessment`` gates.
+
+    A gated pair whose direction has a stage model is climbed
+    (:func:`repro.core.coarse.climb`) over its two tiles' statistics from
+    the model's rounded median step, out to ``ceil(radius)``; a summit at
+    or above ``conf_thresh`` replaces it (with the sub-pixel vertex under
+    ``subpixel``), and any other pair stays as measured, and gated.
+    Returns ``(repaired, unrepairable)``.
+    """
+    repaired = unrepairable = 0
+    for (d, r, c), q in assessment.pairs.items():
+        if not q.gated:
+            continue
+        model = assessment.stage_model.get(d)
+        if model is None:
+            unrepairable += 1
+            continue
+        direction = Direction(d)
+        first = (r, c - 1) if direction is Direction.WEST else (r - 1, c)
+        stats_i = TileStats(load_tile(*first))
+        stats_j = TileStats(load_tile(r, c))
+        probe = cache(partial(ccf_at_stats, stats_i, stats_j))
+        x, y = round(model.median_tx), round(model.median_ty)
+        corr, tx, ty = climb(probe, x, y, probe(x, y), math.ceil(model.radius))
+        if not corr >= assessment.config.conf_thresh:
+            unrepairable += 1
+            continue
+        tx_f = ty_f = None
+        if subpixel:
+            tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, tx, ty)
+        disp.set(direction, r, c, Translation(corr, tx, ty, tx_f, ty_f))
+        repaired += 1
+    return repaired, unrepairable

@@ -30,7 +30,7 @@ from repro.core.options import (  # noqa: F401 -- re-exported: importers of the 
     scheduler_options,
     schedulers_honouring,
 )
-from repro.core.refine import refine_displacements
+from repro.core.quality_gate import assess_quality, repair
 from repro.faults.report import FaultReport
 from repro.io.dataset import TileDataset
 from repro.observe.metrics import MetricsRegistry
@@ -220,8 +220,8 @@ class Stitcher:
 
     Every scheduler (``impl``) runs the same
     :class:`~repro.core.kernel.Phase1Kernel`, so all produce identical
-    displacements; refinement, phase 2, fault/quality reporting and
-    timing happen here, once, whichever one ran.
+    displacements; the quality gate's repair, phase 2, fault/quality
+    reporting and timing happen here, once, whichever one ran.
     """
 
     def __init__(
@@ -389,11 +389,11 @@ class Stitcher:
             if journal is not None:
                 journal.close()
             raise
-        if opts.refine is not None:
+        if opts.quality is not None and opts.quality.refine:
             with tracer.span("refine", "stitcher"):
-                disp, rep = refine_displacements(disp, dataset.load, opts.refine)
-            stats["refined_pairs"] = rep.repaired
-            stats["unrepairable_pairs"] = rep.unrepairable
+                stats["refined_pairs"], stats["unrepairable_pairs"] = repair(
+                    disp, assess_quality(disp, opts.quality), dataset.load,
+                    opts.subpixel)
         t1 = time.perf_counter()
         degrade = {}
         if policy is not None and opts.on_tile_error == "skip":

@@ -41,6 +41,7 @@ import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -53,6 +54,27 @@ RESUME_MODES = ("auto", "require", "never")
 #: record, in serialization order.
 _PAIR_FIELDS = ("correlation", "tx", "ty", "tx_f", "ty_f", "peak_ratio",
                 "prov")
+
+#: Field types a record must have to be replayed (``?``: or absent/null):
+#: the CRC covers whatever was written, so a valid one proves no types.
+_RECORD_FIELDS = {
+    "header": {"fingerprint?": dict},
+    "pair": {"d": str, "r": int, "c": int, "correlation": Real,
+             "tx": int, "ty": int, "tx_f?": Real, "ty_f?": Real,
+             "peak_ratio?": Real, "prov?": str},
+    "milestone": {"name": str, "data?": dict},
+    "tile_skipped": {"r": int, "c": int, "error?": str},
+}
+
+
+def _well_formed(obj: dict) -> bool:
+    """``obj`` has its kind's field types (a bool is no number)."""
+    for name, kind in _RECORD_FIELDS.get(obj.get("t"), {}).items():
+        value = obj.get(name.rstrip("?"))
+        if not (value is None and name.endswith("?")) and (
+                isinstance(value, bool) or not isinstance(value, kind)):
+            return False
+    return True
 
 
 class JournalError(RuntimeError):
@@ -176,7 +198,8 @@ class JournalLoadStats:
     pairs: int = 0
     milestones: int = 0
     skipped_tiles: int = 0
-    #: Interior lines whose CRC (or JSON) was invalid -- skipped, counted.
+    #: Interior lines whose JSON, CRC or field types were invalid --
+    #: skipped, counted (a resume recomputes what they recorded).
     crc_rejected: int = 0
     #: A truncated/invalid *final* line (torn write at kill time).
     torn_tail: int = 0
@@ -243,13 +266,13 @@ def _apply_line(state: JournalState, line: bytes) -> bool:
     if not isinstance(obj, dict):
         return False
     crc = obj.pop("crc", None)
-    if crc != _crc(obj):
+    if crc != _crc(obj) or not _well_formed(obj):
         return False
     kind = obj.get("t")
     if kind == "header":
         state.header = obj
     elif kind == "pair":
-        key = (obj["d"], int(obj["r"]), int(obj["c"]))
+        key = (obj["d"], obj["r"], obj["c"])
         if key in state.pairs:
             state.stats.duplicates += 1
         # Replay state uses Translation field names; ``prov`` is only the
@@ -262,7 +285,7 @@ def _apply_line(state: JournalState, line: bytes) -> bool:
         state.milestones[obj["name"]] = obj.get("data", {})
         state.stats.milestones += 1
     elif kind == "tile_skipped":
-        state.skipped_tiles[(int(obj["r"]), int(obj["c"]))] = obj.get("error", "")
+        state.skipped_tiles[obj["r"], obj["c"]] = obj.get("error", "")
         state.stats.skipped_tiles = len(state.skipped_tiles)
     # Unknown record kinds are valid (CRC passed) but ignored: a newer
     # writer's journal replays on an older reader.

@@ -18,7 +18,6 @@ from repro.core.coarse import CoarseConfig
 from repro.core.options import FLAT_KEYS, StitchOptions
 from repro.core.pciam import CcfMode
 from repro.core.quality_gate import QualityConfig
-from repro.core.refine import RefineConfig
 from repro.core.stitcher import Stitcher
 from repro.grid.traversal import Traversal
 from repro.service.jobs import (
@@ -40,7 +39,12 @@ RESOLVED = [
     ({"subpixel": True}, None, {"subpixel": True}),
     ({"traversal": "row"}, None, {"traversal": Traversal.ROW}),
     ({"pad_to_smooth": True}, ["--pad"], {"pad_to_smooth": True}),
-    ({"refine": True}, ["--refine"], {"refine": RefineConfig()}),
+    # ``refine`` is the gate's repair step: it turns the gate on, and
+    # ``False`` is no switch at all.
+    ({"refine": True}, ["--refine"], {"quality": QualityConfig(refine=True)}),
+    ({"refine": False}, [], {}),
+    ({"refine": True, "conf_thresh": 0.4}, ["--refine", "--conf-thresh", "0.4"],
+     {"quality": QualityConfig(conf_thresh=0.4, refine=True)}),
     # The quality gate: the switch, or any knob -- even against the switch.
     ({"quality": True}, ["--quality-gate"], {"quality": QualityConfig()}),
     ({"conf_thresh": 0.4}, ["--conf-thresh", "0.4"],
@@ -96,6 +100,8 @@ REFUSED = [
     ({"quality": "false"}, None, "quality"),
     ({"coarse": 1}, None, "coarse"),
     ({"subpixel": "yes"}, None, "subpixel"),
+    ({"refine": "yes"}, None, "refine must be true or false"),
+    ({"refine": 1}, None, "refine must be true or false"),
     ({"impl": "warp-drive"}, ["--impl", "warp-drive"], "unknown impl"),
 ]
 
@@ -189,6 +195,12 @@ def test_keywords_override_an_options_value():
     )
     with pytest.raises(TypeError, match="StitchOptions"):
         Stitcher(Traversal.ROW)  # the first positional used to be traversal
+
+
+def test_refine_false_runs_no_gate(dataset_4x4):
+    result = Stitcher(refine=False).stitch(dataset_4x4)
+    assert "quality_report" not in result.stats
+    assert "refined_pairs" not in result.stats
 
 
 def test_option_reads_forward_to_the_options():

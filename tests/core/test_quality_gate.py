@@ -1,18 +1,26 @@
-"""Registration quality gate: scoring, demotion decisions, config."""
+"""Registration quality gate: scoring, demotion, repair, config."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.displacement import DisplacementResult, Translation
+from repro.core.displacement import (
+    DisplacementResult,
+    Translation,
+    compute_grid_displacements,
+)
+from repro.core.pciam import CcfMode
 from repro.core.peak import peak_magnitude_ratio
 from repro.core.quality_gate import (
     CORRELATION_FLOOR,
     QualityConfig,
     assess_quality,
     finite_correlation,
+    repair,
 )
+from repro.core.stitcher import Stitcher
+from repro.grid.neighbors import Direction
 
 
 def make_disp(rows=3, cols=3, corr=0.9, tx=50, ty=0, ntx=0, nty=48):
@@ -64,6 +72,11 @@ class TestQualityConfig:
             {"residue_len": 0.0},
             {"max_irls_iterations": 0},
             {"gate_weight": 0.0},
+            # A model from no pairs is NaN; phase 2 died on it.
+            {"min_valid_for_model": 0},
+            # A non-positive radius gates every pair.
+            {"stage_radius": -1.0},
+            {"stage_radius": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -178,3 +191,102 @@ class TestAssessQuality:
         for q in a.pairs.values():
             assert not q.gated
             assert "non_finite" in q.reasons
+
+
+class TestRepair:
+    """``refine``: gated pairs re-estimated from the gate's stage model."""
+
+    def _clean_disp(self, dataset, subpixel=False):
+        return compute_grid_displacements(
+            dataset.load, dataset.rows, dataset.cols,
+            ccf_mode=CcfMode.EXTENDED, n_peaks=2, subpixel=subpixel,
+        )
+
+    def _repair(self, disp, dataset, subpixel=False):
+        return repair(disp, assess_quality(disp, QualityConfig()),
+                      dataset.load, subpixel=subpixel)
+
+    def test_clean_grid_untouched(self, dataset_4x4):
+        disp = self._clean_disp(dataset_4x4)
+        before = [disp.entries(d) for d in Direction]
+        assert self._repair(disp, dataset_4x4) == (0, 0)
+        assert [disp.entries(d) for d in Direction] == before
+
+    def test_stage_model_per_direction(self, dataset_4x4):
+        """The one model repair climbs from: the gate's, per direction."""
+        model = assess_quality(self._clean_disp(dataset_4x4)).stage_model
+        assert set(model) == {"west", "north"}
+        assert 40 < model["west"].median_tx < 64  # ~ (1 - overlap) * 64
+        assert 40 < model["north"].median_ty < 64
+        assert model["west"].radius >= 8.0
+
+    def test_repairs_injected_garbage(self, dataset_4x4):
+        disp = self._clean_disp(dataset_4x4)
+        truth = disp.west[2][2]
+        disp.west[2][2] = Translation(-0.2, 5, 40)  # garbage, low confidence
+        assert self._repair(disp, dataset_4x4) == (1, 0)
+        got = disp.west[2][2]
+        assert abs(got.tx - truth.tx) <= 1 and abs(got.ty - truth.ty) <= 1
+        assert got.correlation >= QualityConfig().conf_thresh
+
+    def test_repairs_outlier_with_high_correlation(self, dataset_4x4):
+        """An edge can be confidently wrong (periodic texture); the stage
+        model gates it by its deviation, and repair measures it again."""
+        disp = self._clean_disp(dataset_4x4)
+        truth = disp.north[2][1]
+        disp.north[2][1] = Translation(0.95, truth.tx + 30, truth.ty - 25)
+        assert self._repair(disp, dataset_4x4) == (1, 0)
+        got = disp.north[2][1]
+        assert abs(got.tx - truth.tx) <= 1 and abs(got.ty - truth.ty) <= 1
+
+    def test_repaired_pair_carries_subpixel_estimate(self, dataset_4x4):
+        disp = self._clean_disp(dataset_4x4, subpixel=True)
+        truth = disp.west[2][2]
+        disp.west[2][2] = Translation(-0.2, 5, 40, 5.0, 40.0)
+        assert self._repair(disp, dataset_4x4, subpixel=True) == (1, 0)
+        got = disp.west[2][2]
+        assert got.tx_f is not None and got.ty_f is not None
+        assert abs(got.tx_f - truth.fx) <= 1 and abs(got.ty_f - truth.fy) <= 1
+
+    def test_direction_without_model_passes_through(self):
+        """Too few trusted pairs: no model to climb from, so nothing is
+        repaired and the gated pairs keep their measurements."""
+        d = DisplacementResult.empty(1, 3)
+        d.west[0][1] = Translation(-0.9, 1, 1)
+        d.west[0][2] = Translation(-0.8, 2, 2)
+        assessment = assess_quality(d, QualityConfig())
+        assert "west" not in assessment.stage_model
+        assert assessment.gated_pairs == 2
+
+        def no_reads(row, col):
+            raise AssertionError("repair read a tile it cannot repair")
+
+        before = d.entries(Direction.WEST)
+        assert repair(d, assessment, no_reads) == (0, 2)
+        assert d.entries(Direction.WEST) == before
+
+
+class TestStitcherRefine:
+    def test_refine_option_in_stitcher(self, dataset_4x4):
+        res = Stitcher(refine=True).stitch(dataset_4x4)
+        assert res.stats["refined_pairs"] == 0
+        assert res.stats["quality_report"]["gated_pairs"] == 0
+        assert res.position_errors().max() == 0.0
+
+    def test_refine_rescues_paper4_sign_folding(self, dataset_4x4):
+        """PAPER4 folds negative jitter onto the wrong sign; the gate's
+        stage model catches those outliers and repair re-measures them."""
+        kw = dict(ccf_mode=CcfMode.PAPER4, n_peaks=1)
+        plain = Stitcher(**kw).stitch(dataset_4x4)
+        refined = Stitcher(**kw, refine=True).stitch(dataset_4x4)
+        assert refined.stats["refined_pairs"] > 0
+        assert plain.position_errors().max() > 50
+        assert refined.position_errors().max() <= 3.16
+
+    def test_repaired_pairs_carry_subpixel_estimates(self, dataset_4x4):
+        res = Stitcher(ccf_mode=CcfMode.PAPER4, n_peaks=1, subpixel=True,
+                       refine=True).stitch(dataset_4x4)
+        assert res.stats["refined_pairs"] > 0
+        for d in Direction:
+            for _, _, t in res.displacements.entries(d):
+                assert t.tx_f is not None and t.ty_f is not None

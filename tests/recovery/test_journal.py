@@ -11,6 +11,7 @@ from repro.recovery.journal import (
     JournalError,
     JournalMismatch,
     RunJournal,
+    _encode_line,
     checkpoint_journal_path,
     fingerprint_diff,
     load_journal,
@@ -221,6 +222,43 @@ class TestTornTail:
         state = load_journal(path)
         assert state.stats.crc_rejected == 0
         assert ("west", 0, 1) in state.pairs
+
+    @pytest.mark.parametrize("record", [
+        '{"t": "pair", "r": 0, "c": 1}',  # KeyError at the parent
+        '{"t": "milestone"}',  # KeyError
+        '{"t": "pair", "d": "north", "r": "x", "c": 1, "correlation": 0.5,'
+        ' "tx": 1, "ty": 2}',  # ValueError
+        '{"t": "pair", "d": "north", "r": [1], "c": 1, "correlation": 0.5,'
+        ' "tx": 1, "ty": 2}',  # TypeError
+        '{"t": "pair", "d": ["w"], "r": 1, "c": 1, "correlation": 0.5,'
+        ' "tx": 1, "ty": 2}',  # TypeError
+        '{"t": "pair", "d": "north", "r": Infinity, "c": 1,'
+        ' "correlation": 0.5, "tx": 1, "ty": 2}',  # OverflowError
+        '{"t": "pair", "d": "north", "r": 1, "c": 1, "correlation": "hi",'
+        ' "tx": 1, "ty": 2}',  # accepted, then failed inside phase 2
+        '{"t": "pair", "d": "north", "r": true, "c": 1, "correlation": 0.5,'
+        ' "tx": 1, "ty": 2}',
+        '{"t": "tile_skipped", "r": 1, "c": 1.5}',
+        '{"t": "header", "fingerprint": 7}',
+    ])
+    def test_malformed_record_with_valid_crc_is_rejected(self, tmp_path,
+                                                          record):
+        """The CRC covers whatever was written, so a record can pass it
+        and still be malformed; it is counted and skipped, never replayed,
+        and the resumed run recomputes the pair."""
+        path = tmp_path / "journal.jsonl"
+        make_journal(path, [("west", 0, 1, T1)]).close()
+        with open(path, "a") as fh:
+            fh.write(_encode_line(json.loads(record)))
+        j = RunJournal.resume(path, FP)
+        j.record_pair("north", 1, 0, T2)
+        j.close()
+        state = load_journal(path)
+        assert state.stats.crc_rejected == 1
+        assert set(state.pairs) == {("west", 0, 1), ("north", 1, 0)}
+        j = RunJournal.resume(path, FP)
+        assert j.lookup("north", 1, 1) is None
+        j.close()
 
 
 class TestDuplicates:

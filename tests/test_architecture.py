@@ -220,6 +220,68 @@ def test_phase1_holds_one_correlation_front_half_and_one_ccf_contest():
     assert inverses == {"core/pciam.py::correlation_peaks"}, inverses
 
 
+def test_ccf_surfaces_have_one_climb():
+    """Coarse-to-fine's refinement and the quality gate's repair climb a
+    CCF surface with core/coarse.py's climb (strict 8-neighbour maximum,
+    bounded reach) over O(1) tile-statistics probes.  A second climb, or
+    a direct ccf_at scan outside core/ccf.py (which keeps it as the
+    tests' reference), is a second search with its own idea of a
+    summit."""
+    defined, callers, scans = set(), set(), set()
+    for where, tree in modules():
+        defined |= {
+            f"{where}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "climb"
+        }
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = (getattr(node.func, "id", None)
+                          or getattr(node.func, "attr", None))
+                if called == "climb":
+                    callers.add(f"{where}::{fn.name}")
+                if called == "ccf_at" and where != "core/ccf.py":
+                    scans.add(f"{where}::{fn.name}")
+    climbs = [
+        fn for fn in ast.parse((PACKAGE / "core/coarse.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "climb"
+    ]
+    assert len(climbs) == 1 and defined == {
+        f"core/coarse.py:{climbs[0].lineno}"}, defined
+    assert callers == {
+        "core/coarse.py::refine_from_coarse_peaks",
+        "core/quality_gate.py::repair",
+    }, callers
+    assert not scans, scans
+
+
+def test_stage_model_is_fit_once():
+    """The stage model -- a per-direction median step and a MAD radius --
+    is fit in core/quality_gate.py's _fit_stage_model: the gate demotes
+    against it and repair climbs from it.  Another function taking the
+    median of absolute deviations is a second model with its own
+    threshold and radius."""
+
+    def named(node, name):
+        return isinstance(node, ast.Call) and name == (
+            getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+
+    fits = set()
+    for where, tree in modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if named(node, "median") and any(
+                        named(inner, "abs")
+                        for arg in node.args for inner in ast.walk(arg)):
+                    fits.add(f"{where}::{fn.name}")
+    assert fits == {"core/quality_gate.py::_fit_stage_model"}, fits
+
+
 def test_ffts_have_one_gateway():
     """Every transform goes through repro.fftlib.plans.transform (numpy's
     pocketfft, byte-identical to scipy.fft); a module naming an FFT
