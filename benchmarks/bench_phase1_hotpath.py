@@ -33,6 +33,7 @@ Usage::
     python benchmarks/bench_phase1_hotpath.py --coarse-gate 1.0
     python benchmarks/bench_phase1_hotpath.py --stats-sweep  # TileStats threshold
     python benchmarks/bench_phase1_hotpath.py --coarse-corpus  # coarse gate
+    python benchmarks/bench_phase1_hotpath.py --memory  # live set per stitch
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from benchmarks._util import read_json, write_json  # noqa: E402
+from benchmarks._util import emit, read_json, write_json  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_phase1.json"
 
@@ -559,6 +560,105 @@ def _print_sweep(report: dict) -> None:
     print(f"  identical results: {report['identical_results']}")
 
 
+#: ``--memory`` geometry: a 3x3 grid (10 % overlap) of the e2e camera
+#: frame and of the paper's 1392x1040 tiles, each stitched coarse-to-fine
+#: and full PCIAM.
+MEMORY_GRID = (3, 3, 0.10)
+MEMORY_SHAPES = ((520, 696), (1040, 1392))
+#: Warm stitches per configuration whose minor faults are averaged.
+MEMORY_WARM = 5
+
+#: Runs in a fresh interpreter (``python -c``), so its ``ru_maxrss`` is
+#: its own: the orchestrating parent never imports numpy.
+_MEMORY_CHILD = """
+import json, resource, sys, tracemalloc
+sys.path.insert(0, {src!r})
+from repro import Stitcher, TileDataset
+dataset = TileDataset({directory!r})
+stitcher = Stitcher(coarse={coarse!r})
+stitcher.stitch(dataset)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range({warm}):
+    result = stitcher.stitch(dataset)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+tracemalloc.start()
+stitcher.stitch(dataset)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps(dict(
+    tracemalloc_peak_mb=peak / 2**20,
+    maxrss_mb=usage.ru_maxrss / 1024,
+    minor_faults_per_stitch=(usage.ru_minflt - before) / {warm},
+    coarse_hits=result.stats.get("coarse_hits", 0),
+    full_fallbacks=result.stats.get("full_fallbacks", 0),
+)))
+"""
+
+
+def _python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter."""
+    import subprocess
+
+    return subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True,
+    ).stdout
+
+
+def measure_memory(warm: int = MEMORY_WARM) -> list[dict]:
+    """Per warm stitch (phases 1 and 2, TIFF tiles on disk), for every
+    ``MEMORY_SHAPES`` x coarse on/off: the tracemalloc peak of one
+    stitch, the process's ``ru_maxrss`` and its minor page faults.  Each
+    configuration is a fresh process: ``ru_maxrss`` is a high-water mark
+    and glibc's heap retention depends on what ran before."""
+    import json
+
+    rows, cols, overlap = MEMORY_GRID
+    src = str(REPO_ROOT / "src")
+    out = []
+    with tempfile.TemporaryDirectory(prefix="bench_phase1_memory_") as tmp:
+        for h, w in MEMORY_SHAPES:
+            directory = f"{tmp}/{h}x{w}"
+            # Without the low-frequency textures, as the e2e ``paper``
+            # dataset: coarse-to-fine then hits on every pair, so the
+            # rows measure the default path, not its fallback.
+            _python(
+                f"import sys; sys.path.insert(0, {src!r})\n"
+                "from repro.synth import SpecimenParams, "
+                "make_synthetic_dataset\n"
+                f"make_synthetic_dataset({directory!r}, rows={rows}, "
+                f"cols={cols}, tile_height={h}, tile_width={w}, "
+                f"overlap={overlap}, seed=7, specimen=SpecimenParams("
+                "fine_texture=0.0, background_texture=0.0))\n"
+            )
+            for coarse in (True, False):
+                row = json.loads(_python(_MEMORY_CHILD.format(
+                    src=src, directory=directory, coarse=coarse, warm=warm,
+                )))
+                row.update(tile=f"{w}x{h}", coarse=coarse)
+                out.append(row)
+    return out
+
+
+def _format_memory(rows: list[dict], warm: int) -> str:
+    grid_rows, grid_cols, overlap = MEMORY_GRID
+    lines = [
+        f"phase-1 memory: Stitcher.stitch of a {grid_rows}x{grid_cols} grid "
+        f"({overlap:.0%} overlap, uint16 TIFF tiles), one fresh process "
+        f"per row, {warm} warm stitches",
+        f"{'tile':>10} {'coarse':>6} {'tracemalloc MiB':>16} "
+        f"{'ru_maxrss MiB':>14} {'minflt/stitch':>14} {'hits/fallbacks':>15}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['tile']:>10} {'on' if r['coarse'] else 'off':>6} "
+            f"{r['tracemalloc_peak_mb']:16.1f} {r['maxrss_mb']:14.1f} "
+            f"{r['minor_faults_per_stitch']:14.1f} "
+            f"{r['coarse_hits']:>7}/{r['full_fallbacks']:<7}"
+        )
+    return "\n".join(lines)
+
+
 def _print_report(report: dict) -> None:
     print(f"phase-1 hot path, {report['rows']}x{report['cols']} grid, "
           f"{report['tile']}px tiles, {report['pairs']} pairs "
@@ -629,9 +729,19 @@ def main(argv: list[str] | None = None) -> int:
                          "fallbacks and pairs that differ from full PCIAM: "
                          "the measurement the default's tile-size gate is "
                          "set from; recorded in the artifact")
+    ap.add_argument("--memory", action="store_true",
+                    help="print the tracemalloc peak, ru_maxrss and minor "
+                         "page faults per warm stitch of a 3x3 grid at "
+                         "696x520 and 1392x1040, coarse on and off (one "
+                         "fresh process each); writes "
+                         "benchmarks/results/phase1_memory.txt")
     args = ap.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
+
+    if args.memory:
+        emit("phase1_memory", _format_memory(measure_memory(), MEMORY_WARM))
+        return 0
 
     if args.coarse_corpus:
         print("coarse-to-fine corpus, phase-1 seconds over full PCIAM's "

@@ -385,7 +385,8 @@ class Phase1Kernel:
     def tile_stats(self, pixels) -> TileStats:
         """Per-tile rectangle statistics (summed-area table or marginals,
         by tile size): built once, shared by the tile's up-to-four
-        incident pairs, released with its spectrum."""
+        incident pairs, released with its spectrum.  Their float64 pixels
+        are the tile's only float64 copy (see :class:`TileStats`)."""
         return TileStats(pixels)
 
     def fallback_spectrum(self, pixels) -> FullSpectrum | None:
@@ -417,28 +418,33 @@ class Phase1Kernel:
                  track: str | None = None, key: str | None = None) -> tuple:
         """``(pixels, spectrum, TileStats, fallback)`` of one tile.
 
-        ``pixels`` is kept as handed in -- any real dtype; the transform,
-        the statistics and the coarse fallback convert on use (exactly,
-        for integer tiles), so a native-dtype loader means no float64
-        copy of the raw tile stays live.
+        ``pixels`` is kept as handed in -- any real dtype.  The tile is
+        converted to float64 once, here (exactly, for integer tiles): that
+        one array is the input of ``downsample`` (coarse) or of the
+        forward transform (full PCIAM), which read it without copying and
+        never write it, and then becomes ``TileStats.pixels``, mean-shifted
+        in place (:meth:`TileStats._adopt`).  A float64 tile is the
+        caller's, so the statistics copy it instead.  Either way one
+        full-size float64 array per tile is built and kept.
         Coarse mode never computes the full-resolution transform up front:
-        ``fallback`` (:meth:`fallback_spectrum`) computes it for the first
-        gate-rejected pair of the tile and keeps it for the others, instead
-        of every pair paying for it always.  With a
+        ``fallback`` (:meth:`fallback_spectrum`) computes it, from the raw
+        tile, for the first gate-rejected pair of the tile and keeps it for
+        the others, instead of every pair paying for it always.  With a
         ``track`` the three steps become ``downsample`` / ``fft`` /
         ``tilestats`` spans on that timeline row.
         """
         tracer = self.tracer if track is not None else NULL_TRACER
-        src = pixels
+        px = np.asarray(pixels, dtype=np.float64)
+        src = px
         if self.coarse is not None:
             with tracer.span("downsample", track, key=key):
-                src = downsample(pixels, self.coarse.factor)
+                src = downsample(px, self.coarse.factor)
         with tracer.span("fft", track, key=key):
             spectrum = forward_fft(
                 src, self._product_shape, real=self.real_transforms
             )
         with tracer.span("tilestats", track, key=key):
-            tstats = self.tile_stats(pixels)
+            tstats = TileStats._adopt(px, pixels)
         bump(stats, "ffts")
         return pixels, spectrum, tstats, self.fallback_spectrum(pixels)
 

@@ -392,8 +392,8 @@ class Stitcher:
         if opts.quality is not None and opts.quality.refine:
             with tracer.span("refine", "stitcher"):
                 stats["refined_pairs"], stats["unrepairable_pairs"] = repair(
-                    disp, assess_quality(disp, opts.quality), dataset.load,
-                    opts.subpixel)
+                    disp, assess_quality(disp, opts.quality),
+                    partial(dataset.load, dtype=None), opts.subpixel)
         t1 = time.perf_counter()
         degrade = {}
         if policy is not None and opts.on_tile_error == "skip":

@@ -78,15 +78,36 @@ class TileStats:
     ``pixels`` holds the mean-shifted float64 tile used for the cross
     term, so callers that cache a ``TileStats`` need not also keep the raw
     tile alive for the CCF stage.
+
+    ``pixels`` is the tile's only float64 copy: when the conversion of
+    ``tile`` makes a private array (any dtype but float64), the mean is
+    subtracted in place there.  Memory the caller owns -- a float64 tile,
+    a view of one, a memmap, a read-only cache view -- is never written;
+    the shift then copies it once.
     """
 
     __slots__ = ("pixels", "shape", "sq_total", "_table", "_rows", "_cols")
 
     def __init__(self, tile: np.ndarray) -> None:
-        px = np.asarray(tile, dtype=np.float64)
+        self._build(np.asarray(tile, dtype=np.float64), tile)
+
+    @classmethod
+    def _adopt(cls, px: np.ndarray, tile: np.ndarray) -> "TileStats":
+        """Statistics that take over ``px``, the caller's
+        ``np.asarray(tile, dtype=np.float64)``: when that conversion made a
+        private copy, it becomes ``pixels``, mean-shifted in place, and the
+        caller must not read it again."""
+        stats = cls.__new__(cls)
+        stats._build(px, tile)
+        return stats
+
+    def _build(self, px: np.ndarray, tile: np.ndarray) -> None:
         if px.ndim != 2:
             raise ValueError(f"expected a 2-D tile, got shape {px.shape}")
-        px = px - px.mean()
+        if np.may_share_memory(px, tile):
+            px = px - px.mean()
+        else:
+            px -= px.mean()
         self.pixels = px
         self.shape = px.shape
         h, w = px.shape

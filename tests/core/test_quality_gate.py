@@ -1,6 +1,8 @@
 """Registration quality gate: scoring, demotion, repair, config."""
 
+import copy
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.core.quality_gate import (
     finite_correlation,
     repair,
 )
+from repro.core import stitcher as stitcher_module
 from repro.core.stitcher import Stitcher
 from repro.grid.neighbors import Direction
 
@@ -248,6 +251,24 @@ class TestRepair:
         assert got.tx_f is not None and got.ty_f is not None
         assert abs(got.tx_f - truth.fx) <= 1 and abs(got.ty_f - truth.fy) <= 1
 
+    def test_native_tiles_repair_identically(self, dataset_4x4):
+        """The stitcher hands repair the stored uint16 tiles: float64 holds
+        every sample exactly, so the repaired translations are the ones
+        float64 tiles give, bit for bit."""
+        kw = dict(ccf_mode=CcfMode.PAPER4, n_peaks=1, subpixel=True)
+        measured = compute_grid_displacements(
+            dataset_4x4.load, dataset_4x4.rows, dataset_4x4.cols, **kw)
+        assessment = assess_quality(measured, QualityConfig())
+        native = partial(dataset_4x4.load, dtype=None)
+        assert native(0, 0).dtype == np.uint16
+        repaired = []
+        for load in (dataset_4x4.load, native):
+            disp = copy.deepcopy(measured)
+            counts = repair(disp, assessment, load, subpixel=True)
+            repaired.append((counts, [disp.entries(d) for d in Direction]))
+        assert repaired[0][0][0] > 0
+        assert repaired[0] == repaired[1]
+
     def test_direction_without_model_passes_through(self):
         """Too few trusted pairs: no model to climb from, so nothing is
         repaired and the gated pairs keep their measurements."""
@@ -282,6 +303,19 @@ class TestStitcherRefine:
         assert refined.stats["refined_pairs"] > 0
         assert plain.position_errors().max() > 50
         assert refined.position_errors().max() <= 3.16
+
+    def test_stitcher_repairs_from_native_tiles(self, dataset_4x4,
+                                                monkeypatch):
+        seen = []
+
+        def spy(disp, assessment, load_tile, subpixel=False):
+            seen.append(load_tile(0, 0).dtype)
+            return repair(disp, assessment, load_tile, subpixel)
+
+        monkeypatch.setattr(stitcher_module, "repair", spy)
+        Stitcher(ccf_mode=CcfMode.PAPER4, n_peaks=1,
+                 refine=True).stitch(dataset_4x4)
+        assert seen == [np.uint16]
 
     def test_repaired_pairs_carry_subpixel_estimates(self, dataset_4x4):
         res = Stitcher(ccf_mode=CcfMode.PAPER4, n_peaks=1, subpixel=True,

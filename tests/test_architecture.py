@@ -395,3 +395,60 @@ def test_phase1_has_one_failure_surface():
     assert handlers == {"core/kernel.py"}, handlers
     for fn in ("stage.py::__init__", "graph.py::stage", "graph.py::add_chain"):
         assert "policy" not in params[fn], fn
+
+
+def test_phase1_tile_is_converted_to_float64_once():
+    """Phase1Kernel.products converts a tile to float64 once: that array
+    is the transform's input (downsample's, in coarse mode) and then
+    TileStats.pixels, mean-shifted in place.  TileStats converts a tile
+    itself only in its public constructor, and subtracts the mean into a
+    new array only where the conversion shares the caller's memory.  Any
+    other astype/asarray to float64, or ``pixels - mean`` copy, in
+    Phase1Kernel or TileStats is a second full-size copy per live
+    tile."""
+
+    def float64(node):
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr == "float64")
+            or (isinstance(n, ast.Constant) and n.value == "float64")
+            for n in ast.walk(node))
+
+    def is_mean(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "mean")
+
+    conversions = collections.Counter()
+    shifts = collections.Counter()
+    for where, cls in (("core/kernel.py", "Phase1Kernel"),
+                       ("core/tilestats.py", "TileStats")):
+        tree = ast.parse((PACKAGE / where).read_text())
+        (body,) = [n for n in tree.body
+                   if isinstance(n, ast.ClassDef) and n.name == cls]
+        for fn in body.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            site = f"{where}::{cls}.{fn.name}"
+            guarded = set()
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.If)
+                        and "may_share_memory" in ast.unparse(node.test)):
+                    guarded |= {id(n) for stmt in node.body
+                                for n in ast.walk(stmt)}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and (getattr(node.func, "attr", None)
+                             or getattr(node.func, "id", None))
+                        in ("astype", "asarray", "array",
+                            "ascontiguousarray")
+                        and float64(node)):
+                    conversions[site] += 1
+                if (isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Sub)
+                        and is_mean(node.right)):
+                    shifts[site if id(node) in guarded
+                           else f"{site} (unguarded)"] += 1
+    assert conversions == {
+        "core/kernel.py::Phase1Kernel.products": 1,
+        "core/tilestats.py::TileStats.__init__": 1,
+    }, conversions
+    assert shifts == {"core/tilestats.py::TileStats._build": 1}, shifts
