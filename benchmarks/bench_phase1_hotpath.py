@@ -104,9 +104,9 @@ class LatencyDataset:
     def __getattr__(self, name):
         return getattr(self._dataset, name)
 
-    def load(self, row: int, col: int):
+    def load(self, row: int, col: int, **kw):
         time.sleep(self._latency)
-        return self._dataset.load(row, col)
+        return self._dataset.load(row, col, **kw)
 
 
 def _load_tiles(rows: int, cols: int, tile: int, seed: int = 7):
@@ -139,7 +139,7 @@ def _run_once(tiles, rows, cols, *, coarse=None, overlap=None):
         n_peaks=2,
         tracer=tracer,
         coarse=coarse,
-        _overlap=overlap,
+        overlap=overlap,
     )
     seconds = time.perf_counter() - t0
     stage_seconds = {name: 0.0 for name in STAGES}

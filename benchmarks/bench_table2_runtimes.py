@@ -90,7 +90,7 @@ def test_table2_real_execution(benchmark, bench_dataset, name):
     if name == "mt-cpu":
         kwargs = {"workers": 2}
     elif name == "pipelined-cpu":
-        kwargs = {"workers": 2}
+        kwargs = {"partitions": 2}
     elif name == "pipelined-gpu":
         kwargs = {"devices": 2, "ccf_workers": 2}
 

@@ -37,7 +37,7 @@ def main() -> None:
         ("fiji-baseline", FijiBaseline()),
         ("simple-cpu", SimpleCpu()),
         ("mt-cpu (3 workers)", MtCpu(workers=3)),
-        ("pipelined-cpu (3 workers)", PipelinedCpu(workers=3)),
+        ("pipelined-cpu (3 partitions)", PipelinedCpu(partitions=3)),
         ("simple-gpu", SimpleGpu()),
         ("pipelined-gpu (2 GPUs)", PipelinedGpu(devices=2)),
     ]

@@ -58,8 +58,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 _IMPL_ARGS = {
     "mt-cpu": {"workers": "workers"},
     "proc-cpu": {"workers": "workers"},
-    "pipelined-cpu": {"workers": "workers"},
-    "pipelined-cpu-numa": {"workers_per_socket": "workers"},
+    "pipelined-cpu": {"partitions": "workers"},
     "pipelined-gpu": {"devices": "gpus"},
 }
 

@@ -547,9 +547,9 @@ def coarse_pciam(
         ``real_transforms`` -- the per-tile reuse product of coarse
         mode, replacing the full-resolution ``fft_i`` / ``fft_j``.
     ``workspace``
-        A pair workspace sized for the **coarse** transform shape (the
-        arena in coarse mode is built at
-        :func:`coarse_transform_shape`).  The coarse buffers cannot hold a
+        A pair workspace sized for the **coarse** transform shape (in
+        coarse mode :meth:`~repro.core.kernel.Phase1Kernel.workspace`
+        builds it at :func:`coarse_transform_shape`).  The coarse buffers cannot hold a
         full-resolution NCC: the fallback runs in the workspace's
         full-resolution :attr:`~repro.memmodel.workspace.PairWorkspace.
         fallback` scratch, or allocates its own without one.

@@ -22,7 +22,9 @@ counts, fault report and journal bytes are identical.
 The same loop is MT-CPU's and Proc-CPU's SPMD worker (the paper builds
 MT-CPU from Simple-CPU): run over one column partition, it computes that
 partition's pairs and takes the tiles it shares with a neighbouring
-partition from products built once before the partitions started.
+partition from products built once before the partitions started.  It is
+Pipelined-CPU's pipeline too: one per partition, stages overlapped, each
+reading its ghost column itself.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def _on_helper_thread(consume):
     next ``submit`` or on leaving the block; there it supersedes a failure
     of the caller's own, because the item it failed on came first.  When
     the caller fails, the items it already handed over are still consumed.
-    The block waits for the helper: no thread outlives it.
+    Every exit from the block waits for the helper, so no thread outlives
+    it; the helper is a daemon all the same, so a caller wedged in a read
+    that a watchdog gave up on cannot keep the process alive.
     """
     channel: queue.SimpleQueue = queue.SimpleQueue()
     taken = threading.Semaphore(0)
@@ -145,7 +149,7 @@ def _on_helper_thread(consume):
         if failure:
             raise failure[0]
 
-    helper = threading.Thread(target=run, name="phase1-pairs")
+    helper = threading.Thread(target=run, name="phase1-pairs", daemon=True)
     helper.start()
     try:
         yield submit
@@ -165,7 +169,7 @@ def compute_grid_displacements(
     partition: ColumnPartition | None = None,
     shared: Mapping[GridPosition, tuple | None] | None = None,
     track: str = "phase1",
-    _overlap: bool | None = None,
+    overlap: bool | None = None,
     **kernel_options,
 ) -> DisplacementResult:
     """Compute west/north translations for the whole grid, or one partition.
@@ -196,8 +200,9 @@ def compute_grid_displacements(
 
     Whether the two stages overlap is decided here, from the first tile
     read and the CPUs this process may use (:func:`_overlap_pays`); it is
-    not an option.  ``_overlap`` exists for the tests that pin the two
-    schedules against each other.
+    not a stitch option.  ``overlap=True``/``False`` forces one schedule:
+    Pipelined-CPU runs every partition overlapped, and the tests pin the
+    two schedules against each other.
 
     Instrumented: ``result.stats`` records FFT/pair/read counts and the peak
     number of live transforms (these feed the Table I verification bench).
@@ -205,8 +210,8 @@ def compute_grid_displacements(
     build becomes a span on the ``{track}-tiles`` timeline row
     (:data:`TILE_TRACK`) and every pair registration one on
     ``{track}-pairs`` (:data:`PAIR_TRACK`; ``args["provenance"]`` says
-    which path produced it) -- the two-row analogue of the pipelined
-    schedulers' per-stage timelines.
+    which path produced it) -- the two-row analogue of Pipelined-GPU's
+    per-stage timelines.
 
     Under an abort policy an exhausted read raises a
     :class:`~repro.pipeline.graph.PipelineError` naming the logical stage;
@@ -276,10 +281,10 @@ def compute_grid_displacements(
     # One workspace for the whole run: pairs are processed one at a time,
     # so a single scratch set serves every pair (built once the first
     # pair reveals the native tile shape).
-    arena = workspace = None
+    workspace = None
 
     def register(step: _TileStep) -> None:
-        nonlocal arena, workspace
+        nonlocal workspace
         pos = step.pos
         if step.dropped:
             if step.reason is not None and kernel.journal is not None:
@@ -295,9 +300,8 @@ def compute_grid_displacements(
             for pair in ledger.transform_ready(pos):
                 first, second = products[pair.first], products[pair.second]
                 if workspace is None:
-                    arena = kernel.arena(first[0].shape, count=1)
-                    workspace = arena.acquire()
-                    stats["workspace_bytes"] = arena.bytes_per_workspace
+                    workspace = kernel.workspace(first[0].shape)
+                    stats["workspace_bytes"] = workspace.nbytes
                 # The span says which path produced the pair ("coarse" /
                 # "fallback", None = single pass) next to what it cost.
                 args = {} if tracer.enabled else None
@@ -349,7 +353,8 @@ def compute_grid_displacements(
 
     # -- the schedule ----------------------------------------------------------
 
-    overlap = False if _overlap is None and partition is not None else _overlap
+    if overlap is None and partition is not None:
+        overlap = False
     with ExitStack() as stack:
         submit = register
         for pos in order:
@@ -364,8 +369,6 @@ def compute_grid_displacements(
             submit(step)
             del step  # the pair stage's now: don't pin it for another build
 
-    if workspace is not None:
-        arena.release(workspace)
     if failed_tiles:
         stats["skipped_tiles"] = sorted((p.row, p.col) for p in failed_tiles)
         stats["skipped_pairs"] = n_skipped

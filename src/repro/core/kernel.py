@@ -57,7 +57,7 @@ from repro.core.tilestats import TileStats
 from repro.fftlib.plans import spectrum_shape
 from repro.fftlib.smooth import pad_to_shape
 from repro.grid.neighbors import Direction
-from repro.memmodel.workspace import WorkspaceArena
+from repro.memmodel.workspace import PairWorkspace
 from repro.observe.tracer import NULL_TRACER
 from repro.recovery.cancel import ItemCancelled
 
@@ -284,13 +284,12 @@ class Phase1Kernel:
         shape = self.transform_shape(tile_shape)
         return spectrum_shape(shape) if self.real_transforms else shape
 
-    def arena(self, tile_shape, count: int) -> WorkspaceArena:
-        """``count`` pair workspaces (one per concurrent pair worker); in
-        coarse mode each carries full-resolution scratch for fallbacks,
-        allocated on the first."""
-        return WorkspaceArena(
+    def workspace(self, tile_shape) -> PairWorkspace:
+        """One pair worker's scratch for ``tile_shape`` tiles; in coarse
+        mode it carries full-resolution scratch for fallbacks, allocated
+        on the first."""
+        return PairWorkspace(
             self.transform_shape(tile_shape), real=self.real_transforms,
-            count=count,
             fallback_shape=(
                 None if self.coarse is None else self.full_shape(tile_shape)
             ),

@@ -25,18 +25,17 @@ from repro.recovery.journal import dataset_fingerprint
 
 #: The phase-1 schedulers by name, and which of the options a scheduler
 #: (rather than the kernel) has to honour each one can: ``watchdog``
-#: supervision (only a staged pipeline can be supervised cooperatively --
-#: a single thread or a partition worker cannot cancel itself).  Every
-#: other option -- ``traversal`` included -- works under all of them.  The
-#: classes live in :mod:`repro.impls`, imported only when a non-default
-#: one is selected.
+#: supervision (only the pipelines watch their tile reads from a thread
+#: of their own -- a single thread or a partition worker cannot cancel
+#: itself).  Every other option -- ``traversal`` included -- works under
+#: all of them.  The classes live in :mod:`repro.impls`, imported only
+#: when a non-default one is selected.
 SCHEDULERS: dict[str, frozenset[str]] = {
     "simple-cpu": frozenset(),
     "fiji-baseline": frozenset(),
     "mt-cpu": frozenset(),
     "proc-cpu": frozenset(),
     "pipelined-cpu": frozenset({"watchdog"}),
-    "pipelined-cpu-numa": frozenset({"watchdog"}),
     "simple-gpu": frozenset(),
     "pipelined-gpu": frozenset({"watchdog"}),
 }

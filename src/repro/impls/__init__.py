@@ -12,8 +12,8 @@ is the paper's entire point:
 ``SimpleCpu``             sequential reference with early-free traversal
 ``MtCpu``                 Simple-CPU over column partitions on worker threads
 ``ProcCpu``               the same partitions over forked processes
-``PipelinedCpu``          3-stage pipeline (read / fft+displacement / bookkeeping)
-``PipelinedCpuNuma``      one such pipeline per socket over column partitions
+``PipelinedCpu``          Simple-CPU's read + FFT overlapped with the pairs,
+                          one such pipeline per column partition (socket)
 ``SimpleGpu``             synchronous single-stream port onto the virtual GPU
 ``PipelinedGpu``          the 6-stage per-GPU pipeline of Fig. 8
 ========================  ====================================================
@@ -32,7 +32,6 @@ from repro.impls.simple_cpu import SimpleCpu
 from repro.impls.fiji_baseline import FijiBaseline
 from repro.impls.mt_cpu import MtCpu
 from repro.impls.pipelined_cpu import PipelinedCpu
-from repro.impls.pipelined_cpu_numa import PipelinedCpuNuma
 from repro.impls.proc_cpu import ProcCpu
 from repro.impls.simple_gpu import SimpleGpu
 from repro.impls.pipelined_gpu import PipelinedGpu
@@ -43,7 +42,6 @@ ALL_IMPLEMENTATIONS = {
     "mt-cpu": MtCpu,
     "proc-cpu": ProcCpu,
     "pipelined-cpu": PipelinedCpu,
-    "pipelined-cpu-numa": PipelinedCpuNuma,
     "simple-gpu": SimpleGpu,
     "pipelined-gpu": PipelinedGpu,
 }
@@ -56,7 +54,6 @@ __all__ = [
     "MtCpu",
     "ProcCpu",
     "PipelinedCpu",
-    "PipelinedCpuNuma",
     "SimpleGpu",
     "PipelinedGpu",
     "ALL_IMPLEMENTATIONS",

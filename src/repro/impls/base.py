@@ -50,11 +50,12 @@ class Implementation(abc.ABC):
     options as keyword arguments; standalone the defaults are the robust
     ``EXTENDED`` contest over two peaks.
 
-    ``watchdog`` is a :class:`~repro.recovery.watchdog.WatchdogConfig` the
-    pipelined schedulers hand to their
-    :class:`~repro.pipeline.graph.Pipeline` for stall supervision (the
-    others ignore it -- a single thread cannot be supervised cooperatively
-    by itself; ``Stitcher`` rejects the combination).
+    ``watchdog`` is a :class:`~repro.recovery.watchdog.WatchdogConfig` for
+    stall supervision: Pipelined-GPU hands it to its
+    :class:`~repro.pipeline.graph.Pipeline`, Pipelined-CPU supervises its
+    tile reads with it (the others ignore it -- a single thread cannot be
+    supervised cooperatively by itself; ``Stitcher`` rejects the
+    combination).
 
     Under a skip policy a scheduler treats a ``None`` tile from
     ``kernel.read`` as failed and skips its pairs; :meth:`run` then

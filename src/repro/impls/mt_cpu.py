@@ -25,6 +25,8 @@ processes.
 from __future__ import annotations
 
 import threading
+import time
+from functools import partial
 
 from repro.core.displacement import (
     DisplacementResult,
@@ -38,6 +40,8 @@ from repro.grid.tile_grid import GridPosition, TileGrid
 from repro.grid.traversal import ColumnPartition, Traversal, column_partitions
 from repro.impls.base import Implementation, fold_stats
 from repro.io.dataset import TileDataset
+from repro.pipeline.graph import PipelineStallError
+from repro.recovery.watchdog import Watchdog
 
 
 def shared_columns(kernel: Phase1Kernel, grid: TileGrid,
@@ -69,9 +73,17 @@ def build_shared(kernel: Phase1Kernel, load_tile, pos: GridPosition,
     return kernel.products(pixels, stats, track=track, key=str(pos))
 
 
-def run_threads(target, arg_lists) -> None:
-    """Run ``target(*args)`` on one thread per entry; re-raise the first
-    failure once every thread has finished."""
+def run_threads(target, arg_lists, watchdog: Watchdog | None = None) -> None:
+    """Run ``target(*args)`` on one daemon thread per entry; re-raise the
+    first failure once every thread has finished.
+
+    Under a started ``watchdog`` the wait polls it, the way a supervised
+    :meth:`~repro.pipeline.graph.Pipeline.join` does: once it escalates,
+    the threads get the watchdog's ``escalation_grace`` to wind down, then
+    :class:`~repro.pipeline.graph.PipelineStallError` is raised, listing
+    the threads still running (wedged in a read that ignores its
+    cancellation) as abandoned.
+    """
     errors: list[BaseException] = []
 
     def guarded(*args) -> None:
@@ -84,8 +96,24 @@ def run_threads(target, arg_lists) -> None:
                for args in arg_lists]
     for t in threads:
         t.start()
-    for t in threads:
-        t.join()
+    poll = None if watchdog is None else watchdog.config.poll_interval
+    abandon_at: float | None = None
+    while alive := [t for t in threads if t.is_alive()]:
+        if watchdog is not None and watchdog.escalated:
+            now = time.monotonic()
+            if abandon_at is None:
+                abandon_at = now + watchdog.config.escalation_grace
+            elif now >= abandon_at:
+                break
+        alive[0].join(poll)
+    if watchdog is not None and watchdog.escalated:
+        report = watchdog.report()
+        raise PipelineStallError(
+            f"pipeline {report.pipeline!r} stalled ({report.kind}): "
+            f"{report.detail}",
+            report=report,
+            abandoned_threads=[t.name for t in threads if t.is_alive()],
+        )
     if errors:
         raise errors[0]
 
@@ -118,17 +146,20 @@ class MtCpu(Implementation):
         #: read-only after that join barrier.
         shared: dict[GridPosition, tuple | None] = {}
 
+        # Native dtype: the kernel converts each tile to float64 once.
+        load = partial(dataset.load, dtype=None)
+
         def build(j: int, column: list[GridPosition]) -> None:
             local: dict = {}
             for pos in column:
                 shared[pos] = build_shared(
-                    kernel, dataset.load, pos, local, f"mt-cpu/shared-{j}"
+                    kernel, load, pos, local, f"mt-cpu/shared-{j}"
                 )
             fold_stats(stats, local, stats_lock)
 
         def run_partition(k: int, part: ColumnPartition) -> None:
             res = compute_grid_displacements(
-                dataset.load, grid.rows, grid.cols, kernel=kernel,
+                load, grid.rows, grid.cols, kernel=kernel,
                 partition=part, shared=shared, track=f"mt-cpu/partition-{k}",
             )
             disp.update(res)  # partitions own disjoint cells

@@ -25,8 +25,9 @@ Boundary ("ghost") columns are read and transformed by both adjacent
 partitions -- the duplicated work is how the paper's spatial decomposition
 avoids cross-GPU communication (peer-to-peer copies are listed as future
 work; ``p2p=True`` implements them).  All partitions share the output
-arrays; cells are disjoint.  The bookkeeping events and handler are
-Pipelined-CPU's (:mod:`repro.impls.pipelined_cpu`).
+arrays; cells are disjoint.  This is the one scheduler built on
+:mod:`repro.pipeline`'s staged graph: the CPU schedulers run
+:func:`~repro.core.displacement.compute_grid_displacements`.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ from repro.grid.traversal import (
     default_pool_size,
 )
 from repro.impls.base import Implementation, fold_stats
-from repro.impls.pipelined_cpu import (
-    _FftDone,
-    _PairDone,
-    _TileFailed,
-    bookkeeping_handler,
-    run_pipelines,
-)
 from repro.io.dataset import TileDataset
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
@@ -79,6 +73,24 @@ class _SlotItem:
 class _CcfWork:
     pair: Pair
     peaks: list  # [(magnitude, flat_index), ...]
+
+
+@dataclass
+class _FftDone:
+    pos: GridPosition
+
+
+@dataclass
+class _PairDone:
+    pair: Pair
+
+
+@dataclass
+class _TileFailed:
+    """The reader could not deliver a tile (retries exhausted, skip
+    policy), or the western card lost a ghost tile it would have shipped."""
+
+    pos: GridPosition
 
 
 class PipelinedGpu(Implementation):
@@ -143,7 +155,10 @@ class PipelinedGpu(Implementation):
             pipelines.append(pipe)
             if self.p2p and index > 0:
                 import_hooks[index - 1] = import_ghost
-        run_pipelines(pipelines)
+        for pipe in pipelines:
+            pipe.start()
+        for pipe in pipelines:
+            pipe.join()
 
         used = self.devices[: len(parts)]
         stats["device_peak_bytes"] = max(d.allocator.peak_bytes for d in used)
@@ -328,9 +343,24 @@ class PipelinedGpu(Implementation):
                     pool.release(slots.pop(pos))
 
         bk.release = release_device_tile
-        bookkeeper = bookkeeping_handler(
-            kernel, bk, q34.put, (q34, q23), cancelled=host_pairs_done
-        )
+
+        def bookkeeper(event, _ctx):
+            """Stage 4 of Fig. 8: feeds each event to the ledger, queues
+            the pairs it makes ready, and closes its queues once every
+            pair has settled."""
+            if isinstance(event, _FftDone):
+                for pair in bk.transform_ready(event.pos):
+                    q34.put(pair)
+            elif isinstance(event, _PairDone):
+                bk.pair_completed(event.pair)
+            else:  # _TileFailed: its pairs are cancelled
+                lost = bk.tile_failed(event.pos)
+                kernel.skip_tile_pairs(event.pos, lost)
+                host_pairs_done(lost)
+            if bk.all_pairs_completed():
+                q34.close()
+                q23.close()
+            return None
 
         def displacement(pair: Pair, ctx):
             # Resume: a journaled pair skips the device work *and* the CCF

@@ -50,6 +50,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import multiprocessing as mp
 
@@ -192,9 +193,9 @@ def _column_task(j: int) -> _TaskOutcome:
     task = _Task(f"proc-cpu/shared-{j}")
     ctx = task.ctx
     local: dict = {}
+    load = partial(ctx.dataset.load, dtype=None)  # native: converted once
     for pos in ctx.columns[j]:
-        entry = build_shared(task.kernel, ctx.dataset.load, pos, local,
-                             task.track)
+        entry = build_shared(task.kernel, load, pos, local, task.track)
         if entry is None:
             continue
         tile, fft = entry[:2]
@@ -217,8 +218,8 @@ def _partition_task(k: int) -> _TaskOutcome:
         if part.first_col <= pos.col < part.cols[1]
     }
     disp = compute_grid_displacements(
-        ctx.dataset.load, ctx.dataset.rows, ctx.dataset.cols,
-        kernel=task.kernel, partition=part, shared=shared, track=task.track,
+        partial(ctx.dataset.load, dtype=None), ctx.dataset.rows,
+        ctx.dataset.cols, kernel=task.kernel, partition=part, shared=shared, track=task.track,
     )
     task.out.disp = disp
     return task.finish(disp.stats)

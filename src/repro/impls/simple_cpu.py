@@ -12,6 +12,8 @@ validated their parallel versions against their sequential code).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.displacement import DisplacementResult, compute_grid_displacements
 from repro.grid.traversal import Traversal
 from repro.impls.base import Implementation
@@ -28,8 +30,9 @@ class SimpleCpu(Implementation):
         self.traversal = traversal
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
+        # Native dtype: the kernel converts each tile to float64 once.
         disp = compute_grid_displacements(
-            dataset.load, dataset.rows, dataset.cols,
+            partial(dataset.load, dtype=None), dataset.rows, dataset.cols,
             traversal=self.traversal, kernel=self.kernel,
         )
         return disp, dict(disp.stats)

@@ -4,11 +4,10 @@ The paper (Section IV.B): "The system allocates GPU memory only once ...
 The pool consists of a fixed number of buffers, one per transform ...  The
 size of the pool effectively limits the number of images in flight."
 
-The same discipline is applied host-side in the pipelined CPU
-implementation.  ``acquire`` blocks until a buffer is recycled, which is
-how the pool throttles the reader stage: with the chained-diagonal
-traversal the pipeline keeps making progress as long as the pool exceeds
-the grid's smallest dimension (tested in ``tests/memmodel``).
+``acquire`` blocks until a buffer is recycled, which is how the pool
+throttles the stage that fills it: with the chained-diagonal traversal a
+pipeline keeps making progress as long as the pool exceeds the grid's
+smallest dimension (tested in ``tests/memmodel``).
 """
 
 from __future__ import annotations

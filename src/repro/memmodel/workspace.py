@@ -19,42 +19,48 @@ Together they are ~7 MB at 696x520 and ~29 MB at the paper's 1392x1040
 tile size (half-spectrum transforms).  With a workspace a warm pair
 allocates nothing array-sized; without one every pair allocates these
 surfaces afresh, and first-touch page faults make that churn a time
-cost.  A :class:`WorkspaceArena` allocates the surfaces once per worker
-(the paper's one-time-allocation rule, Section IV.B, applied host-side)
-from fixed :class:`~repro.memmodel.pool.BufferPool` instances; workers
-acquire a :class:`PairWorkspace` for the duration of their run and every
-pair they process reuses the same memory.
+cost.  A pair stage allocates one :class:`PairWorkspace` when its first
+pair reveals the tile shape (the paper's one-time-allocation rule,
+Section IV.B, applied host-side) and every pair it processes reuses the
+same memory.  A :class:`WorkspaceArena` allocates a fixed set of them up
+front for callers that hand workspaces out and take them back.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
+import queue
 
 import numpy as np
 
 from repro.fftlib.plans import spectrum_shape
-from repro.memmodel.pool import BufferPool
 
 
 class PairWorkspace:
-    """One worker's scratch buffers, handed out by :class:`WorkspaceArena`."""
+    """One pair worker's scratch surfaces for ``fft_shape`` transforms.
 
-    __slots__ = ("ncc", "ncc_mag", "spatial", "_indices", "_fallback")
+    ``real=True`` sizes the complex surfaces for the half-spectrum
+    ``(h, w//2+1)``; ``real=False`` for the full complex spectrum.  A
+    ``fallback_shape`` (the full-resolution transform shape of a
+    coarse-shaped workspace) gives it a :attr:`fallback` of that shape,
+    allocated only if a pair falls back.
+    """
+
+    __slots__ = ("ncc", "ncc_mag", "spatial", "_fallback")
 
     def __init__(
         self,
-        ncc: np.ndarray,
-        ncc_mag: np.ndarray,
-        spatial: np.ndarray,
-        indices: tuple[int, int, int] | None,
-        fallback: tuple[tuple[int, int], bool] | None = None,
+        fft_shape: tuple[int, int],
+        real: bool = True,
+        fallback_shape: tuple[int, int] | None = None,
     ) -> None:
-        self.ncc = ncc
-        self.ncc_mag = ncc_mag
-        self.spatial = spatial
-        self._indices = indices
-        self._fallback = fallback
+        fft_shape = tuple(int(n) for n in fft_shape)
+        spec = spectrum_shape(fft_shape) if real else fft_shape
+        self.ncc = np.empty(spec, dtype=np.complex128)
+        self.ncc_mag = np.empty(spec, dtype=np.float64)
+        self.spatial = np.empty(fft_shape, dtype=np.float64)
+        self._fallback = (
+            None if fallback_shape is None else (fallback_shape, real)
+        )
 
     @property
     def nbytes(self) -> int:
@@ -63,32 +69,19 @@ class PairWorkspace:
     @property
     def fallback(self) -> PairWorkspace | None:
         """Full-resolution scratch for the fallbacks of a coarse-shaped
-        workspace (see :class:`WorkspaceArena`): allocated on the first
-        one and kept for the rest; ``None`` for a workspace without."""
+        workspace: allocated on the first one and kept for the rest;
+        ``None`` for a workspace without."""
         if isinstance(self._fallback, tuple):
-            shape, real = self._fallback
-            spec = spectrum_shape(shape) if real else shape
-            self._fallback = PairWorkspace(
-                np.empty(spec, dtype=np.complex128),
-                np.empty(spec, dtype=np.float64),
-                np.empty(shape, dtype=np.float64),
-                None,
-            )
+            self._fallback = PairWorkspace(*self._fallback)
         return self._fallback
 
 
 class WorkspaceArena:
-    """Fixed arena of :class:`PairWorkspace` sets (one per concurrent worker).
+    """``count`` :class:`PairWorkspace` sets, allocated once.
 
-    ``real=True`` sizes the complex surfaces for the half-spectrum
-    ``(h, w//2+1)``; ``real=False`` for the full complex spectrum.  A
-    ``fallback_shape`` (the full-resolution transform shape of a
-    coarse-shaped arena) gives every workspace a
-    :attr:`PairWorkspace.fallback` of that shape, allocated only if a pair
-    falls back.  The arena itself never allocates after construction;
-    ``acquire`` blocks when all
-    ``count`` workspaces are out (which would indicate a worker-count
-    mismatch, so a generous timeout raises instead of deadlocking).
+    ``acquire`` hands one out and blocks while all ``count`` are out (a
+    worker-count mismatch, so a generous timeout raises ``TimeoutError``
+    instead of deadlocking); ``release`` takes it back.
     """
 
     def __init__(
@@ -98,93 +91,18 @@ class WorkspaceArena:
         count: int = 1,
         fallback_shape: tuple[int, int] | None = None,
     ) -> None:
-        self.fft_shape = tuple(int(n) for n in fft_shape)
-        self.real = real
         self.count = int(count)
-        self._fallback = (
-            None if fallback_shape is None
-            else (tuple(int(n) for n in fallback_shape), real)
-        )
-        spec = spectrum_shape(self.fft_shape) if real else self.fft_shape
-        self.spectrum_shape = spec
-        self._ncc = BufferPool(self.count, spec, dtype=np.complex128)
-        self._mag = BufferPool(self.count, spec, dtype=np.float64)
-        self._spatial = BufferPool(self.count, self.fft_shape, dtype=np.float64)
-
-    @property
-    def bytes_per_workspace(self) -> int:
-        return (
-            self._ncc.array(0).nbytes
-            + self._mag.array(0).nbytes
-            + self._spatial.array(0).nbytes
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_per_workspace * self.count
+        self._free: queue.LifoQueue[PairWorkspace] = queue.LifoQueue()
+        for _ in range(self.count):
+            self._free.put(PairWorkspace(fft_shape, real, fallback_shape))
 
     def acquire(self, timeout: float | None = 60.0) -> PairWorkspace:
-        i = self._ncc.acquire(timeout=timeout)
-        j = self._mag.acquire(timeout=timeout)
-        k = self._spatial.acquire(timeout=timeout)
-        return PairWorkspace(
-            self._ncc.array(i), self._mag.array(j), self._spatial.array(k),
-            (i, j, k), self._fallback,
-        )
+        try:
+            return self._free.get(timeout=timeout)
+        except queue.Empty:
+            raise TimeoutError(
+                f"no free workspace after {timeout}s ({self.count} in the arena)"
+            ) from None
 
     def release(self, ws: PairWorkspace) -> None:
-        i, j, k = ws._indices
-        self._ncc.release(i)
-        self._mag.release(j)
-        self._spatial.release(k)
-
-    @contextmanager
-    def workspace(self, timeout: float | None = 60.0):
-        ws = self.acquire(timeout=timeout)
-        try:
-            yield ws
-        finally:
-            self.release(ws)
-
-    def stats(self) -> dict:
-        """Acquire accounting for metrics/tests (arena never re-allocates)."""
-        return {
-            "count": self.count,
-            "bytes_per_workspace": self.bytes_per_workspace,
-            "total_bytes": self.total_bytes,
-            "acquires": self._ncc.total_acquires,
-            "peak_in_use": self._ncc.peak_in_use,
-        }
-
-
-class ThreadLocalWorkspaces:
-    """Hands each calling thread its own workspace from a shared arena.
-
-    Pipelined stages run their pair work on an anonymous worker pool; a
-    worker acquires its workspace lazily on first use and keeps it for the
-    pipeline's lifetime (size the arena to the worker count).
-    ``release_all`` returns every issued workspace once the pipeline has
-    drained.
-    """
-
-    def __init__(self, arena: WorkspaceArena) -> None:
-        self.arena = arena
-        self._local = threading.local()
-        self._issued: list[PairWorkspace] = []
-        self._lock = threading.Lock()
-
-    def get(self) -> PairWorkspace:
-        ws = getattr(self._local, "ws", None)
-        if ws is None:
-            ws = self.arena.acquire()
-            self._local.ws = ws
-            with self._lock:
-                self._issued.append(ws)
-        return ws
-
-    def release_all(self) -> None:
-        with self._lock:
-            for ws in self._issued:
-                self.arena.release(ws)
-            self._issued.clear()
-        self._local = threading.local()
+        self._free.put(ws)

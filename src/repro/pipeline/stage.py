@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from repro.observe.tracer import NULL_TRACER
 from repro.pipeline.queues import MonitorQueue, QueueClosed
-from repro.recovery.cancel import CancelToken, install_token
+from repro.recovery.cancel import enter_item, exit_item
 
 #: Sentinel a *source* handler returns to end its stream.
 END_OF_STREAM = object()
@@ -191,12 +191,10 @@ class Stage:
     def _handle(self, item: Any, ctx: StageContext) -> Any:
         tracer = self.tracer
         span_t0 = tracer.now() if tracer.enabled else 0.0
-        token = prev_token = None
+        prev_token = None
         if self.supervised:
-            token = CancelToken()
-            prev_token = install_token(token)
-            self._inflight[ctx.worker_index] = (
-                ctx.worker_index, item_key(item), time.monotonic(), token
+            prev_token = enter_item(
+                self._inflight, ctx.worker_index, item_key(item)
             )
         t0 = time.perf_counter()
         try:
@@ -204,8 +202,7 @@ class Stage:
         finally:
             dt = time.perf_counter() - t0
             if self.supervised:
-                self._inflight.pop(ctx.worker_index, None)
-                install_token(prev_token)
+                exit_item(self._inflight, ctx.worker_index, prev_token)
             with self._count_lock:
                 self.items_processed += 1
                 self.busy_seconds += dt

@@ -77,8 +77,9 @@ def current_token() -> CancelToken | None:
 def install_token(token: CancelToken | None) -> CancelToken | None:
     """Install ``token`` for the calling thread; returns the previous one.
 
-    Used as a manual push/pop pair by the stage worker loop (a context
-    manager would allocate a generator per item on the hot path)::
+    Used as a manual push/pop pair by :func:`enter_item` /
+    :func:`exit_item` (a context manager would allocate a generator per
+    item on the hot path)::
 
         prev = install_token(token)
         try:
@@ -89,3 +90,23 @@ def install_token(token: CancelToken | None) -> CancelToken | None:
     prev = getattr(_tls, "token", None)
     _tls.token = token
     return prev
+
+
+def enter_item(inflight: dict, worker, key) -> CancelToken | None:
+    """Start supervising one item on the calling thread.
+
+    Installs a fresh :class:`CancelToken` and lists the item in
+    ``inflight`` under ``worker`` as ``(worker, key, started_monotonic,
+    token)``, the entry a :class:`~repro.recovery.watchdog.Watchdog` reads
+    from a stage's ``inflight()``.  Returns the token it replaced; pass it
+    to :func:`exit_item` when the item ends.
+    """
+    token = CancelToken()
+    inflight[worker] = (worker, key, time.monotonic(), token)
+    return install_token(token)
+
+
+def exit_item(inflight: dict, worker, prev: CancelToken | None) -> None:
+    """End the item :func:`enter_item` started: unlist it, restore ``prev``."""
+    inflight.pop(worker, None)
+    install_token(prev)

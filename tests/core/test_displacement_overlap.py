@@ -3,8 +3,8 @@
 ``compute_grid_displacements`` runs its tile stage and its pair stage
 either one after the other or overlapped by one tile (pair stage on a
 helper thread).  Which one is a decision the code takes from the tile size
-and the usable CPUs; these tests force each through the private
-``_overlap`` argument and require that nothing observable tells them
+and the usable CPUs; these tests force each through the
+``overlap`` argument and require that nothing observable tells them
 apart: translations, counts, fault report, journal bytes, the exception a
 failure surfaces as -- and that no thread survives the call.
 """
@@ -120,7 +120,7 @@ def run_once(tiles, overlap, *, scenario="clean", traversal, coarse,
     try:
         seen["result"] = compute_grid_displacements(
             loader, ROWS, COLS, traversal=traversal, kernel=kernel,
-            _overlap=overlap,
+            overlap=overlap,
         )
     except Exception as exc:
         stages = [s for s, _ in getattr(exc, "failures", [])]
@@ -242,7 +242,7 @@ def test_interrupt_in_the_pair_stage_stops_the_tile_stage(tiles, boom):
     loader = Loader(tiles)
     with pytest.raises(type(boom)) as caught:
         compute_grid_displacements(
-            loader, ROWS, COLS, kernel=Interrupted(), _overlap=True)
+            loader, ROWS, COLS, kernel=Interrupted(), overlap=True)
     assert caught.value is boom
     # The second pair belongs to the third or fourth traversal step; the
     # tile stage was at most one step ahead of it when it stopped.
@@ -267,7 +267,7 @@ def test_pair_stage_failure_supersedes_a_later_read_failure(tiles):
         with pytest.raises(RuntimeError, match="injected register_pair"):
             compute_grid_displacements(
                 FailsBoth(tiles), ROWS, COLS, traversal=Traversal.ROW,
-                kernel=Early(), _overlap=overlap)
+                kernel=Early(), overlap=overlap)
 
 
 def test_overlapped_trace_keeps_each_track_serial(tiles):
@@ -322,14 +322,14 @@ def test_counts_survive_aggressive_thread_switching(tiles):
     import time
 
     inline = compute_grid_displacements(Loader(tiles), ROWS, COLS,
-                                        _overlap=False)
+                                        overlap=False)
     before = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         deadline = time.monotonic() + 5.0
         for _ in range(40):
             got = compute_grid_displacements(Loader(tiles), ROWS, COLS,
-                                             _overlap=True)
+                                             overlap=True)
             assert translations(got) == translations(inline)
             for key in ("reads", "ffts", "pairs"):
                 assert got.stats[key] == inline.stats[key]

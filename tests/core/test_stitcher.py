@@ -62,6 +62,12 @@ class TestStitcher:
         assert res.position_errors().mean() < 10.0
 
 
+#: ``name -> (scheduler, impl_options)``: every scheduler, plus
+#: Pipelined-CPU's per-socket configuration under the paper's name for it.
+CONFIGS = {name: (name, {}) for name in SCHEDULERS}
+CONFIGS["pipelined-cpu-numa"] = ("pipelined-cpu", {"partitions": 2})
+
+
 class TestSchedulerSelection:
     """``Stitcher(impl=...)``: no option is silently dropped."""
 
@@ -70,13 +76,15 @@ class TestSchedulerSelection:
             Stitcher(impl="warp-drive")
 
     @pytest.mark.parametrize("coarse", [False, True], ids=["full", "coarse"])
-    @pytest.mark.parametrize("impl", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("impl", sorted(CONFIGS))
     def test_subpixel_equals_simple_cpu(self, impl, coarse, dataset_4x4):
         """The contest and its sub-pixel vertex are the kernel's, so the
         virtual-GPU host half honours ``subpixel`` like everyone else."""
         def estimates(name):
+            name, impl_options = CONFIGS[name]
             disp = Stitcher(
-                impl=name, subpixel=True, coarse=coarse,
+                impl=name, impl_options=impl_options, subpixel=True,
+                coarse=coarse,
             ).stitch(dataset_4x4).displacements
             return [(t.tx_f, t.ty_f) for direction in Direction
                     for _, _, t in disp.entries(direction)]
@@ -133,17 +141,19 @@ class TestSchedulerSelection:
             Stitcher(impl=impl,
                      impl_options={"watchdog": WatchdogConfig(item_deadline=1)})
 
-    @pytest.mark.parametrize("impl", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("impl", sorted(CONFIGS))
     def test_unknown_scheduler_option_named(self, impl):
         # A stray key used to fall through ``**kw`` into the kernel options
         # and surface as "pass a kernel or kernel options, not both".
+        impl, impl_options = CONFIGS[impl]
         with pytest.raises(ValueError, match="no option 'threads'") as err:
-            Stitcher(impl=impl, impl_options={"threads": 2})
+            Stitcher(impl=impl, impl_options={**impl_options, "threads": 2})
         for accepted in scheduler_options(impl):
             assert accepted in str(err.value)
 
     def test_scheduler_options_read_off_the_constructors(self):
         assert scheduler_options("mt-cpu") == ["watchdog", "workers"]
+        assert scheduler_options("pipelined-cpu") == ["partitions", "watchdog"]
         assert "devices" in scheduler_options("pipelined-gpu")
         for impl in SCHEDULERS:
             assert not {"self", "kernel", "traversal"} & set(
@@ -166,7 +176,7 @@ class TestSchedulerSelection:
         ref = Stitcher().stitch(dataset_4x4)
         res = Stitcher(
             traversal=Traversal.ROW, impl="pipelined-cpu",
-            impl_options={"workers": 2},
+            impl_options={"partitions": 2},
         ).stitch(dataset_4x4)
         assert res.implementation == "pipelined-cpu"
         assert np.array_equal(res.positions.positions, ref.positions.positions)

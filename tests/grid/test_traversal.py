@@ -115,7 +115,7 @@ class TestPeakLiveTransforms:
         tiles = {pos: rng.random((16, 16)) for pos in TileGrid(*shape).positions()}
         disp = compute_grid_displacements(
             lambda r, c: tiles[GridPosition(r, c)], *shape, traversal=order,
-            _overlap=False,
+            overlap=False,
         )
         assert disp.stats["peak_live_transforms"] == peak_live_transforms(
             TileGrid(*shape), order

@@ -13,7 +13,7 @@ from repro.analysis.opcounts import OperationCounts
 from repro.faults import ErrorPolicy
 from repro.faults.plan import Fault, FaultKind, FaultPlan
 from repro.faults.report import FaultReport
-from repro.grid.traversal import Traversal
+from repro.grid.traversal import Traversal, default_pool_size
 from repro.impls import (
     FijiBaseline,
     MtCpu,
@@ -108,7 +108,7 @@ class TestTransformReuse:
         assert res.stats["process_workers"] == 2
 
     def test_pipelined_cpu_no_redundancy(self, dataset_4x4):
-        res = PipelinedCpu(workers=3).run(dataset_4x4)
+        res = PipelinedCpu().run(dataset_4x4)
         assert res.stats["ffts"] == 16
         assert res.stats["reads"] == 16
 
@@ -181,8 +181,10 @@ class TestGpuClaims:
 
 class TestMemoryBounds:
     def test_pipelined_cpu_pool_peak_recorded(self, dataset_4x4):
-        res = PipelinedCpu(workers=2, pool_size=10).run(dataset_4x4)
-        assert 0 < res.stats["pool_peak_in_use"] <= 10
+        """The early-release ledger bounds the live transforms by the
+        chained-diagonal wavefront a transform pool is sized for."""
+        res = PipelinedCpu().run(dataset_4x4)
+        assert 0 < res.stats["peak_live_transforms"] <= default_pool_size(4, 4)
 
     def test_simple_cpu_live_transforms_bounded(self, dataset_4x4):
         res = SimpleCpu().run(dataset_4x4)

@@ -28,7 +28,7 @@ IMPLS = [
     ("fiji-baseline", lambda **kw: FijiBaseline(**kw)),
     ("mt-cpu", lambda **kw: MtCpu(workers=3, **kw)),
     ("proc-cpu", lambda **kw: ProcCpu(workers=2, **kw)),
-    ("pipelined-cpu", lambda **kw: PipelinedCpu(workers=2, **kw)),
+    ("pipelined-cpu", lambda **kw: PipelinedCpu(partitions=2, **kw)),
     ("simple-gpu", lambda **kw: SimpleGpu(**kw)),
     ("pipelined-gpu", lambda **kw: PipelinedGpu(devices=2, ccf_workers=2, **kw)),
 ]

@@ -40,34 +40,39 @@ def single_1x1(tmp_path_factory):
     )
 
 
-def impl_kwargs(name):
-    return {
-        "mt-cpu": {"workers": 3},
-        "pipelined-cpu": {"workers": 2},
-        "pipelined-cpu-numa": {"sockets": 2},
-        "pipelined-gpu": {"devices": 2, "ccf_workers": 2},
-    }.get(name, {})
+#: ``name -> (scheduler, constructor kwargs)``: every scheduler, plus
+#: Pipelined-CPU's per-socket configuration under the paper's name for it.
+CONFIGS = {name: (name, {}) for name in ALL_IMPLEMENTATIONS} | {
+    "mt-cpu": ("mt-cpu", {"workers": 3}),
+    "pipelined-cpu-numa": ("pipelined-cpu", {"partitions": 2}),
+    "pipelined-gpu": ("pipelined-gpu", {"devices": 2, "ccf_workers": 2}),
+}
 
 
-@pytest.mark.parametrize("name", sorted(ALL_IMPLEMENTATIONS))
+def build(name):
+    impl, kwargs = CONFIGS[name]
+    return ALL_IMPLEMENTATIONS[impl](**kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_horizontal_strip(name, strip_1x6):
     ref = SimpleCpu().run(strip_1x6)
-    res = ALL_IMPLEMENTATIONS[name](**impl_kwargs(name)).run(strip_1x6)
+    res = build(name).run(strip_1x6)
     assert res.displacements.pair_count() == 5
     assert displacement_agreement(res.displacements, ref.displacements) == 1.0
 
 
-@pytest.mark.parametrize("name", sorted(ALL_IMPLEMENTATIONS))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_vertical_column(name, column_5x1):
     ref = SimpleCpu().run(column_5x1)
-    res = ALL_IMPLEMENTATIONS[name](**impl_kwargs(name)).run(column_5x1)
+    res = build(name).run(column_5x1)
     assert res.displacements.pair_count() == 4
     assert displacement_agreement(res.displacements, ref.displacements) == 1.0
 
 
-@pytest.mark.parametrize("name", sorted(ALL_IMPLEMENTATIONS))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_single_tile(name, single_1x1):
-    res = ALL_IMPLEMENTATIONS[name](**impl_kwargs(name)).run(single_1x1)
+    res = build(name).run(single_1x1)
     assert res.displacements.pair_count() == 0
     assert res.displacements.is_complete()
 

@@ -10,18 +10,19 @@ from repro.analysis.metrics import displacement_agreement
 from repro.impls import ALL_IMPLEMENTATIONS
 
 
-@pytest.mark.parametrize("name", sorted(ALL_IMPLEMENTATIONS))
+#: ``name -> (scheduler, constructor kwargs)``: every scheduler, plus
+#: Pipelined-CPU's per-socket configuration under the paper's name for it.
+CONFIGS = {name: (name, {}) for name in ALL_IMPLEMENTATIONS} | {
+    "mt-cpu": ("mt-cpu", {"workers": 3}),
+    "pipelined-cpu-numa": ("pipelined-cpu", {"partitions": 3}),
+    "pipelined-gpu": ("pipelined-gpu", {"devices": 2, "ccf_workers": 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_two_runs_identical(name, dataset_3x5):
-    cls = ALL_IMPLEMENTATIONS[name]
-    kwargs = {}
-    if name == "mt-cpu":
-        kwargs = {"workers": 3}
-    elif name == "pipelined-cpu":
-        kwargs = {"workers": 3}
-    elif name == "pipelined-cpu-numa":
-        kwargs = {"sockets": 2, "workers_per_socket": 2}
-    elif name == "pipelined-gpu":
-        kwargs = {"devices": 2, "ccf_workers": 3}
+    impl, kwargs = CONFIGS[name]
+    cls = ALL_IMPLEMENTATIONS[impl]
     a = cls(**kwargs).run(dataset_3x5)
     b = cls(**kwargs).run(dataset_3x5)
     assert displacement_agreement(a.displacements, b.displacements) == 1.0

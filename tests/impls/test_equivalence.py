@@ -23,8 +23,9 @@ PARALLEL_IMPLS = [
     ("mt-cpu-3", lambda: MtCpu(workers=3)),
     ("proc-cpu-1", lambda: ProcCpu(workers=1)),
     ("proc-cpu-3", lambda: ProcCpu(workers=3)),
-    ("pipelined-cpu-1", lambda: PipelinedCpu(workers=1)),
-    ("pipelined-cpu-3", lambda: PipelinedCpu(workers=3)),
+    ("pipelined-cpu-1", lambda: PipelinedCpu(partitions=1)),
+    ("pipelined-cpu-2", lambda: PipelinedCpu(partitions=2)),
+    ("pipelined-cpu-3", lambda: PipelinedCpu(partitions=3)),
     ("simple-gpu", lambda: SimpleGpu()),
     ("pipelined-gpu-1", lambda: PipelinedGpu(devices=1)),
     ("pipelined-gpu-2", lambda: PipelinedGpu(devices=2, ccf_workers=2)),
@@ -45,7 +46,7 @@ def test_matches_reference(name, factory, dataset_4x4, reference_displacements):
 @pytest.mark.parametrize("name,factory", [
     ("mt-cpu", lambda: MtCpu(workers=2)),
     ("proc-cpu", lambda: ProcCpu(workers=2)),
-    ("pipelined-cpu", lambda: PipelinedCpu(workers=2)),
+    ("pipelined-cpu", lambda: PipelinedCpu(partitions=2)),
     ("pipelined-gpu", lambda: PipelinedGpu(devices=2, ccf_workers=2)),
 ])
 def test_nonsquare_grid(name, factory, dataset_3x5):

@@ -48,7 +48,7 @@ class TestCorruptTile:
 
     def test_pipelined_cpu_fails_fast_no_deadlock(self, broken_dataset):
         with pytest.raises(PipelineError) as exc_info:
-            PipelinedCpu(workers=2, pool_timeout=5.0).run(broken_dataset)
+            PipelinedCpu(partitions=2).run(broken_dataset)
         assert isinstance(exc_info.value.__cause__, TiffError)
 
     def test_pipelined_gpu_fails_fast_no_deadlock(self, broken_dataset):
@@ -59,7 +59,7 @@ class TestCorruptTile:
 class TestMissingTile:
     def test_pipelined_cpu(self, missing_tile_dataset):
         with pytest.raises(PipelineError) as exc_info:
-            PipelinedCpu(workers=2, pool_timeout=5.0).run(missing_tile_dataset)
+            PipelinedCpu(partitions=2).run(missing_tile_dataset)
         assert isinstance(exc_info.value.__cause__, FileNotFoundError)
 
     def test_simple_cpu(self, missing_tile_dataset):
@@ -107,14 +107,16 @@ def test_pipelined_gpu_frees_host_pixels_around_a_dropped_tile(tmp_path):
 
 
 class TestUndersizedPool:
-    def test_pipelined_cpu_times_out_instead_of_hanging(self, tmp_path):
+    """Pipelined-GPU's transform pool: one slot per live device transform."""
+
+    def test_pipelined_gpu_times_out_instead_of_hanging(self, tmp_path):
         """A pool below the wavefront requirement must raise, not hang."""
         ds = make_synthetic_dataset(
             tmp_path / "ds", rows=4, cols=4, tile_height=32, tile_width=32,
             overlap=0.25, seed=5,
         )
         with pytest.raises(PipelineError) as exc_info:
-            PipelinedCpu(workers=2, pool_size=1, pool_timeout=0.5).run(ds)
+            PipelinedGpu(pool_size=1, pool_timeout=0.5).run(ds)
         assert isinstance(exc_info.value.__cause__, TimeoutError)
 
     def test_adequate_pool_succeeds(self, tmp_path):
@@ -122,7 +124,7 @@ class TestUndersizedPool:
             tmp_path / "ds", rows=4, cols=4, tile_height=32, tile_width=32,
             overlap=0.25, seed=5,
         )
-        res = PipelinedCpu(workers=2, pool_size=12, pool_timeout=30.0).run(ds)
+        res = PipelinedGpu(pool_size=12, pool_timeout=30.0).run(ds)
         assert res.displacements.is_complete()
 
 
@@ -131,6 +133,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             MtCpu(workers=0)
         with pytest.raises(ValueError):
-            PipelinedCpu(workers=0)
+            PipelinedCpu(partitions=0)
         with pytest.raises(ValueError):
             PipelinedGpu(devices=0)

@@ -28,7 +28,7 @@ class TestPaddedFftAcrossImpls:
 
     @pytest.mark.parametrize("factory", [
         lambda shape: MtCpu(workers=2, fft_shape=shape),
-        lambda shape: PipelinedCpu(workers=2, fft_shape=shape),
+        lambda shape: PipelinedCpu(partitions=2, fft_shape=shape),
         lambda shape: PipelinedGpu(devices=2, fft_shape=shape),
     ])
     def test_padded_equivalence(self, factory, dataset_4x4, padded_reference):

@@ -1,9 +1,11 @@
-"""Per-socket pipelined CPU: equivalence, partition structure, failures."""
+"""Per-socket Pipelined-CPU -- ``PipelinedCpu(partitions=n)``, one
+overlapped pipeline per column partition: equivalence, partition
+structure, failures."""
 
 import pytest
 
 from repro.analysis.metrics import displacement_agreement
-from repro.impls import PipelinedCpuNuma, SimpleCpu
+from repro.impls import PipelinedCpu, SimpleCpu
 from repro.pipeline.graph import PipelineError
 from repro.synth import make_synthetic_dataset
 
@@ -11,7 +13,7 @@ from repro.synth import make_synthetic_dataset
 class TestEquivalence:
     @pytest.mark.parametrize("sockets", [1, 2, 3])
     def test_matches_reference(self, sockets, dataset_4x4, reference_displacements):
-        res = PipelinedCpuNuma(sockets=sockets, workers_per_socket=2).run(dataset_4x4)
+        res = PipelinedCpu(partitions=sockets).run(dataset_4x4)
         assert res.displacements.is_complete()
         assert displacement_agreement(
             res.displacements, reference_displacements.displacements
@@ -19,25 +21,25 @@ class TestEquivalence:
 
     def test_nonsquare(self, dataset_3x5):
         ref = SimpleCpu().run(dataset_3x5)
-        res = PipelinedCpuNuma(sockets=2).run(dataset_3x5)
+        res = PipelinedCpu(partitions=2).run(dataset_3x5)
         assert displacement_agreement(res.displacements, ref.displacements) == 1.0
 
 
 class TestStructure:
     def test_ghost_column_duplication(self, dataset_4x4):
-        """2 sockets on a 4x4 grid: the boundary column is read twice."""
-        res = PipelinedCpuNuma(sockets=2).run(dataset_4x4)
+        """2 partitions on a 4x4 grid: the boundary column is read by both."""
+        res = PipelinedCpu(partitions=2).run(dataset_4x4)
         assert res.stats["reads"] == 16 + 4
-        assert res.stats["sockets"] == 2
+        assert res.stats["partitions"] == 2
 
     def test_single_socket_no_duplication(self, dataset_4x4):
-        res = PipelinedCpuNuma(sockets=1).run(dataset_4x4)
+        res = PipelinedCpu(partitions=1).run(dataset_4x4)
         assert res.stats["reads"] == 16
 
     def test_more_sockets_than_columns(self, dataset_3x5):
-        res = PipelinedCpuNuma(sockets=10).run(dataset_3x5)
+        res = PipelinedCpu(partitions=10).run(dataset_3x5)
         assert res.displacements.is_complete()
-        assert res.stats["sockets"] <= 5
+        assert res.stats["partitions"] == 5
 
 
 class TestFailures:
@@ -49,10 +51,8 @@ class TestFailures:
         blob = ds.path(1, 2).read_bytes()
         ds.path(1, 2).write_bytes(blob[: len(blob) // 3])
         with pytest.raises(PipelineError):
-            PipelinedCpuNuma(sockets=2, pool_timeout=5.0).run(ds)
+            PipelinedCpu(partitions=2).run(ds)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PipelinedCpuNuma(sockets=0)
-        with pytest.raises(ValueError):
-            PipelinedCpuNuma(workers_per_socket=0)
+            PipelinedCpu(partitions=0)

@@ -119,7 +119,7 @@ class TestArenaHygiene:
             def __getattr__(self, name):
                 return getattr(dataset_4x4, name)
 
-            def load(self, r, c):
+            def load(self, r, c, dtype=None):
                 raise OSError(f"boom ({r},{c})")
 
         before = set(leaked_segments(SHM_NAME_PREFIX))

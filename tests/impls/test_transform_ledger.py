@@ -16,8 +16,8 @@ from repro.synth import make_synthetic_dataset
 IN_PROCESS = {
     "simple-cpu": {},
     "mt-cpu": {"workers": 2},
-    "pipelined-cpu": {"workers": 2},
-    "pipelined-cpu-numa": {"sockets": 2},
+    "pipelined-cpu": {},
+    "pipelined-cpu-numa": {"partitions": 2},
     "simple-gpu": {},
     "pipelined-gpu": {"devices": 2},
     "pipelined-gpu-p2p": {"devices": 2, "p2p": True},
@@ -39,7 +39,7 @@ def grid_3x4(tmp_path_factory):
 def test_ledger_counts_every_tile_forward_and_pair_inverse(
     name, grid_3x4, ledger
 ):
-    stitcher = Stitcher(impl=name.removesuffix("-p2p"),
+    stitcher = Stitcher(impl=name.removesuffix("-p2p").removesuffix("-numa"),
                         impl_options=IN_PROCESS[name])
     stats = stitcher.stitch(grid_3x4).stats
     assert stats["pairs"] == 2 * 3 * 4 - 3 - 4

@@ -102,7 +102,7 @@ class TestFullPipeline:
             tmp_path / "ds", rows=3, cols=4, tile_height=64, tile_width=64,
             overlap=0.2, seed=41,
         )
-        cpu = PipelinedCpu(workers=2).run(ds)
+        cpu = PipelinedCpu(partitions=2).run(ds)
         gpu = PipelinedGpu(devices=1).run(ds)
         p_cpu = resolve_absolute_positions(cpu.displacements, "mst")
         p_gpu = resolve_absolute_positions(gpu.displacements, "mst")

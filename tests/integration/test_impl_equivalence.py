@@ -1,7 +1,9 @@
 """End-to-end equivalence of every scheduler through the one entry point.
 
 Every test drives ``Stitcher(impl=NAME)`` -- phases 1 and 2 -- for all
-eight scheduler names.  Invariants:
+seven scheduler names, and for Pipelined-CPU's per-socket configuration
+(one pipeline per column partition) under the paper's name for it,
+``pipelined-cpu-numa``.  Invariants:
 
 1. every scheduler resolves the *same absolute positions* as the
    sequential reference, whether or not a tracer/metrics registry is
@@ -24,7 +26,15 @@ from repro.impls import ALL_IMPLEMENTATIONS
 from repro.observe import MetricsRegistry, Tracer
 from repro.synth import make_synthetic_dataset
 
-IMPL_NAMES = sorted(ALL_IMPLEMENTATIONS)
+#: ``name -> (scheduler, impl_options)``.
+CONFIGS = {name: (name, {}) for name in ALL_IMPLEMENTATIONS}
+CONFIGS["pipelined-cpu-numa"] = ("pipelined-cpu", {"partitions": 2})
+IMPL_NAMES = sorted(CONFIGS)
+
+
+def stitcher(impl_name: str, **kw) -> Stitcher:
+    impl, impl_options = CONFIGS[impl_name]
+    return Stitcher(impl=impl, impl_options=impl_options, **kw)
 
 MISSING_PAIRS = [
     ("north", 2, 1),
@@ -35,7 +45,7 @@ MISSING_PAIRS = [
 
 
 def test_scheduler_table_names_every_implementation():
-    assert sorted(SCHEDULERS) == IMPL_NAMES
+    assert sorted(SCHEDULERS) == sorted(ALL_IMPLEMENTATIONS)
     for name, cls in ALL_IMPLEMENTATIONS.items():
         assert cls.name == name
 
@@ -64,8 +74,8 @@ def test_identical_positions(impl_name, traced, dataset_4x4, reference):
     if traced:
         tracer = Tracer()
         kw = {"trace": tracer, "metrics": MetricsRegistry()}
-    result = Stitcher(impl=impl_name, **kw).stitch(dataset_4x4)
-    assert result.implementation == impl_name
+    result = stitcher(impl_name, **kw).stitch(dataset_4x4)
+    assert result.implementation == CONFIGS[impl_name][0]
     assert result.phase2_seconds > 0
     assert np.array_equal(
         result.positions.positions, reference.positions.positions
@@ -84,8 +94,8 @@ def test_identical_skip_accounting(impl_name, traced, damaged_dataset):
     kw = {}
     if traced:
         kw = {"trace": Tracer(), "metrics": MetricsRegistry()}
-    result = Stitcher(
-        impl=impl_name, max_retries=1, retry_backoff=0.0,
+    result = stitcher(
+        impl_name, max_retries=1, retry_backoff=0.0,
         on_tile_error="skip", **kw,
     ).stitch(damaged_dataset)
     report = result.fault_report
@@ -125,8 +135,8 @@ def adjacent_holes_dataset(tmp_path_factory):
 def test_skipped_pair_counter_counts_each_pair_once(
     impl_name, adjacent_holes_dataset
 ):
-    result = Stitcher(
-        impl=impl_name, on_tile_error="skip", metrics=MetricsRegistry(),
+    result = stitcher(
+        impl_name, on_tile_error="skip", metrics=MetricsRegistry(),
     ).stitch(adjacent_holes_dataset)
     skipped = result.fault_report.skipped_pairs
     assert len(skipped) == 7
@@ -181,7 +191,7 @@ def test_half_spectrum_matrix_identical(impl_name, real, dataset_4x4):
     transform scheme may ever change which candidate wins).
     """
     ref_t = naive_translations(dataset_4x4)
-    run = Stitcher(impl=impl_name, real_transforms=real).stitch(dataset_4x4)
+    run = stitcher(impl_name, real_transforms=real).stitch(dataset_4x4)
     got_t = _collect_translations(run.displacements)
     assert len(got_t) == len(ref_t)
     for got, want in zip(got_t, ref_t):
@@ -201,8 +211,8 @@ def test_half_spectrum_matrix_identical(impl_name, real, dataset_4x4):
 @pytest.mark.parametrize("impl_name", IMPL_NAMES)
 def test_half_spectrum_matrix_skip_accounting(impl_name, real, damaged_dataset):
     """r2c on/off must not change skip/drop accounting either."""
-    result = Stitcher(
-        impl=impl_name, real_transforms=real, on_tile_error="skip",
+    result = stitcher(
+        impl_name, real_transforms=real, on_tile_error="skip",
     ).stitch(damaged_dataset)
     assert result.fault_report.skipped_tiles == [(2, 1)]
     assert sorted(result.displacements.missing_pairs()) == MISSING_PAIRS
@@ -211,7 +221,7 @@ def test_half_spectrum_matrix_skip_accounting(impl_name, real, damaged_dataset):
 def test_surviving_pairs_match_reference(damaged_dataset):
     """The pairs that survive a skip run agree across schedulers."""
     runs = {
-        name: Stitcher(impl=name, on_tile_error="skip").stitch(damaged_dataset)
+        name: stitcher(name, on_tile_error="skip").stitch(damaged_dataset)
         for name in IMPL_NAMES
     }
     ref = runs["simple-cpu"]
@@ -237,7 +247,7 @@ def test_surviving_pairs_match_reference(damaged_dataset):
 def test_coarse_positions_and_provenance(impl_name, dataset_4x4, reference):
     """Coarse mode never changes an answer, under any scheduler, and every
     pair says which path produced it."""
-    result = Stitcher(impl=impl_name, coarse=True).stitch(dataset_4x4)
+    result = stitcher(impl_name, coarse=True).stitch(dataset_4x4)
     assert np.array_equal(
         result.positions.positions, reference.positions.positions
     )
@@ -267,8 +277,8 @@ def test_checkpoint_then_resume_partitions_the_grid(
     lines = journal.read_text().splitlines(keepends=True)
     journal.write_text("".join(lines[:13]))  # header + 12 of 24 pairs
 
-    resumed = Stitcher(
-        impl=impl_name, checkpoint=str(ckpt), resume="require",
+    resumed = stitcher(
+        impl_name, checkpoint=str(ckpt), resume="require",
         journal_fsync=False,
     ).stitch(dataset_4x4)
     assert resumed.stats["resumed_pairs"] == 12

@@ -46,11 +46,11 @@ def test_phase1_peak_holds_one_float64_plane_per_live_tile(plate, coarse):
     kernel = Phase1Kernel(coarse=CoarseConfig() if coarse else None,
                           ccf_mode=CcfMode.EXTENDED, n_peaks=2)
     compute_grid_displacements(load, ROWS, COLS, kernel=kernel,
-                               _overlap=False)  # warm: transform ledger
+                               overlap=False)  # warm: transform ledger
     tracemalloc.start()
     try:
         disp = compute_grid_displacements(load, ROWS, COLS, kernel=kernel,
-                                          _overlap=False)
+                                          overlap=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -25,52 +25,72 @@ from repro.observe import MetricsRegistry, Tracer
 
 
 class TestPipelinedCpuTrace:
+    """Pipelined-CPU has no queues: each partition's pipeline is a tile
+    row and a pair row, the two stages overlapping in time."""
+
     @pytest.fixture(scope="class")
     def traced_run(self, dataset_4x4):
         tracer, metrics = Tracer(), MetricsRegistry()
-        impl = PipelinedCpu(workers=2, tracer=tracer, metrics=metrics)
+        impl = PipelinedCpu(partitions=2, tracer=tracer, metrics=metrics)
         run = impl.run(dataset_4x4)
         return tracer, metrics, run
 
     def test_events_validate(self, traced_run):
         tracer, _, _ = traced_run
         events = merged_trace_events(tracer=tracer)
-        validate_trace_events(events, require_counters=True)
+        validate_trace_events(events)
+        assert not tracer.counter_names()
 
     def test_stage_tracks_present(self, traced_run):
         tracer, _, _ = traced_run
         tracks = set(tracer.tracks())
-        assert any(t.startswith("pipelined-cpu/reader") for t in tracks)
-        assert any(t.startswith("pipelined-cpu/compute") for t in tracks)
-        assert any(t.startswith("pipelined-cpu/bookkeeping") for t in tracks)
-
-    def test_every_queue_has_a_counter_track(self, traced_run):
-        tracer, _, _ = traced_run
-        names = set(tracer.counter_names())
-        assert "queue:pipelined-cpu:work" in names
-        assert "queue:pipelined-cpu:events" in names
+        for k in (0, 1):
+            assert f"pipelined-cpu/partition-{k}-tiles" in tracks
+            assert f"pipelined-cpu/partition-{k}-pairs" in tracks
 
     def test_spans_cover_all_pairs(self, traced_run):
         tracer, _, run = traced_run
-        assert tracer.span_count("compute") >= run.stats["pairs"]
+        assert tracer.span_count("pair") == run.stats["pairs"] == 24
 
     def test_metrics_counted_all_items(self, traced_run):
-        _, metrics, run = traced_run
+        """Every read and transform is a span; the registry holds the
+        run's wall time."""
+        tracer, metrics, run = traced_run
+        assert tracer.span_count("read") == run.stats["reads"] == 16 + 4
+        assert tracer.span_count("fft") == run.stats["ffts"]
         snap = metrics.snapshot()
-        # Items >= reads: the reader handles every tile plus any control
-        # items the pipeline routes through it.
-        assert snap["counters"]["stage.reader.items"] >= run.stats["reads"]
-        assert snap["histograms"]["stage.compute.seconds"]["count"] > 0
+        assert snap["histograms"]["impl.pipelined-cpu.wall_seconds"]["count"] == 1
 
     def test_write_and_reload(self, traced_run, tmp_path):
         tracer, _, _ = traced_run
         out = tmp_path / "trace.json"
         write_chrome_trace(out, merged_trace_events(tracer=tracer))
         events = json.loads(out.read_text())
-        validate_trace_events(events, require_counters=True)
+        validate_trace_events(events)
 
 
 class TestPipelinedGpuTrace:
+    @pytest.fixture(scope="class")
+    def traced_run(self, dataset_4x4):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        run = PipelinedGpu(tracer=tracer, metrics=metrics).run(dataset_4x4)
+        return tracer, metrics, run
+
+    def test_every_queue_has_a_counter_track(self, traced_run):
+        tracer, _, _ = traced_run
+        validate_trace_events(merged_trace_events(tracer=tracer),
+                              require_counters=True)
+        names = set(tracer.counter_names())
+        for queue in ("read-copy", "copy-fft", "events", "ready-pairs",
+                      "ccf-work"):
+            assert f"queue:pipelined-gpu-0:{queue}" in names
+
+    def test_stage_metrics_count_every_item(self, traced_run):
+        _, metrics, run = traced_run
+        counters = metrics.snapshot()["counters"]
+        assert counters["stage.read.items"] >= run.stats["reads"]
+        assert counters["stage.displacement.items"] == run.stats["pairs"]
+
     def test_merged_trace_has_gpu_process_rows(self, dataset_4x4):
         tracer = Tracer()
         impl = PipelinedGpu(devices=2, tracer=tracer)

@@ -145,6 +145,51 @@ class TestEscalation:
         assert any(i.action == "escalated" for i in report.interventions)
         assert report.to_dict()["kind"] == "item_hang"
 
+    def test_pipelined_cpu_read_ignoring_its_token_raises_stall_error(
+        self, dataset_4x4
+    ):
+        """Pipelined-CPU supervises its tile reads: a read that ignores
+        its cancelled token escalates, the other partition winds down, and
+        ``run`` raises within the deadline plus twice its grace (escalation,
+        then the wind-down) instead of waiting for the read."""
+        import threading
+
+        from repro.impls import PipelinedCpu
+
+        released = threading.Event()
+
+        class Wedged:
+            def __getattr__(self, name):
+                return getattr(dataset_4x4, name)
+
+            def load(self, row, col, dtype=None):
+                if (row, col) == (2, 2):  # no partition's ghost
+                    released.wait(30.0)  # never polls its token
+                return dataset_4x4.load(row, col, dtype=dtype)
+
+        impl = PipelinedCpu(
+            partitions=2,
+            error_policy=ErrorPolicy(on_exhausted="skip"),
+            fault_report=FaultReport(),
+            watchdog=WatchdogConfig(item_deadline=0.2, stall_timeout=30,
+                                    escalation_grace=1.0, poll_interval=0.02),
+        )
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(PipelineStallError) as ei:
+                impl.run(Wedged())
+            elapsed = time.monotonic() - t0
+        finally:
+            released.set()
+        assert elapsed < 0.2 + 2 * 1.0 + 2.0
+        assert len(ei.value.abandoned_threads) == 1  # only the wedged read
+        report = ei.value.report
+        assert report.kind == "item_hang" and report.escalated
+        assert report.pipeline == "pipelined-cpu"
+        assert report.inflight["read"][0]["key"] == "GridPosition(row=2, col=2)"
+        assert [i.action for i in report.interventions] == [
+            "cancelled", "escalated"]
+
     def test_pipeline_stall_detected_without_item_deadline(self):
         """No per-item deadline: a silently wedged worker with work still
         queued is caught by the whole-pipeline progress monitor."""
@@ -189,11 +234,13 @@ class TestIdleOverhead:
 
 class TestInjectedHangEndToEnd:
     @pytest.mark.parametrize("max_retries", [0, 3])
-    @pytest.mark.parametrize(
-        "impl", ["pipelined-cpu", "pipelined-cpu-numa", "pipelined-gpu"]
-    )
+    @pytest.mark.parametrize("impl, options", [
+        ("pipelined-cpu", {"partitions": 1}),
+        ("pipelined-cpu", {"partitions": 2}),
+        ("pipelined-gpu", {}),
+    ], ids=["pipelined-cpu", "pipelined-cpu-2", "pipelined-gpu"])
     def test_hang_fault_in_pipelined_cpu_degrades_not_deadlocks(
-        self, dataset_4x4, impl, max_retries
+        self, dataset_4x4, impl, options, max_retries
     ):
         """FaultKind.HANG + watchdog + skip policy, on every scheduler a
         watchdog can supervise: the hung read is cancelled once (never
@@ -207,6 +254,7 @@ class TestInjectedHangEndToEnd:
         )
         report = FaultReport()
         run_impl = ALL_IMPLEMENTATIONS[impl](
+            **options,
             error_policy=ErrorPolicy(max_retries=max_retries,
                                      on_exhausted="skip"),
             fault_report=report,

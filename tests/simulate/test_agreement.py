@@ -5,12 +5,16 @@ each scheduler's own schedule: the same column partitions, ghost columns
 and pair readiness (``repro.grid.traversal``).  Every partitioned
 scheduler is run for real and simulated over the same grids and
 partition counts, and the simulated operations are counted against the
-run's own statistics.
+run's own statistics.  ``simulate_pipelined_cpu(threads=n)`` models one
+pipeline of ``n`` threads -- ``PipelinedCpu()``'s one partition -- and
+``simulate_pipelined_cpu_numa`` one pipeline per socket, which is
+``PipelinedCpu(partitions=n)``: both read every tile of their partition,
+ghost column included.
 """
 
 import pytest
 
-from repro.impls import MtCpu, PipelinedCpu, PipelinedCpuNuma, PipelinedGpu
+from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu
 from repro.simulate.costmodel import PAPER_MACHINE
 from repro.simulate.schedules import (
     simulate_mt_cpu,
@@ -28,12 +32,12 @@ TILE = (32, 32)
 #: count is not clamped below the real one.
 SCHEDULERS = {
     "pipelined-cpu": (
-        lambda n: PipelinedCpu(workers=1),
+        lambda n: PipelinedCpu(),
         lambda rows, cols, n: simulate_pipelined_cpu(
             PAPER_MACHINE, rows, cols, 1, tile=TILE),
     ),
     "pipelined-cpu-numa": (
-        lambda n: PipelinedCpuNuma(sockets=n, workers_per_socket=1),
+        lambda n: PipelinedCpu(partitions=n),
         lambda rows, cols, n: simulate_pipelined_cpu_numa(
             PAPER_MACHINE, rows, cols, n, sockets=n, tile=TILE),
     ),

@@ -29,8 +29,8 @@ def test_phase1_holds_one_release_ledger_and_no_band_loop():
     the CCF stage.  The discrete-event simulator's counters model time,
     not tile memory, and phase 2's block back substitution updates
     solution blocks, not counts.  No scheduler writes its own loop over
-    west and north pairs: MT-CPU and Proc-CPU run Simple-CPU's over their
-    partitions."""
+    west and north pairs: MT-CPU, Proc-CPU and Pipelined-CPU run
+    Simple-CPU's over their partitions."""
     gone = {"RefCounter", "pairs_done", "maybe_release", "release_if_done",
             "row_products", "band_pairs"}
     counts, band_loops = set(), set()
@@ -61,8 +61,8 @@ def test_grid_decomposition_is_written_once():
     """Column partitions and ghost columns come from
     grid/traversal.py::column_partitions and pair readiness from the
     ledger, so the simulator reads what the schedulers read.  The
-    pipelines share pipelined_cpu.py's bookkeeping events, both GPU
-    schedulers gpu/kernels.py::correlate_pair, and every pool
+    per-GPU pipelines share pipelined_gpu.py's bookkeeping events, both
+    GPU schedulers gpu/kernels.py::correlate_pair, and every pool
     default_pool_size.  A second split of the grid, a second event class,
     a second device pair sequence or a second pool rule is a copy that can
     drift.  The one split outside grid/ is simulate_mt_cpu's row bands:
@@ -99,6 +99,24 @@ def test_grid_decomposition_is_written_once():
                 or site == "simulate/schedules.py::simulate_mt_cpu"), site
     assert reduces == {"gpu/kernels.py"}, reduces
     assert pool_rules == ["grid/traversal.py::default_pool_size"], pool_rules
+
+
+def test_pipelined_cpu_is_the_overlapped_loop_over_partitions():
+    """Only Pipelined-GPU, the paper's Fig. 8 subject, builds a staged
+    Pipeline.  Pipelined-CPU runs Simple-CPU's loop,
+    compute_grid_displacements, over column partitions: a second CPU
+    stage graph is a second schedule of the same steps."""
+    builders = set()
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Pipeline"):
+                builders.add(where)
+    assert builders == {"impls/pipelined_gpu.py"}, builders
+    tree = ast.parse((PACKAGE / "impls/pipelined_cpu.py").read_text())
+    called = {getattr(node.func, "id", None) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert {"compute_grid_displacements", "column_partitions"} <= called
 
 
 def test_cli_holds_no_second_stitch_path():

@@ -194,11 +194,12 @@ class TestImplSelection:
 
 class TestMoreImplFlags:
     def test_numa_and_multi_gpu(self, tmp_path, capsys):
+        """Per-socket Pipelined-CPU is ``--workers`` partitions."""
         main(["synth", str(tmp_path / "ds"), "--rows", "3", "--cols", "4",
               "--tile-size", "64", "--overlap", "0.25", "--seed", "3"])
         capsys.readouterr()
         rc = main(["stitch", str(tmp_path / "ds"),
-                   "--impl", "pipelined-cpu-numa", "--workers", "2"])
+                   "--impl", "pipelined-cpu", "--workers", "2"])
         assert rc == 0
         rc = main(["stitch", str(tmp_path / "ds"),
                    "--impl", "pipelined-gpu", "--gpus", "2"])
@@ -427,7 +428,7 @@ class TestOneEntryPoint:
         assert rc == 2
         err = capsys.readouterr().err
         assert "cannot honour watchdog" in err
-        for name in ("pipelined-cpu", "pipelined-cpu-numa", "pipelined-gpu"):
+        for name in ("pipelined-cpu", "pipelined-gpu"):
             assert name in err
 
     @pytest.mark.parametrize(
