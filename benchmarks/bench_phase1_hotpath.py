@@ -252,9 +252,9 @@ def measure_overlap(rows: int, cols: int, tile: int) -> dict | None:
     this process may use fewer CPUs than the overlapped schedule needs --
     it would never engage here.
     """
-    from repro.core.displacement import OVERLAP_MIN_CPUS, _usable_cpus
+    from repro.core.displacement import OVERLAP_MIN_CPUS, usable_cpus
 
-    if _usable_cpus() < OVERLAP_MIN_CPUS:
+    if usable_cpus() < OVERLAP_MIN_CPUS:
         return None
     tiles = _load_tiles(rows, cols, tile)
     times: dict[bool, list[float]] = {False: [], True: []}
@@ -478,13 +478,13 @@ def _disp_translations(displacements) -> list:
 
 def measure_sweep(mode: str, workers: tuple[int, ...] = SWEEP_WORKERS,
                   latency: float = SWEEP_READ_LATENCY) -> dict:
-    """Worker-scaling sweep: threads (mt-cpu) vs processes (proc-cpu).
+    """Worker-scaling sweep: mt-cpu's worker threads against simple-cpu.
 
     Every run is checked bit-identical to the simple-cpu reference before
     its throughput counts.  Latency hiding is the mechanism under test --
     see :data:`SWEEP_READ_LATENCY`.
     """
-    from repro.impls import MtCpu, ProcCpu, SimpleCpu
+    from repro.impls import MtCpu, SimpleCpu
     from repro.io.dataset import TileDataset
     from repro.synth import make_synthetic_dataset
 
@@ -514,33 +514,25 @@ def measure_sweep(mode: str, workers: tuple[int, ...] = SWEEP_WORKERS,
                 "seconds": round(ref_seconds, 3),
                 "pairs_per_sec": round(pairs / ref_seconds, 2),
             },
-            "threads": {}, "processes": {},
+            "threads": {},
         }
-        curves = {
-            "threads": lambda w: MtCpu(workers=w),
-            "processes": lambda w: ProcCpu(workers=w),
-        }
-        for curve, make in curves.items():
-            for w in workers:
-                run, seconds = timed(make(w))
-                got = _disp_translations(run.displacements)
-                if got != reference:
-                    raise AssertionError(
-                        f"{curve} sweep at {w} workers diverged from the "
-                        "simple-cpu reference -- positions must be "
-                        "bit-identical"
-                    )
-                report[curve][str(w)] = {
-                    "seconds": round(seconds, 3),
-                    "pairs_per_sec": round(pairs / seconds, 2),
-                }
-        for curve in curves:
-            base = report[curve][str(workers[0])]["pairs_per_sec"]
-            for w in workers:
-                entry = report[curve][str(w)]
-                entry["speedup_vs_1w"] = round(
-                    entry["pairs_per_sec"] / base, 2
+        for w in workers:
+            run, seconds = timed(MtCpu(workers=w))
+            got = _disp_translations(run.displacements)
+            if got != reference:
+                raise AssertionError(
+                    f"threads sweep at {w} workers diverged from the "
+                    "simple-cpu reference -- positions must be "
+                    "bit-identical"
                 )
+            report["threads"][str(w)] = {
+                "seconds": round(seconds, 3),
+                "pairs_per_sec": round(pairs / seconds, 2),
+            }
+        base = report["threads"][str(workers[0])]["pairs_per_sec"]
+        for w in workers:
+            entry = report["threads"][str(w)]
+            entry["speedup_vs_1w"] = round(entry["pairs_per_sec"] / base, 2)
         report["identical_results"] = True
     return report
 
@@ -552,11 +544,10 @@ def _print_sweep(report: dict) -> None:
     r = report["simple_cpu"]
     print(f"  {'simple-cpu':>10}:       {r['pairs_per_sec']:8.1f} pairs/s "
           f"({r['seconds']:.3f}s)")
-    for curve in ("threads", "processes"):
-        for w in report["workers"]:
-            e = report[curve][str(w)]
-            print(f"  {curve:>10}: w={w:<2d}  {e['pairs_per_sec']:8.1f} pairs/s "
-                  f"({e['seconds']:.3f}s, {e['speedup_vs_1w']:.2f}x vs 1w)")
+    for w in report["workers"]:
+        e = report["threads"][str(w)]
+        print(f"  {'threads':>10}: w={w:<2d}  {e['pairs_per_sec']:8.1f} pairs/s "
+              f"({e['seconds']:.3f}s, {e['speedup_vs_1w']:.2f}x vs 1w)")
     print(f"  identical results: {report['identical_results']}")
 
 
@@ -683,14 +674,14 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--output", type=Path, default=BENCH_PATH,
                     help=f"JSON artifact path (default {BENCH_PATH.name})")
     ap.add_argument("--sweep", action="store_true",
-                    help="run the worker-scaling sweep (threads vs "
-                         "processes) instead of the hot-path bench")
+                    help="run the worker-scaling sweep (mt-cpu's worker "
+                         "threads) instead of the hot-path bench")
     ap.add_argument("--sweep-workers", type=str, default=None,
                     metavar="N,N,...",
                     help="comma-separated worker counts for --sweep "
                          f"(default {','.join(map(str, SWEEP_WORKERS))})")
     ap.add_argument("--gate", type=float, default=None, metavar="X",
-                    help="with --sweep: fail unless proc-cpu at the highest "
+                    help="with --sweep: fail unless mt-cpu at the highest "
                          "swept worker count reaches X times simple-cpu "
                          "pairs/sec (CI gate; skips rewriting the artifact)")
     ap.add_argument("--coarse-gate", type=float, default=None, metavar="X",
@@ -800,13 +791,13 @@ def main(argv: list[str] | None = None) -> int:
         _print_sweep(report)
         if args.gate is not None:
             top = str(max(workers))
-            got = report["processes"][top]["pairs_per_sec"]
+            got = report["threads"][top]["pairs_per_sec"]
             base = report["simple_cpu"]["pairs_per_sec"]
             ratio = got / base
-            print(f"  gate: proc-cpu at {top} workers is {ratio:.2f}x "
+            print(f"  gate: mt-cpu at {top} workers is {ratio:.2f}x "
                   f"simple-cpu (need >= {args.gate:.2f}x)")
             if ratio < args.gate:
-                print("FAIL: proc-cpu scaling gate not met", file=sys.stderr)
+                print("FAIL: mt-cpu scaling gate not met", file=sys.stderr)
                 return 1
             print("OK: scaling gate met")
             return 0

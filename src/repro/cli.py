@@ -57,16 +57,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 #: Scheduler constructor argument <- the ``repro stitch`` flag that feeds it.
 _IMPL_ARGS = {
     "mt-cpu": {"workers": "workers"},
-    "proc-cpu": {"workers": "workers"},
     "pipelined-cpu": {"partitions": "workers"},
     "pipelined-gpu": {"devices": "gpus"},
 }
 
 
 def _workers_arg(value: str) -> int:
-    """Parse ``--workers``: an integer, or ``auto`` for the CPU count."""
+    """Parse ``--workers``: an integer, or ``auto`` for the CPUs this
+    process may run on (its affinity mask, not the machine's count)."""
     if value == "auto":
-        return os.cpu_count() or 1
+        from repro.core.displacement import usable_cpus
+
+        return usable_cpus()
     try:
         n = int(value)
     except ValueError:
@@ -463,12 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "('stitcher', the default, is simple-cpu)")
     s.add_argument("--workers", type=_workers_arg, default=2,
                    metavar="N|auto",
-                   help="phase-1 workers (threads or processes, per "
-                        "--impl); 'auto' uses the CPU count")
+                   help="phase-1 worker threads (mt-cpu) or partitions "
+                        "(pipelined-cpu); 'auto' = usable CPU count")
     s.add_argument("--compose-workers", type=_workers_arg, default=1,
                    metavar="N|auto",
                    help="phase-3 stripe workers for the output mosaic "
-                        "(bit-identical to sequential); 'auto' = CPU count")
+                        "(bit-identical to sequential); 'auto' = usable CPU "
+                        "count")
     s.add_argument("--memory-budget", type=_bytes_arg, default=None,
                    metavar="BYTES",
                    help="compose the output mosaic out-of-core under this "

@@ -22,7 +22,7 @@ There is one renderer: :func:`blend_window` blends a painter's-order list
 of tiles into a caller-owned window of the canvas, and it is the only code
 that knows what a :class:`BlendMode` does.  Everything else is a sink or a
 schedule over it -- :func:`compose` (an ndarray, whole or as row stripes
-in workers), :func:`repro.core.streamcompose.stream_compose_to_tiff` (a
+on threads), :func:`repro.core.streamcompose.stream_compose_to_tiff` (a
 reusable band appended to a TIFF) and
 :meth:`repro.core.pyramid.MosaicPyramid.render_region` (a viewport over
 level-scaled positions).  A window is bit-identical to the same pixels of
@@ -36,11 +36,10 @@ which at float64 would be ~3 GB.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -63,13 +62,6 @@ class BlendMode(Enum):
     def needs_weight(self) -> bool:
         """Whether the blend divides by a per-pixel weight accumulator."""
         return self in (BlendMode.AVERAGE, BlendMode.LINEAR)
-
-
-#: Striped-composition context ``(plan, stripes, canvas, weight,
-#: load_tile)``, staged by the parent before the workers start and
-#: inherited by forked ones by address (one live composition per process;
-#: callers are sequential).
-_COMPOSE_CTX: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -237,16 +229,6 @@ def outline_rows(
         band[lo - y0 : hi - y0, tx + tw - 1] = value
 
 
-def _compose_stripe_task(idx: int) -> list[Tile]:
-    """Pool entry point: render one stripe of the staged composition."""
-    plan, stripes, canvas, weight, load_tile = _COMPOSE_CTX
-    y0, y1, tiles = stripes[idx]
-    return blend_window(
-        plan, canvas[y0:y1], None if weight is None else weight[y0:y1],
-        y0, 0, tiles, load_tile,
-    )
-
-
 def compose(
     load_tile,
     positions: GlobalPositions,
@@ -269,12 +251,11 @@ def compose(
     is converted to.
 
     ``workers > 1`` renders the canvas as that many horizontal stripes in
-    parallel -- forked worker processes writing a shared-memory canvas
-    where the platform supports it, threads otherwise.  Each worker gets a
-    row view of the same canvas as its window, so the result is
-    bit-identical to ``workers=1`` for every blend mode; the only cost is
-    that a tile straddling a stripe boundary is loaded once per stripe it
-    touches.
+    parallel, one thread each (numpy releases the GIL in the blends).
+    Each thread gets a row view of the same canvas as its window, so the
+    result is bit-identical to ``workers=1`` for every blend mode; the
+    only cost is that a tile straddling a stripe boundary is loaded once
+    per stripe it touches.
 
     Degraded rendering: ``skip_tiles`` (iterable of ``(row, col)``) leaves
     holes where phase 1 dropped tiles; ``on_tile_error="skip"`` also turns
@@ -311,50 +292,19 @@ def compose(
 def _compose_striped(
     plan: ComposePlan, load_tile, workers: int
 ) -> tuple[np.ndarray, list[Tile]]:
-    """Parallel phase-3 render: ``<= workers`` stripes of a shared canvas, one each.
-
-    Preferred backend is forked processes sharing a ``ShmArena`` canvas
-    (and weight accumulator), so stripe renders escape the GIL entirely;
-    where ``fork`` is unavailable the same stripe tasks run on threads
-    over ordinary arrays.
-    """
-    global _COMPOSE_CTX
+    """Parallel phase-3 render: ``<= workers`` stripes of one canvas, a
+    thread each."""
     stripes = plan.stripes(-(-plan.height // workers))
-    shape = (plan.height, plan.width)
-    arena = None
-    try:
-        if "fork" in mp.get_all_start_methods():
-            from repro.memmodel.shm import ShmArena
+    canvas = np.zeros((plan.height, plan.width), dtype=np.float64)
+    weight = np.zeros_like(canvas) if plan.blend.needs_weight else None
 
-            arena = ShmArena()
+    def render(stripe) -> list[Tile]:
+        y0, y1, tiles = stripe
+        return blend_window(
+            plan, canvas[y0:y1], None if weight is None else weight[y0:y1],
+            y0, 0, tiles, load_tile,
+        )
 
-            # POSIX shared memory is zero-filled on creation, so the slabs
-            # are ready-to-blend canvases without an extra clearing pass.
-            def zeros(key):
-                return arena.slab(key, 1, shape, np.float64).slot(0)
-
-            make_pool = partial(
-                ProcessPoolExecutor, mp_context=mp.get_context("fork")
-            )
-        else:
-            def zeros(key):
-                return np.zeros(shape, dtype=np.float64)
-
-            make_pool = ThreadPoolExecutor
-        canvas = zeros("canvas")
-        weight = zeros("weight") if plan.blend.needs_weight else None
-        _COMPOSE_CTX = (plan, stripes, canvas, weight, load_tile)
-        try:
-            with make_pool(max_workers=len(stripes)) as pool:
-                rendered = [
-                    t
-                    for touched in pool.map(_compose_stripe_task, range(len(stripes)))
-                    for t in touched
-                ]
-        finally:
-            _COMPOSE_CTX = None
-        # Private copy so the mosaic outlives the arena unlink below.
-        return (canvas if arena is None else np.array(canvas)), rendered
-    finally:
-        if arena is not None:
-            arena.close()
+    with ThreadPoolExecutor(max_workers=len(stripes)) as pool:
+        rendered = [t for touched in pool.map(render, stripes) for t in touched]
+    return canvas, rendered

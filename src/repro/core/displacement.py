@@ -19,10 +19,10 @@ stage working exactly one tile ahead of the pair stage.  Either way the
 pair stage sees the same steps in the same order, so translations,
 counts, fault report and journal bytes are identical.
 
-The same loop is MT-CPU's and Proc-CPU's SPMD worker (the paper builds
-MT-CPU from Simple-CPU): run over one column partition, it computes that
-partition's pairs and takes the tiles it shares with a neighbouring
-partition from products built once before the partitions started.  It is
+The same loop is MT-CPU's SPMD worker (the paper builds MT-CPU from
+Simple-CPU): run over one column partition, it computes that partition's
+pairs and takes the tiles it shares with a neighbouring partition from
+products built once before the partitions started.  It is
 Pipelined-CPU's pipeline too: one per partition, stages overlapped, each
 reading its ghost column itself.
 """
@@ -68,7 +68,7 @@ OVERLAP_MIN_TILE_PIXELS = 128 * 1024
 OVERLAP_MIN_CPUS = 2
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask, not the machine's)."""
     try:
         return len(os.sched_getaffinity(0))
@@ -79,7 +79,7 @@ def _usable_cpus() -> int:
 def _overlap_pays(tile_shape) -> bool:
     return (
         tile_shape[0] * tile_shape[1] >= OVERLAP_MIN_TILE_PIXELS
-        and _usable_cpus() >= OVERLAP_MIN_CPUS
+        and usable_cpus() >= OVERLAP_MIN_CPUS
     )
 
 

@@ -227,8 +227,7 @@ class Phase1Kernel:
     Sinks, each optional: ``error_policy`` + ``fault_report`` (without a
     policy a failing read propagates raw -- the strict legacy contract),
     ``tracer``, ``metrics``, and ``journal`` -- a
-    :class:`~repro.recovery.journal.RunJournal` (or a worker-side
-    :class:`~repro.recovery.journal.JournalAppender`): journaled pairs are
+    :class:`~repro.recovery.journal.RunJournal`: journaled pairs are
     served from it and counted apart from computed ones
     (``stats["resumed_pairs"]`` vs ``stats["pairs"]``), and every fresh
     pair is durable before the run advances.  All sinks are thread-safe,
@@ -305,20 +304,6 @@ class Phase1Kernel:
             and self.error_policy.on_exhausted == "skip"
         )
 
-    def note_retry(self, row: int, col: int, attempt: int,
-                   exc: BaseException) -> None:
-        if self.fault_report is not None:
-            self.fault_report.record_retry("read", (row, col), attempt, exc)
-        if self.metrics is not None:
-            self.metrics.counter("read.retries").inc()
-
-    def count_skipped_tile(self, row: int, col: int,
-                           exc: BaseException) -> None:
-        if self.fault_report is not None:
-            self.fault_report.record_skipped_tile((row, col), exc)
-        if self.metrics is not None:
-            self.metrics.counter("read.skipped_tiles").inc()
-
     def note_skipped_pair(self, direction: Direction, row: int, col: int,
                           reason: str) -> None:
         if self.fault_report is not None:
@@ -345,9 +330,10 @@ class Phase1Kernel:
         policy dropped.  No policy: the original exception propagates.
         With one, retries are applied and recorded; exhaustion re-raises
         the last error (abort) or records the skipped tile in the fault
-        report and the metrics (skip).  A scheduler whose journal has a
-        single writer elsewhere records ``reason`` there itself; everyone
-        else calls :meth:`read`.
+        report and the metrics (skip).  A scheduler that journals the
+        skip at a turn of its own (the pair stage of
+        :func:`~repro.core.displacement.compute_grid_displacements`)
+        records ``reason`` itself; everyone else calls :meth:`read`.
         """
         policy = self.error_policy
         if policy is None:
@@ -363,12 +349,20 @@ class Phase1Kernel:
             except Exception as exc:
                 error = exc
                 if attempt < policy.max_retries:
-                    self.note_retry(row, col, attempt, exc)
+                    if self.fault_report is not None:
+                        self.fault_report.record_retry(
+                            "read", (row, col), attempt, exc
+                        )
+                    if self.metrics is not None:
+                        self.metrics.counter("read.retries").inc()
                     if policy.backoff > 0:
                         time.sleep(policy.delay(attempt))
         if not self.skips:
             raise error
-        self.count_skipped_tile(row, col, error)
+        if self.fault_report is not None:
+            self.fault_report.record_skipped_tile((row, col), error)
+        if self.metrics is not None:
+            self.metrics.counter("read.skipped_tiles").inc()
         return None, str(error)
 
     def read(self, load_tile, row: int, col: int):

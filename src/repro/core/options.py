@@ -34,7 +34,6 @@ SCHEDULERS: dict[str, frozenset[str]] = {
     "simple-cpu": frozenset(),
     "fiji-baseline": frozenset(),
     "mt-cpu": frozenset(),
-    "proc-cpu": frozenset(),
     "pipelined-cpu": frozenset({"watchdog"}),
     "simple-gpu": frozenset(),
     "pipelined-gpu": frozenset({"watchdog"}),

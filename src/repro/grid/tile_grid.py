@@ -145,8 +145,9 @@ def split_range(n: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into ``min(parts, n)`` contiguous ``[lo, hi)``
     ranges whose sizes differ by at most one, the larger ones first.
 
-    The spatial decomposition of every partitioned scheduler: MT-CPU's and
-    Proc-CPU's row bands, the per-GPU and per-socket column partitions.
+    The spatial decomposition of every partitioned scheduler: the column
+    partitions of MT-CPU, per-socket Pipelined-CPU and the per-GPU
+    pipelines, and the simulated MT-CPU's row bands.
     """
     parts = min(parts, n)
     base, extra = divmod(n, parts)

@@ -11,7 +11,6 @@ is the paper's entire point:
                           no transform caching, per-pair allocation
 ``SimpleCpu``             sequential reference with early-free traversal
 ``MtCpu``                 Simple-CPU over column partitions on worker threads
-``ProcCpu``               the same partitions over forked processes
 ``PipelinedCpu``          Simple-CPU's read + FFT overlapped with the pairs,
                           one such pipeline per column partition (socket)
 ``SimpleGpu``             synchronous single-stream port onto the virtual GPU
@@ -32,7 +31,6 @@ from repro.impls.simple_cpu import SimpleCpu
 from repro.impls.fiji_baseline import FijiBaseline
 from repro.impls.mt_cpu import MtCpu
 from repro.impls.pipelined_cpu import PipelinedCpu
-from repro.impls.proc_cpu import ProcCpu
 from repro.impls.simple_gpu import SimpleGpu
 from repro.impls.pipelined_gpu import PipelinedGpu
 
@@ -40,7 +38,6 @@ ALL_IMPLEMENTATIONS = {
     "fiji-baseline": FijiBaseline,
     "simple-cpu": SimpleCpu,
     "mt-cpu": MtCpu,
-    "proc-cpu": ProcCpu,
     "pipelined-cpu": PipelinedCpu,
     "simple-gpu": SimpleGpu,
     "pipelined-gpu": PipelinedGpu,
@@ -52,7 +49,6 @@ __all__ = [
     "FijiBaseline",
     "SimpleCpu",
     "MtCpu",
-    "ProcCpu",
     "PipelinedCpu",
     "SimpleGpu",
     "PipelinedGpu",

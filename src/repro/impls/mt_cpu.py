@@ -18,8 +18,6 @@ statistics) before the partitions start, by :func:`build_shared`, and
 handed to both partitions -- tiles and their products are read-only, so
 threads share them for free.  Every tile is read and transformed at most
 once: ``duplicated_boundary_reads`` is 0 by construction.
-:class:`~repro.impls.proc_cpu.ProcCpu` runs the same partitions over
-processes.
 """
 
 from __future__ import annotations

@@ -114,27 +114,6 @@ class Tracer:
         finally:
             self.record_span(name, track, t0, self.now(), key=key, args=args)
 
-    def absorb(self, spans: list[Span], t0: float | None = None) -> None:
-        """Merge spans recorded by another tracer (usually another process).
-
-        Process workers each run their own :class:`Tracer`; their spans are
-        shipped back (the dataclass pickles) and folded into the parent's
-        timeline here.  ``t0`` is the child tracer's ``perf_counter``
-        creation time: ``perf_counter`` is CLOCK_MONOTONIC -- system-wide
-        on Linux -- so rebasing child timestamps onto this tracer's clock
-        is a constant offset ``t0 - self._t0``.  Pass ``t0=None`` when the
-        clocks already share a base (same-process tracers).
-        """
-        if not self.enabled or not spans:
-            return
-        offset = 0.0 if t0 is None else t0 - self._t0
-        with self._lock:
-            for s in spans:
-                self.spans.append(
-                    Span(s.name, s.track, s.start + offset, s.end + offset,
-                         s.key, s.args)
-                )
-
     # -- inspection ---------------------------------------------------------
 
     def tracks(self) -> list[str]:

@@ -292,106 +292,20 @@ def _apply_line(state: JournalState, line: bytes) -> bool:
     return True
 
 
-class _JournalWriter:
-    """The append side both journal handles share.
-
-    Every append is written and flushed under a lock before it returns,
-    so the record is visible to readers (the kill harness, a watchdog, a
-    respawned worker) and survives the death of the process.  Unless
-    ``fsync=False`` it is also fsync'd there -- except pair records
-    appended inside :meth:`group`, which share one fsync at the group's
-    end.  Each fsync counts as ``journal.fsyncs`` when there are metrics.
-    """
-
-    def __init__(self, path: str | Path, fh: io.TextIOBase, fsync: bool,
-                 metrics=None) -> None:
-        self.path = Path(path)
-        self._fh = fh
-        self._fsync = fsync
-        self.metrics = metrics
-        self._lock = threading.Lock()
-        #: Per-thread depth of open :meth:`group` blocks.
-        self._groups = threading.local()
-        #: Records written since the last fsync.
-        self._unsynced = False
-        self._closed = False
-        #: Pairs appended this run.
-        self.recorded_pairs = 0
-
-    @contextmanager
-    def group(self):
-        """Group commit: the pair records this thread appends inside the
-        block are written and flushed one by one, as always, but fsync'd
-        once, when the outermost block exits.  Header, milestone and
-        skipped-tile records keep their own fsync; bytes and order are
-        the same either way."""
-        self._groups.depth = getattr(self._groups, "depth", 0) + 1
-        try:
-            yield self
-        finally:
-            self._groups.depth -= 1
-            if not self._groups.depth and self._fsync:
-                with self._lock:
-                    try:
-                        self._sync()
-                    except OSError as exc:
-                        raise JournalWriteError(self.path, exc) from exc
-
-    def _sync(self) -> None:
-        """fsync what is unsynced; the caller holds the lock."""
-        if not self._unsynced:
-            return
-        os.fsync(self._fh.fileno())
-        self._unsynced = False
-        if self.metrics is not None:
-            self.metrics.counter("journal.fsyncs").inc()
-
-    def _append(self, payload: dict, groupable: bool = False) -> None:
-        if self._closed:
-            raise JournalError(f"journal {self.path} is closed")
-        line = _encode_line(payload)
-        with self._lock:
-            try:
-                self._fh.write(line)
-                self._fh.flush()
-                self._unsynced = True
-                if self._fsync and not (
-                    groupable and getattr(self._groups, "depth", 0)
-                ):
-                    self._sync()
-            except OSError as exc:
-                # ENOSPC (or EIO) mid-run: the record is NOT durable.
-                # Surface a typed error the caller can treat as a clean
-                # job failure; the file holds at most a torn tail, which
-                # load_journal() already drops, so resume stays safe.
-                raise JournalWriteError(self.path, exc) from exc
-
-    def _append_pair(self, direction: str, row: int, col: int, t) -> None:
-        self._append(_pair_record(direction, row, col, t), groupable=True)
-        self.recorded_pairs += 1
-
-    def record_skipped_tile(self, row: int, col: int, error: str = "") -> None:
-        self._append({
-            "t": "tile_skipped", "r": int(row), "c": int(col),
-            "error": str(error)[:200],
-        })
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class RunJournal(_JournalWriter):
+class RunJournal:
     """Append-side handle plus the resume state replayed at open time.
 
     Thread-safe: pipelined implementations append from many compute
-    workers concurrently.  Every append is flushed before returning and,
-    outside a :meth:`group`, fsync'd unless ``fsync=False`` -- so the
-    durability point of a record is the method return, or the end of its
-    group for a grouped pair (the invariant the kill harness relies on
-    holds either way: a flushed record survives SIGKILL).
+    workers concurrently.  Every append is written and flushed under a
+    lock before it returns, so the record is visible to readers (the kill
+    harness, a watchdog, a respawned worker) and survives the death of
+    the process.  Unless ``fsync=False`` it is also fsync'd there --
+    except pair records appended inside :meth:`group`, which share one
+    fsync at the group's end.  So the durability point of a record is the
+    method return, or the end of its group for a grouped pair (the
+    invariant the kill harness relies on holds either way: a flushed
+    record survives SIGKILL).  Each fsync counts as ``journal.fsyncs``
+    when there are metrics.
     """
 
     def __init__(
@@ -403,9 +317,20 @@ class RunJournal(_JournalWriter):
         fsync: bool = True,
         metrics=None,
     ) -> None:
-        super().__init__(path, fh, fsync, metrics)
+        self.path = Path(path)
         self.fingerprint = fingerprint
         self.state = state
+        self._fh = fh
+        self._fsync = fsync
+        self.metrics = metrics
+        self._lock = threading.Lock()
+        #: Per-thread depth of open :meth:`group` blocks.
+        self._groups = threading.local()
+        #: Records written since the last fsync.
+        self._unsynced = False
+        self._closed = False
+        #: Pairs appended this run.
+        self.recorded_pairs = 0
         #: Pairs served from the journal this run (resume hits).
         self.resumed_pairs = 0
 
@@ -416,20 +341,10 @@ class RunJournal(_JournalWriter):
         cls, path: str | Path, fingerprint: dict,
         fsync: bool = True, metrics=None,
     ) -> "RunJournal":
-        """Start a fresh journal (truncating any existing file).
-
-        The handle is opened in *append* mode (after an explicit
-        truncate) rather than ``"w"``: process-parallel backends hand
-        out :class:`JournalAppender` writers that append to the same
-        file concurrently, and POSIX only guarantees their short writes
-        interleave atomically when every writer uses ``O_APPEND`` --
-        a positional ``"w"`` handle in the parent would silently
-        overwrite worker records.
-        """
+        """Start a fresh journal (truncating any existing file)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        open(path, "w", encoding="utf-8").close()  # truncate
-        fh = open(path, "a", encoding="utf-8")
+        fh = open(path, "w", encoding="utf-8")
         journal = cls(path, fingerprint, JournalState(header=None), fh,
                       fsync=fsync, metrics=metrics)
         journal._append({
@@ -513,10 +428,59 @@ class RunJournal(_JournalWriter):
 
     # -- appending -----------------------------------------------------------
 
+    @contextmanager
+    def group(self):
+        """Group commit: the pair records this thread appends inside the
+        block are written and flushed one by one, as always, but fsync'd
+        once, when the outermost block exits.  Header, milestone and
+        skipped-tile records keep their own fsync; bytes and order are
+        the same either way."""
+        self._groups.depth = getattr(self._groups, "depth", 0) + 1
+        try:
+            yield self
+        finally:
+            self._groups.depth -= 1
+            if not self._groups.depth and self._fsync:
+                with self._lock:
+                    try:
+                        self._sync()
+                    except OSError as exc:
+                        raise JournalWriteError(self.path, exc) from exc
+
+    def _sync(self) -> None:
+        """fsync what is unsynced; the caller holds the lock."""
+        if not self._unsynced:
+            return
+        os.fsync(self._fh.fileno())
+        self._unsynced = False
+        if self.metrics is not None:
+            self.metrics.counter("journal.fsyncs").inc()
+
+    def _append(self, payload: dict, groupable: bool = False) -> None:
+        if self._closed:
+            raise JournalError(f"journal {self.path} is closed")
+        line = _encode_line(payload)
+        with self._lock:
+            try:
+                self._fh.write(line)
+                self._fh.flush()
+                self._unsynced = True
+                if self._fsync and not (
+                    groupable and getattr(self._groups, "depth", 0)
+                ):
+                    self._sync()
+            except OSError as exc:
+                # ENOSPC (or EIO) mid-run: the record is NOT durable.
+                # Surface a typed error the caller can treat as a clean
+                # job failure; the file holds at most a torn tail, which
+                # load_journal() already drops, so resume stays safe.
+                raise JournalWriteError(self.path, exc) from exc
+
     def record_pair(self, direction: str, row: int, col: int, t) -> None:
         """Journal one completed pairwise displacement (durable on return,
         or at the end of the enclosing :meth:`group`)."""
-        self._append_pair(direction, row, col, t)
+        self._append(_pair_record(direction, row, col, t), groupable=True)
+        self.recorded_pairs += 1
         if self.metrics is not None:
             self.metrics.counter("journal.pairs_recorded").inc()
 
@@ -526,12 +490,18 @@ class RunJournal(_JournalWriter):
         if self.metrics is not None:
             self.metrics.counter("journal.milestones").inc()
 
+    def record_skipped_tile(self, row: int, col: int, error: str = "") -> None:
+        self._append({
+            "t": "tile_skipped", "r": int(row), "c": int(col),
+            "error": str(error)[:200],
+        })
+
     # -- resume lookups --------------------------------------------------------
 
     def peek(self, direction: str, row: int, col: int):
         """Journaled :class:`Translation` for a pair, or ``None`` -- without
-        counting the hit (forked workers look up through this; their hits
-        are folded into the parent's counters at merge time)."""
+        counting the hit (a scheduler deciding which tiles it still needs
+        asks through this)."""
         rec = self.state.pairs.get((str(direction), int(row), int(col)))
         if rec is None:
             return None
@@ -561,16 +531,6 @@ class RunJournal(_JournalWriter):
     def milestone(self, name: str) -> dict | None:
         return self.state.milestones.get(name)
 
-    def appender_spec(self) -> tuple[str, bool]:
-        """Picklable ``(path, fsync)`` for worker-side :class:`JournalAppender`s."""
-        return (str(self.path), self._fsync)
-
-    def note_worker_pairs(self, n: int) -> None:
-        """Fold worker-appended pair counts into this handle's accounting."""
-        self.recorded_pairs += int(n)
-        if self.metrics is not None and n:
-            self.metrics.counter("journal.pairs_recorded").inc(int(n))
-
     @property
     def journaled_pair_count(self) -> int:
         return len(self.state.pairs)
@@ -586,6 +546,12 @@ class RunJournal(_JournalWriter):
 
     # -- lifecycle -------------------------------------------------------------
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def close(self) -> None:
         if self._closed:
             return
@@ -597,44 +563,6 @@ class RunJournal(_JournalWriter):
             except (OSError, ValueError):  # pragma: no cover - defensive
                 pass
             self._fh.close()
-
-
-class JournalAppender(_JournalWriter):
-    """Append-only pair-record writer for process workers.
-
-    Workers in the ``proc-cpu`` backend journal each completed pair from
-    their own process.  They cannot share the parent's
-    :class:`RunJournal` handle (its lock is per-process and its buffered
-    file position is not), but they *can* safely share the file: every
-    appender opens the journal with ``O_APPEND``, and POSIX guarantees
-    that appends smaller than ``PIPE_BUF`` (4096 bytes -- our records are
-    ~150 bytes) land atomically at the end of the file, never interleaved
-    byte-wise with another writer's record.  The parent replays nothing
-    from workers; it re-counts recorded pairs from its own merge, so the
-    appender is fire-and-forget durable output only.
-
-    Construct with :meth:`RunJournal.appender_spec` output, or directly
-    from a path in an already-running worker.  ``lookup`` (usually the
-    fork-inherited :meth:`RunJournal.peek`) answers resume lookups, which
-    makes the appender a complete journal for a worker-side kernel.
-    """
-
-    def __init__(self, path: str | Path, fsync: bool = True,
-                 lookup=None) -> None:
-        super().__init__(path, open(path, "a", encoding="utf-8"), fsync)
-        self.lookup = lookup if lookup is not None else (lambda d, r, c: None)
-
-    def record_pair(self, direction: str, row: int, col: int, t) -> None:
-        """Journal one completed pair (durable on return, or at the end
-        of the enclosing :meth:`group`)."""
-        self._append_pair(direction, row, col, t)
-
-    def close(self) -> None:
-        self._closed = True
-        try:
-            self._fh.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
 
 
 def checkpoint_journal_path(checkpoint_dir: str | Path) -> Path:

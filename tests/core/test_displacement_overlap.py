@@ -226,9 +226,9 @@ def test_gate_decides_without_an_option(tiles, monkeypatch):
 
     assert not run()  # 48x64 px tiles: far below the gate
     monkeypatch.setattr(displacement, "OVERLAP_MIN_TILE_PIXELS", 48 * 64)
-    monkeypatch.setattr(displacement, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(displacement, "usable_cpus", lambda: 2)
     assert run()
-    monkeypatch.setattr(displacement, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(displacement, "usable_cpus", lambda: 1)
     assert not run()
 
 

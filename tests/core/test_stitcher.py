@@ -131,8 +131,7 @@ class TestSchedulerSelection:
                         ds.rows, ds.cols, impl, traversal)
 
     @pytest.mark.parametrize(
-        "impl", ["simple-cpu", "mt-cpu", "proc-cpu", "fiji-baseline",
-                 "simple-gpu"],
+        "impl", ["simple-cpu", "mt-cpu", "fiji-baseline", "simple-gpu"],
     )
     def test_watchdog_rejected_where_it_cannot_supervise(self, impl):
         from repro.recovery import WatchdogConfig

@@ -19,13 +19,12 @@ from repro.impls import (
     MtCpu,
     PipelinedCpu,
     PipelinedGpu,
-    ProcCpu,
     SimpleCpu,
     SimpleGpu,
 )
 from repro.synth import make_synthetic_dataset
 
-SPMD = {"mt-cpu": MtCpu, "proc-cpu": ProcCpu}
+SPMD = {"mt-cpu": MtCpu}
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +97,6 @@ class TestTransformReuse:
         assert got == want and len(want) == 4
         assert tiles == [(1, 1)]
         assert res.stats["reads"] == res.stats["ffts"] == 15
-
-    def test_proc_cpu_no_redundancy(self, dataset_4x4):
-        """Process partitions exchange shared columns through the arena."""
-        res = ProcCpu(workers=2).run(dataset_4x4)
-        assert res.stats["reads"] == 16
-        assert res.stats["ffts"] == 16
-        assert res.stats["duplicated_boundary_reads"] == 0
-        assert res.stats["process_workers"] == 2
 
     def test_pipelined_cpu_no_redundancy(self, dataset_4x4):
         res = PipelinedCpu().run(dataset_4x4)

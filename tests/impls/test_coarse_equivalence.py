@@ -17,7 +17,6 @@ from repro.impls import (
     MtCpu,
     PipelinedCpu,
     PipelinedGpu,
-    ProcCpu,
     SimpleCpu,
     SimpleGpu,
 )
@@ -27,7 +26,6 @@ COARSE = CoarseConfig()
 IMPLS = [
     ("fiji-baseline", lambda **kw: FijiBaseline(**kw)),
     ("mt-cpu", lambda **kw: MtCpu(workers=3, **kw)),
-    ("proc-cpu", lambda **kw: ProcCpu(workers=2, **kw)),
     ("pipelined-cpu", lambda **kw: PipelinedCpu(partitions=2, **kw)),
     ("simple-gpu", lambda **kw: SimpleGpu(**kw)),
     ("pipelined-gpu", lambda **kw: PipelinedGpu(devices=2, ccf_workers=2, **kw)),

@@ -12,7 +12,6 @@ from repro.impls import (
     MtCpu,
     PipelinedCpu,
     PipelinedGpu,
-    ProcCpu,
     SimpleCpu,
     SimpleGpu,
 )
@@ -21,8 +20,6 @@ PARALLEL_IMPLS = [
     ("fiji-baseline", lambda: FijiBaseline()),
     ("mt-cpu-1", lambda: MtCpu(workers=1)),
     ("mt-cpu-3", lambda: MtCpu(workers=3)),
-    ("proc-cpu-1", lambda: ProcCpu(workers=1)),
-    ("proc-cpu-3", lambda: ProcCpu(workers=3)),
     ("pipelined-cpu-1", lambda: PipelinedCpu(partitions=1)),
     ("pipelined-cpu-2", lambda: PipelinedCpu(partitions=2)),
     ("pipelined-cpu-3", lambda: PipelinedCpu(partitions=3)),
@@ -45,7 +42,6 @@ def test_matches_reference(name, factory, dataset_4x4, reference_displacements):
 
 @pytest.mark.parametrize("name,factory", [
     ("mt-cpu", lambda: MtCpu(workers=2)),
-    ("proc-cpu", lambda: ProcCpu(workers=2)),
     ("pipelined-cpu", lambda: PipelinedCpu(partitions=2)),
     ("pipelined-gpu", lambda: PipelinedGpu(devices=2, ccf_workers=2)),
 ])

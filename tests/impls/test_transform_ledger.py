@@ -4,8 +4,7 @@ The gateway (:func:`repro.fftlib.plans.transform`) counts each transform
 in the process-wide ledger.  A single-pass scheduler transforms each tile
 once (``stats["ffts"]``) and inverts each pair's NCC once
 (``stats["pairs"]``) -- so the ledger's delta over a stitch is exactly
-their sum, on the CPU and on the virtual GPUs alike.  Proc-CPU is absent:
-its transforms are counted in its worker processes.
+their sum, on the CPU and on the virtual GPUs alike.
 """
 
 import pytest

@@ -114,16 +114,3 @@ class TestAppendOnFullDisk:
         state = load_journal(path)
         assert set(state.pairs) == {("west", 0, 1)}
         assert state.stats.torn_tail == 1
-
-
-class TestAppenderOnFullDisk:
-    def test_worker_appender_raises_typed_error(self, tmp_path):
-        from repro.recovery.journal import JournalAppender
-
-        path = tmp_path / "j.jsonl"
-        RunJournal.create(path, FINGERPRINT).close()
-        appender = JournalAppender(path)
-        appender._fh = FullDiskFile(appender._fh, 0)
-        with pytest.raises(JournalWriteError) as exc_info:
-            appender.record_pair("west", 0, 1, translation(1, 2))
-        assert exc_info.value.errno == errno.ENOSPC

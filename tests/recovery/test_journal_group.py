@@ -5,20 +5,21 @@ wraps each traversal step's pairs in ``journal.group()``.  Every record is
 still written and flushed as it lands -- so it survives SIGKILL -- but the
 step's pair records share one fsync.  These tests pin the fsync count,
 that the journal's bytes do not change, that a kill inside an open group
-resumes bit-identically, and that proc-cpu's worker-side appenders group
-the same way.
+resumes bit-identically, and that mt-cpu's partition threads group per
+partition step.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,6 @@ from repro.observe.metrics import MetricsRegistry
 from repro.recovery import journal as journal_module
 from repro.recovery.harness import subprocess_env
 from repro.recovery.journal import (
-    JournalAppender,
     RunJournal,
     checkpoint_journal_path,
     load_journal,
@@ -56,12 +56,13 @@ def steps_with_pairs(order, pairs) -> int:
 
 @pytest.fixture()
 def fsyncs(monkeypatch):
-    """Count every ``os.fsync``, in this process and in forked children."""
-    count = mp.get_context("fork").Value("i", 0)
+    """Count every ``os.fsync`` in this process, from any thread."""
+    count = SimpleNamespace(value=0)
+    lock = threading.Lock()
     real = os.fsync
 
     def counting(fd):
-        with count.get_lock():
+        with lock:
             count.value += 1
         real(fd)
 
@@ -104,26 +105,10 @@ class TestGroupContract:
         assert fsyncs.value == 2  # nothing grouped was written
         j.close()
 
-    def test_appender_groups_too(self, tmp_path, fsyncs):
-        from repro.core.displacement import Translation
-
-        RunJournal.create(tmp_path / "j.jsonl", FP).close()
-        before = fsyncs.value
-        with JournalAppender(tmp_path / "j.jsonl") as appender:
-            with appender.group():
-                appender.record_pair("west", 0, 1, Translation(0.9, 1, 0))
-                appender.record_pair("north", 1, 0, Translation(0.8, 0, 1))
-            assert fsyncs.value == before + 1
-        assert set(load_journal(tmp_path / "j.jsonl").pairs) == {
-            ("west", 0, 1), ("north", 1, 0)
-        }
-
     def test_concurrent_groups_leave_nothing_unsynced(self, tmp_path, fsyncs):
         """MT-CPU partitions group-commit from several threads into one
         journal: every record lands, none is left unsynced, and no group
         costs more than one fsync."""
-        import threading
-
         from repro.core.displacement import Translation
 
         j = RunJournal.create(tmp_path / "j.jsonl", FP)
@@ -179,7 +164,7 @@ class TestCheckpointedRun:
         Stitcher(checkpoint=str(grouped)).stitch(dataset_4x4)
         grouped_fsyncs = fsyncs.value
 
-        monkeypatch.setattr(journal_module._JournalWriter, "group",
+        monkeypatch.setattr(journal_module.RunJournal, "group",
                             lambda self: nullcontext(self))
         fsyncs.value = 0
         single = tmp_path / "single"
@@ -192,14 +177,26 @@ class TestCheckpointedRun:
         assert fsyncs.value == 1 + 24 + n_milestones
         assert grouped_fsyncs < fsyncs.value
 
-    def test_proc_cpu_workers_group_per_step(
-        self, dataset_4x4, tmp_path, fsyncs
+    def test_mt_cpu_partitions_group_per_step(
+        self, dataset_4x4, tmp_path, fsyncs, monkeypatch
     ):
+        """Each partition commits once per step that completed a pair.
+        The partitions run one after the other here: side by side they
+        share one handle, and a group's exit also syncs the other
+        thread's records (test_concurrent_groups_leave_nothing_unsynced
+        covers that), which makes the count schedule-dependent."""
+        from repro.impls import mt_cpu
+
+        monkeypatch.setattr(
+            mt_cpu, "run_threads",
+            lambda target, arg_lists, watchdog=None: [
+                target(*args) for args in arg_lists],
+        )
         ckpt = tmp_path / "ckpt"
         stitcher = Stitcher(checkpoint=str(ckpt))
         journal = stitcher.open_journal(dataset_4x4)
         try:
-            run = ALL_IMPLEMENTATIONS["proc-cpu"](
+            run = ALL_IMPLEMENTATIONS["mt-cpu"](
                 journal=journal, workers=2).run(dataset_4x4)
         finally:
             journal.close()
@@ -223,15 +220,15 @@ KILL_CHILD = textwrap.dedent("""
     from repro.recovery import journal
 
     kill_at = int(sys.argv[3])
-    append = journal._JournalWriter._append_pair
+    record = journal.RunJournal.record_pair
 
-    def append_then_die(self, *args):
-        append(self, *args)
+    def record_then_die(self, *args):
+        record(self, *args)
         if self.recorded_pairs == kill_at:
             assert self._groups.depth == 1 and self._unsynced
             os.kill(os.getpid(), signal.SIGKILL)
 
-    journal._JournalWriter._append_pair = append_then_die
+    journal.RunJournal.record_pair = record_then_die
     Stitcher(checkpoint=sys.argv[2]).stitch(TileDataset(sys.argv[1]))
 """)
 

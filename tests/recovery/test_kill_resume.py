@@ -40,16 +40,7 @@ SRC_DIR = Path(repro.__file__).resolve().parents[1]
 #: threshold lands; SLOW_READ only delays, it never changes a value.
 SLOW = "3:slow=10,latency=0.05"
 
-#: proc-cpu drains pairs from multiple processes at once, so it needs
-#: heavier injected latency to still be mid-phase-1 when the harness's
-#: poll-then-SIGKILL lands.
-SLOW_PROC = "3:slow=15,latency=0.3"
-
-IMPLS = ["simple-cpu", "mt-cpu", "proc-cpu", "pipelined-cpu"]
-
-
-def slow_spec(impl_name: str) -> str:
-    return SLOW_PROC if impl_name == "proc-cpu" else SLOW
+IMPLS = ["simple-cpu", "mt-cpu", "pipelined-cpu"]
 
 
 def resume_in_process(dataset, checkpoint, impl_name):
@@ -71,7 +62,7 @@ def test_sigkill_then_resume_is_bit_identical(
     result = run_until_killed(
         stitch_argv(
             dataset_4x4.directory, ckpt, impl=impl_name,
-            extra=["--inject-faults", slow_spec(impl_name)],
+            extra=["--inject-faults", SLOW],
         ),
         journal_path,
         kill_after_records=6,  # header + >= 5 durable pairs

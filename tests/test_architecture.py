@@ -29,8 +29,8 @@ def test_phase1_holds_one_release_ledger_and_no_band_loop():
     the CCF stage.  The discrete-event simulator's counters model time,
     not tile memory, and phase 2's block back substitution updates
     solution blocks, not counts.  No scheduler writes its own loop over
-    west and north pairs: MT-CPU, Proc-CPU and Pipelined-CPU run
-    Simple-CPU's over their partitions."""
+    west and north pairs: MT-CPU and Pipelined-CPU run Simple-CPU's over
+    their partitions."""
     gone = {"RefCounter", "pairs_done", "maybe_release", "release_if_done",
             "row_products", "band_pairs"}
     counts, band_loops = set(), set()
@@ -384,6 +384,27 @@ def test_phase2_holds_one_edge_table_under_both_solvers():
                 assert "on_disconnected" not in ast.unparse(fn), fn.name
     assert readers == {"_nominal_prior_translation": {"_edge_table"},
                        "quality": {"_edge_table"}}, readers
+
+
+def test_parallel_cpu_work_runs_on_threads():
+    """Phase 1's schedulers and phase 3's stripes run on threads; the
+    only processes are the service's persistent warm workers
+    (service/pool.py).  A module importing multiprocessing or a
+    ProcessPoolExecutor anywhere else is a second parallel CPU backend,
+    with its own shared-memory and journal seams."""
+    importers = set()
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                names = [getattr(node, "attr", None)]
+            if any(n and (n.split(".")[0] == "multiprocessing"
+                          or n == "ProcessPoolExecutor") for n in names):
+                importers.add(where)
+    assert importers == {"service/pool.py"}, importers
 
 
 def test_phase1_has_one_failure_surface():

@@ -208,6 +208,33 @@ class TestMoreImplFlags:
         assert out.count("max 0.0 px") == 2
 
 
+class TestWorkersFlag:
+    def test_auto_counts_the_affinity_mask(self, monkeypatch, tmp_path):
+        """``auto`` is the CPUs this process may run on, not the
+        machine's: in a cpuset of one CPU on an 8-CPU host it is 1, for
+        every flag that takes it."""
+        import os
+
+        from repro.cli import build_parser
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        parser = build_parser()
+        args = parser.parse_args(["stitch", str(tmp_path), "--workers",
+                                  "auto", "--compose-workers", "auto"])
+        assert (args.workers, args.compose_workers) == (1, 1)
+        args = parser.parse_args(["serve", "--workers", "auto"])
+        assert args.workers == 1
+
+    def test_proc_cpu_is_not_a_scheduler(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stitch", str(tmp_path), "--impl", "proc-cpu"])
+        assert exc.value.code == 2
+        assert "argument --impl: invalid choice: 'proc-cpu'" in (
+            capsys.readouterr().err)
+
+
 class TestRobustnessFlags:
     @pytest.fixture
     def ds_dir(self, tmp_path):
@@ -418,8 +445,8 @@ class TestOneEntryPoint:
         assert pa.read_bytes() == pb.read_bytes()
 
     @pytest.mark.parametrize(
-        "impl", ["stitcher", "simple-cpu", "mt-cpu", "proc-cpu",
-                 "fiji-baseline", "simple-gpu"],
+        "impl", ["stitcher", "simple-cpu", "mt-cpu", "fiji-baseline",
+                 "simple-gpu"],
     )
     def test_watchdog_rejected_for_unsupervisable_impl(self, ds97, impl,
                                                        capsys):
