@@ -145,7 +145,8 @@ def blend_window(
     """Blend ``tiles`` into one window of the canvas; returns those it touched.
 
     ``band`` (and ``weight``, for blends that need one) are zeroed float64
-    arrays owned by the caller and covering canvas rows
+    arrays -- for OVERLAY/MAXIMUM, ``band`` may be of any dtype that holds
+    every tile's values -- owned by the caller and covering canvas rows
     ``[y0, y0 + band.shape[0])`` x columns ``[x0, x0 + band.shape[1])``.
     Tiles are visited in the order given and clipped to the window, and
     AVERAGE/LINEAR are normalised in place before returning; ``weight`` is

@@ -57,6 +57,7 @@ from repro.core.tilestats import TileStats
 from repro.fftlib.plans import spectrum_shape
 from repro.fftlib.smooth import pad_to_shape
 from repro.grid.neighbors import Direction
+from repro.memmodel.pool import PlaneFreeList
 from repro.memmodel.workspace import PairWorkspace
 from repro.observe.tracer import NULL_TRACER
 from repro.recovery.cancel import ItemCancelled
@@ -224,6 +225,8 @@ class Phase1Kernel:
     Cost-only option: ``real_transforms`` (half-spectrum R2C/C2R; off
     is the paper's verbatim complex scheme).
 
+    Resource: ``planes``, the free list of float64 tile planes.
+
     Sinks, each optional: ``error_policy`` + ``fault_report`` (without a
     policy a failing read propagates raw -- the strict legacy contract),
     ``tracer``, ``metrics``, and ``journal`` -- a
@@ -245,6 +248,10 @@ class Phase1Kernel:
     tracer: Any = None
     metrics: Any = None
     journal: Any = None
+    #: Where :meth:`products` takes its float64 tile planes from and
+    #: returns them to; a :class:`~repro.core.stitcher.Stitcher` passes
+    #: the list it holds, so the planes outlive the run.
+    planes: PlaneFreeList = field(default_factory=PlaneFreeList)
 
     def __post_init__(self) -> None:
         self.coarse = self.coarse or None  # False: single pass, as None
@@ -412,13 +419,15 @@ class Phase1Kernel:
         """``(pixels, spectrum, TileStats, fallback)`` of one tile.
 
         ``pixels`` is kept as handed in -- any real dtype.  The tile is
-        converted to float64 once, here (exactly, for integer tiles): that
-        one array is the input of ``downsample`` (coarse) or of the
-        forward transform (full PCIAM), which read it without copying and
-        never write it, and then becomes ``TileStats.pixels``, mean-shifted
-        in place (:meth:`TileStats._adopt`).  A float64 tile is the
-        caller's, so the statistics copy it instead.  Either way one
-        full-size float64 array per tile is built and kept.
+        converted to float64 once, here (exactly, for integer tiles), into
+        a plane taken from :attr:`planes`: that one array is the input of
+        ``downsample`` (coarse) or of the forward transform (full PCIAM),
+        which read it without copying and never write it, and then
+        becomes ``TileStats.pixels``, mean-shifted in place
+        (:meth:`TileStats._adopt`), and goes back to :attr:`planes` when
+        the statistics are freed -- once, however many partitions shared
+        them.  A float64 tile is the caller's, so the statistics copy it
+        instead.  Either way one full-size float64 array per tile is kept.
         Coarse mode never computes the full-resolution transform up front:
         ``fallback`` (:meth:`fallback_spectrum`) computes it, from the raw
         tile, for the first gate-rejected pair of the tile and keeps it for
@@ -427,7 +436,12 @@ class Phase1Kernel:
         ``tilestats`` spans on that timeline row.
         """
         tracer = self.tracer if track is not None else NULL_TRACER
-        px = np.asarray(pixels, dtype=np.float64)
+        pool = None
+        px = pixels
+        if pixels.dtype != np.float64:
+            pool = self.planes
+            px = pool.take(pixels.shape)
+            np.copyto(px, pixels, casting="unsafe")
         src = px
         if self.coarse is not None:
             with tracer.span("downsample", track, key=key):
@@ -437,7 +451,7 @@ class Phase1Kernel:
                 src, self._product_shape, real=self.real_transforms
             )
         with tracer.span("tilestats", track, key=key):
-            tstats = TileStats._adopt(px, pixels)
+            tstats = TileStats._adopt(px, pixels, pool)
         bump(stats, "ffts")
         return pixels, spectrum, tstats, self.fallback_spectrum(pixels)
 

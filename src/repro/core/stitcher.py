@@ -33,6 +33,7 @@ from repro.core.options import (  # noqa: F401 -- re-exported: importers of the 
 from repro.core.quality_gate import assess_quality, repair
 from repro.faults.report import FaultReport
 from repro.io.dataset import TileDataset
+from repro.memmodel.pool import PlaneFreeList
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.recovery.journal import (
@@ -272,6 +273,12 @@ class Stitcher:
         self.checkpoint = checkpoint
         self.resume = resume
         self.journal_fsync = journal_fsync
+        # Phase 1's float64 tile planes (the paper's allocate-once buffer
+        # pool, Section IV.B, host side): every stitch recycles them.  The
+        # stitchers alive at once share one list, so a second stitcher
+        # (say, one that checks another's answer) reuses the idle planes
+        # instead of adding its own; they are freed with the last one.
+        self.planes = PlaneFreeList.shared()
 
     def __getattr__(self, name: str):
         """Option reads (``stitcher.coarse``, ``.n_peaks``, ...) forward to
@@ -375,6 +382,7 @@ class Stitcher:
             tracer=tracer,
             metrics=self.metrics,
             journal=journal,
+            planes=self.planes,
         )
         t0 = time.perf_counter()
         try:

@@ -12,10 +12,14 @@ writer (:class:`repro.io.tiff.TiffStripWriter`).  Peak resident bytes are
     quantized output band + LRU tile cache
 
 and the stripe height is *derived from the budget* so that sum stays
-under it.  The LRU tile cache (:class:`repro.io.dataset.TileCache`,
-modeled on feabas's ``loader_config.cache_size``) absorbs the re-decodes
-of tiles that straddle stripe boundaries, keeping each source tile
-decoded O(1) amortized times.
+under it.  OVERLAY and MAXIMUM renders of integer tiles without a
+``scale`` need neither float64 band: they blend straight into a band of
+the output dtype, which is written as it is.  The LRU tile cache
+(:class:`repro.io.dataset.TileCache`, modeled on feabas's
+``loader_config.cache_size``) absorbs the re-decodes of tiles that
+straddle stripe boundaries, keeping each source tile decoded O(1)
+amortized times; without a budget, each tile is decoded once and kept
+only until the last stripe it covers.
 
 Every stripe is one :func:`repro.core.compose.blend_window` call -- the
 renderer the in-memory path uses -- so bit-identity with it holds for
@@ -81,8 +85,11 @@ def plan_stripe_rows(
 
     Returns ``(band_rows, cache_bytes)``.  A canvas row costs
     ``width * (8 [band f64] + 8 [weight, AVERAGE/LINEAR only] +
-    out_itemsize [quantized band])`` bytes; the budget must fit at least
-    one row or the mosaic is simply not composable at this width
+    out_itemsize [quantized band])`` bytes -- an upper bound for the
+    OVERLAY/MAXIMUM renders that blend in the output dtype, which plan
+    the same stripes, so their files do not depend on the band.  The
+    budget must fit at least one row or the mosaic is simply not
+    composable at this width
     (:class:`ValueError`).  The cache gets ``CACHE_FRACTION`` of the
     budget, shrinking to whatever remains when even one stripe row is
     tight.
@@ -151,7 +158,8 @@ def stream_compose_to_tiff(
     :func:`plan_stripe_rows` and funds an LRU tile cache with the
     remainder.  Passing ``band_rows`` explicitly overrides the derived
     stripe height (the cache still gets its budget share).  With neither,
-    stripes default to twice the tile height and no cache is used.
+    stripes default to twice the tile height, and instead of a cache each
+    tile is kept from its one decode until the last stripe it covers.
 
     All four blend modes stream bit-identically to the in-memory path
     (see module docstring for the LINEAR argument).  ``scale`` maps pixel
@@ -198,20 +206,21 @@ def stream_compose_to_tiff(
     limit = float(np.iinfo(dtype).max)
 
     cache = TileCache(load_tile, cache_bytes) if cache_bytes > 0 else None
-    fetch = cache.load if cache is not None else load_tile
+    stripes = plan.stripes(band_rows)
+    fetch = _StripeTiles(cache.load if cache is not None else load_tile,
+                         stripes, keep=cache is None)
 
     gauge = metrics.gauge("compose_peak_canvas_bytes") if metrics is not None else None
     peak_bytes = 0
 
     def track(resident: int) -> None:
         nonlocal peak_bytes
+        resident += fetch.nbytes
         if cache is not None:
             resident += cache.current_bytes
         peak_bytes = max(peak_bytes, resident)
         if gauge is not None:
             gauge.set(resident)
-
-    stripes = plan.stripes(band_rows)
 
     path = Path(path)
     level_paths = [pyramid_level_path(path, k) for k in range(pyramid_levels + 1)]
@@ -220,34 +229,51 @@ def stream_compose_to_tiff(
 
     try:
         # -- full-resolution pass -------------------------------------------
+        # The band's dtype is chosen once, from the first tile: OVERLAY and
+        # MAXIMUM of integer tiles without ``scale`` blend straight into
+        # the output dtype (clip and truncation commute with both), every
+        # other render in float64, quantised stripe by stripe.
+        first = next((tiles[0] for _, _, tiles in stripes if tiles), None)
+        head = fetch.peek(*first[:2]) if first is not None else None
+        native = (
+            scale is None and head is not None and head.dtype.kind in "iu"
+            and plan.blend in (BlendMode.OVERLAY, BlendMode.MAXIMUM)
+        )
+        source = _clipped_into(fetch, dtype) if native else fetch
         with TiffStripWriter(
             parts[0], height, width, dtype, rows_per_strip=band_rows
         ) as writer:
-            band = np.zeros((band_rows, width), dtype=np.float64)
+            band = np.zeros((band_rows, width),
+                            dtype=dtype if native else np.float64)
             weight = np.zeros_like(band) if plan.blend.needs_weight else None
-            quantised = np.empty((band_rows, width), dtype=dtype)
+            quantised = None if native else np.empty((band_rows, width), dtype)
+            resident = sum(a.nbytes for a in (band, weight, quantised)
+                           if a is not None)
             for s, (y0, y1, tiles) in enumerate(stripes):
+                fetch.stripe = s
                 b = band[: y1 - y0]
-                b[:] = 0.0
+                b[:] = 0
                 w = None
                 if weight is not None:
                     w = weight[: y1 - y0]
                     w[:] = 0.0
                 with tracer.span("compose.stripe", "compose", key=f"s{s}"):
-                    touched = blend_window(plan, b, w, y0, 0, tiles, fetch)
+                    touched = blend_window(plan, b, w, y0, 0, tiles, source)
                     rendered.update(touched)
-                    if scale is not None:
-                        b *= scale
-                    np.clip(b, 0, limit, out=b)
+                    if not native:
+                        if scale is not None:
+                            b *= scale
+                        np.clip(b, 0, limit, out=b)
                     if outline:
                         # After scale and clip, so the border quantises to
                         # the dtype's maximum whatever ``scale`` is.
                         outline_rows(b, y0, touched, plan.tile_shape, limit)
-                    out = quantised[: y1 - y0]
-                    np.copyto(out, b, casting="unsafe")  # == b.astype(dtype)
+                    out = b
+                    if not native:
+                        out = quantised[: y1 - y0]
+                        np.copyto(out, b, casting="unsafe")  # == b.astype(dtype)
                     writer.write_rows(out)
-                track(band.nbytes + (weight.nbytes if weight is not None else 0)
-                      + quantised.nbytes)
+                track(resident)
                 if metrics is not None:
                     metrics.counter("compose_stripes").inc()
             del band, weight, quantised, out
@@ -286,6 +312,71 @@ def stream_compose_to_tiff(
         cache=cache.stats() if cache is not None else None,
         pyramid_paths=level_paths[1:],
     )
+
+
+class _StripeTiles:
+    """The stripe render's tile source: each loader call happens once.
+
+    Without a tile cache (``keep``) a tile a later stripe also covers is
+    kept from its first fetch until its last stripe, so it is decoded once
+    per render instead of once per stripe.  :meth:`peek` fetches a tile
+    early and hands the array -- or the error -- to that tile's first
+    fetch, so a peek adds no load and moves none.  The render sets
+    :attr:`stripe` before each stripe.
+    """
+
+    def __init__(self, load, stripes, keep: bool) -> None:
+        self._load = load
+        self._kept: dict = {}
+        #: Last stripe of every tile that spans several; empty without keep.
+        self._last: dict = {}
+        if keep:
+            for s, (_, _, tiles) in enumerate(stripes):
+                for r, c, _, _ in tiles:
+                    self._last[(r, c)] = s
+        self.stripe = -1
+
+    def peek(self, row: int, col: int):
+        """Tile ``(row, col)`` ahead of its turn, or ``None`` if it failed."""
+        try:
+            tile = np.asarray(self._load(row, col))
+        except Exception as exc:
+            self._kept[(row, col)] = exc
+            return None
+        self._kept[(row, col)] = tile
+        return tile
+
+    def __call__(self, row: int, col: int):
+        key = (row, col)
+        tile = self._kept.pop(key, None)
+        if tile is None:
+            tile = self._load(row, col)
+        elif isinstance(tile, Exception):
+            raise tile
+        if self._last.get(key, -1) > self.stripe:
+            self._kept[key] = tile
+        return tile
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(t, "nbytes", 0) for t in self._kept.values())
+
+
+def _clipped_into(fetch, dtype: np.dtype):
+    """``fetch`` with every tile in ``dtype``'s range: one whose values
+    ``dtype`` may not hold (signed, wider, float) is clipped to
+    ``[0, max]`` and truncated on the way in, as the float band would
+    have done after the blend -- exact, since OVERLAY and MAXIMUM commute
+    with a monotone map that keeps 0."""
+    top = np.iinfo(dtype).max
+
+    def load(row: int, col: int):
+        tile = np.asarray(fetch(row, col))
+        if np.can_cast(tile.dtype, dtype) and tile.dtype.kind != "i":
+            return tile
+        return np.clip(tile, 0, top).astype(dtype)
+
+    return load
 
 
 def _stream_pyramid_levels(

@@ -86,20 +86,31 @@ class TileStats:
     the shift then copies it once.
     """
 
-    __slots__ = ("pixels", "shape", "sq_total", "_table", "_rows", "_cols")
+    __slots__ = ("pixels", "shape", "sq_total", "_table", "_rows", "_cols",
+                 "_pool")
 
     def __init__(self, tile: np.ndarray) -> None:
+        self._pool = None
         self._build(np.asarray(tile, dtype=np.float64), tile)
 
     @classmethod
-    def _adopt(cls, px: np.ndarray, tile: np.ndarray) -> "TileStats":
-        """Statistics that take over ``px``, the caller's
-        ``np.asarray(tile, dtype=np.float64)``: when that conversion made a
-        private copy, it becomes ``pixels``, mean-shifted in place, and the
-        caller must not read it again."""
+    def _adopt(cls, px: np.ndarray, tile: np.ndarray,
+               pool=None) -> "TileStats":
+        """Statistics that take over ``px``, the caller's float64 copy of
+        ``tile`` (or ``tile`` itself when it is float64): a private copy
+        becomes ``pixels``, mean-shifted in place, and the caller must not
+        read it again.  With a ``pool`` (a
+        :class:`~repro.memmodel.pool.PlaneFreeList` that ``px`` came from)
+        the plane goes back to it when these statistics are freed."""
         stats = cls.__new__(cls)
+        stats._pool = None
         stats._build(px, tile)
+        stats._pool = pool
         return stats
+
+    def __del__(self) -> None:
+        if self._pool is not None:
+            self._pool.give(self.pixels)
 
     def _build(self, px: np.ndarray, tile: np.ndarray) -> None:
         if px.ndim != 2:

@@ -10,6 +10,7 @@ full grid in memory (the paper's 42x59 grid is 6.68 GB on disk).
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field, asdict
@@ -212,6 +213,7 @@ class TileDataset:
 
     def __init__(self, directory: str | Path, metadata: DatasetMetadata | None = None):
         self.directory = Path(directory)
+        self._dirname = str(self.directory)
         if metadata is None:
             meta_path = self.directory / METADATA_FILENAME
             if not meta_path.exists():
@@ -255,11 +257,16 @@ class TileDataset:
     # -- access ------------------------------------------------------------
 
     def path(self, row: int, col: int) -> Path:
+        return Path(self._file(row, col))
+
+    def _file(self, row: int, col: int) -> str:
+        """:meth:`path` as a string, the form :meth:`load` opens."""
         self._check(row, col)
         seq = None
         if self._seq_grid is not None:
             seq = self._seq_grid.sequence_of(row, col)
-        return self.directory / self.pattern.filename(row, col, seq=seq)
+        return os.path.join(self._dirname,
+                            self.pattern.filename(row, col, seq=seq))
 
     def _check(self, row: int, col: int) -> None:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -269,7 +276,7 @@ class TileDataset:
 
     def load(self, row: int, col: int, dtype=np.float64) -> np.ndarray:
         """Read one tile; raises ``FileNotFoundError``/``TiffError`` eagerly."""
-        arr = read_tiff(self.path(row, col))
+        arr = read_tiff(self._file(row, col))
         if arr.shape != self.tile_shape:
             raise ValueError(
                 f"tile ({row},{col}) has shape {arr.shape}, metadata says "

@@ -281,8 +281,8 @@ class TiffReader:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._f = open(self.path, "rb")
+        self._path = path
+        self._f = open(path, "rb")
         try:
             self._size = os.fstat(self._f.fileno()).st_size
             self._bo, self.bigtiff, ifd_off = _parse_header(
@@ -295,6 +295,10 @@ class TiffReader:
         except BaseException:
             self._f.close()
             raise
+
+    @property
+    def path(self) -> Path:
+        return Path(self._path)
 
     # -- IFD digestion -----------------------------------------------------
 
@@ -346,8 +350,8 @@ class TiffReader:
             )
         if len(offsets_e.values) != len(counts_e.values):
             raise TiffError("strip offset/count tables disagree in length")
-        self.offsets = tuple(int(v) for v in offsets_e.values)
-        self.byte_counts = tuple(int(v) for v in counts_e.values)
+        self.offsets = tuple(map(int, offsets_e.values))
+        self.byte_counts = tuple(map(int, counts_e.values))
         self.rows_per_strip = int(self._one(TAG_ROWS_PER_STRIP, self.height))
         if self.rows_per_strip < 1:
             raise TiffError(f"bad RowsPerStrip {self.rows_per_strip}")
@@ -394,6 +398,25 @@ class TiffReader:
                 f"{expected} bytes"
             )
 
+    def _back_to_back(self, s0: int, s1: int) -> bool:
+        """Whether uncompressed strips ``s0..s1`` all pass
+        :meth:`_check_strip` and follow each other in the file, checked
+        for the whole run at once: then they are one read."""
+        if self._compression != COMPRESSION_NONE:
+            return False
+        full = self.rows_per_strip * self.bytes_per_row
+        at = self.offsets[s0]
+        counts = self.byte_counts[s0 : s1 + 1]
+        r0, r1 = self._strip_rows(s1)
+        return (
+            at >= 0
+            and counts[-1] == (r1 - r0) * self.bytes_per_row
+            and counts[:-1].count(full) == s1 - s0
+            and at + full * (s1 - s0) + counts[-1] <= self._size
+            and self.offsets[s0 : s1 + 1]
+            == tuple(range(at, at + full * (s1 - s0 + 1), full))
+        )
+
     def _decoded_strip(self, s: int) -> bytes:
         """PackBits strip ``s``, decoded (uncompressed strips are read
         straight into the window)."""
@@ -418,24 +441,25 @@ class TiffReader:
             )
         s0 = y0 // self.rows_per_strip
         s1 = (y1 - 1) // self.rows_per_strip
-        for s in range(s0, s1 + 1):
-            self._check_strip(s)
         bpr = self.bytes_per_row
+        whole = self._back_to_back(s0, s1)
+        if not whole:
+            for s in range(s0, s1 + 1):
+                self._check_strip(s)
         arr = np.empty((y1 - y0, self.width), dtype=self.dtype)
         dest = memoryview(arr.reshape(-1).view(np.uint8))
+        if whole:
+            # The usual layout: the whole window is one span of the file.
+            self._read_into(
+                self.offsets[s0] + (y0 - s0 * self.rows_per_strip) * bpr, dest
+            )
+            return self._finish(arr)
         filled = 0  # bytes of ``dest`` decoded or claimed by a pending run
         run_at = run_len = 0  # file-contiguous bytes not read yet
 
         def read_run() -> None:
-            if not run_len:
-                return
-            self._f.seek(run_at)
-            got = self._f.readinto(dest[filled - run_len : filled])
-            if got != run_len:
-                raise TiffError(
-                    f"truncated file while reading strip data "
-                    f"(need {run_len} bytes at offset {run_at})"
-                )
+            if run_len:
+                self._read_into(run_at, dest[filled - run_len : filled])
 
         for s in range(s0, s1 + 1):
             r0, r1 = self._strip_rows(s)
@@ -454,6 +478,19 @@ class TiffReader:
                 dest[filled : filled + n] = data[(a - r0) * bpr : (b - r0) * bpr]
             filled += n
         read_run()
+        return self._finish(arr)
+
+    def _read_into(self, at: int, dest: memoryview) -> None:
+        """Fill ``dest`` with the file bytes from offset ``at``."""
+        self._f.seek(at)
+        if self._f.readinto(dest) != len(dest):
+            raise TiffError(
+                f"truncated file while reading strip data "
+                f"(need {len(dest)} bytes at offset {at})"
+            )
+
+    def _finish(self, arr: np.ndarray) -> np.ndarray:
+        """Native byte order and BlackIsZero sense, in place."""
         if self._bits == 16 and self._bo != _NATIVE_BO:
             arr.byteswap(inplace=True)
         if self._photometric == 0:  # WhiteIsZero -> BlackIsZero sense

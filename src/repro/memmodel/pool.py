@@ -1,4 +1,4 @@
-"""Fixed-size buffer pools with blocking acquire.
+"""Buffer pools: fixed-size with blocking acquire, and a growable free list.
 
 The paper (Section IV.B): "The system allocates GPU memory only once ...
 The pool consists of a fixed number of buffers, one per transform ...  The
@@ -8,11 +8,17 @@ size of the pool effectively limits the number of images in flight."
 throttles the stage that fills it: with the chained-diagonal traversal a
 pipeline keeps making progress as long as the pool exceeds the grid's
 smallest dimension (tested in ``tests/memmodel``).
+
+The host side needs no throttle -- the traversal and the pair ledger
+already bound the tiles in flight -- only the recycling:
+:class:`PlaneFreeList` hands back returned arrays and allocates when none
+is free.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 
 import numpy as np
@@ -82,3 +88,48 @@ class BufferPool:
         if not 0 <= idx < self.count:
             raise ValueError(f"buffer index {idx} outside pool of {self.count}")
         return self._buffers[idx]
+
+
+class PlaneFreeList:
+    """Float64 planes recycled by shape: no fixed count, never blocks.
+
+    :meth:`take` pops a returned plane of the requested shape or allocates
+    a new one (counted in :attr:`allocated`); :meth:`give` returns one.
+    The list holds at most the planes that were ever live at once, and
+    frees them when it goes.  Both calls are single list operations, so
+    threads share one list without a lock on the hot path.
+    """
+
+    _shared: "weakref.ref[PlaneFreeList] | None" = None
+    _shared_lock = threading.Lock()
+
+    @classmethod
+    def shared(cls) -> "PlaneFreeList":
+        """One list for every caller that still holds it, and a fresh
+        one once none does: its planes live as long as the last holder."""
+        with cls._shared_lock:
+            planes = cls._shared() if cls._shared is not None else None
+            if planes is None:
+                planes = cls()
+                cls._shared = weakref.ref(planes)
+            return planes
+
+    def __init__(self) -> None:
+        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._lock = threading.Lock()
+        #: Planes this list ever allocated.
+        self.allocated = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float64 plane of ``shape`` with undefined contents."""
+        try:
+            return self._free[shape].pop()
+        except (KeyError, IndexError):
+            pass
+        with self._lock:
+            self.allocated += 1
+        return np.empty(shape, dtype=np.float64)
+
+    def give(self, plane: np.ndarray) -> None:
+        """Return ``plane``; the caller must hold no view of it."""
+        self._free.setdefault(plane.shape, []).append(plane)

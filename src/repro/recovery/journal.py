@@ -432,15 +432,20 @@ class RunJournal:
     def group(self):
         """Group commit: the pair records this thread appends inside the
         block are written and flushed one by one, as always, but fsync'd
-        once, when the outermost block exits.  Header, milestone and
+        once, when the outermost block exits -- and only if this thread
+        appended one: a group that wrote nothing leaves other threads'
+        grouped records to their own groups.  Header, milestone and
         skipped-tile records keep their own fsync; bytes and order are
         the same either way."""
-        self._groups.depth = getattr(self._groups, "depth", 0) + 1
+        groups = self._groups
+        if not getattr(groups, "depth", 0):
+            groups.wrote = False
+        groups.depth = getattr(groups, "depth", 0) + 1
         try:
             yield self
         finally:
-            self._groups.depth -= 1
-            if not self._groups.depth and self._fsync:
+            groups.depth -= 1
+            if not groups.depth and groups.wrote and self._fsync:
                 with self._lock:
                     try:
                         self._sync()
@@ -465,9 +470,9 @@ class RunJournal:
                 self._fh.write(line)
                 self._fh.flush()
                 self._unsynced = True
-                if self._fsync and not (
-                    groupable and getattr(self._groups, "depth", 0)
-                ):
+                if groupable and getattr(self._groups, "depth", 0):
+                    self._groups.wrote = True
+                elif self._fsync:
                     self._sync()
             except OSError as exc:
                 # ENOSPC (or EIO) mid-run: the record is NOT durable.

@@ -155,3 +155,85 @@ def test_products_leave_caller_memory_alone(kind, coarse, tmp_path):
     assert spectrum.tobytes() == want_spectrum.tobytes()
     assert stats.pixels.tobytes() == want.pixels.tobytes()
     assert summary_bytes(stats) == summary_bytes(want)
+
+
+def free_planes(planes):
+    return [p for shelf in planes._free.values() for p in shelf]
+
+
+def test_products_recycle_their_plane():
+    """An integer tile is converted into a plane from the kernel's free
+    list, which the statistics give back when they are freed; the next
+    tile reuses it and computes the same products as a fresh plane."""
+    kernel = Phase1Kernel()
+    tile = tile_of(np.uint16, (64, 96))
+    first = kernel.products(tile)
+    assert kernel.planes.allocated == 1 and not free_planes(kernel.planes)
+    plane = first[2].pixels
+    expected = (first[1].copy(), plane.copy())
+    del first, plane
+    assert len(free_planes(kernel.planes)) == 1
+    again = kernel.products(tile)
+    assert kernel.planes.allocated == 1
+    assert np.array_equal(again[1], expected[0])
+    assert np.array_equal(again[2].pixels, expected[1])
+
+
+def test_float64_tiles_take_no_plane():
+    kernel = Phase1Kernel()
+    products = kernel.products(tile_of(np.float64, (64, 96)))
+    del products
+    assert kernel.planes.allocated == 0 and not free_planes(kernel.planes)
+
+
+def translations(result):
+    d = result.displacements
+    return repr((d.west, d.north))
+
+
+def test_reused_stitcher_allocates_no_new_plane(dataset_4x4):
+    """A stitcher keeps its planes between stitches: the second stitch
+    allocates none and returns the same translations, to the bit."""
+    from repro.core.stitcher import Stitcher
+
+    stitcher = Stitcher()
+    first = stitcher.stitch(dataset_4x4)
+    allocated = stitcher.planes.allocated
+    assert allocated > 0
+    assert len(free_planes(stitcher.planes)) == allocated  # all came back
+    second = stitcher.stitch(dataset_4x4)
+    assert stitcher.planes.allocated == allocated
+    assert translations(second) == translations(first)
+    assert translations(first) == translations(Stitcher().stitch(dataset_4x4))
+
+
+def test_live_stitchers_share_planes_freed_with_the_last(dataset_4x4):
+    """A second stitcher alive at the same time reuses the first one's
+    idle planes; once both are gone, so are the planes."""
+    import weakref
+
+    from repro.core.stitcher import Stitcher
+
+    first = Stitcher()
+    first.stitch(dataset_4x4)
+    allocated = first.planes.allocated
+    second = Stitcher(coarse=False)
+    assert second.planes is first.planes
+    second.stitch(dataset_4x4)
+    assert first.planes.allocated == allocated
+    gone = weakref.ref(first.planes)
+    del first, second
+    assert gone() is None
+    assert Stitcher().planes.allocated == 0
+
+
+def test_shared_column_planes_return_once(dataset_4x4):
+    """mt-cpu's ghost-column tiles are shared by two partitions; their
+    planes go back once, when the last partition lets go."""
+    from repro.core.stitcher import Stitcher
+
+    stitcher = Stitcher(impl="mt-cpu", impl_options={"workers": 2})
+    stitcher.stitch(dataset_4x4)
+    planes = free_planes(stitcher.planes)
+    assert len(planes) == stitcher.planes.allocated > 0
+    assert len({id(p) for p in planes}) == len(planes)

@@ -204,6 +204,61 @@ class TestBudgetIsResidency:
             f"budget (allowance {allowance} B, tracked {res.peak_bytes} B)")
 
 
+class TestNoBudgetRender:
+    """Without a budget there is no tile cache: each tile is decoded once
+    and kept only while a later stripe still needs it, and OVERLAY /
+    MAXIMUM of integer tiles blend in the output dtype."""
+
+    def test_each_tile_is_decoded_once(self, tmp_path):
+        loads = []
+        inner = make_tiles()
+
+        def load(r, c):
+            loads.append((r, c))
+            return inner(r, c)
+
+        gp = grid_positions(4, 4, 24)
+        res = stream_compose_to_tiff(tmp_path / "m.tif", load, gp, (32, 32),
+                                     blend=BlendMode.LINEAR, band_rows=7)
+        # 32-row tiles on 7-row stripes: every tile straddles 5 or 6.
+        assert res.stripes == 15 and res.cache is None
+        assert sorted(loads) == sorted(set(loads)) and len(loads) == 16
+        ref = compose(inner, gp, (32, 32), blend=BlendMode.LINEAR,
+                      dtype=np.float64)
+        assert np.array_equal(read_tiff(tmp_path / "m.tif"),
+                              np.clip(ref, 0, 65535).astype(np.uint16))
+
+    @pytest.mark.parametrize("blend", [BlendMode.OVERLAY, BlendMode.MAXIMUM])
+    def test_integer_render_allocates_no_float_band(self, tmp_path, blend):
+        th = tw = 128
+        tiles = make_tiles(4, 4, th, tw)
+        gp = grid_positions(4, 4, 112)
+        _, w = gp.mosaic_shape((th, tw))
+        band_rows = 2 * th  # the no-budget default
+        float_band = band_rows * w * 8
+
+        def load(r, c):
+            return tiles(r, c).copy()  # a decode allocates; so must this
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            res = stream_compose_to_tiff(tmp_path / "m.tif", load, gp,
+                                         (th, tw), blend=blend)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.band_rows == band_rows and res.stripes > 1
+        # The uint16 band, the tiles kept for the next stripe and the one
+        # being decoded, all together, stay below one float64 band.
+        assert peak - baseline < float_band
+        ref = compose(tiles, gp, (th, tw), blend=blend, dtype=np.float64)
+        assert np.array_equal(read_tiff(tmp_path / "m.tif"),
+                              np.clip(ref, 0, 65535).astype(np.uint16))
+
+
 class TestStreamedPyramid:
     def test_levels_written_and_halved(self, tmp_path):
         load = make_tiles()

@@ -285,6 +285,64 @@ class TestCoalescedStripReads:
         with pytest.raises(TiffError, match="size mismatch"):
             self.read(tmp_path, bytes(blob))
 
+    def test_whole_image_is_one_read(self, tmp_path):
+        """Back-to-back strips: no per-strip work, one read."""
+        from repro.io.tiff import TiffReader
+
+        blob, _, _ = _striped_tiff(self.pixels, 3)
+        p = tmp_path / "t.tif"
+        p.write_bytes(blob)
+        with TiffReader(p) as reader:
+            reads = []
+            f = reader._f
+
+            class Counting:
+                def __getattr__(self, name):
+                    return getattr(f, name)
+
+                def readinto(self, buf):
+                    reads.append(len(buf))
+                    return f.readinto(buf)
+
+            checked = []
+            check = reader._check_strip
+            reader._f = Counting()
+            reader._check_strip = lambda s: checked.append(s) or check(s)
+            assert np.array_equal(reader.read(), self.pixels)
+            assert reads == [self.pixels.nbytes]
+            assert checked == []  # the table was validated as a whole
+
+    @pytest.mark.parametrize("bad", [
+        {2: ("count", -2), 5: ("offset", 10**6)},
+        {1: ("offset", 10**6), 4: ("count", 2)},
+        {6: ("count", 1), 7: ("offset", 3)},
+    ])
+    def test_first_bad_strip_names_the_error(self, tmp_path, bad):
+        """The strip table is validated at once, and the error is the one
+        the first bad strip raises on its own."""
+        from repro.io.tiff import TiffReader
+
+        blob, offsets, counts = _striped_tiff(self.pixels, 3)
+        blob = bytearray(blob)
+        tables_at = 8 + 2 + 12 * 9 + 4
+        for s, (field, delta) in bad.items():
+            if field == "offset":
+                struct.pack_into("<I", blob, tables_at + 4 * s,
+                                 offsets[s] + delta)
+            else:
+                at = tables_at + 4 * len(counts) + 4 * s
+                struct.pack_into("<I", blob, at, counts[s] + delta)
+        p = tmp_path / "t.tif"
+        p.write_bytes(bytes(blob))
+        with TiffReader(p) as reader:
+            with pytest.raises(TiffError) as first:
+                reader._check_strip(min(bad))
+            for s in range(min(bad)):
+                reader._check_strip(s)  # every earlier strip is fine
+            with pytest.raises(TiffError) as got:
+                reader.read()
+        assert str(got.value) == str(first.value)
+
     def test_strip_table_truncated_mid_run(self, tmp_path):
         # The offsets table promises eight strips but the file ends inside
         # it: the IFD read must fail typed, before any pixel read.

@@ -1,12 +1,13 @@
 """Buffer pool: fixed allocation, blocking acquire, misuse detection."""
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.memmodel.pool import BufferPool, PoolExhausted
+from repro.memmodel.pool import BufferPool, PlaneFreeList, PoolExhausted
 
 
 class TestBufferPool:
@@ -91,3 +92,39 @@ class TestBufferPool:
             pool.release(i)
         after = {i: id(pool.array(i)) for i in range(2)}
         assert before == after
+
+
+def test_plane_free_list_never_hands_one_plane_to_two_threads():
+    """Threads take, stamp, yield and give back planes: no plane is held
+    by two at once, none is lost, and the list never grows past the
+    number of threads."""
+    planes = PlaneFreeList()
+    n_threads, rounds = 8, 200
+    clashes = []
+
+    def worker(k):
+        for _ in range(rounds):
+            plane = planes.take((4, 4))
+            plane.fill(k)
+            time.sleep(0)
+            if not (plane == k).all():
+                clashes.append(k)
+            planes.give(plane)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, args=(k,))
+                for k in range(n_threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert clashes == []
+    free = planes._free[(4, 4)]
+    assert 1 <= planes.allocated <= n_threads
+    assert len(free) == planes.allocated
+    assert len({id(p) for p in free}) == len(free)

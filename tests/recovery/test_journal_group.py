@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
@@ -105,6 +106,39 @@ class TestGroupContract:
         assert fsyncs.value == 2  # nothing grouped was written
         j.close()
 
+    def test_group_that_wrote_nothing_leaves_others_records(
+        self, tmp_path, fsyncs
+    ):
+        """A group whose thread appended nothing does not fsync: the
+        record another thread's open group wrote waits for that group,
+        which then syncs it once."""
+        from repro.core.displacement import Translation
+
+        j = RunJournal.create(tmp_path / "j.jsonl", FP)
+        written, idle_done = threading.Event(), threading.Event()
+        seen = []
+
+        def writer():
+            with j.group():
+                j.record_pair("west", 0, 1, Translation(0.9, 1, 0))
+                written.set()
+                idle_done.wait(10.0)
+                seen.append(fsyncs.value)
+                j.record_pair("west", 0, 2, Translation(0.9, 2, 0))
+
+        t = threading.Thread(target=writer)
+        t.start()
+        assert written.wait(10.0)
+        with j.group():  # appends nothing
+            pass
+        idle_done.set()
+        t.join(10.0)
+        assert not t.is_alive()
+        assert seen == [1]  # only the header: the idle group synced nothing
+        assert fsyncs.value == 2 and not j._unsynced
+        j.close()
+        assert fsyncs.value == 2
+
     def test_concurrent_groups_leave_nothing_unsynced(self, tmp_path, fsyncs):
         """MT-CPU partitions group-commit from several threads into one
         journal: every record lands, none is left unsynced, and no group
@@ -181,10 +215,9 @@ class TestCheckpointedRun:
         self, dataset_4x4, tmp_path, fsyncs, monkeypatch
     ):
         """Each partition commits once per step that completed a pair.
-        The partitions run one after the other here: side by side they
-        share one handle, and a group's exit also syncs the other
-        thread's records (test_concurrent_groups_leave_nothing_unsynced
-        covers that), which makes the count schedule-dependent."""
+        The partitions run one after the other here, so the count is
+        exact; side by side (the test below) a group's exit may also sync
+        the other thread's records, which makes it an upper bound."""
         from repro.impls import mt_cpu
 
         monkeypatch.setattr(
@@ -209,6 +242,36 @@ class TestCheckpointedRun:
         assert fsyncs.value == 1 + steps
         assert steps < 24
         assert len(load_journal(checkpoint_journal_path(ckpt)).pairs) == 24
+
+    def test_concurrent_partitions_sync_only_their_own_groups(
+        self, dataset_4x4, tmp_path, fsyncs, monkeypatch
+    ):
+        """Side by side, a partition's group that appended nothing does
+        not fsync the other partition's records: at most one fsync per
+        partition step that completed a pair, and nothing left unsynced."""
+        record = RunJournal.record_pair
+
+        def record_then_yield(self, *args):
+            # Hold the group open a moment, so the other partition's
+            # groups come and go while this one has unsynced records.
+            record(self, *args)
+            time.sleep(0.002)
+
+        monkeypatch.setattr(RunJournal, "record_pair", record_then_yield)
+        stitcher = Stitcher(checkpoint=str(tmp_path / "ckpt"))
+        journal = stitcher.open_journal(dataset_4x4)
+        try:
+            run = ALL_IMPLEMENTATIONS["mt-cpu"](
+                journal=journal, workers=2).run(dataset_4x4)
+            assert not journal._unsynced
+        finally:
+            journal.close()
+        assert run.stats["pairs"] == 24
+        grid = TileGrid(dataset_4x4.rows, dataset_4x4.cols)
+        parts = column_partitions(grid, 2, Traversal.CHAINED_DIAGONAL)
+        steps = sum(steps_with_pairs(p.order, p.pairs) for p in parts)
+        assert steps == 15
+        assert fsyncs.value <= 1 + steps
 
 
 #: Child: a checkpointed default stitch that SIGKILLs itself right after

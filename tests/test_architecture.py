@@ -437,13 +437,14 @@ def test_phase1_has_one_failure_surface():
 
 
 def test_phase1_tile_is_converted_to_float64_once():
-    """Phase1Kernel.products converts a tile to float64 once: that array
-    is the transform's input (downsample's, in coarse mode) and then
+    """Phase1Kernel.products converts a tile to float64 once, by filling
+    a recycled float64 plane (``np.copyto``): that array is the
+    transform's input (downsample's, in coarse mode) and then
     TileStats.pixels, mean-shifted in place.  TileStats converts a tile
     itself only in its public constructor, and subtracts the mean into a
     new array only where the conversion shares the caller's memory.  Any
-    other astype/asarray to float64, or ``pixels - mean`` copy, in
-    Phase1Kernel or TileStats is a second full-size copy per live
+    other astype/asarray to float64 or copyto, or ``pixels - mean`` copy,
+    in Phase1Kernel or TileStats is a second full-size copy per live
     tile."""
 
     def float64(node):
@@ -474,12 +475,12 @@ def test_phase1_tile_is_converted_to_float64_once():
                     guarded |= {id(n) for stmt in node.body
                                 for n in ast.walk(stmt)}
             for node in ast.walk(fn):
-                if (isinstance(node, ast.Call)
-                        and (getattr(node.func, "attr", None)
-                             or getattr(node.func, "id", None))
-                        in ("astype", "asarray", "array",
-                            "ascontiguousarray")
-                        and float64(node)):
+                name = isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None)
+                    or getattr(node.func, "id", None))
+                if (name in ("astype", "asarray", "array",
+                             "ascontiguousarray") and float64(node)
+                        or name == "copyto"):
                     conversions[site] += 1
                 if (isinstance(node, ast.BinOp)
                         and isinstance(node.op, ast.Sub)
