@@ -517,9 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "flag a matching journal is still resumed when "
                         "present")
     s.add_argument("--watchdog", type=float, default=None, metavar="SECONDS",
-                   help="supervise a pipelined --impl: cancel any work item "
-                        "running longer than SECONDS and unwedge stalls "
-                        "instead of hanging (other impls are rejected)")
+                   help="supervise phase 1: cancel any work item (a tile "
+                        "read) running longer than SECONDS and unwedge "
+                        "stalls instead of hanging (every CPU --impl and "
+                        "pipelined-gpu; fiji-baseline and simple-gpu are "
+                        "rejected)")
     s.add_argument("--stall-timeout", type=float, default=30.0,
                    metavar="SECONDS",
                    help="whole-pipeline no-progress window before the "

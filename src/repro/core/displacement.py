@@ -1,7 +1,8 @@
 """Phase 1: relative displacements for the whole grid (Fig. 4).
 
-This is the sequential *reference* schedule -- the ground truth against
-which every other scheduler in :mod:`repro.impls` is checked.  It computes
+:func:`compute_grid_displacements` is the sequential *reference* loop --
+the ground truth against which every other scheduler in
+:mod:`repro.impls` is checked.  It computes
 each tile's products once, reuses them across the tile's incident pairs,
 and frees them under the paper's early-release policy driven by the
 traversal order (Section IV.A) -- the ledger
@@ -19,12 +20,15 @@ stage working exactly one tile ahead of the pair stage.  Either way the
 pair stage sees the same steps in the same order, so translations,
 counts, fault report and journal bytes are identical.
 
-The same loop is MT-CPU's SPMD worker (the paper builds MT-CPU from
-Simple-CPU): run over one column partition, it computes that partition's
-pairs and takes the tiles it shares with a neighbouring partition from
-products built once before the partitions started.  It is
-Pipelined-CPU's pipeline too: one per partition, stages overlapped, each
-reading its ghost column itself.
+:func:`partitioned_displacements` is the one CPU schedule over that
+loop, and Table II's three CPU rows are presets of it (the paper builds
+MT-CPU from Simple-CPU by spatial decomposition and Pipelined-CPU by
+overlapping its stages): ``partitions`` column partitions run the loop
+side by side, each computing its own pairs, and the tiles two partitions
+read are built once before they start; ``overlap`` forces the stages'
+schedule or leaves it to :func:`_overlap_pays` on one partition (two
+or more run inline unless forced).  A watchdog supervises its tile
+reads under every preset.
 """
 
 from __future__ import annotations
@@ -33,16 +37,36 @@ import os
 import queue
 import threading
 from contextlib import ExitStack, contextmanager, nullcontext
-from typing import Mapping, NamedTuple
+from functools import partial
+from types import SimpleNamespace
+from typing import MutableMapping, NamedTuple
 
 from repro.core.kernel import DisplacementResult, Phase1Kernel, Translation
+from repro.core.pciam import bump
 from repro.grid.ledger import PairBookkeeper
-from repro.grid.neighbors import grid_pairs
+from repro.grid.neighbors import grid_pairs, pairs_for_tile
 from repro.grid.tile_grid import GridPosition, TileGrid
-from repro.grid.traversal import ColumnPartition, Traversal, traverse
-from repro.pipeline.graph import aggregate_failures
+from repro.grid.traversal import (
+    ColumnPartition,
+    Traversal,
+    column_partitions,
+    traverse,
+)
+from repro.recovery.watchdog import (
+    PipelineStallError,
+    SupervisedReads,
+    Watchdog,
+    WatchdogConfig,
+    aggregate_failures,
+    join_supervised,
+)
 
-__all__ = ["DisplacementResult", "Translation", "compute_grid_displacements"]
+__all__ = [
+    "DisplacementResult",
+    "Translation",
+    "compute_grid_displacements",
+    "partitioned_displacements",
+]
 
 #: Tracer timeline rows of a run on the default ``track``: ``read`` /
 #: ``downsample`` / ``fft`` / ``tilestats`` spans land on the first,
@@ -62,9 +86,9 @@ PAIR_TRACK = "phase1-pairs"
 #: every size it admits was measured to win clearly (docs/PERFORMANCE.md,
 #: "Overlapped default schedule").
 OVERLAP_MIN_TILE_PIXELS = 128 * 1024
-#: ... and only with a second CPU to run the other stage on: with one, the
-#: two threads time-slice and the hand-offs are pure cost (same sweep under
-#: ``taskset -c 0``: 0.99x at 512 px, 0.93x at 128 px).
+#: ... and only with a second CPU to run the other stage on:
+#: with one, the two threads time-slice and the hand-offs are pure cost
+#: (same sweep under ``taskset -c 0``: 0.99x at 512 px, 0.93x at 128 px).
 OVERLAP_MIN_CPUS = 2
 
 
@@ -77,6 +101,8 @@ def usable_cpus() -> int:
 
 
 def _overlap_pays(tile_shape) -> bool:
+    """Whether a whole-grid run should overlap its stages: large enough
+    tiles, and ``OVERLAP_MIN_CPUS`` usable CPUs."""
     return (
         tile_shape[0] * tile_shape[1] >= OVERLAP_MIN_TILE_PIXELS
         and usable_cpus() >= OVERLAP_MIN_CPUS
@@ -99,7 +125,7 @@ class _TileStep(NamedTuple):
 def read_tile(kernel: Phase1Kernel, load_tile, pos: GridPosition, track: str):
     """:meth:`~repro.core.kernel.Phase1Kernel.try_read` of ``pos`` as a
     ``read`` span on ``track``.  Under an abort policy an exhausted read
-    raises a :class:`~repro.pipeline.graph.PipelineError` naming the
+    raises a :class:`~repro.recovery.watchdog.PipelineError` naming the
     logical stage; with no policy the original exception propagates."""
     with kernel.tracer.span("read", track, key=str(pos)):
         try:
@@ -167,7 +193,7 @@ def compute_grid_displacements(
     traversal: Traversal = Traversal.CHAINED_DIAGONAL,
     kernel: Phase1Kernel | None = None,
     partition: ColumnPartition | None = None,
-    shared: Mapping[GridPosition, tuple | None] | None = None,
+    shared: MutableMapping[GridPosition, tuple | None] | None = None,
     track: str = "phase1",
     overlap: bool | None = None,
     **kernel_options,
@@ -180,9 +206,9 @@ def compute_grid_displacements(
     worker; the result holds those pairs and nothing else.  ``shared``
     maps the tiles another partition also reads to their products, built
     once before the partitions started (``None``: the builder dropped and
-    journaled the tile); the run takes them from there instead of reading
-    and transforming them again.  A partition runs its two stages inline:
-    its scheduler already runs partitions side by side.
+    journaled the tile); the run takes them from there -- popping each, so
+    the early-release ledger frees it with the run's own products --
+    instead of reading and transforming them again.
 
     ``load_tile(row, col) -> ndarray`` supplies pixels in any real dtype
     (e.g. ``TileDataset.load``; a loader that keeps the stored integer
@@ -200,9 +226,10 @@ def compute_grid_displacements(
 
     Whether the two stages overlap is decided here, from the first tile
     read and the CPUs this process may use (:func:`_overlap_pays`); it is
-    not a stitch option.  ``overlap=True``/``False`` forces one schedule:
-    Pipelined-CPU runs every partition overlapped, and the tests pin the
-    two schedules against each other.
+    not a stitch option.
+    ``overlap=True``/``False`` forces one schedule: Pipelined-CPU runs
+    every partition overlapped, and the tests pin the two schedules
+    against each other.
 
     Instrumented: ``result.stats`` records FFT/pair/read counts and the peak
     number of live transforms (these feed the Table I verification bench).
@@ -214,7 +241,7 @@ def compute_grid_displacements(
     per-stage timelines.
 
     Under an abort policy an exhausted read raises a
-    :class:`~repro.pipeline.graph.PipelineError` naming the logical stage;
+    :class:`~repro.recovery.watchdog.PipelineError` naming the logical stage;
     under a skip policy the tile is dropped -- with every pair it
     participates in -- and the damage lands in the fault report and
     ``result.stats``.  A journaled pair is never recomputed, and a tile
@@ -332,7 +359,7 @@ def compute_grid_displacements(
             return _TileStep(pos)  # contributes nothing: don't even read it
         products = reason = None
         if pos in shared:
-            products = shared[pos]
+            products = shared.pop(pos)
         else:
             pixels, reason = read_tile(kernel, load_tile, pos, tile_track)
             if pixels is not None:
@@ -353,8 +380,6 @@ def compute_grid_displacements(
 
     # -- the schedule ----------------------------------------------------------
 
-    if overlap is None and partition is not None:
-        overlap = False
     with ExitStack() as stack:
         submit = register
         for pos in order:
@@ -379,3 +404,155 @@ def compute_grid_displacements(
             "never computed"
         )
     return result
+
+
+# -- the CPU schedule: partitions of the loop above ----------------------------
+
+
+def fold_stats(stats: dict, local: dict, lock: threading.Lock) -> None:
+    """Add a worker's ``local`` counters into the shared ``stats``; its
+    per-tile lists (``skipped_tiles``) stay with the worker -- the fault
+    report holds the run's."""
+    with lock:
+        for key, value in local.items():
+            if isinstance(value, int):
+                stats[key] = stats.get(key, 0) + value
+
+
+def run_threads(target, arg_lists, watchdog: Watchdog | None = None) -> None:
+    """Run ``target(*args)`` on one daemon thread per entry; re-raise the
+    first failure once every thread has finished.  Under a started
+    ``watchdog`` the wait is :func:`~repro.recovery.watchdog.join_supervised`,
+    and an escalation raises
+    :class:`~repro.recovery.watchdog.PipelineStallError`."""
+    errors: list[BaseException] = []
+
+    def guarded(*args) -> None:
+        try:
+            target(*args)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=args, daemon=True)
+               for args in arg_lists]
+    for t in threads:
+        t.start()
+    if watchdog is None:
+        for t in threads:
+            t.join()
+    else:
+        abandoned = join_supervised(threads, watchdog)
+        if watchdog.escalated:
+            raise PipelineStallError.escalated(watchdog, abandoned)
+    if errors:
+        raise errors[0]
+
+
+def _ghost_columns(kernel: Phase1Kernel, grid: TileGrid,
+                   parts: list[ColumnPartition]) -> list[list[GridPosition]]:
+    """For each column two partitions read -- a partition's ghost column,
+    the last one of its western neighbour -- the tiles a pair not yet
+    journaled still needs (a tile with nothing left to do is not read)."""
+    def needed(pos: GridPosition) -> bool:
+        return not all(kernel.journaled(pair)
+                       for pair in pairs_for_tile(grid, pos.row, pos.col))
+
+    return [
+        [pos for pos in (GridPosition(r, part.first_col)
+                         for r in range(grid.rows)) if needed(pos)]
+        for part in parts if part.first_col < part.cols[0]
+    ]
+
+
+def partitioned_displacements(
+    load_tile,
+    rows: int,
+    cols: int,
+    kernel: Phase1Kernel,
+    *,
+    partitions: int = 1,
+    overlap: bool | None = None,
+    traversal: Traversal = Traversal.CHAINED_DIAGONAL,
+    watchdog: WatchdogConfig | None = None,
+    name: str = "simple-cpu",
+) -> DisplacementResult:
+    """Phase 1 on the CPU: :func:`compute_grid_displacements` over up to
+    ``partitions`` column partitions, one thread each.
+
+    ``overlap`` forces each partition's stage schedule; ``None`` leaves it
+    to :func:`_overlap_pays` on one partition and runs two or more inline
+    (no measurement yet shows partitions gaining from their own overlap).
+    The tiles two partitions read (a ghost column) are read and
+    transformed once, one thread per column, before the partitions
+    start, and handed to each reader in a mapping of its own, which it
+    pops: every tile is read once, and a shared tile goes with its last
+    reader.  One partition is the whole grid on the caller's thread --
+    the default path -- unless a ``watchdog`` needs a thread it can
+    abandon: under one, every tile read is supervised
+    (:class:`~repro.recovery.watchdog.SupervisedReads`, reporting as
+    ``name``, which also prefixes the partitions' timeline rows).
+    """
+    grid = TileGrid(rows, cols)
+    parts = column_partitions(grid, partitions, traversal) if partitions > 1 else []
+    dog = None
+    if watchdog is not None:
+        load_tile = reads = SupervisedReads(load_tile)
+        dog = Watchdog(
+            SimpleNamespace(name=name, stages=[reads], queues=[],
+                            abort=reads.abort),
+            watchdog, metrics=kernel.metrics,
+        ).start()
+    try:
+        if len(parts) <= 1:
+            out: list[DisplacementResult] = []
+            whole = partial(compute_grid_displacements, load_tile, rows, cols,
+                            traversal=traversal, kernel=kernel, overlap=overlap)
+            if dog is None:
+                out.append(whole())
+            else:
+                run_threads(lambda: out.append(whole()), [()], dog)
+            out[0].stats["partitions"] = 1
+            return out[0]
+
+        #: Each partition's shared tiles, popped as the partition takes them.
+        handed: list[dict] = [{} for _ in parts]
+        disp = DisplacementResult.empty(rows, cols)
+        stats = {"reads": 0, "ffts": 0, "pairs": 0, "partitions": len(parts)}
+        lock = threading.Lock()
+
+        def build(j: int, column: list[GridPosition]) -> None:
+            local: dict = {}
+            track = f"{name}/shared-{j}"
+            for pos in column:
+                pixels, reason = read_tile(kernel, load_tile, pos, track)
+                products = None
+                if pixels is None:  # dropped: journaled here, once
+                    if kernel.journal is not None:
+                        kernel.journal.record_skipped_tile(pos.row, pos.col,
+                                                           reason)
+                else:
+                    bump(local, "reads")
+                    products = kernel.products(pixels, local, track=track,
+                                               key=str(pos))
+                for k, part in enumerate(parts):
+                    if part.first_col <= pos.col < part.cols[1]:
+                        handed[k][pos] = products
+            fold_stats(stats, local, lock)
+
+        def run_partition(k: int, part: ColumnPartition) -> None:
+            res = compute_grid_displacements(
+                load_tile, rows, cols, kernel=kernel, partition=part,
+                shared=handed[k], track=f"{name}/partition-{k}",
+                overlap=False if overlap is None else overlap,
+            )
+            handed[k].clear()  # what it never took goes with it
+            disp.update(res)  # partitions own disjoint cells
+            fold_stats(stats, res.stats, lock)
+
+        run_threads(build, enumerate(_ghost_columns(kernel, grid, parts)), dog)
+        run_threads(run_partition, enumerate(parts), dog)
+        disp.stats = stats
+        return disp
+    finally:
+        if dog is not None:
+            dog.stop()

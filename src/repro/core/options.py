@@ -25,15 +25,16 @@ from repro.recovery.journal import dataset_fingerprint
 
 #: The phase-1 schedulers by name, and which of the options a scheduler
 #: (rather than the kernel) has to honour each one can: ``watchdog``
-#: supervision (only the pipelines watch their tile reads from a thread
-#: of their own -- a single thread or a partition worker cannot cancel
-#: itself).  Every other option -- ``traversal`` included -- works under
-#: all of them.  The classes live in :mod:`repro.impls`, imported only
-#: when a non-default one is selected.
+#: supervision (the CPU presets watch their tile reads from threads they
+#: can abandon, Pipelined-GPU its stages; Fiji-baseline and Simple-GPU
+#: run on the caller's thread, which cannot supervise itself).  Every
+#: other option -- ``traversal`` included -- works under all of them.
+#: The classes live in :mod:`repro.impls`, imported only when a
+#: non-default one is selected.
 SCHEDULERS: dict[str, frozenset[str]] = {
-    "simple-cpu": frozenset(),
+    "simple-cpu": frozenset({"watchdog"}),
     "fiji-baseline": frozenset(),
-    "mt-cpu": frozenset(),
+    "mt-cpu": frozenset({"watchdog"}),
     "pipelined-cpu": frozenset({"watchdog"}),
     "simple-gpu": frozenset(),
     "pipelined-gpu": frozenset({"watchdog"}),

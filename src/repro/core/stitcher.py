@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.compose import BlendMode, compose
-from repro.core.displacement import DisplacementResult, compute_grid_displacements
+from repro.core.displacement import DisplacementResult, partitioned_displacements
 from repro.core.global_opt import GlobalPositions, resolve_absolute_positions
 from repro.core.kernel import ErrorPolicy, Phase1Kernel
 from repro.core.options import (  # noqa: F401 -- re-exported: importers of the scheduler table
@@ -329,14 +329,16 @@ class Stitcher:
         tracer = kernel.tracer
         if opts.impl == "simple-cpu":
             # The default stays import-free: repro.impls (and the virtual
-            # GPU under it) loads only for a scheduler that needs it.
-            # Native dtype: the kernel converts on use (uint -> float64 is
-            # exact), so live products hold no float64 copy of the raw tile.
+            # GPU under it) loads only for a scheduler that needs it; this
+            # is the schedule impls.SimpleCpu runs.  Native dtype: the
+            # kernel converts on use (uint -> float64 is exact), so live
+            # products hold no float64 copy of the raw tile.
             with tracer.span("phase1:simple-cpu", "phase1"):
-                disp = compute_grid_displacements(
+                disp = partitioned_displacements(
                     partial(dataset.load, dtype=None),
-                    dataset.rows, dataset.cols,
-                    traversal=opts.traversal, kernel=kernel,
+                    dataset.rows, dataset.cols, kernel,
+                    traversal=opts.traversal,
+                    watchdog=opts.impl_options.get("watchdog"),
                 )
             return disp, dict(disp.stats)
         from repro.impls import ALL_IMPLEMENTATIONS

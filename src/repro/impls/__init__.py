@@ -13,6 +13,9 @@ is the paper's entire point:
 ``MtCpu``                 Simple-CPU over column partitions on worker threads
 ``PipelinedCpu``          Simple-CPU's read + FFT overlapped with the pairs,
                           one such pipeline per column partition (socket)
+                          (the three CPU rows are presets of one schedule,
+                          ``impls/cpu.py``: every tile read once, every
+                          one supervised by a ``watchdog``)
 ``SimpleGpu``             synchronous single-stream port onto the virtual GPU
 ``PipelinedGpu``          the 6-stage per-GPU pipeline of Fig. 8
 ========================  ====================================================
@@ -27,10 +30,8 @@ reuse, single-allocation pools, O(1) D2H traffic -- not just the outputs.
 """
 
 from repro.impls.base import Implementation, RunResult
-from repro.impls.simple_cpu import SimpleCpu
+from repro.impls.cpu import MtCpu, PipelinedCpu, SimpleCpu
 from repro.impls.fiji_baseline import FijiBaseline
-from repro.impls.mt_cpu import MtCpu
-from repro.impls.pipelined_cpu import PipelinedCpu
 from repro.impls.simple_gpu import SimpleGpu
 from repro.impls.pipelined_gpu import PipelinedGpu
 

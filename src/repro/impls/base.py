@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import abc
-import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.displacement import DisplacementResult
@@ -22,17 +20,6 @@ class RunResult:
     displacements: DisplacementResult
     wall_seconds: float
     stats: dict = field(default_factory=dict)
-
-
-def fold_stats(stats: dict, local: dict,
-               lock: threading.Lock | None = None) -> None:
-    """Add a worker's ``local`` counters into the shared ``stats``; its
-    per-tile lists (``skipped_tiles``) stay with the worker -- the fault
-    report holds the run's."""
-    with lock or nullcontext():
-        for key, value in local.items():
-            if isinstance(value, int):
-                stats[key] = stats.get(key, 0) + value
 
 
 class Implementation(abc.ABC):
@@ -52,10 +39,11 @@ class Implementation(abc.ABC):
 
     ``watchdog`` is a :class:`~repro.recovery.watchdog.WatchdogConfig` for
     stall supervision: Pipelined-GPU hands it to its
-    :class:`~repro.pipeline.graph.Pipeline`, Pipelined-CPU supervises its
-    tile reads with it (the others ignore it -- a single thread cannot be
-    supervised cooperatively by itself; ``Stitcher`` rejects the
-    combination).
+    :class:`~repro.pipeline.graph.Pipeline`, and every CPU preset
+    supervises its tile reads with it, on threads it can abandon.
+    Fiji-baseline and Simple-GPU ignore it -- they run on the caller's
+    thread, which cannot be supervised by itself; ``Stitcher`` rejects
+    the combination.
 
     Under a skip policy a scheduler treats a ``None`` tile from
     ``kernel.read`` as failed and skips its pairs; :meth:`run` then

@@ -27,7 +27,7 @@ avoids cross-GPU communication (peer-to-peer copies are listed as future
 work; ``p2p=True`` implements them).  All partitions share the output
 arrays; cells are disjoint.  This is the one scheduler built on
 :mod:`repro.pipeline`'s staged graph: the CPU schedulers run
-:func:`~repro.core.displacement.compute_grid_displacements`.
+:func:`~repro.core.displacement.partitioned_displacements`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult
+from repro.core.displacement import DisplacementResult, fold_stats
 from repro.gpu.device import VirtualGpu
 from repro.gpu.kernels import correlate_pair, fft2_kernel, rfft2_kernel
 from repro.grid.ledger import PairBookkeeper
@@ -49,7 +49,7 @@ from repro.grid.traversal import (
     column_partitions,
     default_pool_size,
 )
-from repro.impls.base import Implementation, fold_stats
+from repro.impls.base import Implementation
 from repro.io.dataset import TileDataset
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM

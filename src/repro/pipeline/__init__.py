@@ -11,12 +11,14 @@ monitor queues (:class:`~repro.pipeline.queues.MonitorQueue`).  Each stage
 runs one or more worker threads that consume items from the stage's input
 queue, invoke a user handler, and emit results downstream.  Lifecycle
 (start, poison-pill shutdown, exception propagation) is handled by the
-framework, matching the structure of the paper's Fig. 8.
+framework, matching the structure of the paper's Fig. 8.  The failure
+types a run raises live beside the watchdog, in
+:mod:`repro.recovery.watchdog`.
 """
 
 from repro.pipeline.queues import MonitorQueue, QueueClosed
 from repro.pipeline.stage import Stage, StageContext, END_OF_STREAM
-from repro.pipeline.graph import Pipeline, PipelineError, PipelineStallError
+from repro.pipeline.graph import Pipeline
 from repro.grid.ledger import PairBookkeeper
 
 __all__ = [
@@ -26,7 +28,5 @@ __all__ = [
     "StageContext",
     "END_OF_STREAM",
     "Pipeline",
-    "PipelineError",
-    "PipelineStallError",
     "PairBookkeeper",
 ]

@@ -2,8 +2,9 @@
 
 A :class:`Pipeline` owns stages and the queues between them, starts all
 worker threads, waits for completion, and surfaces every worker exception
-to the caller (wrapped in a single :class:`PipelineError` naming the
-failing stages) instead of deadlocking -- failure injection tests depend
+to the caller (wrapped in a single
+:class:`~repro.recovery.watchdog.PipelineError` naming the failing
+stages) instead of deadlocking -- failure injection tests depend
 on this.
 
 Stages need not form a single chain: the paper's Fig. 8 graph has a feedback
@@ -15,79 +16,20 @@ terminate (the bookkeeper closes its feedback consumer by counting).
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from repro.observe.sampler import QueueDepthSampler
 from repro.observe.tracer import NULL_TRACER
 from repro.pipeline.queues import MonitorQueue
 from repro.pipeline.stage import Stage
-from repro.recovery.watchdog import StallReport, Watchdog, WatchdogConfig
-
-
-class PipelineError(RuntimeError):
-    """One or more stage workers raised.
-
-    ``failures`` lists every collected ``(stage_name, exception)`` pair in
-    stage order -- a run can fail in several stages at once (e.g. a reader
-    hitting a corrupt tile while a compute worker times out on the pool),
-    and losing all but the first hides the real sequence of events.  The
-    first exception is also chained as ``__cause__`` for compatibility
-    with ``raise ... from`` consumers.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        failures: list[tuple[str, BaseException]] | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.failures: list[tuple[str, BaseException]] = list(failures or [])
-
-
-class PipelineStallError(PipelineError):
-    """The watchdog escalated: a hung item or a whole-pipeline stall.
-
-    Raised by ``join()``/``result()`` in place of an eternal block.
-    ``report`` is the watchdog's structured
-    :class:`~repro.recovery.watchdog.StallReport` (what hung, where, for
-    how long, and the progress counters at escalation time);
-    ``abandoned_threads`` names daemon workers that were still alive when
-    the supervised join gave up waiting on them.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        report: StallReport,
-        failures: list[tuple[str, BaseException]] | None = None,
-        abandoned_threads: list[str] | None = None,
-    ) -> None:
-        super().__init__(message, failures=failures)
-        self.report = report
-        self.abandoned_threads = list(abandoned_threads or [])
-
-
-def aggregate_failures(
-    name: str, failures: list[tuple[str, BaseException]]
-) -> PipelineError:
-    """Build one :class:`PipelineError` chaining all worker exceptions."""
-    stages = []
-    for stage_name, _ in failures:
-        if stage_name not in stages:
-            stages.append(stage_name)
-    detail = "; ".join(
-        f"{stage_name}: {type(exc).__name__}: {exc}" for stage_name, exc in failures
-    )
-    err = PipelineError(
-        f"stage {', '.join(repr(s) for s in stages)} of {name!r} failed "
-        f"({len(failures)} worker error{'s' if len(failures) != 1 else ''}: "
-        f"{detail})",
-        failures=failures,
-    )
-    if failures:
-        err.__cause__ = failures[0][1]
-    return err
+from repro.recovery.watchdog import (
+    PipelineStallError,
+    StallReport,
+    Watchdog,
+    WatchdogConfig,
+    aggregate_failures,
+    join_supervised,
+)
 
 
 class Pipeline:
@@ -212,13 +154,16 @@ class Pipeline:
         self.join()
 
     def join(self) -> None:
-        """Wait for all workers; raise one aggregated :class:`PipelineError`.
+        """Wait for all workers; raise one aggregated
+        :class:`~repro.recovery.watchdog.PipelineError`.
 
-        Supervised pipelines (``watchdog=``) poll-join so a watchdog
+        Supervised pipelines (``watchdog=``) wait through
+        :func:`~repro.recovery.watchdog.join_supervised`, so a watchdog
         escalation can interrupt the wait: blocked workers are unblocked
         by the abort's queue closures, any worker still wedged in a
-        non-cooperative handler after a short grace is *abandoned* (the
-        threads are daemons), and :class:`PipelineStallError` carries the
+        non-cooperative handler after the watchdog's grace is *abandoned*
+        (the threads are daemons), and
+        :class:`~repro.recovery.watchdog.PipelineStallError` carries the
         :class:`StallReport` instead of ``join()`` hanging forever.
         """
         try:
@@ -226,7 +171,10 @@ class Pipeline:
                 for s in self.stages:
                     s.join()
             else:
-                self._join_supervised()
+                self._abandoned_threads = join_supervised(
+                    [t for s in self.stages for t in s.threads],
+                    self._watchdog,
+                )
         finally:
             if self._sampler is not None:
                 self._sampler.stop()
@@ -234,32 +182,11 @@ class Pipeline:
                 self._watchdog.stop()
         failures = [(s.name, exc) for s in self.stages for exc in s.errors]
         if self._watchdog is not None and self._watchdog.escalated:
-            report = self._watchdog.report()
-            raise PipelineStallError(
-                f"pipeline {self.name!r} stalled ({report.kind}): "
-                f"{report.detail}",
-                report=report,
-                failures=failures,
-                abandoned_threads=self._abandoned_threads,
+            raise PipelineStallError.escalated(
+                self._watchdog, self._abandoned_threads, failures=failures
             )
         if failures:
             raise aggregate_failures(self.name, failures)
-
-    def _join_supervised(self, poll: float = 0.05, grace: float = 5.0) -> None:
-        threads = [t for s in self.stages for t in s.threads]
-        abandon_at: float | None = None
-        while True:
-            alive = [t for t in threads if t.is_alive()]
-            if not alive:
-                return
-            if self._watchdog is not None and self._watchdog.escalated:
-                now = time.monotonic()
-                if abandon_at is None:
-                    abandon_at = now + grace
-                elif now >= abandon_at:
-                    self._abandoned_threads = [t.name for t in alive]
-                    return
-            alive[0].join(timeout=poll)
 
     def watchdog_report(self) -> StallReport | None:
         """The watchdog's report (escalated or cooperative), if any."""

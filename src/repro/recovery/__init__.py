@@ -9,7 +9,8 @@ Three pillars (see ``docs/ROBUSTNESS.md``):
   tokens (Python threads cannot be interrupted);
 - :mod:`repro.recovery.watchdog` -- supervision thread detecting hung
   items and whole-pipeline stalls, escalating to clean shutdown with a
-  structured :class:`StallReport`;
+  structured :class:`StallReport`, and the failure types a phase-1 run
+  raises (:class:`PipelineError`, :class:`PipelineStallError`);
 - :mod:`repro.recovery.harness` -- subprocess SIGKILL harness proving the
   kill-at-any-point resume guarantee end to end.
 """
@@ -42,6 +43,8 @@ from repro.recovery.journal import (
 )
 from repro.recovery.watchdog import (
     Intervention,
+    PipelineError,
+    PipelineStallError,
     StallReport,
     Watchdog,
     WatchdogConfig,
@@ -69,6 +72,8 @@ __all__ = [
     "fingerprint_diff",
     "load_journal",
     "Intervention",
+    "PipelineError",
+    "PipelineStallError",
     "StallReport",
     "Watchdog",
     "WatchdogConfig",

@@ -26,8 +26,12 @@ structured :class:`StallReport`, and the supervised ``Pipeline.join()``
 returns/raises promptly instead of deadlocking.
 
 The watchdog never imports the pipeline package (it duck-types the
-``stages``/``queues``/``abort`` surface), so ``pipeline/graph.py`` can
-import *it* without a cycle.
+``stages``/``queues``/``abort`` surface): the staged graph of
+``pipeline/graph.py`` and the CPU schedule's tile reads
+(:class:`SupervisedReads`) are both supervised through it, and both wait
+for their threads with the one :func:`join_supervised`.  The failure
+types of a phase-1 run -- :class:`PipelineError` and its
+:class:`PipelineStallError` -- live here too, beside what raises them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.grid.tile_grid import GridPosition
+from repro.recovery.cancel import current_token, enter_item, exit_item
 
 
 @dataclass(frozen=True)
@@ -51,9 +58,14 @@ class WatchdogConfig:
         processes an item and no queue moves for this long while work is
         still in flight or queued, the pipeline is declared stalled.
     ``escalation_grace``
-        Extra multiple of ``item_deadline`` a *cancelled* item may remain
-        in flight before the watchdog concludes the handler is not
-        cooperating and escalates to pipeline abort.
+        A multiple of the deadline that fired, twice over: a *cancelled*
+        item may remain in flight ``escalation_grace * item_deadline``
+        longer before the watchdog concludes the handler is not
+        cooperating and escalates to pipeline abort; once it has
+        escalated, :func:`join_supervised` gives the threads
+        ``escalation_grace`` times the deadline that fired
+        (``item_deadline`` for an item hang, ``stall_timeout`` for a
+        stall) to wind down before it abandons them.
     ``poll_interval``
         Watchdog wake-up period (seconds).  Detection latency is at most
         one poll past the configured deadline.
@@ -304,3 +316,136 @@ class Watchdog:
         # Closing every queue unblocks all workers; stages treat
         # QueueClosed as shutdown, so this is the clean path out.
         self.pipeline.abort()
+
+
+class PipelineError(RuntimeError):
+    """One or more workers of a phase-1 run raised.
+
+    ``failures`` lists every collected ``(stage_name, exception)`` pair in
+    stage order -- a run can fail in several stages at once (e.g. a reader
+    hitting a corrupt tile while a compute worker times out on the pool),
+    and losing all but the first hides the real sequence of events.  The
+    first exception is also chained as ``__cause__`` for compatibility
+    with ``raise ... from`` consumers.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        failures: list[tuple[str, BaseException]] | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.failures: list[tuple[str, BaseException]] = list(failures or [])
+
+
+class PipelineStallError(PipelineError):
+    """The watchdog escalated: a hung item or a whole-run stall.
+
+    Raised in place of an eternal wait.  ``report`` is the watchdog's
+    structured :class:`StallReport` (what hung, where, for how long, and
+    the progress counters at escalation time); ``abandoned_threads``
+    names daemon workers that were still alive when
+    :func:`join_supervised` gave up waiting on them.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        report: StallReport,
+        failures: list[tuple[str, BaseException]] | None = None,
+        abandoned_threads: list[str] | None = None,
+    ) -> None:
+        super().__init__(message, failures=failures)
+        self.report = report
+        self.abandoned_threads = list(abandoned_threads or [])
+
+    @classmethod
+    def escalated(cls, watchdog: Watchdog, abandoned_threads: list[str],
+                  failures=None) -> "PipelineStallError":
+        """The error for ``watchdog``'s escalation."""
+        report = watchdog.report()
+        return cls(
+            f"pipeline {report.pipeline!r} stalled ({report.kind}): "
+            f"{report.detail}",
+            report=report,
+            failures=failures,
+            abandoned_threads=abandoned_threads,
+        )
+
+
+def aggregate_failures(
+    name: str, failures: list[tuple[str, BaseException]]
+) -> PipelineError:
+    """Build one :class:`PipelineError` chaining all worker exceptions."""
+    stages = []
+    for stage_name, _ in failures:
+        if stage_name not in stages:
+            stages.append(stage_name)
+    detail = "; ".join(
+        f"{stage_name}: {type(exc).__name__}: {exc}" for stage_name, exc in failures
+    )
+    err = PipelineError(
+        f"stage {', '.join(repr(s) for s in stages)} of {name!r} failed "
+        f"({len(failures)} worker error{'s' if len(failures) != 1 else ''}: "
+        f"{detail})",
+        failures=failures,
+    )
+    if failures:
+        err.__cause__ = failures[0][1]
+    return err
+
+
+def join_supervised(threads: list[threading.Thread],
+                    watchdog: Watchdog) -> list[str]:
+    """Wait for ``threads`` under a started ``watchdog``, polling every
+    ``poll_interval``; once it escalates, give them ``escalation_grace``
+    times the deadline that fired (:class:`WatchdogConfig`), then abandon
+    the ones still wedged -- daemons -- and return their names."""
+    cfg = watchdog.config
+    abandon_at: float | None = None
+    while alive := [t for t in threads if t.is_alive()]:
+        if abandon_at is None and watchdog.escalated:
+            fired = (cfg.item_deadline if watchdog.report().kind == "item_hang"
+                     else cfg.stall_timeout)
+            abandon_at = time.monotonic() + cfg.escalation_grace * fired
+        elif abandon_at is not None and time.monotonic() >= abandon_at:
+            return [t.name for t in alive]
+        alive[0].join(cfg.poll_interval)
+    return []
+
+
+class SupervisedReads:
+    """A tile loader as the one stage a watchdog supervises (in phase 1
+    only the read polls a cancel token).  Each call runs under its own
+    token, listed in flight while it runs; once the watchdog aborts the
+    run, every later read is cancelled before it starts, so the threads
+    still running wind down instead of computing on."""
+
+    name = "read"
+
+    def __init__(self, load_tile) -> None:
+        self.load_tile = load_tile
+        self.items_processed = 0
+        self.aborted = False
+        self._inflight: dict[int, tuple] = {}
+        self._lock = threading.Lock()
+
+    def inflight(self) -> list[tuple]:
+        return list(self._inflight.values())
+
+    def abort(self) -> None:
+        self.aborted = True
+
+    def __call__(self, row: int, col: int):
+        worker = threading.get_ident()
+        prev = enter_item(self._inflight, worker, str(GridPosition(row, col)))
+        try:
+            if self.aborted:
+                token = current_token()
+                token.cancel("the run was aborted by its watchdog")
+                token.raise_if_cancelled()
+            return self.load_tile(row, col)
+        finally:
+            exit_item(self._inflight, worker, prev)
+            with self._lock:
+                self.items_processed += 1

@@ -5,8 +5,10 @@ implementation and runs it through the task-graph scheduler.  Traversal,
 pair readiness (:func:`~repro.grid.traversal.replay` on the early-release
 ledger) and column partitions (:func:`~repro.grid.traversal.column_partitions`)
 are the real schedulers' own, so the pipelined and GPU graphs read the
-tiles and compute the pairs the real runs do.  :func:`simulate_mt_cpu`
-models the paper's MT-CPU rather than :class:`~repro.impls.mt_cpu.MtCpu`.
+tiles and compute the pairs the real runs do -- bar the per-socket CPU
+model's ghost columns, which each socket reads itself where the real
+partitions share one read.  :func:`simulate_mt_cpu` models the paper's
+MT-CPU rather than :class:`~repro.impls.cpu.MtCpu`.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def simulate_mt_cpu(
     This models the paper's MT-CPU, in which the band below reads and
     transforms each band-boundary row again -- what Table II's MT-CPU row
     measures, and why MT-CPU trails Pipelined-CPU at high thread counts.
-    :class:`repro.impls.mt_cpu.MtCpu` runs Simple-CPU's loop over column
+    :class:`repro.impls.cpu.MtCpu` runs Simple-CPU's loop over column
     partitions instead and builds each column two partitions share once,
     so it reads every tile once: fewer than this schedule (24 against 32
     on a 6x4 grid in 3 bands).

@@ -31,7 +31,7 @@ from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import TileGrid
 from repro.grid.traversal import Traversal
 from repro.observe import Tracer
-from repro.pipeline.graph import PipelineError
+from repro.recovery import PipelineError
 from repro.recovery.journal import RunJournal
 from repro.synth import make_synthetic_dataset
 
@@ -230,6 +230,30 @@ def test_gate_decides_without_an_option(tiles, monkeypatch):
     assert run()
     monkeypatch.setattr(displacement, "usable_cpus", lambda: 1)
     assert not run()
+
+
+def test_partitions_run_inline_unless_forced(tiles, monkeypatch):
+    """Two partitions leave their stages inline even with CPUs to spare;
+    only a forced overlap (Pipelined-CPU) moves each pair stage to a
+    helper -- and the answers are the same."""
+    started = []
+    real = displacement._on_helper_thread
+    monkeypatch.setattr(displacement, "_on_helper_thread",
+                        lambda consume: started.append(1) or real(consume))
+    monkeypatch.setattr(displacement, "OVERLAP_MIN_TILE_PIXELS", 48 * 64)
+    monkeypatch.setattr(displacement, "usable_cpus", lambda: 8)
+
+    def run(overlap):
+        started.clear()
+        disp = displacement.partitioned_displacements(
+            Loader(tiles), ROWS, COLS, Phase1Kernel(), partitions=2,
+            overlap=overlap)
+        assert disp.stats["partitions"] == 2
+        return len(started), repr((disp.west, disp.north))
+
+    inline, overlapped = run(None), run(True)
+    assert (inline[0], overlapped[0]) == (0, 2)
+    assert inline[1] == overlapped[1]
 
 
 @pytest.mark.parametrize(

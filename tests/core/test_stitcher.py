@@ -130,9 +130,7 @@ class TestSchedulerSelection:
                     assert translations(ds, impl, traversal) == reference, (
                         ds.rows, ds.cols, impl, traversal)
 
-    @pytest.mark.parametrize(
-        "impl", ["simple-cpu", "mt-cpu", "fiji-baseline", "simple-gpu"],
-    )
+    @pytest.mark.parametrize("impl", ["fiji-baseline", "simple-gpu"])
     def test_watchdog_rejected_where_it_cannot_supervise(self, impl):
         from repro.recovery import WatchdogConfig
 

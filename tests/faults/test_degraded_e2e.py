@@ -15,7 +15,7 @@ import pytest
 from repro.core.stitcher import Stitcher
 from repro.faults import FaultKind, FaultPlan
 from repro.io.dataset import TileDataset
-from repro.pipeline.graph import PipelineError
+from repro.recovery import PipelineError
 from repro.synth import make_synthetic_dataset
 
 

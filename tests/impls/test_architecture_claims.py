@@ -24,7 +24,11 @@ from repro.impls import (
 )
 from repro.synth import make_synthetic_dataset
 
-SPMD = {"mt-cpu": MtCpu}
+#: The presets that split the grid, by name: ``n`` column partitions.
+SPMD = {
+    "mt-cpu": lambda n, **kw: MtCpu(workers=n, **kw),
+    "pipelined-cpu": lambda n, **kw: PipelinedCpu(partitions=n, **kw),
+}
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,20 @@ class TestTransformReuse:
         res = MtCpu(workers=2).run(dataset_4x4)
         assert res.stats["reads"] == 16
         assert res.stats["ffts"] == 16
-        assert res.stats["duplicated_boundary_reads"] == 0
+
+    def test_mt_cpu_on_one_worker_is_simple_cpu(self, dataset_4x4):
+        """One partition is the whole grid on the caller's thread: the
+        same counters and the same timeline rows as Simple-CPU."""
+        from repro.observe import Tracer
+
+        def run(make):
+            tracer = Tracer()
+            res = make(tracer=tracer).run(dataset_4x4)
+            return res.stats, sorted(tracer.tracks())
+
+        simple = run(SimpleCpu)
+        assert simple == run(lambda **kw: MtCpu(workers=1, **kw))
+        assert "phase1-tiles" in simple[1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (3, 5), (4, 4)],
@@ -71,9 +88,8 @@ class TestTransformReuse:
         ds = grids[grid]
         ref = SimpleCpu().run(ds).displacements
         for traversal in Traversal:
-            res = SPMD[impl](workers=workers, traversal=traversal).run(ds)
+            res = SPMD[impl](workers, traversal=traversal).run(ds)
             assert res.stats["reads"] == res.stats["ffts"] == rows * cols
-            assert res.stats["duplicated_boundary_reads"] == 0
             assert 1 <= res.stats["partitions"] <= workers
             assert repr(res.displacements.west) == repr(ref.west)
             assert repr(res.displacements.north) == repr(ref.north)
@@ -93,7 +109,7 @@ class TestTransformReuse:
             return report.skipped_pairs, report.skipped_tiles, res
 
         want, _, _ = skipped(SimpleCpu)
-        got, tiles, res = skipped(lambda **kw: SPMD[impl](workers=2, **kw))
+        got, tiles, res = skipped(lambda **kw: SPMD[impl](2, **kw))
         assert got == want and len(want) == 4
         assert tiles == [(1, 1)]
         assert res.stats["reads"] == res.stats["ffts"] == 15
@@ -180,6 +196,45 @@ class TestMemoryBounds:
     def test_simple_cpu_live_transforms_bounded(self, dataset_4x4):
         res = SimpleCpu().run(dataset_4x4)
         assert res.stats["peak_live_transforms"] < 16
+
+    @pytest.mark.parametrize("impl", sorted(SPMD))
+    def test_shared_ghost_tiles_go_with_their_last_reader(self, impl,
+                                                          monkeypatch,
+                                                          tmp_path):
+        """An 8x4 grid on two partitions shares column 1's eight tiles.
+        Each partition takes them from a mapping of its own and its
+        ledger frees them with its other tiles, so once both partitions
+        have returned none of the run's tile statistics is left alive."""
+        import gc
+
+        from repro.core.kernel import DisplacementResult, Phase1Kernel
+        from repro.core.tilestats import TileStats
+
+        ds = make_synthetic_dataset(
+            tmp_path / "8x4", rows=8, cols=4, tile_height=32, tile_width=32,
+            overlap=0.25, seed=5,
+        )
+        built, live_at_return = set(), []
+        products, update = Phase1Kernel.products, DisplacementResult.update
+
+        def tracked(self, *args, **kw):
+            out = products(self, *args, **kw)
+            built.update(id(p) for p in out if isinstance(p, TileStats))
+            return out
+
+        def counted(self, other):
+            update(self, other)
+            gc.collect()
+            live_at_return.append(sum(
+                isinstance(o, TileStats) and id(o) in built
+                for o in gc.get_objects()))
+
+        monkeypatch.setattr(Phase1Kernel, "products", tracked)
+        monkeypatch.setattr(DisplacementResult, "update", counted)
+        res = SPMD[impl](2).run(ds)
+        assert res.stats["partitions"] == 2
+        assert built and len(live_at_return) == 2
+        assert live_at_return[-1] == 0
 
 
 class TestVirtualTimelineCausality:

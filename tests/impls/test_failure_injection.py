@@ -10,7 +10,7 @@ from repro.faults.report import FaultReport
 from repro.impls import MtCpu, PipelinedCpu, PipelinedGpu, SimpleCpu
 from repro.io.dataset import TileDataset
 from repro.io.tiff import TiffError, write_tiff
-from repro.pipeline.graph import PipelineError
+from repro.recovery import PipelineError
 from repro.synth import make_synthetic_dataset
 
 

@@ -56,7 +56,7 @@ class TestPipelinedCpuTrace:
         """Every read and transform is a span; the registry holds the
         run's wall time."""
         tracer, metrics, run = traced_run
-        assert tracer.span_count("read") == run.stats["reads"] == 16 + 4
+        assert tracer.span_count("read") == run.stats["reads"] == 16
         assert tracer.span_count("fft") == run.stats["ffts"]
         snap = metrics.snapshot()
         assert snap["histograms"]["impl.pipelined-cpu.wall_seconds"]["count"] == 1

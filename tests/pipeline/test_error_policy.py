@@ -12,9 +12,10 @@ import pytest
 import repro.core.kernel as kernel_module
 from repro.core.kernel import Phase1Kernel
 from repro.faults import ErrorPolicy, FaultReport
-from repro.pipeline.graph import Pipeline, PipelineError, aggregate_failures
+from repro.pipeline.graph import Pipeline
 from repro.pipeline.queues import MonitorQueue, QueueClosed
 from repro.pipeline.stage import END_OF_STREAM, Stage
+from repro.recovery.watchdog import PipelineError, aggregate_failures
 from repro.recovery.cancel import CancelToken, ItemCancelled
 
 

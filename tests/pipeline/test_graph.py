@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.pipeline.graph import Pipeline, PipelineError
+from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
+from repro.recovery import PipelineError
 
 
 def make_counter_source(n):

@@ -218,10 +218,10 @@ class TestCheckpointedRun:
         The partitions run one after the other here, so the count is
         exact; side by side (the test below) a group's exit may also sync
         the other thread's records, which makes it an upper bound."""
-        from repro.impls import mt_cpu
+        from repro.core import displacement
 
         monkeypatch.setattr(
-            mt_cpu, "run_threads",
+            displacement, "run_threads",
             lambda target, arg_lists, watchdog=None: [
                 target(*args) for args in arg_lists],
         )

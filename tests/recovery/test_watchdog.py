@@ -1,13 +1,15 @@
 """Watchdog supervision: deadlines, cancellation, escalation, stalls."""
 
+import threading
 import time
 
 import pytest
 
 from repro.core.kernel import Phase1Kernel
 from repro.faults import ErrorPolicy, Fault, FaultKind, FaultPlan, FaultReport
-from repro.pipeline.graph import Pipeline, PipelineStallError
+from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
+from repro.recovery import PipelineStallError
 from repro.recovery.cancel import CancelToken, ItemCancelled, current_token
 from repro.recovery.watchdog import WatchdogConfig
 
@@ -44,6 +46,22 @@ class TestCancelToken:
 
     def test_no_token_installed_is_a_noop(self):
         assert current_token() is None
+
+
+def wedged(dataset, released):
+    """``dataset`` whose tile (2, 2) -- no column partition's ghost --
+    blocks its read until ``released`` is set, never polling its token."""
+
+    class Wedged:
+        def __getattr__(self, name):
+            return getattr(dataset, name)
+
+        def load(self, row, col, dtype=None):
+            if (row, col) == (2, 2):
+                released.wait(30.0)
+            return dataset.load(row, col, dtype=dtype)
+
+    return Wedged()
 
 
 def cooperative_hang(_row, _col):
@@ -151,37 +169,26 @@ class TestEscalation:
         """Pipelined-CPU supervises its tile reads: a read that ignores
         its cancelled token escalates, the other partition winds down, and
         ``run`` raises within the deadline plus twice its grace (escalation,
-        then the wind-down) instead of waiting for the read."""
-        import threading
-
+        then the wind-down) instead of waiting for the read.  The grace
+        (5 x 0.2 s) leaves the healthy partition a second to finish."""
         from repro.impls import PipelinedCpu
 
         released = threading.Event()
-
-        class Wedged:
-            def __getattr__(self, name):
-                return getattr(dataset_4x4, name)
-
-            def load(self, row, col, dtype=None):
-                if (row, col) == (2, 2):  # no partition's ghost
-                    released.wait(30.0)  # never polls its token
-                return dataset_4x4.load(row, col, dtype=dtype)
-
         impl = PipelinedCpu(
             partitions=2,
             error_policy=ErrorPolicy(on_exhausted="skip"),
             fault_report=FaultReport(),
             watchdog=WatchdogConfig(item_deadline=0.2, stall_timeout=30,
-                                    escalation_grace=1.0, poll_interval=0.02),
+                                    escalation_grace=5.0, poll_interval=0.02),
         )
         t0 = time.monotonic()
         try:
             with pytest.raises(PipelineStallError) as ei:
-                impl.run(Wedged())
+                impl.run(wedged(dataset_4x4, released))
             elapsed = time.monotonic() - t0
         finally:
             released.set()
-        assert elapsed < 0.2 + 2 * 1.0 + 2.0
+        assert elapsed < 0.2 + 2 * (5.0 * 0.2) + 2.0
         assert len(ei.value.abandoned_threads) == 1  # only the wedged read
         report = ei.value.report
         assert report.kind == "item_hang" and report.escalated
@@ -189,6 +196,33 @@ class TestEscalation:
         assert report.inflight["read"][0]["key"] == "GridPosition(row=2, col=2)"
         assert [i.action for i in report.interventions] == [
             "cancelled", "escalated"]
+
+    def test_default_stitch_read_ignoring_its_token_raises_stall_error(
+        self, dataset_4x4
+    ):
+        """The default path supervises its tile reads like every CPU
+        preset: it runs on one thread the caller can abandon, so a wedged
+        read raises within the same bound instead of hanging the
+        stitch."""
+        from repro.core.stitcher import Stitcher
+
+        released = threading.Event()
+        stitcher = Stitcher(impl_options={"watchdog": WatchdogConfig(
+            item_deadline=0.2, stall_timeout=30, escalation_grace=5.0,
+            poll_interval=0.02)})
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(PipelineStallError) as ei:
+                stitcher.stitch(wedged(dataset_4x4, released))
+            elapsed = time.monotonic() - t0
+        finally:
+            released.set()
+        assert elapsed < 0.2 + 2 * (5.0 * 0.2) + 2.0
+        assert len(ei.value.abandoned_threads) == 1
+        report = ei.value.report
+        assert report.kind == "item_hang" and report.escalated
+        assert report.pipeline == "simple-cpu"
+        assert report.inflight["read"][0]["key"] == "GridPosition(row=2, col=2)"
 
     def test_pipeline_stall_detected_without_item_deadline(self):
         """No per-item deadline: a silently wedged worker with work still
@@ -235,10 +269,13 @@ class TestIdleOverhead:
 class TestInjectedHangEndToEnd:
     @pytest.mark.parametrize("max_retries", [0, 3])
     @pytest.mark.parametrize("impl, options", [
+        ("simple-cpu", {}),
+        ("mt-cpu", {"workers": 2}),
         ("pipelined-cpu", {"partitions": 1}),
         ("pipelined-cpu", {"partitions": 2}),
         ("pipelined-gpu", {}),
-    ], ids=["pipelined-cpu", "pipelined-cpu-2", "pipelined-gpu"])
+    ], ids=["simple-cpu", "mt-cpu-2", "pipelined-cpu", "pipelined-cpu-2",
+            "pipelined-gpu"])
     def test_hang_fault_in_pipelined_cpu_degrades_not_deadlocks(
         self, dataset_4x4, impl, options, max_retries
     ):

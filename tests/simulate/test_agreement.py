@@ -8,8 +8,9 @@ partition counts, and the simulated operations are counted against the
 run's own statistics.  ``simulate_pipelined_cpu(threads=n)`` models one
 pipeline of ``n`` threads -- ``PipelinedCpu()``'s one partition -- and
 ``simulate_pipelined_cpu_numa`` one pipeline per socket, which is
-``PipelinedCpu(partitions=n)``: both read every tile of their partition,
-ghost column included.
+``PipelinedCpu(partitions=n)``.  The simulator has each socket read its
+ghost column itself; the real partitions share it, read once
+(:data:`REREAD_GHOSTS`).
 """
 
 import pytest
@@ -53,6 +54,11 @@ SCHEDULERS = {
     ),
 }
 
+#: Schedulers whose simulated sockets each read their ghost column, where
+#: the real partitions share one read: ``partitions - 1`` columns of
+#: ``rows`` tiles are read once fewer.  Everything else counts the same.
+REREAD_GHOSTS = {"pipelined-cpu-numa"}
+
 #: Schedulers whose simulated schedule is deliberately not the real one.
 EXEMPT = {
     "mt-cpu": (
@@ -87,7 +93,10 @@ def test_simulated_schedule_counts_the_real_run(name, grid, parts, datasets):
     real, simulated = SCHEDULERS[name]
     stats = real(parts).run(datasets[grid]).stats
     sim = simulated(*grid, parts)
-    assert op_count(sim, "read") == stats["reads"]
+    rereads = 0
+    if name in REREAD_GHOSTS:
+        rereads = (stats["partitions"] - 1) * grid[0]
+    assert op_count(sim, "read") - rereads == stats["reads"]
     assert op_count(sim, "pair", "ccf") == stats["pairs"]
     assert op_count(sim, "p2p-copy") == stats.get("p2p_copies", 0)
 

@@ -7,6 +7,8 @@ the tier-1 suite, rather than drifting unnoticed.
 
 import ast
 import collections
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -103,9 +105,11 @@ def test_grid_decomposition_is_written_once():
 
 def test_pipelined_cpu_is_the_overlapped_loop_over_partitions():
     """Only Pipelined-GPU, the paper's Fig. 8 subject, builds a staged
-    Pipeline.  Pipelined-CPU runs Simple-CPU's loop,
-    compute_grid_displacements, over column partitions: a second CPU
-    stage graph is a second schedule of the same steps."""
+    Pipeline.  The three CPU rows of Table II are presets of one schedule,
+    core/displacement.py::partitioned_displacements -- Simple-CPU's loop,
+    compute_grid_displacements, over column partitions -- and the
+    default path runs it too: a second CPU schedule, or a CPU module per
+    preset, is a second copy of the same steps."""
     builders = set()
     for where, tree in modules():
         for node in ast.walk(tree):
@@ -113,10 +117,48 @@ def test_pipelined_cpu_is_the_overlapped_loop_over_partitions():
                     and getattr(node.func, "id", None) == "Pipeline"):
                 builders.add(where)
     assert builders == {"impls/pipelined_gpu.py"}, builders
-    tree = ast.parse((PACKAGE / "impls/pipelined_cpu.py").read_text())
-    called = {getattr(node.func, "id", None) for node in ast.walk(tree)
-              if isinstance(node, ast.Call)}
-    assert {"compute_grid_displacements", "column_partitions"} <= called
+
+    def called(tree):
+        return {getattr(node.func, "id", None) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)}
+
+    tree = ast.parse((PACKAGE / "core/displacement.py").read_text())
+    schedule = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "partitioned_displacements")
+    assert {"compute_grid_displacements", "column_partitions"} <= called(
+        schedule)
+    callers = {where for where, tree in modules()
+               if "partitioned_displacements" in called(tree)}
+    assert callers == {"impls/cpu.py", "core/stitcher.py"}, callers
+    loops = {where for where, tree in modules()
+             if "compute_grid_displacements" in called(tree)}
+    assert loops == {"core/displacement.py"}, loops
+
+
+def test_only_pipelined_gpu_imports_the_pipeline_framework():
+    """The staged graph of pipeline/ is Pipelined-GPU's: no other module
+    imports it (the failure types and the supervised join live in
+    recovery/), so ``import repro`` never loads it."""
+    importers = set()
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[:2] == ["repro", "pipeline"] for n in names):
+                importers.add(where)
+    assert {w for w in importers if not w.startswith("pipeline/")} == {
+        "impls/pipelined_gpu.py"}, importers
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('repro.pipeline' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_holds_no_second_stitch_path():

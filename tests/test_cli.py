@@ -115,7 +115,8 @@ class TestStitch:
         (["--coarse-scale", "3"], "coarse scale must be in (0, 0.5]"),
         (["--conf-thresh", "7"], "conf_thresh must be in [-1, 1]"),
         (["--max-retries", "-1"], "max_retries must be >= 0"),
-        (["--watchdog", "1"], "impl 'simple-cpu' cannot honour watchdog"),
+        (["--watchdog", "1", "--impl", "simple-gpu"],
+         "impl 'simple-gpu' cannot honour watchdog"),
         (["--residue-mode", "huber"],
          "residue_mode 'huber' needs position_method 'least_squares'"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
@@ -444,10 +445,7 @@ class TestOneEntryPoint:
                      "--positions-json", str(pb)]) == 0
         assert pa.read_bytes() == pb.read_bytes()
 
-    @pytest.mark.parametrize(
-        "impl", ["stitcher", "simple-cpu", "mt-cpu", "fiji-baseline",
-                 "simple-gpu"],
-    )
+    @pytest.mark.parametrize("impl", ["fiji-baseline", "simple-gpu"])
     def test_watchdog_rejected_for_unsupervisable_impl(self, ds97, impl,
                                                        capsys):
         rc = main(["stitch", str(ds97), "--impl", impl, "--watchdog", "1",
@@ -455,7 +453,8 @@ class TestOneEntryPoint:
         assert rc == 2
         err = capsys.readouterr().err
         assert "cannot honour watchdog" in err
-        for name in ("pipelined-cpu", "pipelined-gpu"):
+        for name in ("simple-cpu", "mt-cpu", "pipelined-cpu",
+                     "pipelined-gpu"):
             assert name in err
 
     @pytest.mark.parametrize(
