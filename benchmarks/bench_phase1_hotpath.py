@@ -34,6 +34,12 @@ Usage::
     python benchmarks/bench_phase1_hotpath.py --stats-sweep  # TileStats threshold
     python benchmarks/bench_phase1_hotpath.py --coarse-corpus  # coarse gate
     python benchmarks/bench_phase1_hotpath.py --memory  # live set per stitch
+    python benchmarks/bench_phase1_hotpath.py --fixed-costs  # per tile/pair
+
+``--fixed-costs`` times the e2e ``grid_small_tiles`` operation, where
+per-file, per-tile and per-pair fixed costs rather than pixels carry the
+time, and checks its counts (no timing gate); its output at two commits
+is ``benchmarks/results/fixed_costs.txt``.
 """
 
 from __future__ import annotations
@@ -650,6 +656,150 @@ def _format_memory(rows: list[dict], warm: int) -> str:
     return "\n".join(lines)
 
 
+#: Warm operations timed plain, then again with per-layer timers.
+FIXED_COST_OPS = 7
+#: CCF probes per pair on that grid: the contest scores the distinct
+#: interpretations of two peaks, as it did before the fixed costs were
+#: cut.  A change of this count is a change of the registration.
+FIXED_COST_PROBES_PER_PAIR = 8.0
+#: Passes over the tiles with per-tile descriptions.
+FIXED_COST_PASSES = 7
+#: Layers timed per call: (label, module, class or None, attribute).
+#: Each call's time includes the timer's own ~0.3 us.
+FIXED_COST_LAYERS = (
+    ("decode", "repro.io.dataset", None, "read_tiff"),
+    ("tile build", "repro.core.kernel", "Phase1Kernel", "products"),
+    ("pair", "repro.core.kernel", "Phase1Kernel", "register_pair"),
+    ("ccf probe", "repro.core.pciam", None, "ccf_at_stats"),
+)
+
+
+def measure_fixed_costs(ops: int = FIXED_COST_OPS) -> dict:
+    """The ``grid_small_tiles`` e2e operation (stitch + mosaic of the
+    21x30 grid of 64 px tiles, seed 7) in this process: the median of
+    ``ops`` warm operations, then per call and per operation the time and
+    count of each of ``FIXED_COST_LAYERS`` over ``ops`` timed ones, and
+    the layout parses of every operation, the first (cold) one included;
+    then the decode of tiles whose headers all differ
+    (:func:`_decode_described`)."""
+    import importlib
+
+    from benchmarks.e2e.workloads import WORKLOADS, Context, make_dataset
+
+    tiff = importlib.import_module("repro.io.tiff")
+    parses = []
+    real_parse = tiff._parse_first_ifd
+    tiff._parse_first_ifd = lambda *a: parses.append(1) or real_parse(*a)
+    spent: dict[str, float] = {}
+    calls: dict[str, int] = {}
+
+    def timed(label: str, real):
+        def call(*args, **kw):
+            t0 = time.perf_counter()
+            try:
+                return real(*args, **kw)
+            finally:
+                spent[label] = spent.get(label, 0.0) + time.perf_counter() - t0
+                calls[label] = calls.get(label, 0) + 1
+        return call
+
+    workload = WORKLOADS["grid_small_tiles"]
+    with tempfile.TemporaryDirectory(prefix="bench_fixed_costs_") as tmp:
+        make_dataset("small", 7, Path(tmp) / "small")
+        state = workload.setup(Context(Path(tmp) / "small", Path(tmp)))
+        workload.operate(state)  # cold: the only one that parses a layout
+        plain = []
+        for _ in range(ops):
+            t0 = time.perf_counter()
+            workload.operate(state)
+            plain.append(time.perf_counter() - t0)
+        for label, module, cls, name in FIXED_COST_LAYERS:
+            owner = importlib.import_module(module)
+            owner = getattr(owner, cls) if cls else owner
+            setattr(owner, name, timed(label, getattr(owner, name)))
+        for _ in range(ops):
+            workload.operate(state)
+        layout_parses = len(parses)
+        described = _decode_described(Path(tmp), tiff, parses)
+    q1, median, q3 = statistics.quantiles(plain, n=4)
+    return {
+        "ops": ops,
+        "op_ms": median * 1e3,
+        "op_iqr_ms": (q1 * 1e3, q3 * 1e3),
+        "layout_parses": layout_parses,
+        "probes_per_pair": calls["ccf probe"] / calls["pair"],
+        "described": described,
+        "layers": {
+            label: {"calls_per_op": calls[label] / ops,
+                    "us_per_call": spent[label] / calls[label] * 1e6,
+                    "ms_per_op": spent[label] / ops * 1e3}
+            for label, *_where in FIXED_COST_LAYERS
+        },
+    }
+
+
+def _decode_described(tmp: Path, tiff, parses: list) -> dict:
+    """Decode a copy of the grid's tiles in which each tile carries its
+    own ``ImageDescription`` of one length (``"img_r000_c000"``, ...), so
+    all headers differ but all sizes agree: the layout cache's worst
+    case, where every decode compares against a cached layout, misses and
+    parses.  Per decode, the median of ``FIXED_COST_PASSES`` passes."""
+    src = sorted((tmp / "small").glob("*.tif"))
+    dst = tmp / "described"
+    dst.mkdir()
+    for p in src:
+        tiff.write_tiff(dst / p.name, tiff.read_tiff(p), description=p.stem)
+    paths = sorted(dst.glob("*.tif"))
+    before = len(parses)
+    passes = []
+    for _ in range(FIXED_COST_PASSES):
+        t0 = time.perf_counter()
+        for p in paths:
+            tiff.read_tiff(p)
+        passes.append((time.perf_counter() - t0) / len(paths))
+    decodes = FIXED_COST_PASSES * len(paths)
+    return {"decodes": decodes, "parses": len(parses) - before,
+            "us_per_call": statistics.median(passes) * 1e6}
+
+
+def _format_fixed_costs(r: dict) -> str:
+    layers = r["layers"]
+    lines = [
+        f"grid_small_tiles operation (21x30 grid, 64 px tiles, stitch + "
+        f"mosaic): {r['op_ms']:.0f} ms median of {r['ops']} warm ops "
+        f"(IQR {r['op_iqr_ms'][0]:.0f}-{r['op_iqr_ms'][1]:.0f} ms)",
+        f"{'layer':>11} {'calls/op':>9} {'us/call':>8} {'ms/op':>7}",
+    ]
+    for label, row in layers.items():
+        lines.append(f"{label:>11} {row['calls_per_op']:9.0f} "
+                     f"{row['us_per_call']:8.1f} {row['ms_per_op']:7.1f}")
+    d = r["described"]
+    lines.append(f"{'decode, per-tile descriptions':>29}: "
+                 f"{d['us_per_call']:.1f} us/call, {d['parses']} layout "
+                 f"parses in {d['decodes']} decodes")
+    lines.append(f"layout parses over {2 * r['ops'] + 1} ops: "
+                 f"{r['layout_parses']}; ccf probes per pair: "
+                 f"{r['probes_per_pair']:.2f}")
+    return "\n".join(lines)
+
+
+def _check_fixed_costs(r: dict) -> list[str]:
+    """The counts ``--fixed-costs`` holds: one layout parse for the
+    dataset, and the contest's probes per pair."""
+    failures = []
+    if r["layout_parses"] != 1:
+        failures.append(f"{r['layout_parses']} layout parses, expected 1 "
+                        "(one per dataset)")
+    d = r["described"]
+    if d["parses"] != d["decodes"]:
+        failures.append(f"{d['parses']} layout parses in {d['decodes']} "
+                        "decodes of tiles whose headers all differ")
+    if r["probes_per_pair"] != FIXED_COST_PROBES_PER_PAIR:
+        failures.append(f"{r['probes_per_pair']} ccf probes per pair, "
+                        f"expected {FIXED_COST_PROBES_PER_PAIR}")
+    return failures
+
+
 def _print_report(report: dict) -> None:
     print(f"phase-1 hot path, {report['rows']}x{report['cols']} grid, "
           f"{report['tile']}px tiles, {report['pairs']} pairs "
@@ -726,9 +876,25 @@ def main(argv: list[str] | None = None) -> int:
                          "696x520 and 1392x1040, coarse on and off (one "
                          "fresh process each); writes "
                          "benchmarks/results/phase1_memory.txt")
+    ap.add_argument("--fixed-costs", action="store_true",
+                    help="time the decode, tile build, pair and CCF probe "
+                         "of the e2e grid_small_tiles operation per call "
+                         "and per operation, and the decode of its tiles "
+                         "with per-tile descriptions; fails unless the "
+                         "dataset parses one TIFF layout, each described "
+                         "tile parses its own, and each pair makes the "
+                         "expected CCF probes (no timing gate)")
     args = ap.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
+
+    if args.fixed_costs:
+        report = measure_fixed_costs()
+        print(_format_fixed_costs(report))
+        failures = _check_fixed_costs(report)
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        return 1 if failures else 0
 
     if args.memory:
         emit("phase1_memory", _format_memory(measure_memory(), MEMORY_WARM))

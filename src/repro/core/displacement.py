@@ -127,7 +127,7 @@ def read_tile(kernel: Phase1Kernel, load_tile, pos: GridPosition, track: str):
     ``read`` span on ``track``.  Under an abort policy an exhausted read
     raises a :class:`~repro.recovery.watchdog.PipelineError` naming the
     logical stage; with no policy the original exception propagates."""
-    with kernel.tracer.span("read", track, key=str(pos)):
+    with kernel.tracer.span("read", track, key=pos):
         try:
             return kernel.try_read(load_tile, pos.row, pos.col)
         except Exception as exc:
@@ -332,7 +332,7 @@ def compute_grid_displacements(
                 # The span says which path produced the pair ("coarse" /
                 # "fallback", None = single pass) next to what it cost.
                 args = {} if tracer.enabled else None
-                with tracer.span("pair", pair_track, key=str(pair), args=args):
+                with tracer.span("pair", pair_track, key=pair, args=args):
                     t = kernel.register_pair(
                         result, pair.direction, pair.second.row,
                         pair.second.col, first, second, workspace, stats,
@@ -365,7 +365,7 @@ def compute_grid_displacements(
             if pixels is not None:
                 stats["reads"] += 1
                 products = kernel.products(
-                    pixels, stats, track=tile_track, key=str(pos)
+                    pixels, stats, track=tile_track, key=pos
                 )
         if products is None:
             failed_tiles.add(pos)
@@ -533,7 +533,7 @@ def partitioned_displacements(
                 else:
                     bump(local, "reads")
                     products = kernel.products(pixels, local, track=track,
-                                               key=str(pos))
+                                               key=pos)
                 for k, part in enumerate(parts):
                     if part.first_col <= pos.col < part.cols[1]:
                         handed[k][pos] = products

@@ -415,7 +415,7 @@ class Phase1Kernel:
         return src
 
     def products(self, pixels, stats: dict | None = None,
-                 track: str | None = None, key: str | None = None) -> tuple:
+                 track: str | None = None, key: object = None) -> tuple:
         """``(pixels, spectrum, TileStats, fallback)`` of one tile.
 
         ``pixels`` is kept as handed in -- any real dtype.  The tile is

@@ -40,6 +40,10 @@ SCHEDULERS: dict[str, frozenset[str]] = {
     "pipelined-gpu": frozenset({"watchdog"}),
 }
 
+#: What :func:`scheduler_options` reads off the default scheduler, stated
+#: so that validating its options imports no scheduler.
+DEFAULT_SCHEDULER_OPTIONS = ["watchdog"]
+
 #: Undecided, coarse-to-fine registration runs from this many pixels per
 #: tile (:meth:`StitchOptions.coarse_for`).  Measured by ``python
 #: benchmarks/bench_phase1_hotpath.py --coarse-corpus`` (3x3 grids, three
@@ -196,7 +200,8 @@ class StitchOptions:
                 f"unknown impl {self.impl!r} (choose from {sorted(SCHEDULERS)})"
             )
         if self.impl_options:
-            accepted = scheduler_options(self.impl)
+            accepted = (DEFAULT_SCHEDULER_OPTIONS if self.impl == "simple-cpu"
+                        else scheduler_options(self.impl))
             for key in self.impl_options:
                 if key not in accepted:
                     raise ValueError(

@@ -177,16 +177,15 @@ def contest(
     """
     extended = ccf_mode is CcfMode.EXTENDED
     seen: set[tuple[int, int]] = set()
-    best = (-np.inf, 0, 0)
+    corr, tx, ty = -np.inf, 0, 0
     for _mag, qy, qx in peaks:
-        for tx, ty in peak_candidates(qy, qx, shape, extended=extended):
-            if (tx, ty) in seen:
+        for cand in peak_candidates(qy, qx, shape, extended=extended):
+            if cand in seen:
                 continue
-            seen.add((tx, ty))
-            c = ccf_at_stats(stats_i, stats_j, tx, ty)
-            if c > best[0]:
-                best = (c, tx, ty)
-    corr, tx, ty = best
+            seen.add(cand)
+            c = ccf_at_stats(stats_i, stats_j, *cand)
+            if c > corr:
+                corr, (tx, ty) = c, cand
     tx_f, ty_f = float(tx), float(ty)
     if subpixel:
         tx_f, ty_f = subpixel_refine_stats(stats_i, stats_j, int(tx), int(ty))

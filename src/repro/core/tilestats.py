@@ -162,8 +162,7 @@ class TileStats:
         in the table, or a band of the marginals plus a residual block."""
         t = self._table
         if t is not None:
-            z = complex(t[y1, x1]) - complex(t[y0, x1]) - complex(t[y1, x0]) \
-                + complex(t[y0, x0])
+            z = t.item(y1, x1) - t.item(y0, x1) - t.item(y1, x0) + t.item(y0, x0)
             return z.real, z.imag
         h, w = self.shape
         rh, rw = y1 - y0, x1 - x0
@@ -180,16 +179,16 @@ class TileStats:
             outside_rows = ((0, y0), (y1, h))
             outside_cols = ((0, x0), (x1, w))
             if way == 1:
-                z = complex(rows[y1]) - complex(rows[y0])
+                z = rows.item(y1) - rows.item(y0)
                 for a, b in outside_cols:
                     z -= self._block(y0, y1, a, b)
             elif way == 2:
-                z = complex(cols[x1]) - complex(cols[x0])
+                z = cols.item(x1) - cols.item(x0)
                 for a, b in outside_rows:
                     z -= self._block(a, b, x0, x1)
             else:
-                z = complex(rows[y1]) - complex(rows[y0]) - complex(cols[w]) \
-                    + complex(cols[x1]) - complex(cols[x0])
+                z = rows.item(y1) - rows.item(y0) - cols.item(w) \
+                    + cols.item(x1) - cols.item(x0)
                 for a, b in outside_rows:
                     for c, d in outside_cols:
                         z += self._block(a, b, c, d)

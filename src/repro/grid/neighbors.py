@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from functools import lru_cache
 
 from repro.grid.tile_grid import GridPosition, TileGrid
 
@@ -68,18 +68,22 @@ def pairs_for_tile(grid: TileGrid, row: int, col: int) -> list[Pair]:
     return out
 
 
-def grid_pairs(grid: TileGrid) -> Iterator[Pair]:
-    """All adjacent pairs of the grid, row-major by owning tile.
+def grid_pairs(grid: TileGrid) -> tuple[Pair, ...]:
+    """All ``2*rows*cols - rows - cols`` adjacent pairs of the grid (Table
+    I), row-major by owning tile; built once per grid shape."""
+    return _grid_pairs(grid.rows, grid.cols)
 
-    Yields exactly ``2*rows*cols - rows - cols`` pairs (Table I).
-    """
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            here = GridPosition(r, c)
-            if c > 0:
-                yield Pair(GridPosition(r, c - 1), here, Direction.WEST)
-            if r > 0:
-                yield Pair(GridPosition(r - 1, c), here, Direction.NORTH)
+
+@lru_cache(maxsize=16)
+def _grid_pairs(rows: int, cols: int) -> tuple[Pair, ...]:
+    at = TileGrid(rows, cols).positions()
+    out = []
+    for i, here in enumerate(at):
+        if here.col > 0:
+            out.append(Pair(at[i - 1], here, Direction.WEST))
+        if here.row > 0:
+            out.append(Pair(at[i - cols], here, Direction.NORTH))
+    return tuple(out)
 
 
 def pair_count(grid: TileGrid) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 @dataclass(frozen=True, order=True)
@@ -134,11 +135,15 @@ class TileGrid:
 
     # -- iteration -----------------------------------------------------------
 
-    def positions(self):
-        """All positions in row-major order."""
-        for r in range(self.rows):
-            for c in range(self.cols):
-                yield GridPosition(r, c)
+    def positions(self) -> tuple[GridPosition, ...]:
+        """All positions in row-major order: one object per tile, shared by
+        every grid of this shape and its pairs (lookups hit on identity)."""
+        return _positions(self.rows, self.cols)
+
+
+@lru_cache(maxsize=16)
+def _positions(rows: int, cols: int) -> tuple[GridPosition, ...]:
+    return tuple(GridPosition(r, c) for r in range(rows) for c in range(cols))
 
 
 def split_range(n: int, parts: int) -> list[tuple[int, int]]:

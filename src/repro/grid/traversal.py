@@ -48,27 +48,28 @@ def traverse(grid: TileGrid, order: Traversal) -> Iterator[GridPosition]:
 
     "Chained" orders alternate direction between successive rows/columns/
     anti-diagonals so consecutive tiles stay adjacent (the traversal is a
-    connected path), which keeps the working set compact.
+    connected path), which keeps the working set compact.  The positions
+    are the grid's own (:meth:`~repro.grid.tile_grid.TileGrid.positions`).
     """
-    rows, cols = grid.rows, grid.cols
+    rows, cols, at = grid.rows, grid.cols, grid.positions()
     if order is Traversal.ROW:
         for r in range(rows):
             for c in range(cols):
-                yield GridPosition(r, c)
+                yield at[r * cols + c]
     elif order is Traversal.COLUMN:
         for c in range(cols):
             for r in range(rows):
-                yield GridPosition(r, c)
+                yield at[r * cols + c]
     elif order is Traversal.CHAINED_ROW:
         for r in range(rows):
             rng = range(cols) if r % 2 == 0 else range(cols - 1, -1, -1)
             for c in rng:
-                yield GridPosition(r, c)
+                yield at[r * cols + c]
     elif order is Traversal.CHAINED_COLUMN:
         for c in range(cols):
             rng = range(rows) if c % 2 == 0 else range(rows - 1, -1, -1)
             for r in rng:
-                yield GridPosition(r, c)
+                yield at[r * cols + c]
     elif order in (Traversal.DIAGONAL, Traversal.CHAINED_DIAGONAL):
         chained = order is Traversal.CHAINED_DIAGONAL
         for d in range(rows + cols - 1):
@@ -78,7 +79,7 @@ def traverse(grid: TileGrid, order: Traversal) -> Iterator[GridPosition]:
             if chained and d % 2 == 1:
                 rng = range(r_hi, r_lo - 1, -1)
             for r in rng:
-                yield GridPosition(r, d - r)
+                yield at[r * cols + d - r]
     else:  # pragma: no cover - exhaustive enum
         raise AssertionError(order)
 
@@ -172,7 +173,7 @@ def column_partitions(
     starts the grid or, under ``p2p``, a kept partition to its west ships
     that column's transforms over the link.
     """
-    all_pairs = list(grid_pairs(grid))
+    all_pairs, at = grid_pairs(grid), grid.positions()
     out: list[ColumnPartition] = []
     for c0, c1 in split_range(grid.cols, parts):
         pairs = tuple(p for p in all_pairs if c0 <= p.second.col < c1)
@@ -182,6 +183,6 @@ def column_partitions(
         visit = traverse(TileGrid(grid.rows, c1 - lo), traversal)
         out.append(ColumnPartition(
             (c0, c1), pairs, lo,
-            tuple(GridPosition(p.row, p.col + lo) for p in visit),
+            tuple(at[p.row * grid.cols + p.col + lo] for p in visit),
         ))
     return out

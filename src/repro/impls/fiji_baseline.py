@@ -53,7 +53,7 @@ class FijiBaseline(Implementation):
             cell = (pair.direction, pair.second.row, pair.second.col)
             if kernel.serve_journaled(disp, *cell, stats):
                 continue
-            with kernel.tracer.span("pair", "fiji-baseline", key=str(pair)):
+            with kernel.tracer.span("pair", "fiji-baseline", key=pair):
                 # Deliberately reload and re-transform both tiles per pair.
                 img_i = kernel.read(dataset.load, *pair.first)
                 img_j = kernel.read(dataset.load, *pair.second)

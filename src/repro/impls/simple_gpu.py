@@ -146,7 +146,7 @@ class SimpleGpu(Implementation):
 
         tracer = kernel.tracer
         for pos in traverse(grid, self.traversal):
-            with tracer.span("read+fft", "simple-gpu", key=str(pos)):
+            with tracer.span("read+fft", "simple-gpu", key=pos):
                 ready = load_and_transform(pos)
             for pair in ready:
                 pair_t0 = tracer.now() if tracer.enabled else 0.0

@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,16 @@ _CLASSIC_LIMIT = 2**32 - 1
 
 #: This machine's byte order, as a ``struct`` / TIFF-header prefix.
 _NATIVE_BO = "<" if sys.byteorder == "little" else ">"
+
+#: Parsed layouts, one per file size: ``size -> [the (offset, bytes) spans
+#: the parse read, reader state, adopted since]``.  A file of that size
+#: repeating those bytes parses to that state.  A miss replaces the layout;
+#: a miss on one never adopted gives the size up (``None``: per-tile
+#: metadata).  At most 16 sizes, of parses reading <= 4 KiB (~1 Mpx tiles).
+_LAYOUTS: dict[int, list | None] = {}
+_LAYOUTS_MAX = 16
+_LAYOUTS_LOCK = threading.Lock()
+_LAYOUT_MAX_BYTES = 4 * 1024
 
 
 class TiffError(Exception):
@@ -156,6 +167,17 @@ def packbits_decode(data: bytes, expected: int) -> bytes:
             f"PackBits decoded {len(out)} bytes, expected {expected}"
         )
     return bytes(out)
+
+
+class _Recorder:
+    """A file that keeps every ``(offset, bytes)`` read from it."""
+
+    def __init__(self, f) -> None:
+        self._f, self.seek, self.spans = f, f.seek, []
+
+    def read(self, n: int) -> bytes:
+        self.spans.append((self._f.tell(), self._f.read(n)))
+        return self.spans[-1][1]
 
 
 @dataclass
@@ -285,16 +307,36 @@ class TiffReader:
         self._f = open(path, "rb")
         try:
             self._size = os.fstat(self._f.fileno()).st_size
-            self._bo, self.bigtiff, ifd_off = _parse_header(
-                self._f, self._size
-            )
-            self._entries = _parse_first_ifd(
-                self._f, self._size, self._bo, self.bigtiff, ifd_off
-            )
-            self._validate()
+            cached = _LAYOUTS.get(self._size, [])  # one atomic lookup
+            f = self._f
+            if cached and all(f.seek(at) == at and f.read(len(b)) == b
+                              for at, b in cached[0]):
+                vars(self).update(cached[1], _path=path, _f=f)
+                cached[2] = True
+            else:  # parse (and raise) as with no cache
+                f = f if cached is None else _Recorder(f)
+                self._bo, self.bigtiff, ifd_off = _parse_header(f, self._size)
+                self._entries = _parse_first_ifd(
+                    f, self._size, self._bo, self.bigtiff, ifd_off
+                )
+                self._validate()
+                if cached is not None:
+                    self._keep(f.spans, cached)
         except BaseException:
             self._f.close()
             raise
+
+    def _keep(self, spans: list, missed: list) -> None:
+        """Cache this parse for its file size, or give the size up when the
+        layout this file ``missed`` was never adopted."""
+        if sum(len(b) for _, b in spans) > _LAYOUT_MAX_BYTES:
+            return
+        layout = (None if missed and not missed[2] else
+                  [tuple(spans), {**vars(self), "_f": None}, False])
+        with _LAYOUTS_LOCK:
+            _LAYOUTS[self._size] = layout
+            if len(_LAYOUTS) > _LAYOUTS_MAX:
+                del _LAYOUTS[next(iter(_LAYOUTS))]
 
     @property
     def path(self) -> Path:

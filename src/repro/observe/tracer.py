@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 
@@ -72,6 +72,7 @@ class Tracer:
         self.spans: list[Span] = []
         self.counters: list[CounterSample] = []
         self._t0 = time.perf_counter()
+        self._off = nullcontext(self)
 
     def now(self) -> float:
         """Seconds since this tracer was created (the trace's time base)."""
@@ -101,18 +102,20 @@ class Tracer:
         with self._lock:
             self.counters.append(CounterSample(name, t, float(value)))
 
-    @contextmanager
-    def span(self, name: str, track: str, key: str | None = None,
+    def span(self, name: str, track: str, key: object = None,
              args: dict | None = None):
-        """Context manager recording one span around the ``with`` body."""
-        if not self.enabled:
-            yield self
-            return
+        """Context manager recording one span around the ``with`` body;
+        ``key`` (a tile position, a pair, ...) is formatted only if it is."""
+        return self._record(name, track, key, args) if self.enabled else self._off
+
+    @contextmanager
+    def _record(self, name: str, track: str, key: object, args: dict | None):
         t0 = self.now()
         try:
             yield self
         finally:
-            self.record_span(name, track, t0, self.now(), key=key, args=args)
+            self.record_span(name, track, t0, self.now(),
+                             key=None if key is None else str(key), args=args)
 
     # -- inspection ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.options import DEFAULT_SCHEDULER_OPTIONS
 from repro.core.pciam import CcfMode
 from repro.core.stitcher import SCHEDULERS, Stitcher, scheduler_options
 from repro.grid.neighbors import Direction
@@ -149,6 +150,8 @@ class TestSchedulerSelection:
             assert accepted in str(err.value)
 
     def test_scheduler_options_read_off_the_constructors(self):
+        # Validation states the default's keys rather than import it.
+        assert scheduler_options("simple-cpu") == DEFAULT_SCHEDULER_OPTIONS
         assert scheduler_options("mt-cpu") == ["watchdog", "workers"]
         assert scheduler_options("pipelined-cpu") == ["partitions", "watchdog"]
         assert "devices" in scheduler_options("pipelined-gpu")

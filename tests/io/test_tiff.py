@@ -1,12 +1,15 @@
 """TIFF codec: roundtrip, structure, and malformed-input rejection."""
 
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.io import tiff
 from repro.io.tiff import TiffError, read_tiff, write_tiff
 
 
@@ -390,22 +393,156 @@ class TestBoundedReads:
         """Groundwork for parser fuzzing: 1-4 random byte writes into a
         valid file either still decode or raise :class:`TiffError` --
         never ``MemoryError``, ``struct.error`` or another crash."""
-        rng = np.random.default_rng(35)
-        src = tmp_path / "src.tif"
-        pixels = (np.arange(30 * 40).reshape(30, 40) // 7).astype(np.uint16)
-        write_tiff(src, pixels, description="r=1 c=2", rows_per_strip=4,
-                   compression=compression)
-        blob = src.read_bytes()
-        p = tmp_path / "m.tif"
         outcomes = {"decoded": 0, "TiffError": 0}
-        for _ in range(2000):
-            mutated = bytearray(blob)
-            for at in rng.integers(0, len(blob), rng.integers(1, 5)):
-                mutated[at] = rng.integers(0, 256)
-            p.write_bytes(bytes(mutated))
+        for _src, p in seeded_mutations(tmp_path, compression):
             try:
                 read_tiff(p)
                 outcomes["decoded"] += 1
             except TiffError:
                 outcomes["TiffError"] += 1
         assert outcomes["decoded"] and outcomes["TiffError"]
+
+
+def seeded_mutations(tmp_path, compression):
+    """``(clean file, mutated file)`` 2000 times: 1-4 random byte writes
+    into a valid file, rewritten in place at the same path each time."""
+    rng = np.random.default_rng(35)
+    src = tmp_path / "src.tif"
+    pixels = (np.arange(30 * 40).reshape(30, 40) // 7).astype(np.uint16)
+    write_tiff(src, pixels, description="r=1 c=2", rows_per_strip=4,
+               compression=compression)
+    blob = src.read_bytes()
+    p = tmp_path / "m.tif"
+    for _ in range(2000):
+        mutated = bytearray(blob)
+        for at in rng.integers(0, len(blob), rng.integers(1, 5)):
+            mutated[at] = rng.integers(0, 256)
+        p.write_bytes(bytes(mutated))
+        yield src, p
+
+
+def outcome(path):
+    """What reading ``path`` gives: the pixels, or the error's message."""
+    try:
+        a = read_tiff(path, return_description=True)
+        return a[0].dtype.str, a[0].shape, a[0].tobytes(), a[1]
+    except TiffError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """An empty layout cache for the test, and a count of full parses."""
+    monkeypatch.setattr(tiff, "_LAYOUTS", {})
+    parses = []
+    real = tiff._parse_first_ifd
+    monkeypatch.setattr(tiff, "_parse_first_ifd",
+                        lambda *a: parses.append(1) or real(*a))
+    return parses
+
+
+class TestLayoutCache:
+    """A file adopts a cached parse only when its size and every byte the
+    parse read repeat; anything else reads exactly as with no cache."""
+
+    @pytest.mark.parametrize("compression", ["none", "packbits"])
+    def test_warm_cache_answers_every_mutation_as_a_cold_one(
+            self, tmp_path, layouts, compression):
+        for src, p in seeded_mutations(tmp_path, compression):
+            tiff._LAYOUTS.clear()
+            cold = outcome(p)
+            tiff._LAYOUTS.clear()
+            read_tiff(src)
+            assert outcome(p) == cold
+
+    def test_size_or_one_ifd_byte_misses(self, tmp_path, layouts):
+        a = (np.arange(24 * 20).reshape(24, 20) * 3).astype(np.uint16)
+        src = tmp_path / "src.tif"
+        write_tiff(src, a, description="r=1 c=2", rows_per_strip=5)
+        blob = src.read_bytes()
+        assert np.array_equal(read_tiff(src), a) and len(layouts) == 1
+        (tmp_path / "same.tif").write_bytes(blob)
+        assert np.array_equal(read_tiff(tmp_path / "same.tif"), a)
+        assert len(layouts) == 1  # adopted: no parse
+        (tmp_path / "longer.tif").write_bytes(blob + b"\0")
+        assert np.array_equal(read_tiff(tmp_path / "longer.tif"), a)
+        assert len(layouts) == 2
+        (ifd,) = struct.unpack_from("<I", blob, 4)
+        desc = blob.index(b"r=1 c=2")  # an out-of-line value the parse read
+        for at, value, want in ((ifd + 2 + 12 * 2 + 8, 8, None),  # bits 16 -> 8
+                                (desc + 2, ord("9"), "r=9 c=2")):
+            changed = bytearray(blob)
+            changed[at] = value
+            p = tmp_path / f"changed{at}.tif"
+            p.write_bytes(bytes(changed))
+            before = len(layouts)
+            got = outcome(p)
+            assert len(layouts) == before + 1
+            tiff._LAYOUTS.clear()
+            assert got == outcome(p)
+            if want is not None:
+                assert got[3] == want
+
+    def test_cache_stays_within_its_bound(self, tmp_path, layouts):
+        bound = tiff._LAYOUTS_MAX
+        for n in range(1, 3 * bound):
+            write_tiff(tmp_path / f"{n}.tif", np.zeros((n, 3), np.uint8))
+            read_tiff(tmp_path / f"{n}.tif")
+            assert len(tiff._LAYOUTS) <= bound
+        assert len(layouts) == 3 * bound - 1
+        # A parse reading more than the byte bound is never kept.
+        tiff._LAYOUTS.clear()
+        tall = np.zeros((tiff._LAYOUT_MAX_BYTES // 4, 1), np.uint8)
+        write_tiff(tmp_path / "tall.tif", tall, rows_per_strip=1)
+        read_tiff(tmp_path / "tall.tif")
+        assert len(tiff._LAYOUTS) == 0
+
+    def test_one_layout_per_size(self, tmp_path, layouts):
+        """A miss compares against one layout: the size's newest.  It
+        replaces a layout files have adopted; one they never adopted means
+        the size's files differ, and the size is no longer cached."""
+        a = np.zeros((8, 8), np.uint8)
+
+        def decode(name, desc):
+            write_tiff(tmp_path / name, a, description=desc)
+            before = len(layouts)
+            assert outcome(tmp_path / name)[3] == desc
+            return len(layouts) - before  # 1 if it parsed
+
+        assert [decode(f"{n}.tif", d) for n, d in enumerate(
+            ("job aaa", "job aaa", "job bbb", "job bbb", "job aaa"))] \
+            == [1, 0, 1, 0, 1]
+        (size,) = tiff._LAYOUTS
+        assert [decode(f"t{c}.tif", f"r=1 c={c}") for c in (2, 3, 4, 2)] \
+            == [1, 1, 1, 1]
+        assert tiff._LAYOUTS == {size: None}
+
+    def test_threads_decode_one_dataset_identically(self, tmp_path, layouts):
+        rng = np.random.default_rng(4)
+        tiles = rng.integers(0, 65536, (12, 16, 16)).astype(np.uint16)
+        paths = [tmp_path / f"t{k}.tif" for k in range(len(tiles))]
+        for p, tile in zip(paths, tiles):
+            write_tiff(p, tile)
+        got: list[list] = [[] for _ in range(8)]
+
+        def decode(k: int) -> None:
+            for _ in range(10):
+                got[k].extend(read_tiff(p) for p in paths)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for arrays in got:
+            assert len(arrays) == 10 * len(tiles)
+            for k, a in enumerate(arrays):
+                assert np.array_equal(a, tiles[k % len(tiles)])
+        assert len(tiff._LAYOUTS) == 1

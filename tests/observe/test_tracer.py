@@ -2,6 +2,9 @@
 
 import threading
 
+from repro.core.stitcher import Stitcher
+from repro.grid.neighbors import Pair
+from repro.grid.tile_grid import GridPosition
 from repro.observe import NULL_TRACER, Span, Tracer
 
 
@@ -86,6 +89,41 @@ class TestDisabled:
         with NULL_TRACER.span("x", "y"):
             pass
         assert NULL_TRACER.spans == []
+
+
+class TestSpanKeys:
+    """Span keys are tile positions and pairs, formatted only when kept."""
+
+    def test_untraced_stitch_formats_no_key(self, dataset_4x4, monkeypatch):
+        calls = []
+        for cls in (GridPosition, Pair):
+            real = cls.__repr__
+            monkeypatch.setattr(
+                cls, "__repr__",
+                lambda self, real=real: calls.append(type(self)) or real(self))
+        assert str(GridPosition(0, 0)) and calls == [GridPosition]
+        calls.clear()
+        Stitcher().stitch(dataset_4x4)
+        assert calls == []
+
+    def test_traced_stitch_keys_spell_positions_and_pairs(self, dataset_4x4):
+        tracer = Tracer()
+        Stitcher(trace=tracer).stitch(dataset_4x4)
+        keys: dict[str, set] = {}
+        for span in tracer.spans:
+            keys.setdefault(span.name, set()).add(span.key)
+        tiles = {f"GridPosition(row={r}, col={c})"
+                 for r in range(4) for c in range(4)}
+        assert keys["read"] == keys["fft"] == keys["tilestats"] == tiles
+        assert len(keys["pair"]) == 24
+        assert (
+            "Pair(first=GridPosition(row=1, col=2), second=GridPosition("
+            "row=1, col=3), direction=<Direction.WEST: 'west'>)"
+        ) in keys["pair"]
+        assert (
+            "Pair(first=GridPosition(row=0, col=3), second=GridPosition("
+            "row=1, col=3), direction=<Direction.NORTH: 'north'>)"
+        ) in keys["pair"]
 
 
 class TestThreadSafety:

@@ -42,6 +42,20 @@ def test_default_stitcher_imports_no_optional_subsystem():
     assert out.strip() == "[]"
 
 
+def test_default_stitcher_validates_a_watchdog_without_the_schedulers():
+    # The default path's one scheduler option is answered without reading
+    # the scheduler classes' constructors (which would load them, the
+    # virtual GPU and the stage-graph framework).
+    out = run(
+        "import sys, repro\n"
+        "from repro.recovery import WatchdogConfig\n"
+        "repro.Stitcher(impl_options={'watchdog': WatchdogConfig(item_deadline=1)})\n"
+        "print([m for m in ('repro.impls', 'repro.gpu.device', 'repro.pipeline')\n"
+        "       if m in sys.modules])\n"
+    )
+    assert out.strip() == "[]"
+
+
 def test_a_complete_default_stitch_never_imports_the_graph_library(tmp_path):
     out = run(
         "import sys, repro\n"
