@@ -7,7 +7,7 @@ Public API highlights:
 - :mod:`repro.impls` -- the six Table II implementations;
 - :mod:`repro.synth` -- synthetic microscope acquisitions with ground truth;
 - :mod:`repro.simulate` -- paper-scale performance reproduction (DES);
-- :mod:`repro.pipeline` -- the general-purpose pipeline framework;
+- :mod:`repro.pipeline` -- the producer/consumer graph of Fig. 8 (Pipelined-GPU's);
 - :mod:`repro.faults` -- fault injection, retry policies, fault reports.
 """
 

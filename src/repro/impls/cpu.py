@@ -22,7 +22,6 @@ from repro.core.displacement import DisplacementResult, partitioned_displacement
 from repro.grid.traversal import Traversal
 from repro.impls.base import Implementation
 from repro.io.dataset import TileDataset
-from repro.recovery.watchdog import PipelineError, aggregate_failures
 
 
 class SimpleCpu(Implementation):
@@ -65,9 +64,9 @@ class MtCpu(SimpleCpu):
 
 class PipelinedCpu(SimpleCpu):
     """Overlapped read + FFT / displacement pipelines, one per column
-    partition (1.4 min at 16 threads on the paper's machine).  Like any
-    pipeline it reports a failure as a
-    :class:`~repro.recovery.watchdog.PipelineError`."""
+    partition (1.4 min at 16 threads on the paper's machine).  A failure
+    surfaces as the other presets' does: the exception the schedule
+    raised."""
 
     name = "pipelined-cpu"
     overlap = True
@@ -79,11 +78,3 @@ class PipelinedCpu(SimpleCpu):
             raise ValueError(f"need at least one partition, got {partitions}")
         super().__init__(traversal, **kw)
         self.partitions = partitions
-
-    def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
-        try:
-            return super()._run(dataset)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise aggregate_failures(self.name, [("phase1", exc)]) from exc

@@ -104,7 +104,6 @@ class PipelinedGpu(Implementation):
         ccf_workers: int = 2,
         pool_size: int | None = None,
         traversal: Traversal = Traversal.CHAINED_DIAGONAL,
-        queue_size: int = 8,
         pool_timeout: float = 60.0,
         p2p: bool = False,
         **kw,
@@ -120,7 +119,6 @@ class PipelinedGpu(Implementation):
         self.ccf_workers = ccf_workers
         self.pool_size = pool_size
         self.traversal = traversal
-        self.queue_size = queue_size
         self.pool_timeout = pool_timeout
         #: Peer-to-peer ghost exchange (the paper's Section VI enabler for
         #: scaling past 2 cards): instead of reading and re-transforming
@@ -219,7 +217,9 @@ class PipelinedGpu(Implementation):
         pipe = Pipeline(f"pipelined-gpu-{device.device_id}",
                         tracer=kernel.tracer, metrics=kernel.metrics,
                         watchdog=self.watchdog)
-        q01 = pipe.queue(maxsize=self.queue_size, name="read-copy")
+        # The one bounded queue: the reader may run 8 tiles ahead of the
+        # copier, which itself waits on the transform pool's free slots.
+        q01 = pipe.queue(maxsize=8, name="read-copy")
         q12 = pipe.queue(maxsize=0, name="copy-fft")
         q23 = pipe.queue(maxsize=0, name="events")      # fft-done + pair-done
         q34 = pipe.queue(maxsize=0, name="ready-pairs")
@@ -263,7 +263,7 @@ class PipelinedGpu(Implementation):
             if hook is not None and pos.col == part.cols[1] - 1:
                 hook(pos, *transform)
 
-        def reader(_item, _ctx):
+        def reader(_item):
             try:
                 pos = next(order)
             except StopIteration:
@@ -277,7 +277,7 @@ class PipelinedGpu(Implementation):
                 stats["reads"] += 1
             return _TileItem(pos, tile)
 
-        def copier(item: _TileItem, _ctx):
+        def copier(item: _TileItem):
             slot = pool.acquire(timeout=self.pool_timeout)
             src = kernel.transform_input(item.pixels, fft_shape)
             if real:
@@ -295,7 +295,7 @@ class PipelinedGpu(Implementation):
                 slots[item.pos] = slot
             return _SlotItem(item.pos, slot, ev.end, item.pixels)
 
-        def fft_stage(item: _SlotItem, _ctx):
+        def fft_stage(item: _SlotItem):
             buf = pool.array(item.slot)
             # Event wait: the forward transform cannot start before its
             # tile's H2D copy completed on the copy stream.
@@ -344,7 +344,7 @@ class PipelinedGpu(Implementation):
 
         bk.release = release_device_tile
 
-        def bookkeeper(event, _ctx):
+        def bookkeeper(event):
             """Stage 4 of Fig. 8: feeds each event to the ledger, queues
             the pairs it makes ready, and closes its queues once every
             pair has settled."""
@@ -362,7 +362,7 @@ class PipelinedGpu(Implementation):
                 q23.close()
             return None
 
-        def displacement(pair: Pair, ctx):
+        def displacement(pair: Pair):
             # Resume: a journaled pair skips the device work *and* the CCF
             # stage; its host/device bookkeeping is settled here so slot
             # recycling and pipeline completion accounting still flow.
@@ -386,12 +386,11 @@ class PipelinedGpu(Implementation):
                 inv_scratch.data if real else None, stream_disp,
                 kernel.peak_count, not_before=ready,
             )
-            ctx.emit(_CcfWork(pair, peaks))
             # Feedback entry for memory management (Fig. 8).
             q23.put(_PairDone(pair))
-            return None
+            return _CcfWork(pair, peaks)
 
-        def ccf_stage(work: _CcfWork, _ctx):
+        def ccf_stage(work: _CcfWork):
             pair = work.pair
             with state_lock:
                 first, second = host[pair.first], host[pair.second]

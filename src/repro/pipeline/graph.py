@@ -9,14 +9,14 @@ on this.
 
 Stages need not form a single chain: the paper's Fig. 8 graph has a feedback
 edge (the displacement stage notifies the bookkeeper about freed transform
-buffers).  Arbitrary queue topologies are supported because stages only know
-their own input/output queues; cycles are the *user's* responsibility to
+buffers).  Stages only know their own input/output queues, so the handlers
+wire the other edges themselves; cycles are the *user's* responsibility to
 terminate (the bookkeeper closes its feedback consumer by counting).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.observe.sampler import QueueDepthSampler
 from repro.observe.tracer import NULL_TRACER
@@ -24,7 +24,6 @@ from repro.pipeline.queues import MonitorQueue
 from repro.pipeline.stage import Stage
 from repro.recovery.watchdog import (
     PipelineStallError,
-    StallReport,
     Watchdog,
     WatchdogConfig,
     aggregate_failures,
@@ -48,13 +47,11 @@ class Pipeline:
         name: str = "pipeline",
         tracer=None,
         metrics=None,
-        queue_sample_interval: float = 0.005,
         watchdog: WatchdogConfig | None = None,
     ) -> None:
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.queue_sample_interval = queue_sample_interval
         #: When set, a :class:`~repro.recovery.watchdog.Watchdog` thread
         #: supervises the run: stages are built ``supervised`` (per-item
         #: cancel tokens + in-flight tables) and ``join()`` polls instead
@@ -65,7 +62,6 @@ class Pipeline:
         self.queues: list[MonitorQueue] = []
         self._sampler: QueueDepthSampler | None = None
         self._watchdog: Watchdog | None = None
-        self._abandoned_threads: list[str] = []
 
     # -- construction --------------------------------------------------------
 
@@ -102,29 +98,6 @@ class Pipeline:
         for q in self.queues:
             q.close()
 
-    def add_chain(
-        self,
-        specs: list[tuple[str, Callable, int]],
-        queue_size: int = 0,
-    ) -> list[Stage]:
-        """Convenience: wire ``specs`` (name, handler, workers) into a chain.
-
-        The first stage is a source, the last a sink; a bounded queue of
-        ``queue_size`` sits between each consecutive pair.
-        """
-        stages: list[Stage] = []
-        prev_q: MonitorQueue | None = None
-        for i, (name, handler, workers) in enumerate(specs):
-            out_q = None
-            if i + 1 < len(specs):
-                out_q = self.queue(maxsize=queue_size, name=f"{name}-out")
-            stages.append(
-                self.stage(name, handler, workers=workers, input=prev_q,
-                           output=out_q)
-            )
-            prev_q = out_q
-        return stages
-
     # -- execution -------------------------------------------------------------
 
     def start(self) -> None:
@@ -138,7 +111,6 @@ class Pipeline:
                 self.queues,
                 tracer=self.tracer,
                 metrics=self.metrics,
-                interval=self.queue_sample_interval,
                 prefix=f"queue:{self.name}",
             ).start()
         if self._watchdog is None and self.watchdog_config is not None:
@@ -147,11 +119,6 @@ class Pipeline:
             ).start()
         for s in self.stages:
             s.start()
-
-    def run(self) -> None:
-        """Start every stage, join every stage, raise on any worker error."""
-        self.start()
-        self.join()
 
     def join(self) -> None:
         """Wait for all workers; raise one aggregated
@@ -164,14 +131,16 @@ class Pipeline:
         non-cooperative handler after the watchdog's grace is *abandoned*
         (the threads are daemons), and
         :class:`~repro.recovery.watchdog.PipelineStallError` carries the
-        :class:`StallReport` instead of ``join()`` hanging forever.
+        :class:`~repro.recovery.watchdog.StallReport` instead of
+        ``join()`` hanging forever.
         """
+        abandoned: list[str] = []
         try:
             if self._watchdog is None:
                 for s in self.stages:
                     s.join()
             else:
-                self._abandoned_threads = join_supervised(
+                abandoned = join_supervised(
                     [t for s in self.stages for t in s.threads],
                     self._watchdog,
                 )
@@ -183,65 +152,7 @@ class Pipeline:
         failures = [(s.name, exc) for s in self.stages for exc in s.errors]
         if self._watchdog is not None and self._watchdog.escalated:
             raise PipelineStallError.escalated(
-                self._watchdog, self._abandoned_threads, failures=failures
+                self._watchdog, abandoned, failures=failures
             )
         if failures:
             raise aggregate_failures(self.name, failures)
-
-    def watchdog_report(self) -> StallReport | None:
-        """The watchdog's report (escalated or cooperative), if any."""
-        return None if self._watchdog is None else self._watchdog.report()
-
-    def result(self) -> dict[str, Any]:
-        """Join and return :meth:`stats`; raises the aggregated error.
-
-        This is the one-stop completion check: every worker exception
-        collected during the run -- not just the first -- is surfaced in a
-        single :class:`PipelineError` whose ``failures`` attribute names
-        the stage of each.
-        """
-        self.join()
-        return self.stats()
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "stages": {
-                s.name: {
-                    "workers": s.workers,
-                    "items": s.items_processed,
-                    "busy_seconds": s.busy_seconds,
-                    "queue_wait_seconds": s.queue_wait_seconds,
-                }
-                for s in self.stages
-            },
-            "queues": {
-                q.name: {
-                    "peak_depth": q.peak_depth,
-                    "total_put": q.total_put,
-                    "total_get": q.total_get,
-                    "put_wait_seconds": q.put_wait_seconds,
-                    "get_wait_seconds": q.get_wait_seconds,
-                }
-                for q in self.queues
-            },
-        }
-        report = self.watchdog_report()
-        if report is not None:
-            out["watchdog"] = report.to_dict()
-        return out
-
-    def utilization(self, wall_seconds: float) -> dict[str, float]:
-        """Per-stage busy fraction over a run's wall time.
-
-        The stage with utilization near 1.0 is the pipeline's bottleneck
-        (the paper identifies its GPU-compute stage this way in Fig. 10's
-        discussion); stages near 0 are over-provisioned.
-        """
-        if wall_seconds <= 0:
-            raise ValueError("wall time must be positive")
-        return {
-            s.name: s.busy_seconds / (s.workers * wall_seconds)
-            for s in self.stages
-        }

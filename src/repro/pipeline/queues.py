@@ -15,26 +15,12 @@ rejects further puts.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any
 
 
 class QueueClosed(Exception):
     """Raised by :meth:`MonitorQueue.put` / ``get`` on a closed queue."""
-
-
-def _remaining(deadline: float | None) -> float | None:
-    """Seconds left until ``deadline`` (monotonic); ``None`` = no deadline.
-
-    Condition-variable waits can wake spuriously (or be woken by traffic
-    that does not help this waiter); re-waiting with the caller's *full*
-    timeout on every wakeup would let the deadline slip without bound, so
-    every wait gets only the time still remaining.
-    """
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()
 
 
 class MonitorQueue:
@@ -53,15 +39,9 @@ class MonitorQueue:
         self._not_full = threading.Condition(self._lock)
         self._closed = False
         self.name = name
-        # Telemetry for the profiler: high-water mark and total traffic.
-        self.peak_depth = 0
+        # Total traffic: the watchdog's progress signal.
         self.total_put = 0
         self.total_get = 0
-        #: Cumulative seconds producers/consumers spent blocked on this
-        #: queue -- the queue-pressure signal the depth sampler can miss
-        #: between polls.
-        self.put_wait_seconds = 0.0
-        self.get_wait_seconds = 0.0
 
     def __len__(self) -> int:
         with self._lock:
@@ -81,59 +61,29 @@ class MonitorQueue:
         with self._lock:
             return self._closed
 
-    def put(self, item: Any, timeout: float | None = None) -> None:
-        """Append ``item``; blocks while full.  Raises on closed queue.
-
-        ``timeout`` is a *total* budget: the deadline is computed once
-        (monotonic clock) and each condition wait gets only the remaining
-        time, so wakeup churn cannot extend the caller's deadline.
-        """
+    def put(self, item: Any) -> None:
+        """Append ``item``; blocks while full.  Raises on closed queue."""
         with self._not_full:
             if self._closed:
                 raise QueueClosed(self.name)
-            if self._maxsize > 0 and len(self._items) >= self._maxsize:
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                blocked_at = time.monotonic()
-                try:
-                    while self._maxsize > 0 and len(self._items) >= self._maxsize:
-                        if not self._not_full.wait(_remaining(deadline)):
-                            raise TimeoutError(
-                                f"queue {self.name or id(self)} full for {timeout}s"
-                            )
-                        if self._closed:
-                            raise QueueClosed(self.name)
-                finally:
-                    self.put_wait_seconds += time.monotonic() - blocked_at
+            while self._maxsize > 0 and len(self._items) >= self._maxsize:
+                self._not_full.wait()
+                if self._closed:
+                    raise QueueClosed(self.name)
             self._items.append(item)
             self.total_put += 1
-            self.peak_depth = max(self.peak_depth, len(self._items))
             self._not_empty.notify()
 
-    def get(self, timeout: float | None = None) -> Any:
+    def get(self) -> Any:
         """Pop the oldest item; blocks while empty.
 
         Raises :class:`QueueClosed` once the queue is closed *and* drained.
-        Like :meth:`put`, ``timeout`` is a total budget against a
-        monotonic deadline, immune to wakeup churn.
         """
         with self._not_empty:
-            if not self._items:
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                blocked_at = time.monotonic()
-                try:
-                    while not self._items:
-                        if self._closed:
-                            raise QueueClosed(self.name)
-                        if not self._not_empty.wait(_remaining(deadline)):
-                            raise TimeoutError(
-                                f"queue {self.name or id(self)} empty for {timeout}s"
-                            )
-                finally:
-                    self.get_wait_seconds += time.monotonic() - blocked_at
+            while not self._items:
+                if self._closed:
+                    raise QueueClosed(self.name)
+                self._not_empty.wait()
             item = self._items.popleft()
             self.total_get += 1
             self._not_full.notify()

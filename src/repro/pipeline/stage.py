@@ -1,10 +1,10 @@
-"""Pipeline stages: N worker threads around a user handler.
+"""Pipeline stages: N worker threads around a handler.
 
-A stage's handler is a callable ``handler(item, ctx) -> result | None``;
+A stage's handler is a callable ``handler(item) -> result | None``;
 whatever it returns (when not ``None``) is forwarded to the stage's output
-queue.  Handlers may also emit explicitly (``ctx.emit``) to produce zero or
-many outputs per input -- the bookkeeping stage of the paper's Fig. 8 does
-exactly this, emitting a pair only when both members' FFTs are ready.
+queue.  A handler that produces nothing -- the bookkeeping stage of the
+paper's Fig. 8, which queues a pair only once both members' FFTs are
+ready -- returns ``None`` and puts onto the queues it was wired to.
 
 End-of-stream is signalled by closing the input queue, *not* by poison
 values: with multiple workers per stage a single poison pill would be
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.observe.tracer import NULL_TRACER
@@ -34,36 +33,17 @@ END_OF_STREAM = object()
 def item_key(item: Any) -> str | None:
     """Short stable identity of a work item for span labelling.
 
-    Work items in this codebase are dataclasses carrying a ``pos`` (tile)
-    or ``pair`` attribute; falling back to ``repr`` would stringify tile
-    pixel arrays, so anything unrecognized is labelled by type only.
+    Fig. 8's work items are dataclasses carrying a ``pos`` (tile) or
+    ``pair`` attribute; falling back to ``repr`` would stringify tile
+    pixel arrays, so anything else is labelled by type only.
     """
     if item is None:
         return None
-    for attr in ("pos", "pair", "key"):
+    for attr in ("pos", "pair"):
         v = getattr(item, attr, None)
         if v is not None:
             return str(v)
-    if isinstance(item, (str, int, float, tuple)):
-        return str(item)[:64]
     return type(item).__name__
-
-
-@dataclass
-class StageContext:
-    """Handed to every handler invocation.
-
-    ``emit`` pushes downstream; ``worker_index`` identifies the calling
-    worker (0-based); ``stage`` is the owning stage (e.g. for its name).
-    """
-
-    stage: "Stage"
-    worker_index: int
-
-    def emit(self, item: Any) -> None:
-        if self.stage.output is None:
-            raise RuntimeError(f"stage {self.stage.name!r} has no output queue")
-        self.stage.output.put(item)
 
 
 class Stage:
@@ -73,14 +53,14 @@ class Stage:
 
     - *source* stages (``input is None``): the handler is called with
       ``None`` repeatedly until it returns :data:`END_OF_STREAM`;
-    - *transform/sink* stages: the handler is called once per input item
+    - *consumer* stages: the handler is called once per input item
       until the input queue closes and drains.
     """
 
     def __init__(
         self,
         name: str,
-        handler: Callable[[Any, StageContext], Any],
+        handler: Callable[[Any], Any],
         workers: int = 1,
         input: MonitorQueue | None = None,
         output: MonitorQueue | None = None,
@@ -101,21 +81,12 @@ class Stage:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         #: Span-track stem (one track per worker: ``"<track_base>-<i>"``);
-        #: pipelines prefix it with their own name so multi-pipeline
-        #: implementations (per-GPU, per-socket) get distinct rows.
+        #: pipelines prefix it with their own name so the per-GPU
+        #: pipelines get distinct rows.
         self.track_base = track_base or name
         self.threads: list[threading.Thread] = []
         self.errors: list[BaseException] = []
         self.items_processed = 0
-        #: Wall-clock seconds spent inside the handler, summed over
-        #: workers -- the numerator of the stage-utilization telemetry
-        #: (how the pipeline's balance is diagnosed, cf. the paper's
-        #: profiler-driven analysis of its stage occupancy).
-        self.busy_seconds = 0.0
-        #: Wall-clock seconds workers spent blocked on the input queue,
-        #: summed over workers (the denominator's idle share: a stage with
-        #: high queue-wait and low busy time is starved, not slow).
-        self.queue_wait_seconds = 0.0
         self._count_lock = threading.Lock()
         self._active = 0
         #: When True (a watchdog supervises the pipeline), each handler
@@ -155,16 +126,15 @@ class Stage:
             self.output.close()
 
     def _run(self, worker_index: int) -> None:
-        ctx = StageContext(stage=self, worker_index=worker_index)
         try:
             if self.input is None:
-                self._run_source(ctx)
+                self._run_source(worker_index)
             else:
-                self._run_consumer(ctx)
+                self._run_consumer(worker_index)
         except QueueClosed:
             # Downstream closed under us (pipeline aborting): exit quietly.
             pass
-        except BaseException as exc:  # propagate to Pipeline.result()
+        except BaseException as exc:  # propagate to Pipeline.join()
             self.errors.append(exc)
             # Poison downstream so the rest of the pipeline unblocks.
             if self.output is not None:
@@ -188,28 +158,25 @@ class Stage:
         """
         return list(self._inflight.values())
 
-    def _handle(self, item: Any, ctx: StageContext) -> Any:
+    def _handle(self, item: Any, worker_index: int) -> Any:
         tracer = self.tracer
         span_t0 = tracer.now() if tracer.enabled else 0.0
         prev_token = None
         if self.supervised:
-            prev_token = enter_item(
-                self._inflight, ctx.worker_index, item_key(item)
-            )
+            prev_token = enter_item(self._inflight, worker_index, item_key(item))
         t0 = time.perf_counter()
         try:
-            result = self.handler(item, ctx)
+            result = self.handler(item)
         finally:
             dt = time.perf_counter() - t0
             if self.supervised:
-                exit_item(self._inflight, ctx.worker_index, prev_token)
+                exit_item(self._inflight, worker_index, prev_token)
             with self._count_lock:
                 self.items_processed += 1
-                self.busy_seconds += dt
             if tracer.enabled:
                 tracer.record_span(
                     self.name,
-                    f"{self.track_base}-{ctx.worker_index}",
+                    f"{self.track_base}-{worker_index}",
                     span_t0,
                     span_t0 + dt,
                     key=item_key(item),
@@ -219,18 +186,24 @@ class Stage:
                 self.metrics.histogram(f"stage.{self.name}.seconds").observe(dt)
         return result
 
-    def _run_source(self, ctx: StageContext) -> None:
+    def _emit(self, result: Any) -> None:
+        if result is None:
+            return
+        if self.output is None:
+            raise RuntimeError(f"stage {self.name!r} has no output queue")
+        self.output.put(result)
+
+    def _run_source(self, worker_index: int) -> None:
         while True:
-            result = self._handle(None, ctx)
+            result = self._handle(None, worker_index)
             if result is END_OF_STREAM:
                 return
-            if result is not None:
-                ctx.emit(result)
+            self._emit(result)
 
-    def _run_consumer(self, ctx: StageContext) -> None:
+    def _run_consumer(self, worker_index: int) -> None:
         assert self.input is not None
         tracer = self.tracer
-        track = f"{self.track_base}-{ctx.worker_index}"
+        track = f"{self.track_base}-{worker_index}"
         while True:
             w0 = time.perf_counter()
             span_t0 = tracer.now() if tracer.enabled else 0.0
@@ -240,8 +213,6 @@ class Stage:
                 return
             finally:
                 waited = time.perf_counter() - w0
-                with self._count_lock:
-                    self.queue_wait_seconds += waited
                 # Only blocking waits become spans: an always-ready queue
                 # would otherwise bury the timeline in zero-width boxes.
                 if tracer.enabled and waited > 1e-4:
@@ -249,6 +220,4 @@ class Stage:
                         f"{self.name}:wait", track, span_t0, span_t0 + waited,
                         args={"queue": self.input.name},
                     )
-            result = self._handle(item, ctx)
-            if result is not None and result is not END_OF_STREAM:
-                ctx.emit(result)
+            self._emit(self._handle(item, worker_index))

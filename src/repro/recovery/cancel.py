@@ -83,7 +83,7 @@ def install_token(token: CancelToken | None) -> CancelToken | None:
 
         prev = install_token(token)
         try:
-            handler(item, ctx)
+            handler(item)
         finally:
             install_token(prev)
     """

@@ -101,9 +101,9 @@ class StallReport:
     """Structured account of why (and how) the watchdog intervened.
 
     ``kind`` is ``"item_hang"`` (a cancelled item would not die) or
-    ``"pipeline_stall"`` (no progress anywhere); ``escalated`` is False
-    when every intervention was handled cooperatively and the pipeline
-    finished on its own.
+    ``"pipeline_stall"`` (no progress anywhere).  The watchdog builds one
+    only when it escalates; cancellations the handlers honoured count in
+    its ``watchdog.cancelled`` metric instead.
     """
 
     pipeline: str
@@ -143,7 +143,8 @@ class Watchdog:
     ``pipeline`` must expose ``name``, ``stages`` (each with ``name``,
     ``items_processed``, and an ``inflight()`` snapshot of
     ``(worker_index, key, started_monotonic, token)`` tuples), ``queues``
-    (each with ``total_put``/``total_get``/``depth()``) and ``abort()``.
+    (each with ``total_put``/``total_get``/``depth()``/``closed``) and
+    ``abort()``.
     """
 
     def __init__(self, pipeline, config: WatchdogConfig, metrics=None) -> None:
@@ -177,23 +178,10 @@ class Watchdog:
         return self._report is not None and self._report.escalated
 
     def report(self) -> StallReport | None:
-        """The escalation report, or a non-escalated summary of cooperative
-        cancellations, or ``None`` when the watchdog never intervened."""
+        """The escalation report, or ``None`` while the watchdog has not
+        escalated."""
         with self._lock:
-            if self._report is not None:
-                return self._report
-            if self.interventions:
-                return StallReport(
-                    pipeline=self.pipeline.name,
-                    kind="item_hang",
-                    escalated=False,
-                    detail=(
-                        f"{len(self.interventions)} item(s) cancelled "
-                        f"cooperatively; pipeline completed"
-                    ),
-                    interventions=list(self.interventions),
-                )
-            return None
+            return self._report
 
     # -- supervision loop ----------------------------------------------------
 

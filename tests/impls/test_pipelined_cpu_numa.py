@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.metrics import displacement_agreement
 from repro.impls import PipelinedCpu, SimpleCpu
-from repro.recovery import PipelineError
+from repro.io.tiff import TiffError
 from repro.synth import make_synthetic_dataset
 
 
@@ -51,7 +51,7 @@ class TestFailures:
         )
         blob = ds.path(1, 2).read_bytes()
         ds.path(1, 2).write_bytes(blob[: len(blob) // 3])
-        with pytest.raises(PipelineError):
+        with pytest.raises(TiffError):
             PipelinedCpu(partitions=2).run(ds)
 
     def test_validation(self):

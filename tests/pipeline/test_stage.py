@@ -18,7 +18,7 @@ class TestSourceStage:
         out = MonitorQueue()
         data = iter(range(5))
 
-        def handler(_item, _ctx):
+        def handler(_item):
             try:
                 return next(data)
             except StopIteration:
@@ -32,7 +32,7 @@ class TestSourceStage:
         out = MonitorQueue()
         calls = []
 
-        def handler(_item, ctx):
+        def handler(_item):
             calls.append(1)
             if len(calls) == 3:
                 return END_OF_STREAM
@@ -50,7 +50,7 @@ class TestConsumerStage:
         for i in range(10):
             q_in.put(i)
         q_in.close()
-        run_stage(Stage("double", lambda x, _ctx: 2 * x, input=q_in, output=q_out))
+        run_stage(Stage("double", lambda x: 2 * x, input=q_in, output=q_out))
         assert q_out.closed
         assert sorted(q_out.get() for _ in range(10)) == [2 * i for i in range(10)]
 
@@ -59,7 +59,7 @@ class TestConsumerStage:
         for i in range(100):
             q_in.put(i)
         q_in.close()
-        run_stage(Stage("w", lambda x, _ctx: x, workers=4, input=q_in, output=q_out))
+        run_stage(Stage("w", lambda x: x, workers=4, input=q_in, output=q_out))
         got = sorted(q_out.get() for _ in range(100))
         assert got == list(range(100))
 
@@ -67,7 +67,7 @@ class TestConsumerStage:
         q_in, q_out = MonitorQueue(), MonitorQueue()
         barrier = threading.Barrier(2)
 
-        def slow(x, _ctx):
+        def slow(x):
             barrier.wait(timeout=5)
             return x
 
@@ -77,25 +77,12 @@ class TestConsumerStage:
         run_stage(Stage("slow", slow, workers=2, input=q_in, output=q_out))
         assert len(q_out) == 2
 
-    def test_ctx_emit_fan_out(self):
-        q_in, q_out = MonitorQueue(), MonitorQueue()
-        q_in.put(3)
-        q_in.close()
-
-        def explode(n, ctx):
-            for i in range(n):
-                ctx.emit(i)
-            return None
-
-        run_stage(Stage("explode", explode, input=q_in, output=q_out))
-        assert [q_out.get() for _ in range(3)] == [0, 1, 2]
-
     def test_items_processed_counter(self):
         q_in = MonitorQueue()
         for i in range(7):
             q_in.put(i)
         q_in.close()
-        s = Stage("count", lambda x, _ctx: None, input=q_in)
+        s = Stage("count", lambda x: None, input=q_in)
         run_stage(s)
         assert s.items_processed == 7
 
@@ -105,7 +92,7 @@ class TestErrors:
         q_in, q_out = MonitorQueue(), MonitorQueue()
         q_in.put("boom")
 
-        def handler(x, _ctx):
+        def handler(x):
             raise RuntimeError("kaboom")
 
         s = Stage("bad", handler, input=q_in, output=q_out)
@@ -120,7 +107,7 @@ class TestErrors:
         called = []
         s = Stage(
             "bad",
-            lambda x, _ctx: 1 / 0,
+            lambda x: 1 / 0,
             input=q_in,
             on_error=lambda: called.append(True),
         )
@@ -132,18 +119,18 @@ class TestErrors:
         q_out.close()  # downstream gone
         q_in.put(1)
         q_in.close()
-        s = Stage("s", lambda x, _ctx: x, input=q_in, output=q_out)
+        s = Stage("s", lambda x: x, input=q_in, output=q_out)
         run_stage(s)
         assert s.errors == []  # QueueClosed is not an error
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
-            Stage("s", lambda x, c: x, workers=0)
+            Stage("s", lambda x: x, workers=0)
 
     def test_double_start_rejected(self):
         q = MonitorQueue()
         q.close()
-        s = Stage("s", lambda x, c: x, input=q)
+        s = Stage("s", lambda x: x, input=q)
         s.start()
         with pytest.raises(RuntimeError):
             s.start()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.kernel import Phase1Kernel
 from repro.faults import ErrorPolicy, Fault, FaultKind, FaultPlan, FaultReport
+from repro.observe import MetricsRegistry
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import END_OF_STREAM
 from repro.recovery import PipelineStallError
@@ -17,7 +18,7 @@ from repro.recovery.watchdog import WatchdogConfig
 def make_source(n):
     it = iter(range(n))
 
-    def handler(_item, _ctx):
+    def handler(_item):
         try:
             return next(it)
         except StopIteration:
@@ -69,23 +70,30 @@ def cooperative_hang(_row, _col):
     current_token().sleep(30.0)
 
 
+def run(pipe):
+    pipe.start()
+    pipe.join()
+
+
 class TestCooperativeCancellation:
     """The watchdog cancels a hung read; the kernel's read policy -- the
     one handler of ``ItemCancelled`` -- decides what becomes of it."""
 
     def test_hung_item_is_cancelled_and_skipped(self):
         """A read that honors its token is cancelled within the deadline;
-        under skip the pipeline completes and join() returns normally
-        with a non-escalated report."""
+        under skip the pipeline completes and join() returns normally:
+        the watchdog counts one cancellation and never escalates."""
+        metrics = MetricsRegistry()
         pipe = Pipeline(
-            "coop", watchdog=WatchdogConfig(item_deadline=0.2, stall_timeout=10)
+            "coop", metrics=metrics,
+            watchdog=WatchdogConfig(item_deadline=0.2, stall_timeout=10),
         )
         report = FaultReport()
         kernel = Phase1Kernel(error_policy=ErrorPolicy(on_exhausted="skip"),
                               fault_report=report)
         results = []
 
-        def work(x, _ctx):
+        def work(x):
             load = cooperative_hang if x == 1 else (lambda r, c: r)
             pixels = kernel.read(load, x, 0)
             if pixels is not None:
@@ -96,15 +104,14 @@ class TestCooperativeCancellation:
         pipe.stage("src", make_source(5), workers=1, output=q)
         pipe.stage("work", work, workers=2, input=q)
         t0 = time.monotonic()
-        pipe.run()  # must NOT raise and must NOT hang
+        run(pipe)  # must NOT raise and must NOT hang
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0
         assert sorted(results) == [0, 2, 3, 4]
-        watchdog = pipe.watchdog_report()
-        assert watchdog is not None and not watchdog.escalated
-        assert watchdog.kind == "item_hang"
-        assert [i.action for i in watchdog.interventions] == ["cancelled"]
-        assert pipe.stats()["watchdog"]["escalated"] is False
+        counters = metrics.snapshot()["counters"]
+        assert counters["watchdog.cancelled"] == 1
+        assert "watchdog.escalated" not in counters
+        assert "watchdog.escalations" not in counters
         assert report.skipped_tiles == [(1, 0)]
         error = report.to_dict()["skipped_tile_errors"]["1,0"]
         assert error.startswith("ItemCancelled") and "watchdog" in error
@@ -125,13 +132,13 @@ class TestCooperativeCancellation:
                 cooperative_hang(row, col)
             return row
 
-        def work(x, _ctx):
+        def work(x):
             kernel.read(load, x, 0)
 
         q = pipe.queue(maxsize=0, name="work")
         pipe.stage("src", make_source(2), workers=1, output=q)
         pipe.stage("work", work, workers=1, input=q)
-        pipe.run()
+        run(pipe)
         assert attempts.count(0) == 1  # one attempt, no retries
         assert attempts.count(1) == 1
 
@@ -148,7 +155,7 @@ class TestEscalation:
             ),
         )
 
-        def work(x, _ctx):
+        def work(x):
             if x == 0:
                 time.sleep(1.0)  # ignores cancellation entirely
             return None
@@ -157,7 +164,7 @@ class TestEscalation:
         pipe.stage("src", make_source(3), workers=1, output=q)
         pipe.stage("work", work, workers=1, input=q)
         with pytest.raises(PipelineStallError) as ei:
-            pipe.run()
+            run(pipe)
         report = ei.value.report
         assert report.kind == "item_hang" and report.escalated
         assert any(i.action == "escalated" for i in report.interventions)
@@ -234,7 +241,7 @@ class TestEscalation:
             ),
         )
 
-        def work(x, _ctx):
+        def work(x):
             if x == 0:
                 time.sleep(1.5)  # wedges the only worker; queue backs up
             return None
@@ -244,7 +251,7 @@ class TestEscalation:
         pipe.stage("work", work, workers=1, input=q)
         t0 = time.monotonic()
         with pytest.raises(PipelineStallError) as ei:
-            pipe.run()
+            run(pipe)
         assert time.monotonic() - t0 < 10.0
         report = ei.value.report
         assert report.kind == "pipeline_stall" and report.escalated
@@ -254,16 +261,18 @@ class TestEscalation:
 class TestIdleOverhead:
     def test_enabled_but_idle_watchdog_changes_nothing(self):
         results = []
+        metrics = MetricsRegistry()
         pipe = Pipeline(
-            "idle", watchdog=WatchdogConfig(item_deadline=5.0, stall_timeout=30)
+            "idle", metrics=metrics,
+            watchdog=WatchdogConfig(item_deadline=5.0, stall_timeout=30),
         )
         q = pipe.queue(maxsize=4, name="q")
         pipe.stage("src", make_source(50), workers=1, output=q)
-        pipe.stage("sink", lambda x, _ctx: results.append(x), workers=2, input=q)
-        pipe.run()
+        pipe.stage("sink", results.append, workers=2, input=q)
+        run(pipe)  # no PipelineStallError
         assert sorted(results) == list(range(50))
-        assert pipe.watchdog_report() is None
-        assert "watchdog" not in pipe.stats()
+        assert not [name for name in metrics.snapshot()["counters"]
+                    if name.startswith("watchdog.")]
 
 
 class TestInjectedHangEndToEnd:

@@ -161,6 +161,92 @@ def test_only_pipelined_gpu_imports_the_pipeline_framework():
     assert out.strip() == "False"
 
 
+#: What the watchdog reads of a supervised pipeline (it duck-types the
+#: surface instead of importing pipeline/): recovery/watchdog.py::Watchdog.
+WATCHDOG_SURFACE = {"name", "stages", "items_processed", "inflight",
+                    "queues", "total_put", "total_get", "depth", "closed",
+                    "abort"}
+
+
+def test_pipeline_defines_nothing_fig8_does_not_read():
+    """pipeline/ is Pipelined-GPU's Fig. 8 graph and nothing more: every
+    public name it defines -- class, function, method, ``self.`` attribute
+    or defaulted parameter -- is read by impls/pipelined_gpu.py, by the
+    watchdog (:data:`WATCHDOG_SURFACE`), or by pipeline/'s own plumbing.
+    A definition, a store or a re-export is not a read, a method or an
+    attribute is read only as ``x.name``, and a defaulted parameter only
+    where some call in that scope passes it (by keyword or position): an
+    accessor, a counter or a knob nothing reads fails here."""
+
+    def public(name):
+        return not name.startswith("_")
+
+    names: dict[str, str] = {}     # module-level name -> defining module
+    members: dict[str, str] = {}   # method / self. attribute -> module
+    options: dict[str, tuple] = {}  # site -> (callee, position, param)
+    scope = [(where, tree) for where, tree in modules()
+             if where.startswith("pipeline/")]
+    for where, tree in scope:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                names.update((t.id, where) for t in node.targets
+                             if isinstance(t, ast.Name) and public(t.id))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if public(node.name):
+                names[node.name] = where
+            methods = ([node] if isinstance(node, ast.FunctionDef) else
+                       [m for m in node.body if isinstance(m, ast.FunctionDef)])
+            for fn in methods:
+                if fn is not node and public(fn.name):
+                    members[fn.name] = where
+                if not (public(fn.name) or fn.name == "__init__"):
+                    continue
+                callee = node.name if fn.name == "__init__" else fn.name
+                args = fn.args.args if fn is node else fn.args.args[1:]
+                first = len(args) - len(fn.args.defaults)
+                for i, a in enumerate(args[first:], first):
+                    options[f"{where}::{callee}({a.arg})"] = (callee, i, a.arg)
+                for a in fn.args.kwonlyargs:
+                    options[f"{where}::{callee}({a.arg})"] = (callee, None, a.arg)
+                for sub in ast.walk(fn):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and getattr(sub.value, "id", None) == "self"
+                            and public(sub.attr)):
+                        members[sub.attr] = where
+
+    readers = scope + [("impls/pipelined_gpu.py", ast.parse(
+        (PACKAGE / "impls/pipelined_gpu.py").read_text()))]
+    attrs, globals_read = set(WATCHDOG_SURFACE), set()
+    keywords, positional = set(), {}
+    for where, tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                globals_read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.ImportFrom)
+                  and where == "impls/pipelined_gpu.py"):
+                globals_read.update(a.name for a in node.names)
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                keywords.update((callee, k.arg) for k in node.keywords)
+                positional[callee] = max(positional.get(callee, 0),
+                                         len(node.args))
+    unread = sorted(
+        [f"{where}::{n}" for n, where in names.items()
+         if n not in globals_read | attrs and not n.startswith("__")]
+        + [f"{where}::.{n}" for n, where in members.items()
+           if n not in attrs])
+    unset = sorted(site for site, (callee, i, arg) in options.items()
+                   if (callee, arg) not in keywords
+                   and (i is None or positional.get(callee, 0) <= i))
+    assert unread + unset == [], unread + unset
+
+
 def test_cli_holds_no_second_stitch_path():
     """``repro stitch`` builds a Stitcher and reads its result: phase 2,
     the result object and the fault report are the Stitcher's business."""
@@ -474,7 +560,7 @@ def test_phase1_has_one_failure_surface():
                     a.arg for a in node.args.args + node.args.kwonlyargs}
     assert policies == {"core/kernel.py"}, policies
     assert handlers == {"core/kernel.py"}, handlers
-    for fn in ("stage.py::__init__", "graph.py::stage", "graph.py::add_chain"):
+    for fn in ("stage.py::__init__", "graph.py::stage"):
         assert "policy" not in params[fn], fn
 
 
