@@ -68,6 +68,7 @@ from repro.core.pciam import (
     pciam,
 )
 from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
+from repro.fftlib.plans import require_half_spectrum
 
 #: Provenance stamps carried on results (and journaled with each pair,
 #: so a resumed run can prove which path produced every translation).
@@ -242,7 +243,6 @@ def coarse_forward_fft(
     tile: np.ndarray,
     factor: int,
     fft_shape: tuple[int, int] | None = None,
-    real: bool = False,
 ) -> np.ndarray:
     """Coarse-pass spectrum of a tile: block-mean downsample, then FFT.
 
@@ -258,9 +258,7 @@ def coarse_forward_fft(
         if fft_shape is not None
         else None
     )
-    return forward_fft(
-        downsample(np.asarray(tile), factor), cshape, real=real
-    )
+    return forward_fft(downsample(np.asarray(tile), factor), cshape)
 
 
 class FullSpectrum:
@@ -276,17 +274,15 @@ class FullSpectrum:
 
     __slots__ = ("_args", "_lock", "_spectrum")
 
-    def __init__(self, pixels: np.ndarray, fft_shape: tuple[int, int],
-                 real: bool) -> None:
-        self._args = (pixels, fft_shape, real)
+    def __init__(self, pixels: np.ndarray, fft_shape: tuple[int, int]) -> None:
+        self._args = (pixels, fft_shape)
         self._lock = threading.Lock()
         self._spectrum = None
 
     def get(self) -> np.ndarray:
         with self._lock:
             if self._spectrum is None:
-                pixels, shape, real = self._args
-                self._spectrum = forward_fft(pixels, shape, real=real)
+                self._spectrum = forward_fft(*self._args)
             return self._spectrum
 
 
@@ -526,7 +522,7 @@ def coarse_pciam(
     fft_shape: tuple[int, int] | None = None,
     ccf_mode: CcfMode = CcfMode.PAPER4,
     n_peaks: int = 1,
-    real_transforms: bool = False,
+    real_transforms: bool = True,
     subpixel: bool = False,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
@@ -543,9 +539,9 @@ def coarse_pciam(
         The :class:`CoarseConfig` driving the first pass and the gate.
     ``cfft_i`` / ``cfft_j``
         Optional precomputed *coarse* spectra from
-        :func:`coarse_forward_fft` with the same ``fft_shape`` /
-        ``real_transforms`` -- the per-tile reuse product of coarse
-        mode, replacing the full-resolution ``fft_i`` / ``fft_j``.
+        :func:`coarse_forward_fft` with the same ``fft_shape`` -- the
+        per-tile reuse product of coarse mode, replacing the
+        full-resolution ``fft_i`` / ``fft_j``.
     ``workspace``
         A pair workspace sized for the **coarse** transform shape (in
         coarse mode :meth:`~repro.core.kernel.Phase1Kernel.workspace`
@@ -570,16 +566,13 @@ def coarse_pciam(
         raise ValueError(
             f"pciam requires same-size tiles, got {img_i.shape} vs {img_j.shape}"
         )
+    require_half_spectrum(real_transforms)
     full_shape = tuple(fft_shape) if fft_shape is not None else img_i.shape
     cshape = coarse_transform_shape(full_shape, coarse.factor)
     if cfft_i is None:
-        cfft_i = coarse_forward_fft(
-            img_i, coarse.factor, full_shape, real=real_transforms
-        )
+        cfft_i = coarse_forward_fft(img_i, coarse.factor, full_shape)
     if cfft_j is None:
-        cfft_j = coarse_forward_fft(
-            img_j, coarse.factor, full_shape, real=real_transforms
-        )
+        cfft_j = coarse_forward_fft(img_j, coarse.factor, full_shape)
     # Full-resolution statistics back both the refinement probes and the
     # fallback; build them once here when the caller did not.
     if stats_i is None:
@@ -590,8 +583,7 @@ def coarse_pciam(
     # demotes the true peak behind fixed-pattern artifacts on ~10% of
     # pairs, and the full-resolution contest is what sorts them out.
     peaks = correlation_peaks(
-        cfft_i, cfft_j, cshape, max(n_peaks, coarse.coarse_peaks),
-        real_transforms, workspace,
+        cfft_i, cfft_j, cshape, max(n_peaks, coarse.coarse_peaks), workspace
     )
 
     def fallback() -> PciamResult:
@@ -603,7 +595,6 @@ def coarse_pciam(
             fft_shape=fft_shape,
             ccf_mode=ccf_mode,
             n_peaks=n_peaks,
-            real_transforms=real_transforms,
             subpixel=subpixel,
             stats_i=stats_i,
             stats_j=stats_j,

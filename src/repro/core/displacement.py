@@ -28,7 +28,8 @@ side by side, each computing its own pairs, and the tiles two partitions
 read are built once before they start; ``overlap`` forces the stages'
 schedule or leaves it to :func:`_overlap_pays` on one partition (two
 or more run inline unless forced).  A watchdog supervises its tile
-reads under every preset.
+reads under every preset.  Simple-GPU, the paper's port of Simple-CPU,
+runs the loop too, with a device half in its seam (:class:`HostHalf`).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.recovery.watchdog import (
 
 __all__ = [
     "DisplacementResult",
+    "HostHalf",
     "Translation",
     "compute_grid_displacements",
     "partitioned_displacements",
@@ -107,6 +109,33 @@ def _overlap_pays(tile_shape) -> bool:
         tile_shape[0] * tile_shape[1] >= OVERLAP_MIN_TILE_PIXELS
         and usable_cpus() >= OVERLAP_MIN_CPUS
     )
+
+
+class HostHalf:
+    """The loop's seam -- a tile's products, a pair's registration, a
+    product's release -- filled by the kernel on the host: one workspace
+    serves the run's pairs, which are processed one at a time (built at
+    the first, which reveals the native tile shape).  Simple-GPU fills the
+    seam with its device half (:class:`repro.impls.simple_gpu.DeviceHalf`).
+    """
+
+    def __init__(self, kernel: Phase1Kernel) -> None:
+        self.kernel = kernel
+        self.products = kernel.products
+        self.workspace = None
+
+    def register(self, result: DisplacementResult, pair, first: tuple,
+                 second: tuple, stats: dict) -> Translation:
+        if self.workspace is None:
+            self.workspace = self.kernel.workspace(first[0].shape)
+            stats["workspace_bytes"] = self.workspace.nbytes
+        return self.kernel.register_pair(
+            result, pair.direction, pair.second.row, pair.second.col,
+            first, second, self.workspace, stats,
+        )
+
+    def release(self, products: tuple) -> None:
+        """Nothing to give back: the products go with their last reference."""
 
 
 class _TileStep(NamedTuple):
@@ -196,6 +225,7 @@ def compute_grid_displacements(
     shared: MutableMapping[GridPosition, tuple | None] | None = None,
     track: str = "phase1",
     overlap: bool | None = None,
+    half=None,
     **kernel_options,
 ) -> DisplacementResult:
     """Compute west/north translations for the whole grid, or one partition.
@@ -220,16 +250,21 @@ def compute_grid_displacements(
 
     ``kernel`` is the run's :class:`~repro.core.kernel.Phase1Kernel`;
     without one, ``kernel_options`` (``fft_shape``, ``ccf_mode``,
-    ``n_peaks``, ``real_transforms``, ``subpixel``, ``error_policy``,
-    ``fault_report``, ``tracer``, ``metrics``, ``journal``, ``coarse``)
+    ``n_peaks``, ``subpixel``, ``error_policy``, ``fault_report``,
+    ``tracer``, ``metrics``, ``journal``, ``coarse``)
     build it -- see that class for what each does.
 
     Whether the two stages overlap is decided here, from the first tile
     read and the CPUs this process may use (:func:`_overlap_pays`); it is
     not a stitch option.
     ``overlap=True``/``False`` forces one schedule: Pipelined-CPU runs
-    every partition overlapped, and the tests pin the two schedules
-    against each other.
+    every partition overlapped, Simple-GPU none, and the tests pin the
+    two schedules against each other.
+
+    ``half`` is the loop's seam (:class:`HostHalf`, the default): it
+    builds a tile's products, registers a pair from them and releases
+    them when the ledger frees the tile.  Simple-GPU passes its device
+    half; it is not a stitch option.
 
     Instrumented: ``result.stats`` records FFT/pair/read counts and the peak
     number of live transforms (these feed the Table I verification bench).
@@ -253,6 +288,8 @@ def compute_grid_displacements(
         kernel = Phase1Kernel(**kernel_options)
     elif kernel_options:
         raise TypeError("pass a kernel or kernel options, not both")
+    if half is None:
+        half = HostHalf(kernel)
     tracer = kernel.tracer
     tile_track, pair_track = f"{track}-tiles", f"{track}-pairs"
     grid = TileGrid(rows, cols)
@@ -291,7 +328,7 @@ def compute_grid_displacements(
 
     def release(pos: GridPosition) -> None:
         nonlocal released
-        del products[pos]
+        half.release(products.pop(pos))
         released += 1
 
     # The early-release ledger over the pairs still to compute.  Only the
@@ -305,13 +342,8 @@ def compute_grid_displacements(
     commit_step = (
         nullcontext if kernel.journal is None else kernel.journal.group
     )
-    # One workspace for the whole run: pairs are processed one at a time,
-    # so a single scratch set serves every pair (built once the first
-    # pair reveals the native tile shape).
-    workspace = None
 
     def register(step: _TileStep) -> None:
-        nonlocal workspace
         pos = step.pos
         if step.dropped:
             if step.reason is not None and kernel.journal is not None:
@@ -325,17 +357,13 @@ def compute_grid_displacements(
         products[pos] = step.products
         with commit_step():
             for pair in ledger.transform_ready(pos):
-                first, second = products[pair.first], products[pair.second]
-                if workspace is None:
-                    workspace = kernel.workspace(first[0].shape)
-                    stats["workspace_bytes"] = workspace.nbytes
                 # The span says which path produced the pair ("coarse" /
                 # "fallback", None = single pass) next to what it cost.
                 args = {} if tracer.enabled else None
                 with tracer.span("pair", pair_track, key=pair, args=args):
-                    t = kernel.register_pair(
-                        result, pair.direction, pair.second.row,
-                        pair.second.col, first, second, workspace, stats,
+                    t = half.register(
+                        result, pair, products[pair.first],
+                        products[pair.second], stats,
                     )
                     if args is not None:
                         args["provenance"] = t.provenance
@@ -364,9 +392,8 @@ def compute_grid_displacements(
             pixels, reason = read_tile(kernel, load_tile, pos, tile_track)
             if pixels is not None:
                 stats["reads"] += 1
-                products = kernel.products(
-                    pixels, stats, track=tile_track, key=pos
-                )
+                products = half.products(pixels, stats, track=tile_track,
+                                         key=pos)
         if products is None:
             failed_tiles.add(pos)
             n_skipped += len(todo)

@@ -222,9 +222,6 @@ class Phase1Kernel:
     :func:`~repro.core.coarse.coarse_pciam`; results then carry their
     ``"coarse"``/``"fallback"`` provenance into the journal).
 
-    Cost-only option: ``real_transforms`` (half-spectrum R2C/C2R; off
-    is the paper's verbatim complex scheme).
-
     Resource: ``planes``, the free list of float64 tile planes.
 
     Sinks, each optional: ``error_policy`` + ``fault_report`` (without a
@@ -242,7 +239,6 @@ class Phase1Kernel:
     fft_shape: tuple[int, int] | None = None
     subpixel: bool = False
     coarse: CoarseConfig | None = None
-    real_transforms: bool = True
     error_policy: ErrorPolicy | None = None
     fault_report: Any = None
     tracer: Any = None
@@ -285,17 +281,16 @@ class Phase1Kernel:
         return shape
 
     def buffer_shape(self, tile_shape) -> tuple[int, int]:
-        """Shape of a stored spectrum: ``(h, w//2 + 1)`` under real
-        transforms -- the paper's "roughly half the memory"."""
-        shape = self.transform_shape(tile_shape)
-        return spectrum_shape(shape) if self.real_transforms else shape
+        """Shape of a stored spectrum: the half-spectrum ``(h, w//2 + 1)``
+        -- the paper's "roughly half the memory"."""
+        return spectrum_shape(self.transform_shape(tile_shape))
 
     def workspace(self, tile_shape) -> PairWorkspace:
         """One pair worker's scratch for ``tile_shape`` tiles; in coarse
         mode it carries full-resolution scratch for fallbacks, allocated
         on the first."""
         return PairWorkspace(
-            self.transform_shape(tile_shape), real=self.real_transforms,
+            self.transform_shape(tile_shape),
             fallback_shape=(
                 None if self.coarse is None else self.full_shape(tile_shape)
             ),
@@ -395,9 +390,7 @@ class Phase1Kernel:
         where the tile's spectrum already is one."""
         if self.coarse is None:
             return None
-        return FullSpectrum(
-            pixels, self.full_shape(pixels.shape), self.real_transforms
-        )
+        return FullSpectrum(pixels, self.full_shape(pixels.shape))
 
     def host_products(self, pixels) -> tuple:
         """``(pixels, TileStats, fallback)``: what the host keeps of a tile
@@ -447,9 +440,7 @@ class Phase1Kernel:
             with tracer.span("downsample", track, key=key):
                 src = downsample(px, self.coarse.factor)
         with tracer.span("fft", track, key=key):
-            spectrum = forward_fft(
-                src, self._product_shape, real=self.real_transforms
-            )
+            spectrum = forward_fft(src, self._product_shape)
         with tracer.span("tilestats", track, key=key):
             tstats = TileStats._adopt(px, pixels, pool)
         bump(stats, "ffts")
@@ -483,7 +474,6 @@ class Phase1Kernel:
             fft_shape=self.fft_shape,
             ccf_mode=self.ccf_mode,
             n_peaks=self.n_peaks,
-            real_transforms=self.real_transforms,
             subpixel=self.subpixel,
             stats_i=stats_i,
             stats_j=stats_j,

@@ -154,9 +154,6 @@ class StitchOptions:
     traversal: Traversal = Traversal.CHAINED_DIAGONAL
     ccf_mode: CcfMode = CcfMode.EXTENDED
     n_peaks: int = 2
-    #: Half-spectrum R2C/C2R transforms; off is the paper's verbatim
-    #: complex scheme (same answers, twice the work and footprint).
-    real_transforms: bool = True
     subpixel: bool = False
     pad_to_smooth: bool = False
     position_method: str = "mst"
@@ -179,7 +176,7 @@ class StitchOptions:
             if not (name == "coarse" and value is False):
                 object.__setattr__(self, name, _switch(name, value, cls))
         object.__setattr__(self, "impl_options", dict(self.impl_options or {}))
-        for name in ("real_transforms", "subpixel", "pad_to_smooth"):
+        for name in ("subpixel", "pad_to_smooth"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(
                     f"{name} must be true or false, got {getattr(self, name)!r}"

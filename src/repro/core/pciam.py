@@ -30,7 +30,12 @@ import numpy as np
 from repro.core.ncc import normalized_correlation
 from repro.core.peak import peak_candidates, peak_magnitude_ratio, top_peaks
 from repro.core.tilestats import TileStats, ccf_at_stats, subpixel_refine_stats
-from repro.fftlib.plans import TransformKind, spectrum_shape, transform
+from repro.fftlib.plans import (
+    TransformKind,
+    require_half_spectrum,
+    spectrum_shape,
+    transform,
+)
 from repro.fftlib.smooth import next_smooth_shape, pad_to_shape
 
 
@@ -82,30 +87,28 @@ def bump(stats: dict | None, key: str, n: int = 1) -> None:
 def forward_fft(
     tile: np.ndarray,
     fft_shape: tuple[int, int] | None = None,
-    real: bool = False,
+    real: bool = True,
 ) -> np.ndarray:
     """Forward transform of a tile, optionally zero-padded to ``fft_shape``.
 
     This is the "FFT" pipeline stage: each tile's transform is computed
     once and shared by its (up to four) incident pairs.
 
-    ``real=True`` selects the real-to-complex transform (the paper's
-    second future-work optimization): tiles are real-valued, so the
-    half-spectrum of shape ``(h, w // 2 + 1)`` carries all information at
-    roughly half the work and memory.  The resulting spectra plug into the
-    same NCC (Hermitian symmetry is preserved by the normalization) and
-    invert through a ``C2R`` transform.
+    The transform is real-to-complex (the paper's second future-work
+    optimization): tiles are real-valued, so the half-spectrum of shape
+    ``(h, w // 2 + 1)`` carries all information at roughly half the work
+    and memory.  It plugs into the NCC (Hermitian symmetry is preserved
+    by the normalization) and inverts through a ``C2R`` transform.
 
-    Inputs already in the transform dtype/layout are used without copying;
-    other dtypes convert in a single pass.
+    float64 C-contiguous input is used without copying; other real
+    dtypes convert in a single pass.  ``real`` must be true (see
+    :func:`~repro.fftlib.plans.require_half_spectrum`).
     """
-    a = np.ascontiguousarray(
-        tile, dtype=np.float64 if real else np.complex128
-    )
+    require_half_spectrum(real)
+    a = np.ascontiguousarray(tile, dtype=np.float64)
     if fft_shape is not None and tuple(fft_shape) != a.shape:
         a = pad_to_shape(a, fft_shape)
-    kind = TransformKind.R2C if real else TransformKind.C2C_FORWARD
-    return transform(kind, a, a.shape)
+    return transform(TransformKind.R2C, a, a.shape)
 
 
 def smooth_fft_shape(tile_shape: tuple[int, int]) -> tuple[int, int]:
@@ -118,13 +121,12 @@ def correlation_peaks(
     fft_j: np.ndarray,
     shape: tuple[int, int],
     k: int,
-    real: bool,
     workspace=None,
 ) -> list[tuple[float, int, int]]:
     """Fig. 2 steps 2-4: NCC, inverse transform, top-``k`` peak reduction.
 
-    ``fft_i`` / ``fft_j`` are forward transforms at the spatial transform
-    ``shape`` (half-spectra when ``real``); returns the ``k`` largest
+    ``fft_i`` / ``fft_j`` are half-spectra of the spatial transform
+    ``shape`` (from :func:`forward_fft`); returns the ``k`` largest
     ``(magnitude, py, px)`` of the inverse NCC surface.  The same front
     half runs at every resolution: full PCIAM calls it at the tile's
     transform shape, the coarse first pass at the downsampled one.
@@ -134,11 +136,11 @@ def correlation_peaks(
     whose scratch buffers receive the NCC, its magnitude, the inverse and
     the peak magnitudes -- a warm pair allocates nothing array-sized.  It
     is scratch the caller refills every pair, so the inverse transform
-    consumes the workspace-held NCC in place (``overwrite_input``); a
+    consumes the workspace-held NCC in place (``overwrite_input``); the
     ``C2R`` inverse lands in the spatial buffer, whose magnitude the
     reduction then takes in place.
     """
-    expected = spectrum_shape(shape) if real else tuple(shape)
+    expected = spectrum_shape(shape)
     if fft_i.shape != expected or fft_j.shape != expected:
         raise ValueError(
             f"supplied transforms have shape {fft_i.shape}/{fft_j.shape}, "
@@ -150,10 +152,9 @@ def correlation_peaks(
             workspace.ncc, workspace.ncc_mag, workspace.spatial
         )
     ncc = normalized_correlation(fft_i, fft_j, out=ncc_out, mag_out=mag_out)
-    kind = TransformKind.C2R if real else TransformKind.C2C_INVERSE
     inv = transform(
-        kind, ncc, shape, overwrite_input=workspace is not None,
-        out=spatial if real else None,
+        TransformKind.C2R, ncc, shape, overwrite_input=workspace is not None,
+        out=spatial,
     )
     return top_peaks(inv, k, mag_out=spatial)
 
@@ -210,7 +211,7 @@ def pciam(
     fft_shape: tuple[int, int] | None = None,
     ccf_mode: CcfMode = CcfMode.PAPER4,
     n_peaks: int = 1,
-    real_transforms: bool = False,
+    real_transforms: bool = True,
     subpixel: bool = False,
     stats_i: TileStats | None = None,
     stats_j: TileStats | None = None,
@@ -224,8 +225,8 @@ def pciam(
         Same-shape grayscale tiles (any real dtype).  ``img_j`` is the
         east/south member of the pair under the package-wide convention.
     fft_i, fft_j:
-        Optional precomputed forward transforms (from :func:`forward_fft`
-        with the same ``fft_shape``); whichever is missing is computed here.
+        Optional precomputed half-spectra (from :func:`forward_fft` with
+        the same ``fft_shape``); whichever is missing is computed here.
     fft_shape:
         Transform size; ``None`` means the native tile shape.  Pass
         :func:`smooth_fft_shape` of the tile shape to enable the padding
@@ -237,11 +238,8 @@ def pciam(
         contest.  ``1`` is the paper's scheme; the Fiji plugin tests
         several, which is more robust on feature-poor overlaps.
     real_transforms:
-        Use real-to-complex transforms (half-spectrum NCC, ``C2R``
-        inverse) -- the paper's future-work optimization.  Results are
-        identical to the complex path; work and footprint roughly halve.
-        Precomputed ``fft_i``/``fft_j`` must then be half-spectra from
-        ``forward_fft(..., real=True)``.
+        Must be true: every transform is half-spectrum (R2C NCC, C2R
+        inverse; see :func:`~repro.fftlib.plans.require_half_spectrum`).
     stats_i, stats_j:
         Optional precomputed :class:`~repro.core.tilestats.TileStats`
         (computed here when omitted).  Like the forward transforms, tile
@@ -257,14 +255,13 @@ def pciam(
         raise ValueError(
             f"pciam requires same-size tiles, got {img_i.shape} vs {img_j.shape}"
         )
+    require_half_spectrum(real_transforms)
     shape = tuple(fft_shape) if fft_shape is not None else img_i.shape
     if fft_i is None:
-        fft_i = forward_fft(img_i, shape, real=real_transforms)
+        fft_i = forward_fft(img_i, shape)
     if fft_j is None:
-        fft_j = forward_fft(img_j, shape, real=real_transforms)
-    peaks = correlation_peaks(
-        fft_i, fft_j, shape, n_peaks, real_transforms, workspace
-    )
+        fft_j = forward_fft(img_j, shape)
+    peaks = correlation_peaks(fft_i, fft_j, shape, n_peaks, workspace)
     if stats_i is None:
         stats_i = TileStats(img_i)
     if stats_j is None:

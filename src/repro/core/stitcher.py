@@ -378,7 +378,6 @@ class Stitcher:
             subpixel=opts.subpixel,
             # Resolved once, here: every scheduler runs the same config.
             coarse=opts.coarse_for(dataset.tile_shape),
-            real_transforms=opts.real_transforms,
             error_policy=policy,
             fault_report=report,
             tracer=tracer,

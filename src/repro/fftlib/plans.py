@@ -21,16 +21,21 @@ from numpy import fft as _pocketfft
 
 
 class TransformKind(Enum):
-    """Supported transform kinds.
+    """The two transform kinds: the paper's second future-work
+    optimization (real-to-complex transforms halve both work and
+    footprint) is the only scheme -- tiles are real, so the half-spectrum
+    carries everything."""
 
-    ``R2C``/``C2R`` are the paper's second future-work optimization
-    (real-to-complex transforms halve both work and footprint).
-    """
-
-    C2C_FORWARD = "c2c_forward"
-    C2C_INVERSE = "c2c_inverse"
     R2C = "r2c"
     C2R = "c2r"
+
+
+def require_half_spectrum(real: bool) -> None:
+    """Refuse ``real=False``.  The ``real``/``real_transforms`` keywords
+    that call this stay only because ``benchmarks/e2e/replay.py`` spells
+    them ``True``."""
+    if not real:
+        raise ValueError("every transform is half-spectrum (R2C/C2R)")
 
 
 def spectrum_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -110,40 +115,27 @@ def transform(
 
     ``shape`` is the spatial problem shape (its last two entries are read;
     a leading batch axis is untouched).  ``overwrite_input`` lets the
-    first pass run in place in ``a``; ``out`` receives the result (the
-    real spatial surface for ``C2R``, the spectrum otherwise).
+    first pass of a ``C2R`` run in place in ``a``; ``out`` receives the result (the
+    real spatial surface for ``C2R``, the half-spectrum for ``R2C``).
 
     Runs on numpy's C++ pocketfft one axis at a time, in the order
     ``scipy.fft``'s multi-axis transforms use and with the ``1/(h*w)``
-    of an inverse applied where they apply it, so every spectrum and
-    surface equals ``scipy.fft``'s byte for byte (``C2C`` input must be
-    complex).  Each second pass runs in place, so a transform allocates
-    at most its output -- plus, for a ``C2R`` that may not clobber its
-    input, one spectrum-sized intermediate.
+    of the inverse applied where they apply it, so every spectrum and
+    surface equals ``scipy.fft``'s byte for byte.  Each second pass runs
+    in place, so a transform allocates at most its output -- plus, for a
+    ``C2R`` that may not clobber its input, one spectrum-sized
+    intermediate.
     """
     h, w = shape[-2:]
     _ledger.record(kind, (int(h), int(w)))
     if kind is TransformKind.R2C:
         spec = _pocketfft.rfft(a, axis=-1, out=out)
         return _pocketfft.fft(spec, axis=-2, out=spec)
-    first = out if out is not None else (a if overwrite_input else None)
-    if kind is TransformKind.C2C_FORWARD:
-        spec = _pocketfft.fft(a, axis=-2, out=first)
-        return _pocketfft.fft(spec, axis=-1, out=spec)
-    # Inverses pass norm="forward" (no scaling of their own) and take
-    # scipy's 1/(h*w): per component after the first pass for C2C, on the
-    # real output for C2R.
-    scale = 1.0 / (h * w)
-    if kind is TransformKind.C2C_INVERSE:
-        spec = _pocketfft.ifft(a, axis=-2, norm="forward", out=first)
-        parts = spec.view(np.float64)
-        np.multiply(parts, scale, out=parts)
-        return _pocketfft.ifft(spec, axis=-1, norm="forward", out=spec)
-    if kind is TransformKind.C2R:
-        spec = _pocketfft.ifft(
-            a, axis=-2, norm="forward", out=a if overwrite_input else None
-        )
-        real = _pocketfft.irfft(spec, n=w, axis=-1, norm="forward", out=out)
-        real *= scale
-        return real
-    raise ValueError(kind)  # pragma: no cover - exhaustive enum
+    # The inverse passes norm="forward" (no scaling of its own) and takes
+    # scipy's 1/(h*w) on the real output.
+    spec = _pocketfft.ifft(
+        a, axis=-2, norm="forward", out=a if overwrite_input else None
+    )
+    real = _pocketfft.irfft(spec, n=w, axis=-1, norm="forward", out=out)
+    real *= 1.0 / (h * w)
+    return real

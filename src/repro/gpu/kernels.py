@@ -1,4 +1,4 @@
-"""Device kernels: FFT, NCC, inverse FFT, max-reduce (real math).
+"""Device kernels: R2C FFT, NCC, C2R inverse, max-reduce (real math).
 
 Each kernel mirrors one custom CUDA kernel or cuFFT call of the paper's
 Simple-GPU / Pipelined-GPU implementations.  They operate on device-side
@@ -26,25 +26,6 @@ from repro.gpu.stream import Stream
 
 def _area(a: np.ndarray) -> int:
     return int(a.shape[-2] * a.shape[-1])
-
-
-def fft2_kernel(
-    device: VirtualGpu,
-    src: np.ndarray,
-    dst: np.ndarray,
-    stream: Stream | None = None,
-    not_before: float = 0.0,
-):
-    """Forward 2-D c2c transform of ``src`` (device) into ``dst`` (device)."""
-    stream = stream or device.default_stream
-
-    def do() -> None:
-        transform(TransformKind.C2C_FORWARD, src, dst.shape, out=dst)
-
-    _, event = stream.submit(
-        "cufft-fwd", "compute", do, device.costs.fft(_area(src)), 0, not_before
-    )
-    return event
 
 
 def rfft2_kernel(
@@ -120,25 +101,6 @@ def ncc_kernel(
     return event
 
 
-def ifft2_kernel(
-    device: VirtualGpu,
-    src: np.ndarray,
-    dst: np.ndarray,
-    stream: Stream | None = None,
-    not_before: float = 0.0,
-):
-    """Inverse 2-D c2c transform (cuFFT backward)."""
-    stream = stream or device.default_stream
-
-    def do() -> None:
-        transform(TransformKind.C2C_INVERSE, src, dst.shape, out=dst)
-
-    _, event = stream.submit(
-        "cufft-inv", "compute", do, device.costs.fft(_area(src)), 0, not_before
-    )
-    return event
-
-
 def reduce_max_kernel(
     device: VirtualGpu,
     src: np.ndarray,
@@ -176,25 +138,21 @@ def correlate_pair(
     fft_i: np.ndarray,
     fft_j: np.ndarray,
     scratch: np.ndarray,
-    inverse: np.ndarray | None,
+    inverse: np.ndarray,
     stream: Stream,
     k: int,
     not_before: float = 0.0,
 ):
     """One pair's device work: NCC -> inverse -> top-``k`` reduce -> D2H.
 
-    The NCC lands in ``scratch``; the inverse is a C2R into ``inverse``
-    (real transforms) or, when that is ``None``, a C2C in place.  Only the
-    NCC waits for ``not_before`` (both forward transforms done); stream
-    order chains the rest.  Only the O(k) reduction scalars are copied
-    back.  Returns ``(peaks, d2h event)``.
+    The NCC lands in ``scratch`` (half-spectrum shaped); the inverse is a
+    C2R into the real spatial surface ``inverse``.  Only the NCC waits
+    for ``not_before`` (both forward transforms done); stream order
+    chains the rest.  Only the O(k) reduction scalars are copied back.
+    Returns ``(peaks, d2h event)``.
     """
     ncc_kernel(device, fft_i, fft_j, scratch, stream, not_before=not_before)
-    if inverse is not None:
-        irfft2_kernel(device, scratch, inverse, stream)
-    else:
-        ifft2_kernel(device, scratch, scratch, stream)
-        inverse = scratch
+    irfft2_kernel(device, scratch, inverse, stream)
     peaks, _ = reduce_max_kernel(device, inverse, stream, k=k)
     flat = np.array([v for p in peaks for v in p], dtype=np.float64)
     _, event = device.d2h(flat, stream)

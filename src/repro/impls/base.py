@@ -42,12 +42,13 @@ class Implementation(abc.ABC):
     :class:`~repro.pipeline.graph.Pipeline`, and every CPU preset
     supervises its tile reads with it, on threads it can abandon.
     Fiji-baseline and Simple-GPU ignore it -- they run on the caller's
-    thread, which cannot be supervised by itself; ``Stitcher`` rejects
-    the combination.
+    thread (Simple-GPU is Simple-CPU's sequential loop with a device
+    half in its seam, never moved to a thread), which cannot be
+    supervised by itself; ``Stitcher`` rejects the combination.
 
-    Under a skip policy a scheduler treats a ``None`` tile from
-    ``kernel.read`` as failed and skips its pairs; :meth:`run` then
-    accepts the resulting incomplete grid.
+    Under a skip policy a scheduler treats a tile the kernel's read
+    dropped as failed and skips its pairs; :meth:`run` then accepts the
+    resulting incomplete grid.
     """
 
     name: str = "base"

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.displacement import DisplacementResult, fold_stats
 from repro.gpu.device import VirtualGpu
-from repro.gpu.kernels import correlate_pair, fft2_kernel, rfft2_kernel
+from repro.gpu.kernels import correlate_pair, rfft2_kernel
 from repro.grid.ledger import PairBookkeeper
 from repro.grid.neighbors import Pair
 from repro.grid.tile_grid import GridPosition, TileGrid
@@ -185,7 +185,6 @@ class PipelinedGpu(Implementation):
         fft_shape = kernel.transform_shape(dataset.tile_shape)
         bk = PairBookkeeper(grid, pairs=part.pairs, metrics=kernel.metrics)
 
-        real = kernel.real_transforms
         # Half-spectrum transforms shrink every pool buffer to (h, w//2+1)
         # complex values -- cuFFT R2C halves both footprint and FFT work.
         buf_shape = kernel.buffer_shape(dataset.tile_shape)
@@ -202,10 +201,9 @@ class PipelinedGpu(Implementation):
         # Persistent scratch surface for NCC/inverse-FFT (the "backward
         # transform" buffer class of the paper's pool).  The c2r inverse
         # lands on a real spatial surface that cannot alias the
-        # half-spectrum NCC buffer, so real mode carries one extra float64
-        # scratch (still less memory than the single full complex surface).
+        # half-spectrum NCC buffer, so it has a float64 scratch of its own.
         scratch = device.alloc(buf_shape, dtype=np.complex128)
-        inv_scratch = device.alloc(fft_shape, dtype=np.float64) if real else None
+        inv_scratch = device.alloc(fft_shape, dtype=np.float64)
 
         def real_slot_view(buf: np.ndarray) -> np.ndarray:
             # cuFFT's in-place R2C layout: the (h, w//2+1) complex slot's
@@ -280,12 +278,9 @@ class PipelinedGpu(Implementation):
         def copier(item: _TileItem):
             slot = pool.acquire(timeout=self.pool_timeout)
             src = kernel.transform_input(item.pixels, fft_shape)
-            if real:
-                # Copy the raw float64 tile (half the bytes of the complex
-                # staging copy) into the slot's in-place R2C input view.
-                ev = device.h2d(src, real_slot_view(pool.array(slot)), stream_copy)
-            else:
-                ev = device.h2d(src.astype(np.complex128), pool.array(slot), stream_copy)
+            # Copy the raw float64 tile (half the bytes of a complex
+            # staging copy) into the slot's in-place R2C input view.
+            ev = device.h2d(src, real_slot_view(pool.array(slot)), stream_copy)
             entry = kernel.host_products(item.pixels)
             with state_lock:
                 # Not if dropped neighbours already cancelled every pair
@@ -299,11 +294,8 @@ class PipelinedGpu(Implementation):
             buf = pool.array(item.slot)
             # Event wait: the forward transform cannot start before its
             # tile's H2D copy completed on the copy stream.
-            if real:
-                ev = rfft2_kernel(device, real_slot_view(buf), buf, stream_fft,
-                                  not_before=item.copied_at)
-            else:
-                ev = fft2_kernel(device, buf, buf, stream_fft, not_before=item.copied_at)
+            ev = rfft2_kernel(device, real_slot_view(buf), buf, stream_fft,
+                              not_before=item.copied_at)
             with state_lock:
                 fft_done_at[item.pos] = ev.end
             with stats_lock:
@@ -382,9 +374,8 @@ class PipelinedGpu(Implementation):
                 # stream's virtual timeline.
                 ready = max(fft_done_at[pair.first], fft_done_at[pair.second])
             peaks, _ = correlate_pair(
-                device, fft_i, fft_j, scratch.data,
-                inv_scratch.data if real else None, stream_disp,
-                kernel.peak_count, not_before=ready,
+                device, fft_i, fft_j, scratch.data, inv_scratch.data,
+                stream_disp, kernel.peak_count, not_before=ready,
             )
             # Feedback entry for memory management (Fig. 8).
             q23.put(_PairDone(pair))

@@ -6,12 +6,11 @@ Each registered pair needs three scratch surfaces:
     The normalized cross-power spectrum (complex128, spectrum-shaped) --
     written through the ``out=`` parameter of
     :func:`repro.core.ncc.normalized_correlation` and then consumed (and
-    clobbered, via ``overwrite_input=True``) by the inverse transform; a
-    ``C2C`` inverse runs in place in it.
+    clobbered, via ``overwrite_input=True``) by the inverse transform.
 ``ncc_mag``
     Magnitude scratch for the NCC normalization (float64, spectrum-shaped).
 ``spatial``
-    The spatial surface (float64, transform-shaped): a ``C2R`` inverse
+    The spatial surface (float64, transform-shaped): the ``C2R`` inverse
     lands in it through ``transform(..., out=)``, and the peak reduction
     takes the magnitude of the inverse in it, in place.
 
@@ -32,15 +31,14 @@ import queue
 
 import numpy as np
 
-from repro.fftlib.plans import spectrum_shape
+from repro.fftlib.plans import require_half_spectrum, spectrum_shape
 
 
 class PairWorkspace:
     """One pair worker's scratch surfaces for ``fft_shape`` transforms.
 
-    ``real=True`` sizes the complex surfaces for the half-spectrum
-    ``(h, w//2+1)``; ``real=False`` for the full complex spectrum.  A
-    ``fallback_shape`` (the full-resolution transform shape of a
+    The complex surfaces are sized for the half-spectrum ``(h, w//2+1)``.
+    A ``fallback_shape`` (the full-resolution transform shape of a
     coarse-shaped workspace) gives it a :attr:`fallback` of that shape,
     allocated only if a pair falls back.
     """
@@ -50,17 +48,14 @@ class PairWorkspace:
     def __init__(
         self,
         fft_shape: tuple[int, int],
-        real: bool = True,
         fallback_shape: tuple[int, int] | None = None,
     ) -> None:
         fft_shape = tuple(int(n) for n in fft_shape)
-        spec = spectrum_shape(fft_shape) if real else fft_shape
+        spec = spectrum_shape(fft_shape)
         self.ncc = np.empty(spec, dtype=np.complex128)
         self.ncc_mag = np.empty(spec, dtype=np.float64)
         self.spatial = np.empty(fft_shape, dtype=np.float64)
-        self._fallback = (
-            None if fallback_shape is None else (fallback_shape, real)
-        )
+        self._fallback = fallback_shape
 
     @property
     def nbytes(self) -> int:
@@ -72,12 +67,13 @@ class PairWorkspace:
         workspace: allocated on the first one and kept for the rest;
         ``None`` for a workspace without."""
         if isinstance(self._fallback, tuple):
-            self._fallback = PairWorkspace(*self._fallback)
+            self._fallback = PairWorkspace(self._fallback)
         return self._fallback
 
 
 class WorkspaceArena:
-    """``count`` :class:`PairWorkspace` sets, allocated once.
+    """``count`` :class:`PairWorkspace` sets, allocated once (``real``
+    must be true, see :func:`~repro.fftlib.plans.require_half_spectrum`).
 
     ``acquire`` hands one out and blocks while all ``count`` are out (a
     worker-count mismatch, so a generous timeout raises ``TimeoutError``
@@ -91,10 +87,11 @@ class WorkspaceArena:
         count: int = 1,
         fallback_shape: tuple[int, int] | None = None,
     ) -> None:
+        require_half_spectrum(real)
         self.count = int(count)
         self._free: queue.LifoQueue[PairWorkspace] = queue.LifoQueue()
         for _ in range(self.count):
-            self._free.put(PairWorkspace(fft_shape, real, fallback_shape))
+            self._free.put(PairWorkspace(fft_shape, fallback_shape))
 
     def acquire(self, timeout: float | None = 60.0) -> PairWorkspace:
         try:

@@ -22,6 +22,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.grid.neighbors import Pair
 from repro.observe.tracer import NULL_TRACER
 from repro.pipeline.queues import MonitorQueue, QueueClosed
 from repro.recovery.cancel import enter_item, exit_item
@@ -33,12 +34,16 @@ END_OF_STREAM = object()
 def item_key(item: Any) -> str | None:
     """Short stable identity of a work item for span labelling.
 
-    Fig. 8's work items are dataclasses carrying a ``pos`` (tile) or
-    ``pair`` attribute; falling back to ``repr`` would stringify tile
-    pixel arrays, so anything else is labelled by type only.
+    Fig. 8's work items are pairs or dataclasses carrying a ``pos``
+    (tile) or ``pair`` attribute, keyed ``str(pos)`` / ``str(pair)`` as
+    the CPU schedulers key their spans; falling back to ``repr`` would
+    stringify tile pixel arrays, so anything else is labelled by type
+    only.
     """
-    if item is None:
+    if item is None or item is END_OF_STREAM:
         return None
+    if isinstance(item, Pair):
+        return str(item)
     for attr in ("pos", "pair"):
         v = getattr(item, attr, None)
         if v is not None:
@@ -159,12 +164,15 @@ class Stage:
         return list(self._inflight.values())
 
     def _handle(self, item: Any, worker_index: int) -> Any:
+        """``handler(item)``, traced and supervised.  A source's span is
+        keyed by the item it produced (it is called with ``None``)."""
         tracer = self.tracer
         span_t0 = tracer.now() if tracer.enabled else 0.0
         prev_token = None
         if self.supervised:
             prev_token = enter_item(self._inflight, worker_index, item_key(item))
         t0 = time.perf_counter()
+        result = None
         try:
             result = self.handler(item)
         finally:
@@ -179,7 +187,7 @@ class Stage:
                     f"{self.track_base}-{worker_index}",
                     span_t0,
                     span_t0 + dt,
-                    key=item_key(item),
+                    key=item_key(result if item is None else item),
                 )
             if self.metrics is not None:
                 self.metrics.counter(f"stage.{self.name}.items").inc()

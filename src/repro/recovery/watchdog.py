@@ -108,7 +108,6 @@ class StallReport:
 
     pipeline: str
     kind: str | None = None
-    escalated: bool = False
     detail: str = ""
     interventions: list[Intervention] = field(default_factory=list)
     #: ``stage -> [ {worker, key, elapsed} ]`` snapshot at escalation time.
@@ -120,7 +119,6 @@ class StallReport:
         return {
             "pipeline": self.pipeline,
             "kind": self.kind,
-            "escalated": self.escalated,
             "detail": self.detail,
             "interventions": [
                 {
@@ -175,7 +173,7 @@ class Watchdog:
 
     @property
     def escalated(self) -> bool:
-        return self._report is not None and self._report.escalated
+        return self._report is not None
 
     def report(self) -> StallReport | None:
         """The escalation report, or ``None`` while the watchdog has not
@@ -293,7 +291,6 @@ class Watchdog:
             self._report = StallReport(
                 pipeline=self.pipeline.name,
                 kind=kind,
-                escalated=True,
                 detail=detail,
                 interventions=list(self.interventions),
                 inflight=inflight,

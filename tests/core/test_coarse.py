@@ -132,15 +132,6 @@ class TestCoarseRecovery:
         )
         assert (c.ty, c.tx) == (6, 98)
 
-    def test_real_transforms_match_complex(self):
-        img_i, img_j = cut_pair(4, 96)
-        a = coarse_pciam(img_i, img_j, CoarseConfig(),
-                         ccf_mode=CcfMode.EXTENDED, n_peaks=2)
-        b = coarse_pciam(img_i, img_j, CoarseConfig(),
-                         ccf_mode=CcfMode.EXTENDED, n_peaks=2,
-                         real_transforms=True)
-        assert (a.ty, a.tx) == (b.ty, b.tx)
-
     def test_precomputed_coarse_spectra_match_internal(self):
         img_i, img_j = cut_pair(3, 95)
         cfg = CoarseConfig()
@@ -232,7 +223,7 @@ class TestConfidenceGate:
         peaks = correlation_peaks(
             coarse_forward_fft(img_i, cfg.factor, img_i.shape),
             coarse_forward_fft(img_j, cfg.factor, img_j.shape),
-            cshape, cfg.coarse_peaks, False, None,
+            cshape, cfg.coarse_peaks, None,
         )
         full = pciam(img_i, img_j, **KW)
 

@@ -35,10 +35,9 @@ def tile_of(dtype, shape, seed=3):
     return (rng.random(shape) * 4000.0).astype(dtype)
 
 
-def kernel_for(shape, coarse, real, pad):
+def kernel_for(shape, coarse, pad):
     return Phase1Kernel(
         coarse=CoarseConfig() if coarse else None,
-        real_transforms=real,
         fft_shape=smooth_fft_shape(shape) if pad else None,
     )
 
@@ -50,7 +49,7 @@ def three_copy_products(kernel, pixels):
         src = downsample(pixels, kernel.coarse.factor)
     shape = (None if kernel.fft_shape is None
              else kernel.transform_shape(pixels.shape))
-    spectrum = forward_fft(src, shape, real=kernel.real_transforms)
+    spectrum = forward_fft(src, shape)
     # A float64 tile the statistics do not own: the constructor copies it
     # into ``px - px.mean()``, the old expression.
     stats = TileStats(np.asarray(pixels, dtype=np.float64))
@@ -72,14 +71,15 @@ def summary(request, monkeypatch):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("coarse", [True, False], ids=["coarse", "full"])
-@pytest.mark.parametrize("real", [True, False], ids=["r2c", "c2c"])
+# One transform kind is left (R2C); the id still names it.
+@pytest.mark.parametrize("kind", ["r2c"])
 @pytest.mark.parametrize("pad", [False, True], ids=["native", "smooth"])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_fused_products_equal_three_copy_build(dtype, coarse, real, pad,
+def test_fused_products_equal_three_copy_build(dtype, coarse, kind, pad,
                                                shape, summary):
     pixels = tile_of(dtype, shape)
     kept = pixels.copy()
-    kernel = kernel_for(shape, coarse, real, pad)
+    kernel = kernel_for(shape, coarse, pad)
     want_spectrum, want = three_copy_products(kernel, pixels)
     raw, spectrum, stats, fallback = kernel.products(pixels)
     assert raw is pixels
@@ -144,7 +144,7 @@ def test_tile_stats_leaves_caller_memory_alone(kind, tmp_path):
 @pytest.mark.parametrize("coarse", [True, False], ids=["coarse", "full"])
 def test_products_leave_caller_memory_alone(kind, coarse, tmp_path):
     tile, before = caller_owned(kind, tmp_path)
-    kernel = kernel_for(tile.shape, coarse, real=True, pad=False)
+    kernel = kernel_for(tile.shape, coarse, pad=False)
     want_spectrum, want = three_copy_products(kernel, tile)
     _, spectrum, stats, _ = kernel.products(tile)
     assert np.array(tile).tobytes() == before.tobytes()

@@ -179,6 +179,14 @@ def test_unknown_option_name_is_a_type_error():
             StitchOptions.from_flat({name: "measure"})
 
 
+def test_real_transforms_is_an_unknown_option():
+    """The complex scheme is gone, and so is its switch, at every door."""
+    with pytest.raises(TypeError, match="real_transforms"):
+        StitchOptions.from_flat({"real_transforms": True})
+    with pytest.raises(ValueError, match="real_transforms"):
+        JobSpec(dataset="x", options={"real_transforms": True})
+
+
 def test_resume_mode_checked_at_construction(tmp_path):
     with pytest.raises(ValueError, match="resume"):
         Stitcher(resume="bogus", checkpoint=str(tmp_path))
@@ -245,7 +253,7 @@ def test_fingerprint_is_what_the_parent_commit_emitted(dataset_4x4, tmp_path):
         "position_method": "least_squares", "refine": True, "subpixel": True,
         "ccf_mode": "paper4", "n_peaks": 1,
         # None of these is result-affecting, so none is fingerprinted.
-        "quality": True, "real_transforms": False, "max_retries": 2,
+        "quality": True, "max_retries": 2,
         "impl": "pipelined-cpu",
     })
     assert json.dumps(variant.fingerprint(ds97)) == VARIANT_FINGERPRINT

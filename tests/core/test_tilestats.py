@@ -273,8 +273,8 @@ class TestC2rPlanCache:
                       if r["kind"] == TransformKind.C2R.value]
             return tuple(row["shape"]), row["hits"], row["misses"]
 
-        r1 = pciam(img_i, img_j, real_transforms=True)
+        r1 = pciam(img_i, img_j)
         assert c2r() == (img_i.shape, 0, 1)
-        r2 = pciam(img_i, img_j, real_transforms=True)
+        r2 = pciam(img_i, img_j)
         assert c2r() == (img_i.shape, 1, 1)
         assert (r1.tx, r1.ty) == (r2.tx, r2.ty)

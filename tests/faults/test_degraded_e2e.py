@@ -78,6 +78,11 @@ class TestPhysicalDamage:
         with pytest.raises(PipelineError, match="read"):
             Stitcher(max_retries=1, on_tile_error="abort").stitch(ds)
 
+    def test_simple_gpu_fails_as_the_cpu_presets_do(self, damaged):
+        ds, _clean = damaged  # Simple-GPU runs their loop, read_tile included
+        with pytest.raises(PipelineError, match="read"):
+            Stitcher(impl="simple-gpu", max_retries=1).stitch(ds)
+
 
 class TestInjectedFaultsAcceptance:
     """The ISSUE acceptance scenario on a 6x6 grid."""

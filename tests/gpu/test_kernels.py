@@ -6,7 +6,12 @@ import scipy.fft as sf
 
 from repro.core.ncc import normalized_correlation
 from repro.gpu.device import VirtualGpu
-from repro.gpu.kernels import fft2_kernel, ifft2_kernel, ncc_kernel, reduce_max_kernel
+from repro.gpu.kernels import (
+    irfft2_kernel,
+    ncc_kernel,
+    reduce_max_kernel,
+    rfft2_kernel,
+)
 
 
 @pytest.fixture
@@ -15,23 +20,24 @@ def dev():
 
 
 def upload(dev, host):
-    buf = dev.alloc(host.shape)
+    buf = dev.alloc(host.shape, dtype=host.dtype)
     buf.data[...] = host
     return buf
 
 
 class TestKernels:
     def test_fft_matches_scipy(self, dev):
-        a = np.random.default_rng(0).random((16, 16)).astype(np.complex128)
-        src, dst = upload(dev, a), dev.alloc((16, 16))
-        fft2_kernel(dev, src.data, dst.data)
-        assert np.allclose(dst.data, sf.fft2(a))
+        a = np.random.default_rng(0).random((16, 15))
+        src, dst = upload(dev, a), dev.alloc((16, 8))
+        rfft2_kernel(dev, src.data, dst.data)
+        assert np.allclose(dst.data, sf.rfft2(a))
 
     def test_ifft_roundtrip(self, dev):
-        a = np.random.default_rng(1).random((12, 12)).astype(np.complex128)
-        src, mid, out = upload(dev, a), dev.alloc((12, 12)), dev.alloc((12, 12))
-        fft2_kernel(dev, src.data, mid.data)
-        ifft2_kernel(dev, mid.data, out.data)
+        a = np.random.default_rng(1).random((12, 11))
+        src, mid = upload(dev, a), dev.alloc((12, 6))
+        out = dev.alloc((12, 11), dtype=np.float64)
+        rfft2_kernel(dev, src.data, mid.data)
+        irfft2_kernel(dev, mid.data, out.data)
         assert np.allclose(out.data, a)
 
     def test_ncc_matches_cpu(self, dev):
@@ -73,13 +79,13 @@ class TestKernels:
             reduce_max_kernel(dev, buf.data, k=0)
 
     def test_kernels_trace_on_compute_engine(self, dev):
-        a = np.ones((8, 8), dtype=np.complex128)
-        src, dst = upload(dev, a), dev.alloc((8, 8))
-        fft2_kernel(dev, src.data, dst.data)
+        a = np.ones((8, 8))
+        src, dst = upload(dev, a), dev.alloc((8, 5))
+        rfft2_kernel(dev, src.data, dst.data)
         ncc_kernel(dev, dst.data, dst.data, dst.data)
         reduce_max_kernel(dev, dst.data)
         names = [e.name for e in dev.profiler.events]
-        assert names == ["cufft-fwd", "ncc", "reduce-max"]
+        assert names == ["cufft-fwd-r2c", "ncc", "reduce-max"]
         assert all(e.engine == "compute" for e in dev.profiler.events)
         # One kernel at a time on the compute engine (Fermi cuFFT note).
         evs = dev.profiler.events

@@ -22,14 +22,15 @@ H, W = 520, 696
 PLANE = H * W * 8
 
 
-@pytest.mark.parametrize("real", [True, False], ids=["r2c", "c2c"])
-def test_warm_register_pair_peaks_below_one_spatial_plane(real):
+# One transform kind is left (R2C/C2R); the id still names it.
+@pytest.mark.parametrize("kind", ["r2c"])
+def test_warm_register_pair_peaks_below_one_spatial_plane(kind):
     rng = np.random.default_rng(11)
     plate = rng.integers(0, 65535, size=(H, W + 200), dtype=np.uint16)
-    kernel = Phase1Kernel(real_transforms=real, n_peaks=2)
+    kernel = Phase1Kernel(n_peaks=2)
     first = kernel.products(plate[:, :W])
     second = kernel.products(plate[:, 200:])
-    ws = PairWorkspace((H, W), real=real)
+    ws = PairWorkspace((H, W))
     disp = DisplacementResult.empty(1, 2)
     warm = kernel.register_pair(disp, Direction.WEST, 0, 1, first, second,
                                 workspace=ws)
@@ -46,18 +47,17 @@ def test_warm_register_pair_peaks_below_one_spatial_plane(real):
 
 
 def test_workspace_surfaces():
-    ws = PairWorkspace((H, W), real=True, fallback_shape=(2 * H, 2 * W))
+    ws = PairWorkspace((H, W), fallback_shape=(2 * H, 2 * W))
     assert ws.ncc.shape == ws.ncc_mag.shape == (H, W // 2 + 1)
     assert ws.spatial.shape == (H, W) and ws.spatial.dtype == np.float64
     assert ws.nbytes == ws.ncc.nbytes + ws.ncc_mag.nbytes + ws.spatial.nbytes
     assert ws.fallback is ws.fallback  # allocated once, on first use
     assert ws.fallback.spatial.shape == (2 * H, 2 * W)
     assert ws.fallback.fallback is None
-    assert PairWorkspace((H, W), real=False).ncc.shape == (H, W)
 
 
 def test_arena_hands_out_a_fixed_set():
-    arena = WorkspaceArena((H, W), real=True, count=2)
+    arena = WorkspaceArena((H, W), count=2)
     a, b = arena.acquire(), arena.acquire()
     assert a is not b and a.ncc.shape == (H, W // 2 + 1)
     with pytest.raises(TimeoutError):

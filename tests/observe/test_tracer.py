@@ -6,6 +6,7 @@ from repro.core.stitcher import Stitcher
 from repro.grid.neighbors import Pair
 from repro.grid.tile_grid import GridPosition
 from repro.observe import NULL_TRACER, Span, Tracer
+from repro.synth import make_synthetic_dataset
 
 
 class TestSpanRecording:
@@ -124,6 +125,23 @@ class TestSpanKeys:
             "Pair(first=GridPosition(row=0, col=3), second=GridPosition("
             "row=1, col=3), direction=<Direction.NORTH: 'north'>)"
         ) in keys["pair"]
+
+    def test_pipelined_gpu_stages_key_tiles_and_pairs(self, tmp_path):
+        """Fig. 8's read source and displacement stage key their spans as
+        the CPU schedulers do, so a span -- or a stalled item the watchdog
+        reports -- names its tile or pair."""
+        tracer = Tracer()
+        Stitcher(impl="pipelined-gpu", trace=tracer).stitch(
+            make_synthetic_dataset(tmp_path, rows=3, cols=3, tile_height=48,
+                                   tile_width=48, overlap=0.25, seed=3))
+        keys: dict[str, set] = {}
+        for span in tracer.spans:
+            keys.setdefault(span.name, set()).add(span.key)
+        # The source's last call ends the stream and reads no tile.
+        assert keys["read"] == {None} | {f"GridPosition(row={r}, col={c})"
+                                         for r in range(3) for c in range(3)}
+        assert len(keys["displacement"]) == 12
+        assert all(k.startswith("Pair(first=") for k in keys["displacement"])
 
 
 class TestThreadSafety:

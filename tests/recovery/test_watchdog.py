@@ -166,7 +166,7 @@ class TestEscalation:
         with pytest.raises(PipelineStallError) as ei:
             run(pipe)
         report = ei.value.report
-        assert report.kind == "item_hang" and report.escalated
+        assert report.kind == "item_hang"
         assert any(i.action == "escalated" for i in report.interventions)
         assert report.to_dict()["kind"] == "item_hang"
 
@@ -198,7 +198,7 @@ class TestEscalation:
         assert elapsed < 0.2 + 2 * (5.0 * 0.2) + 2.0
         assert len(ei.value.abandoned_threads) == 1  # only the wedged read
         report = ei.value.report
-        assert report.kind == "item_hang" and report.escalated
+        assert report.kind == "item_hang"
         assert report.pipeline == "pipelined-cpu"
         assert report.inflight["read"][0]["key"] == "GridPosition(row=2, col=2)"
         assert [i.action for i in report.interventions] == [
@@ -227,7 +227,7 @@ class TestEscalation:
         assert elapsed < 0.2 + 2 * (5.0 * 0.2) + 2.0
         assert len(ei.value.abandoned_threads) == 1
         report = ei.value.report
-        assert report.kind == "item_hang" and report.escalated
+        assert report.kind == "item_hang"
         assert report.pipeline == "simple-cpu"
         assert report.inflight["read"][0]["key"] == "GridPosition(row=2, col=2)"
 
@@ -254,7 +254,7 @@ class TestEscalation:
             run(pipe)
         assert time.monotonic() - t0 < 10.0
         report = ei.value.report
-        assert report.kind == "pipeline_stall" and report.escalated
+        assert report.kind == "pipeline_stall"
         assert report.progress["queues"]["work"]["depth"] > 0
 
 

@@ -31,16 +31,21 @@ def test_phase1_holds_one_release_ledger_and_no_band_loop():
     the CCF stage.  The discrete-event simulator's counters model time,
     not tile memory, and phase 2's block back substitution updates
     solution blocks, not counts.  No scheduler writes its own loop over
-    west and north pairs: MT-CPU and Pipelined-CPU run Simple-CPU's over
-    their partitions."""
+    west and north pairs: MT-CPU, Pipelined-CPU and Simple-GPU run
+    Simple-CPU's, so only that loop, the simulator's replay of it and
+    Pipelined-GPU's bookkeeping stage build a ledger."""
     gone = {"RefCounter", "pairs_done", "maybe_release", "release_if_done",
             "row_products", "band_pairs"}
-    counts, band_loops = set(), set()
+    counts, band_loops, ledgers = set(), set(), set()
     for where, tree in modules():
         for node in ast.walk(tree):
             names = {getattr(node, a, None)
                      for a in ("id", "attr", "name", "arg", "asname")}
             assert not names & gone, f"{where}:{node.lineno}: {names & gone}"
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(call.func, "id", None) == "PairBookkeeper"
+                    for call in ast.walk(node) if isinstance(call, ast.Call)):
+                ledgers.add(f"{where}::{node.name}")
             if (isinstance(node, ast.AugAssign)
                     and isinstance(node.op, ast.Sub)
                     and isinstance(node.target, ast.Subscript)
@@ -57,6 +62,9 @@ def test_phase1_holds_one_release_ledger_and_no_band_loop():
     assert counts == {"grid/ledger.py::self._refcount",
                       "impls/pipelined_gpu.py::host_refcount"}, counts
     assert band_loops == set(), band_loops
+    assert ledgers == {"core/displacement.py::compute_grid_displacements",
+                       "grid/traversal.py::replay",
+                       "impls/pipelined_gpu.py::_build_pipeline"}, ledgers
 
 
 def test_grid_decomposition_is_written_once():
@@ -133,7 +141,7 @@ def test_pipelined_cpu_is_the_overlapped_loop_over_partitions():
     assert callers == {"impls/cpu.py", "core/stitcher.py"}, callers
     loops = {where for where, tree in modules()
              if "compute_grid_displacements" in called(tree)}
-    assert loops == {"core/displacement.py"}, loops
+    assert loops == {"core/displacement.py", "impls/simple_gpu.py"}, loops
 
 
 def test_only_pipelined_gpu_imports_the_pipeline_framework():
@@ -356,7 +364,7 @@ def test_phase1_holds_one_correlation_front_half_and_one_ccf_contest():
                         getattr(node.func, "attr", None)):
                     contests.add(f"{where}::{fn.name}")
                 if (isinstance(node, ast.Attribute)
-                        and node.attr in ("C2R", "C2C_INVERSE")
+                        and node.attr in ("C2R",)
                         and where.startswith("core/")):
                     inverses.add(f"{where}::{fn.name}")
     assert contests == {
@@ -460,7 +468,12 @@ def test_only_the_tile_forward_and_the_pair_inverse_call_the_gateway():
     """Phase 1 transforms in two places: a tile's forward spectrum
     (forward_fft) and a pair's inverse NCC (correlation_peaks), plus
     their virtual-GPU twins in gpu/kernels.py.  No layer sits between
-    them and fftlib.plans.transform, and nothing else transforms."""
+    them and fftlib.plans.transform, and nothing else transforms.  Tiles
+    are real, so both are half-spectrum: R2C and C2R are the only kinds
+    (the paper's real-to-complex future work, always on)."""
+    from repro.fftlib.plans import TransformKind
+
+    assert [kind.name for kind in TransformKind] == ["R2C", "C2R"]
     callers = set()
     for where, tree in modules():
         for fn in tree.body:
