@@ -11,6 +11,9 @@
    overhead removed, isolating how much of the Simple-GPU gap is
    synchronization vs serialization.
 5. **Multi-GPU scaling** (future work asks about >2 GPUs): DES 1-4 GPUs.
+6. **Brownout tiers** (the service's overload policy): what each
+   candidate degradation of a service job costs, measured, so the
+   policy keeps only a tier that removes work.
 """
 
 import numpy as np
@@ -239,3 +242,107 @@ def test_ablation_hyper_q(benchmark):
     )
     assert hq < base
     assert 1.1 < base / hq < 1.6
+
+
+#: The e2e harness's ``job`` and ``paper`` geometries
+#: (benchmarks/e2e/workloads.py).
+BROWNOUT_GEOMETRIES = {
+    "job": dict(rows=4, cols=4, tile_height=128, tile_width=128,
+                overlap=0.20),
+    "paper": dict(rows=3, cols=3, tile_height=520, tile_width=696,
+                  overlap=0.10),
+}
+
+
+def test_ablation_brownout_tiers(benchmark, tmp_path):
+    """Each degradation a browned-out service could apply to a job,
+    against the undegraded job: forcing ``coarse=True``, capping the
+    compose at 64 MiB, skipping compose output.  Every spec runs the
+    way a service worker runs it (``Stitcher`` over the spec's stitch
+    options, then ``stream_compose_to_tiff`` under its
+    ``memory_budget``).  Structure is asserted, timings are reported."""
+    import os
+    import time
+
+    from repro.core.options import StitchOptions
+    from repro.core.stitcher import Stitcher
+    from repro.core.streamcompose import stream_compose_to_tiff
+    from repro.service.jobs import JobSpec, stitch_keys_of
+    from repro.service.resilience import BrownoutPolicy, HealthReport
+    from repro.service.server import StitchService
+    from repro.synth import make_synthetic_dataset
+
+    rounds = 15
+    browned = HealthReport("browned_out", ("no live workers",))
+    assert BrownoutPolicy(mode="degrade").skips_compose(browned)
+
+    def run(spec, dataset):
+        """(stitch s, compose s, compose peak bytes) of one spec."""
+        t0 = time.perf_counter()
+        result = Stitcher(StitchOptions.from_flat(
+            stitch_keys_of(spec.options))).stitch(dataset)
+        t1 = time.perf_counter()
+        if spec.output is None:
+            return t1 - t0, 0.0, 0
+        composed = stream_compose_to_tiff(
+            spec.output, lambda r, c: dataset.load(r, c, dtype=None),
+            result.positions, dataset.tile_shape, blend=spec.blend,
+            memory_budget=spec.options.get("memory_budget"))
+        return t1 - t0, time.perf_counter() - t1, composed.peak_bytes
+
+    def quartiles(xs):
+        q1, med, q3 = np.percentile(xs, [25, 50, 75])
+        return f"{med * 1e3:6.1f} [{q1 * 1e3:.1f}, {q3 * 1e3:.1f}]"
+
+    def measure():
+        rows = []
+        for name, geometry in BROWNOUT_GEOMETRIES.items():
+            dataset = make_synthetic_dataset(tmp_path / name, seed=1,
+                                             **geometry)
+            out = str(tmp_path / f"{name}.tif")
+            default = JobSpec(dataset=str(dataset.directory), output=out)
+            degraded, applied = StitchService._degrade_spec(default)
+            assert applied == ["skip_compose"]
+            assert degraded.options == default.options
+            assert degraded.output is None
+            tiers = {
+                "default": default,
+                "skip_compose (degrade)": degraded,
+                "coarse=True": JobSpec(dataset=default.dataset, output=out,
+                                       options={"coarse": True}),
+                "memory_budget=64MiB": JobSpec(
+                    dataset=default.dataset, output=out,
+                    options={"memory_budget": 64 * 1024 * 1024}),
+            }
+            samples = {tier: [] for tier in tiers}
+            for spec in tiers.values():
+                run(spec, dataset)  # warm: decode layouts, FFT tables
+            for _ in range(rounds):
+                for tier, spec in tiers.items():
+                    samples[tier].append(run(spec, dataset))
+            base = np.array([s + c for s, c, _ in samples["default"]])
+            for tier, runs in samples.items():
+                stitch, compose, peak = (np.array(x) for x in zip(*runs))
+                rows.append([
+                    name, tier, quartiles(stitch), quartiles(compose),
+                    f"{int(np.median(peak)) / 1e3:.0f}",
+                    quartiles(stitch + compose),
+                    quartiles(stitch + compose - base),
+                ])
+            assert max(p for _, _, p in samples["skip_compose (degrade)"]) == 0
+        return rows
+
+    rows = once(benchmark, measure)
+    text = format_table(
+        ["geometry", "tier", "stitch ms", "compose ms", "compose peak KB",
+         "job ms", "job ms - default (same round)"],
+        rows,
+        title=(
+            f"Brownout-tier ablation: job = 4x4 @ 128 px, paper = 3x3 @ "
+            f"696x520, seed 1, {len(os.sched_getaffinity(0))} CPUs; median "
+            f"[quartiles] of {rounds} warm rounds.  "
+            f"Under --brownout degrade only skip_compose is applied: the "
+            f"degraded spec keeps every option and drops the output."
+        ),
+    )
+    emit("ablation_brownout", text)

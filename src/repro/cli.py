@@ -290,7 +290,11 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.recovery import WatchdogConfig
-    from repro.service.resilience import BreakerConfig, ResilienceConfig
+    from repro.service.resilience import (
+        BreakerConfig,
+        BrownoutPolicy,
+        ResilienceConfig,
+    )
     from repro.service.server import StitchService
 
     resilience = ResilienceConfig(
@@ -300,7 +304,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             window_seconds=args.breaker_window,
             cooldown_seconds=args.breaker_cooldown,
         ),
-        brownout=args.brownout,
+        brownout=args.brownout or BrownoutPolicy(),
         spool_budget_bytes=args.spool_budget,
     )
     service = StitchService(
@@ -583,9 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="BYTES",
                    help="spool disk budget (suffixes K/M/G); submissions "
                         "that would exceed it are rejected with 429")
-    s.add_argument("--brownout", type=_brownout_arg, default="off",
+    s.add_argument("--brownout", type=_brownout_arg, default=None,
                    metavar="MODE[:k=v,...]",
-                   help="overload policy: off, shed, or degrade "
+                   help="overload policy: off (the default), shed "
+                        "low-priority submissions, or degrade (shed, and "
+                        "skip compose output while browned out); keys "
+                        "depth, degraded-depth, shed-priority, ewma-high "
                         "(e.g. 'degrade:depth=0.8,shed-priority=4')")
     s.set_defaults(func=_cmd_serve)
 

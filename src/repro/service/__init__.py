@@ -39,11 +39,9 @@ from repro.service.resilience import (
     BrownoutPolicy,
     CircuitBreaker,
     HealthReport,
-    LoadShedder,
     PoisonTracker,
     ResilienceConfig,
     SpoolBudget,
-    SpoolBudgetExceeded,
 )
 from repro.service.server import StitchService
 
@@ -60,13 +58,11 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobState",
-    "LoadShedder",
     "PoisonTracker",
     "ResilienceConfig",
     "ServiceClient",
     "ServiceError",
     "SpoolBudget",
-    "SpoolBudgetExceeded",
     "StitchService",
     "WorkerPool",
 ]

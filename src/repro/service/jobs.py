@@ -231,7 +231,8 @@ class JobRecord:
     post_mortem: dict | None = None
     #: Journal milestone the job had durably reached when it failed.
     last_milestone: str | None = None
-    #: Brownout degradations applied at admission (e.g. ["coarse"]).
+    #: Brownout degradations applied at admission: ["skip_compose"] when
+    #: a browned-out ``degrade`` service dropped the job's output, else [].
     degraded_by_brownout: list = field(default_factory=list)
 
     _VALID = {

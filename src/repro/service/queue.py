@@ -17,6 +17,11 @@ clock):
   round-robin across tenants (least-recently-served tenant next); within
   one tenant's lane, FIFO by submission sequence.
 
+:meth:`JobQueue.admit` is the service's one admission decision: the
+brownout policy's shed verdict and the spool byte budget gate a
+submission ahead of the depth and tenant bounds, and every refusal --
+with its ``Retry-After`` -- is built by one helper.
+
 An accepted job is never lost: it leaves the queue only via
 :meth:`take` (handed to a worker), :meth:`cancel`, or :meth:`drain` at
 shutdown -- the conservation invariant ``accepted == taken + cancelled
@@ -35,16 +40,26 @@ from repro.service.jobs import JobRecord, JobState
 
 
 class AdmissionRejected(Exception):
-    """Submission refused (queue full or tenant over its limit).
+    """Submission refused; ``reason`` names the gate.
 
     ``retry_after`` is the server's estimate (seconds) of when capacity
-    will exist again; it surfaces as HTTP 429 + ``Retry-After``.
+    will exist again; it surfaces as HTTP 429 + ``Retry-After``.  Only
+    :meth:`JobQueue._reject` makes one.
     """
 
     def __init__(self, reason: str, retry_after: float, message: str):
         super().__init__(message)
         self.reason = reason
         self.retry_after = retry_after
+
+
+#: The counter each refusal bumps; ``shutting_down`` counts none.
+_REJECTION_COUNTERS = {
+    "shed_load": "service.shed_requests",
+    "spool_budget": "service.spool_budget_rejected",
+    "queue_full": "service.queue_rejected_full",
+    "tenant_limit": "service.queue_rejected_tenant",
+}
 
 
 class JobQueue:
@@ -115,8 +130,51 @@ class JobQueue:
             else:
                 self._service_ewma = 0.8 * self._service_ewma + 0.2 * float(seconds)
 
+    def _reject(self, reason: str, message: str) -> AdmissionRejected:
+        """Count one refusal and build its exception.
+
+        The only place an :class:`AdmissionRejected` is made, so the one
+        source of ``Retry-After``: the drain-rate hint for the gates
+        that open as jobs finish, a fixed wait for the two that do not.
+        """
+        closed_queue_wait = 60.0  # a closed queue does not reopen
+        full_spool_wait = 30.0    # a spool frees only on cleanup
+        with self._cond:
+            if reason == "queue_full":
+                self.rejected_full += 1
+            elif reason == "tenant_limit":
+                self.rejected_tenant += 1
+            if reason == "shutting_down":
+                retry_after = closed_queue_wait
+            elif reason == "spool_budget":
+                retry_after = full_spool_wait
+            else:
+                retry_after = self.retry_after_hint()
+        counter = _REJECTION_COUNTERS.get(reason)
+        if counter is not None:
+            self._count(counter)
+        return AdmissionRejected(reason, retry_after, message)
+
+    def admit(self, record: JobRecord, *, shed: str | None = None,
+              spool=None) -> JobRecord:
+        """The admission decision: enqueue ``record`` or raise the
+        :class:`AdmissionRejected` of the first gate that refuses it.
+
+        Gates in precedence order: ``shed`` (the brownout policy's
+        reason to shed this submission, None to pass), then ``spool``
+        (a :class:`~repro.service.resilience.SpoolBudget`, walked before
+        the lock is taken), then :meth:`submit`'s closed / depth /
+        tenant checks, atomic with the enqueue.
+        """
+        if shed is not None:
+            raise self._reject("shed_load", shed)
+        refusal = spool.refusal() if spool is not None else None
+        if refusal is not None:
+            raise self._reject("spool_budget", refusal)
+        return self.submit(record)
+
     def submit(self, record: JobRecord) -> JobRecord:
-        """Admit ``record`` or raise :class:`AdmissionRejected`.
+        """Enqueue ``record`` or raise :class:`AdmissionRejected`.
 
         On admission the record gets its FIFO sequence number and
         submission timestamp; the caller still owns the record object
@@ -124,24 +182,16 @@ class JobQueue:
         """
         with self._cond:
             if self._closed:
-                raise AdmissionRejected(
-                    "shutting_down", 60.0, "queue is shut down"
-                )
+                raise self._reject("shutting_down", "queue is shut down")
             if self._depth >= self.max_depth:
-                self.rejected_full += 1
-                self._count("service.queue_rejected_full")
-                raise AdmissionRejected(
+                raise self._reject(
                     "queue_full",
-                    self.retry_after_hint(),
                     f"queue depth {self._depth} at limit {self.max_depth}",
                 )
             tenant = record.spec.tenant
             if self._tenant_depth(tenant) >= self.per_tenant_limit:
-                self.rejected_tenant += 1
-                self._count("service.queue_rejected_tenant")
-                raise AdmissionRejected(
+                raise self._reject(
                     "tenant_limit",
-                    self.retry_after_hint(),
                     f"tenant {tenant!r} has {self.per_tenant_limit} jobs "
                     f"queued already",
                 )

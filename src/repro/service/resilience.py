@@ -26,18 +26,23 @@ Four cooperating mechanisms, all deterministic under injected clocks:
   canary death re-opens it with doubled (capped) cooldown.  Respawn
   pacing uses capped exponential backoff with deterministic jitter so
   a crash loop cannot hot-spin fork().
-- :class:`LoadShedder` -- brownout policy over queue depth, service-time
-  EWMA and worker availability.  Crossing the soft threshold reports
-  ``degraded`` and sheds the lowest-priority submissions with an honest
-  ``Retry-After``; crossing the hard threshold reports ``browned_out``
-  and sheds more aggressively, optionally *degrading* admitted jobs
-  (auto-enable coarse registration, skip compose output) instead of
-  rejecting them outright.
+- :class:`BrownoutPolicy` -- a pure assessment of queue depth,
+  service-time EWMA, worker availability and breaker state.  Crossing
+  the soft threshold reports ``degraded`` and sheds the lowest-priority
+  submissions; crossing the hard threshold reports ``browned_out`` and
+  sheds more aggressively, optionally admitting jobs *without their
+  compose output* instead of rejecting them outright -- a degradation
+  only ever removes work.
 - :class:`SpoolBudget` -- a byte budget over the spool/journal/output
-  tree.  Admissions that would exceed it are rejected (429,
+  tree.  Admissions that would exceed it are refused (429,
   ``spool_budget``) before they can wedge a worker on a full disk;
   mid-run ``ENOSPC`` surfaces as a clean
   :class:`~repro.recovery.journal.JournalWriteError` job failure.
+
+The last two never raise: each names a refusal, and
+:meth:`~repro.service.queue.JobQueue.admit` -- the one admission
+decision -- turns the first refusal into the 429 and its
+``Retry-After``.
 
 Everything is observable: ``service.breaker_state`` /
 ``service.quarantined_jobs`` / ``service.shed_requests`` /
@@ -57,8 +62,6 @@ from enum import Enum
 from pathlib import Path
 from random import Random
 
-from repro.service.queue import AdmissionRejected
-
 __all__ = [
     "BreakerConfig",
     "BreakerState",
@@ -66,11 +69,9 @@ __all__ = [
     "CircuitBreaker",
     "DeathEvent",
     "HealthReport",
-    "LoadShedder",
     "PoisonTracker",
     "ResilienceConfig",
     "SpoolBudget",
-    "SpoolBudgetExceeded",
 ]
 
 
@@ -401,15 +402,30 @@ class PoisonTracker:
 
 
 @dataclass(frozen=True)
+class HealthReport:
+    """One assessment of service health: status plus the reasons."""
+
+    status: str                      # "ok" | "degraded" | "browned_out"
+    reasons: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    def to_dict(self) -> dict:
+        return {"status": self.status, "reasons": list(self.reasons)}
+
+
+@dataclass(frozen=True)
 class BrownoutPolicy:
-    """Declared overload behaviour.
+    """Declared overload behaviour, and the health verdict it acts on.
 
     ``mode``
-        ``"off"`` -- never shed (report-only health);
+        ``"off"`` (the default) -- never shed (report-only health);
         ``"shed"`` -- reject low-priority submissions when overloaded;
-        ``"degrade"`` -- shed *and* degrade admitted jobs while browned
-        out (force coarse registration, drop compose output) so the pool
-        spends less per job instead of queueing more debt.
+        ``"degrade"`` -- shed *and*, while browned out, admit jobs
+        without their compose output, so the pool spends less per job
+        instead of queueing more debt.
     ``degraded_depth`` / ``brownout_depth``
         queue-depth fractions (of ``max_depth``) that mark the service
         degraded / browned out.
@@ -419,20 +435,14 @@ class BrownoutPolicy:
     ``ewma_high``
         per-job EWMA service seconds that alone marks the service
         degraded (None = ignore service time).
-    ``degraded_compose_budget``
-        in ``degrade`` mode, admitted jobs in the *degraded* state keep
-        their compose output but run it out-of-core under this byte
-        budget -- a cheap middle tier between full service and the
-        browned-out ``skip_compose``.
     """
 
-    mode: str = "shed"
+    mode: str = "off"
     degraded_depth: float = 0.6
     brownout_depth: float = 0.85
     shed_priority_degraded: int = 2
     shed_priority_brownout: int = 5
     ewma_high: float | None = None
-    degraded_compose_budget: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.mode not in ("off", "shed", "degrade"):
@@ -447,17 +457,13 @@ class BrownoutPolicy:
         if not 0 <= self.shed_priority_degraded <= self.shed_priority_brownout <= 10:
             raise ValueError("shed priority floors must satisfy "
                              "0 <= degraded <= brownout <= 10")
-        if self.degraded_compose_budget < 1:
-            raise ValueError(
-                f"degraded_compose_budget must be positive, got "
-                f"{self.degraded_compose_budget}"
-            )
 
     @classmethod
     def parse(cls, spec: str) -> "BrownoutPolicy":
-        """Parse ``MODE[:key=value,...]`` (e.g. ``degrade:depth=0.7``)."""
+        """Parse ``MODE[:key=value,...]`` (e.g. ``degrade:depth=0.7``);
+        MODE is required."""
         mode, _, rest = spec.partition(":")
-        kwargs: dict = {"mode": mode or "shed"}
+        kwargs: dict = {"mode": mode}
         for item in rest.split(","):
             item = item.strip()
             if not item:
@@ -473,37 +479,9 @@ class BrownoutPolicy:
                 kwargs["shed_priority_brownout"] = int(value)
             elif key == "ewma-high":
                 kwargs["ewma_high"] = float(value)
-            elif key == "compose-budget":
-                kwargs["degraded_compose_budget"] = int(value)
             else:
                 raise ValueError(f"unknown brownout key {key!r}")
         return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class HealthReport:
-    """One assessment of service health: status plus the reasons."""
-
-    status: str                      # "ok" | "degraded" | "browned_out"
-    reasons: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "reasons": list(self.reasons)}
-
-
-class LoadShedder:
-    """Brownout assessment + shed decisions over live service signals."""
-
-    def __init__(self, policy: BrownoutPolicy | None = None,
-                 metrics=None) -> None:
-        self.policy = policy or BrownoutPolicy(mode="off")
-        self.metrics = metrics
-        self.shed_requests = 0
-        self._lock = threading.Lock()
 
     def assess(self, *, depth: int, max_depth: int,
                workers_alive: int, workers_total: int,
@@ -514,16 +492,16 @@ class LoadShedder:
         reasons: list[str] = []
         browned = False
         frac = depth / max_depth if max_depth else 0.0
-        if frac >= self.policy.brownout_depth:
+        if frac >= self.brownout_depth:
             reasons.append(
                 f"queue {depth}/{max_depth} >= brownout threshold "
-                f"{self.policy.brownout_depth:.0%}"
+                f"{self.brownout_depth:.0%}"
             )
             browned = True
-        elif frac >= self.policy.degraded_depth:
+        elif frac >= self.degraded_depth:
             reasons.append(
                 f"queue {depth}/{max_depth} >= degraded threshold "
-                f"{self.policy.degraded_depth:.0%}"
+                f"{self.degraded_depth:.0%}"
             )
         if workers_total and workers_alive == 0:
             reasons.append("no live workers")
@@ -539,13 +517,13 @@ class LoadShedder:
         elif breaker_state is BreakerState.HALF_OPEN:
             reasons.append("crash-loop breaker half-open (canary probing)")
         if (
-            self.policy.ewma_high is not None
+            self.ewma_high is not None
             and service_ewma is not None
-            and service_ewma >= self.policy.ewma_high
+            and service_ewma >= self.ewma_high
         ):
             reasons.append(
                 f"service time EWMA {service_ewma:.1f}s >= "
-                f"{self.policy.ewma_high:.1f}s"
+                f"{self.ewma_high:.1f}s"
             )
         if not reasons:
             return HealthReport("ok")
@@ -553,69 +531,32 @@ class LoadShedder:
             "browned_out" if browned else "degraded", tuple(reasons)
         )
 
-    def shed_floor(self, report: HealthReport) -> int | None:
-        """Priority floor below which submissions are shed, or None."""
-        if self.policy.mode == "off" or report.ok:
+    def shed(self, priority: int, report: HealthReport) -> str | None:
+        """Why a submission at ``priority`` is shed under ``report``, or
+        None to admit it.  The floor rises with severity."""
+        if self.mode == "off" or report.ok:
             return None
-        if report.status == "browned_out":
-            return self.policy.shed_priority_brownout
-        return self.policy.shed_priority_degraded
+        floor = (self.shed_priority_brownout
+                 if report.status == "browned_out"
+                 else self.shed_priority_degraded)
+        if priority >= floor:
+            return None
+        return (f"service is {report.status} "
+                f"({'; '.join(report.reasons)}); shedding priority < {floor}")
 
-    def check_admission(self, priority: int, report: HealthReport,
-                        retry_after: float) -> None:
-        """Raise :class:`AdmissionRejected` when this submission sheds."""
-        floor = self.shed_floor(report)
-        if floor is None or priority >= floor:
-            return
-        with self._lock:
-            self.shed_requests += 1
-        if self.metrics is not None:
-            self.metrics.counter("service.shed_requests").inc()
-        raise AdmissionRejected(
-            "shed_load",
-            retry_after,
-            f"service is {report.status} "
-            f"({'; '.join(report.reasons)}); shedding priority < {floor}",
-        )
+    def skips_compose(self, report: HealthReport) -> bool:
+        """Whether an admitted job loses its compose output: only in
+        ``degrade`` mode while browned out.
 
-    def degrade_options(self, report: HealthReport) -> list[str] | None:
-        """Degradations to apply to an admitted job, or None.
-
-        Only the ``degrade`` mode touches jobs, in two tiers.  Browned
-        out: coarse registration (4x less FFT work at the default 0.5x
-        scale) is forced on -- unless the job asked for ``"coarse":
-        false``; tiles large enough that the default phase 1 is
-        coarse-to-fine already see no change -- and compose output is
-        skipped.  Merely
-        degraded: the job keeps its output but the compose stage runs
-        out-of-core under ``degraded_compose_budget`` bytes -- same
-        pixels (the streaming path is bit-identical), just a capped
-        memory footprint per worker.  All reversible by resubmitting
-        after recovery.
+        Dropping the mosaic is the one degradation that removes work;
+        forcing coarse registration or capping the compose budget made
+        a job slower or bigger (benchmarks/results/ablation_brownout.txt).
+        The client resubmits for the mosaic after recovery.
         """
-        if self.policy.mode != "degrade" or report.ok:
-            return None
-        if report.status == "browned_out":
-            return ["coarse", "skip_compose"]
-        return [f"compose_budget:{self.policy.degraded_compose_budget}"]
+        return self.mode == "degrade" and report.status == "browned_out"
 
 
 # -- spool disk budget -------------------------------------------------------
-
-
-class SpoolBudgetExceeded(AdmissionRejected):
-    """Admission would push the spool past its byte budget."""
-
-    def __init__(self, used: int, budget: int, estimate: int,
-                 retry_after: float = 30.0):
-        super().__init__(
-            "spool_budget",
-            retry_after,
-            f"spool holds {used} bytes of a {budget}-byte budget; "
-            f"admitting ~{estimate} more would exceed it",
-        )
-        self.used = used
-        self.budget = budget
 
 
 class SpoolBudget:
@@ -623,10 +564,12 @@ class SpoolBudget:
 
     ``usage()`` walks the spool directory, cached for ``ttl`` seconds so
     a submission burst does not turn into a stat() storm; the walk is
-    refreshed on demand after job completions.  ``admit()`` rejects a
-    submission whose estimated footprint would exceed the budget --
-    catching disk exhaustion at the front door instead of as a torn
-    journal mid-run.
+    repeated when the cache expires and before any refusal, so a stale
+    total can delay an admission's bytes by ``ttl`` but never refuse a
+    submission that fits.  ``refusal()`` names a submission whose
+    estimated footprint would exceed the budget -- catching disk
+    exhaustion at the front door (429, ``spool_budget``) instead of as
+    a torn journal mid-run.
     """
 
     def __init__(self, spool_dir: str | Path, max_bytes: int,
@@ -672,20 +615,19 @@ class SpoolBudget:
                 return self._cached  # type: ignore[return-value]
         return self.refresh()
 
-    def admit(self, estimate: int | None = None) -> None:
-        """Raise :class:`SpoolBudgetExceeded` when the submission won't fit."""
+    def refusal(self, estimate: int | None = None) -> str | None:
+        """Why a submission of ``estimate`` bytes won't fit, or None."""
         est = self.per_job_estimate if estimate is None else int(estimate)
-        used = self.usage()
-        if used + est > self.max_bytes:
-            # Re-walk before rejecting: the cache may be stale just after
-            # a cleanup, and a false 429 on a fresh disk is worse than
-            # one extra directory walk on the rejection path.
-            used = self.refresh()
-            if used + est > self.max_bytes:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "service.spool_budget_rejected").inc()
-                raise SpoolBudgetExceeded(used, self.max_bytes, est)
+        if self.usage() + est <= self.max_bytes:
+            return None
+        # Re-walk before refusing: the cache may be stale just after a
+        # cleanup, and a false 429 on a fresh disk is worse than one
+        # extra directory walk on the refusal path.
+        used = self.refresh()
+        if used + est <= self.max_bytes:
+            return None
+        return (f"spool holds {used} bytes of a {self.max_bytes}-byte "
+                f"budget; admitting ~{est} more would exceed it")
 
     def snapshot(self) -> dict:
         return {
@@ -704,9 +646,7 @@ class ResilienceConfig:
 
     quarantine_threshold: int = 3
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    brownout: BrownoutPolicy = field(
-        default_factory=lambda: BrownoutPolicy(mode="off")
-    )
+    brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
     #: Spool byte budget; None disables the guard.
     spool_budget_bytes: int | None = None
     spool_per_job_estimate: int = 1 << 20

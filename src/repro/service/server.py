@@ -41,7 +41,6 @@ from repro.service.pool import DEFAULT_WATCHDOG, WorkerPool
 from repro.service.queue import AdmissionRejected, JobQueue
 from repro.service.resilience import (
     HealthReport,
-    LoadShedder,
     ResilienceConfig,
     SpoolBudget,
 )
@@ -141,8 +140,6 @@ class StitchService:
             resilience=self.resilience,
             tracer=self.tracer,
         )
-        self.shedder = LoadShedder(self.resilience.brownout,
-                                   metrics=self.metrics)
         self.spool_budget = (
             SpoolBudget(
                 self.spool_dir,
@@ -247,69 +244,33 @@ class StitchService:
             and "retry_budget" not in payload
         ):
             payload = {**payload, "retry_budget": self.default_retry_budget}
-        spec = JobSpec.from_dict(payload)
-        spec = self._resolve_dataset(spec)
-        report = self.health_report()
-        self.shedder.check_admission(
-            spec.priority, report, self.queue.retry_after_hint()
-        )  # may raise AdmissionRejected("shed_load")
-        if self.spool_budget is not None:
-            self.spool_budget.admit()  # may raise SpoolBudgetExceeded
-        degraded = self.shedder.degrade_options(report)
-        record = JobRecord(spec=spec)
-        if degraded:
-            spec, applied = self._degrade_spec(spec, degraded)
-            record = JobRecord(spec=spec, id=record.id)
-            record.degraded_by_brownout = applied
-            if applied and self.metrics is not None:
-                self.metrics.counter("service.jobs_degraded").inc()
-        self.queue.submit(record)  # may raise AdmissionRejected
+        spec = self._resolve_dataset(JobSpec.from_dict(payload))
+        policy = self.resilience.brownout
+        # Assessing health polls every worker: only when the policy acts.
+        report = (self.health_report() if policy.mode != "off"
+                  else HealthReport("ok"))
+        applied: list[str] = []
+        if policy.skips_compose(report):
+            spec, applied = self._degrade_spec(spec)
+        record = JobRecord(spec=spec, degraded_by_brownout=applied)
+        self.queue.admit(record, shed=policy.shed(spec.priority, report),
+                         spool=self.spool_budget)
         with self._lock:
             self.jobs[record.id] = record
-        if self.metrics is not None:
-            self.metrics.counter("service.jobs_submitted").inc()
+        self.metrics.counter("service.jobs_submitted").inc()
+        if applied:
+            self.metrics.counter("service.jobs_degraded").inc()
         return record
 
     @staticmethod
-    def _degrade_spec(spec: JobSpec,
-                      degradations: list[str]) -> tuple[JobSpec, list[str]]:
-        """Apply brownout degradations to an admitted spec.
-
-        Returns the (possibly rebuilt) spec plus the degradations that
-        actually changed it -- forcing coarse on a job already running
-        coarse, or skipping compose on a job with no output, is a no-op
-        the record should not advertise.  A job that asked for
-        ``"coarse": false`` keeps full PCIAM.  Forcing coarse on an
-        undecided job changes nothing on tiles from
-        ``COARSE_MIN_TILE_PIXELS`` (core/options.py) up, whose default
-        phase 1 is coarse-to-fine already; it is below that size that
-        the degradation saves FFT work.
-
-        ``compose_budget:<bytes>`` is the degraded-tier middle ground:
-        the job keeps its output, but the compose stage streams
-        out-of-core under the given byte budget (never *raising* a
-        budget the client already set lower).
-        """
-        options, output = dict(spec.options), spec.output
-        applied: list[str] = []
-        if "coarse" in degradations and options.get("coarse") is None:
-            options["coarse"] = True
-            applied.append("coarse")
-        if "skip_compose" in degradations and output is not None:
-            output = None
-            applied.append("skip_compose")
-        for d in degradations:
-            if not d.startswith("compose_budget:"):
-                continue
-            budget = int(d.partition(":")[2])
-            current = options.get("memory_budget")
-            if output is not None and (current is None or current > budget):
-                options["memory_budget"] = budget
-                applied.append(f"compose_budget:{budget}")
-        if not applied:
+    def _degrade_spec(spec: JobSpec) -> tuple[JobSpec, list[str]]:
+        """A browned-out admission's spec: its compose output dropped,
+        its options untouched.  Returns the spec plus the degradations
+        that changed it -- a job with no output loses nothing, and its
+        record should not say it did."""
+        if spec.output is None:
             return spec, []
-        # replace() re-runs JobSpec's validation on the degraded options.
-        return replace(spec, options=options, output=output), applied
+        return replace(spec, output=None), ["skip_compose"]
 
     def _resolve_dataset(self, spec: JobSpec) -> JobSpec:
         path = Path(spec.dataset)
@@ -380,7 +341,7 @@ class StitchService:
     def health_report(self) -> HealthReport:
         """Classify the service's live load into ok/degraded/browned_out."""
         workers = self.pool.worker_stats()
-        return self.shedder.assess(
+        return self.resilience.brownout.assess(
             depth=self.queue.depth(),
             max_depth=self.queue.max_depth,
             workers_alive=sum(1 for w in workers if w["alive"]),

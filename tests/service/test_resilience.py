@@ -1,7 +1,7 @@
 """Unit tests for the resilience layer, all on injected fake clocks.
 
-The circuit breaker, poison tracker, load shedder and spool budget are
-pure policy objects -- no threads of their own, no wall time -- so every
+The circuit breaker, poison tracker, brownout policy and spool budget
+are pure policy objects -- no threads of their own, no wall time -- so every
 transition here is driven deterministically: the clock advances only
 when a test says so, and jitter comes from a seeded stream.
 """
@@ -12,17 +12,16 @@ import pytest
 
 from repro.observe import MetricsRegistry
 from repro.observe.tracer import Tracer
-from repro.service.queue import AdmissionRejected
+from repro.service.jobs import JobRecord, JobSpec
+from repro.service.queue import AdmissionRejected, JobQueue
 from repro.service.resilience import (
     BreakerConfig,
     BreakerState,
     BrownoutPolicy,
     CircuitBreaker,
     HealthReport,
-    LoadShedder,
     PoisonTracker,
     SpoolBudget,
-    SpoolBudgetExceeded,
     describe_exit,
 )
 
@@ -250,100 +249,99 @@ class TestBrownoutPolicy:
         assert p.ewma_high == 20.0
 
     @pytest.mark.parametrize("bad", [
-        "loud", "shed:depth=2.0", "shed:wat=1", "shed:depth"
+        "loud", "shed:depth=2.0", "shed:wat=1", "shed:depth",
+        "", ":depth=0.8", "degrade:compose-budget=1048576",
     ])
     def test_parse_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
             BrownoutPolicy.parse(bad)
 
 
-def assess(shedder: LoadShedder, **kw) -> HealthReport:
+def assess(policy: BrownoutPolicy, **kw) -> HealthReport:
     kw.setdefault("depth", 0)
     kw.setdefault("max_depth", 10)
     kw.setdefault("workers_alive", 2)
     kw.setdefault("workers_total", 2)
-    return shedder.assess(**kw)
+    return policy.assess(**kw)
+
+
+def record(priority: int = 0) -> JobRecord:
+    return JobRecord(spec=JobSpec(dataset="/d", priority=priority))
 
 
 class TestLoadShedder:
     def test_ok_when_idle(self):
-        s = LoadShedder(BrownoutPolicy(mode="shed"))
+        s = BrownoutPolicy(mode="shed")
         report = assess(s)
         assert report.ok and report.status == "ok" and report.reasons == ()
 
     def test_degraded_then_browned_out_by_depth(self):
-        s = LoadShedder(BrownoutPolicy(mode="shed", degraded_depth=0.6,
-                                       brownout_depth=0.9))
+        s = BrownoutPolicy(mode="shed", degraded_depth=0.6,
+                           brownout_depth=0.9)
         assert assess(s, depth=6).status == "degraded"
         assert assess(s, depth=9).status == "browned_out"
 
     def test_no_live_workers_is_brownout(self):
-        s = LoadShedder(BrownoutPolicy(mode="off"))
+        s = BrownoutPolicy(mode="off")
         report = assess(s, workers_alive=0)
         assert report.status == "browned_out"
         assert any("no live workers" in r for r in report.reasons)
 
     def test_partial_worker_loss_is_reason_not_brownout(self):
-        s = LoadShedder(BrownoutPolicy(mode="shed"))
+        s = BrownoutPolicy(mode="shed")
         report = assess(s, workers_alive=1, workers_total=2)
         assert report.status == "degraded"
 
     def test_open_breaker_is_brownout(self):
-        s = LoadShedder(BrownoutPolicy(mode="shed"))
+        s = BrownoutPolicy(mode="shed")
         report = assess(s, breaker_state=BreakerState.OPEN)
         assert report.status == "browned_out"
 
     def test_ewma_threshold(self):
-        s = LoadShedder(BrownoutPolicy(mode="shed", ewma_high=30.0))
+        s = BrownoutPolicy(mode="shed", ewma_high=30.0)
         assert assess(s, service_ewma=10.0).ok
         assert assess(s, service_ewma=35.0).status == "degraded"
 
     def test_shed_floor_by_mode_and_status(self):
         degraded = HealthReport("degraded", ("q",))
         browned = HealthReport("browned_out", ("q",))
-        off = LoadShedder(BrownoutPolicy(mode="off"))
-        assert off.shed_floor(browned) is None
-        shed = LoadShedder(BrownoutPolicy(
-            mode="shed", shed_priority_degraded=2, shed_priority_brownout=5))
-        assert shed.shed_floor(HealthReport("ok")) is None
-        assert shed.shed_floor(degraded) == 2
-        assert shed.shed_floor(browned) == 5
+        off = BrownoutPolicy(mode="off")
+        assert off.shed(0, browned) is None
+        shed = BrownoutPolicy(
+            mode="shed", shed_priority_degraded=2, shed_priority_brownout=5)
+        assert shed.shed(0, HealthReport("ok")) is None
+        # The floor is the lowest priority admitted: 2 degraded, 5 browned.
+        assert shed.shed(1, degraded) is not None
+        assert shed.shed(2, degraded) is None
+        assert shed.shed(4, browned) is not None
+        assert shed.shed(5, browned) is None
 
     def test_check_admission_sheds_lowest_priority_first(self):
         metrics = MetricsRegistry()
-        s = LoadShedder(BrownoutPolicy(mode="shed"), metrics=metrics)
+        q = JobQueue(workers=1, metrics=metrics)
+        q.note_job_seconds(6.0)  # EWMA hint: 6 s x (depth 0 + 1) = 6 s
+        policy = BrownoutPolicy(mode="shed")
         browned = HealthReport("browned_out", ("queue full",))
         with pytest.raises(AdmissionRejected) as exc_info:
-            s.check_admission(priority=0, report=browned, retry_after=12.0)
+            q.admit(record(0), shed=policy.shed(0, browned))
         assert exc_info.value.reason == "shed_load"
-        assert exc_info.value.retry_after == 12.0
+        assert exc_info.value.retry_after == 6.0
+        assert "shedding priority < 5" in str(exc_info.value)
         # Priority at/above the floor rides through.
-        s.check_admission(priority=5, report=browned, retry_after=12.0)
+        q.admit(record(5), shed=policy.shed(5, browned))
         assert metrics.counter("service.shed_requests").value == 1
-        assert s.shed_requests == 1
+        assert q.depth() == 1
 
     def test_degrade_options_only_in_degrade_mode(self):
         browned = HealthReport("browned_out", ("q",))
         degraded = HealthReport("degraded", ("q",))
         ok = HealthReport("ok")
-        assert LoadShedder(BrownoutPolicy(mode="shed")).degrade_options(
-            browned) is None
-        d = LoadShedder(BrownoutPolicy(mode="degrade"))
-        assert d.degrade_options(ok) is None
-        # Middle tier: degraded keeps the output but caps compose memory.
-        assert d.degrade_options(degraded) == [
-            f"compose_budget:{64 * 1024 * 1024}"
-        ]
-        assert d.degrade_options(browned) == ["coarse", "skip_compose"]
-
-    def test_degraded_compose_budget_configurable(self):
-        d = LoadShedder(BrownoutPolicy.parse(
-            "degrade:compose-budget=1048576"))
-        assert d.degrade_options(HealthReport("degraded", ("q",))) == [
-            "compose_budget:1048576"
-        ]
-        with pytest.raises(ValueError, match="compose_budget"):
-            BrownoutPolicy(mode="degrade", degraded_compose_budget=0)
+        assert not BrownoutPolicy(mode="shed").skips_compose(browned)
+        d = BrownoutPolicy(mode="degrade")
+        assert not d.skips_compose(ok)
+        # One tier: only a browned-out service drops work, and only output.
+        assert not d.skips_compose(degraded)
+        assert d.skips_compose(browned)
 
 
 class TestSpoolBudget:
@@ -363,13 +361,17 @@ class TestSpoolBudget:
         metrics = MetricsRegistry()
         budget, _ = self.make(tmp_path, 200, per_job_estimate=100,
                               metrics=metrics)
+        q = JobQueue(metrics=metrics)
         (tmp_path / "a").write_bytes(b"x" * 150)
-        with pytest.raises(SpoolBudgetExceeded) as exc_info:
-            budget.admit()
+        with pytest.raises(AdmissionRejected) as exc_info:
+            q.admit(record(), spool=budget)
         assert exc_info.value.reason == "spool_budget"
-        assert exc_info.value.used == 150
+        assert exc_info.value.retry_after == 30.0
+        assert "spool holds 150 bytes of a 200-byte budget" in str(
+            exc_info.value)
         assert metrics.counter("service.spool_budget_rejected").value == 1
-        budget.admit(estimate=50)  # exactly fits
+        assert q.depth() == 0
+        assert budget.refusal(estimate=50) is None  # exactly fits
 
     def test_usage_cached_within_ttl(self, tmp_path):
         budget, clock = self.make(tmp_path, 1000)
@@ -387,7 +389,7 @@ class TestSpoolBudget:
         big.write_bytes(b"x" * 180)
         assert budget.usage() == 180
         big.unlink()  # cleanup freed the space; cache still says 180
-        budget.admit()  # re-walk sees 0 -> admitted
+        assert budget.refusal() is None  # re-walk sees 0 -> admitted
 
     def test_refresh_publishes_gauge(self, tmp_path):
         metrics = MetricsRegistry()
@@ -398,55 +400,17 @@ class TestSpoolBudget:
 
 
 class TestDegradeSpec:
-    """Server-side application of brownout degradations to job specs."""
-
-    def make_spec(self, **kw):
-        from repro.service.jobs import JobSpec
-
-        kw.setdefault("dataset", "/d")
-        return JobSpec(**kw)
-
-    def degrade(self, spec, degradations):
-        from repro.service.server import StitchService
-
-        return StitchService._degrade_spec(spec, degradations)
-
-    def test_compose_budget_caps_output_jobs(self):
-        spec = self.make_spec(output="/out/m.tif")
-        new, applied = self.degrade(spec, ["compose_budget:1048576"])
-        assert applied == ["compose_budget:1048576"]
-        assert new.output == "/out/m.tif"  # output kept: middle tier
-        assert new.options["memory_budget"] == 1048576
-
-    def test_compose_budget_never_raises_client_budget(self):
-        spec = self.make_spec(output="/out/m.tif",
-                              options={"memory_budget": 1000})
-        new, applied = self.degrade(spec, ["compose_budget:1048576"])
-        assert applied == []
-        assert new.options["memory_budget"] == 1000
-
-    def test_compose_budget_tightens_looser_client_budget(self):
-        spec = self.make_spec(output="/out/m.tif",
-                              options={"memory_budget": 10**9})
-        new, applied = self.degrade(spec, ["compose_budget:1048576"])
-        assert applied == ["compose_budget:1048576"]
-        assert new.options["memory_budget"] == 1048576
-
-    def test_compose_budget_noop_without_output(self):
-        spec = self.make_spec()
-        new, applied = self.degrade(spec, ["compose_budget:1048576"])
-        assert applied == []
-        assert new is spec
-
-    def test_brownout_honours_a_job_that_asked_for_full_pciam(self):
-        spec = self.make_spec(output="/out/m.tif", options={"coarse": False})
-        new, applied = self.degrade(spec, ["coarse", "skip_compose"])
-        assert applied == ["skip_compose"]
-        assert new.options["coarse"] is False
+    """Server-side application of the brownout degradation to job specs."""
 
     def test_brownout_tier_still_skips_compose(self):
-        spec = self.make_spec(output="/out/m.tif")
-        new, applied = self.degrade(spec, ["coarse", "skip_compose"])
-        assert applied == ["coarse", "skip_compose"]
+        from repro.service.server import StitchService
+
+        spec = JobSpec(dataset="/d", output="/out/m.tif",
+                       options={"memory_budget": 1000})
+        new, applied = StitchService._degrade_spec(spec)
+        assert applied == ["skip_compose"]
         assert new.output is None
-        assert new.options["coarse"] is True
+        assert new.options == spec.options  # no option changed
+        # A job without output loses nothing, and its record says so.
+        bare = JobSpec(dataset="/d")
+        assert StitchService._degrade_spec(bare) == (bare, [])

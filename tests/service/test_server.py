@@ -15,6 +15,8 @@ import pytest
 
 from repro.service import (
     BackpressureError,
+    BrownoutPolicy,
+    ResilienceConfig,
     ServiceClient,
     ServiceError,
     StitchService,
@@ -44,6 +46,37 @@ def service(tmp_path):
 def client(service):
     host, port = service.address
     return ServiceClient(host, port)
+
+
+@pytest.fixture()
+def cold_service(tmp_path):
+    """``service``'s cold pool (browned out: no live workers) under a
+    chosen :class:`ResilienceConfig`."""
+    started = []
+
+    def make(**resilience):
+        svc = StitchService(tmp_path / "spool", workers=1, max_depth=4,
+                            per_tenant_limit=2,
+                            resilience=ResilienceConfig(**resilience))
+        svc.start_http()
+        started.append(svc)
+        return svc
+
+    yield make
+    for svc in started:
+        svc.stop_http()
+
+
+def post_job(service, spec: dict) -> tuple[int, dict, dict]:
+    """POST one job spec; return the status, JSON body and headers."""
+    conn = http.client.HTTPConnection(*service.address, timeout=10)
+    try:
+        conn.request("POST", "/jobs", body=json.dumps(spec).encode(),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read()), dict(resp.getheaders())
+    finally:
+        conn.close()
 
 
 class TestSubmission:
@@ -93,6 +126,68 @@ class TestSubmission:
         with pytest.raises(BackpressureError) as exc_info:
             client.submit({"dataset": dataset_dir, "tenant": "noisy"})
         assert exc_info.value.reason == "tenant_limit"
+
+    # Retry-After: the EWMA drain hint (1 s a job before any job has
+    # finished, x (depth + 1), over 1 worker) for the gates that open as
+    # jobs drain; fixed waits for a closed queue and a full spool.
+    @pytest.mark.parametrize("reason,retry_after", [
+        ("shed_load", "1.0"),
+        ("spool_budget", "30.0"),
+        ("shutting_down", "60.0"),
+        ("queue_full", "5.0"),
+        ("tenant_limit", "3.0"),
+    ])
+    def test_every_429_reason_through_the_service(
+            self, cold_service, dataset_dir, reason, retry_after):
+        svc = cold_service(
+            brownout=BrownoutPolicy(mode="shed" if reason == "shed_load"
+                                    else "off"),
+            spool_budget_bytes=1 if reason == "spool_budget" else None,
+        )
+        spec = {"dataset": dataset_dir, "tenant": "t", "priority": 9}
+        if reason == "shed_load":
+            spec["priority"] = 0  # below the browned-out floor of 5
+        elif reason == "shutting_down":
+            svc.pool.stop()
+        elif reason == "queue_full":
+            for i in range(4):
+                assert post_job(svc, {**spec, "tenant": f"t{i}"})[0] == 202
+        elif reason == "tenant_limit":
+            for _ in range(2):
+                assert post_job(svc, spec)[0] == 202
+        status, payload, headers = post_job(svc, spec)
+        assert status == 429
+        assert payload["reason"] == reason
+        assert headers["Retry-After"] == retry_after
+        assert payload["retry_after"] == float(retry_after)
+
+    def test_shed_load_takes_precedence_over_a_full_queue(
+            self, cold_service, dataset_dir):
+        svc = cold_service(brownout=BrownoutPolicy(mode="shed"))
+        for i in range(4):
+            status, _, _ = post_job(
+                svc, {"dataset": dataset_dir, "tenant": f"t{i}",
+                      "priority": 5})
+            assert status == 202
+        status, payload, _ = post_job(
+            svc, {"dataset": dataset_dir, "priority": 0})
+        assert status == 429
+        assert payload["reason"] == "shed_load"
+        assert svc.metrics.counter("service.shed_requests").value == 1
+        assert svc.queue.stats()["rejected_full"] == 0
+
+    def test_degrade_removes_work_and_changes_no_option(
+            self, cold_service, dataset_dir, tmp_path):
+        svc = cold_service(brownout=BrownoutPolicy(mode="degrade"))
+        options = {"memory_budget": 1 << 30, "subpixel": False}
+        status, rec, _ = post_job(
+            svc, {"dataset": dataset_dir, "priority": 5,
+                  "output": str(tmp_path / "m.tif"), "options": options})
+        assert status == 202
+        assert rec["degraded_by_brownout"] == ["skip_compose"]
+        assert rec["spec"]["options"] == options
+        assert rec["spec"]["output"] is None
+        assert svc.metrics.counter("service.jobs_degraded").value == 1
 
     def test_dataset_root_confinement(self, tmp_path, dataset_dir):
         svc = StitchService(tmp_path / "spool", workers=1,

@@ -633,3 +633,37 @@ def test_phase1_tile_is_converted_to_float64_once():
         "core/tilestats.py::TileStats.__init__": 1,
     }, conversions
     assert shifts == {"core/tilestats.py::TileStats._build": 1}, shifts
+
+
+def test_admission_is_one_decision():
+    """Every 429 the service returns is built by JobQueue._reject, the
+    one source of its Retry-After; the brownout policy and the spool
+    budget only name a refusal.  Constructing AdmissionRejected (or a
+    subclass of it) anywhere else is a second admission decision."""
+    trees = list(modules())
+    rejections = {"AdmissionRejected"}
+    grew = True
+    while grew:
+        grew = False
+        for _, tree in trees:
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.ClassDef)
+                        and node.name not in rejections
+                        and any(getattr(b, "id", getattr(b, "attr", None))
+                                in rejections for b in node.bases)):
+                    rejections.add(node.name)
+                    grew = True
+
+    def calls(node, where, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id",
+                    getattr(child.func, "attr", None)) in rejections:
+                yield f"{where}::{inner}"
+            yield from calls(child, where, inner)
+
+    sites = {site for where, tree in trees
+             for site in calls(tree, where, "<module>")}
+    assert sites == {"service/queue.py::_reject"}, sites

@@ -385,16 +385,18 @@ class TestRobustnessFlags:
 
 class TestServeFlags:
     def test_bad_brownout_is_a_usage_error(self, tmp_path, capsys):
-        """A malformed ``--brownout`` is refused by argparse on stderr,
-        before the service creates its spool."""
+        """A malformed ``--brownout`` (an unknown mode, no mode, a
+        removed key) is refused by argparse on stderr, before the
+        service creates its spool."""
         spool = tmp_path / "spool"
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--spool", str(spool), "--brownout", "bogus"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --brownout:" in captured.err
-        assert not spool.exists()
+        for bad in ("bogus", ":depth=0.8", "degrade:compose-budget=1048576"):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--spool", str(spool), "--brownout", bad])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "argument --brownout:" in captured.err
+            assert not spool.exists()
 
 
 class TestOneEntryPoint:
