@@ -289,7 +289,6 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.recovery import WatchdogConfig
     from repro.service.resilience import (
         BreakerConfig,
         BrownoutPolicy,
@@ -298,6 +297,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import StitchService
 
     resilience = ResilienceConfig(
+        job_deadline=args.job_deadline,
+        stall_timeout=args.stall_timeout,
         quarantine_threshold=args.quarantine_threshold,
         breaker=BreakerConfig(
             death_threshold=args.breaker_threshold,
@@ -314,11 +315,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_depth=args.queue_depth,
         per_tenant_limit=args.per_tenant,
         default_retry_budget=args.retry_budget,
-        watchdog=WatchdogConfig(
-            item_deadline=args.job_deadline,
-            stall_timeout=args.stall_timeout,
-            poll_interval=0.05,
-        ),
         resilience=resilience,
     )
     service.start()
@@ -560,11 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max queued jobs per tenant")
     s.add_argument("--job-deadline", type=float, default=None,
                    metavar="SECONDS",
-                   help="default per-job watchdog deadline (a job spec's "
-                        "deadline_seconds overrides)")
+                   help="kill + requeue a job running longer than this "
+                        "(a job spec's deadline_seconds overrides)")
     s.add_argument("--stall-timeout", type=float, default=120.0,
                    metavar="SECONDS",
-                   help="kill + requeue a job writing no journal records "
+                   help="kill + requeue a job whose journal has not grown "
                         "for this long")
     s.add_argument("--retry-budget", type=int, default=1,
                    help="default requeues per job after worker death "

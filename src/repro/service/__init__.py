@@ -1,8 +1,8 @@
 """Stitching-as-a-service: a long-lived job server over the stitcher.
 
 Every capability the system has grown -- GIL-free process workers,
-crash-safe journals, watchdog supervision, the metrics registry -- was
-reachable only through one-shot CLI invocations.  This package turns
+crash-safe journals, deadline and stall supervision, the metrics
+registry -- was reachable only through one-shot CLI invocations.  This package turns
 them into a standing service:
 
 - :mod:`repro.service.jobs` -- the job model (spec, record, states);
@@ -10,8 +10,7 @@ them into a standing service:
   admission control and backpressure;
 - :mod:`repro.service.pool` -- persistent forked worker processes that
   stay warm (imports, FFT tables) between jobs, journal every job for
-  crash-resume, and run under per-job
-  :class:`~repro.recovery.watchdog.Watchdog` supervision;
+  crash-resume, and are killed past a job's deadline or journal stall;
 - :mod:`repro.service.server` -- the asyncio HTTP/JSON front end
   (submit/status/cancel/result/metrics endpoints);
 - :mod:`repro.service.client` -- a thin blocking client for tests,
@@ -39,7 +38,6 @@ from repro.service.resilience import (
     BrownoutPolicy,
     CircuitBreaker,
     HealthReport,
-    PoisonTracker,
     ResilienceConfig,
     SpoolBudget,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobState",
-    "PoisonTracker",
     "ResilienceConfig",
     "ServiceClient",
     "ServiceError",

@@ -103,9 +103,10 @@ class JobSpec:
 
     ``priority`` is an integer in [0, 9]; higher runs first.  ``tenant``
     names the admission-control bucket.  ``deadline_seconds`` is the
-    per-job watchdog budget (None = the pool default);
-    ``retry_budget`` is how many times the service may re-queue the job
-    after a worker death or watchdog kill before declaring it failed.
+    seconds the job may run before the pool kills its worker (None = the
+    pool default); ``retry_budget`` is how many times the service may
+    re-queue the job after a worker death or a deadline/stall kill
+    before declaring it failed.
     """
 
     dataset: str
@@ -224,8 +225,9 @@ class JobRecord:
     #: Worker-reported summary (pairs, timings, transform-ledger hits, journal).
     result: dict | None = None
     cancel_requested: bool = False
-    #: Per-attempt worker-death records (signal, cause, clock) filled in
-    #: by the pool's poison tracker.
+    #: The job's worker deaths, one dict per death (``attempt``,
+    #: ``signal``, ``cause``, ``at`` on the pool clock): the only record
+    #: of them, which quarantine counts and the post-mortem reports.
     death_events: list = field(default_factory=list)
     #: Quarantine post-mortem (deaths, signals, last journal milestone).
     post_mortem: dict | None = None
@@ -268,10 +270,7 @@ class JobRecord:
             "type": self.error_type,
             "attempts": self.attempts,
             "last_milestone": self.last_milestone,
-            "death_signals": [
-                e["signal"] if isinstance(e, dict) else e.signal
-                for e in self.death_events
-            ],
+            "death_signals": [e["signal"] for e in self.death_events],
         }
         if self.post_mortem is not None:
             detail["post_mortem"] = self.post_mortem

@@ -20,13 +20,12 @@ Durability and supervision reuse the recovery layer wholesale:
   (within its retry budget), and the next attempt resumes from the
   journal -- recomputing only un-journaled pairs, positions
   bit-identical;
-- each running job is supervised by a
-  :class:`~repro.recovery.watchdog.Watchdog` over a small adapter that
-  presents the job as a one-item pipeline whose progress counter is the
-  journal's durable record count.  A job past its deadline gets its
-  token cancelled (the dispatcher kills the worker and re-queues); a
-  job writing no journal records for ``stall_timeout`` seconds
-  escalates the same way.
+- each running job is supervised by its dispatcher thread's own poll
+  loop, which waits for the worker's reply: a job past its deadline, or
+  whose journal has not grown for ``stall_timeout`` seconds, gets its
+  worker killed, and the death is recorded with that cause
+  (``deadline-kill`` / ``stall-kill``) before the job is re-queued or
+  failed.  No thread is started per job.
 
 The dispatcher side is one thread per worker slot: take a job from the
 :class:`~repro.service.queue.JobQueue`, ship it over the worker's pipe,
@@ -44,28 +43,22 @@ import os
 import threading
 import time
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
-from repro.recovery.cancel import CancelToken
-from repro.recovery.harness import count_journal_records
 from repro.recovery.journal import checkpoint_journal_path
-from repro.recovery.watchdog import Watchdog, WatchdogConfig
 from repro.service.jobs import JobRecord, JobState, stitch_keys_of
 from repro.service.queue import JobQueue
 from repro.service.resilience import (
     CircuitBreaker,
-    PoisonTracker,
     ResilienceConfig,
     describe_exit,
+    journal_progress,
+    post_mortem,
 )
 
-#: Default supervision thresholds for service jobs: no per-job deadline
-#: unless the spec names one, and a generous no-journal-progress window
-#: (phase 2/3 legitimately write no pair records).
-DEFAULT_WATCHDOG = WatchdogConfig(
-    item_deadline=None, stall_timeout=120.0, poll_interval=0.05
-)
+#: Seconds between the dispatcher's looks at a running job's reply,
+#: liveness, cancel flag, deadline and journal.
+POLL_INTERVAL = 0.05
 
 
 # -- worker process side -----------------------------------------------------
@@ -222,14 +215,16 @@ def _execute_job(msg: dict, warm: dict) -> dict:
     return summary
 
 
-def _worker_main(conn, worker_id: int) -> None:
+def _worker_main(conn, worker_id: int, parent_pid: int) -> None:
     """Worker loop: serve jobs from the pipe until told to shut down.
 
     The process -- its imports, numpy's FFT tables, the ``warm`` job
     count -- survives across jobs: that persistence is the whole point
     of the pool.  Every exception is reported back as a failed
-    job, never a dead worker; only SIGKILL (or a shutdown message) ends
-    the loop.
+    job, never a dead worker; only SIGKILL, a shutdown message or the
+    death of ``parent_pid`` (the process that forked it) ends the loop.
+    The pipe alone cannot report that death: every worker forked after
+    this one holds this one's parent end, so no EOF ever comes.
     """
     from repro.fftlib.plans import default_cache
 
@@ -239,6 +234,10 @@ def _worker_main(conn, worker_id: int) -> None:
     warm = {"jobs_served": 0}
     while True:
         try:
+            if not conn.poll(1.0):
+                if os.getppid() != parent_pid:
+                    break
+                continue
             msg = conn.recv()
         except (EOFError, OSError):
             break
@@ -260,36 +259,6 @@ def _worker_main(conn, worker_id: int) -> None:
 # -- parent side -------------------------------------------------------------
 
 
-class _JobRun:
-    """Watchdog adapter: one running job as a one-item, no-queue pipeline.
-
-    Progress (``items_processed``) is the job journal's durable record
-    count, so "stall" means *no durable progress*, not merely no return
-    value.  ``abort`` SIGKILLs the worker -- the escalation path; the
-    flushed journal is exactly what makes that safe.
-    """
-
-    def __init__(self, name: str, journal_path: Path, token: CancelToken,
-                 kill) -> None:
-        self.name = name
-        self._journal_path = journal_path
-        self.token = token
-        self._kill = kill
-        self._t0 = time.monotonic()
-        self.stages = [self]
-        self.queues: list = []
-
-    @property
-    def items_processed(self) -> int:
-        return count_journal_records(self._journal_path)
-
-    def inflight(self):
-        return [(0, self.name, self._t0, self.token)]
-
-    def abort(self) -> None:
-        self._kill()
-
-
 class _WorkerHandle:
     """One persistent worker process plus its parent-side pipe end."""
 
@@ -298,7 +267,7 @@ class _WorkerHandle:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id),
+            args=(child_conn, worker_id, os.getpid()),
             name=f"stitch-worker-{worker_id}",
             daemon=True,
         )
@@ -349,7 +318,6 @@ class WorkerPool:
         spool_dir: str | Path,
         workers: int = 2,
         metrics=None,
-        watchdog: WatchdogConfig = DEFAULT_WATCHDOG,
         resolve_positions=None,
         on_transition=None,
         clock=time.monotonic,
@@ -362,7 +330,6 @@ class WorkerPool:
         self.spool_dir = Path(spool_dir)
         self.workers = workers
         self.metrics = metrics
-        self.watchdog_config = watchdog
         self.resolve_positions = resolve_positions
         self.on_transition = on_transition
         self.clock = clock
@@ -372,10 +339,6 @@ class WorkerPool:
         self.breaker = CircuitBreaker(
             self.resilience.breaker, clock=clock, metrics=metrics,
             tracer=tracer,
-        )
-        #: Per-job worker-death attribution feeding quarantine decisions.
-        self.poison = PoisonTracker(
-            self.resilience.quarantine_threshold, clock=clock
         )
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -519,67 +482,66 @@ class WorkerPool:
             return "died"
 
         outcome = self._supervise(slot, handle, record)
-        if outcome in ("died", "deadline"):
-            self._handle_death(
-                slot, record,
-                cause="deadline" if outcome == "deadline" else "worker_death",
-            )
-            return "died"
-        return "done"
+        if outcome == "done":
+            return "done"
+        self._handle_death(slot, record, cause=outcome)
+        return "died"
 
     def _supervise(self, slot: int, handle: _WorkerHandle,
                    record: JobRecord) -> str:
-        """Wait for the worker's reply under watchdog supervision.
+        """Wait for the worker's reply; the job's only supervisor.
 
         Returns ``"done"`` when a reply was handled (success or worker-
-        reported failure, or cancellation), ``"died"`` when the worker
-        process went away without replying, and ``"deadline"`` when the
-        watchdog's deadline escalation killed it.
+        reported failure, or cancellation), ``"worker_death"`` when the
+        worker process went away without replying, and ``"deadline"`` or
+        ``"stall"`` when this loop killed it: the job ran past its
+        deadline, or its journal did not grow for ``stall_timeout``
+        seconds.  There is no cooperative path into another process, so
+        the kill is the cancellation; the flushed journal makes it safe.
         """
-        cfg = self.watchdog_config
-        if record.spec.deadline_seconds is not None:
-            cfg = replace(cfg, item_deadline=record.spec.deadline_seconds)
-        run = _JobRun(
-            f"job-{record.id}", self.journal_path(record.id),
-            CancelToken(), handle.kill,
-        )
-        watchdog = Watchdog(run, cfg, metrics=self.metrics).start()
-        try:
-            while True:
+        deadline = record.spec.deadline_seconds or self.resilience.job_deadline
+        journal = self.journal_path(record.id)
+        size, grew_at = 0, record.started_at
+        while True:
+            try:
+                if handle.conn.poll(POLL_INTERVAL):
+                    self._handle_reply(handle, record, handle.conn.recv())
+                    return "done"
+            except (EOFError, OSError):
+                return "worker_death"
+            if not handle.alive():
+                # Killed (a test's SIGKILL, or the OS); there may still
+                # be a buffered reply.
                 try:
-                    if handle.conn.poll(0.05):
-                        reply = handle.conn.recv()
-                        self._handle_reply(handle, record, reply)
+                    if handle.conn.poll(0):
+                        self._handle_reply(handle, record, handle.conn.recv())
                         return "done"
                 except (EOFError, OSError):
-                    return "died"
-                if not handle.alive():
-                    # Killed (by the watchdog's abort, a test's SIGKILL,
-                    # or the OS); there may still be a buffered reply.
-                    try:
-                        if handle.conn.poll(0):
-                            reply = handle.conn.recv()
-                            self._handle_reply(handle, record, reply)
-                            return "done"
-                    except (EOFError, OSError):
-                        pass
-                    return "died"
-                if record.cancel_requested:
-                    handle.kill()
-                    handle.process.join(timeout=5.0)
-                    self._finish(record, JobState.CANCELLED)
-                    self._ensure_worker(slot)
-                    return "done"
-                if run.token.cancelled:
-                    # Watchdog flagged the deadline; there is no
-                    # cooperative path into another process, so the
-                    # dispatcher is the cooperation: kill and requeue.
-                    self._count("service.jobs_deadline_killed")
-                    handle.kill()
-                    handle.process.join(timeout=5.0)
-                    return "deadline"
-        finally:
-            watchdog.stop()
+                    pass
+                return "worker_death"
+            if record.cancel_requested:
+                handle.kill()
+                handle.process.join(timeout=5.0)
+                self._finish(record, JobState.CANCELLED)
+                self._ensure_worker(slot)
+                return "done"
+            now = self.clock()
+            try:
+                grown = os.stat(journal).st_size
+            except OSError:
+                grown = 0
+            if grown != size:
+                size, grew_at = grown, now
+            if deadline is not None and now - record.started_at > deadline:
+                cause = "deadline"
+            elif now - grew_at > self.resilience.stall_timeout:
+                cause = "stall"
+            else:
+                continue
+            self._count(f"service.jobs_{cause}_killed")
+            handle.kill()
+            handle.process.join(timeout=5.0)
+            return cause
 
     def _handle_reply(self, handle: _WorkerHandle, record: JobRecord,
                       reply: dict) -> None:
@@ -590,7 +552,6 @@ class WorkerPool:
                 "worker_jobs_served", handle.jobs_served + 1
             )
             record.result = summary
-            self.poison.forget(record.id)
             # Books first: a client woken by the terminal state reads
             # /metrics with this job in them.
             self._observe_success(record, summary)
@@ -607,15 +568,7 @@ class WorkerPool:
 
     def _last_milestone(self, job_id: str) -> str | None:
         """Latest journal milestone the job durably reached, if any."""
-        from repro.recovery.journal import load_journal
-
-        try:
-            state = load_journal(self.journal_path(job_id))
-        except OSError:  # pragma: no cover - defensive
-            return None
-        if not state.milestones:
-            return None
-        return next(reversed(state.milestones))
+        return journal_progress(self.journal_path(job_id))[0]
 
     def _respawn(self, slot: int) -> None:
         """Replace a dead worker after the breaker's paced backoff.
@@ -638,16 +591,17 @@ class WorkerPool:
 
     def _handle_death(self, slot: int, record: JobRecord,
                       cause: str = "worker_death") -> None:
-        """Worker died without a reply: attribute, respawn (paced), then
+        """Worker died without a reply: record, respawn (paced), then
         quarantine, requeue or fail.
 
         The respawn is unconditional: a SIGKILL surfaces as pipe EOF
         *before* ``Process.is_alive()`` flips false, so trusting
         liveness here would hand the requeued attempt straight back to
         the dying worker and burn its retry budget on the same death.
-        What is *not* unconditional any more is the requeue: each death
-        is attributed to the job that was running, and a job that has
-        killed ``quarantine_threshold`` workers is quarantined with a
+        What is *not* unconditional is the requeue: each death is
+        recorded on the job that was running (``death_events``, with the
+        ``cause`` :meth:`_supervise` returned), and a job that has killed
+        ``quarantine_threshold`` workers is quarantined with a
         post-mortem instead of being given another worker to kill.
         """
         self._count("service.worker_deaths")
@@ -658,21 +612,20 @@ class WorkerPool:
             handle.process.join(timeout=5.0)
             exitcode = handle.process.exitcode
             handle.shutdown(timeout=5.0)
-        sig = "deadline-kill" if cause == "deadline" else describe_exit(exitcode)
+        # A kill of the pool's own is named by its cause: "deadline-kill"
+        # or "stall-kill".
+        sig = (describe_exit(exitcode) if cause == "worker_death"
+               else f"{cause}-kill")
         self.breaker.record_death()
-        is_poison = self.poison.record_death(
-            record.id, record.attempts, sig, cause=cause
-        )
         record.death_events.append({
             "attempt": record.attempts, "signal": sig,
             "cause": cause, "at": self.clock(),
         })
         self._respawn(slot)
         if record.cancel_requested:
-            self.poison.forget(record.id)
             self._finish(record, JobState.CANCELLED)
             return
-        if is_poison:
+        if self.resilience.quarantines(record):
             self._quarantine(record)
             return
         if record.attempts <= record.spec.retry_budget:
@@ -681,8 +634,13 @@ class WorkerPool:
             self.queue.requeue(record)
             self._notify(record)
         else:
+            why = {
+                "deadline": "job ran past its deadline",
+                "stall": "job's journal did not grow for "
+                         f"{self.resilience.stall_timeout:g}s",
+            }.get(cause, "worker died")
             record.error = (
-                f"worker died ({sig}) and retry budget "
+                f"{why} ({sig}) and retry budget "
                 f"({record.spec.retry_budget}) is exhausted after "
                 f"{record.attempts} attempt(s)"
             )
@@ -692,15 +650,16 @@ class WorkerPool:
 
     def _quarantine(self, record: JobRecord) -> None:
         """Terminal isolation for a poison job, with a post-mortem."""
-        pm = self.poison.post_mortem(
-            record.id, journal_path=self.journal_path(record.id)
+        pm = post_mortem(
+            record, self.resilience.quarantine_threshold,
+            journal_path=self.journal_path(record.id),
         )
         record.post_mortem = pm
         record.last_milestone = pm.get("last_milestone")
         record.error = (
             f"quarantined: {pm['worker_deaths']} worker death(s) "
             f"attributed to this job (threshold "
-            f"{self.poison.threshold}); signals {pm['death_signals']}"
+            f"{pm['threshold']}); signals {pm['death_signals']}"
         )
         record.error_type = "PoisonJobQuarantined"
         self._count("service.quarantined_jobs")
@@ -711,7 +670,6 @@ class WorkerPool:
                 args={"deaths": pm["worker_deaths"],
                       "signals": pm["death_signals"]},
             )
-        self.poison.forget(record.id)
         self._finish(record, JobState.QUARANTINED)
         # The tenant's lane just lost its head-of-line job for good;
         # reset its rotation slot so it is not penalized for the time

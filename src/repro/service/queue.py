@@ -26,8 +26,9 @@ An accepted job is never lost: it leaves the queue only via
 :meth:`take` (handed to a worker), :meth:`cancel`, or :meth:`drain` at
 shutdown -- the conservation invariant ``accepted == taken + cancelled
 + depth`` that ``tests/service/test_queue_stress.py`` asserts under
-randomized load.  Requeued jobs (worker death, watchdog kill) re-enter
-at the *front* of their lane, keeping their original FIFO slot.
+randomized load.  Requeued jobs (worker death, deadline or stall kill)
+re-enter at the *front* of their lane, keeping their original FIFO
+slot.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ pipeline (PAPERS.md) frames the fix: a shared data-processing service
 survives on *isolation of bad inputs* and *graceful degradation under
 load*, not on per-request heroics.
 
-Four cooperating mechanisms, all deterministic under injected clocks:
+Each worker death is recorded once, on the job that was running
+(:attr:`~repro.service.jobs.JobRecord.death_events`).  After
+``quarantine_threshold`` of them the job is **quarantined**: a terminal
+state with a structured :func:`post_mortem` (per-attempt death signals,
+the last journal milestone the job reached) instead of another
+respawn/requeue cycle.  Around that record, three cooperating
+mechanisms, all deterministic under injected clocks:
 
-- :class:`PoisonTracker` -- per-job worker-death attribution.  After
-  ``quarantine_threshold`` deaths attributable to the same job, the job
-  is **quarantined**: a terminal state with a structured post-mortem
-  (attempts, per-attempt death signals, the last journal milestone the
-  job reached) instead of another respawn/requeue cycle.
 - :class:`CircuitBreaker` -- a sliding-window breaker over worker
   deaths.  Too many deaths per unit time trips the pool OPEN (no
   dispatch); after a cooldown it goes HALF_OPEN and admits **one canary
@@ -67,9 +68,7 @@ __all__ = [
     "BreakerState",
     "BrownoutPolicy",
     "CircuitBreaker",
-    "DeathEvent",
     "HealthReport",
-    "PoisonTracker",
     "ResilienceConfig",
     "SpoolBudget",
 ]
@@ -308,22 +307,6 @@ class CircuitBreaker:
 # -- poison-job quarantine ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeathEvent:
-    """One worker death attributed to a job attempt."""
-
-    attempt: int
-    signal: str          # "SIGKILL", "SIGSEGV", "exit(1)", "unknown"
-    cause: str           # "worker_death" | "deadline"
-    at: float            # pool clock timestamp
-
-    def to_dict(self) -> dict:
-        return {
-            "attempt": self.attempt, "signal": self.signal,
-            "cause": self.cause, "at": self.at,
-        }
-
-
 def describe_exit(exitcode: int | None) -> str:
     """Human name for a worker's exit code (negative = killed by signal)."""
     if exitcode is None:
@@ -338,64 +321,32 @@ def describe_exit(exitcode: int | None) -> str:
     return f"exit({exitcode})"
 
 
-class PoisonTracker:
-    """Per-job worker-death attribution and quarantine decision.
+def journal_progress(journal_path) -> tuple[str | None, int]:
+    """``(last milestone, journaled pairs)`` of a job's journal, from one
+    read; ``(None, 0)`` when there is no journal to read."""
+    from repro.recovery.journal import load_journal
 
-    A job whose attempts have killed ``threshold`` workers is *poison*:
-    retrying it buys nothing and costs a warm worker (plus its plan
-    cache) every time.  The tracker remembers each death per job id and
-    answers the only question the pool needs: "has this job earned
-    quarantine?"
-    """
+    try:
+        state = load_journal(journal_path)
+    except OSError:  # pragma: no cover - defensive
+        return None, 0
+    last = next(reversed(state.milestones)) if state.milestones else None
+    return last, len(state.pairs)
 
-    def __init__(self, threshold: int = 3, clock=time.monotonic) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._deaths: dict[str, list[DeathEvent]] = {}
 
-    def record_death(self, job_id: str, attempt: int, signal: str,
-                     cause: str = "worker_death") -> bool:
-        """Attribute one death; returns True when the job is now poison."""
-        with self._lock:
-            events = self._deaths.setdefault(job_id, [])
-            events.append(DeathEvent(attempt, signal, cause, self.clock()))
-            return len(events) >= self.threshold
-
-    def deaths(self, job_id: str) -> list[DeathEvent]:
-        with self._lock:
-            return list(self._deaths.get(job_id, ()))
-
-    def forget(self, job_id: str) -> None:
-        """Drop attribution (job reached a terminal state)."""
-        with self._lock:
-            self._deaths.pop(job_id, None)
-
-    def post_mortem(self, job_id: str, journal_path=None) -> dict:
-        """Structured quarantine report: what killed how many workers,
-        and how far the job durably got before each death."""
-        events = self.deaths(job_id)
-        report = {
-            "job_id": job_id,
-            "worker_deaths": len(events),
-            "threshold": self.threshold,
-            "death_signals": [e.signal for e in events],
-            "deaths": [e.to_dict() for e in events],
-            "last_milestone": None,
-            "journaled_pairs": 0,
-        }
-        if journal_path is not None:
-            from repro.recovery.journal import load_journal
-
-            state = load_journal(journal_path)
-            if state.milestones:
-                report["last_milestone"] = next(
-                    reversed(state.milestones)
-                )
-            report["journaled_pairs"] = len(state.pairs)
-        return report
+def post_mortem(record, threshold: int, journal_path) -> dict:
+    """Structured quarantine report for a job record: what killed how
+    many workers, and how far the job durably got before the last death."""
+    last_milestone, journaled_pairs = journal_progress(journal_path)
+    return {
+        "job_id": record.id,
+        "worker_deaths": len(record.death_events),
+        "threshold": threshold,
+        "death_signals": [e["signal"] for e in record.death_events],
+        "deaths": [dict(e) for e in record.death_events],
+        "last_milestone": last_milestone,
+        "journaled_pairs": journaled_pairs,
+    }
 
 
 # -- load shedding / brownout ------------------------------------------------
@@ -642,11 +593,40 @@ class SpoolBudget:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Everything ``repro serve`` can tune, in one picklable bundle."""
+    """Everything ``repro serve`` can tune, in one picklable bundle.
 
+    ``job_deadline`` is the seconds a job may run before the pool kills
+    its worker (None = no deadline unless the spec names one);
+    ``stall_timeout`` the seconds a job's journal may stay the same size
+    before the same happens -- generous, because phases 2 and 3 write no
+    pair records.  ``quarantine_threshold`` worker deaths recorded on
+    one job quarantine it.
+    """
+
+    job_deadline: float | None = None
+    stall_timeout: float = 120.0
     quarantine_threshold: int = 3
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
     #: Spool byte budget; None disables the guard.
     spool_budget_bytes: int | None = None
     spool_per_job_estimate: int = 1 << 20
+
+    def __post_init__(self) -> None:
+        if self.job_deadline is not None and self.job_deadline <= 0:
+            raise ValueError(
+                f"job_deadline must be > 0, got {self.job_deadline}"
+            )
+        if self.stall_timeout <= 0:
+            raise ValueError(
+                f"stall_timeout must be > 0, got {self.stall_timeout}"
+            )
+        if self.quarantine_threshold < 1:
+            raise ValueError(
+                "quarantine_threshold must be >= 1, got "
+                f"{self.quarantine_threshold}"
+            )
+
+    def quarantines(self, record) -> bool:
+        """Whether a job's recorded worker deaths have earned quarantine."""
+        return len(record.death_events) >= self.quarantine_threshold

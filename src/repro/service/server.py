@@ -35,9 +35,8 @@ from pathlib import Path
 
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import Tracer
-from repro.recovery.watchdog import WatchdogConfig
 from repro.service.jobs import JobRecord, JobSpec, JobState
-from repro.service.pool import DEFAULT_WATCHDOG, WorkerPool
+from repro.service.pool import WorkerPool
 from repro.service.queue import AdmissionRejected, JobQueue
 from repro.service.resilience import (
     HealthReport,
@@ -105,7 +104,6 @@ class StitchService:
         dataset_root: str | Path | None = None,
         max_depth: int = 64,
         per_tenant_limit: int = 16,
-        watchdog: WatchdogConfig = DEFAULT_WATCHDOG,
         default_retry_budget: int | None = None,
         metrics: MetricsRegistry | None = None,
         clock=time.monotonic,
@@ -133,7 +131,6 @@ class StitchService:
             self.spool_dir,
             workers=workers,
             metrics=self.metrics,
-            watchdog=watchdog,
             resolve_positions=self._resolve_positions,
             on_transition=self._on_transition,
             clock=clock,

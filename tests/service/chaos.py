@@ -1,7 +1,7 @@
 """Deterministic chaos harness for the stitching service.
 
 The harness drives a real in-process :class:`StitchService` (forked
-workers, journals, watchdogs -- nothing mocked) through a seeded
+workers, journals, deadline kills -- nothing mocked) through a seeded
 schedule of hostile jobs and environmental events:
 
 - **poison jobs** whose input deterministically SIGKILLs every worker
@@ -9,7 +9,7 @@ schedule of hostile jobs and environmental events:
   quarantine path;
 - **deadline jobs** whose injected read latency exceeds their declared
   ``deadline_seconds`` (a clock-skewed client lowballing its budget) --
-  the watchdog deadline-kill path;
+  the pool's deadline-kill path;
 - **data-fault jobs** whose tiles are damaged (dust / saturation) but
   readable -- they must *complete*, exercising the quality gate under
   chaos rather than dying;

@@ -19,6 +19,7 @@ from repro.observe import MetricsRegistry
 from repro.service.jobs import JobRecord, JobSpec, JobState
 from repro.service.pool import WorkerPool
 from repro.service.queue import JobQueue
+from repro.service.resilience import ResilienceConfig
 from repro.synth import make_synthetic_dataset
 
 
@@ -252,8 +253,8 @@ class TestDeadline:
     def test_deadline_kill_then_fail_when_budget_spent(
         self, tmp_path, small_ds
     ):
-        """A job past its watchdog deadline is killed; with no retry
-        budget it fails with the budget message."""
+        """A job past its deadline is killed; with no retry budget it
+        fails with the budget message."""
         h = PoolHarness(tmp_path)
         h.pool.start()
         try:
@@ -266,5 +267,39 @@ class TestDeadline:
             h.settle(rec, timeout=60)
             assert rec.state is JobState.FAILED
             assert h.metrics.counter("service.jobs_deadline_killed").value >= 1
+            assert [e["signal"] for e in rec.death_events] == ["deadline-kill"]
+            assert rec.death_events[0]["cause"] == "deadline"
+        finally:
+            h.pool.stop()
+
+
+class TestStall:
+    def test_stalled_job_is_killed_and_recorded_as_a_stall(
+        self, tmp_path, small_ds
+    ):
+        """A job whose journal stops growing -- here a tile read that
+        hangs with nothing to cancel it -- is killed after
+        ``stall_timeout``, and the death says so: cause ``stall``,
+        signal ``stall-kill``, not an external SIGKILL."""
+        h = PoolHarness(
+            tmp_path, resilience=ResilienceConfig(stall_timeout=0.5),
+        )
+        h.pool.start()
+        try:
+            rec = h.submit(
+                dataset=str(small_ds.directory),
+                inject_faults="7:hang=1,latency=0",
+                retry_budget=0,
+            )
+            h.settle(rec, timeout=60)
+            assert rec.state is JobState.FAILED
+            assert [(e["signal"], e["cause"]) for e in rec.death_events] == [
+                ("stall-kill", "stall")
+            ]
+            assert "journal did not grow" in rec.error
+            assert rec.error_detail()["death_signals"] == ["stall-kill"]
+            counters = h.metrics.snapshot()["counters"]
+            assert counters["service.jobs_stall_killed"] == 1
+            assert "service.jobs_deadline_killed" not in counters
         finally:
             h.pool.stop()

@@ -1,6 +1,6 @@
 """Unit tests for the resilience layer, all on injected fake clocks.
 
-The circuit breaker, poison tracker, brownout policy and spool budget
+The circuit breaker, quarantine rule, brownout policy and spool budget
 are pure policy objects -- no threads of their own, no wall time -- so every
 transition here is driven deterministically: the clock advances only
 when a test says so, and jitter comes from a seeded stream.
@@ -20,9 +20,10 @@ from repro.service.resilience import (
     BrownoutPolicy,
     CircuitBreaker,
     HealthReport,
-    PoisonTracker,
+    ResilienceConfig,
     SpoolBudget,
     describe_exit,
+    post_mortem,
 )
 
 
@@ -179,48 +180,68 @@ class TestRespawnBackoff:
             assert full * 0.5 <= delay <= full
 
 
+def died(record: JobRecord, signal: str, cause: str = "worker_death",
+         at: float = 0.0) -> JobRecord:
+    """Record one worker death on ``record`` the way the pool does."""
+    record.attempts += 1
+    record.death_events.append({
+        "attempt": record.attempts, "signal": signal,
+        "cause": cause, "at": at,
+    })
+    return record
+
+
 class TestPoisonTracker:
+    """Quarantine counts a job's own ``death_events``; the post-mortem
+    is built from that record plus one journal read."""
+
     def test_quarantine_at_threshold(self):
-        t = PoisonTracker(threshold=3, clock=FakeClock())
-        assert t.record_death("job-1", 1, "SIGKILL") is False
-        assert t.record_death("job-1", 2, "SIGKILL") is False
-        assert t.record_death("job-1", 3, "SIGSEGV") is True
+        config = ResilienceConfig(quarantine_threshold=3)
+        rec = JobRecord(spec=JobSpec(dataset="d"))
+        assert config.quarantines(died(rec, "SIGKILL")) is False
+        assert config.quarantines(died(rec, "SIGKILL")) is False
+        assert config.quarantines(died(rec, "SIGSEGV")) is True
+        with pytest.raises(ValueError):
+            ResilienceConfig(quarantine_threshold=0)
 
     def test_deaths_attributed_per_job(self):
-        t = PoisonTracker(threshold=2, clock=FakeClock())
-        t.record_death("a", 1, "SIGKILL")
-        assert t.record_death("b", 1, "SIGKILL") is False  # separate jobs
-        assert t.record_death("a", 2, "SIGKILL") is True
-
-    def test_forget_resets_attribution(self):
-        t = PoisonTracker(threshold=2, clock=FakeClock())
-        t.record_death("a", 1, "SIGKILL")
-        t.forget("a")
-        assert t.record_death("a", 1, "SIGKILL") is False
+        config = ResilienceConfig(quarantine_threshold=2)
+        a = died(JobRecord(spec=JobSpec(dataset="d")), "SIGKILL")
+        b = died(JobRecord(spec=JobSpec(dataset="d")), "SIGKILL")
+        assert config.quarantines(b) is False  # separate jobs
+        assert config.quarantines(died(a, "SIGKILL")) is True
 
     def test_post_mortem_structure(self, tmp_path):
         from repro.recovery.journal import RunJournal
 
-        clock = FakeClock()
-        t = PoisonTracker(threshold=2, clock=clock)
-        t.record_death("j", 1, "SIGKILL", cause="worker_death")
-        clock.advance(5.0)
-        t.record_death("j", 2, "deadline-kill", cause="deadline")
+        rec = JobRecord(spec=JobSpec(dataset="d"))
+        died(rec, "SIGKILL", cause="worker_death")
+        died(rec, "deadline-kill", cause="deadline", at=5.0)
         journal = tmp_path / "journal.jsonl"
         with RunJournal.create(journal, {"dataset": {}, "options": {}}) as j:
             j.record_milestone("phase1_complete", pairs=12)
-        pm = t.post_mortem("j", journal_path=journal)
-        assert pm["worker_deaths"] == 2
-        assert pm["threshold"] == 2
-        assert pm["death_signals"] == ["SIGKILL", "deadline-kill"]
-        assert pm["deaths"][1]["cause"] == "deadline"
-        assert pm["deaths"][1]["at"] == 5.0
-        assert pm["last_milestone"] == "phase1_complete"
+        pm = post_mortem(rec, 2, journal_path=journal)
+        assert pm == {
+            "job_id": rec.id,
+            "worker_deaths": 2,
+            "threshold": 2,
+            "death_signals": ["SIGKILL", "deadline-kill"],
+            "deaths": [
+                {"attempt": 1, "signal": "SIGKILL",
+                 "cause": "worker_death", "at": 0.0},
+                {"attempt": 2, "signal": "deadline-kill",
+                 "cause": "deadline", "at": 5.0},
+            ],
+            "last_milestone": "phase1_complete",
+            "journaled_pairs": 0,
+        }
+        assert rec.error_detail()["death_signals"] == [
+            "SIGKILL", "deadline-kill"]
 
-    def test_post_mortem_without_journal(self):
-        t = PoisonTracker(threshold=1, clock=FakeClock())
-        t.record_death("j", 1, "SIGKILL")
-        pm = t.post_mortem("j")
+    def test_post_mortem_without_journal(self, tmp_path):
+        rec = died(JobRecord(spec=JobSpec(dataset="d")), "SIGKILL")
+        pm = post_mortem(rec, 1, tmp_path / "never-written.jsonl")
+        assert pm["worker_deaths"] == 1
         assert pm["last_milestone"] is None
         assert pm["journaled_pairs"] == 0
 

@@ -667,3 +667,41 @@ def test_admission_is_one_decision():
     sites = {site for where, tree in trees
              for site in calls(tree, where, "<module>")}
     assert sites == {"service/queue.py::_reject"}, sites
+
+
+def test_a_service_job_has_one_supervisor_and_one_death_record():
+    """A running service job is watched by its dispatcher's poll loop
+    (service/pool.py::WorkerPool._supervise), which kills the worker past
+    the job's deadline or journal stall; no watchdog thread or cancel
+    token runs beside it.  Phase 1 builds the only Watchdogs, and a
+    worker death is appended to JobRecord.death_events at one site: a
+    second tally of deaths is a second quarantine decision."""
+    watchdog_modules = {"repro.recovery.watchdog", "repro.recovery.cancel"}
+    watchdog_names = {"Watchdog", "WatchdogConfig", "CancelToken"}
+    imports, builders, appends = set(), set(), []
+    for where, tree in modules():
+        for node in ast.walk(tree):
+            if where.startswith("service/"):
+                if isinstance(node, ast.Import):
+                    names = {a.name for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {node.module or ""} | {
+                        f"{node.module}.{a.name}" for a in node.names}
+                else:
+                    names = set()
+                if names & watchdog_modules or {
+                        f"repro.recovery.{n}" for n in watchdog_names} & names:
+                    imports.add(f"{where}:{node.lineno}")
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "append"
+                        and ast.unparse(node.func.value).endswith(
+                            "death_events")):
+                    appends.append(f"{where}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+            ) == "Watchdog":
+                builders.add(where)
+    assert imports == set(), imports
+    assert builders == {"core/displacement.py", "pipeline/graph.py"}, builders
+    assert len(appends) == 1, appends
